@@ -24,6 +24,7 @@ from .montecarlo import (
     estimate_individual_probs,
     estimate_non_outage,
     exponentiality_check,
+    received_powers,
     sample_channels,
 )
 from .diag_lp import PowerAllocation, allocation_to_beamformer, solve_diagonal

@@ -154,12 +154,10 @@ def cmd_montecarlo(args) -> int:
     if sol.status != OPTIMAL:
         _emit_json({"status": sol.status}, args.output)
         return _status_exit(sol.status)
-    samples = montecarlo.sample_channels(pf.problem, args.seed, args.trials)
-    est = montecarlo.estimate_non_outage(pf.problem, r, sol.w, samples, rate_map=model)
-    users, eaves = montecarlo.estimate_individual_probs(
-        pf.problem, sol.thresholds, sol.w,
-        montecarlo.sample_channels(pf.problem, args.seed, args.trials),
-    )
+    powers = montecarlo.received_powers(
+        montecarlo.sample_channels(pf.problem, args.seed, args.trials), sol.w)
+    est = montecarlo.estimate_non_outage(pf.problem, r, sol.w, powers, rate_map=model)
+    users, eaves = montecarlo.estimate_individual_probs(sol.thresholds, powers)
     _emit_json(
         {
             "status": sol.status,

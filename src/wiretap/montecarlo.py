@@ -1,14 +1,21 @@
 """Fading-channel simulation and empirical validation of the outage design.
 
 Channels are drawn as h = B g with B B* = H and g a standard circular complex
-Gaussian vector, so h ~ CN(0, H). Randomness is counter-based: trial i always
-consumes the same fixed-size block of the Philox stream keyed by the seed, so
-estimates are reproducible bit-for-bit no matter how trials are chunked or
-distributed across workers, and aggregation is a plain sum.
+Gaussian vector, so h ~ CN(0, H). sample_channels streams them in chunks: one
+ChannelSample per block of up to chunk_size trials, holding that block's
+(m, K, N) user and (m, J, N) eavesdropper channels. Randomness is
+counter-based: trial i always consumes the same fixed-size block of the Philox
+stream keyed by the seed, so every trial's channel is reproducible
+bit-for-bit no matter how trials are chunked or distributed across workers,
+and aggregation is a plain sum.
 
-A channel vector h pairs with a beamformer w through vdot(h, w) = h* w; the
-received signal power |h* w|^2 is exponentially distributed with mean
-w* H w, which exponentiality_check verifies empirically.
+A channel vector h pairs with a beamformer w through h* w. received_powers
+turns each chunk into the received signal powers |h* w|^2 with one batched
+product and keeps only those (T, K + J) powers, never the channels. The
+estimators work from these power arrays, so a single draw serves the joint
+estimate and the per-link estimates alike. Each power is exponentially
+distributed with mean w* H w, which exponentiality_check verifies
+empirically.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ KS_CRITICAL_1PCT = 1.6276
 
 @dataclass(frozen=True)
 class ChannelSample:
-    """One fading realization: h[k] and z[j] are the rows of (K, N) / (J, N)."""
+    """A chunk of m fading realizations: h is (m, K, N) and z is (m, J, N), so
+    h[i, k] is user k's channel in trial i."""
 
     h: np.ndarray
     z: np.ndarray
@@ -76,7 +84,8 @@ def _gaussian_block(p: WiretapProblem, seed: int, start: int, count: int) -> np.
 def sample_channels(
     p: WiretapProblem, seed: int, count: int, chunk_size: int = 8192
 ) -> Iterator[ChannelSample]:
-    """Stream of fading realizations, deterministic in (seed, trial index)."""
+    """Fading realizations in chunks of up to chunk_size trials, deterministic
+    in (seed, trial index)."""
     if count < 0:
         raise ModelError(f"count must be non-negative: {count}")
     factors = np.stack(
@@ -85,22 +94,18 @@ def sample_channels(
     k = p.K
     for start in range(0, count, chunk_size):
         m = min(chunk_size, count - start)
-        g = _gaussian_block(p, seed, start, m)
-        hz = np.einsum("cab,mcb->mca", factors, g)
-        for i in range(m):
-            yield ChannelSample(h=hz[i, :k], z=hz[i, k:])
+        hz = np.einsum("cab,mcb->mca", factors, _gaussian_block(p, seed, start, m))
+        yield ChannelSample(h=hz[:, :k], z=hz[:, k:])
 
 
-def _received_powers(samples: Iterable[ChannelSample], w: np.ndarray):
+def received_powers(samples: Iterable[ChannelSample], w: np.ndarray):
     """(T, K) user and (T, J) eavesdropper received powers |h* w|^2."""
     wc = np.asarray(w, dtype=np.complex128).reshape(-1)
-    hp, zp = [], []
-    for smp in samples:
-        hp.append(np.abs(smp.h.conj() @ wc) ** 2)
-        zp.append(np.abs(smp.z.conj() @ wc) ** 2)
-    if not hp:
+    chunks = [(np.abs(c.h.conj() @ wc) ** 2, np.abs(c.z.conj() @ wc) ** 2) for c in samples]
+    if not chunks:
         raise ModelError("empty sample stream")
-    return np.array(hp), np.array(zp)
+    hp, zp = zip(*chunks)
+    return np.concatenate(hp), np.concatenate(zp)
 
 
 def _rate_thresholds(p: WiretapProblem, r: RatePair, rate_map) -> tuple[float, float]:
@@ -118,44 +123,35 @@ def estimate_non_outage(
     p: WiretapProblem,
     r: RatePair,
     w: np.ndarray,
-    samples: Iterable[ChannelSample],
+    powers: tuple[np.ndarray, np.ndarray],
     rate_map="gaussian",
 ) -> OutageEstimate:
     """Empirical probability of the joint event {every user link rate >= R_D
-    and every eavesdropper link rate <= R_D - R_s}."""
-    wc = np.asarray(w, dtype=np.complex128).reshape(-1)
-    if float(np.linalg.norm(wc)) ** 2 > p.P_T * (1.0 + 1e-9):
+    and every eavesdropper link rate <= R_D - R_s}; powers are the
+    received_powers of the beamformer w."""
+    if float(np.linalg.norm(w)) ** 2 > p.P_T * (1.0 + 1e-9):
         raise ModelError("beamformer exceeds the power budget")
     u_thr, e_thr = _rate_thresholds(p, r, rate_map)
-    hp, zp = _received_powers(samples, wc)
-    ok = np.all(hp >= u_thr, axis=1)
-    if zp.shape[1]:
-        ok &= np.all(zp <= e_thr, axis=1)
+    hp, zp = powers
+    ok = np.all(hp >= u_thr, axis=1) & np.all(zp <= e_thr, axis=1)
     return OutageEstimate(trials=hp.shape[0], successes=int(np.count_nonzero(ok)))
 
 
 def estimate_individual_probs(
-    p: WiretapProblem,
-    t: ConstraintThresholds,
-    w: np.ndarray,
-    samples: Iterable[ChannelSample],
+    t: ConstraintThresholds, powers: tuple[np.ndarray, np.ndarray]
 ) -> tuple[list[OutageEstimate], list[OutageEstimate]]:
     """Per-link estimates of the K + J probabilities the design constrains:
-    Pr{|h_k* w|^2 >= (2^R_D - 1) N0} and Pr{|z_j* w|^2 <= (2^(R_D-R_s) - 1) N0}.
+    Pr{|h_k* w|^2 >= (2^R_D - 1) N0} and Pr{|z_j* w|^2 <= (2^(R_D-R_s) - 1) N0},
+    from the received_powers of w.
 
     Each should be >= per_link_prob when w satisfies the quadratic-form
     constraints."""
-    hp, zp = _received_powers(samples, w)
+    hp, zp = powers
     trials = hp.shape[0]
-    users = [
-        OutageEstimate(trials=trials, successes=int(np.count_nonzero(hp[:, k] >= t.user_power_target)))
-        for k in range(hp.shape[1])
-    ]
-    eaves = [
-        OutageEstimate(trials=trials, successes=int(np.count_nonzero(zp[:, j] <= t.eave_power_target)))
-        for j in range(zp.shape[1])
-    ]
-    return users, eaves
+    users = np.count_nonzero(hp >= t.user_power_target, axis=0)
+    eaves = np.count_nonzero(zp <= t.eave_power_target, axis=0)
+    return ([OutageEstimate(trials=trials, successes=int(n)) for n in users],
+            [OutageEstimate(trials=trials, successes=int(n)) for n in eaves])
 
 
 @dataclass(frozen=True)
@@ -198,7 +194,7 @@ def exponentiality_check(
     mean_expected = quad_form(w, p.H[k_index])
     if mean_expected <= 0.0:
         raise ModelError("degenerate direction: w* H_k w = 0")
-    hp, _ = _received_powers(samples, w)
+    hp, _ = received_powers(samples, w)
     x = hp[:, k_index]
     n = x.size
     sample_mean = float(np.mean(x))

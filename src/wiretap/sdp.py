@@ -430,9 +430,11 @@ def _phase1(sys_: _ConstraintSystem, opts: SolverOptions, budget: _NewtonBudget)
             return "feasible", W, None
         gap = bar.nu / t
         if s - gap > 0.0:
-            sl = bar.slacks(W, s)
-            lam, mu, nu = sys_.duals_from_slacks(t, sl)
-            return "infeasible", None, _certificate(sys_, lam, mu, nu)
+            # Only a certificate proves infeasibility; an uncentred iterate
+            # may not yield one, so keep raising t until it does.
+            cert = _certificate(sys_, *sys_.duals_from_slacks(t, bar.slacks(W, s)))
+            if cert is not None:
+                return "infeasible", None, cert
         if gap <= max(1e-12, 1e-11 * ref):
             # No strict interior within resolution: treat as infeasible.
             return "infeasible", None, None

@@ -20,6 +20,7 @@ from wiretap.model import RatePair, WiretapProblem, thresholds_gaussian
 from wiretap.montecarlo import (
     estimate_non_outage,
     exponentiality_check,
+    received_powers,
     sample_channels,
 )
 from wiretap.sdp import solve_general, solve_rank_relaxed
@@ -126,7 +127,8 @@ def test_criterion_3_outage_guarantee(region_sweeps):
         if sol.status != "optimal":
             failures.append(f"J={j} ({rd},{rs}) unexpectedly {sol.status}")
             continue
-        est = estimate_non_outage(p, r, sol.w, sample_channels(p, seed, 100_000))
+        powers = received_powers(sample_channels(p, seed, 100_000), sol.w)
+        est = estimate_non_outage(p, r, sol.w, powers)
         target = (1.0 - p.epsilon) - 3.0 * est.ci_halfwidth
         if est.p_hat < target:
             failures.append(f"J={j} ({rd:.2f},{rs:.3f}): p_hat={est.p_hat:.4f} < {target:.4f}")

@@ -220,6 +220,29 @@ class TestSolveGeneral:
         sol = solve_general(ref_j1, RatePair(2.0, 1.0))
         assert sol.status == INFEASIBLE
         assert sol.w is None
+        assert sol.certificate is not None
+
+    @pytest.mark.parametrize("rs", [0.5572265624999998, 0.5572265624999999,
+                                    0.5572265625000004])
+    def test_phase1_reports_infeasible_only_with_certificate(self, ref_j2, rs, monkeypatch):
+        # With the Newton kernel's W A W in batched-matmul form (the same math
+        # to a relative 2e-15), phase I at t = 1e4 stops on an uncentred point
+        # whose s exceeds the duality gap but yields no certificate. One more
+        # t stage reaches s < 0: the point is feasible.
+        einsum, calls = np.einsum, []
+
+        def batched_kernel(subscripts, *operands, **kwargs):
+            if subscripts == "ab,mbc,cd->mad":
+                calls.append(subscripts)
+                W, A, _ = operands
+                return W @ A @ W
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", batched_kernel)
+        sol = solve_general(ref_j2, RatePair(0.9, rs))
+        assert calls
+        assert sol.status == OPTIMAL
+        assert sol.power == pytest.approx(15.7564, rel=1e-4)
 
     def test_feasible_solution_satisfies_constraints(self, ref_j3):
         sol = solve_general(ref_j3, RatePair(0.4, 0.1))

@@ -14,6 +14,26 @@ from wiretap.sweep import CSV_HEADER, sweep_region, to_csv
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
+MONTECARLO_J1_GOLDEN = """\
+{
+  "ci_halfwidth": 0.001561400388830489,
+  "non_outage_target": 0.9,
+  "p_hat": 0.9319,
+  "per_eave_p_hat": [
+    0.99961
+  ],
+  "per_link_prob": 0.9654893846056297,
+  "per_user_p_hat": [
+    0.96646,
+    0.96453
+  ],
+  "power": 13.165819318205285,
+  "status": "optimal",
+  "successes": 93190,
+  "trials": 100000
+}
+"""
+
 
 class TestProblemFile:
     def test_round_trip_identity(self, tmp_path, ref_j2):
@@ -202,6 +222,14 @@ class TestCli:
         assert out1 == out2
         doc = json.loads(out1)
         assert doc["p_hat"] >= doc["non_outage_target"] - 3 * doc["ci_halfwidth"]
+
+    def test_montecarlo_golden_output(self):
+        # Pinned bytes: chunking and the single draw must not move any count.
+        code, out = run_cli(["montecarlo", "--problem", str(PROBLEMS / "paper_j1.json"),
+                             "--rd", "1.0", "--rs", "0.5", "--trials", "100000",
+                             "--seed", "7"])
+        assert code == 0
+        assert out == MONTECARLO_J1_GOLDEN
 
     def test_kkt_subcommand(self):
         code, out = run_cli(["kkt", "--problem", str(PROBLEMS / "paper_j2.json"),
