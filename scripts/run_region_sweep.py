@@ -30,7 +30,6 @@ def main() -> None:
     ap.add_argument("--rd-max", type=float, default=2.0)
     ap.add_argument("--rd-step", type=float, default=0.1)
     ap.add_argument("--rate-tol", type=float, default=1e-3)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     out = pathlib.Path(args.out)
@@ -40,7 +39,7 @@ def main() -> None:
         for j in (1, 2, 3):
             t0 = time.time()
             p = reference_problem(j, diagonal=diagonal)
-            res = sweep_region(p, grid, rate_tol=args.rate_tol, workers=args.workers)
+            res = sweep_region(p, grid, rate_tol=args.rate_tol)
             tag = f"j{j}_diag" if diagonal else f"j{j}"
             path = out / f"region_{tag}.csv"
             path.write_text(to_csv(res))

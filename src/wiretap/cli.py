@@ -3,17 +3,12 @@
 Subcommands: validate, solve, sweep, montecarlo, kkt, mi. Results go to
 stdout (or --output FILE) as JSON or CSV. Exit codes: 0 success, 1 the
 requested point is infeasible, 2 input error, 3 numerical failure.
-
-WIRETAP_THREADS caps the sweep worker count (0 = one worker per CPU;
-unset = single-threaded). Identical inputs produce byte-identical output
-regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -30,17 +25,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL = 3
-
-
-def _workers() -> int:
-    raw = os.environ.get("WIRETAP_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ModelError(f"WIRETAP_THREADS must be an integer, got {raw!r}")
-    return os.cpu_count() or 1 if n == 0 else max(1, n)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -135,8 +119,7 @@ def cmd_sweep(args) -> int:
         grid.append(round(rd, 12))
         rd += args.rd_step
     result = sweep_region(pf.problem, grid, rate_tol=args.rate_tol,
-                          mode=pf.csi_mode, input_model=_input_model(args, pf),
-                          workers=_workers())
+                          mode=pf.csi_mode, input_model=_input_model(args, pf))
     _emit(to_csv(result), args.output)
     return EXIT_OK
 

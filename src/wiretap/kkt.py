@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig, numerical_rank, trace_inner
+from .constraints import ConstraintSet, DualVariables
+from .linalg import hermitian_eig, numerical_rank
 from .model import STATISTICAL, ConstraintThresholds, CsiMode, ModelError, WiretapProblem
-from .sdp import DualVariables, effective_constraints
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,9 @@ def check_kkt(
     mode: CsiMode = STATISTICAL,
 ) -> KktReport:
     """Evaluate every optimality residual for a candidate solution."""
-    floors, ceils = effective_constraints(p, t, mode)
-    if W.shape != (p.N, p.N):
-        raise ModelError(f"W has shape {W.shape}, expected ({p.N}, {p.N})")
-    if len(duals.mu) != len(floors) or len(duals.nu) != len(ceils):
-        raise ModelError("dual multiplier counts do not match the constraint counts")
+    cons = ConstraintSet.build(p, t, mode)
+    cons.check(W, duals)
+    lam, mu, nu = duals.lam, np.atleast_1d(duals.mu), np.atleast_1d(duals.nu)
     w_scale = max(1.0, float(np.linalg.norm(W)))
     tr_w = float(np.real(np.trace(W)))
 
@@ -80,46 +78,21 @@ def check_kkt(
         violations.append(f"W not PSD (min eigenvalue {eig_w[0]:.3e})")
     if tr_w > p.P_T + tol * max(1.0, p.P_T):
         violations.append(f"power budget violated: Tr W = {tr_w:.6g} > {p.P_T:.6g}")
-    floor_vals = [trace_inner(W, mat) for mat, _ in floors]
-    ceil_vals = [trace_inner(W, mat) for mat, _ in ceils]
-    for k, (val, (_, a_k)) in enumerate(zip(floor_vals, floors)):
-        if val < a_k - tol * max(1.0, abs(a_k)):
-            violations.append(f"user floor {k} violated: {val:.6g} < {a_k:.6g}")
-    for j, (val, (_, b_j)) in enumerate(zip(ceil_vals, ceils)):
-        if val > b_j + tol * max(1.0, abs(b_j)):
-            violations.append(f"eavesdropper ceiling {j} violated: {val:.6g} > {b_j:.6g}")
-
-    lam, mu, nu = duals.lam, np.atleast_1d(duals.mu), np.atleast_1d(duals.nu)
-    k6 = (1.0 + lam) * np.eye(p.N, dtype=complex)
-    for m_k, (mat, _) in zip(mu, floors):
-        k6 = k6 - m_k * mat
-    for n_j, (mat, _) in zip(nu, ceils):
-        k6 = k6 + n_j * mat
-    k6 = (k6 + k6.conj().T) / 2.0
-
-    scalar = (1.0 + lam) * tr_w
-    scalar -= float(np.dot(mu, [a_k for _, a_k in floors])) if floors else 0.0
-    scalar += float(np.dot(nu, [b_j for _, b_j in ceils])) if ceils else 0.0
-
-    mu_h = np.zeros((p.N, p.N), dtype=complex)
-    for m_k, (mat, _) in zip(mu, floors):
-        mu_h = mu_h + m_k * mat
+    constraint_violations, slack_users, slack_eaves = cons.primal_terms(W, mu, nu, tol)
+    violations += constraint_violations
+    k6 = cons.multiplier_matrix(1.0 + lam, mu, nu)
 
     return KktReport(
         primal_feasible=not violations,
         feasibility_violations=tuple(violations),
         compl_slack_W=float(np.linalg.norm(k6 @ W)) / w_scale,
         slack_power=abs(lam * (tr_w - p.P_T)),
-        slack_users=np.array(
-            [abs(m_k * (a_k - val)) for m_k, val, (_, a_k) in zip(mu, floor_vals, floors)]
-        ),
-        slack_eaves=np.array(
-            [abs(n_j * (val - b_j)) for n_j, val, (_, b_j) in zip(nu, ceil_vals, ceils)]
-        ),
+        slack_users=slack_users,
+        slack_eaves=slack_eaves,
         stationarity_min_eig=float(hermitian_eig(k6).eigenvalues[0]),
-        scalar_identity=abs(scalar) / max(1.0, abs((1.0 + lam) * tr_w)),
+        scalar_identity=cons.scalar_identity(lam, mu, nu, tr_w),
         rank_W=numerical_rank(W),
-        rank_muH=numerical_rank(mu_h),
+        rank_muH=numerical_rank(cons.floor_combination(mu)),
     )
 
 
@@ -154,18 +127,13 @@ def rank_bound_check(
     """
     if float(np.linalg.norm(W)) == 0.0:
         raise ModelError("rank bound is vacuous for W = 0")
-    floors, ceils = effective_constraints(p, t, mode)
+    cons = ConstraintSet.build(p, t, mode)
+    cons.check(W, duals)
     mu = np.atleast_1d(duals.mu)
     nu = np.atleast_1d(duals.nu)
-    mu_h = np.zeros((p.N, p.N), dtype=complex)
-    for m_k, (mat, _) in zip(mu, floors):
-        mu_h = mu_h + m_k * mat
     rank_w = numerical_rank(W, rel_tol)
-    rank_muh = numerical_rank(mu_h, rel_tol)
-    scalar = (1.0 + duals.lam) * float(np.real(np.trace(W)))
-    scalar -= float(np.dot(mu, [a_k for _, a_k in floors])) if floors else 0.0
-    scalar += float(np.dot(nu, [b_j for _, b_j in ceils])) if ceils else 0.0
-    scalar = abs(scalar) / max(1.0, abs((1.0 + duals.lam) * float(np.real(np.trace(W)))))
+    rank_muh = numerical_rank(cons.floor_combination(mu), rel_tol)
+    scalar = cons.scalar_identity(duals.lam, mu, nu, float(np.real(np.trace(W))))
     mu_sum = float(np.sum(mu))
     return RankBoundReport(
         rank_W=rank_w,

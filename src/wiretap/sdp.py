@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diag_lp
+from .constraints import ConstraintSet, DualVariables, effective_constraints  # noqa: F401
 from .linalg import LinalgError, as_vector, hermitian_eig, numerical_rank, quad_form
 from .model import (
     STATISTICAL,
@@ -45,27 +46,17 @@ MAX_ITERATIONS = "max_iterations"
 
 _EPS = float(np.finfo(np.float64).eps)
 
+_GAP_REL = 2e-7          # duality-gap target relative to max(1, primal)
+_T0 = 1.0                # initial barrier parameter
+_T_GROWTH = 10.0         # barrier parameter multiplier per centering stage
+_NEWTON_TOL = 1e-8       # Newton decrement below which a point is centered
+_FEAS_MARGIN_REL = 1e-9  # phase I stops once the relaxation s < -this * ref
+_RANK_REL_TOL = 1e-6     # eigenvalues below this * lambda_max count as zero
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    gap_rel: float = 2e-7      # duality-gap target relative to max(1, primal)
-    t0: float = 1.0            # initial barrier parameter
-    t_growth: float = 10.0     # barrier parameter multiplier per centering stage
-    newton_tol: float = 1e-8   # Newton decrement below which a point is centered
     max_newton: int = 800      # total Newton budget per solve (both phases)
-    feas_margin_rel: float = 1e-9
-    rank_rel_tol: float = 1e-6
-
-
-@dataclass(frozen=True)
-class DualVariables:
-    """Multipliers of the rank-relaxed problem: lam for the power budget,
-    mu_k for user floors, nu_j for eavesdropper ceilings, Lambda for W >= 0."""
-
-    lam: float
-    mu: np.ndarray
-    nu: np.ndarray
-    Lambda: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,35 +95,6 @@ class BeamformerSolution:
     objective: float | None = None   # relaxed-problem optimum Tr(W)
     thresholds: ConstraintThresholds | None = None
     certificate: InfeasibilityCertificate | None = None
-
-
-def effective_constraints(
-    p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode = STATISTICAL
-) -> tuple[list[tuple[np.ndarray, float]], list[tuple[np.ndarray, float]]]:
-    """Floor/ceiling constraint data (matrix, threshold) for the given CSI mode.
-
-    Statistical CSI: (H_k, a) floors and (Z_j, b) ceilings. With perfect user
-    CSI the floors become rank-one (h_k h_k*, (2^R_D - 1) N0) and the ceiling
-    threshold is re-derived with tail exponent 1/J instead of 1/(K+J).
-    """
-    if mode.is_statistical:
-        floors = [(h, t.a) for h in p.H]
-        ceils = [(z, t.b) for z in p.Z]
-        return floors, ceils
-    channels = mode.user_channels
-    if len(channels) != p.K:
-        raise ModelError(f"perfect CSI needs {p.K} user channels, got {len(channels)}")
-    floors = []
-    for h in channels:
-        h = as_vector(h)
-        if h.size != p.N:
-            raise ModelError(f"user channel has dimension {h.size}, expected {p.N}")
-        floors.append((np.outer(h, h.conj()), t.user_power_target))
-    if p.J == 0:
-        return floors, []
-    denom = -math.log(1.0 - (1.0 - p.epsilon) ** (1.0 / p.J))
-    b = t.eave_power_target / denom
-    return floors, [(z, b) for z in p.Z]
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +261,14 @@ class _Barrier:
 
 @dataclass
 class _ConstraintSystem:
-    """Scalar trace constraints <A_i, W> <= u_i with dual bookkeeping."""
+    """Barrier rows <A_i, W> <= u_i of a constraint set: row 0 is the power
+    budget, then the floors as -F_k and the ceilings as +G_j."""
 
     A: np.ndarray              # (m, N, N)
     u: np.ndarray              # (m,)
     floor_rows: list           # row index per user floor (None if pruned)
     ceil_rows: list            # row index per eavesdropper ceiling
-    floors: list               # effective (F_k, a_k)
-    ceils: list                # effective (G_j, b_j)
-    n: int
-    p_t: float
+    cons: ConstraintSet
 
     def duals_from_rows(self, y: np.ndarray):
         lam = float(y[0])
@@ -316,32 +276,14 @@ class _ConstraintSystem:
         nu = np.array([y[r] if r is not None else 0.0 for r in self.ceil_rows])
         return lam, mu, nu
 
-    def duals_from_slacks(self, t: float, slacks: np.ndarray):
-        return self.duals_from_rows(1.0 / (t * slacks))
 
-    def k6_matrix(self, lam: float, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        out = (1.0 + lam) * np.eye(self.n, dtype=complex)
-        for m_k, (mat, _) in zip(mu, self.floors):
-            out = out - m_k * mat
-        for n_j, (mat, _) in zip(nu, self.ceils):
-            out = out + n_j * mat
-        return (out + out.conj().T) / 2.0
-
-    def dual_objective(self, lam: float, mu: np.ndarray, nu: np.ndarray) -> float:
-        val = -lam * self.p_t
-        val += sum(m_k * a_k for m_k, (_, a_k) in zip(mu, self.floors))
-        val -= sum(n_j * b_j for n_j, (_, b_j) in zip(nu, self.ceils))
-        return val
-
-
-def _build_system(p: WiretapProblem, floors, ceils) -> _ConstraintSystem | str:
+def _build_system(cons: ConstraintSet) -> _ConstraintSystem | str:
     """Assemble constraint rows; returns INFEASIBLE for contradictions visible
     without solving (zero floor matrix with positive target, negative ceiling)."""
-    n = p.N
-    rows = [np.eye(n, dtype=complex)]
-    u = [p.P_T]
+    rows = [np.eye(cons.n, dtype=complex)]
+    u = [cons.p_t]
     floor_rows, ceil_rows = [], []
-    for mat, a_k in floors:
+    for mat, a_k in cons.floors:
         if np.linalg.norm(mat) == 0.0:
             if a_k > 0.0:
                 return INFEASIBLE
@@ -350,7 +292,7 @@ def _build_system(p: WiretapProblem, floors, ceils) -> _ConstraintSystem | str:
         floor_rows.append(len(rows))
         rows.append(-mat)
         u.append(-a_k)
-    for mat, b_j in ceils:
+    for mat, b_j in cons.ceils:
         if b_j < 0.0:
             return INFEASIBLE
         if np.linalg.norm(mat) == 0.0:
@@ -361,36 +303,30 @@ def _build_system(p: WiretapProblem, floors, ceils) -> _ConstraintSystem | str:
         u.append(b_j)
     return _ConstraintSystem(
         A=np.array(rows), u=np.array(u, dtype=float),
-        floor_rows=floor_rows, ceil_rows=ceil_rows,
-        floors=list(floors), ceils=list(ceils), n=n, p_t=p.P_T,
+        floor_rows=floor_rows, ceil_rows=ceil_rows, cons=cons,
     )
 
 
-def _certificate(sys_: _ConstraintSystem, lam, mu, nu) -> InfeasibilityCertificate | None:
-    combo = lam * np.eye(sys_.n, dtype=complex)
-    for m_k, (mat, _) in zip(mu, sys_.floors):
-        combo = combo - m_k * mat
-    for n_j, (mat, _) in zip(nu, sys_.ceils):
-        combo = combo + n_j * mat
-    eig_min = float(hermitian_eig(combo).eigenvalues[0])
+def _certificate(cons: ConstraintSet, lam, mu, nu) -> InfeasibilityCertificate | None:
+    eig_min = float(hermitian_eig(cons.multiplier_matrix(lam, mu, nu)).eigenvalues[0])
     # margin = sum mu a - lam P_T - sum nu b; a feasible W would force it <= 0.
-    margin = sys_.dual_objective(lam, mu, nu)
-    if margin > max(0.0, -eig_min) * sys_.p_t:
+    margin = cons.dual_objective(lam, mu, nu)
+    if margin > max(0.0, -eig_min) * cons.p_t:
         return InfeasibilityCertificate(
             lam=lam, mu=mu, nu=nu, combo_min_eig=eig_min, margin=margin
         )
     return None
 
 
-def _interior_start(sys_: _ConstraintSystem) -> np.ndarray | None:
+def _interior_start(cons: ConstraintSet) -> np.ndarray | None:
     """Try W = alpha*I with a safety margin; None if no such point exists."""
-    n = sys_.n
-    lo, hi = 0.0, sys_.p_t / n
-    for mat, a_k in sys_.floors:
+    n = cons.n
+    lo, hi = 0.0, cons.p_t / n
+    for mat, a_k in cons.floors:
         tr = float(np.real(np.trace(mat)))
         if tr > 0.0:
             lo = max(lo, a_k / tr)
-    for mat, b_j in sys_.ceils:
+    for mat, b_j in cons.ceils:
         tr = float(np.real(np.trace(mat)))
         if tr > 0.0:
             hi = min(hi, b_j / tr)
@@ -401,17 +337,17 @@ def _interior_start(sys_: _ConstraintSystem) -> np.ndarray | None:
     return None
 
 
-def _phase1(sys_: _ConstraintSystem, opts: SolverOptions, budget: _NewtonBudget):
+def _phase1(sys_: _ConstraintSystem, budget: _NewtonBudget):
     """Find a strictly feasible W or certify infeasibility.
 
     Minimizes the uniform relaxation s over { <A_i,W> - s <= u_i, W > 0 };
     s* < 0 yields an interior point, a positive dual bound proves there is
     none.
     """
-    ref = max(1.0, float(np.max(np.abs(sys_.u))), sys_.p_t)
-    margin = opts.feas_margin_rel * ref
-    n = sys_.n
-    W = (sys_.p_t / (2.0 * n)) * np.eye(n, dtype=complex)
+    p_t, n = sys_.cons.p_t, sys_.cons.n
+    ref = max(1.0, float(np.max(np.abs(sys_.u))), p_t)
+    margin = _FEAS_MARGIN_REL * ref
+    W = (p_t / (2.0 * n)) * np.eye(n, dtype=complex)
     viol = float(np.max(np.real(np.einsum("mij,ij->m", sys_.A.conj(), W)) - sys_.u))
     s = max(0.0, viol) + 1.0 + 0.01 * ref
     s_cap = 10.0 * (s + ref)
@@ -420,11 +356,11 @@ def _phase1(sys_: _ConstraintSystem, opts: SolverOptions, budget: _NewtonBudget)
     def feasible_enough(_W, _s):
         return _s < -margin
 
-    t = opts.t0
+    t = _T0
     stalled_prev = False
     while True:
         used_before = budget.used
-        W, s, converged = bar.center(t, W, s, opts.newton_tol, budget,
+        W, s, converged = bar.center(t, W, s, _NEWTON_TOL, budget,
                                      stop_early=feasible_enough)
         if s < -margin:
             return "feasible", W, None
@@ -432,7 +368,8 @@ def _phase1(sys_: _ConstraintSystem, opts: SolverOptions, budget: _NewtonBudget)
         if s - gap > 0.0:
             # Only a certificate proves infeasibility; an uncentred iterate
             # may not yield one, so keep raising t until it does.
-            cert = _certificate(sys_, *sys_.duals_from_slacks(t, bar.slacks(W, s)))
+            y = 1.0 / (t * bar.slacks(W, s))
+            cert = _certificate(sys_.cons, *sys_.duals_from_rows(y))
             if cert is not None:
                 return "infeasible", None, cert
         if gap <= max(1e-12, 1e-11 * ref):
@@ -442,11 +379,11 @@ def _phase1(sys_: _ConstraintSystem, opts: SolverOptions, budget: _NewtonBudget)
         if stalled and stalled_prev:
             raise _NumericalTrouble("phase-I feasibility could not be decided")
         stalled_prev = stalled
-        t *= opts.t_growth
+        t *= _T_GROWTH
 
 
 def _polish_duals(sys_: _ConstraintSystem, W: np.ndarray, t: float,
-                  slacks: np.ndarray, rank_rel_tol: float, gap_est: float):
+                  slacks: np.ndarray, gap_est: float):
     """Candidate refinements of the central-path multipliers.
 
     At the solution, the matrix multiplier ((1+lam)I - sum mu F + sum nu G)
@@ -478,7 +415,7 @@ def _polish_duals(sys_: _ConstraintSystem, W: np.ndarray, t: float,
         cut = int(np.argmax(ratios)) + 1
         span = vecs[:, ::-1][:, :cut]
     else:
-        span = vecs[:, vals > rank_rel_tol * lam_max]
+        span = vecs[:, vals > _RANK_REL_TOL * lam_max]
     primal = float(np.real(np.trace(W)))
     for cutoff in (1e-6 * max(1.0, float(np.max(y))), 0.0):
         active = np.flatnonzero(y >= cutoff) if cutoff else np.arange(y.size)
@@ -517,20 +454,19 @@ def _polish_duals(sys_: _ConstraintSystem, W: np.ndarray, t: float,
     return out
 
 
-def _phase2(sys_: _ConstraintSystem, W0: np.ndarray, opts: SolverOptions,
-            budget: _NewtonBudget):
+def _phase2(sys_: _ConstraintSystem, W0: np.ndarray, budget: _NewtonBudget):
     """Path-following on the original objective from a strictly feasible W0."""
-    n = sys_.n
-    bar = _Barrier(sys_.A, sys_.u, C0=np.eye(n, dtype=complex), cs=0.0,
+    cons = sys_.cons
+    bar = _Barrier(sys_.A, sys_.u, C0=np.eye(cons.n, dtype=complex), cs=0.0,
                    relax=False, s_cap=None)
     W = W0.copy()
-    t = opts.t0
+    t = _T0
     stalled_prev = False
     while True:
         used_before = budget.used
-        W, _, converged = bar.center(t, W, 0.0, opts.newton_tol, budget)
+        W, _, converged = bar.center(t, W, 0.0, _NEWTON_TOL, budget)
         primal = float(np.real(np.trace(W)))
-        if bar.nu / t <= opts.gap_rel * max(1.0, primal):
+        if bar.nu / t <= _GAP_REL * max(1.0, primal):
             break
         stalled = not converged and budget.used == used_before
         if stalled and stalled_prev:
@@ -538,11 +474,11 @@ def _phase2(sys_: _ConstraintSystem, W0: np.ndarray, opts: SolverOptions,
         stalled_prev = stalled
         if t >= 1e12:
             break
-        t *= opts.t_growth
+        t *= _T_GROWTH
     slacks = bar.slacks(W, 0.0)
     primal = float(np.real(np.trace(W)))
     y_raw = 1.0 / (t * slacks)
-    polished = _polish_duals(sys_, W, t, slacks, opts.rank_rel_tol, bar.nu / t)
+    polished = _polish_duals(sys_, W, t, slacks, bar.nu / t)
 
     def dual_quality(y):
         """(|gap|, repaired y) for a dual-feasible version of y, else None.
@@ -554,7 +490,7 @@ def _phase2(sys_: _ConstraintSystem, W0: np.ndarray, opts: SolverOptions,
         of the old one and the PSD part, at a dual-objective cost of order
         delta. A candidate whose bound still exceeds the primal is invalid."""
         lam, mu, nu = sys_.duals_from_rows(y)
-        lambda_mat = sys_.k6_matrix(lam, mu, nu)
+        lambda_mat = cons.multiplier_matrix(1.0 + lam, mu, nu)
         eig_min = float(np.linalg.eigvalsh(lambda_mat)[0])
         if eig_min < 0.0:
             c = (1.0 + lam) / (1.0 + lam - eig_min * (1.0 + 1e-9))
@@ -563,11 +499,11 @@ def _phase2(sys_: _ConstraintSystem, W0: np.ndarray, opts: SolverOptions,
                 if row is not None:
                     y[row] *= c
             lam, mu, nu = sys_.duals_from_rows(y)
-            lambda_mat = sys_.k6_matrix(lam, mu, nu)
+            lambda_mat = cons.multiplier_matrix(1.0 + lam, mu, nu)
             eig_min = float(np.linalg.eigvalsh(lambda_mat)[0])
         if eig_min < -1e-11 * max(1.0, float(np.linalg.norm(lambda_mat))):
             return None
-        gap = primal - sys_.dual_objective(lam, mu, nu)
+        gap = primal - cons.dual_objective(lam, mu, nu)
         if gap < -1e-7 * max(1.0, primal):
             return None  # claims a bound above the primal: not a valid dual
         return abs(gap), y
@@ -579,9 +515,19 @@ def _phase2(sys_: _ConstraintSystem, W0: np.ndarray, opts: SolverOptions,
             candidates.append((quality[0], i, quality[1]))
     y = min(candidates)[2] if candidates else y_raw
     lam, mu, nu = sys_.duals_from_rows(y)
-    Lambda = sys_.k6_matrix(lam, mu, nu)
+    Lambda = cons.multiplier_matrix(1.0 + lam, mu, nu)
     duals = DualVariables(lam=lam, mu=mu, nu=nu, Lambda=Lambda)
-    return W, primal, duals, sys_.dual_objective(lam, mu, nu)
+    return W, primal, duals, cons.dual_objective(lam, mu, nu)
+
+
+def _zero_power(p: WiretapProblem) -> SdpSolution:
+    """W = 0, optimal when no user floor is positive: every ceiling holds at
+    zero power, and zero multipliers make the K6 matrix the identity."""
+    n = p.N
+    duals = DualVariables(lam=0.0, mu=np.zeros(p.K), nu=np.zeros(p.J),
+                          Lambda=np.eye(n, dtype=complex))
+    return SdpSolution(status=OPTIMAL, W=np.zeros((n, n), dtype=complex),
+                       objective=0.0, duals=duals, dual_objective=0.0)
 
 
 def solve_rank_relaxed(
@@ -592,31 +538,23 @@ def solve_rank_relaxed(
 ) -> SdpSolution:
     """Solve the rank-relaxed minimum-power problem for the given thresholds."""
     opts = options or SolverOptions()
-    floors, ceils = effective_constraints(p, t, mode)
+    cons = ConstraintSet.build(p, t, mode)
+    if all(a_k <= 0.0 for _, a_k in cons.floors):
+        return _zero_power(p)
 
-    if all(a_k <= 0.0 for _, a_k in floors):
-        # No active floor: W = 0 is optimal (every ceiling holds at zero).
-        n = p.N
-        duals = DualVariables(
-            lam=0.0, mu=np.zeros(len(floors)), nu=np.zeros(len(ceils)),
-            Lambda=np.eye(n, dtype=complex),
-        )
-        return SdpSolution(status=OPTIMAL, W=np.zeros((n, n), dtype=complex),
-                           objective=0.0, duals=duals, dual_objective=0.0)
-
-    sys_ = _build_system(p, floors, ceils)
+    sys_ = _build_system(cons)
     if sys_ == INFEASIBLE:
         return SdpSolution(status=INFEASIBLE)
 
     budget = _NewtonBudget(opts.max_newton)
     try:
-        W0 = _interior_start(sys_)
+        W0 = _interior_start(cons)
         if W0 is None:
-            verdict, W0, cert = _phase1(sys_, opts, budget)
+            verdict, W0, cert = _phase1(sys_, budget)
             if verdict == "infeasible":
                 return SdpSolution(status=INFEASIBLE, certificate=cert,
                                    newton_iterations=budget.used)
-        W, primal, duals, dual_obj = _phase2(sys_, W0, opts, budget)
+        W, primal, duals, dual_obj = _phase2(sys_, W0, budget)
     except _NumericalTrouble:
         return SdpSolution(status=MAX_ITERATIONS, newton_iterations=budget.used)
     # The claimed status must be earned: certified by a valid dual point with a
@@ -671,9 +609,9 @@ def power_rescale(
     w0 = as_vector(w0)
     if not math.isclose(float(np.linalg.norm(w0)), 1.0, rel_tol=1e-9, abs_tol=1e-12):
         raise ModelError("w0 must be unit norm")
-    floors, ceils = effective_constraints(p, t, mode)
+    cons = ConstraintSet.build(p, t, mode)
     power = 0.0
-    for mat, a_k in floors:
+    for mat, a_k in cons.floors:
         if a_k <= 0.0:
             continue
         qf = max(quad_form(w0, mat), 0.0)
@@ -682,14 +620,14 @@ def power_rescale(
         power = max(power, a_k / qf)
     if power > p.P_T * (1.0 + 1e-12):
         return None
-    for mat, b_j in ceils:
+    for mat, b_j in cons.ceils:
         qf = max(quad_form(w0, mat), 0.0)
         if qf > 0.0 and power * qf > b_j * (1.0 + 1e-12) + 1e-300:
             return None
     return power
 
 
-def _lp_route(p, t, opts) -> BeamformerSolution:
+def _lp_route(p, t, mode) -> BeamformerSolution:
     """Diagonal instances: solve the per-antenna LP and lift its duals.
 
     The LP yields W = w w* with [sqrt(P_m)] entries; its row duals satisfy
@@ -697,22 +635,18 @@ def _lp_route(p, t, opts) -> BeamformerSolution:
     with the LP's reduced costs on the diagonal)."""
     alloc = diag_lp.solve_diagonal(p, t)
     if alloc is None:
-        return BeamformerSolution(status=INFEASIBLE, thresholds=t)
+        return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t)
     w = diag_lp.allocation_to_beamformer(alloc)
     W = np.outer(w, w.conj())
     lam = alloc.multipliers["power"]
     mu = alloc.multipliers["users"]
     nu = alloc.multipliers["eaves"]
-    helper = _ConstraintSystem(A=np.zeros((0, p.N, p.N)), u=np.zeros(0),
-                               floor_rows=[], ceil_rows=[],
-                               floors=[(h, t.a) for h in p.H],
-                               ceils=[(z, t.b) for z in p.Z],
-                               n=p.N, p_t=p.P_T)
-    duals = DualVariables(lam=lam, mu=mu, nu=nu, Lambda=helper.k6_matrix(lam, mu, nu))
+    Lambda = ConstraintSet.build(p, t, mode).multiplier_matrix(1.0 + lam, mu, nu)
     return BeamformerSolution(
-        status=OPTIMAL, w=w, power=alloc.total, W=W,
-        rank1_exact=numerical_rank(W, opts.rank_rel_tol) == 1,
-        duals=duals, objective=alloc.total, thresholds=t,
+        status=OPTIMAL, mode=mode, w=w, power=alloc.total, W=W,
+        rank1_exact=numerical_rank(W, _RANK_REL_TOL) == 1,
+        duals=DualVariables(lam=lam, mu=mu, nu=nu, Lambda=Lambda),
+        objective=alloc.total, thresholds=t,
     )
 
 
@@ -729,54 +663,36 @@ def solve_general(
     finite-alphabet signalling. All-diagonal statistical instances route to
     the per-antenna LP, whose optimum the relaxation provably matches.
     """
-    opts = options or SolverOptions()
     if input_model == "gaussian":
         t = thresholds_gaussian(p, r)
     else:
         t = thresholds_finite_alphabet(p, r, input_model)
 
+    def lift(sdp: SdpSolution, w=None, power=None, rank1_exact=False, status=OPTIMAL):
+        return BeamformerSolution(
+            status=status, mode=mode, w=w, power=power, W=sdp.W,
+            rank1_exact=rank1_exact, duals=sdp.duals, objective=sdp.objective,
+            thresholds=t, certificate=sdp.certificate,
+        )
+
     if t.user_power_target <= 0.0:
         # R_D = 0: transmitting nothing satisfies every constraint.
-        n = p.N
-        duals = DualVariables(lam=0.0, mu=np.zeros(p.K), nu=np.zeros(p.J),
-                              Lambda=np.eye(n, dtype=complex))
-        return BeamformerSolution(
-            status=OPTIMAL, mode=mode, w=np.zeros(n, dtype=complex), power=0.0,
-            W=np.zeros((n, n), dtype=complex), rank1_exact=False, duals=duals,
-            objective=0.0, thresholds=t,
-        )
+        return lift(_zero_power(p), np.zeros(p.N, dtype=complex), 0.0)
 
     if mode.is_statistical and diag_lp.all_diagonal(p):
-        sol = _lp_route(p, t, opts)
-        return BeamformerSolution(
-            status=sol.status, mode=mode, w=sol.w, power=sol.power, W=sol.W,
-            rank1_exact=sol.rank1_exact, duals=sol.duals, objective=sol.objective,
-            thresholds=t, certificate=sol.certificate,
-        )
+        return _lp_route(p, t, mode)
 
-    sdp = solve_rank_relaxed(p, t, mode, opts)
+    sdp = solve_rank_relaxed(p, t, mode, options)
     if sdp.status != OPTIMAL:
-        return BeamformerSolution(status=sdp.status, mode=mode, thresholds=t,
-                                  certificate=sdp.certificate)
-    rank = numerical_rank(sdp.W, opts.rank_rel_tol)
+        return lift(sdp, status=sdp.status)
+    rank = numerical_rank(sdp.W, _RANK_REL_TOL)
     w0 = extract_principal_direction(sdp.W)
     if rank == 1:
         lam_max = float(hermitian_eig(sdp.W).eigenvalues[-1])
-        w = math.sqrt(lam_max) * w0
-        return BeamformerSolution(
-            status=OPTIMAL, mode=mode, w=w, power=lam_max, W=sdp.W,
-            rank1_exact=True, duals=sdp.duals, objective=sdp.objective,
-            thresholds=t,
-        )
+        return lift(sdp, math.sqrt(lam_max) * w0, lam_max, rank1_exact=True)
     power = power_rescale(p, t, w0, mode)
     if power is None:
         # Relaxation feasible but its principal direction is not: report a
         # distinct outcome so sweeps can treat the point conservatively.
-        return BeamformerSolution(status=RANK1_INFEASIBLE, mode=mode, W=sdp.W,
-                                  duals=sdp.duals, objective=sdp.objective,
-                                  thresholds=t)
-    w = math.sqrt(power) * w0
-    return BeamformerSolution(
-        status=OPTIMAL, mode=mode, w=w, power=power, W=sdp.W, rank1_exact=False,
-        duals=sdp.duals, objective=sdp.objective, thresholds=t,
-    )
+        return lift(sdp, status=RANK1_INFEASIBLE)
+    return lift(sdp, math.sqrt(power) * w0, power)

@@ -5,21 +5,18 @@ rate is found by bisection: raising R_s at fixed R_D lowers the eavesdropper
 ceiling b, so the feasible set only shrinks and feasibility is monotone in
 R_s. Each row reports the largest feasible R_s (within rate_tol), the
 minimum transmit power there, and whether the relaxed solution had numerical
-rank one. Rows are independent and may be solved by a thread pool; output
-order follows the grid regardless of completion order.
+rank one. Rows are solved in grid order.
 """
 
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .model import STATISTICAL, CsiMode, ModelError, RatePair, WiretapProblem
 from .sdp import (
     INFEASIBLE,
     MAX_ITERATIONS,
-    OPTIMAL,
     RANK1_INFEASIBLE,
     BeamformerSolution,
     SolverOptions,
@@ -89,7 +86,6 @@ def sweep_region(
     mode: CsiMode = STATISTICAL,
     input_model="gaussian",
     options: SolverOptions | None = None,
-    workers: int = 1,
 ) -> SweepResult:
     grid = [float(r) for r in rd_grid]
     if not grid:
@@ -98,15 +94,7 @@ def sweep_region(
         raise ModelError("code-rate grid must be strictly increasing")
     if rate_tol <= 0.0:
         raise ModelError(f"rate_tol must be positive: {rate_tol}")
-
-    def run(rd: float) -> SweepRow:
-        return _solve_row(p, rd, rate_tol, mode, input_model, options)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(run, grid))
-    else:
-        rows = tuple(run(rd) for rd in grid)
+    rows = tuple(_solve_row(p, rd, rate_tol, mode, input_model, options) for rd in grid)
     return SweepResult(rows=rows, rate_tol=rate_tol)
 
 

@@ -111,6 +111,22 @@ class TestRankBound:
         with pytest.raises(ModelError):
             rank_bound_check(np.zeros((3, 3), dtype=complex), duals, ref_j1, t)
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_wrong_w_shape_rejected(self, ref_j1, n):
+        t = thresholds_gaussian(ref_j1, RatePair(0.5, 0.1))
+        duals = DualVariables(lam=0.0, mu=np.ones(2), nu=np.zeros(1),
+                              Lambda=np.eye(3, dtype=complex))
+        with pytest.raises(ModelError, match="shape"):
+            rank_bound_check(np.eye(n, dtype=complex), duals, ref_j1, t)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_wrong_mu_length_rejected(self, ref_j1, k):
+        t = thresholds_gaussian(ref_j1, RatePair(0.5, 0.1))
+        duals = DualVariables(lam=0.0, mu=np.ones(k), nu=np.zeros(1),
+                              Lambda=np.eye(3, dtype=complex))
+        with pytest.raises(ModelError, match="counts"):
+            rank_bound_check(np.eye(3, dtype=complex), duals, ref_j1, t)
+
 
 def test_randomized_suite_passes_kkt():
     passed = 0
