@@ -17,10 +17,8 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
 from wiretap.instances import reference_problem
-from wiretap.sweep import sweep_region, to_csv
+from wiretap.sweep import code_rate_grid, sweep_region, to_csv
 
 
 def main() -> None:
@@ -34,7 +32,7 @@ def main() -> None:
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    grid = np.arange(args.rd_min, args.rd_max + 1e-12, args.rd_step)
+    grid = code_rate_grid(args.rd_min, args.rd_max, args.rd_step)
     for diagonal in (False, True):
         for j in (1, 2, 3):
             t0 = time.time()

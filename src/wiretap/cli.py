@@ -19,7 +19,7 @@ from .mi import MiEvaluator, load_alphabet
 from .model import ModelError, RatePair, validate_problem
 from .probfile import ProblemFileError, load_problem
 from .sdp import INFEASIBLE, OPTIMAL, RANK1_INFEASIBLE, solve_general
-from .sweep import sweep_region, to_csv
+from .sweep import code_rate_grid, sweep_region, to_csv
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -111,13 +111,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     pf = _load(args)
-    if args.rd_step <= 0 or args.rd_max < args.rd_min or args.rd_min <= 0:
-        raise ModelError("need 0 < rd-min <= rd-max and rd-step > 0")
-    grid = []
-    rd = args.rd_min
-    while rd <= args.rd_max + 1e-12:
-        grid.append(round(rd, 12))
-        rd += args.rd_step
+    grid = code_rate_grid(args.rd_min, args.rd_max, args.rd_step)
     result = sweep_region(pf.problem, grid, rate_tol=args.rate_tol,
                           mode=pf.csi_mode, input_model=_input_model(args, pf))
     _emit(to_csv(result), args.output)

@@ -11,7 +11,8 @@ with d_lm = a_l - a_m. The expectation over the complex Gaussian noise is a
 quadrature over the real and imaginary parts: the integrand is smooth, so a
 32-node rule is already at spectral accuracy. I is strictly increasing and
 concave in rho and saturates at log2 M; its inverse (needed by the threshold
-conversion) is computed by bracketed bisection.
+conversion) is computed by bisection. A sweep re-inverts the same rates at
+every solve, so each evaluator memoizes rate(rho) for its lifetime.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .model import ModelError, RateUnachievableError
+from .model import ModelError, RateUnachievableError, invert_monotone_rate
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,9 @@ def load_alphabet(source) -> Alphabet:
 
 
 class MiEvaluator:
-    """Precomputed quadrature tables for one alphabet; immutable and
-    safe to share across threads. Instances are callable: ev(rho) -> bits."""
+    """Precomputed quadrature tables for one alphabet and a memo rho -> bits
+    of every rate computed. Safe to share across threads: a memo key only ever
+    maps to its one deterministic value. Instances are callable: ev(rho) -> bits."""
 
     def __init__(self, alphabet: Alphabet, nodes: int = 32):
         if nodes < 2:
@@ -139,6 +141,7 @@ class MiEvaluator:
         )
         self._wgrid = w[:, None] * w[None, :]             # (Q, Q)
         self._norm = float(np.sum(self._wgrid)) / math.pi  # == 1 up to rounding
+        self._memo: dict[float, float] = {}               # rho -> bits
 
     @property
     def max_rate(self) -> float:
@@ -156,20 +159,27 @@ class MiEvaluator:
             raise ModelError(f"rho must be finite and non-negative: {rho}")
         if rho == 0.0:
             return 0.0
+        bits = self._memo.get(rho)
+        if bits is not None:
+            return bits
         m = self.alphabet.M
         # exponent of exp(-|theta + sqrt(rho) d|^2 + |theta|^2); the m = l term
         # is exactly 0, so the inner sum is >= 1 and saturation underflows
-        # harmlessly.
-        expo = -rho * self._d_abs2[:, :, None, None] - 2.0 * math.sqrt(rho) * self._cross
-        inner = np.log2(np.sum(np.exp(expo), axis=1))     # (M, Q, Q)
+        # harmlessly. One buffer, same operations in the same order as
+        # -rho * |d|^2 - 2 sqrt(rho) * cross, so the same bits.
+        expo = np.multiply(2.0 * math.sqrt(rho), self._cross)
+        np.subtract(-rho * self._d_abs2[:, :, None, None], expo, out=expo)
+        np.exp(expo, out=expo)
+        inner = np.log2(np.sum(expo, axis=1))             # (M, Q, Q)
         avg = float(np.einsum("lqr,qr->", inner, self._wgrid)) / (m * math.pi)
-        return math.log2(m) - avg
+        bits = math.log2(m) - avg
+        self._memo[rho] = bits
+        return bits
 
     def inverse(self, rate: float, tol: float = 1e-8) -> float:
         """rho with rate(rho) = rate to within tol bits, by bisection.
 
-        The upper bracket is doubled from 1 until the rate is exceeded; I
-        saturates below log2 M only asymptotically, so rates too close to
+        I saturates below log2 M only asymptotically, so rates too close to
         capacity are rejected as unachievable within numeric range.
         """
         if rate < 0.0:
@@ -178,33 +188,7 @@ class MiEvaluator:
             raise RateUnachievableError(
                 f"rate {rate} unachievable: alphabet capacity is {self.max_rate}"
             )
-        if rate == 0.0:
-            return 0.0
-        hi = 1.0
-        while self.rate(hi) <= rate:
-            hi *= 2.0
-            if hi > 1e9:
-                raise RateUnachievableError(
-                    f"rate {rate} not reachable within numeric range"
-                )
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.rate(mid) < rate:
-                lo = mid
-            else:
-                hi = mid
-            if abs(self.rate(hi) - rate) <= tol and (hi - lo) <= 1e-12 * max(1.0, hi):
-                break
-        return hi
-
-
-def mutual_info(ev: MiEvaluator, rho: float) -> float:
-    return ev.rate(rho)
-
-
-def mutual_info_inverse(ev: MiEvaluator, rate: float) -> float:
-    return ev.inverse(rate)
+        return invert_monotone_rate(self.rate, rate, tol=tol)
 
 
 def mutual_info_mc(alphabet: Alphabet, rho: float, draws: int, seed: int = 0) -> float:

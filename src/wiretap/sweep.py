@@ -79,6 +79,19 @@ def _solve_row(p, rd, rate_tol, mode, input_model, options) -> SweepRow:
         return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE)
 
 
+def code_rate_grid(rd_min: float, rd_max: float, rd_step: float) -> list[float]:
+    """rd_min, rd_min + rd_step, ... <= rd_max, each rounded to 12 decimals so
+    accumulated steps land on 0.3, not 0.30000000000000004."""
+    if rd_step <= 0 or rd_max < rd_min or rd_min <= 0:
+        raise ModelError("need 0 < rd-min <= rd-max and rd-step > 0")
+    grid = []
+    rd = rd_min
+    while rd <= rd_max + 1e-12:
+        grid.append(round(rd, 12))
+        rd += rd_step
+    return grid
+
+
 def sweep_region(
     p: WiretapProblem,
     rd_grid,

@@ -127,3 +127,34 @@ def test_quadrature_matches_monte_carlo_across_snr():
         for i, rho in enumerate((0.1, 1.0, 5.0, 20.0)):
             oracle = mutual_info_mc(alph, rho, draws=200_000, seed=90 + i)
             assert ev(rho) == pytest.approx(oracle, abs=2e-3)
+
+
+def _three_temporary_rate(ev, rho):
+    """The quadrature as one expression with three (M, M, Q, Q) temporaries:
+    the reference that the single-buffer rate must match bit for bit."""
+    m = ev.alphabet.M
+    expo = -rho * ev._d_abs2[:, :, None, None] - 2.0 * math.sqrt(rho) * ev._cross
+    inner = np.log2(np.sum(np.exp(expo), axis=1))
+    avg = float(np.einsum("lqr,qr->", inner, ev._wgrid)) / (m * math.pi)
+    return math.log2(m) - avg
+
+
+@pytest.mark.parametrize(
+    "alph",
+    [make() for make in BUILTIN_ALPHABETS.values()]
+    + [Alphabet(np.exp(2j * np.pi * np.arange(3) / 3.0), name="3psk")],
+    ids=lambda a: a.name,
+)
+def test_rate_bit_identical_to_three_temporary_expression(alph):
+    ev = MiEvaluator(alph)
+    for rho in np.geomspace(1e-4, 1e3, 101):
+        assert ev.rate(float(rho)) == _three_temporary_rate(ev, float(rho))
+
+
+def test_memo_returns_first_value_without_the_tables(monkeypatch):
+    ev = MiEvaluator(qam16())
+    first = ev.rate(2.5)
+    monkeypatch.setattr(ev, "_cross", None)
+    assert ev.rate(2.5) == first
+    with pytest.raises(TypeError):
+        ev.rate(2.6)

@@ -92,6 +92,58 @@ KKT_J1_GOLDEN = {
 }
 
 
+# Pinned 16-QAM outputs: a memoized or restructured MI quadrature must not
+# move a single bit of the thresholds, the sweep's bisection or the table.
+QAM16_SWEEP_J1_GOLDEN = {
+    "0.5": "rd,rs_max,min_power,rank1,status\n0.5,0.42578125,5.80627258,true,optimal\n",
+    "1.0": "rd,rs_max,min_power,rank1,status\n1,0.825195312,14.2348659,true,optimal\n",
+}
+
+MI_QAM16_GOLDEN = """\
+rho,mi_bits
+0,0
+0.5,0.583298893
+1,0.989741372
+1.5,1.29732311
+2,1.54312606
+2.5,1.74727674
+3,1.92164739
+3.5,2.0737182
+4,2.20846371
+4.5,2.32933871
+5,2.43882628
+5.5,2.53876102
+6,2.63053054
+6.5,2.71520676
+7,2.79363464
+7.5,2.86649353
+8,2.93434027
+8.5,2.99763979
+9,3.05678703
+9.5,3.11212271
+10,3.16394478
+10.5,3.21251683
+11,3.25807439
+11.5,3.30082963
+12,3.34097512
+12.5,3.37868663
+13,3.41412552
+13.5,3.44744055
+14,3.47876938
+14.5,3.50823974
+15,3.53597037
+15.5,3.5620718
+16,3.58664694
+16.5,3.60979159
+17,3.63159487
+17.5,3.65213965
+18,3.67150289
+18.5,3.68975611
+19,3.70696572
+19.5,3.72319351
+20,3.73849699
+"""
+
 class TestProblemFile:
     def test_round_trip_identity(self, tmp_path, ref_j2):
         path = tmp_path / "p.json"
@@ -294,6 +346,32 @@ class TestCli:
                                  "--rd", rd, "--rs", rs])
         assert got_code == code
         assert out == json.dumps(golden, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("rd", sorted(QAM16_SWEEP_J1_GOLDEN))
+    def test_sweep_qam16_golden_output(self, rd):
+        code, out = run_cli(["sweep", "--problem", str(PROBLEMS / "paper_j1.json"),
+                             "--alphabet", "16qam", "--rate-tol", "0.001",
+                             "--rd-min", rd, "--rd-max", rd, "--rd-step", "0.1"])
+        assert code == 0
+        assert out == QAM16_SWEEP_J1_GOLDEN[rd]
+
+    def test_mi_qam16_golden_output(self):
+        code, out = run_cli(["mi", "--alphabet", "16qam", "--rho-min", "0",
+                             "--rho-max", "20", "--points", "41"])
+        assert code == 0
+        assert out == MI_QAM16_GOLDEN
+
+    def test_region_script_matches_cli_sweep(self, tmp_path):
+        # Both build the grid with code_rate_grid, so the script solves the
+        # rows at 0.3 and 0.7, not at 0.30000000000000004 and 0.7000000000000001.
+        script = PROBLEMS.parent / "scripts" / "run_region_sweep.py"
+        grid = ["--rd-min", "0.1", "--rd-max", "1.0", "--rd-step", "0.1"]
+        proc = subprocess.run([sys.executable, str(script), "--out", str(tmp_path)] + grid,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, out = run_cli(["sweep", "--problem", str(PROBLEMS / "paper_j1.json")] + grid)
+        assert code == 0
+        assert (tmp_path / "region_j1.csv").read_text() == out
 
     def test_kkt_subcommand(self):
         code, out = run_cli(["kkt", "--problem", str(PROBLEMS / "paper_j2.json"),
