@@ -36,6 +36,7 @@ from .sdp import (
     SolverOptions,
     extract_principal_direction,
     power_rescale,
+    relaxation_feasibility,
     solve_general,
     solve_rank_relaxed,
 )

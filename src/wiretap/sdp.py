@@ -10,7 +10,9 @@ structure: each Newton system is solved in closed form through the
 Woodbury identity, because the Hessian is the PSD-cone term
 X -> W^{-1} X W^{-1} plus one rank-one term per scalar constraint. A
 phase-I stage either produces a strictly feasible starting point or a
-Farkas-type certificate of infeasibility.
+Farkas-type certificate of infeasibility. relaxation_feasibility stops
+there: it returns the relaxation's feasibility verdict without running the
+minimum-power path, which is all a bisection over rates needs.
 
 Feasibility of the beamformer follows from the relaxation whenever the
 solution has numerical rank one (which it does on the bundled scenarios);
@@ -43,6 +45,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 RANK1_INFEASIBLE = "rank1_infeasible"
 MAX_ITERATIONS = "max_iterations"
+FEASIBLE = "feasible"         # verdict of relaxation_feasibility only
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -530,13 +533,15 @@ def _zero_power(p: WiretapProblem) -> SdpSolution:
                        objective=0.0, duals=duals, dual_objective=0.0)
 
 
-def solve_rank_relaxed(
-    p: WiretapProblem,
-    t: ConstraintThresholds,
-    mode: CsiMode = STATISTICAL,
-    options: SolverOptions | None = None,
-) -> SdpSolution:
-    """Solve the rank-relaxed minimum-power problem for the given thresholds."""
+def _relaxed_start(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode,
+                   options: SolverOptions | None):
+    """Everything of a relaxed solve before phase II: the constraint rows, an
+    interior start and, when W = alpha*I is not one, phase I.
+
+    Returns (system, W0, budget) for phase II to continue from, or the final
+    SdpSolution when no phase II is needed: zero power, INFEASIBLE, or
+    MAX_ITERATIONS when phase I runs out of Newton steps.
+    """
     opts = options or SolverOptions()
     cons = ConstraintSet.build(p, t, mode)
     if all(a_k <= 0.0 for _, a_k in cons.floors):
@@ -554,6 +559,23 @@ def solve_rank_relaxed(
             if verdict == "infeasible":
                 return SdpSolution(status=INFEASIBLE, certificate=cert,
                                    newton_iterations=budget.used)
+    except _NumericalTrouble:
+        return SdpSolution(status=MAX_ITERATIONS, newton_iterations=budget.used)
+    return sys_, W0, budget
+
+
+def solve_rank_relaxed(
+    p: WiretapProblem,
+    t: ConstraintThresholds,
+    mode: CsiMode = STATISTICAL,
+    options: SolverOptions | None = None,
+) -> SdpSolution:
+    """Solve the rank-relaxed minimum-power problem for the given thresholds."""
+    start = _relaxed_start(p, t, mode, options)
+    if isinstance(start, SdpSolution):
+        return start
+    sys_, W0, budget = start
+    try:
         W, primal, duals, dual_obj = _phase2(sys_, W0, budget)
     except _NumericalTrouble:
         return SdpSolution(status=MAX_ITERATIONS, newton_iterations=budget.used)
@@ -650,6 +672,49 @@ def _lp_route(p, t, mode) -> BeamformerSolution:
     )
 
 
+def _route(p: WiretapProblem, r: RatePair, mode: CsiMode, input_model):
+    """(thresholds, route) of a rate pair: "trivial" for R_D = 0, "lp" for
+    all-diagonal statistical instances and "sdp" otherwise."""
+    if input_model == "gaussian":
+        t = thresholds_gaussian(p, r)
+    else:
+        t = thresholds_finite_alphabet(p, r, input_model)
+    if t.user_power_target <= 0.0:
+        # R_D = 0: transmitting nothing satisfies every constraint.
+        return t, "trivial"
+    if mode.is_statistical and diag_lp.all_diagonal(p):
+        return t, "lp"
+    return t, "sdp"
+
+
+def relaxation_feasibility(
+    p: WiretapProblem,
+    r: RatePair,
+    mode: CsiMode = STATISTICAL,
+    input_model="gaussian",
+    options: SolverOptions | None = None,
+) -> str:
+    """FEASIBLE, INFEASIBLE or MAX_ITERATIONS: whether the rank relaxation at
+    r has a feasible point, decided as solve_general decides it but without
+    phase II or rank-1 recovery.
+
+    The verdict is the one solve_general reaches on the same route: the LP
+    route makes its one HiGHS call, the SDP route stops after phase I (or the
+    interior start that makes phase I unnecessary). solve_general at r returns
+    INFEASIBLE exactly when this returns INFEASIBLE; where this says FEASIBLE
+    it may still end in MAX_ITERATIONS (phase II) or RANK1_INFEASIBLE.
+    """
+    t, route = _route(p, r, mode, input_model)
+    if route == "trivial":
+        return FEASIBLE
+    if route == "lp":
+        return INFEASIBLE if diag_lp.solve_diagonal(p, t) is None else FEASIBLE
+    start = _relaxed_start(p, t, mode, options)
+    if isinstance(start, SdpSolution) and start.status != OPTIMAL:
+        return start.status
+    return FEASIBLE
+
+
 def solve_general(
     p: WiretapProblem,
     r: RatePair,
@@ -663,10 +728,7 @@ def solve_general(
     finite-alphabet signalling. All-diagonal statistical instances route to
     the per-antenna LP, whose optimum the relaxation provably matches.
     """
-    if input_model == "gaussian":
-        t = thresholds_gaussian(p, r)
-    else:
-        t = thresholds_finite_alphabet(p, r, input_model)
+    t, route = _route(p, r, mode, input_model)
 
     def lift(sdp: SdpSolution, w=None, power=None, rank1_exact=False, status=OPTIMAL):
         return BeamformerSolution(
@@ -675,11 +737,9 @@ def solve_general(
             thresholds=t, certificate=sdp.certificate,
         )
 
-    if t.user_power_target <= 0.0:
-        # R_D = 0: transmitting nothing satisfies every constraint.
+    if route == "trivial":
         return lift(_zero_power(p), np.zeros(p.N, dtype=complex), 0.0)
-
-    if mode.is_statistical and diag_lp.all_diagonal(p):
+    if route == "lp":
         return _lp_route(p, t, mode)
 
     sdp = solve_rank_relaxed(p, t, mode, options)
@@ -693,6 +753,6 @@ def solve_general(
     power = power_rescale(p, t, w0, mode)
     if power is None:
         # Relaxation feasible but its principal direction is not: report a
-        # distinct outcome so sweeps can treat the point conservatively.
+        # distinct outcome, neither optimal nor infeasible.
         return lift(sdp, status=RANK1_INFEASIBLE)
     return lift(sdp, math.sqrt(power) * w0, power)

@@ -2,10 +2,23 @@
 
 For each code rate R_D on an ascending grid, the largest achievable secrecy
 rate is found by bisection: raising R_s at fixed R_D lowers the eavesdropper
-ceiling b, so the feasible set only shrinks and feasibility is monotone in
-R_s. Each row reports the largest feasible R_s (within rate_tol), the
-minimum transmit power there, and whether the relaxed solution had numerical
-rank one. Rows are solved in grid order.
+ceiling b, so the feasible set of the rank relaxation only shrinks and its
+feasibility is monotone in R_s. The bisection therefore decides each probe
+by relaxation feasibility alone (sdp.relaxation_feasibility: the interior
+start or phase I, or the diagonal LP), and each row then costs one full
+solve_general, at the largest feasible R_s found (R_D itself when R_s = R_D
+is feasible). That solve's rank-1 recovery is not monotone in R_s, so it is
+kept out of the bisection.
+
+Each row reports the largest feasible R_s (within rate_tol), the minimum
+transmit power there, and whether the relaxed solution had numerical rank
+one. A row is `infeasible` when the relaxation is infeasible even at
+R_s = 0, and `numerical-failure` when a probe or the final solve runs out of
+Newton steps. When the final solve's relaxation is feasible but its
+principal direction is not a feasible beamformer, the row is
+`rank1-infeasible` with no rates or power: the relaxation bounds the
+region from outside, so no achievable point is claimed. Rows are solved in
+grid order.
 """
 
 from __future__ import annotations
@@ -15,17 +28,19 @@ from dataclasses import dataclass
 
 from .model import STATISTICAL, CsiMode, ModelError, RatePair, WiretapProblem
 from .sdp import (
-    INFEASIBLE,
+    FEASIBLE,
     MAX_ITERATIONS,
+    OPTIMAL,
     RANK1_INFEASIBLE,
-    BeamformerSolution,
     SolverOptions,
+    relaxation_feasibility,
     solve_general,
 )
 
 ROW_OPTIMAL = "optimal"
 ROW_INFEASIBLE = "infeasible"
 ROW_NUMERICAL_FAILURE = "numerical-failure"
+ROW_RANK1_INFEASIBLE = "rank1-infeasible"
 
 CSV_HEADER = "rd,rs_max,min_power,rank1,status"
 
@@ -50,33 +65,34 @@ class _RowFailure(Exception):
 
 
 def _solve_row(p, rd, rate_tol, mode, input_model, options) -> SweepRow:
-    def attempt(rs: float) -> BeamformerSolution | None:
-        sol = solve_general(p, RatePair(rd, rs), mode=mode,
-                            input_model=input_model, options=options)
-        if sol.status == MAX_ITERATIONS:
+    def feasible(rs: float) -> bool:
+        verdict = relaxation_feasibility(p, RatePair(rd, rs), mode=mode,
+                                         input_model=input_model, options=options)
+        if verdict == MAX_ITERATIONS:
             raise _RowFailure()
-        if sol.status in (INFEASIBLE, RANK1_INFEASIBLE):
-            return None
-        return sol
+        return verdict == FEASIBLE
 
     try:
-        best = attempt(0.0)
-        if best is None:
+        if not feasible(0.0):
             return SweepRow(rd, None, None, None, ROW_INFEASIBLE)
-        top = attempt(rd)
-        if top is not None:
-            return SweepRow(rd, rd, top.power, top.rank1_exact, ROW_OPTIMAL)
-        lo, hi = 0.0, rd
-        while hi - lo > rate_tol:
-            mid = 0.5 * (lo + hi)
-            sol = attempt(mid)
-            if sol is None:
-                hi = mid
-            else:
-                lo, best = mid, sol
-        return SweepRow(rd, lo, best.power, best.rank1_exact, ROW_OPTIMAL)
+        lo = rd
+        if not feasible(rd):
+            lo, hi = 0.0, rd
+            while hi - lo > rate_tol:
+                mid = 0.5 * (lo + hi)
+                if feasible(mid):
+                    lo = mid
+                else:
+                    hi = mid
     except _RowFailure:
         return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE)
+    sol = solve_general(p, RatePair(rd, lo), mode=mode,
+                        input_model=input_model, options=options)
+    if sol.status == OPTIMAL:
+        return SweepRow(rd, lo, sol.power, sol.rank1_exact, ROW_OPTIMAL)
+    if sol.status == RANK1_INFEASIBLE:
+        return SweepRow(rd, None, None, None, ROW_RANK1_INFEASIBLE)
+    return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE)
 
 
 def code_rate_grid(rd_min: float, rd_max: float, rd_step: float) -> list[float]:

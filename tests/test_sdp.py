@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_psd
 from wiretap.linalg import LinalgError, numerical_rank, quad_form, trace_inner
@@ -13,6 +15,7 @@ from wiretap.model import (
     thresholds_gaussian,
 )
 from wiretap.sdp import (
+    FEASIBLE,
     INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
@@ -20,6 +23,7 @@ from wiretap.sdp import (
     SolverOptions,
     extract_principal_direction,
     power_rescale,
+    relaxation_feasibility,
     solve_general,
     solve_rank_relaxed,
 )
@@ -314,3 +318,48 @@ class TestSolveGeneral:
                 if sol.status == INFEASIBLE:
                     assert oracle is None
         assert agree >= 6  # most random instances are feasible and rank-1
+
+
+class TestRelaxationFeasibility:
+    @pytest.mark.parametrize("rd, rs, verdict", [
+        (0.5, 0.0, FEASIBLE),          # W = alpha*I is interior: no Newton step
+        (1.0, 0.5, MAX_ITERATIONS),    # phase I runs out of its two steps
+    ])
+    def test_tiny_budget(self, ref_j1, rd, rs, verdict):
+        opts = SolverOptions(max_newton=2)
+        assert relaxation_feasibility(ref_j1, RatePair(rd, rs), options=opts) == verdict
+        assert solve_general(ref_j1, RatePair(rd, rs), options=opts).status == MAX_ITERATIONS
+
+    def test_zero_code_rate_is_feasible(self, ref_j1):
+        assert relaxation_feasibility(ref_j1, RatePair(0.0, 0.0)) == FEASIBLE
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_feasibility_probe_matches_relaxed_solve(seed):
+    # Random N=3/N=4 instances reach phase I, and about 60% are infeasible.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 5))
+    p = WiretapProblem(
+        H=tuple(random_psd(rng, n, ridge=0.1) for _ in range(2)),
+        Z=tuple(random_psd(rng, n, scale=0.02, ridge=0.1)
+                for _ in range(int(rng.integers(1, 3)))),
+        N0=1.0, epsilon=0.1, P_T=float(10 ** rng.uniform(1.0, 1.8)),
+    )
+    rd = float(rng.uniform(0.2, 1.5))
+    r = RatePair(rd, float(rng.uniform(0.0, rd)))
+    verdict = relaxation_feasibility(p, r)
+    status = solve_rank_relaxed(p, thresholds_gaussian(p, r)).status
+    # Feasible exactly when the relaxed solve is not infeasible. Phase II may
+    # still run out of Newton steps after a feasible verdict, and a probe
+    # that runs out in phase I stops the solve there too.
+    allowed = {FEASIBLE: {OPTIMAL, MAX_ITERATIONS}, INFEASIBLE: {INFEASIBLE},
+               MAX_ITERATIONS: {MAX_ITERATIONS}}
+    assert status in allowed[verdict]
+
+    # The diagonal parts of the same instance take the LP route.
+    diag = WiretapProblem(H=tuple(np.diag(np.diag(m)) for m in p.H),
+                          Z=tuple(np.diag(np.diag(m)) for m in p.Z),
+                          N0=p.N0, epsilon=p.epsilon, P_T=p.P_T)
+    lp_status = solve_general(diag, r).status
+    assert relaxation_feasibility(diag, r) == (INFEASIBLE if lp_status == INFEASIBLE else FEASIBLE)

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -6,11 +7,20 @@ import sys
 import numpy as np
 import pytest
 
+import wiretap
+from wiretap import sweep
 from wiretap.cli import main as cli_main
 from wiretap.instances import reference_problem
-from wiretap.model import WiretapProblem
+from wiretap.model import RatePair, WiretapProblem
 from wiretap.probfile import ProblemFileError, load_problem, parse_problem, save_problem, to_doc
-from wiretap.sweep import CSV_HEADER, sweep_region, to_csv
+from wiretap.sdp import (
+    INFEASIBLE,
+    MAX_ITERATIONS,
+    RANK1_INFEASIBLE,
+    BeamformerSolution,
+    solve_general,
+)
+from wiretap.sweep import CSV_HEADER, SweepRow, sweep_region, to_csv
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
@@ -255,6 +265,91 @@ class TestSweep:
         assert all(row.min_power is None for row in res.rows)
 
 
+def full_solve_row(p, rd, rate_tol):
+    """The row as the sweep found it when every bisection probe was a full
+    solve_general and a rank1_infeasible probe counted as infeasible: the
+    oracle for the probe-based bisection."""
+    class Failure(Exception):
+        pass
+
+    def attempt(rs):
+        sol = solve_general(p, RatePair(rd, rs))
+        if sol.status == MAX_ITERATIONS:
+            raise Failure()
+        if sol.status in (INFEASIBLE, RANK1_INFEASIBLE):
+            return None
+        return sol
+
+    try:
+        best = attempt(0.0)
+        if best is None:
+            return SweepRow(rd, None, None, None, "infeasible")
+        top = attempt(rd)
+        if top is not None:
+            return SweepRow(rd, rd, top.power, top.rank1_exact, "optimal")
+        lo, hi = 0.0, rd
+        while hi - lo > rate_tol:
+            mid = 0.5 * (lo + hi)
+            sol = attempt(mid)
+            if sol is None:
+                hi = mid
+            else:
+                lo, best = mid, sol
+        return SweepRow(rd, lo, best.power, best.rank1_exact, "optimal")
+    except Failure:
+        return SweepRow(rd, None, None, None, "numerical-failure")
+
+
+NO_EAVESDROPPER = WiretapProblem(H=(np.eye(2, dtype=complex),), Z=(),
+                                 N0=1.0, epsilon=0.1, P_T=50.0)
+
+
+class TestSweepBisection:
+    # paper_j1 at 1.2, paper_j2 at 1.0 and paper_j2_diag at 0.9 are
+    # infeasible at R_s = 0; no bundled row has rs_max = rd, so the
+    # eavesdropper-free problem supplies one.
+    @pytest.mark.parametrize("name, grid", [
+        ("paper_j1", [0.5, 1.1, 1.2]),
+        ("paper_j2", [0.6, 1.0]),
+        ("paper_j2_diag", [0.2, 0.8, 0.9]),
+        (None, [0.5]),
+    ])
+    def test_rows_match_full_solve_bisection(self, name, grid):
+        p = NO_EAVESDROPPER if name is None else load_problem(str(PROBLEMS / f"{name}.json")).problem
+        rows = sweep_region(p, grid, rate_tol=1e-3).rows
+        assert rows == tuple(full_solve_row(p, rd, 1e-3) for rd in grid)
+        statuses = {row.status for row in rows}
+        assert statuses <= {"optimal", "infeasible"}
+        if name is None:
+            assert rows[0].rs_max == rows[0].rd
+        else:
+            assert statuses == {"optimal", "infeasible"}
+
+    def test_one_full_solve_per_feasible_row(self, ref_j1, monkeypatch):
+        calls = []
+
+        def counting(p, r, **kwargs):
+            calls.append(r)
+            return solve_general(p, r, **kwargs)
+
+        monkeypatch.setattr(sweep, "solve_general", counting)
+        rows = sweep_region(ref_j1, [0.5, 1.2], rate_tol=1e-3).rows
+        assert [row.status for row in rows] == ["optimal", "infeasible"]
+        assert calls == [RatePair(0.5, rows[0].rs_max)]
+
+    @pytest.mark.parametrize("status, row_status", [
+        (MAX_ITERATIONS, "numerical-failure"),
+        (RANK1_INFEASIBLE, "rank1-infeasible"),
+    ])
+    def test_final_solve_status_sets_row_status(self, ref_j1, monkeypatch, status, row_status):
+        monkeypatch.setattr(sweep, "solve_general",
+                            lambda *args, **kwargs: BeamformerSolution(status=status))
+        res = sweep_region(ref_j1, [0.5, 1.2], rate_tol=1e-2)
+        assert res.rows[0] == SweepRow(0.5, None, None, None, row_status)
+        assert res.rows[1].status == "infeasible"
+        assert to_csv(res).splitlines()[1] == f"0.5,,,,{row_status}"
+
+
 def run_cli(args, tmp_path=None):
     import io
     from contextlib import redirect_stdout
@@ -403,10 +498,16 @@ class TestCli:
         assert doc["status"] == "optimal"
 
     def test_console_entry_point(self):
+        # The subprocess must import the same package as this test, installed
+        # or not, so its directory goes first on the child's PYTHONPATH.
+        package_root = str(pathlib.Path(wiretap.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [package_root, inherited] if inherited else [package_root])}
         proc = subprocess.run(
             [sys.executable, "-m", "wiretap.cli", "validate",
              "--problem", str(PROBLEMS / "paper_j3.json")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
 
