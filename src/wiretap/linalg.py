@@ -76,16 +76,6 @@ def hermitian_eig(a) -> EigenDecomposition:
     return EigenDecomposition(vals, vecs)
 
 
-def is_hermitian_psd(a, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """True when A is Hermitian and its spectrum is >= -tol * max(1, lambda_max)."""
-    try:
-        vals, _ = hermitian_eig(a)
-    except LinalgError:
-        return False
-    lam_max = float(vals[-1]) if vals.size else 0.0
-    return float(vals[0]) >= -tol * max(1.0, lam_max) if vals.size else True
-
-
 def psd_project_factor(a, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
     """Hermitian square root B of a PSD matrix A, with B B* = A.
 

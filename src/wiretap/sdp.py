@@ -14,6 +14,13 @@ Farkas-type certificate of infeasibility. relaxation_feasibility stops
 there: it returns the relaxation's feasibility verdict without running the
 minimum-power path, which is all a bisection over rates needs.
 
+The barrier's end point is then refined on its optimal face (_refine_face):
+a few Gauss-Newton steps on the square KKT system Lambda(y) V = 0,
+Tr(V^H A_i V) = u_i, with W = V V^H, take the residuals from the barrier's
+float64 floor (about 1e-7) to roundoff. A refined point that is not a KKT
+point is dropped, and OPTIMAL then needs the end point's own central-path
+duals to certify a small gap.
+
 Feasibility of the beamformer follows from the relaxation whenever the
 solution has numerical rank one (which it does on the bundled scenarios);
 otherwise the principal eigendirection is kept and only the transmit power
@@ -55,6 +62,8 @@ _T_GROWTH = 10.0         # barrier parameter multiplier per centering stage
 _NEWTON_TOL = 1e-8       # Newton decrement below which a point is centered
 _FEAS_MARGIN_REL = 1e-9  # phase I stops once the relaxation s < -this * ref
 _RANK_REL_TOL = 1e-6     # eigenvalues below this * lambda_max count as zero
+_FACE_STEPS = 8          # Gauss-Newton steps of the face refinement
+_FACE_TOL = 1e-12        # relative KKT residual a refined face must reach
 
 
 @dataclass(frozen=True)
@@ -190,7 +199,7 @@ class _Barrier:
 
         # M^-1 applied to the gradient and to each constraint row.
         WgW = W @ grad_W @ W
-        WAW = np.einsum("ab,mbc,cd->mad", W, self.A, W)
+        WAW = W @ self.A @ W
         v = np.real(np.einsum("mij,ij->m", self.A.conj(), WgW))
         S = np.real(np.einsum("mij,nij->mn", self.A.conj(), WAW))
         if self.relax:
@@ -385,80 +394,103 @@ def _phase1(sys_: _ConstraintSystem, budget: _NewtonBudget):
         t *= _T_GROWTH
 
 
-def _polish_duals(sys_: _ConstraintSystem, W: np.ndarray, t: float,
-                  slacks: np.ndarray, gap_est: float):
-    """Candidate refinements of the central-path multipliers.
+def _face_newton(A, u, V, y):
+    """Gauss-Newton on the square KKT system of an optimal face,
 
-    At the solution, the matrix multiplier ((1+lam)I - sum mu F + sum nu G)
-    must annihilate the range of W (complementary slackness). The slack-based
-    duals 1/(t s_i) carry O(1/t) centering noise; a small non-negative
-    least-squares fit of the near-binding multipliers against that condition
-    removes it. A second fit adds a gently weighted strong-duality row (dual
-    objective = Tr W - gap_est), which resolves dual degeneracy: several
-    multiplier vectors can annihilate the face, and only the right one closes
-    the gap. Both fits are returned as candidates; the caller keeps whichever
-    valid dual point certifies the smallest gap. Multipliers of clearly
-    inactive constraints keep their tiny central-path values.
+        Lambda(y) V = 0,   Tr(V^H A_i V) = u_i,   Lambda(y) = I + sum y_i A_i,
+
+    over the real and imaginary parts of V and the multipliers y. V -> V Q
+    (Q unitary) solves it too, so every step also keeps V^H dV Hermitian.
+    Returns (V, y, err) of the best iterate, err being the largest residual
+    relative to the size of its terms (float64 roundoff at a solution).
     """
-    from scipy.optimize import nnls
+    n, r = V.shape
+    p, nr = y.size, V.size
+    # dV along each real coordinate of V, one per column of the Jacobian.
+    basis = np.concatenate([np.eye(nr), 1j * np.eye(nr)]).reshape(2 * nr, n, r)
+    vh = V.conj().T @ basis
+    gauge = (vh - vh.conj().transpose(0, 2, 1)).reshape(2 * nr, r * r)
+    a_norm = np.linalg.norm(A, axis=(1, 2))
+    best = None
+    for step in range(_FACE_STEPS + 1):
+        lam_mat = np.eye(n) + np.einsum("m,mij->ij", y, A)
+        AV = A @ V
+        R1 = (lam_mat @ V).ravel()
+        R2 = np.real(np.einsum("ij,mij->m", V.conj(), AV)) - u
+        v_norm = float(np.linalg.norm(V))
+        terms = np.maximum(np.linalg.norm(AV, axis=(1, 2)) * v_norm, 1e-300)
+        err = max(float(np.linalg.norm(R1)) / ((1.0 + np.dot(np.abs(y), a_norm)) * v_norm),
+                  float(np.max(np.abs(R2) / terms)))
+        if best is not None and err >= best[2]:
+            break
+        best = (V, y, err)
+        if err <= 64.0 * _EPS or step == _FACE_STEPS:
+            break
+        d_r1 = np.concatenate([(lam_mat @ basis).reshape(2 * nr, nr), AV.reshape(p, nr)])
+        d_r2 = 2.0 * np.real(np.einsum("mab,kab->km", AV.conj(), basis))
+        d_gauge = np.hstack([gauge.real, gauge.imag])
+        J = np.hstack([d_r1.real, d_r1.imag,
+                       np.vstack([d_r2, np.zeros((p, p))]),
+                       np.vstack([d_gauge, np.zeros((p, 2 * r * r))])]).T
+        F = np.concatenate([R1.real, R1.imag, R2, np.zeros(2 * r * r)])
+        cols = np.linalg.norm(J, axis=0)
+        cols[cols == 0.0] = 1.0
+        d = np.linalg.lstsq(J / cols, -F, rcond=None)[0] / cols
+        V = V + (d[:nr] + 1j * d[nr:2 * nr]).reshape(n, r)
+        y = y + d[2 * nr:]
+    return best
 
-    y = 1.0 / (t * slacks)
-    out = []
+
+def _refine_face(sys_: _ConstraintSystem, W: np.ndarray, slacks: np.ndarray,
+                 y0: np.ndarray):
+    """Newton refinement of the barrier end point W on its optimal face.
+
+    W = V V^H on its numerical range, cut at the largest eigenvalue gap when
+    one clearly exists, else at the relative cut: the central path leaves
+    O(1/t) dust eigenvalues off the face, and for small-trace optima they can
+    exceed the relative cut. The active rows are those
+    whose central-path multiplier y0_i = 1/(t s_i) exceeds the slack s_i.
+    Newton on the KKT system of that face (_face_newton) removes the
+    barrier's O(1/t) centering error and its float64 noise floor. A row whose
+    multiplier comes out negative is dropped and the solve retried.
+
+    Returns (V V^H, y), y = 0 on the inactive rows, when that is a KKT point
+    to roundoff: every multiplier >= 0, every inactive slack > 0 and Lambda(y)
+    PSD. Otherwise None, and the caller keeps the end point.
+    """
     vals, vecs = np.linalg.eigh(W)
-    lam_max = float(vals[-1])
-    if lam_max <= 0.0:
-        return out
-    # Numerical range of W. The central path leaves O(1/t) dust eigenvalues
-    # outside the optimal face; for small-trace optima they can exceed a
-    # relative threshold, so the face is cut at the largest spectral gap
-    # when one clearly exists, falling back to the relative cut.
     desc = np.clip(vals[::-1], 1e-300, None)
     ratios = desc[:-1] / desc[1:]
     if ratios.size and float(np.max(ratios)) > 1e2:
-        cut = int(np.argmax(ratios)) + 1
-        span = vecs[:, ::-1][:, :cut]
+        r = int(np.argmax(ratios)) + 1
     else:
-        span = vecs[:, vals > _RANK_REL_TOL * lam_max]
-    primal = float(np.real(np.trace(W)))
-    for cutoff in (1e-6 * max(1.0, float(np.max(y))), 0.0):
-        active = np.flatnonzero(y >= cutoff) if cutoff else np.arange(y.size)
-        if active.size == 0:
-            continue
-        inactive = np.flatnonzero(y < cutoff) if cutoff else np.array([], dtype=int)
-        # Lambda @ span = span + sum_i y_i (A_i @ span) must vanish (row 0
-        # carries A = I for the power budget, floors carry -F_k, ceilings
-        # +G_j, matching the sign conventions already encoded in sys_.A).
-        fixed = np.zeros(span.shape, dtype=complex)
-        for i in inactive:
-            fixed += y[i] * (sys_.A[i] @ span)
-        target = -(span + fixed)
-        cols = [sys_.A[i] @ span for i in active]
-        C = np.stack(
-            [np.concatenate([c.ravel().real, c.ravel().imag]) for c in cols], axis=1
-        )
-        q = np.concatenate([target.ravel().real, target.ravel().imag])
-
-        def fit(C_fit, q_fit, rows=active):
-            try:
-                sol, _ = nnls(C_fit, q_fit)
-            except Exception:
-                return
-            cand = y.copy()
-            cand[rows] = sol
-            out.append(cand)
-
-        fit(C, q)
-        # strong-duality tie-breaker: -u . y = Tr W - gap_est, weighted so it
-        # steers the fit without overruling stationarity
-        obj_target = (primal - gap_est) + float(np.dot(sys_.u[inactive], y[inactive]))
-        row = -sys_.u[active]
-        w_obj = 0.1 / max(1.0, float(np.linalg.norm(row)))
-        fit(np.vstack([C, w_obj * row]), np.concatenate([q, [w_obj * obj_target]]))
-    return out
+        r = int(np.count_nonzero(vals > _RANK_REL_TOL * vals[-1]))
+    V0 = vecs[:, ::-1][:, :r] * np.sqrt(desc[:r])
+    active = np.flatnonzero(y0 > slacks)
+    while active.size:
+        V, y_act, err = _face_newton(sys_.A[active], sys_.u[active], V0, y0[active])
+        if not err <= _FACE_TOL:  # also rejects a NaN
+            return None
+        if float(np.min(y_act)) >= 0.0:
+            break
+        active = np.delete(active, int(np.argmin(y_act)))
+    else:
+        return None
+    y = np.zeros_like(y0)
+    y[active] = y_act
+    W = V @ V.conj().T
+    s = sys_.u - np.real(np.einsum("mij,ij->m", sys_.A.conj(), W))
+    lam_mat = np.eye(W.shape[0]) + np.einsum("m,mij->ij", y, sys_.A)
+    roundoff = _FACE_TOL * (1.0 + float(np.dot(y, np.linalg.norm(sys_.A, axis=(1, 2)))))
+    if np.all(np.delete(s, active) > 0.0) and np.linalg.eigvalsh(lam_mat)[0] >= -roundoff:
+        return W, y
+    return None
 
 
 def _phase2(sys_: _ConstraintSystem, W0: np.ndarray, budget: _NewtonBudget):
-    """Path-following on the original objective from a strictly feasible W0."""
+    """Path-following on the original objective from a strictly feasible W0,
+    then Newton on the optimal face (_refine_face). When the refinement is
+    rejected the end point keeps its central-path duals 1/(t s_i)."""
     cons = sys_.cons
     bar = _Barrier(sys_.A, sys_.u, C0=np.eye(cons.n, dtype=complex), cs=0.0,
                    relax=False, s_cap=None)
@@ -479,48 +511,14 @@ def _phase2(sys_: _ConstraintSystem, W0: np.ndarray, budget: _NewtonBudget):
             break
         t *= _T_GROWTH
     slacks = bar.slacks(W, 0.0)
-    primal = float(np.real(np.trace(W)))
-    y_raw = 1.0 / (t * slacks)
-    polished = _polish_duals(sys_, W, t, slacks, bar.nu / t)
-
-    def dual_quality(y):
-        """(|gap|, repaired y) for a dual-feasible version of y, else None.
-
-        If the K6 matrix of y dips slightly below PSD (the fits carry the
-        same O(gap) noise as the gap itself), feasibility is restored exactly
-        by shrinking the floor multipliers: with delta = -min eig, scaling mu
-        by (1+lam)/(1+lam+delta) makes the new K6 matrix a convex combination
-        of the old one and the PSD part, at a dual-objective cost of order
-        delta. A candidate whose bound still exceeds the primal is invalid."""
-        lam, mu, nu = sys_.duals_from_rows(y)
-        lambda_mat = cons.multiplier_matrix(1.0 + lam, mu, nu)
-        eig_min = float(np.linalg.eigvalsh(lambda_mat)[0])
-        if eig_min < 0.0:
-            c = (1.0 + lam) / (1.0 + lam - eig_min * (1.0 + 1e-9))
-            y = y.copy()
-            for k_idx, row in enumerate(sys_.floor_rows):
-                if row is not None:
-                    y[row] *= c
-            lam, mu, nu = sys_.duals_from_rows(y)
-            lambda_mat = cons.multiplier_matrix(1.0 + lam, mu, nu)
-            eig_min = float(np.linalg.eigvalsh(lambda_mat)[0])
-        if eig_min < -1e-11 * max(1.0, float(np.linalg.norm(lambda_mat))):
-            return None
-        gap = primal - cons.dual_objective(lam, mu, nu)
-        if gap < -1e-7 * max(1.0, primal):
-            return None  # claims a bound above the primal: not a valid dual
-        return abs(gap), y
-
-    candidates = []
-    for i, y in enumerate([*polished, y_raw]):
-        quality = dual_quality(y)
-        if quality is not None:
-            candidates.append((quality[0], i, quality[1]))
-    y = min(candidates)[2] if candidates else y_raw
+    y = 1.0 / (t * slacks)
+    refined = _refine_face(sys_, W, slacks, y)
+    if refined is not None:
+        W, y = refined
     lam, mu, nu = sys_.duals_from_rows(y)
     Lambda = cons.multiplier_matrix(1.0 + lam, mu, nu)
     duals = DualVariables(lam=lam, mu=mu, nu=nu, Lambda=Lambda)
-    return W, primal, duals, cons.dual_objective(lam, mu, nu)
+    return W, float(np.real(np.trace(W))), duals, cons.dual_objective(lam, mu, nu)
 
 
 def _zero_power(p: WiretapProblem) -> SdpSolution:

@@ -19,8 +19,9 @@ def ref_j3():
     return reference_problem(3)
 
 
-def random_psd(rng, n, scale=1.0, ridge=0.0):
-    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def random_psd(rng, n, scale=1.0, ridge=0.0, rank=None):
+    k = n if rank is None else rank
+    b = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
     m = b @ b.conj().T * (scale / n)
     m = m + ridge * scale * np.eye(n)
     return (m + m.conj().T) / 2.0

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_psd
+from wiretap import sdp
+from wiretap.constraints import ConstraintSet
+from wiretap.kkt import check_kkt
 from wiretap.linalg import LinalgError, numerical_rank, quad_form, trace_inner
 from wiretap.model import (
     ConstraintThresholds,
@@ -27,6 +31,10 @@ from wiretap.sdp import (
     solve_general,
     solve_rank_relaxed,
 )
+from wiretap.probfile import load_problem
+from wiretap.sweep import code_rate_grid, sweep_region
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 
 def thresholds(a, b=0.0):
@@ -228,23 +236,11 @@ class TestSolveGeneral:
 
     @pytest.mark.parametrize("rs", [0.5572265624999998, 0.5572265624999999,
                                     0.5572265625000004])
-    def test_phase1_reports_infeasible_only_with_certificate(self, ref_j2, rs, monkeypatch):
-        # With the Newton kernel's W A W in batched-matmul form (the same math
-        # to a relative 2e-15), phase I at t = 1e4 stops on an uncentred point
-        # whose s exceeds the duality gap but yields no certificate. One more
-        # t stage reaches s < 0: the point is feasible.
-        einsum, calls = np.einsum, []
-
-        def batched_kernel(subscripts, *operands, **kwargs):
-            if subscripts == "ab,mbc,cd->mad":
-                calls.append(subscripts)
-                W, A, _ = operands
-                return W @ A @ W
-            return einsum(subscripts, *operands, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", batched_kernel)
+    def test_phase1_reports_infeasible_only_with_certificate(self, ref_j2, rs):
+        # With the Newton kernel's batched W A W, phase I at t = 1e4 stops on
+        # an uncentred point whose s exceeds the duality gap but yields no
+        # certificate. One more t stage reaches s < 0: the point is feasible.
         sol = solve_general(ref_j2, RatePair(0.9, rs))
-        assert calls
         assert sol.status == OPTIMAL
         assert sol.power == pytest.approx(15.7564, rel=1e-4)
 
@@ -363,3 +359,114 @@ def test_feasibility_probe_matches_relaxed_solve(seed):
                           N0=p.N0, epsilon=p.epsilon, P_T=p.P_T)
     lp_status = solve_general(diag, r).status
     assert relaxation_feasibility(diag, r) == (INFEASIBLE if lp_status == INFEASIBLE else FEASIBLE)
+
+
+class TestFaceRefinement:
+    @pytest.mark.parametrize("name, rd, rs", [
+        ("paper_j1", 1.0, 0.5), ("paper_j2", 0.8, 0.4), ("paper_j3", 0.5, 0.15),
+    ])
+    def test_beamformer_meets_every_floor_and_ceiling(self, name, rd, rs):
+        # The refined W is exactly v v*, so w keeps all of it: no dust
+        # eigenvalue below lambda_max is dropped, and every row holds to
+        # roundoff.
+        pf = load_problem(str(PROBLEMS / f"{name}.json"))
+        sol = solve_general(pf.problem, RatePair(rd, rs), mode=pf.csi_mode)
+        assert sol.status == OPTIMAL
+        cons = ConstraintSet.build(pf.problem, sol.thresholds, pf.csi_mode)
+        for mat, a_k in cons.floors:
+            assert quad_form(sol.w, mat) >= a_k * (1 - 1e-12)
+        for mat, b_j in cons.ceils:
+            assert quad_form(sol.w, mat) <= b_j * (1 + 1e-12)
+
+    def test_bundled_sweep_rows_certified_to_roundoff(self):
+        checked = 0
+        for path in sorted(PROBLEMS.glob("paper_j*.json")):
+            pf = load_problem(str(path))
+            rows = sweep_region(pf.problem, code_rate_grid(0.1, 2.0, 0.1), mode=pf.csi_mode).rows
+            for row in rows:
+                if row.status != OPTIMAL:
+                    continue
+                sol = solve_general(pf.problem, RatePair(row.rd, row.rs_max), mode=pf.csi_mode)
+                assert sol.status == OPTIMAL
+                rep = check_kkt(pf.problem, sol.thresholds, sol.W, sol.duals, mode=pf.csi_mode)
+                assert rep.max_residual() <= 1e-10, (path.name, row.rd)
+                checked += 1
+        assert checked >= 50
+
+    def test_rejected_refinement_is_not_reported_optimal(self, ref_j1, monkeypatch):
+        # The barrier's own duals do not certify the end point, so without
+        # the refinement the solve gives up instead of claiming optimality.
+        monkeypatch.setattr(sdp, "_refine_face", lambda *args: None)
+        sol = solve_general(ref_j1, RatePair(1.0, 0.5))
+        assert sol.status == MAX_ITERATIONS
+        assert sol.w is None
+
+    @pytest.mark.parametrize("ceiling, lead, steps, kept", [
+        (False, 0, sdp._FACE_STEPS, True),    # the optimal face: kept
+        (True, 0, sdp._FACE_STEPS, False),    # the ceiling it leaves inactive is violated
+        (False, 1, sdp._FACE_STEPS, False),   # a stationary point whose Lambda is not PSD
+        (False, 0, 0, False),                 # no Newton step: not a KKT point
+    ])
+    def test_refinement_keeps_only_kkt_points(self, ceiling, lead, steps, kept, monkeypatch):
+        # min Tr W s.t. Tr(W diag(1, 0.5)) >= 1 [and Tr(W diag(1, 0)) <= 0.25],
+        # refined from near 2 e e* with only the floor row guessed active.
+        p = WiretapProblem(H=(np.diag([1.0, 0.5]),), Z=(np.diag([1.0, 0.0]),) if ceiling else (),
+                           N0=1.0, epsilon=0.1, P_T=10.0)
+        sys_ = sdp._build_system(ConstraintSet.build(p, thresholds(a=1.0, b=0.25)))
+        floor = sys_.floor_rows[0]
+        slacks, y0 = np.ones(sys_.u.size), np.full(sys_.u.size, 1e-9)
+        slacks[floor], y0[floor] = 1e-9, 1.0
+        e = np.eye(2)[lead]
+        W = (2.0 * np.outer(e, e) + 1e-9 * np.eye(2)).astype(complex)
+        monkeypatch.setattr(sdp, "_FACE_STEPS", steps)
+        refined = sdp._refine_face(sys_, W, slacks, y0)
+        assert (refined is not None) == kept
+        if kept:
+            W, y = refined
+            assert np.allclose(W, np.diag([1.0, 0.0]), atol=1e-12)
+            assert y[floor] == pytest.approx(1.0, rel=1e-12)
+
+    def test_negative_multiplier_row_is_dropped(self, monkeypatch):
+        # N=16, K=J=3 with rank-two covariances: the first active-set guess
+        # holds a row whose multiplier comes out negative on the face.
+        rng = np.random.default_rng(1001)
+        p = WiretapProblem(H=tuple(random_psd(rng, 16, rank=2) for _ in range(3)),
+                           Z=tuple(random_psd(rng, 16, scale=0.1, rank=2) for _ in range(3)),
+                           N0=1.0, epsilon=0.1, P_T=30.0)
+        multipliers = []
+        newton = sdp._face_newton
+
+        def spy(*args):
+            out = newton(*args)
+            multipliers.append(out[1])
+            return out
+
+        monkeypatch.setattr(sdp, "_face_newton", spy)
+        sol = solve_general(p, RatePair(0.5, 0.2))
+        assert len(multipliers) == 2
+        assert multipliers[0].min() < 0.0 <= multipliers[1].min()
+        assert multipliers[1].size == multipliers[0].size - 1
+        assert sol.status == OPTIMAL
+        rep = check_kkt(p, sol.thresholds, sol.W, sol.duals, tol=1e-10)
+        assert rep.passes(1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_optimal_status_is_certified_to_roundoff(seed):
+    # Random N=3/N=4 instances whose covariances all have rank below N.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 5))
+    p = WiretapProblem(
+        H=tuple(random_psd(rng, n, rank=int(rng.integers(1, n)))
+                for _ in range(int(rng.integers(1, 4)))),
+        Z=tuple(random_psd(rng, n, scale=0.05, rank=int(rng.integers(1, n)))
+                for _ in range(int(rng.integers(0, 3)))),
+        N0=1.0, epsilon=0.1, P_T=float(10 ** rng.uniform(1.0, 1.8)),
+    )
+    rd = float(rng.uniform(0.1, 1.2))
+    sol = solve_general(p, RatePair(rd, float(rng.uniform(0.0, rd))))
+    if sol.status == OPTIMAL:
+        rep = check_kkt(p, sol.thresholds, sol.W, sol.duals, tol=1e-10)
+        assert rep.max_residual() <= 1e-10
+        assert rep.passes(1e-10)

@@ -37,7 +37,7 @@ MONTECARLO_J1_GOLDEN = """\
     0.96646,
     0.96453
   ],
-  "power": 13.165819318205285,
+  "power": 13.165819476884003,
   "status": "optimal",
   "successes": 93190,
   "trials": 100000
@@ -48,25 +48,25 @@ MONTECARLO_J1_GOLDEN = """\
 # float literal round-trips exactly, so dumping these dicts the way the CLI
 # does reproduces its output byte for byte.
 SOLVE_J2_GOLDEN = {
-    "duals": {"Lambda": [[[0.08290390678747997, 0.0],
-                          [0.09252335323999004, -0.01155965400795755],
-                          [-0.021732106948033392, 0.158320915491298]],
-                         [[0.09252335323999004, 0.01155965400795755],
-                          [0.35880949625612213, 0.0],
-                          [-0.006889565035875983, 0.09631488271384371]],
-                         [[-0.021732106948033392, -0.158320915491298],
-                          [-0.006889565035875983, -0.09631488271384371],
-                          [0.33772479026435454, 0.0]]],
+    "duals": {"Lambda": [[[0.08290391889968673, 0.0],
+                          [0.09252340719379483, -0.011559646076186262],
+                          [-0.021732134623230173, 0.15832091265944703]],
+                         [[0.09252340719379483, 0.011559646076186262],
+                          [0.3588095514461005, 0.0],
+                          [-0.0068895490614070114, 0.09631497110678393]],
+                         [[-0.021732134623230173, -0.15832091265944703],
+                          [-0.0068895490614070114, -0.09631497110678393],
+                          [0.33772475700313676, 0.0]]],
               "lam": 0.0,
-              "mu": [1.5294846556313566e-07, 0.46238569611199537],
-              "nu": [1.9359318032080912e-06, 2.836352139390757e-06]},
-    "kkt_residual_max": 1.00038103651733e-07,
-    "power": 9.053108012106014,
+              "mu": [0.0, 0.46238584304745045],
+              "nu": [0.0, 0.0]},
+    "kkt_residual_max": 1.6427245094783787e-15,
+    "power": 9.053108287885793,
     "rank1_exact": True,
     "status": "optimal",
-    "w": [[2.7350660412875456, 0.0],
-          [-0.38753964352929937, -0.11996957118518306],
-          [0.20230562069511884, 1.1691939635576638]],
+    "w": [[2.7350660600110657, 0.0],
+          [-0.3875397197945424, -0.11996968241165223],
+          [0.20230594584854072, 1.1691939447411122]],
 }
 
 SOLVE_J2_DIAG_GOLDEN = {
@@ -84,19 +84,19 @@ SOLVE_J2_DIAG_GOLDEN = {
 }
 
 KKT_J1_GOLDEN = {
-    "compl_slack_W": 1.007549408954978e-08,
+    "compl_slack_W": 8.52112643863408e-17,
     "feasibility_violations": [],
-    "mu_sum": 0.46238584325499865,
+    "mu_sum": 0.4623858430474505,
     "passes": True,
     "primal_feasible": True,
     "rank_W": 1,
     "rank_bound_ok": True,
     "rank_muH": 3,
-    "scalar_identity": 4.307391097878068e-08,
-    "slack_eaves": [1.2917734531842647e-07],
+    "scalar_identity": 0.0,
+    "slack_eaves": [0.0],
     "slack_power": 0.0,
-    "slack_users": [8.915233784779944e-08, 1.7767736896788112e-07],
-    "stationarity_min_eig": 1.4245254325394413e-16,
+    "slack_users": [0.0, 1.642724509478379e-15],
+    "stationarity_min_eig": -1.2716058746034507e-16,
     "status": "optimal",
     "tol": 1e-05,
 }
@@ -105,8 +105,8 @@ KKT_J1_GOLDEN = {
 # Pinned 16-QAM outputs: a memoized or restructured MI quadrature must not
 # move a single bit of the thresholds, the sweep's bisection or the table.
 QAM16_SWEEP_J1_GOLDEN = {
-    "0.5": "rd,rs_max,min_power,rank1,status\n0.5,0.42578125,5.80627258,true,optimal\n",
-    "1.0": "rd,rs_max,min_power,rank1,status\n1,0.825195312,14.2348659,true,optimal\n",
+    "0.5": "rd,rs_max,min_power,rank1,status\n0.5,0.42578125,5.80627221,true,optimal\n",
+    "1.0": "rd,rs_max,min_power,rank1,status\n1,0.825195312,14.2348647,true,optimal\n",
 }
 
 MI_QAM16_GOLDEN = """\
