@@ -33,7 +33,6 @@ from .sdp import (
     DualVariables,
     InfeasibilityCertificate,
     SdpSolution,
-    SolverOptions,
     extract_principal_direction,
     power_rescale,
     relaxation_feasibility,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from .constraints import ConstraintSet
 from .linalg import frob
 from .model import ConstraintThresholds, ModelError, WiretapProblem
 
@@ -52,18 +53,13 @@ def solve_diagonal(p: WiretapProblem, t: ConstraintThresholds) -> PowerAllocatio
     """Minimum-power allocation, or None when the LP is certified infeasible."""
     if not all_diagonal(p):
         raise ModelError("covariances are not diagonal; use the general solver")
-    n, k, j = p.N, p.K, p.J
-    h_diag = np.array([np.diag(m).real for m in p.H])  # (K, N)
-    z_diag = np.array([np.diag(m).real for m in p.Z]).reshape(j, n)  # (J, N)
-
-    # Rows: power budget, K user floors (negated to <=), J eavesdropper ceilings.
-    a_ub = np.vstack([np.ones((1, n)), -h_diag, z_diag])
-    b_ub = np.concatenate([[p.P_T], -t.a * np.ones(k), t.b * np.ones(j)])
+    cons = ConstraintSet.build(p, t)
+    # Tr(A_i W) <= u_i on W = diag(P) is (Re diag A_i) . P <= u_i.
     res = linprog(
-        c=np.ones(n),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0.0, None)] * n,
+        c=np.ones(p.N),
+        A_ub=np.real(np.diagonal(cons.A, axis1=1, axis2=2)),
+        b_ub=cons.u,
+        bounds=[(0.0, None)] * p.N,
         method="highs",
     )
     if res.status == 2:
@@ -71,12 +67,8 @@ def solve_diagonal(p: WiretapProblem, t: ConstraintThresholds) -> PowerAllocatio
     if not res.success:
         raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
     # HiGHS marginals for A_ub x <= b_ub are <= 0 at a minimum.
-    marg = -np.asarray(res.ineqlin.marginals)
-    multipliers = {
-        "power": float(marg[0]),
-        "users": marg[1 : 1 + k].copy(),
-        "eaves": marg[1 + k :].copy(),
-    }
+    lam, mu, nu = cons.split(-np.asarray(res.ineqlin.marginals))
+    multipliers = {"power": lam, "users": mu.copy(), "eaves": nu.copy()}
     return PowerAllocation(P=np.clip(res.x, 0.0, None), multipliers=multipliers)
 
 

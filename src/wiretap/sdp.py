@@ -14,12 +14,13 @@ Farkas-type certificate of infeasibility. relaxation_feasibility stops
 there: it returns the relaxation's feasibility verdict without running the
 minimum-power path, which is all a bisection over rates needs.
 
-The barrier's end point is then refined on its optimal face (_refine_face):
-a few Gauss-Newton steps on the square KKT system Lambda(y) V = 0,
-Tr(V^H A_i V) = u_i, with W = V V^H, take the residuals from the barrier's
-float64 floor (about 1e-7) to roundoff. A refined point that is not a KKT
-point is dropped, and OPTIMAL then needs the end point's own central-path
-duals to certify a small gap.
+The barrier works on the signed rows Re Tr(A_i W) <= u_i of the
+ConstraintSet, minus its all-zero rows. Its end point is then refined on its
+optimal face (_refine_face): a few Gauss-Newton steps on the square KKT
+system Lambda(y) V = 0, Tr(V^H A_i V) = u_i, with W = V V^H, take the
+residuals from the barrier's float64 floor (about 1e-7) to roundoff. OPTIMAL
+needs that refined point to be a KKT point with a small duality gap;
+otherwise the solve reports MAX_ITERATIONS.
 
 Feasibility of the beamformer follows from the relaxation whenever the
 solution has numerical rank one (which it does on the bundled scenarios);
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diag_lp
-from .constraints import ConstraintSet, DualVariables, effective_constraints  # noqa: F401
+from .constraints import ConstraintSet, DualVariables
 from .linalg import LinalgError, as_vector, hermitian_eig, numerical_rank, quad_form
 from .model import (
     STATISTICAL,
@@ -64,11 +65,7 @@ _FEAS_MARGIN_REL = 1e-9  # phase I stops once the relaxation s < -this * ref
 _RANK_REL_TOL = 1e-6     # eigenvalues below this * lambda_max count as zero
 _FACE_STEPS = 8          # Gauss-Newton steps of the face refinement
 _FACE_TOL = 1e-12        # relative KKT residual a refined face must reach
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_newton: int = 800      # total Newton budget per solve (both phases)
+_MAX_NEWTON = 800        # total Newton budget per solve (both phases)
 
 
 @dataclass(frozen=True)
@@ -271,52 +268,31 @@ class _Barrier:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ConstraintSystem:
-    """Barrier rows <A_i, W> <= u_i of a constraint set: row 0 is the power
-    budget, then the floors as -F_k and the ceilings as +G_j."""
+    """The barrier's rows: the nonzero rows of a ConstraintSet."""
 
     A: np.ndarray              # (m, N, N)
     u: np.ndarray              # (m,)
-    floor_rows: list           # row index per user floor (None if pruned)
-    ceil_rows: list            # row index per eavesdropper ceiling
-    cons: ConstraintSet
-
-    def duals_from_rows(self, y: np.ndarray):
-        lam = float(y[0])
-        mu = np.array([y[r] if r is not None else 0.0 for r in self.floor_rows])
-        nu = np.array([y[r] if r is not None else 0.0 for r in self.ceil_rows])
-        return lam, mu, nu
+    keep: np.ndarray           # ConstraintSet row of each barrier row
 
 
 def _build_system(cons: ConstraintSet) -> _ConstraintSystem | str:
-    """Assemble constraint rows; returns INFEASIBLE for contradictions visible
-    without solving (zero floor matrix with positive target, negative ceiling)."""
-    rows = [np.eye(cons.n, dtype=complex)]
-    u = [cons.p_t]
-    floor_rows, ceil_rows = [], []
-    for mat, a_k in cons.floors:
-        if np.linalg.norm(mat) == 0.0:
-            if a_k > 0.0:
-                return INFEASIBLE
-            floor_rows.append(None)  # vacuous 0 >= 0
-            continue
-        floor_rows.append(len(rows))
-        rows.append(-mat)
-        u.append(-a_k)
-    for mat, b_j in cons.ceils:
-        if b_j < 0.0:
-            return INFEASIBLE
-        if np.linalg.norm(mat) == 0.0:
-            ceil_rows.append(None)  # 0 <= b_j, vacuous
-            continue
-        ceil_rows.append(len(rows))
-        rows.append(mat)
-        u.append(b_j)
-    return _ConstraintSystem(
-        A=np.array(rows), u=np.array(u, dtype=float),
-        floor_rows=floor_rows, ceil_rows=ceil_rows, cons=cons,
-    )
+    """Drop the all-zero rows; returns INFEASIBLE for contradictions visible
+    without solving (a negative ceiling, or a zero row with u_i < 0: a zero
+    floor matrix with a positive target). A zero row with u_i >= 0 is vacuous."""
+    zero = np.linalg.norm(cons.A, axis=(1, 2)) == 0.0
+    if np.any(cons.u[1 + cons.k:] < 0.0) or np.any(zero & (cons.u < 0.0)):
+        return INFEASIBLE
+    keep = np.flatnonzero(~zero)
+    return _ConstraintSystem(A=cons.A[keep], u=cons.u[keep], keep=keep)
+
+
+def _duals(cons: ConstraintSet, sys_: _ConstraintSystem, y: np.ndarray):
+    """(lam, mu, nu) of the barrier-row multipliers y; a dropped row's is 0."""
+    full = np.zeros(cons.u.size)
+    full[sys_.keep] = y
+    return cons.split(full)
 
 
 def _certificate(cons: ConstraintSet, lam, mu, nu) -> InfeasibilityCertificate | None:
@@ -331,32 +307,33 @@ def _certificate(cons: ConstraintSet, lam, mu, nu) -> InfeasibilityCertificate |
 
 
 def _interior_start(cons: ConstraintSet) -> np.ndarray | None:
-    """Try W = alpha*I with a safety margin; None if no such point exists."""
-    n = cons.n
-    lo, hi = 0.0, cons.p_t / n
-    for mat, a_k in cons.floors:
-        tr = float(np.real(np.trace(mat)))
+    """Try W = alpha*I with a safety margin; None if no such point exists.
+
+    Row i asks alpha Tr A_i <= u_i: an upper bound on alpha where Tr A_i > 0
+    (the budget and the ceilings), a lower bound where Tr A_i < 0 (the floors).
+    """
+    lo, hi = 0.0, math.inf
+    for a_i, u_i in zip(cons.A, cons.u):
+        tr = float(np.real(np.trace(a_i)))
         if tr > 0.0:
-            lo = max(lo, a_k / tr)
-    for mat, b_j in cons.ceils:
-        tr = float(np.real(np.trace(mat)))
-        if tr > 0.0:
-            hi = min(hi, b_j / tr)
+            hi = min(hi, u_i / tr)
+        elif tr < 0.0:
+            lo = max(lo, u_i / tr)
     if lo * 1.05 + 1e-12 < hi * 0.95:
         alpha = math.sqrt(max(lo, 1e-12 * hi) * hi) if lo > 0 else hi / 2.0
         alpha = min(max(alpha, lo * 1.05 + 1e-15), hi * 0.95)
-        return alpha * np.eye(n, dtype=complex)
+        return alpha * np.eye(cons.n, dtype=complex)
     return None
 
 
-def _phase1(sys_: _ConstraintSystem, budget: _NewtonBudget):
+def _phase1(cons: ConstraintSet, sys_: _ConstraintSystem, budget: _NewtonBudget):
     """Find a strictly feasible W or certify infeasibility.
 
     Minimizes the uniform relaxation s over { <A_i,W> - s <= u_i, W > 0 };
     s* < 0 yields an interior point, a positive dual bound proves there is
     none.
     """
-    p_t, n = sys_.cons.p_t, sys_.cons.n
+    p_t, n = cons.p_t, cons.n
     ref = max(1.0, float(np.max(np.abs(sys_.u))), p_t)
     margin = _FEAS_MARGIN_REL * ref
     W = (p_t / (2.0 * n)) * np.eye(n, dtype=complex)
@@ -381,7 +358,7 @@ def _phase1(sys_: _ConstraintSystem, budget: _NewtonBudget):
             # Only a certificate proves infeasibility; an uncentred iterate
             # may not yield one, so keep raising t until it does.
             y = 1.0 / (t * bar.slacks(W, s))
-            cert = _certificate(sys_.cons, *sys_.duals_from_rows(y))
+            cert = _certificate(cons, *_duals(cons, sys_, y))
             if cert is not None:
                 return "infeasible", None, cert
         if gap <= max(1e-12, 1e-11 * ref):
@@ -487,11 +464,11 @@ def _refine_face(sys_: _ConstraintSystem, W: np.ndarray, slacks: np.ndarray,
     return None
 
 
-def _phase2(sys_: _ConstraintSystem, W0: np.ndarray, budget: _NewtonBudget):
+def _phase2(cons: ConstraintSet, sys_: _ConstraintSystem, W0: np.ndarray,
+            budget: _NewtonBudget):
     """Path-following on the original objective from a strictly feasible W0,
-    then Newton on the optimal face (_refine_face). When the refinement is
-    rejected the end point keeps its central-path duals 1/(t s_i)."""
-    cons = sys_.cons
+    then Newton on the optimal face (_refine_face). Returns None when the
+    refinement is rejected."""
     bar = _Barrier(sys_.A, sys_.u, C0=np.eye(cons.n, dtype=complex), cs=0.0,
                    relax=False, s_cap=None)
     W = W0.copy()
@@ -511,11 +488,11 @@ def _phase2(sys_: _ConstraintSystem, W0: np.ndarray, budget: _NewtonBudget):
             break
         t *= _T_GROWTH
     slacks = bar.slacks(W, 0.0)
-    y = 1.0 / (t * slacks)
-    refined = _refine_face(sys_, W, slacks, y)
-    if refined is not None:
-        W, y = refined
-    lam, mu, nu = sys_.duals_from_rows(y)
+    refined = _refine_face(sys_, W, slacks, 1.0 / (t * slacks))
+    if refined is None:
+        return None
+    W, y = refined
+    lam, mu, nu = _duals(cons, sys_, y)
     Lambda = cons.multiplier_matrix(1.0 + lam, mu, nu)
     duals = DualVariables(lam=lam, mu=mu, nu=nu, Lambda=Lambda)
     return W, float(np.real(np.trace(W))), duals, cons.dual_objective(lam, mu, nu)
@@ -531,66 +508,57 @@ def _zero_power(p: WiretapProblem) -> SdpSolution:
                        objective=0.0, duals=duals, dual_objective=0.0)
 
 
-def _relaxed_start(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode,
-                   options: SolverOptions | None):
+def _relaxed_start(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode):
     """Everything of a relaxed solve before phase II: the constraint rows, an
     interior start and, when W = alpha*I is not one, phase I.
 
-    Returns (system, W0, budget) for phase II to continue from, or the final
-    SdpSolution when no phase II is needed: zero power, INFEASIBLE, or
-    MAX_ITERATIONS when phase I runs out of Newton steps.
+    Returns (constraints, system, W0, budget) for phase II to continue from,
+    or the final SdpSolution when no phase II is needed: zero power,
+    INFEASIBLE, or MAX_ITERATIONS when phase I runs out of Newton steps.
     """
-    opts = options or SolverOptions()
     cons = ConstraintSet.build(p, t, mode)
-    if all(a_k <= 0.0 for _, a_k in cons.floors):
+    if np.all(cons.u[1:1 + cons.k] >= 0.0):  # no floor asks for power
         return _zero_power(p)
 
     sys_ = _build_system(cons)
     if sys_ == INFEASIBLE:
         return SdpSolution(status=INFEASIBLE)
 
-    budget = _NewtonBudget(opts.max_newton)
+    budget = _NewtonBudget(_MAX_NEWTON)
     try:
         W0 = _interior_start(cons)
         if W0 is None:
-            verdict, W0, cert = _phase1(sys_, budget)
+            verdict, W0, cert = _phase1(cons, sys_, budget)
             if verdict == "infeasible":
                 return SdpSolution(status=INFEASIBLE, certificate=cert,
                                    newton_iterations=budget.used)
     except _NumericalTrouble:
         return SdpSolution(status=MAX_ITERATIONS, newton_iterations=budget.used)
-    return sys_, W0, budget
+    return cons, sys_, W0, budget
 
 
 def solve_rank_relaxed(
     p: WiretapProblem,
     t: ConstraintThresholds,
     mode: CsiMode = STATISTICAL,
-    options: SolverOptions | None = None,
 ) -> SdpSolution:
     """Solve the rank-relaxed minimum-power problem for the given thresholds."""
-    start = _relaxed_start(p, t, mode, options)
+    start = _relaxed_start(p, t, mode)
     if isinstance(start, SdpSolution):
         return start
-    sys_, W0, budget = start
+    cons, sys_, W0, budget = start
     try:
-        W, primal, duals, dual_obj = _phase2(sys_, W0, budget)
+        end = _phase2(cons, sys_, W0, budget)
     except _NumericalTrouble:
-        return SdpSolution(status=MAX_ITERATIONS, newton_iterations=budget.used)
-    # The claimed status must be earned: certified by a valid dual point with a
-    # small gap, not by the path having terminated.
-    lam_min = float(np.linalg.eigvalsh(duals.Lambda)[0])
-    dual_valid = (
-        duals.lam >= -1e-9
-        and np.all(duals.mu >= -1e-9)
-        and np.all(duals.nu >= -1e-9)
-        and lam_min >= -1e-8 * max(1.0, float(np.linalg.norm(duals.Lambda)))
-    )
-    gap_ok = abs(primal - dual_obj) <= 1e-6 * max(1.0, primal)
-    if not (dual_valid and gap_ok):
-        return SdpSolution(status=MAX_ITERATIONS, newton_iterations=budget.used)
-    return SdpSolution(status=OPTIMAL, W=W, objective=primal, duals=duals,
-                       dual_objective=dual_obj, newton_iterations=budget.used)
+        end = None
+    # The claimed status must be earned: by a refined KKT point with a small
+    # gap, not by the path having terminated.
+    if end is not None:
+        W, primal, duals, dual_obj = end
+        if abs(primal - dual_obj) <= 1e-6 * max(1.0, primal):
+            return SdpSolution(status=OPTIMAL, W=W, objective=primal, duals=duals,
+                               dual_objective=dual_obj, newton_iterations=budget.used)
+    return SdpSolution(status=MAX_ITERATIONS, newton_iterations=budget.used)
 
 
 # ---------------------------------------------------------------------------
@@ -630,21 +598,23 @@ def power_rescale(
     if not math.isclose(float(np.linalg.norm(w0)), 1.0, rel_tol=1e-9, abs_tol=1e-12):
         raise ModelError("w0 must be unit norm")
     cons = ConstraintSet.build(p, t, mode)
+    k = cons.k
     power = 0.0
-    for mat, a_k in cons.floors:
-        if a_k <= 0.0:
+    # A floor row reads P q_i <= u_i with q_i = -(w0* F_k w0) and u_i = -a_k.
+    for a_i, u_i in zip(cons.A[1:1 + k], cons.u[1:1 + k]):
+        if u_i >= 0.0:
             continue
-        qf = max(quad_form(w0, mat), 0.0)
-        if qf == 0.0:
+        q = quad_form(w0, a_i)
+        if q >= 0.0:
             return None
-        power = max(power, a_k / qf)
+        power = max(power, u_i / q)
     if power > p.P_T * (1.0 + 1e-12):
         return None
-    for mat, b_j in cons.ceils:
-        qf = max(quad_form(w0, mat), 0.0)
-        if qf > 0.0 and power * qf > b_j * (1.0 + 1e-12) + 1e-300:
+    for a_i, u_i in zip(cons.A[1 + k:], cons.u[1 + k:]):
+        q = max(quad_form(w0, a_i), 0.0)
+        if q > 0.0 and power * q > u_i * (1.0 + 1e-12) + 1e-300:
             return None
-    return power
+    return float(power)
 
 
 def _lp_route(p, t, mode) -> BeamformerSolution:
@@ -690,7 +660,6 @@ def relaxation_feasibility(
     r: RatePair,
     mode: CsiMode = STATISTICAL,
     input_model="gaussian",
-    options: SolverOptions | None = None,
 ) -> str:
     """FEASIBLE, INFEASIBLE or MAX_ITERATIONS: whether the rank relaxation at
     r has a feasible point, decided as solve_general decides it but without
@@ -707,7 +676,7 @@ def relaxation_feasibility(
         return FEASIBLE
     if route == "lp":
         return INFEASIBLE if diag_lp.solve_diagonal(p, t) is None else FEASIBLE
-    start = _relaxed_start(p, t, mode, options)
+    start = _relaxed_start(p, t, mode)
     if isinstance(start, SdpSolution) and start.status != OPTIMAL:
         return start.status
     return FEASIBLE
@@ -718,7 +687,6 @@ def solve_general(
     r: RatePair,
     mode: CsiMode = STATISTICAL,
     input_model="gaussian",
-    options: SolverOptions | None = None,
 ) -> BeamformerSolution:
     """Full pipeline: thresholds, relaxed solve, rank-1 recovery.
 
@@ -740,7 +708,7 @@ def solve_general(
     if route == "lp":
         return _lp_route(p, t, mode)
 
-    sdp = solve_rank_relaxed(p, t, mode, options)
+    sdp = solve_rank_relaxed(p, t, mode)
     if sdp.status != OPTIMAL:
         return lift(sdp, status=sdp.status)
     rank = numerical_rank(sdp.W, _RANK_REL_TOL)

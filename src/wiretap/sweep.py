@@ -32,7 +32,6 @@ from .sdp import (
     MAX_ITERATIONS,
     OPTIMAL,
     RANK1_INFEASIBLE,
-    SolverOptions,
     relaxation_feasibility,
     solve_general,
 )
@@ -64,10 +63,10 @@ class _RowFailure(Exception):
     pass
 
 
-def _solve_row(p, rd, rate_tol, mode, input_model, options) -> SweepRow:
+def _solve_row(p, rd, rate_tol, mode, input_model) -> SweepRow:
     def feasible(rs: float) -> bool:
         verdict = relaxation_feasibility(p, RatePair(rd, rs), mode=mode,
-                                         input_model=input_model, options=options)
+                                         input_model=input_model)
         if verdict == MAX_ITERATIONS:
             raise _RowFailure()
         return verdict == FEASIBLE
@@ -86,8 +85,7 @@ def _solve_row(p, rd, rate_tol, mode, input_model, options) -> SweepRow:
                     hi = mid
     except _RowFailure:
         return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE)
-    sol = solve_general(p, RatePair(rd, lo), mode=mode,
-                        input_model=input_model, options=options)
+    sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
     if sol.status == OPTIMAL:
         return SweepRow(rd, lo, sol.power, sol.rank1_exact, ROW_OPTIMAL)
     if sol.status == RANK1_INFEASIBLE:
@@ -114,7 +112,6 @@ def sweep_region(
     rate_tol: float = 1e-3,
     mode: CsiMode = STATISTICAL,
     input_model="gaussian",
-    options: SolverOptions | None = None,
 ) -> SweepResult:
     grid = [float(r) for r in rd_grid]
     if not grid:
@@ -123,7 +120,7 @@ def sweep_region(
         raise ModelError("code-rate grid must be strictly increasing")
     if rate_tol <= 0.0:
         raise ModelError(f"rate_tol must be positive: {rate_tol}")
-    rows = tuple(_solve_row(p, rd, rate_tol, mode, input_model, options) for rd in grid)
+    rows = tuple(_solve_row(p, rd, rate_tol, mode, input_model) for rd in grid)
     return SweepResult(rows=rows, rate_tol=rate_tol)
 
 

@@ -24,7 +24,6 @@ from wiretap.sdp import (
     MAX_ITERATIONS,
     OPTIMAL,
     RANK1_INFEASIBLE,
-    SolverOptions,
     extract_principal_direction,
     power_rescale,
     relaxation_feasibility,
@@ -125,9 +124,10 @@ class TestSolveRankRelaxed:
         assert sol.objective == 0.0
         assert np.allclose(sol.W, 0.0)
 
-    def test_max_iterations_status_on_tiny_budget(self, ref_j1):
+    def test_max_iterations_status_on_tiny_budget(self, ref_j1, monkeypatch):
+        monkeypatch.setattr(sdp, "_MAX_NEWTON", 2)
         t = thresholds_gaussian(ref_j1, RatePair(1.0, 0.5))
-        sol = solve_rank_relaxed(ref_j1, t, options=SolverOptions(max_newton=2))
+        sol = solve_rank_relaxed(ref_j1, t)
         assert sol.status == MAX_ITERATIONS
 
     def test_dual_feasibility_k6(self, ref_j2):
@@ -142,6 +142,57 @@ class TestSolveRankRelaxed:
             k6 += n_j * z
         assert np.linalg.eigvalsh(k6)[0] >= -1e-6
         assert d.lam >= -1e-9 and np.all(d.mu >= -1e-9) and np.all(d.nu >= -1e-9)
+
+
+class TestZeroRows:
+    """All-zero rows never reach the barrier: they decide a solve at once or
+    drop out, and a dropped row's multiplier reads 0 in its own slot."""
+
+    @staticmethod
+    def no_newton(monkeypatch):
+        def fail(*args):
+            raise AssertionError("Newton step taken")
+        monkeypatch.setattr(sdp._Barrier, "newton_step", fail)
+
+    def test_zero_floor_with_positive_target_is_infeasible(self, monkeypatch):
+        self.no_newton(monkeypatch)
+        p = WiretapProblem(H=(np.eye(2), np.zeros((2, 2))), Z=(), P_T=10.0)
+        sol = solve_rank_relaxed(p, thresholds(a=1.0))
+        assert sol.status == INFEASIBLE
+        assert sol.newton_iterations == 0
+
+    def test_negative_ceiling_is_infeasible(self, monkeypatch):
+        self.no_newton(monkeypatch)
+        p = WiretapProblem(H=(np.eye(2),), Z=(np.diag([1.0, 0.1]),), P_T=10.0)
+        sol = solve_rank_relaxed(p, thresholds(a=1.0, b=-0.1))
+        assert sol.status == INFEASIBLE
+        assert sol.newton_iterations == 0
+
+    def test_zero_ceiling_is_vacuous(self):
+        # The ceiling diag(1, 0) binds (nu > 0); a zero ceiling beside it
+        # changes nothing but the length of nu.
+        t = thresholds(a=1.0, b=0.25)
+        H = (np.array([[1.0, 0.5], [0.5, 1.0]]),)
+        one = solve_rank_relaxed(WiretapProblem(H=H, Z=(np.diag([1.0, 0.0]),), P_T=10.0), t)
+        two = solve_rank_relaxed(
+            WiretapProblem(H=H, Z=(np.zeros((2, 2)), np.diag([1.0, 0.0])), P_T=10.0), t)
+        assert one.status == two.status == OPTIMAL
+        assert one.duals.nu[0] > 0.0
+        assert np.array_equal(one.W, two.W)
+        assert np.array_equal(one.duals.mu, two.duals.mu)
+        assert two.duals.nu.tolist() == [0.0, one.duals.nu[0]]
+        assert one.newton_iterations == two.newton_iterations
+
+    def test_dropped_floor_multiplier_reads_zero(self):
+        # Rows: budget, a zero floor with a = -0.5 (vacuous), a floor, a ceiling.
+        cons = ConstraintSet(
+            A=np.array([np.eye(2), np.zeros((2, 2)), -np.eye(2), np.diag([1.0, 0.0])],
+                       dtype=complex),
+            u=np.array([10.0, 0.5, -1.0, 0.3]), k=2)
+        sys_ = sdp._build_system(cons)
+        assert sys_.keep.tolist() == [0, 2, 3]
+        lam, mu, nu = sdp._duals(cons, sys_, np.array([1.0, 2.0, 3.0]))
+        assert (lam, mu.tolist(), nu.tolist()) == (1.0, [0.0, 2.0], [3.0])
 
 
 class TestExtractPrincipalDirection:
@@ -321,10 +372,10 @@ class TestRelaxationFeasibility:
         (0.5, 0.0, FEASIBLE),          # W = alpha*I is interior: no Newton step
         (1.0, 0.5, MAX_ITERATIONS),    # phase I runs out of its two steps
     ])
-    def test_tiny_budget(self, ref_j1, rd, rs, verdict):
-        opts = SolverOptions(max_newton=2)
-        assert relaxation_feasibility(ref_j1, RatePair(rd, rs), options=opts) == verdict
-        assert solve_general(ref_j1, RatePair(rd, rs), options=opts).status == MAX_ITERATIONS
+    def test_tiny_budget(self, ref_j1, rd, rs, verdict, monkeypatch):
+        monkeypatch.setattr(sdp, "_MAX_NEWTON", 2)
+        assert relaxation_feasibility(ref_j1, RatePair(rd, rs)) == verdict
+        assert solve_general(ref_j1, RatePair(rd, rs)).status == MAX_ITERATIONS
 
     def test_zero_code_rate_is_feasible(self, ref_j1):
         assert relaxation_feasibility(ref_j1, RatePair(0.0, 0.0)) == FEASIBLE
@@ -373,10 +424,8 @@ class TestFaceRefinement:
         sol = solve_general(pf.problem, RatePair(rd, rs), mode=pf.csi_mode)
         assert sol.status == OPTIMAL
         cons = ConstraintSet.build(pf.problem, sol.thresholds, pf.csi_mode)
-        for mat, a_k in cons.floors:
-            assert quad_form(sol.w, mat) >= a_k * (1 - 1e-12)
-        for mat, b_j in cons.ceils:
-            assert quad_form(sol.w, mat) <= b_j * (1 + 1e-12)
+        for a_i, u_i in zip(cons.A[1:], cons.u[1:]):  # -a_k for floors, b_j for ceilings
+            assert quad_form(sol.w, a_i) <= u_i + 1e-12 * abs(u_i)
 
     def test_bundled_sweep_rows_certified_to_roundoff(self):
         checked = 0
@@ -413,7 +462,7 @@ class TestFaceRefinement:
         p = WiretapProblem(H=(np.diag([1.0, 0.5]),), Z=(np.diag([1.0, 0.0]),) if ceiling else (),
                            N0=1.0, epsilon=0.1, P_T=10.0)
         sys_ = sdp._build_system(ConstraintSet.build(p, thresholds(a=1.0, b=0.25)))
-        floor = sys_.floor_rows[0]
+        floor = 1  # row 0 is the power budget, and no row is dropped
         slacks, y0 = np.ones(sys_.u.size), np.full(sys_.u.size, 1e-9)
         slacks[floor], y0[floor] = 1e-9, 1.0
         e = np.eye(2)[lead]

@@ -255,11 +255,11 @@ class TestSweep:
         with pytest.raises(ModelError):
             sweep_region(ref_j1, [0.5, 0.5])
 
-    def test_solver_failure_marks_row_without_aborting(self, ref_j1):
-        from wiretap.sdp import SolverOptions
+    def test_solver_failure_marks_row_without_aborting(self, ref_j1, monkeypatch):
+        from wiretap import sdp
 
-        res = sweep_region(ref_j1, [0.5, 0.8], rate_tol=1e-2,
-                           options=SolverOptions(max_newton=2))
+        monkeypatch.setattr(sdp, "_MAX_NEWTON", 2)
+        res = sweep_region(ref_j1, [0.5, 0.8], rate_tol=1e-2)
         assert len(res.rows) == 2
         assert all(row.status == "numerical-failure" for row in res.rows)
         assert all(row.min_power is None for row in res.rows)
