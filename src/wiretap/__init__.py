@@ -32,7 +32,6 @@ from .sdp import (
     BeamformerSolution,
     DualVariables,
     InfeasibilityCertificate,
-    SdpSolution,
     extract_principal_direction,
     power_rescale,
     relaxation_feasibility,

@@ -179,7 +179,7 @@ def cmd_kkt(args) -> int:
     }
     if float(np.linalg.norm(sol.W)) > 0.0:
         bound = rank_bound_check(sol.W, sol.duals, pf.problem, sol.thresholds,
-                                 mode=pf.csi_mode)
+                                 tol=args.tol, mode=pf.csi_mode)
         doc["rank_bound_ok"] = bound.ok
         doc["mu_sum"] = bound.mu_sum
     _emit_json(doc, args.output)

@@ -9,7 +9,8 @@ SDP barrier, the LP route, the Farkas certificate and the KKT checker all
 build their dual quantities from these rows: the multiplier matrix
 c I + sum_{i>0} y_i A_i (c = 1 + lam for the K6 matrix Lambda, c = lam for a
 Farkas combination), the dual objective, the scalar identity, and
-sum mu_k F_k, whose rank bounds rank(W).
+sum mu_k F_k, whose rank bounds rank(W). ConstraintSet.duals is the only
+place a solve's DualVariables, with its Lambda, is made.
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ class ConstraintSet:
     def split(self, y: np.ndarray):
         """(lam, mu, nu) of one multiplier per row."""
         return float(y[0]), y[1:1 + self.k], y[1 + self.k:]
+
+    def duals(self, lam: float, mu, nu) -> DualVariables:
+        """The multipliers with their K6 matrix multiplier_matrix(1 + lam, mu, nu)."""
+        return DualVariables(lam=lam, mu=mu, nu=nu,
+                             Lambda=self.multiplier_matrix(1.0 + lam, mu, nu))
 
     def check(self, W: np.ndarray, duals: DualVariables) -> None:
         """Raise ModelError unless W is N x N and there is one multiplier per

@@ -7,7 +7,9 @@ powers P_m = |w_m|^2:
     min sum_m P_m   s.t.  P_m >= 0,  sum_m P_m <= P_T,
                           sum_m P_m H_k[mm] >= a,  sum_m P_m Z_j[mm] <= b.
 
-The beamforming vector is then [sqrt(P_1), ..., sqrt(P_N)]^T.
+The beamforming vector is then [sqrt(P_1), ..., sqrt(P_N)]^T. The HiGHS
+row marginals are the multipliers of the same rows in the SDP, so the
+allocation carries them as the solve's DualVariables, K6 matrix included.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .constraints import ConstraintSet
+from .constraints import ConstraintSet, DualVariables
 from .linalg import frob
 from .model import ConstraintThresholds, ModelError, WiretapProblem
 
@@ -26,27 +28,25 @@ DIAGONAL_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Non-negative per-antenna powers plus the dual multipliers of the LP.
-
-    multipliers maps "power" -> budget-row dual, "users" -> K floor duals,
-    "eaves" -> J ceiling duals (all >= 0), matching the SDP dual conventions.
-    """
+    """Non-negative per-antenna powers plus the LP's row duals (all >= 0),
+    in the SDP's conventions: lam for the budget, mu_k for the floors, nu_j
+    for the ceilings, and the K6 matrix they define."""
 
     P: np.ndarray
-    multipliers: dict
+    duals: DualVariables
 
     @property
     def total(self) -> float:
         return float(np.sum(self.P))
 
 
-def is_diagonal(m: np.ndarray, rtol: float = DIAGONAL_RTOL) -> bool:
+def is_diagonal(m: np.ndarray) -> bool:
     off = m - np.diag(np.diag(m))
-    return frob(off) <= rtol * max(1.0, frob(m))
+    return frob(off) <= DIAGONAL_RTOL * max(1.0, frob(m))
 
 
-def all_diagonal(p: WiretapProblem, rtol: float = DIAGONAL_RTOL) -> bool:
-    return all(is_diagonal(m, rtol) for m in (*p.H, *p.Z))
+def all_diagonal(p: WiretapProblem) -> bool:
+    return all(is_diagonal(m) for m in (*p.H, *p.Z))
 
 
 def solve_diagonal(p: WiretapProblem, t: ConstraintThresholds) -> PowerAllocation | None:
@@ -67,9 +67,8 @@ def solve_diagonal(p: WiretapProblem, t: ConstraintThresholds) -> PowerAllocatio
     if not res.success:
         raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
     # HiGHS marginals for A_ub x <= b_ub are <= 0 at a minimum.
-    lam, mu, nu = cons.split(-np.asarray(res.ineqlin.marginals))
-    multipliers = {"power": lam, "users": mu.copy(), "eaves": nu.copy()}
-    return PowerAllocation(P=np.clip(res.x, 0.0, None), multipliers=multipliers)
+    duals = cons.duals(*cons.split(-np.asarray(res.ineqlin.marginals)))
+    return PowerAllocation(P=np.clip(res.x, 0.0, None), duals=duals)
 
 
 def allocation_to_beamformer(alloc: PowerAllocation) -> np.ndarray:

@@ -115,7 +115,6 @@ def rank_bound_check(
     duals: DualVariables,
     p: WiretapProblem,
     t: ConstraintThresholds,
-    rel_tol: float = 1e-6,
     tol: float = 1e-5,
     mode: CsiMode = STATISTICAL,
 ) -> RankBoundReport:
@@ -131,8 +130,8 @@ def rank_bound_check(
     cons.check(W, duals)
     mu = np.atleast_1d(duals.mu)
     nu = np.atleast_1d(duals.nu)
-    rank_w = numerical_rank(W, rel_tol)
-    rank_muh = numerical_rank(cons.floor_combination(mu), rel_tol)
+    rank_w = numerical_rank(W)
+    rank_muh = numerical_rank(cons.floor_combination(mu))
     scalar = cons.scalar_identity(duals.lam, mu, nu, float(np.real(np.trace(W))))
     mu_sum = float(np.sum(mu))
     return RankBoundReport(

@@ -125,12 +125,9 @@ class MiEvaluator:
     of every rate computed. Safe to share across threads: a memo key only ever
     maps to its one deterministic value. Instances are callable: ev(rho) -> bits."""
 
-    def __init__(self, alphabet: Alphabet, nodes: int = 32):
-        if nodes < 2:
-            raise ModelError("need at least 2 quadrature nodes per axis")
+    def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self.nodes = nodes
-        x, w = hermgauss(nodes)
+        x, w = hermgauss(32)                              # nodes per axis
         sym = alphabet.symbols
         d = sym[:, None] - sym[None, :]                   # (M, M)
         self._d_abs2 = np.abs(d) ** 2
@@ -176,8 +173,8 @@ class MiEvaluator:
         self._memo[rho] = bits
         return bits
 
-    def inverse(self, rate: float, tol: float = 1e-8) -> float:
-        """rho with rate(rho) = rate to within tol bits, by bisection.
+    def inverse(self, rate: float) -> float:
+        """rho with rate(rho) = rate to within 1e-8 bits, by bisection.
 
         I saturates below log2 M only asymptotically, so rates too close to
         capacity are rejected as unachievable within numeric range.
@@ -188,7 +185,7 @@ class MiEvaluator:
             raise RateUnachievableError(
                 f"rate {rate} unachievable: alphabet capacity is {self.max_rate}"
             )
-        return invert_monotone_rate(self.rate, rate, tol=tol)
+        return invert_monotone_rate(self.rate, rate)
 
 
 def mutual_info_mc(alphabet: Alphabet, rho: float, draws: int, seed: int = 0) -> float:

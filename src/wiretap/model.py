@@ -154,7 +154,7 @@ class ValidationReport:
     violations: tuple[str, ...] = field(default_factory=tuple)
 
 
-def validate_problem(p: WiretapProblem, psd_tol: float = DEFAULT_PSD_TOL) -> ValidationReport:
+def validate_problem(p: WiretapProblem) -> ValidationReport:
     """Check every instance invariant; collects violations instead of raising."""
     v: list[str] = []
     if p.K < 1:
@@ -163,10 +163,10 @@ def validate_problem(p: WiretapProblem, psd_tol: float = DEFAULT_PSD_TOL) -> Val
         v.append("at least one antenna is required (N >= 1)")
     if not (0.0 < p.epsilon < 1.0):
         v.append(f"epsilon out of range (0, 1): {p.epsilon}")
-    if not p.P_T > 0.0:
-        v.append(f"power budget must be positive: {p.P_T}")
-    if not p.N0 > 0.0:
-        v.append(f"noise power must be positive: {p.N0}")
+    if not 0.0 < p.P_T < math.inf:
+        v.append(f"power budget must be positive and finite: {p.P_T}")
+    if not 0.0 < p.N0 < math.inf:
+        v.append(f"noise power must be positive and finite: {p.N0}")
     for label, mats in (("H", p.H), ("Z", p.Z)):
         for i, m in enumerate(mats):
             try:
@@ -175,7 +175,7 @@ def validate_problem(p: WiretapProblem, psd_tol: float = DEFAULT_PSD_TOL) -> Val
                 v.append(f"{label}[{i}]: {exc}")
                 continue
             lam_max = float(vals[-1])
-            if float(vals[0]) < -psd_tol * max(1.0, lam_max):
+            if float(vals[0]) < -DEFAULT_PSD_TOL * max(1.0, lam_max):
                 v.append(f"{label}[{i}]: covariance not PSD (min eigenvalue {vals[0]:.3e})")
     return ValidationReport(ok=not v, violations=tuple(v))
 
@@ -211,8 +211,8 @@ def thresholds_gaussian(p: WiretapProblem, r: RatePair) -> ConstraintThresholds:
     )
 
 
-def invert_monotone_rate(mi, rate: float, *, tol: float = 1e-8) -> float:
-    """Invert a strictly increasing rate function by doubling + bisection.
+def invert_monotone_rate(mi, rate: float) -> float:
+    """Invert a strictly increasing rate function to 1e-8 bits by doubling + bisection.
 
     Works for any callable rho -> bits with mi(0) = 0. Raises
     RateUnachievableError if no rho <= 1e9 reaches the requested rate.
@@ -235,7 +235,7 @@ def invert_monotone_rate(mi, rate: float, *, tol: float = 1e-8) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi) and abs(mi(hi) - rate) <= tol:
+        if hi - lo <= 1e-12 * max(1.0, hi) and abs(mi(hi) - rate) <= 1e-8:
             break
     return hi
 

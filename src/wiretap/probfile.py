@@ -20,6 +20,7 @@ unit-clean linear throughout.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 
@@ -35,9 +36,13 @@ class ProblemFileError(ValueError):
 def _complex_from_pair(pair, where: str) -> complex:
     try:
         re, im = pair
-        return complex(float(re), float(im))
+        c = complex(float(re), float(im))
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(f"{where}: expected an [re, im] pair, got {pair!r}") from exc
+    # JSON's NaN and Infinity parse; the covariance ingestion would reject them.
+    if not cmath.isfinite(c):
+        raise ProblemFileError(f"{where}: entries must be finite, got {pair!r}")
+    return c
 
 
 def _matrix(entry, n: int, where: str) -> np.ndarray:
@@ -65,7 +70,10 @@ def _power_linear(raw) -> float:
         except (KeyError, TypeError, ValueError) as exc:
             raise ProblemFileError(f"P_T: malformed power entry {raw!r}") from exc
         if unit == "dB":
-            return 10.0 ** (value / 10.0)
+            try:
+                return 10.0 ** (value / 10.0)
+            except OverflowError as exc:
+                raise ProblemFileError(f"P_T: {value} dB is out of range") from exc
         if unit == "linear":
             return value
         raise ProblemFileError(f"P_T: unknown unit {unit!r} (use 'linear' or 'dB')")
@@ -88,7 +96,7 @@ def parse_problem(doc: dict) -> ProblemFile:
             raise ProblemFileError(f"missing required field {field!r}")
     try:
         n, k, j = int(doc["N"]), int(doc["K"]), int(doc["J"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFileError(f"N/K/J must be integers: {exc}") from exc
     if len(doc["H"]) != k:
         raise ProblemFileError(f"H: expected {k} matrices, got {len(doc['H'])}")

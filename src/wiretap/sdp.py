@@ -26,12 +26,17 @@ Feasibility of the beamformer follows from the relaxation whenever the
 solution has numerical rank one (which it does on the bundled scenarios);
 otherwise the principal eigendirection is kept and only the transmit power
 is re-optimized, which is a one-dimensional closed-form problem.
+
+Every route (zero power, the diagonal LP, the SDP with its rank-1 recovery)
+and every early exit returns the one BeamformerSolution record, with its
+thresholds, CSI mode and Newton-step count; ConstraintSet.duals builds the
+duals of each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,18 +87,10 @@ class InfeasibilityCertificate:
 
 
 @dataclass(frozen=True)
-class SdpSolution:
-    status: str
-    W: np.ndarray | None = None
-    objective: float | None = None
-    duals: DualVariables | None = None
-    dual_objective: float | None = None
-    newton_iterations: int = 0
-    certificate: InfeasibilityCertificate | None = None
-
-
-@dataclass(frozen=True)
 class BeamformerSolution:
+    """The result of one solve, whichever route produced it. The relaxed
+    solve alone (solve_rank_relaxed) leaves w and power unset unless W = 0."""
+
     status: str
     mode: CsiMode = STATISTICAL
     w: np.ndarray | None = None
@@ -104,6 +101,7 @@ class BeamformerSolution:
     objective: float | None = None   # relaxed-problem optimum Tr(W)
     thresholds: ConstraintThresholds | None = None
     certificate: InfeasibilityCertificate | None = None
+    newton_iterations: int = 0       # barrier Newton steps, both phases
 
 
 # ---------------------------------------------------------------------------
@@ -127,27 +125,26 @@ class _NewtonBudget:
 
 
 class _Barrier:
-    """Log-barrier model for min t*(<C0,W> + cs*s) over the constraint set
+    """Log-barrier model over the constraint set
 
-        W > 0,   <A_i, W> - g*s <= u_i,   [s <= s_cap]
+        W > 0,   <A_i, W> - s <= u_i,   s <= s_cap.
 
-    where the scalar relaxation variable s exists only in phase I (relax=True,
-    then g = 1 for every row). Newton steps are computed with the Woodbury
-    identity: the PSD-cone Hessian block X -> W^{-1} X W^{-1} is inverted in
-    closed form (X -> W X W) and each scalar constraint adds a rank-one term.
+    Phase I (s_cap given) minimizes t*s over W and the relaxation s; phase II
+    (no s_cap) minimizes t*<I, W> with s fixed at 0. Newton steps are computed
+    with the Woodbury identity: the PSD-cone Hessian block
+    X -> W^{-1} X W^{-1} is inverted in closed form (X -> W X W) and each
+    scalar constraint adds a rank-one term.
     """
 
-    def __init__(self, A: np.ndarray, u: np.ndarray, *, C0: np.ndarray | None,
-                 cs: float, relax: bool, s_cap: float | None):
+    def __init__(self, A: np.ndarray, u: np.ndarray, s_cap: float | None = None):
         self.A = A                      # (m, N, N) Hermitian constraint matrices
         self.u = u                      # (m,)
         self.m, self.N = A.shape[0], A.shape[1]
-        self.C0 = C0
-        self.cs = cs
-        self.relax = relax
         self.s_cap = s_cap
+        self.relax = s_cap is not None
+        self.C0 = None if self.relax else np.eye(self.N, dtype=complex)
         # Barrier parameter count: logdet + m scalar logs (+ s_cap log).
-        self.nu = self.N + self.m + (1 if relax else 0)
+        self.nu = self.N + self.m + (1 if self.relax else 0)
 
     def slacks(self, W: np.ndarray, s: float) -> np.ndarray:
         vals = np.real(np.einsum("mij,ij->m", self.A.conj(), W))
@@ -165,33 +162,31 @@ class _Barrier:
         except np.linalg.LinAlgError:
             return np.inf
         logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(L)))))
-        obj = 0.0
-        if self.C0 is not None:
-            obj += float(np.real(np.vdot(self.C0, W)))
         if self.relax:
-            obj += self.cs * s
             if self.s_cap - s <= 0.0:
                 return np.inf
+            obj = s
+        else:
+            obj = float(np.real(np.vdot(self.C0, W)))
         val = t * obj - logdet - float(np.sum(np.log(sl)))
         if self.relax:
             val -= math.log(self.s_cap - s)
         return val
 
     def newton_step(self, t: float, W: np.ndarray, s: float):
-        """Returns (dW, ds, decrement^2, grad_W, grad_s)."""
+        """Returns (dW, ds, decrement^2)."""
         sl = self.slacks(W, s)
         if np.any(sl <= 0.0):
             raise _NumericalTrouble("iterate left the feasible region")
         Winv = np.linalg.inv(W)
         Winv = (Winv + Winv.conj().T) / 2.0
         grad_W = -Winv + np.einsum("m,mij->ij", 1.0 / sl, self.A)
-        if self.C0 is not None:
-            grad_W = grad_W + t * self.C0
         if self.relax:
             cap = self.s_cap - s
-            grad_s = t * self.cs - float(np.sum(1.0 / sl)) + 1.0 / cap
+            grad_s = t - float(np.sum(1.0 / sl)) + 1.0 / cap
             cap2 = cap * cap
         else:
+            grad_W = grad_W + t * self.C0
             grad_s, cap2 = 0.0, 0.0
 
         # M^-1 applied to the gradient and to each constraint row.
@@ -219,7 +214,7 @@ class _Barrier:
         else:
             ds = 0.0
         dec2 = -(float(np.real(np.vdot(grad_W, dW))) + grad_s * ds)
-        return dW, ds, dec2, grad_W, grad_s
+        return dW, ds, dec2
 
     def center(self, t: float, W: np.ndarray, s: float, tol: float,
                budget: _NewtonBudget, stop_early=None):
@@ -235,7 +230,7 @@ class _Barrier:
         for _ in range(80):
             if stop_early is not None and stop_early(W, s):
                 return W, s, False
-            dW, ds, dec2, _, _ = self.newton_step(t, W, s)
+            dW, ds, dec2 = self.newton_step(t, W, s)
             if dec2 <= tol * tol:
                 return W, s, True
             if dec2 <= 0.0:
@@ -326,6 +321,22 @@ def _interior_start(cons: ConstraintSet) -> np.ndarray | None:
     return None
 
 
+def _path(bar: _Barrier, W: np.ndarray, s: float, budget: _NewtonBudget,
+          stop_early=None):
+    """Centre at t = _T0, _T0 * _T_GROWTH, ... and yield (t, W, s, silent)
+    after each stage. silent: this stage and the one before both ended
+    unconverged without a Newton step, so the path is at its float64 floor."""
+    t = _T0
+    silent_prev = False
+    while True:
+        used_before = budget.used
+        W, s, converged = bar.center(t, W, s, _NEWTON_TOL, budget, stop_early)
+        silent = not converged and budget.used == used_before
+        yield t, W, s, silent and silent_prev
+        silent_prev = silent
+        t *= _T_GROWTH
+
+
 def _phase1(cons: ConstraintSet, sys_: _ConstraintSystem, budget: _NewtonBudget):
     """Find a strictly feasible W or certify infeasibility.
 
@@ -340,17 +351,8 @@ def _phase1(cons: ConstraintSet, sys_: _ConstraintSystem, budget: _NewtonBudget)
     viol = float(np.max(np.real(np.einsum("mij,ij->m", sys_.A.conj(), W)) - sys_.u))
     s = max(0.0, viol) + 1.0 + 0.01 * ref
     s_cap = 10.0 * (s + ref)
-    bar = _Barrier(sys_.A, sys_.u, C0=None, cs=1.0, relax=True, s_cap=s_cap)
-
-    def feasible_enough(_W, _s):
-        return _s < -margin
-
-    t = _T0
-    stalled_prev = False
-    while True:
-        used_before = budget.used
-        W, s, converged = bar.center(t, W, s, _NEWTON_TOL, budget,
-                                     stop_early=feasible_enough)
+    bar = _Barrier(sys_.A, sys_.u, s_cap)
+    for t, W, s, silent in _path(bar, W, s, budget, lambda _W, _s: _s < -margin):
         if s < -margin:
             return "feasible", W, None
         gap = bar.nu / t
@@ -364,11 +366,8 @@ def _phase1(cons: ConstraintSet, sys_: _ConstraintSystem, budget: _NewtonBudget)
         if gap <= max(1e-12, 1e-11 * ref):
             # No strict interior within resolution: treat as infeasible.
             return "infeasible", None, None
-        stalled = not converged and budget.used == used_before
-        if stalled and stalled_prev:
+        if silent:
             raise _NumericalTrouble("phase-I feasibility could not be decided")
-        stalled_prev = stalled
-        t *= _T_GROWTH
 
 
 def _face_newton(A, u, V, y):
@@ -467,45 +466,30 @@ def _refine_face(sys_: _ConstraintSystem, W: np.ndarray, slacks: np.ndarray,
 def _phase2(cons: ConstraintSet, sys_: _ConstraintSystem, W0: np.ndarray,
             budget: _NewtonBudget):
     """Path-following on the original objective from a strictly feasible W0,
-    then Newton on the optimal face (_refine_face). Returns None when the
-    refinement is rejected."""
-    bar = _Barrier(sys_.A, sys_.u, C0=np.eye(cons.n, dtype=complex), cs=0.0,
-                   relax=False, s_cap=None)
-    W = W0.copy()
-    t = _T0
-    stalled_prev = False
-    while True:
-        used_before = budget.used
-        W, _, converged = bar.center(t, W, 0.0, _NEWTON_TOL, budget)
+    then Newton on the optimal face (_refine_face). Returns (W, duals), or
+    None when the refinement is rejected."""
+    bar = _Barrier(sys_.A, sys_.u)
+    for t, W, _, silent in _path(bar, W0, 0.0, budget):
         primal = float(np.real(np.trace(W)))
-        if bar.nu / t <= _GAP_REL * max(1.0, primal):
+        if bar.nu / t <= _GAP_REL * max(1.0, primal) or silent or t >= 1e12:
             break
-        stalled = not converged and budget.used == used_before
-        if stalled and stalled_prev:
-            break  # two silent stages: float64 floor of the path reached
-        stalled_prev = stalled
-        if t >= 1e12:
-            break
-        t *= _T_GROWTH
     slacks = bar.slacks(W, 0.0)
     refined = _refine_face(sys_, W, slacks, 1.0 / (t * slacks))
     if refined is None:
         return None
     W, y = refined
-    lam, mu, nu = _duals(cons, sys_, y)
-    Lambda = cons.multiplier_matrix(1.0 + lam, mu, nu)
-    duals = DualVariables(lam=lam, mu=mu, nu=nu, Lambda=Lambda)
-    return W, float(np.real(np.trace(W))), duals, cons.dual_objective(lam, mu, nu)
+    return W, cons.duals(*_duals(cons, sys_, y))
 
 
-def _zero_power(p: WiretapProblem) -> SdpSolution:
-    """W = 0, optimal when no user floor is positive: every ceiling holds at
-    zero power, and zero multipliers make the K6 matrix the identity."""
-    n = p.N
-    duals = DualVariables(lam=0.0, mu=np.zeros(p.K), nu=np.zeros(p.J),
-                          Lambda=np.eye(n, dtype=complex))
-    return SdpSolution(status=OPTIMAL, W=np.zeros((n, n), dtype=complex),
-                       objective=0.0, duals=duals, dual_objective=0.0)
+def _zero_power(cons: ConstraintSet, t: ConstraintThresholds, mode: CsiMode):
+    """w = 0, optimal when W = 0 satisfies every row; zero multipliers make
+    the K6 matrix the identity."""
+    n = cons.n
+    return BeamformerSolution(
+        status=OPTIMAL, mode=mode, w=np.zeros(n, dtype=complex), power=0.0,
+        W=np.zeros((n, n), dtype=complex), objective=0.0, thresholds=t,
+        duals=cons.duals(*cons.split(np.zeros(cons.u.size))),
+    )
 
 
 def _relaxed_start(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode):
@@ -513,16 +497,16 @@ def _relaxed_start(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode):
     interior start and, when W = alpha*I is not one, phase I.
 
     Returns (constraints, system, W0, budget) for phase II to continue from,
-    or the final SdpSolution when no phase II is needed: zero power,
+    or the final BeamformerSolution when no phase II is needed: zero power,
     INFEASIBLE, or MAX_ITERATIONS when phase I runs out of Newton steps.
     """
     cons = ConstraintSet.build(p, t, mode)
-    if np.all(cons.u[1:1 + cons.k] >= 0.0):  # no floor asks for power
-        return _zero_power(p)
+    if np.all(cons.u >= 0.0):  # W = 0 satisfies every row
+        return _zero_power(cons, t, mode)
 
     sys_ = _build_system(cons)
     if sys_ == INFEASIBLE:
-        return SdpSolution(status=INFEASIBLE)
+        return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t)
 
     budget = _NewtonBudget(_MAX_NEWTON)
     try:
@@ -530,10 +514,11 @@ def _relaxed_start(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode):
         if W0 is None:
             verdict, W0, cert = _phase1(cons, sys_, budget)
             if verdict == "infeasible":
-                return SdpSolution(status=INFEASIBLE, certificate=cert,
-                                   newton_iterations=budget.used)
+                return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t,
+                                          certificate=cert, newton_iterations=budget.used)
     except _NumericalTrouble:
-        return SdpSolution(status=MAX_ITERATIONS, newton_iterations=budget.used)
+        return BeamformerSolution(status=MAX_ITERATIONS, mode=mode, thresholds=t,
+                                  newton_iterations=budget.used)
     return cons, sys_, W0, budget
 
 
@@ -541,10 +526,10 @@ def solve_rank_relaxed(
     p: WiretapProblem,
     t: ConstraintThresholds,
     mode: CsiMode = STATISTICAL,
-) -> SdpSolution:
+) -> BeamformerSolution:
     """Solve the rank-relaxed minimum-power problem for the given thresholds."""
     start = _relaxed_start(p, t, mode)
-    if isinstance(start, SdpSolution):
+    if isinstance(start, BeamformerSolution):
         return start
     cons, sys_, W0, budget = start
     try:
@@ -554,11 +539,15 @@ def solve_rank_relaxed(
     # The claimed status must be earned: by a refined KKT point with a small
     # gap, not by the path having terminated.
     if end is not None:
-        W, primal, duals, dual_obj = end
-        if abs(primal - dual_obj) <= 1e-6 * max(1.0, primal):
-            return SdpSolution(status=OPTIMAL, W=W, objective=primal, duals=duals,
-                               dual_objective=dual_obj, newton_iterations=budget.used)
-    return SdpSolution(status=MAX_ITERATIONS, newton_iterations=budget.used)
+        W, duals = end
+        primal = float(np.real(np.trace(W)))
+        gap = primal - cons.dual_objective(duals.lam, duals.mu, duals.nu)
+        if abs(gap) <= 1e-6 * max(1.0, primal):
+            return BeamformerSolution(status=OPTIMAL, mode=mode, W=W, objective=primal,
+                                      duals=duals, thresholds=t,
+                                      newton_iterations=budget.used)
+    return BeamformerSolution(status=MAX_ITERATIONS, mode=mode, thresholds=t,
+                              newton_iterations=budget.used)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +607,7 @@ def power_rescale(
 
 
 def _lp_route(p, t, mode) -> BeamformerSolution:
-    """Diagonal instances: solve the per-antenna LP and lift its duals.
+    """Diagonal instances: solve the per-antenna LP and keep its duals.
 
     The LP yields W = w w* with [sqrt(P_m)] entries; its row duals satisfy
     the same stationarity/complementarity system (the K6 matrix is diagonal
@@ -628,15 +617,10 @@ def _lp_route(p, t, mode) -> BeamformerSolution:
         return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t)
     w = diag_lp.allocation_to_beamformer(alloc)
     W = np.outer(w, w.conj())
-    lam = alloc.multipliers["power"]
-    mu = alloc.multipliers["users"]
-    nu = alloc.multipliers["eaves"]
-    Lambda = ConstraintSet.build(p, t, mode).multiplier_matrix(1.0 + lam, mu, nu)
     return BeamformerSolution(
         status=OPTIMAL, mode=mode, w=w, power=alloc.total, W=W,
         rank1_exact=numerical_rank(W, _RANK_REL_TOL) == 1,
-        duals=DualVariables(lam=lam, mu=mu, nu=nu, Lambda=Lambda),
-        objective=alloc.total, thresholds=t,
+        duals=alloc.duals, objective=alloc.total, thresholds=t,
     )
 
 
@@ -677,7 +661,7 @@ def relaxation_feasibility(
     if route == "lp":
         return INFEASIBLE if diag_lp.solve_diagonal(p, t) is None else FEASIBLE
     start = _relaxed_start(p, t, mode)
-    if isinstance(start, SdpSolution) and start.status != OPTIMAL:
+    if isinstance(start, BeamformerSolution) and start.status != OPTIMAL:
         return start.status
     return FEASIBLE
 
@@ -695,30 +679,22 @@ def solve_general(
     the per-antenna LP, whose optimum the relaxation provably matches.
     """
     t, route = _route(p, r, mode, input_model)
-
-    def lift(sdp: SdpSolution, w=None, power=None, rank1_exact=False, status=OPTIMAL):
-        return BeamformerSolution(
-            status=status, mode=mode, w=w, power=power, W=sdp.W,
-            rank1_exact=rank1_exact, duals=sdp.duals, objective=sdp.objective,
-            thresholds=t, certificate=sdp.certificate,
-        )
-
     if route == "trivial":
-        return lift(_zero_power(p), np.zeros(p.N, dtype=complex), 0.0)
+        return _zero_power(ConstraintSet.build(p, t, mode), t, mode)
     if route == "lp":
         return _lp_route(p, t, mode)
 
-    sdp = solve_rank_relaxed(p, t, mode)
-    if sdp.status != OPTIMAL:
-        return lift(sdp, status=sdp.status)
-    rank = numerical_rank(sdp.W, _RANK_REL_TOL)
-    w0 = extract_principal_direction(sdp.W)
+    sol = solve_rank_relaxed(p, t, mode)
+    if sol.status != OPTIMAL:
+        return sol
+    rank = numerical_rank(sol.W, _RANK_REL_TOL)
+    w0 = extract_principal_direction(sol.W)
     if rank == 1:
-        lam_max = float(hermitian_eig(sdp.W).eigenvalues[-1])
-        return lift(sdp, math.sqrt(lam_max) * w0, lam_max, rank1_exact=True)
+        lam_max = float(hermitian_eig(sol.W).eigenvalues[-1])
+        return replace(sol, w=math.sqrt(lam_max) * w0, power=lam_max, rank1_exact=True)
     power = power_rescale(p, t, w0, mode)
     if power is None:
         # Relaxation feasible but its principal direction is not: report a
         # distinct outcome, neither optimal nor infeasible.
-        return lift(sdp, status=RANK1_INFEASIBLE)
-    return lift(sdp, math.sqrt(power) * w0, power)
+        return replace(sol, status=RANK1_INFEASIBLE)
+    return replace(sol, w=math.sqrt(power) * w0, power=power)

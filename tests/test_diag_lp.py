@@ -101,13 +101,13 @@ class TestAllocationToBeamformer:
         alloc_p = np.array([4.0, 0.0, 1.0])
         from wiretap.diag_lp import PowerAllocation
 
-        w = allocation_to_beamformer(PowerAllocation(P=alloc_p, multipliers={}))
+        w = allocation_to_beamformer(PowerAllocation(P=alloc_p, duals=None))
         assert np.allclose(w, [2.0, 0.0, 1.0])
 
     def test_zero_allocation(self):
         from wiretap.diag_lp import PowerAllocation
 
-        w = allocation_to_beamformer(PowerAllocation(P=np.zeros(3), multipliers={}))
+        w = allocation_to_beamformer(PowerAllocation(P=np.zeros(3), duals=None))
         assert np.allclose(w, 0.0)
 
     def test_quad_form_identity_for_diagonal_covariance(self):

@@ -82,7 +82,9 @@ class TestSolveRankRelaxed:
         for z in ref_j1.Z:
             assert trace_inner(sol.W, z) <= t.b * (1 + 1e-9)
         # duality gap certified
-        assert abs(sol.objective - sol.dual_objective) <= 1e-6 * max(1.0, sol.objective)
+        d = sol.duals
+        dual_objective = ConstraintSet.build(ref_j1, t).dual_objective(d.lam, d.mu, d.nu)
+        assert abs(sol.objective - dual_objective) <= 1e-6 * max(1.0, sol.objective)
 
     def test_rank_one_user_covariance_closed_form(self):
         # K=1, J=0, H = v v*: any feasible W needs v* W v >= a; trace is
@@ -164,9 +166,10 @@ class TestZeroRows:
     def test_negative_ceiling_is_infeasible(self, monkeypatch):
         self.no_newton(monkeypatch)
         p = WiretapProblem(H=(np.eye(2),), Z=(np.diag([1.0, 0.1]),), P_T=10.0)
-        sol = solve_rank_relaxed(p, thresholds(a=1.0, b=-0.1))
-        assert sol.status == INFEASIBLE
-        assert sol.newton_iterations == 0
+        for a in (1.0, 0.0):  # a = 0: W = 0 meets every floor, not the ceiling
+            sol = solve_rank_relaxed(p, thresholds(a=a, b=-0.1))
+            assert sol.status == INFEASIBLE
+            assert sol.newton_iterations == 0
 
     def test_zero_ceiling_is_vacuous(self):
         # The ceiling diag(1, 0) binds (nu > 0); a zero ceiling beside it
@@ -365,6 +368,30 @@ class TestSolveGeneral:
                 if sol.status == INFEASIBLE:
                     assert oracle is None
         assert agree >= 6  # most random instances are feasible and rank-1
+
+
+class TestSolveRecord:
+    @pytest.mark.parametrize("name, rd, rs, route, status", [
+        ("paper_j1", 0.0, 0.0, "trivial", OPTIMAL),
+        ("paper_j1_diag", 0.6, 0.2, "lp", OPTIMAL),
+        ("paper_j1_diag", 2.0, 1.0, "lp", INFEASIBLE),
+        ("paper_j1", 1.0, 0.5, "sdp", OPTIMAL),
+        ("paper_j1", 2.0, 1.0, "sdp", INFEASIBLE),
+    ])
+    def test_every_route_fills_the_record(self, name, rd, rs, route, status):
+        pf = load_problem(str(PROBLEMS / f"{name}.json"))
+        r = RatePair(rd, rs)
+        t = thresholds_gaussian(pf.problem, r)
+        sol = solve_general(pf.problem, r, mode=pf.csi_mode)
+        assert sol.status == status
+        assert sol.thresholds == t and sol.mode is pf.csi_mode
+        if route == "sdp":
+            relaxed = solve_rank_relaxed(pf.problem, t, pf.csi_mode)
+            assert sol.newton_iterations == relaxed.newton_iterations > 0
+        else:
+            assert sol.newton_iterations == 0
+        if route == "sdp" and status == INFEASIBLE:
+            assert sol.certificate is not None
 
 
 class TestRelaxationFeasibility:

@@ -393,6 +393,25 @@ class TestCli:
         assert code == 1
         assert json.loads(out)["status"] == "infeasible"
 
+    @pytest.mark.parametrize("field, value", [
+        ("H", "NaN"), ("P_T", "Infinity"), ("N0", "Infinity"),
+        ("P_T", '{"value": 1e5, "unit": "dB"}'), ("N", "Infinity"),
+    ])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, field, value):
+        doc = json.loads((PROBLEMS / "paper_j1.json").read_text())
+        if field == "H":
+            doc["H"][0][0][0] = ["@", 0.0]
+        else:
+            doc[field] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"@"', value))
+        code, out = run_cli(["validate", "--problem", str(path)])
+        assert code == 2 and '"ok": true' not in out
+        capsys.readouterr()
+        code, _ = run_cli(["solve", "--problem", str(path), "--rd", "0.5", "--rs", "0.1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_flag_exit_2(self):
         code, _ = run_cli(["solve", "--problem", "x.json", "--nope", "1"])
         assert code == 2
@@ -475,6 +494,15 @@ class TestCli:
         doc = json.loads(out)
         assert doc["passes"] is True
         assert doc["rank_W"] == 1
+
+    def test_kkt_tol_reaches_rank_bound(self):
+        # scalar_identity is about 1.4e-16, above a tolerance of 1e-20.
+        code, out = run_cli(["kkt", "--problem", str(PROBLEMS / "paper_j3.json"),
+                             "--rd", "0.5", "--rs", "0.15", "--tol", "1e-20"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passes"] is False
+        assert doc["rank_bound_ok"] is False
 
     def test_mi_subcommand(self, tmp_path):
         out_path = tmp_path / "mi.csv"
