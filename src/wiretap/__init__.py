@@ -31,10 +31,13 @@ from .diag_lp import PowerAllocation, allocation_to_beamformer, solve_diagonal
 from .sdp import (
     BeamformerSolution,
     DualVariables,
+    Epigraph,
     InfeasibilityCertificate,
     extract_principal_direction,
     power_rescale,
+    proven_feasibility,
     relaxation_feasibility,
+    solve_epigraph,
     solve_general,
     solve_rank_relaxed,
 )

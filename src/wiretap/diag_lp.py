@@ -71,6 +71,32 @@ def solve_diagonal(p: WiretapProblem, t: ConstraintThresholds) -> PowerAllocatio
     return PowerAllocation(P=np.clip(res.x, 0.0, None), duals=duals)
 
 
+def min_ceiling(cons: ConstraintSet):
+    """(P, y) of the LP  min s  s.t. the budget and floors of cons,
+    (Re diag G_j) . P <= s and P >= 0, or None when HiGHS does not solve it.
+    y has one multiplier per row of cons, its ceiling entries summing to one:
+    the epigraph of the ceilings on the diagonal route (sdp.Epigraph)."""
+    ceil = np.arange(cons.u.size) > cons.k
+    d = np.real(np.diagonal(cons.A, axis1=1, axis2=2))
+    res = linprog(
+        c=np.r_[np.zeros(cons.n), 1.0],
+        A_ub=np.column_stack([d, -1.0 * ceil]),
+        b_ub=np.where(ceil, 0.0, cons.u),
+        bounds=[(0.0, None)] * cons.n + [(None, None)],
+        method="highs",
+    )
+    if not res.success:
+        return None
+    P = np.clip(res.x[:-1], 0.0, None)
+    # HiGHS meets the binding floors only to roundoff (-1.8e-15 on a bundled
+    # row); scaled up onto them, P passes the exact check of a witness.
+    vals, u = d[1:1 + cons.k] @ P, cons.u[1:1 + cons.k]
+    short = (vals > u) & (vals < 0.0)
+    if np.any(short):
+        P = P * float(np.max(u[short] / vals[short])) * (1.0 + 4.0 * np.finfo(float).eps)
+    return P, -np.asarray(res.ineqlin.marginals)
+
+
 def allocation_to_beamformer(alloc: PowerAllocation) -> np.ndarray:
     """Real non-negative beamformer with |w_m|^2 = P_m."""
     return np.sqrt(np.clip(alloc.P, 0.0, None)).astype(np.complex128)

@@ -45,19 +45,25 @@ def _complex_from_pair(pair, where: str) -> complex:
     return c
 
 
+def _list(entry, where: str) -> list:
+    if not isinstance(entry, list):
+        raise ProblemFileError(f"{where}: expected a list, got {entry!r}")
+    return entry
+
+
 def _matrix(entry, n: int, where: str) -> np.ndarray:
-    if len(entry) != n:
+    if len(_list(entry, where)) != n:
         raise ProblemFileError(f"{where}: expected {n} rows, got {len(entry)}")
     rows = []
     for i, row in enumerate(entry):
-        if len(row) != n:
+        if len(_list(row, f"{where} row {i}")) != n:
             raise ProblemFileError(f"{where} row {i}: expected {n} entries, got {len(row)}")
         rows.append([_complex_from_pair(c, f"{where}[{i}]") for c in row])
     return np.array(rows, dtype=np.complex128)
 
 
 def _vector(entry, n: int, where: str) -> np.ndarray:
-    if len(entry) != n:
+    if len(_list(entry, where)) != n:
         raise ProblemFileError(f"{where}: expected {n} entries, got {len(entry)}")
     return np.array([_complex_from_pair(c, where) for c in entry], dtype=np.complex128)
 
@@ -98,10 +104,9 @@ def parse_problem(doc: dict) -> ProblemFile:
         n, k, j = int(doc["N"]), int(doc["K"]), int(doc["J"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFileError(f"N/K/J must be integers: {exc}") from exc
-    if len(doc["H"]) != k:
-        raise ProblemFileError(f"H: expected {k} matrices, got {len(doc['H'])}")
-    if len(doc["Z"]) != j:
-        raise ProblemFileError(f"Z: expected {j} matrices, got {len(doc['Z'])}")
+    for field, count in (("H", k), ("Z", j)):
+        if len(_list(doc[field], field)) != count:
+            raise ProblemFileError(f"{field}: expected {count} matrices, got {len(doc[field])}")
     h = tuple(_matrix(m, n, f"H[{i}]") for i, m in enumerate(doc["H"]))
     z = tuple(_matrix(m, n, f"Z[{i}]") for i, m in enumerate(doc["Z"]))
     try:
@@ -116,7 +121,7 @@ def parse_problem(doc: dict) -> ProblemFile:
         mode = STATISTICAL
     elif isinstance(mode_raw, dict) and "perfect_users" in mode_raw:
         vecs = mode_raw["perfect_users"]
-        if len(vecs) != k:
+        if len(_list(vecs, "csi_mode.perfect_users")) != k:
             raise ProblemFileError(f"csi_mode.perfect_users: expected {k} vectors")
         mode = perfect_users([_vector(v, n, f"perfect_users[{i}]") for i, v in enumerate(vecs)])
     else:

@@ -14,6 +14,13 @@ Farkas-type certificate of infeasibility. relaxation_feasibility stops
 there: it returns the relaxation's feasibility verdict without running the
 minimum-power path, which is all a bisection over rates needs.
 
+The barrier's relaxation s enters row i with a coefficient c_i. Phase I
+uses c = 1 on every row. The epigraph of the ceilings (solve_epigraph) uses
+c = 1 on the ceilings, 0 elsewhere and ceiling u = 0, so it minimizes
+max_j Tr(Z_j W) over the floors and the budget: its iterate and multipliers
+then prove the relaxation feasible or infeasible at every R_s of a code
+rate whose ceiling falls outside their bracket (proven_feasibility).
+
 The barrier works on the signed rows Re Tr(A_i W) <= u_i of the
 ConstraintSet, minus its all-zero rows. Its end point is then refined on its
 optimal face (_refine_face): a few Gauss-Newton steps on the square KKT
@@ -71,6 +78,8 @@ _RANK_REL_TOL = 1e-6     # eigenvalues below this * lambda_max count as zero
 _FACE_STEPS = 8          # Gauss-Newton steps of the face refinement
 _FACE_TOL = 1e-12        # relative KKT residual a refined face must reach
 _MAX_NEWTON = 800        # total Newton budget per solve (both phases)
+_T_MAX = 1e12            # the path stops at this barrier parameter
+_EPIGRAPH_REL = 1e-9     # the epigraph stops once b_hi - b_lo <= this * b_hi
 
 
 @dataclass(frozen=True)
@@ -127,21 +136,24 @@ class _NewtonBudget:
 class _Barrier:
     """Log-barrier model over the constraint set
 
-        W > 0,   <A_i, W> - s <= u_i,   s <= s_cap.
+        W > 0,   <A_i, W> - c_i s <= u_i,   s <= s_cap.
 
-    Phase I (s_cap given) minimizes t*s over W and the relaxation s; phase II
-    (no s_cap) minimizes t*<I, W> with s fixed at 0. Newton steps are computed
-    with the Woodbury identity: the PSD-cone Hessian block
-    X -> W^{-1} X W^{-1} is inverted in closed form (X -> W X W) and each
-    scalar constraint adds a rank-one term.
+    With s_cap given it minimizes t*s over W and the relaxation s, c being
+    one coefficient per row: phase I relaxes every row (c = 1), the epigraph
+    of the ceilings only the ceilings. Phase II (no s_cap) minimizes t*<I, W>
+    with s fixed at 0. Newton steps are computed with the Woodbury identity:
+    the PSD-cone Hessian block X -> W^{-1} X W^{-1} is inverted in closed form
+    (X -> W X W) and each scalar constraint adds a rank-one term.
     """
 
-    def __init__(self, A: np.ndarray, u: np.ndarray, s_cap: float | None = None):
+    def __init__(self, A: np.ndarray, u: np.ndarray, s_cap: float | None = None,
+                 c: np.ndarray | None = None):
         self.A = A                      # (m, N, N) Hermitian constraint matrices
         self.u = u                      # (m,)
         self.m, self.N = A.shape[0], A.shape[1]
         self.s_cap = s_cap
         self.relax = s_cap is not None
+        self.c = np.ones(self.m) if c is None else c
         self.C0 = None if self.relax else np.eye(self.N, dtype=complex)
         # Barrier parameter count: logdet + m scalar logs (+ s_cap log).
         self.nu = self.N + self.m + (1 if self.relax else 0)
@@ -150,7 +162,7 @@ class _Barrier:
         vals = np.real(np.einsum("mij,ij->m", self.A.conj(), W))
         sl = self.u - vals
         if self.relax:
-            sl = sl + s
+            sl = sl + self.c * s
         return sl
 
     def value(self, t: float, W: np.ndarray, s: float) -> float:
@@ -183,7 +195,7 @@ class _Barrier:
         grad_W = -Winv + np.einsum("m,mij->ij", 1.0 / sl, self.A)
         if self.relax:
             cap = self.s_cap - s
-            grad_s = t - float(np.sum(1.0 / sl)) + 1.0 / cap
+            grad_s = t - float(np.sum(self.c / sl)) + 1.0 / cap
             cap2 = cap * cap
         else:
             grad_W = grad_W + t * self.C0
@@ -195,8 +207,10 @@ class _Barrier:
         v = np.real(np.einsum("mij,ij->m", self.A.conj(), WgW))
         S = np.real(np.einsum("mij,nij->mn", self.A.conj(), WAW))
         if self.relax:
-            v = v - grad_s * cap2
-            S = S + cap2
+            # (W, s) rows are (A_i, -c_i): with c = 1 these add the scalars
+            # exactly, so phase I is unchanged to the bit.
+            v = v - grad_s * cap2 * self.c
+            S = S + cap2 * np.outer(self.c, self.c)
         core = np.diag(sl * sl) + S
         # Jacobi equilibration: the diagonal spans many orders of magnitude
         # once binding slacks shrink, and the raw solve loses the small rows.
@@ -210,7 +224,7 @@ class _Barrier:
         dW = -WgW + np.einsum("m,mij->ij", y, WAW)
         dW = (dW + dW.conj().T) / 2.0
         if self.relax:
-            ds = -cap2 * (grad_s + float(np.sum(y)))
+            ds = -cap2 * (grad_s + float(np.sum(self.c * y)))
         else:
             ds = 0.0
         dec2 = -(float(np.real(np.vdot(grad_W, dW))) + grad_s * ds)
@@ -471,7 +485,7 @@ def _phase2(cons: ConstraintSet, sys_: _ConstraintSystem, W0: np.ndarray,
     bar = _Barrier(sys_.A, sys_.u)
     for t, W, _, silent in _path(bar, W0, 0.0, budget):
         primal = float(np.real(np.trace(W)))
-        if bar.nu / t <= _GAP_REL * max(1.0, primal) or silent or t >= 1e12:
+        if bar.nu / t <= _GAP_REL * max(1.0, primal) or silent or t >= _T_MAX:
             break
     slacks = bar.slacks(W, 0.0)
     refined = _refine_face(sys_, W, slacks, 1.0 / (t * slacks))
@@ -479,6 +493,124 @@ def _phase2(cons: ConstraintSet, sys_: _ConstraintSystem, W0: np.ndarray,
         return None
     W, y = refined
     return W, cons.duals(*_duals(cons, sys_, y))
+
+
+# ---------------------------------------------------------------------------
+# Epigraph of the ceilings
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Epigraph:
+    """One solve that decides the relaxation at every R_s of one code rate.
+
+    All eavesdroppers share one ceiling b(R_s), so the relaxation at R_s is
+    feasible exactly when b(R_s) >= b* = min max_j Tr(Z_j W) subject to the
+    user floors and the power budget. W is PSD and meets the floors and the
+    budget, so it proves feasible every R_s whose rows it meets (strict: with every
+    slack > 0, as phase I needs an interior point; else >= 0, as on the LP
+    route). y has one multiplier per ConstraintSet row and proves infeasible
+    every R_s for which it is a Farkas certificate (_certificate).
+    """
+
+    W: np.ndarray
+    y: np.ndarray
+    strict: bool
+
+
+def _epigraph_path(cons: ConstraintSet) -> Epigraph | None:
+    """Minimize s over W > 0 subject to the budget and floors of cons and
+    Tr(A_j W) <= s on its ceilings: the barrier on the rows of cons with
+    ceiling u = 0, c = 1 on the ceilings and 0 elsewhere, started from an
+    interior point of the floors and budget. Keeps the iterate with the smallest max_j Tr(A_j W) and
+    the multipliers with the best certified lower bound on b*, and stops at a
+    silent stage, at _T_MAX, or once the two are _EPIGRAPH_REL apart."""
+    k = cons.k
+    epi = ConstraintSet(A=cons.A, u=np.where(np.arange(cons.u.size) > k, 0.0, cons.u), k=k)
+    floors = ConstraintSet(A=cons.A[:1 + k], u=cons.u[:1 + k], k=k)
+    sys_, floor_sys = _build_system(epi), _build_system(floors)
+    if INFEASIBLE in (sys_, floor_sys):
+        return None
+    budget = _NewtonBudget(_MAX_NEWTON)
+    W = _interior_start(floors)
+    if W is None:
+        verdict, W, _ = _phase1(floors, floor_sys, budget)
+        if verdict != "feasible":
+            return None
+    ceil = sys_.keep > k
+
+    def top(W):
+        return float(np.max(np.real(np.einsum("mij,ij->m", sys_.A[ceil].conj(), W))))
+
+    p_t = cons.p_t
+    # A cap near the start keeps the s term of the Newton system small: with
+    # phase I's cap, 10 (s + ref), the step in s cancels to float64 noise near
+    # t = 1e6 and the path stalls there.
+    s = 2.0 * top(W) + 1e-12 * max(1.0, p_t)
+    bar = _Barrier(sys_.A, sys_.u, 2.0 * s, ceil.astype(float))
+    best_W, b_hi, best_y, b_lo = None, math.inf, None, -math.inf
+    for t, W, s, silent in _path(bar, W, s, budget):
+        if top(W) < b_hi:
+            best_W, b_hi = W, top(W)
+        y = np.zeros(cons.u.size)
+        y[sys_.keep] = 1.0 / (t * bar.slacks(W, s))
+        lam, mu, nu = epi.split(y)
+        eig_min = float(hermitian_eig(epi.multiplier_matrix(lam, mu, nu)).eigenvalues[0])
+        # The certificate at ceiling b holds exactly when b < this bound.
+        bound = (epi.dual_objective(lam, mu, nu) - max(0.0, -eig_min) * p_t) / float(np.sum(nu))
+        if bound > b_lo:
+            best_y, b_lo = y, bound
+        if silent or t >= _T_MAX or b_hi - b_lo <= _EPIGRAPH_REL * b_hi:
+            break
+    return Epigraph(W=best_W, y=best_y, strict=True)
+
+
+def solve_epigraph(
+    p: WiretapProblem,
+    rd: float,
+    mode: CsiMode = STATISTICAL,
+    input_model="gaussian",
+) -> Epigraph | None:
+    """The Epigraph at code rate rd, from the route solve_general takes there:
+    one barrier solve on the SDP route, one HiGHS LP on the LP route.
+
+    None when there is no nonzero ceiling to bound, on the trivial route, or
+    when the solve fails (no interior point of the floors and budget, out of
+    Newton steps); every probe then needs relaxation_feasibility.
+    """
+    t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
+    cons = ConstraintSet.build(p, t, mode)
+    if route == "trivial" or not np.any(np.linalg.norm(cons.A[1 + cons.k:], axis=(1, 2)) > 0.0):
+        return None
+    if route == "lp":
+        end = diag_lp.min_ceiling(cons)
+        if end is None:
+            return None
+        return Epigraph(W=np.diag(end[0]).astype(complex), y=end[1], strict=False)
+    try:
+        return _epigraph_path(cons)
+    except _NumericalTrouble:
+        return None
+
+
+def proven_feasibility(
+    epigraph: Epigraph,
+    p: WiretapProblem,
+    r: RatePair,
+    mode: CsiMode = STATISTICAL,
+    input_model="gaussian",
+) -> str | None:
+    """FEASIBLE or INFEASIBLE when the epigraph at r.R_D proves the
+    relaxation at r so, checked against the rows at r; None when it proves
+    neither and relaxation_feasibility has to decide."""
+    t, _ = _route(p, r, mode, input_model)
+    cons = ConstraintSet.build(p, t, mode)
+    slack = cons.u - np.real(np.einsum("mij,ij->m", cons.A.conj(), epigraph.W))
+    if np.all(slack > 0.0) if epigraph.strict else np.all(slack >= 0.0):
+        return FEASIBLE
+    if _certificate(cons, *cons.split(epigraph.y)) is not None:
+        return INFEASIBLE
+    return None
 
 
 def _zero_power(cons: ConstraintSet, t: ConstraintThresholds, mode: CsiMode):

@@ -3,12 +3,19 @@
 For each code rate R_D on an ascending grid, the largest achievable secrecy
 rate is found by bisection: raising R_s at fixed R_D lowers the eavesdropper
 ceiling b, so the feasible set of the rank relaxation only shrinks and its
-feasibility is monotone in R_s. The bisection therefore decides each probe
-by relaxation feasibility alone (sdp.relaxation_feasibility: the interior
-start or phase I, or the diagonal LP), and each row then costs one full
-solve_general, at the largest feasible R_s found (R_D itself when R_s = R_D
-is feasible). That solve's rank-1 recovery is not monotone in R_s, so it is
-kept out of the bisection.
+feasibility is monotone in R_s. Each row runs one relaxation_feasibility
+probe at R_s = 0 and, if that is feasible, one epigraph solve
+(sdp.solve_epigraph): b* = min max_j Tr(Z_j W) over the floors and the
+budget, bracketed by a witness W and Farkas multipliers. The bisection
+decides each probe by those proofs (sdp.proven_feasibility: W meets every
+row, or the multipliers certify that none can be met) and runs
+relaxation_feasibility (the interior start or phase I, or the diagonal LP)
+only where they prove neither. The row then costs one full solve_general,
+at the largest feasible R_s found (R_D itself when R_s = R_D is feasible).
+That solve's rank-1 recovery is not monotone in R_s, so it is kept out of
+the bisection. Phase I can stall on a thin feasible set that a witness
+proves nonempty; when the final solve then finds no interior point at the
+proven R_s, the row is bisected again by relaxation_feasibility alone.
 
 Each row reports the largest feasible R_s (within rate_tol), the minimum
 transmit power there, and whether the relaxed solution had numerical rank
@@ -29,10 +36,13 @@ from dataclasses import dataclass
 from .model import STATISTICAL, CsiMode, ModelError, RatePair, WiretapProblem
 from .sdp import (
     FEASIBLE,
+    INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
     RANK1_INFEASIBLE,
+    proven_feasibility,
     relaxation_feasibility,
+    solve_epigraph,
     solve_general,
 )
 
@@ -63,29 +73,48 @@ class _RowFailure(Exception):
     pass
 
 
+def _largest_feasible(feasible, rd: float, rate_tol: float) -> float:
+    """rd when feasible(rd), else the bisection's largest feasible R_s in
+    [0, rd), feasible(0) being known."""
+    if feasible(rd):
+        return rd
+    lo, hi = 0.0, rd
+    while hi - lo > rate_tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _solve_row(p, rd, rate_tol, mode, input_model) -> SweepRow:
-    def feasible(rs: float) -> bool:
+    def probe(rs: float) -> bool:
         verdict = relaxation_feasibility(p, RatePair(rd, rs), mode=mode,
                                          input_model=input_model)
         if verdict == MAX_ITERATIONS:
             raise _RowFailure()
         return verdict == FEASIBLE
 
+    def proven(rs: float) -> bool:
+        verdict = proven_feasibility(epigraph, p, RatePair(rd, rs), mode=mode,
+                                     input_model=input_model)
+        return probe(rs) if verdict is None else verdict == FEASIBLE
+
     try:
-        if not feasible(0.0):
+        if not probe(0.0):
             return SweepRow(rd, None, None, None, ROW_INFEASIBLE)
-        lo = rd
-        if not feasible(rd):
-            lo, hi = 0.0, rd
-            while hi - lo > rate_tol:
-                mid = 0.5 * (lo + hi)
-                if feasible(mid):
-                    lo = mid
-                else:
-                    hi = mid
+        epigraph = solve_epigraph(p, rd, mode=mode, input_model=input_model)
+        lo = _largest_feasible(probe if epigraph is None else proven, rd, rate_tol)
+        sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
+        if sol.status == INFEASIBLE and epigraph is not None:
+            # The witness proved lo feasible, but phase I found no interior
+            # point there: it stalls on thin feasible sets. Bisect again by
+            # phase I alone, so the row ends where the final solve can start.
+            lo = _largest_feasible(probe, rd, rate_tol)
+            sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
     except _RowFailure:
         return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE)
-    sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
     if sol.status == OPTIMAL:
         return SweepRow(rd, lo, sol.power, sol.rank1_exact, ROW_OPTIMAL)
     if sol.status == RANK1_INFEASIBLE:

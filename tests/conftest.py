@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wiretap.instances import reference_problem
+
+# Derandomized under CI (GitHub Actions sets CI), so a failing example found
+# there is found again locally with CI=1.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -1,26 +1,36 @@
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import random_psd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wiretap
-from wiretap import sweep
+from wiretap import diag_lp, sdp, sweep
 from wiretap.cli import main as cli_main
 from wiretap.instances import reference_problem
 from wiretap.model import RatePair, WiretapProblem
 from wiretap.probfile import ProblemFileError, load_problem, parse_problem, save_problem, to_doc
 from wiretap.sdp import (
+    FEASIBLE,
     INFEASIBLE,
     MAX_ITERATIONS,
+    OPTIMAL,
     RANK1_INFEASIBLE,
     BeamformerSolution,
+    proven_feasibility,
+    relaxation_feasibility,
+    solve_epigraph,
     solve_general,
 )
-from wiretap.sweep import CSV_HEADER, SweepRow, sweep_region, to_csv
+from wiretap.sweep import CSV_HEADER, SweepRow, code_rate_grid, sweep_region, to_csv
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
@@ -300,6 +310,43 @@ def full_solve_row(p, rd, rate_tol):
         return SweepRow(rd, None, None, None, "numerical-failure")
 
 
+def probe_row(p, rd, rate_tol, probes=None):
+    """The row as the sweep found it when relaxation_feasibility decided
+    every bisection probe, each (R_s, verdict) appended to probes: the oracle
+    for the epigraph replay."""
+    class Failure(Exception):
+        pass
+
+    def feasible(rs):
+        verdict = relaxation_feasibility(p, RatePair(rd, rs))
+        if probes is not None:
+            probes.append((rs, verdict))
+        if verdict == MAX_ITERATIONS:
+            raise Failure()
+        return verdict == FEASIBLE
+
+    try:
+        if not feasible(0.0):
+            return SweepRow(rd, None, None, None, "infeasible")
+        lo = rd
+        if not feasible(rd):
+            lo, hi = 0.0, rd
+            while hi - lo > rate_tol:
+                mid = 0.5 * (lo + hi)
+                if feasible(mid):
+                    lo = mid
+                else:
+                    hi = mid
+    except Failure:
+        return SweepRow(rd, None, None, None, "numerical-failure")
+    sol = solve_general(p, RatePair(rd, lo))
+    if sol.status == OPTIMAL:
+        return SweepRow(rd, lo, sol.power, sol.rank1_exact, "optimal")
+    if sol.status == RANK1_INFEASIBLE:
+        return SweepRow(rd, None, None, None, "rank1-infeasible")
+    return SweepRow(rd, None, None, None, "numerical-failure")
+
+
 NO_EAVESDROPPER = WiretapProblem(H=(np.eye(2, dtype=complex),), Z=(),
                                  N0=1.0, epsilon=0.1, P_T=50.0)
 
@@ -336,6 +383,106 @@ class TestSweepBisection:
         rows = sweep_region(ref_j1, [0.5, 1.2], rate_tol=1e-3).rows
         assert [row.status for row in rows] == ["optimal", "infeasible"]
         assert calls == [RatePair(0.5, rows[0].rs_max)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([3, 4]),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+           st.booleans(), st.sampled_from([0.3, 0.6, 1.0]))
+    def test_proven_verdicts_match_probes(self, seed, n, k, j, diagonal, rd):
+        rng = np.random.default_rng(seed)
+
+        def cov(scale):
+            if diagonal:
+                return np.diag(rng.uniform(0.2, 2.0, n) * scale).astype(complex)
+            return random_psd(rng, n, scale=scale, ridge=0.1)
+
+        p = WiretapProblem(H=tuple(cov(3.0) for _ in range(k)),
+                           Z=tuple(cov(0.01) for _ in range(j)),
+                           N0=1.0, epsilon=0.1, P_T=100.0)
+        proofs = []
+
+        def recording(*args, **kwargs):
+            verdict = proven_feasibility(*args, **kwargs)
+            proofs.append((args[2], verdict))
+            return verdict
+
+        with mock.patch.object(sweep, "proven_feasibility", recording):
+            row, = sweep_region(p, [rd], rate_tol=1e-2).rows
+        oracle = probe_row(p, rd, 1e-2)
+        disagreed = False
+        for r, verdict in proofs:
+            if verdict is None:
+                continue
+            probed = relaxation_feasibility(p, r)
+            if probed != verdict:
+                # Only phase I's uncertified "no interior point within
+                # resolution" may contradict a checked witness.
+                assert (verdict, probed) == (FEASIBLE, INFEASIBLE)
+                assert solve_general(p, r).certificate is None
+                disagreed = True
+        if disagreed and row != oracle:
+            assert row.status == "optimal"
+            assert oracle.rs_max is None or row.rs_max > oracle.rs_max
+        else:
+            assert row == oracle
+
+    def test_row_phase1_cannot_start_matches_probe_bisection(self):
+        # A thin feasible set: the epigraph's witness meets every row at
+        # R_s = 0.8203125 with slacks near 2e-6, where phase I stalls and
+        # reports infeasible without a certificate. The final solve at the
+        # proven R_s fails the same way, so the row is bisected again by phase I.
+        rng = np.random.default_rng(2769)
+        p = WiretapProblem(H=(random_psd(rng, 4, scale=3.0, ridge=0.1),),
+                           Z=tuple(random_psd(rng, 4, scale=0.01, ridge=0.1) for _ in range(3)),
+                           N0=1.0, epsilon=0.1, P_T=100.0)
+        r = RatePair(1.0, 0.8203125)
+        assert proven_feasibility(solve_epigraph(p, 1.0), p, r) == FEASIBLE
+        sol = solve_general(p, r)
+        assert sol.status == INFEASIBLE and sol.certificate is None
+        row, = sweep_region(p, [1.0], rate_tol=1e-2).rows
+        assert row == probe_row(p, 1.0, 1e-2)
+        assert row.status == "optimal" and row.rs_max == 0.8125
+
+    # On paper_j3_diag at R_D 0.2 the LP witness meets its binding floor
+    # only once lifted onto it.
+    @pytest.mark.parametrize("name, rds", [
+        ("paper_j1", (0.5, 1.0)), ("paper_j1_diag", (0.5, 1.0)), ("paper_j3_diag", (0.2,)),
+    ])
+    def test_probe_cost_per_row(self, name, rds, monkeypatch):
+        calls = []
+
+        def counting(module, attr):
+            original = getattr(module, attr)
+
+            def wrapped(*args, **kwargs):
+                calls.append(attr)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, attr, wrapped)
+
+        for module, attr in ((sweep, "relaxation_feasibility"), (sweep, "solve_epigraph"),
+                             (sweep, "solve_general"), (sdp, "_phase1"),
+                             (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling")):
+            counting(module, attr)
+        p = load_problem(str(PROBLEMS / f"{name}.json")).problem
+        for rd in rds:
+            calls.clear()
+            row = sweep_region(p, [rd], rate_tol=1e-3).rows[0]
+            count = {attr: calls.count(attr) for attr in set(calls)}
+            probes = []
+            assert row == probe_row(p, rd, 1e-3, probes)
+            assert len(probes) >= 10
+            assert count["solve_epigraph"] == count["solve_general"] == 1
+            assert count["relaxation_feasibility"] <= 2
+            # Phase I or HiGHS: the probes, the epigraph's start and the full solve.
+            solver = sum(count.get(attr, 0) for attr in ("_phase1", "solve_diagonal", "min_ceiling"))
+            assert solver <= 4
+
+    def test_six_sweep_csv_md5(self):
+        csv = "".join(
+            to_csv(sweep_region(load_problem(str(path)).problem,
+                                code_rate_grid(0.1, 2.0, 0.1), rate_tol=1e-3))
+            for path in sorted(PROBLEMS.glob("*.json")))
+        assert hashlib.md5(csv.encode()).hexdigest() == "c36d15b83a028ef18be82305981e9c07"
 
     @pytest.mark.parametrize("status, row_status", [
         (MAX_ITERATIONS, "numerical-failure"),
@@ -411,6 +558,20 @@ class TestCli:
         code, _ = run_cli(["solve", "--problem", str(path), "--rd", "0.5", "--rs", "0.1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc.update(H=5), "H"),
+        (lambda doc: doc["H"][0].__setitem__(1, 7), "H[0] row 1"),
+        (lambda doc: doc.update(csi_mode={"perfect_users": 3}), "csi_mode.perfect_users"),
+    ])
+    def test_number_for_list_exit_2(self, tmp_path, capsys, edit, field):
+        doc = json.loads((PROBLEMS / "paper_j1.json").read_text())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli(["validate", "--problem", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: expected a list")
 
     def test_unknown_flag_exit_2(self):
         code, _ = run_cli(["solve", "--problem", "x.json", "--nope", "1"])
