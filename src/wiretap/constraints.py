@@ -8,8 +8,9 @@ applies the floor sign. With the row multipliers y = (lam, mu_k, nu_j), the
 SDP barrier, the LP route, the Farkas certificate and the KKT checker all
 build their dual quantities from these rows: the multiplier matrix
 c I + sum_{i>0} y_i A_i (c = 1 + lam for the K6 matrix Lambda, c = lam for a
-Farkas combination), the dual objective, the scalar identity, and
-sum mu_k F_k, whose rank bounds rank(W). ConstraintSet.duals is the only
+Farkas combination), the dual objective, the ceiling bound below which a
+Farkas combination proves a common ceiling infeasible, the scalar identity,
+and sum mu_k F_k, whose rank bounds rank(W). ConstraintSet.duals is the only
 place a solve's DualVariables, with its Lambda, is made.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector, trace_inner
+from .linalg import as_vector, hermitian_eig, trace_inner
 from .model import STATISTICAL, ConstraintThresholds, CsiMode, ModelError, WiretapProblem
 
 
@@ -117,6 +118,18 @@ class ConstraintSet:
         val -= sum(m_k * u_i for m_k, u_i in zip(mu, self.u[1:1 + self.k]))
         val -= sum(n_j * u_i for n_j, u_i in zip(nu, self.u[1 + self.k:]))
         return val
+
+    def ceiling_bound(self, y: np.ndarray) -> float:
+        """The least common ceiling b that the multipliers y (one per row)
+        do not prove infeasible: (-lam P_T + sum mu a - max(0, -e) P_T) /
+        sum nu, e the least eigenvalue of multiplier_matrix(lam, mu, nu);
+        -inf when sum nu <= 0."""
+        lam, mu, nu = self.split(y)
+        total = float(np.sum(nu))
+        if not total > 0.0:
+            return -math.inf
+        eig_min = float(hermitian_eig(self.multiplier_matrix(lam, mu, nu)).eigenvalues[0])
+        return (self.dual_objective(lam, mu, ()) - max(0.0, -eig_min) * self.p_t) / total
 
     def scalar_identity(self, lam: float, mu, nu, tr_w: float) -> float:
         """|(1+lam) Tr W - sum mu a + sum nu b| / max(1, |(1+lam) Tr W|)."""

@@ -73,7 +73,7 @@ def solve_diagonal(p: WiretapProblem, t: ConstraintThresholds) -> PowerAllocatio
 
 def min_ceiling(cons: ConstraintSet):
     """(P, y) of the LP  min s  s.t. the budget and floors of cons,
-    (Re diag G_j) . P <= s and P >= 0, or None when HiGHS does not solve it.
+    (Re diag G_j) . P <= s and P >= 0, or None when HiGHS proves it infeasible.
     y has one multiplier per row of cons, its ceiling entries summing to one:
     the epigraph of the ceilings on the diagonal route (sdp.Epigraph)."""
     ceil = np.arange(cons.u.size) > cons.k
@@ -85,8 +85,10 @@ def min_ceiling(cons: ConstraintSet):
         bounds=[(0.0, None)] * cons.n + [(None, None)],
         method="highs",
     )
-    if not res.success:
+    if res.status == 2:
         return None
+    if not res.success:
+        raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
     P = np.clip(res.x[:-1], 0.0, None)
     # HiGHS meets the binding floors only to roundoff (-1.8e-15 on a bundled
     # row); scaled up onto them, P passes the exact check of a witness.

@@ -88,6 +88,8 @@ def sample_channels(
     in (seed, trial index)."""
     if count < 0:
         raise ModelError(f"count must be non-negative: {count}")
+    if not 0 <= seed < 2**128:
+        raise ModelError(f"seed must be in [0, 2**128): {seed}")
     factors = np.stack(
         [psd_project_factor(m) for m in (*p.H, *p.Z)]
     )  # (K+J, N, N)

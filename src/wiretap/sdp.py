@@ -16,10 +16,10 @@ minimum-power path, which is all a bisection over rates needs.
 
 The barrier's relaxation s enters row i with a coefficient c_i. Phase I
 uses c = 1 on every row. The epigraph of the ceilings (solve_epigraph) uses
-c = 1 on the ceilings, 0 elsewhere and ceiling u = 0, so it minimizes
-max_j Tr(Z_j W) over the floors and the budget: its iterate and multipliers
-then prove the relaxation feasible or infeasible at every R_s of a code
-rate whose ceiling falls outside their bracket (proven_feasibility).
+c = 1 on the ceilings, 0 elsewhere and ceiling u = 0: it brackets
+b* = min max_j Tr(Z_j W) over the floors and the budget once per code rate,
+and a probe at any R_s is decided by comparing its ceiling with that
+bracket (proven_feasibility).
 
 The barrier works on the signed rows Re Tr(A_i W) <= u_i of the
 ConstraintSet, minus its all-zero rows. Its end point is then refined on its
@@ -502,28 +502,34 @@ def _phase2(cons: ConstraintSet, sys_: _ConstraintSystem, W0: np.ndarray,
 
 @dataclass(frozen=True)
 class Epigraph:
-    """One solve that decides the relaxation at every R_s of one code rate.
+    """A proven bracket b_lo <= b* <= b_hi on b* = min max_j Tr(Z_j W) over
+    the user floors and the power budget at one code rate. All eavesdroppers
+    share one ceiling b(R_s), so the relaxation at R_s is feasible exactly
+    when b(R_s) >= b*. b_hi is max_j Tr(Z_j W) of a witness W that meets the
+    floors and the budget; b_lo is the ceiling_bound of Farkas multipliers.
+    Both are inf when the floors and the budget are proven infeasible."""
 
-    All eavesdroppers share one ceiling b(R_s), so the relaxation at R_s is
-    feasible exactly when b(R_s) >= b* = min max_j Tr(Z_j W) subject to the
-    user floors and the power budget. W is PSD and meets the floors and the
-    budget, so it proves feasible every R_s whose rows it meets (strict: with every
-    slack > 0, as phase I needs an interior point; else >= 0, as on the LP
-    route). y has one multiplier per ConstraintSet row and proves infeasible
-    every R_s for which it is a Farkas certificate (_certificate).
-    """
+    b_lo: float
+    b_hi: float
 
-    W: np.ndarray
-    y: np.ndarray
-    strict: bool
+
+def _witness_bound(cons: ConstraintSet, W: np.ndarray, strict: bool) -> float:
+    """max_j Tr(G_j W) when W meets the budget and the floors of cons (every
+    slack > 0 when strict, as phase I needs an interior point; else >= 0, as
+    on the LP route), inf when it does not."""
+    vals = np.real(np.einsum("mij,ij->m", cons.A.conj(), W))
+    slack = cons.u[:1 + cons.k] - vals[:1 + cons.k]
+    if np.all(slack > 0.0) if strict else np.all(slack >= 0.0):
+        return float(np.max(vals[1 + cons.k:]))
+    return math.inf
 
 
 def _epigraph_path(cons: ConstraintSet) -> Epigraph | None:
     """Minimize s over W > 0 subject to the budget and floors of cons and
     Tr(A_j W) <= s on its ceilings: the barrier on the rows of cons with
     ceiling u = 0, c = 1 on the ceilings and 0 elsewhere, started from an
-    interior point of the floors and budget. Keeps the iterate with the smallest max_j Tr(A_j W) and
-    the multipliers with the best certified lower bound on b*, and stops at a
+    interior point of the floors and budget. Keeps the least _witness_bound
+    and the greatest ceiling_bound of the path's stages, and stops at a
     silent stage, at _T_MAX, or once the two are _EPIGRAPH_REL apart."""
     k = cons.k
     epi = ConstraintSet(A=cons.A, u=np.where(np.arange(cons.u.size) > k, 0.0, cons.u), k=k)
@@ -534,35 +540,25 @@ def _epigraph_path(cons: ConstraintSet) -> Epigraph | None:
     budget = _NewtonBudget(_MAX_NEWTON)
     W = _interior_start(floors)
     if W is None:
-        verdict, W, _ = _phase1(floors, floor_sys, budget)
+        verdict, W, cert = _phase1(floors, floor_sys, budget)
         if verdict != "feasible":
-            return None
+            return None if cert is None else Epigraph(math.inf, math.inf)
     ceil = sys_.keep > k
-
-    def top(W):
-        return float(np.max(np.real(np.einsum("mij,ij->m", sys_.A[ceil].conj(), W))))
-
-    p_t = cons.p_t
+    top = float(np.max(np.real(np.einsum("mij,ij->m", sys_.A[ceil].conj(), W))))
     # A cap near the start keeps the s term of the Newton system small: with
     # phase I's cap, 10 (s + ref), the step in s cancels to float64 noise near
     # t = 1e6 and the path stalls there.
-    s = 2.0 * top(W) + 1e-12 * max(1.0, p_t)
+    s = 2.0 * top + 1e-12 * max(1.0, cons.p_t)
     bar = _Barrier(sys_.A, sys_.u, 2.0 * s, ceil.astype(float))
-    best_W, b_hi, best_y, b_lo = None, math.inf, None, -math.inf
+    b_hi, b_lo = math.inf, -math.inf
     for t, W, s, silent in _path(bar, W, s, budget):
-        if top(W) < b_hi:
-            best_W, b_hi = W, top(W)
+        b_hi = min(b_hi, _witness_bound(cons, W, True))
         y = np.zeros(cons.u.size)
         y[sys_.keep] = 1.0 / (t * bar.slacks(W, s))
-        lam, mu, nu = epi.split(y)
-        eig_min = float(hermitian_eig(epi.multiplier_matrix(lam, mu, nu)).eigenvalues[0])
-        # The certificate at ceiling b holds exactly when b < this bound.
-        bound = (epi.dual_objective(lam, mu, nu) - max(0.0, -eig_min) * p_t) / float(np.sum(nu))
-        if bound > b_lo:
-            best_y, b_lo = y, bound
-        if silent or t >= _T_MAX or b_hi - b_lo <= _EPIGRAPH_REL * b_hi:
+        b_lo = max(b_lo, cons.ceiling_bound(y))
+        if silent or t >= _T_MAX or b_lo >= (1.0 - _EPIGRAPH_REL) * b_hi:  # b_hi may be inf
             break
-    return Epigraph(W=best_W, y=best_y, strict=True)
+    return Epigraph(b_lo, b_hi)
 
 
 def solve_epigraph(
@@ -575,8 +571,9 @@ def solve_epigraph(
     one barrier solve on the SDP route, one HiGHS LP on the LP route.
 
     None when there is no nonzero ceiling to bound, on the trivial route, or
-    when the solve fails (no interior point of the floors and budget, out of
-    Newton steps); every probe then needs relaxation_feasibility.
+    when the solve fails (phase I on the floors and budget ends without a
+    certificate or runs out of Newton steps); every probe then needs
+    relaxation_feasibility.
     """
     t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
     cons = ConstraintSet.build(p, t, mode)
@@ -585,8 +582,8 @@ def solve_epigraph(
     if route == "lp":
         end = diag_lp.min_ceiling(cons)
         if end is None:
-            return None
-        return Epigraph(W=np.diag(end[0]).astype(complex), y=end[1], strict=False)
+            return Epigraph(math.inf, math.inf)
+        return Epigraph(cons.ceiling_bound(end[1]), _witness_bound(cons, np.diag(end[0]), False))
     try:
         return _epigraph_path(cons)
     except _NumericalTrouble:
@@ -600,15 +597,14 @@ def proven_feasibility(
     mode: CsiMode = STATISTICAL,
     input_model="gaussian",
 ) -> str | None:
-    """FEASIBLE or INFEASIBLE when the epigraph at r.R_D proves the
-    relaxation at r so, checked against the rows at r; None when it proves
-    neither and relaxation_feasibility has to decide."""
+    """FEASIBLE when the common ceiling b at r lies above the epigraph's
+    bracket, INFEASIBLE when below it; None when the bracket holds b and
+    relaxation_feasibility has to decide."""
     t, _ = _route(p, r, mode, input_model)
-    cons = ConstraintSet.build(p, t, mode)
-    slack = cons.u - np.real(np.einsum("mij,ij->m", cons.A.conj(), epigraph.W))
-    if np.all(slack > 0.0) if epigraph.strict else np.all(slack >= 0.0):
+    b = float(ConstraintSet.build(p, t, mode).u[-1])
+    if b > epigraph.b_hi:
         return FEASIBLE
-    if _certificate(cons, *cons.split(epigraph.y)) is not None:
+    if b < epigraph.b_lo:
         return INFEASIBLE
     return None
 

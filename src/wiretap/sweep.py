@@ -3,14 +3,12 @@
 For each code rate R_D on an ascending grid, the largest achievable secrecy
 rate is found by bisection: raising R_s at fixed R_D lowers the eavesdropper
 ceiling b, so the feasible set of the rank relaxation only shrinks and its
-feasibility is monotone in R_s. Each row runs one relaxation_feasibility
-probe at R_s = 0 and, if that is feasible, one epigraph solve
-(sdp.solve_epigraph): b* = min max_j Tr(Z_j W) over the floors and the
-budget, bracketed by a witness W and Farkas multipliers. The bisection
-decides each probe by those proofs (sdp.proven_feasibility: W meets every
-row, or the multipliers certify that none can be met) and runs
-relaxation_feasibility (the interior start or phase I, or the diagonal LP)
-only where they prove neither. The row then costs one full solve_general,
+feasibility is monotone in R_s. Each row runs one epigraph solve
+(sdp.solve_epigraph), a proven bracket on b* = min max_j Tr(Z_j W) over the
+floors and the budget, and decides each probe, R_s = 0 included, by
+comparing its ceiling with that bracket (sdp.proven_feasibility). Only a
+probe inside the bracket runs relaxation_feasibility (the interior start or
+phase I, or the diagonal LP). The row then costs one full solve_general,
 at the largest feasible R_s found (R_D itself when R_s = R_D is feasible).
 That solve's rank-1 recovery is not monotone in R_s, so it is kept out of
 the bisection. Phase I can stall on a thin feasible set that a witness
@@ -21,16 +19,17 @@ Each row reports the largest feasible R_s (within rate_tol), the minimum
 transmit power there, and whether the relaxed solution had numerical rank
 one. A row is `infeasible` when the relaxation is infeasible even at
 R_s = 0, and `numerical-failure` when a probe or the final solve runs out of
-Newton steps. When the final solve's relaxation is feasible but its
-principal direction is not a feasible beamformer, the row is
-`rank1-infeasible` with no rates or power: the relaxation bounds the
-region from outside, so no achievable point is claimed. Rows are solved in
-grid order.
+Newton steps or the final solve finds no interior point. When the final
+solve's relaxation is feasible but its principal direction is not a
+feasible beamformer, the row is `rank1-infeasible` with no rates or power:
+the relaxation bounds the region from outside, so no achievable point is
+claimed. Rows are solved in grid order.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 from .model import STATISTICAL, CsiMode, ModelError, RatePair, WiretapProblem
@@ -52,6 +51,7 @@ ROW_NUMERICAL_FAILURE = "numerical-failure"
 ROW_RANK1_INFEASIBLE = "rank1-infeasible"
 
 CSV_HEADER = "rd,rs_max,min_power,rank1,status"
+_MAX_GRID = 10**6   # code rates a grid may hold
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,8 @@ def _largest_feasible(feasible, rd: float, rate_tol: float) -> float:
 
 
 def _solve_row(p, rd, rate_tol, mode, input_model) -> SweepRow:
+    epigraph = solve_epigraph(p, rd, mode=mode, input_model=input_model)
+
     def probe(rs: float) -> bool:
         verdict = relaxation_feasibility(p, RatePair(rd, rs), mode=mode,
                                          input_model=input_model)
@@ -96,16 +98,15 @@ def _solve_row(p, rd, rate_tol, mode, input_model) -> SweepRow:
             raise _RowFailure()
         return verdict == FEASIBLE
 
-    def proven(rs: float) -> bool:
-        verdict = proven_feasibility(epigraph, p, RatePair(rd, rs), mode=mode,
-                                     input_model=input_model)
+    def feasible(rs: float) -> bool:
+        verdict = None if epigraph is None else proven_feasibility(
+            epigraph, p, RatePair(rd, rs), mode=mode, input_model=input_model)
         return probe(rs) if verdict is None else verdict == FEASIBLE
 
     try:
-        if not probe(0.0):
+        if not feasible(0.0):
             return SweepRow(rd, None, None, None, ROW_INFEASIBLE)
-        epigraph = solve_epigraph(p, rd, mode=mode, input_model=input_model)
-        lo = _largest_feasible(probe if epigraph is None else proven, rd, rate_tol)
+        lo = _largest_feasible(feasible, rd, rate_tol)
         sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
         if sol.status == INFEASIBLE and epigraph is not None:
             # The witness proved lo feasible, but phase I found no interior
@@ -125,11 +126,19 @@ def _solve_row(p, rd, rate_tol, mode, input_model) -> SweepRow:
 def code_rate_grid(rd_min: float, rd_max: float, rd_step: float) -> list[float]:
     """rd_min, rd_min + rd_step, ... <= rd_max, each rounded to 12 decimals so
     accumulated steps land on 0.3, not 0.30000000000000004."""
+    if not all(math.isfinite(x) for x in (rd_min, rd_max, rd_step)):
+        raise ModelError("rd-min, rd-max and rd-step must be finite")
     if rd_step <= 0 or rd_max < rd_min or rd_min <= 0:
         raise ModelError("need 0 < rd-min <= rd-max and rd-step > 0")
+    steps = (rd_max - rd_min) / rd_step
+    if not steps < _MAX_GRID:
+        raise ModelError(f"the code-rate grid would have more than {_MAX_GRID} rates")
     grid = []
     rd = rd_min
-    while rd <= rd_max + 1e-12:
+    # At most the grid's length, even where rd + rd_step rounds back to rd.
+    for _ in range(int(steps) + 2):
+        if rd > rd_max + 1e-12:
+            break
         grid.append(round(rd, 12))
         rd += rd_step
     return grid
@@ -147,8 +156,10 @@ def sweep_region(
         raise ModelError("empty code-rate grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ModelError("code-rate grid must be strictly increasing")
-    if rate_tol <= 0.0:
-        raise ModelError(f"rate_tol must be positive: {rate_tol}")
+    if not all(math.isfinite(rd) for rd in grid):
+        raise ModelError("code rates must be finite")
+    if not (math.isfinite(rate_tol) and rate_tol > 0.0):
+        raise ModelError(f"rate_tol must be positive and finite: {rate_tol}")
     rows = tuple(_solve_row(p, rd, rate_tol, mode, input_model) for rd in grid)
     return SweepResult(rows=rows, rate_tol=rate_tol)
 

@@ -101,6 +101,11 @@ class TestNonOutage:
         with pytest.raises(ModelError):
             draw(white_problem(), np.ones(3), 0, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_rejected(self, seed):
+        with pytest.raises(ModelError):
+            next(sample_channels(white_problem(), seed, 10))
+
     def test_over_budget_beamformer_rejected(self):
         p = white_problem(p_t=1.0)
         w = np.ones(3) * 5

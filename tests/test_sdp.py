@@ -439,6 +439,29 @@ def test_feasibility_probe_matches_relaxed_solve(seed):
     assert relaxation_feasibility(diag, r) == (INFEASIBLE if lp_status == INFEASIBLE else FEASIBLE)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_ceiling_bound_is_the_certificate_threshold(seed):
+    # Random rows and multipliers: _certificate accepts y just below
+    # ceiling_bound(y) and rejects it just above.
+    rng = np.random.default_rng(seed)
+    n, k, j = 3, 2, 2
+    A = np.array([np.eye(n, dtype=complex),
+                  *(-random_psd(rng, n, ridge=0.1) for _ in range(k)),
+                  *(random_psd(rng, n, scale=0.1, ridge=0.1) for _ in range(j))])
+    y = rng.uniform(0.1, 1.0, 1 + k + j)
+
+    def rows(b):
+        return ConstraintSet(A=A, u=np.array([10.0, *[-1000.0] * k, *[b] * j]), k=k)
+
+    b_lo = rows(0.0).ceiling_bound(y)
+    assert b_lo > 0.0
+    for b, proven in ((b_lo * (1.0 - 1e-9), True), (b_lo * (1.0 + 1e-9), False)):
+        cons = rows(b)
+        assert (sdp._certificate(cons, *cons.split(y)) is not None) == proven
+    y[1 + k:] = 0.0
+    assert rows(0.0).ceiling_bound(y) == -math.inf
+
+
 class TestFaceRefinement:
     @pytest.mark.parametrize("name, rd, rs", [
         ("paper_j1", 1.0, 0.5), ("paper_j2", 0.8, 0.4), ("paper_j3", 0.5, 0.15),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -16,7 +17,7 @@ import wiretap
 from wiretap import diag_lp, sdp, sweep
 from wiretap.cli import main as cli_main
 from wiretap.instances import reference_problem
-from wiretap.model import RatePair, WiretapProblem
+from wiretap.model import ModelError, RatePair, WiretapProblem
 from wiretap.probfile import ProblemFileError, load_problem, parse_problem, save_problem, to_doc
 from wiretap.sdp import (
     FEASIBLE,
@@ -265,6 +266,32 @@ class TestSweep:
         with pytest.raises(ModelError):
             sweep_region(ref_j1, [0.5, 0.5])
 
+    # A non-finite bound or step, or one that would make the grid longer than
+    # 10**6 code rates, used to loop for ever or pass silently.
+    @pytest.mark.parametrize("rd_min, rd_max, rd_step", [
+        (0.5, math.inf, 0.1), (0.5, 0.6, 1e-20), (0.1, 2e5, 0.1),
+        (math.nan, 0.6, 0.1), (0.5, math.nan, 0.1), (0.5, 0.6, math.inf), (0.5, 0.6, math.nan),
+    ])
+    def test_grid_rejects_non_finite_or_huge(self, rd_min, rd_max, rd_step):
+        with pytest.raises(ModelError):
+            code_rate_grid(rd_min, rd_max, rd_step)
+
+    def test_grid_step_below_rate_resolution_ends(self, ref_j1):
+        # 1e10 + 1e-7 rounds back to 1e10: the grid stops, and repeats a rate
+        # that sweep_region then rejects.
+        grid = code_rate_grid(1e10, 1e10, 1e-7)
+        assert len(grid) <= 2
+        with pytest.raises(ModelError):
+            sweep_region(ref_j1, grid)
+
+    @pytest.mark.parametrize("grid, rate_tol", [
+        ([0.5], math.nan), ([0.5], math.inf), ([0.5], 0.0),
+        ([0.5, math.inf], 1e-3), ([math.nan], 1e-3),
+    ])
+    def test_sweep_rejects_non_finite_rates(self, ref_j1, grid, rate_tol):
+        with pytest.raises(ModelError):
+            sweep_region(ref_j1, grid, rate_tol=rate_tol)
+
     def test_solver_failure_marks_row_without_aborting(self, ref_j1, monkeypatch):
         from wiretap import sdp
 
@@ -471,11 +498,23 @@ class TestSweepBisection:
             probes = []
             assert row == probe_row(p, rd, 1e-3, probes)
             assert len(probes) >= 10
-            assert count["solve_epigraph"] == count["solve_general"] == 1
-            assert count["relaxation_feasibility"] <= 2
-            # Phase I or HiGHS: the probes, the epigraph's start and the full solve.
+            assert count.get("solve_epigraph", 0) == count.get("solve_general", 0) == 1
+            assert count.get("relaxation_feasibility", 0) == 0
+            # Phase I or HiGHS: the epigraph's start and the full solve.
             solver = sum(count.get(attr, 0) for attr in ("_phase1", "solve_diagonal", "min_ceiling"))
-            assert solver <= 4
+            assert solver <= 2
+
+    @pytest.mark.parametrize("name, rd", [
+        ("paper_j1", 1.2), ("paper_j2", 1.0), ("paper_j2_diag", 0.9),
+    ])
+    def test_bracket_decides_rows_infeasible_at_zero(self, name, rd):
+        # The floors and the budget alone are infeasible at these code rates:
+        # the bracket is proven infinite and decides R_s = 0 as phase I does.
+        p = load_problem(str(PROBLEMS / f"{name}.json")).problem
+        epigraph = solve_epigraph(p, rd)
+        assert epigraph.b_lo == math.inf
+        r = RatePair(rd, 0.0)
+        assert proven_feasibility(epigraph, p, r) == relaxation_feasibility(p, r) == INFEASIBLE
 
     def test_six_sweep_csv_md5(self):
         csv = "".join(
@@ -572,6 +611,24 @@ class TestCli:
         code, _ = run_cli(["validate", "--problem", str(path)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: expected a list")
+
+    @pytest.mark.parametrize("flag, value", [("--rate-tol", "nan"), ("--rd-max", "inf")])
+    def test_sweep_non_finite_flag_exit_2(self, capsys, flag, value):
+        args = {"--rd-min": "0.5", "--rd-max": "0.6", "--rd-step": "0.1", "--rate-tol": "1e-3"}
+        args[flag] = value
+        code, out = run_cli(["sweep", "--problem", str(PROBLEMS / "paper_j1.json"),
+                             *(x for item in args.items() for x in item)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_montecarlo_bad_seed_exit_2(self, capsys, seed):
+        code, out = run_cli(["montecarlo", "--problem", str(PROBLEMS / "paper_j1.json"),
+                             "--rd", "0.8", "--rs", "0.3", "--trials", "1000",
+                             "--seed", seed])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed") and "Traceback" not in err
 
     def test_unknown_flag_exit_2(self):
         code, _ = run_cli(["solve", "--problem", "x.json", "--nope", "1"])
