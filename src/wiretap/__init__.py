@@ -36,6 +36,7 @@ from .sdp import (
     extract_principal_direction,
     power_rescale,
     proven_feasibility,
+    rate_bracket,
     relaxation_feasibility,
     solve_epigraph,
     solve_general,

@@ -126,6 +126,10 @@ def cmd_montecarlo(args) -> int:
             "of a perfect-CSI problem are deterministic"
         )
     r = RatePair(args.rd, args.rs)
+    # Checked before the solve, whose status would otherwise hide them.
+    if args.trials < 1:
+        raise ModelError(f"trials must be at least 1: {args.trials}")
+    montecarlo.check_sampling(args.seed, args.trials)
     model = _input_model(args, pf)
     sol = solve_general(pf.problem, r, mode=pf.csi_mode, input_model=model)
     if sol.status != OPTIMAL:

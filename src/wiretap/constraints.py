@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_vector, hermitian_eig, trace_inner
-from .model import STATISTICAL, ConstraintThresholds, CsiMode, ModelError, WiretapProblem
+from .model import (
+    STATISTICAL,
+    ConstraintThresholds,
+    CsiMode,
+    ModelError,
+    WiretapProblem,
+    eave_denominator,
+)
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ class ConstraintSet:
         """Statistical CSI: floors (H_k, a) and ceilings (Z_j, b). With
         perfect user CSI the floors become rank-one (h_k h_k*, (2^R_D - 1) N0)
         and the ceiling threshold is re-derived with tail exponent 1/J
-        instead of 1/(K+J)."""
+        instead of 1/(K+J) (model.eave_denominator)."""
         floors, a, b = p.H, t.a, t.b
         if not mode.is_statistical:
             if len(mode.user_channels) != p.K:
@@ -65,7 +72,7 @@ class ConstraintSet:
                 floors.append(np.outer(h, h.conj()))
             a = t.user_power_target
             if p.J:
-                b = t.eave_power_target / -math.log(1.0 - (1.0 - p.epsilon) ** (1.0 / p.J))
+                b = t.eave_power_target / eave_denominator(p, mode)
         A = np.array([np.eye(p.N, dtype=complex), *(-f for f in floors), *p.Z])
         u = np.array([p.P_T, *[-a] * len(floors), *[b] * p.J], dtype=float)
         return cls(A=A, u=u, k=len(floors))

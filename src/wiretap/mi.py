@@ -11,8 +11,11 @@ with d_lm = a_l - a_m. The expectation over the complex Gaussian noise is a
 quadrature over the real and imaginary parts: the integrand is smooth, so a
 32-node rule is already at spectral accuracy. I is strictly increasing and
 concave in rho and saturates at log2 M; its inverse (needed by the threshold
-conversion) is computed by bisection. A sweep re-inverts the same rates at
-every solve, so each evaluator memoizes rate(rho) for its lifetime.
+conversion) is computed by bisection. Each sweep row inverts its code rate
+R_D twice, at its epigraph and at its final solve, and the second inversion
+retraces the bisection of the first, so each evaluator memoizes rate(rho)
+for its lifetime. The row's bisection probes make no inversion: they are
+decided in rate space (sdp.rate_bracket).
 """
 
 from __future__ import annotations
@@ -163,9 +166,12 @@ class MiEvaluator:
         # exponent of exp(-|theta + sqrt(rho) d|^2 + |theta|^2); the m = l term
         # is exactly 0, so the inner sum is >= 1 and saturation underflows
         # harmlessly. One buffer, same operations in the same order as
-        # -rho * |d|^2 - 2 sqrt(rho) * cross, so the same bits.
+        # -rho * |d|^2 - 2 sqrt(rho) * cross, so the same bits. Near the float
+        # range rho |d|^2 overflows to -inf, which exp maps to the same 0.
         expo = np.multiply(2.0 * math.sqrt(rho), self._cross)
-        np.subtract(-rho * self._d_abs2[:, :, None, None], expo, out=expo)
+        with np.errstate(over="ignore"):
+            far = -rho * self._d_abs2[:, :, None, None]
+        np.subtract(far, expo, out=expo)
         np.exp(expo, out=expo)
         inner = np.log2(np.sum(expo, axis=1))             # (M, Q, Q)
         avg = float(np.einsum("lqr,qr->", inner, self._wgrid)) / (m * math.pi)

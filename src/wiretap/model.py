@@ -193,6 +193,15 @@ def _tail_denominators(p: WiretapProblem) -> tuple[float, float, float]:
     return per_link, denom_user, denom_eave
 
 
+def eave_denominator(p: WiretapProblem, mode: CsiMode = STATISTICAL) -> float:
+    """d in the common ceiling b = eave_power_target / d: the tail factor
+    -ln(1 - (1-eps)^(1/(K+J))) with statistical CSI, and with exponent 1/J
+    once perfect user CSI leaves only the J eavesdropper links random."""
+    if mode.is_statistical:
+        return _tail_denominators(p)[2]
+    return -math.log(1.0 - (1.0 - p.epsilon) ** (1.0 / p.J))
+
+
 def thresholds_gaussian(p: WiretapProblem, r: RatePair) -> ConstraintThresholds:
     """Thresholds (a, b) for a circular Gaussian input codebook.
 

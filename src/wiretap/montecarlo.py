@@ -81,15 +81,28 @@ def _gaussian_block(p: WiretapProblem, seed: int, start: int, count: int) -> np.
     return _standard_complex(u)
 
 
-def sample_channels(
-    p: WiretapProblem, seed: int, count: int, chunk_size: int = 8192
-) -> Iterator[ChannelSample]:
-    """Fading realizations in chunks of up to chunk_size trials, deterministic
-    in (seed, trial index)."""
+def check_sampling(seed: int, count: int, chunk_size: int = 1) -> None:
+    """Raise ModelError unless seed is a Philox key in [0, 2**128), count >= 0
+    and chunk_size >= 1."""
     if count < 0:
         raise ModelError(f"count must be non-negative: {count}")
     if not 0 <= seed < 2**128:
         raise ModelError(f"seed must be in [0, 2**128): {seed}")
+    if chunk_size < 1:
+        raise ModelError(f"chunk_size must be at least 1: {chunk_size}")
+
+
+def sample_channels(
+    p: WiretapProblem, seed: int, count: int, chunk_size: int = 8192
+) -> Iterator[ChannelSample]:
+    """Fading realizations in chunks of up to chunk_size trials, deterministic
+    in (seed, trial index). The arguments are checked at the call, not at the
+    first chunk drawn."""
+    check_sampling(seed, count, chunk_size)
+    return _chunks(p, seed, count, chunk_size)
+
+
+def _chunks(p: WiretapProblem, seed: int, count: int, chunk_size: int) -> Iterator[ChannelSample]:
     factors = np.stack(
         [psd_project_factor(m) for m in (*p.H, *p.Z)]
     )  # (K+J, N, N)

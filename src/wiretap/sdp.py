@@ -17,9 +17,11 @@ minimum-power path, which is all a bisection over rates needs.
 The barrier's relaxation s enters row i with a coefficient c_i. Phase I
 uses c = 1 on every row. The epigraph of the ceilings (solve_epigraph) uses
 c = 1 on the ceilings, 0 elsewhere and ceiling u = 0: it brackets
-b* = min max_j Tr(Z_j W) over the floors and the budget once per code rate,
-and a probe at any R_s is decided by comparing its ceiling with that
-bracket (proven_feasibility).
+b* = min max_j Tr(Z_j W) over the floors and the budget once per code rate.
+The common ceiling depends on R_s only through the rate gap R_D - R_s, so
+the bracket is mapped once to a bracket on that gap (rate_bracket), by two
+forward rate evaluations, and a probe at any R_s is decided by comparing
+its gap with it (proven_feasibility), with no threshold or MI inversion.
 
 The barrier works on the signed rows Re Tr(A_i W) <= u_i of the
 ConstraintSet, minus its all-zero rows. Its end point is then refined on its
@@ -57,6 +59,7 @@ from .model import (
     ModelError,
     RatePair,
     WiretapProblem,
+    eave_denominator,
     thresholds_finite_alphabet,
     thresholds_gaussian,
 )
@@ -507,10 +510,17 @@ class Epigraph:
     share one ceiling b(R_s), so the relaxation at R_s is feasible exactly
     when b(R_s) >= b*. b_hi is max_j Tr(Z_j W) of a witness W that meets the
     floors and the budget; b_lo is the ceiling_bound of Farkas multipliers.
-    Both are inf when the floors and the budget are proven infeasible."""
+    Both are inf when the floors and the budget are proven infeasible.
+
+    gap_lo <= gap_hi is the same bracket in rate space (rate_bracket): b(R_s)
+    depends on R_s only through the gap R_D - R_s, and rises with it, so
+    R_D - R_s > gap_hi proves R_s feasible and R_D - R_s < gap_lo proves it
+    infeasible."""
 
     b_lo: float
     b_hi: float
+    gap_lo: float
+    gap_hi: float
 
 
 def _witness_bound(cons: ConstraintSet, W: np.ndarray, strict: bool) -> float:
@@ -524,13 +534,16 @@ def _witness_bound(cons: ConstraintSet, W: np.ndarray, strict: bool) -> float:
     return math.inf
 
 
-def _epigraph_path(cons: ConstraintSet) -> Epigraph | None:
+def _epigraph_path(cons: ConstraintSet) -> tuple[float, float] | None:
     """Minimize s over W > 0 subject to the budget and floors of cons and
     Tr(A_j W) <= s on its ceilings: the barrier on the rows of cons with
     ceiling u = 0, c = 1 on the ceilings and 0 elsewhere, started from an
     interior point of the floors and budget. Keeps the least _witness_bound
     and the greatest ceiling_bound of the path's stages, and stops at a
-    silent stage, at _T_MAX, or once the two are _EPIGRAPH_REL apart."""
+    silent stage, at _T_MAX, or once the two are _EPIGRAPH_REL apart.
+
+    Returns (b_lo, b_hi), both inf when phase I on the floors and the budget
+    ends with a certificate, or None when it ends without one."""
     k = cons.k
     epi = ConstraintSet(A=cons.A, u=np.where(np.arange(cons.u.size) > k, 0.0, cons.u), k=k)
     floors = ConstraintSet(A=cons.A[:1 + k], u=cons.u[:1 + k], k=k)
@@ -542,7 +555,7 @@ def _epigraph_path(cons: ConstraintSet) -> Epigraph | None:
     if W is None:
         verdict, W, cert = _phase1(floors, floor_sys, budget)
         if verdict != "feasible":
-            return None if cert is None else Epigraph(math.inf, math.inf)
+            return None if cert is None else (math.inf, math.inf)
     ceil = sys_.keep > k
     top = float(np.max(np.real(np.einsum("mij,ij->m", sys_.A[ceil].conj(), W))))
     # A cap near the start keeps the s term of the Newton system small: with
@@ -558,7 +571,34 @@ def _epigraph_path(cons: ConstraintSet) -> Epigraph | None:
         b_lo = max(b_lo, cons.ceiling_bound(y))
         if silent or t >= _T_MAX or b_lo >= (1.0 - _EPIGRAPH_REL) * b_hi:  # b_hi may be inf
             break
-    return Epigraph(b_lo, b_hi)
+    return b_lo, b_hi
+
+
+def rate_bracket(
+    p: WiretapProblem,
+    b_lo: float,
+    b_hi: float,
+    mode: CsiMode = STATISTICAL,
+    input_model="gaussian",
+) -> tuple[float, float]:
+    """(gap_lo, gap_hi): the rate gaps R_D - R_s at which the common ceiling
+    equals b_lo and b_hi. The ceiling is I^{-1}(R_D - R_s) N0 / d, with d the
+    eavesdropper tail denominator (model.eave_denominator) and I = log2(1 +
+    rho) or the alphabet's mutual information, so the gap of b is I(b d / N0).
+    b <= 0 maps to 0, and a b whose rho is not finite (b = inf, or overflow)
+    to inf."""
+    d = eave_denominator(p, mode)
+
+    def gap(b: float) -> float:
+        b = float(b)
+        if b <= 0.0:
+            return 0.0
+        rho = b * d / p.N0
+        if not math.isfinite(rho):
+            return math.inf
+        return math.log2(1.0 + rho) if input_model == "gaussian" else input_model(rho)
+
+    return gap(b_lo), gap(b_hi)
 
 
 def solve_epigraph(
@@ -568,7 +608,8 @@ def solve_epigraph(
     input_model="gaussian",
 ) -> Epigraph | None:
     """The Epigraph at code rate rd, from the route solve_general takes there:
-    one barrier solve on the SDP route, one HiGHS LP on the LP route.
+    one barrier solve on the SDP route, one HiGHS LP on the LP route, and two
+    forward rate evaluations to map the bracket to rate space.
 
     None when there is no nonzero ceiling to bound, on the trivial route, or
     when the solve fails (phase I on the floors and budget ends without a
@@ -581,30 +622,25 @@ def solve_epigraph(
         return None
     if route == "lp":
         end = diag_lp.min_ceiling(cons)
-        if end is None:
-            return Epigraph(math.inf, math.inf)
-        return Epigraph(cons.ceiling_bound(end[1]), _witness_bound(cons, np.diag(end[0]), False))
-    try:
-        return _epigraph_path(cons)
-    except _NumericalTrouble:
-        return None
+        bracket = (math.inf, math.inf) if end is None else (
+            cons.ceiling_bound(end[1]), _witness_bound(cons, np.diag(end[0]), False))
+    else:
+        try:
+            bracket = _epigraph_path(cons)
+        except _NumericalTrouble:
+            return None
+        if bracket is None:
+            return None
+    return Epigraph(*bracket, *rate_bracket(p, *bracket, mode, input_model))
 
 
-def proven_feasibility(
-    epigraph: Epigraph,
-    p: WiretapProblem,
-    r: RatePair,
-    mode: CsiMode = STATISTICAL,
-    input_model="gaussian",
-) -> str | None:
-    """FEASIBLE when the common ceiling b at r lies above the epigraph's
-    bracket, INFEASIBLE when below it; None when the bracket holds b and
+def proven_feasibility(epigraph: Epigraph, r: RatePair) -> str | None:
+    """FEASIBLE when the rate gap of r lies above the epigraph's bracket,
+    INFEASIBLE when below it; None when the bracket holds it and
     relaxation_feasibility has to decide."""
-    t, _ = _route(p, r, mode, input_model)
-    b = float(ConstraintSet.build(p, t, mode).u[-1])
-    if b > epigraph.b_hi:
+    if r.R_gap > epigraph.gap_hi:
         return FEASIBLE
-    if b < epigraph.b_lo:
+    if r.R_gap < epigraph.gap_lo:
         return INFEASIBLE
     return None
 

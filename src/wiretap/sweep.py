@@ -5,8 +5,9 @@ rate is found by bisection: raising R_s at fixed R_D lowers the eavesdropper
 ceiling b, so the feasible set of the rank relaxation only shrinks and its
 feasibility is monotone in R_s. Each row runs one epigraph solve
 (sdp.solve_epigraph), a proven bracket on b* = min max_j Tr(Z_j W) over the
-floors and the budget, and decides each probe, R_s = 0 included, by
-comparing its ceiling with that bracket (sdp.proven_feasibility). Only a
+floors and the budget, mapped once to a bracket on the rate gap R_D - R_s.
+Each probe, R_s = 0 included, is decided by comparing its gap with that
+bracket (sdp.proven_feasibility), with no threshold or MI inversion. Only a
 probe inside the bracket runs relaxation_feasibility (the interior start or
 phase I, or the diagonal LP). The row then costs one full solve_general,
 at the largest feasible R_s found (R_D itself when R_s = R_D is feasible).
@@ -99,8 +100,7 @@ def _solve_row(p, rd, rate_tol, mode, input_model) -> SweepRow:
         return verdict == FEASIBLE
 
     def feasible(rs: float) -> bool:
-        verdict = None if epigraph is None else proven_feasibility(
-            epigraph, p, RatePair(rd, rs), mode=mode, input_model=input_model)
+        verdict = None if epigraph is None else proven_feasibility(epigraph, RatePair(rd, rs))
         return probe(rs) if verdict is None else verdict == FEASIBLE
 
     try:

@@ -101,10 +101,16 @@ class TestNonOutage:
         with pytest.raises(ModelError):
             draw(white_problem(), np.ones(3), 0, 0)
 
+    # Rejected at the call, before any chunk is drawn.
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_philox_key_rejected(self, seed):
         with pytest.raises(ModelError):
-            next(sample_channels(white_problem(), seed, 10))
+            sample_channels(white_problem(), seed, 10)
+
+    @pytest.mark.parametrize("count, chunk_size", [(-1, 8192), (10, 0), (10, -3)])
+    def test_bad_count_or_chunk_size_rejected_at_call(self, count, chunk_size):
+        with pytest.raises(ModelError):
+            sample_channels(white_problem(), 0, count, chunk_size)
 
     def test_over_budget_beamformer_rejected(self):
         p = white_problem(p_t=1.0)

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from wiretap import sdp
 from wiretap.constraints import ConstraintSet
 from wiretap.kkt import check_kkt
 from wiretap.linalg import LinalgError, numerical_rank, quad_form, trace_inner
+from wiretap.mi import MiEvaluator, qam16
 from wiretap.model import (
+    STATISTICAL,
     ConstraintThresholds,
     RatePair,
     WiretapProblem,
+    eave_denominator,
     perfect_users,
+    thresholds_finite_alphabet,
     thresholds_gaussian,
 )
 from wiretap.sdp import (
@@ -460,6 +465,33 @@ def test_ceiling_bound_is_the_certificate_threshold(seed):
         assert (sdp._certificate(cons, *cons.split(y)) is not None) == proven
     y[1 + k:] = 0.0
     assert rows(0.0).ceiling_bound(y) == -math.inf
+
+
+@pytest.mark.parametrize("perfect", [False, True])
+@pytest.mark.parametrize("model", ["gaussian", MiEvaluator(qam16())], ids=["gaussian", "16qam"])
+def test_rate_bracket_maps_ceilings_to_rate_gaps(ref_j1, perfect, model):
+    mode = perfect_users(np.eye(ref_j1.N, dtype=complex)[:ref_j1.K]) if perfect else STATISTICAL
+    d = eave_denominator(ref_j1, mode)
+    # A gap maps back to the ceiling that ConstraintSet.build gives it.
+    for gap in (0.25, 1.0):
+        r = RatePair(gap, 0.0)
+        t = (thresholds_gaussian(ref_j1, r) if model == "gaussian"
+             else thresholds_finite_alphabet(ref_j1, r, model))
+        b = float(ConstraintSet.build(ref_j1, t, mode).u[-1])
+        assert sdp.rate_bracket(ref_j1, b, b, mode, model) == pytest.approx((gap, gap), abs=1e-8)
+    # Edges: b <= 0 maps to 0, and inf or a b whose b d / N0 overflows to
+    # inf, all without a warning. Just inside the float range the alphabet's
+    # MI has saturated at log2 M.
+    huge = 1e308
+    assert huge * d / ref_j1.N0 == math.inf
+    top = 1.7e308 * ref_j1.N0 / d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sdp.rate_bracket(ref_j1, -math.inf, math.inf, mode, model) == (0.0, math.inf)
+        assert sdp.rate_bracket(ref_j1, 0.0, huge, mode, model) == (0.0, math.inf)
+        assert sdp.rate_bracket(ref_j1, -1.0, np.float64(huge), mode, model) == (0.0, math.inf)
+        gap_top = sdp.rate_bracket(ref_j1, top, top, mode, model)[1]
+    assert gap_top == (model.max_rate if model != "gaussian" else pytest.approx(math.log2(1.7e308)))
 
 
 class TestFaceRefinement:

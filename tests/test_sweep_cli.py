@@ -17,7 +17,8 @@ import wiretap
 from wiretap import diag_lp, sdp, sweep
 from wiretap.cli import main as cli_main
 from wiretap.instances import reference_problem
-from wiretap.model import ModelError, RatePair, WiretapProblem
+from wiretap.mi import MiEvaluator, qam16, qpsk
+from wiretap.model import STATISTICAL, ModelError, RatePair, WiretapProblem, perfect_users
 from wiretap.probfile import ProblemFileError, load_problem, parse_problem, save_problem, to_doc
 from wiretap.sdp import (
     FEASIBLE,
@@ -34,6 +35,7 @@ from wiretap.sdp import (
 from wiretap.sweep import CSV_HEADER, SweepRow, code_rate_grid, sweep_region, to_csv
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
+QPSK_MI = MiEvaluator(qpsk())
 
 MONTECARLO_J1_GOLDEN = """\
 {
@@ -337,7 +339,7 @@ def full_solve_row(p, rd, rate_tol):
         return SweepRow(rd, None, None, None, "numerical-failure")
 
 
-def probe_row(p, rd, rate_tol, probes=None):
+def probe_row(p, rd, rate_tol, probes=None, mode=STATISTICAL, input_model="gaussian"):
     """The row as the sweep found it when relaxation_feasibility decided
     every bisection probe, each (R_s, verdict) appended to probes: the oracle
     for the epigraph replay."""
@@ -345,7 +347,7 @@ def probe_row(p, rd, rate_tol, probes=None):
         pass
 
     def feasible(rs):
-        verdict = relaxation_feasibility(p, RatePair(rd, rs))
+        verdict = relaxation_feasibility(p, RatePair(rd, rs), mode=mode, input_model=input_model)
         if probes is not None:
             probes.append((rs, verdict))
         if verdict == MAX_ITERATIONS:
@@ -366,7 +368,7 @@ def probe_row(p, rd, rate_tol, probes=None):
                     hi = mid
     except Failure:
         return SweepRow(rd, None, None, None, "numerical-failure")
-    sol = solve_general(p, RatePair(rd, lo))
+    sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
     if sol.status == OPTIMAL:
         return SweepRow(rd, lo, sol.power, sol.rank1_exact, "optimal")
     if sol.status == RANK1_INFEASIBLE:
@@ -411,11 +413,14 @@ class TestSweepBisection:
         assert [row.status for row in rows] == ["optimal", "infeasible"]
         assert calls == [RatePair(0.5, rows[0].rs_max)]
 
-    @settings(max_examples=20, deadline=None)
+    # Statistical and perfect user CSI (ceiling tail exponent 1/(K+J) and
+    # 1/J), Gaussian inputs and QPSK (log2(1 + rho) and the alphabet's MI).
+    @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([3, 4]),
            st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
-           st.booleans(), st.sampled_from([0.3, 0.6, 1.0]))
-    def test_proven_verdicts_match_probes(self, seed, n, k, j, diagonal, rd):
+           st.booleans(), st.sampled_from([0.3, 0.6, 1.0]), st.booleans(),
+           st.sampled_from(["gaussian", "qpsk"]))
+    def test_proven_verdicts_match_probes(self, seed, n, k, j, diagonal, rd, perfect, inputs):
         rng = np.random.default_rng(seed)
 
         def cov(scale):
@@ -426,26 +431,32 @@ class TestSweepBisection:
         p = WiretapProblem(H=tuple(cov(3.0) for _ in range(k)),
                            Z=tuple(cov(0.01) for _ in range(j)),
                            N0=1.0, epsilon=0.1, P_T=100.0)
+        mode = perfect_users(
+            math.sqrt(1.5) * (rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
+        ) if perfect else STATISTICAL
+        model = QPSK_MI if inputs == "qpsk" else "gaussian"
+        solver = {"mode": mode, "input_model": model}
         proofs = []
 
-        def recording(*args, **kwargs):
-            verdict = proven_feasibility(*args, **kwargs)
-            proofs.append((args[2], verdict))
+        def recording(epigraph, r):
+            verdict = proven_feasibility(epigraph, r)
+            proofs.append((r, verdict))
             return verdict
 
         with mock.patch.object(sweep, "proven_feasibility", recording):
-            row, = sweep_region(p, [rd], rate_tol=1e-2).rows
-        oracle = probe_row(p, rd, 1e-2)
+            row, = sweep_region(p, [rd], rate_tol=1e-2, **solver).rows
+        assert any(verdict is not None for _, verdict in proofs)
+        oracle = probe_row(p, rd, 1e-2, **solver)
         disagreed = False
         for r, verdict in proofs:
             if verdict is None:
                 continue
-            probed = relaxation_feasibility(p, r)
+            probed = relaxation_feasibility(p, r, **solver)
             if probed != verdict:
                 # Only phase I's uncertified "no interior point within
                 # resolution" may contradict a checked witness.
                 assert (verdict, probed) == (FEASIBLE, INFEASIBLE)
-                assert solve_general(p, r).certificate is None
+                assert solve_general(p, r, **solver).certificate is None
                 disagreed = True
         if disagreed and row != oracle:
             assert row.status == "optimal"
@@ -463,7 +474,7 @@ class TestSweepBisection:
                            Z=tuple(random_psd(rng, 4, scale=0.01, ridge=0.1) for _ in range(3)),
                            N0=1.0, epsilon=0.1, P_T=100.0)
         r = RatePair(1.0, 0.8203125)
-        assert proven_feasibility(solve_epigraph(p, 1.0), p, r) == FEASIBLE
+        assert proven_feasibility(solve_epigraph(p, 1.0), r) == FEASIBLE
         sol = solve_general(p, r)
         assert sol.status == INFEASIBLE and sol.certificate is None
         row, = sweep_region(p, [1.0], rate_tol=1e-2).rows
@@ -504,6 +515,42 @@ class TestSweepBisection:
             solver = sum(count.get(attr, 0) for attr in ("_phase1", "solve_diagonal", "min_ceiling"))
             assert solver <= 2
 
+    def test_qam16_probes_invert_no_rate(self, monkeypatch):
+        # The probes are decided in rate space: per row, thresholds are built
+        # (and the MI inverted) only by the epigraph and the final solve.
+        scope, calls, callers = [], [], []
+
+        def counting(owner, attr, record):
+            original = getattr(owner, attr)
+
+            def wrapped(*args, **kwargs):
+                record(attr)
+                scope.append(attr)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    scope.pop()
+            monkeypatch.setattr(owner, attr, wrapped)
+
+        for attr in ("solve_epigraph", "solve_general", "relaxation_feasibility"):
+            counting(sweep, attr, calls.append)
+        counting(MiEvaluator, "inverse", calls.append)
+        counting(sdp, "thresholds_finite_alphabet",
+                 lambda attr: callers.append(scope[-1] if scope else "probe"))
+        p = load_problem(str(PROBLEMS / "paper_j1.json")).problem
+        model = MiEvaluator(qam16())
+        statuses = []
+        for rd in (0.5, 1.0, 1.5):
+            calls.clear()
+            callers.clear()
+            row, = sweep_region(p, [rd], rate_tol=1e-3, input_model=model).rows
+            statuses.append(row.status)
+            assert calls.count("relaxation_feasibility") == 0
+            assert calls.count("inverse") <= 4
+            assert callers == [c for c in calls if c in ("solve_epigraph", "solve_general")]
+            assert callers[0] == "solve_epigraph"
+        assert statuses == ["optimal", "optimal", "infeasible"]
+
     @pytest.mark.parametrize("name, rd", [
         ("paper_j1", 1.2), ("paper_j2", 1.0), ("paper_j2_diag", 0.9),
     ])
@@ -514,7 +561,7 @@ class TestSweepBisection:
         epigraph = solve_epigraph(p, rd)
         assert epigraph.b_lo == math.inf
         r = RatePair(rd, 0.0)
-        assert proven_feasibility(epigraph, p, r) == relaxation_feasibility(p, r) == INFEASIBLE
+        assert proven_feasibility(epigraph, r) == relaxation_feasibility(p, r) == INFEASIBLE
 
     def test_six_sweep_csv_md5(self):
         csv = "".join(
@@ -629,6 +676,24 @@ class TestCli:
         assert code == 2 and out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: seed") and "Traceback" not in err
+
+    # (1.5, 0.0) is infeasible and (0.8, 0.3) feasible: either way a bad
+    # sample stream is rejected before the solve could report on the point.
+    @pytest.mark.parametrize("rd, rs", [("1.5", "0.0"), ("0.8", "0.3")])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed"), ("--trials", "-5", "trials"), ("--trials", "0", "trials"),
+    ])
+    def test_montecarlo_bad_stream_exit_2_before_solve(self, capsys, monkeypatch,
+                                                      rd, rs, flag, value, message):
+        solves = []
+        monkeypatch.setattr(wiretap.cli, "solve_general",
+                            lambda *args, **kwargs: solves.append(args))
+        args = {"--rd": rd, "--rs": rs, "--trials": "1000", "--seed": "0", flag: value}
+        code, out = run_cli(["montecarlo", "--problem", str(PROBLEMS / "paper_j1.json"),
+                             *(x for item in args.items() for x in item)])
+        assert code == 2 and out == "" and solves == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
 
     def test_unknown_flag_exit_2(self):
         code, _ = run_cli(["solve", "--problem", "x.json", "--nope", "1"])
