@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from .mi import MiEvaluator, load_alphabet
 from .model import ModelError, RatePair, validate_problem
 from .probfile import ProblemFileError, load_problem
 from .sdp import INFEASIBLE, OPTIMAL, RANK1_INFEASIBLE, solve_general
-from .sweep import code_rate_grid, sweep_region, to_csv
+from .sweep import MAX_GRID, code_rate_grid, sweep_region, to_csv
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -130,14 +131,13 @@ def cmd_montecarlo(args) -> int:
     if args.trials < 1:
         raise ModelError(f"trials must be at least 1: {args.trials}")
     montecarlo.check_sampling(args.seed, args.trials)
-    model = _input_model(args, pf)
-    sol = solve_general(pf.problem, r, mode=pf.csi_mode, input_model=model)
+    sol = solve_general(pf.problem, r, mode=pf.csi_mode, input_model=_input_model(args, pf))
     if sol.status != OPTIMAL:
         _emit_json({"status": sol.status}, args.output)
         return _status_exit(sol.status)
     powers = montecarlo.received_powers(
         montecarlo.sample_channels(pf.problem, args.seed, args.trials), sol.w)
-    est = montecarlo.estimate_non_outage(pf.problem, r, sol.w, powers, rate_map=model)
+    est = montecarlo.estimate_non_outage(pf.problem, sol.thresholds, sol.w, powers)
     users, eaves = montecarlo.estimate_individual_probs(sol.thresholds, powers)
     _emit_json(
         {
@@ -159,6 +159,8 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_kkt(args) -> int:
     pf = _load(args)
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ModelError(f"tol must be finite and non-negative: {args.tol}")
     sol = solve_general(pf.problem, RatePair(args.rd, args.rs), mode=pf.csi_mode,
                         input_model=_input_model(args, pf))
     if sol.status != OPTIMAL:
@@ -192,8 +194,8 @@ def cmd_kkt(args) -> int:
 
 def cmd_mi(args) -> int:
     ev = MiEvaluator(load_alphabet(args.alphabet))
-    if args.points < 2 or args.rho_max <= args.rho_min or args.rho_min < 0:
-        raise ModelError("need 0 <= rho-min < rho-max and points >= 2")
+    if not (0.0 <= args.rho_min < args.rho_max < math.inf and 2 <= args.points <= MAX_GRID):
+        raise ModelError(f"need 0 <= rho-min < rho-max < inf and 2 <= points <= {MAX_GRID}")
     rhos = np.linspace(args.rho_min, args.rho_max, args.points)
     lines = ["rho,mi_bits"]
     for rho in rhos:

@@ -4,20 +4,22 @@
 
 ConstraintSet.build stacks these as one list of signed rows Re Tr(A_i W) <=
 u_i: A = (I, -F_k, G_j) and u = (P_T, -a_k, b_j). It is the only place that
-applies the floor sign. With the row multipliers y = (lam, mu_k, nu_j), the
-SDP barrier, the LP route, the Farkas certificate and the KKT checker all
-build their dual quantities from these rows: the multiplier matrix
-c I + sum_{i>0} y_i A_i (c = 1 + lam for the K6 matrix Lambda, c = lam for a
-Farkas combination), the dual objective, the ceiling bound below which a
-Farkas combination proves a common ceiling infeasible, the scalar identity,
-and sum mu_k F_k, whose rank bounds rank(W). ConstraintSet.duals is the only
-place a solve's DualVariables, with its Lambda, is made.
+applies the floor sign. The multipliers are stacked the same way, one per
+row: y = (lam, mu_k, nu_j). The SDP barrier, the LP route, the Farkas
+certificate and the KKT checker all build their dual quantities from (A, u)
+and y as array operations: the row values Re Tr(A_i W), the combination
+sum_i y_i A_i (a Farkas combination, and with I added the K6 matrix Lambda),
+the dual objective -y.u, the Farkas test and the ceiling bound derived from
+it, the scalar identity and the complementary-slackness products. split and
+stack convert y to and from the (lam, mu, nu) of the public records, and
+ConstraintSet.duals is the only place a solve's DualVariables, with its
+Lambda, is made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,77 +87,88 @@ class ConstraintSet:
     def p_t(self) -> float:
         return float(self.u[0])
 
+    @property
+    def floors(self) -> np.ndarray:
+        """Mask of the floor rows."""
+        return (np.arange(self.u.size) > 0) & ~self.ceilings
+
+    @property
+    def ceilings(self) -> np.ndarray:
+        """Mask of the ceiling rows."""
+        return np.arange(self.u.size) > self.k
+
+    def with_ceiling(self, b: float) -> ConstraintSet:
+        """The same rows with every ceiling threshold set to b."""
+        return replace(self, u=np.where(self.ceilings, b, self.u))
+
     def split(self, y: np.ndarray):
         """(lam, mu, nu) of one multiplier per row."""
         return float(y[0]), y[1:1 + self.k], y[1 + self.k:]
 
-    def duals(self, lam: float, mu, nu) -> DualVariables:
-        """The multipliers with their K6 matrix multiplier_matrix(1 + lam, mu, nu)."""
-        return DualVariables(lam=lam, mu=mu, nu=nu,
-                             Lambda=self.multiplier_matrix(1.0 + lam, mu, nu))
-
-    def check(self, W: np.ndarray, duals: DualVariables) -> None:
-        """Raise ModelError unless W is N x N and there is one multiplier per
-        floor and per ceiling."""
-        if W.shape != (self.n, self.n):
-            raise ModelError(f"W has shape {W.shape}, expected ({self.n}, {self.n})")
-        if len(duals.mu) != self.k or len(duals.nu) != self.u.size - 1 - self.k:
+    def stack(self, duals: DualVariables) -> np.ndarray:
+        """The y of a DualVariables record; ModelError unless it has one
+        multiplier per floor and per ceiling."""
+        mu, nu = np.atleast_1d(duals.mu), np.atleast_1d(duals.nu)
+        if mu.size != self.k or nu.size != self.u.size - 1 - self.k:
             raise ModelError("dual multiplier counts do not match the constraint counts")
+        return np.concatenate([[duals.lam], mu, nu]).astype(float)
 
-    def multiplier_matrix(self, c: float, mu, nu) -> np.ndarray:
-        """c I + sum_{i>0} y_i A_i = c I - sum_k mu_k F_k + sum_j nu_j G_j,
-        symmetrized."""
-        out = c * np.eye(self.n, dtype=complex)
-        for y_i, a_i in zip((*mu, *nu), self.A[1:]):
-            out = out + y_i * a_i
+    def duals(self, y: np.ndarray) -> DualVariables:
+        """The multipliers y with their K6 matrix Lambda = I + combination(y).
+        As A_0 = I, that is the combination with lam raised by one."""
+        lam, mu, nu = self.split(y)
+        return DualVariables(lam=lam, mu=mu, nu=nu,
+                             Lambda=self.combination(np.r_[1.0 + lam, y[1:]]))
+
+    def values(self, W: np.ndarray) -> np.ndarray:
+        """Re Tr(A_i W) of every row."""
+        return np.real(np.einsum("mij,ij->m", self.A.conj(), W))
+
+    def combination(self, y: np.ndarray) -> np.ndarray:
+        """sum_i y_i A_i = lam I - sum_k mu_k F_k + sum_j nu_j G_j, symmetrized."""
+        out = np.einsum("m,mij->ij", y, self.A)
         return (out + out.conj().T) / 2.0
 
-    def floor_combination(self, mu) -> np.ndarray:
-        """sum_k mu_k F_k."""
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for m_k, a_i in zip(mu, self.A[1:]):
-            out = out - m_k * a_i
-        return out
+    def dual_objective(self, y: np.ndarray) -> float:
+        """-y.u = -lam P_T + sum_k mu_k a_k - sum_j nu_j b_j: a lower bound on
+        Tr W when Lambda is PSD."""
+        return -float(np.dot(y, self.u))
 
-    def dual_objective(self, lam: float, mu, nu) -> float:
-        """-sum_i y_i u_i = -lam P_T + sum_k mu_k a_k - sum_j nu_j b_j: a lower
-        bound on Tr W when Lambda is PSD, and the Farkas margin when it is
-        built with c = lam."""
-        val = -lam * self.p_t
-        val -= sum(m_k * u_i for m_k, u_i in zip(mu, self.u[1:1 + self.k]))
-        val -= sum(n_j * u_i for n_j, u_i in zip(nu, self.u[1 + self.k:]))
-        return val
+    def farkas(self, y: np.ndarray) -> tuple[float, float]:
+        """(e, -y.u - max(0, -e) P_T), e the least eigenvalue of
+        combination(y). For y >= 0 every feasible W has Re Tr(combination(y)
+        W) <= y.u, and >= min(0, e) Tr W >= -max(0, -e) P_T: a value > 0
+        proves that no feasible W exists (the Farkas certificate)."""
+        eig_min = float(hermitian_eig(self.combination(y)).eigenvalues[0])
+        return eig_min, self.dual_objective(y) - max(0.0, -eig_min) * self.p_t
 
     def ceiling_bound(self, y: np.ndarray) -> float:
-        """The least common ceiling b that the multipliers y (one per row)
-        do not prove infeasible: (-lam P_T + sum mu a - max(0, -e) P_T) /
-        sum nu, e the least eigenvalue of multiplier_matrix(lam, mu, nu);
-        -inf when sum nu <= 0."""
-        lam, mu, nu = self.split(y)
-        total = float(np.sum(nu))
+        """The least common ceiling b that y does not prove infeasible: the
+        farkas value falls by b sum nu as every ceiling rises to b, so it is
+        the value at b = 0 over sum nu; -inf when sum nu <= 0."""
+        total = float(np.sum(y[self.ceilings]))
         if not total > 0.0:
             return -math.inf
-        eig_min = float(hermitian_eig(self.multiplier_matrix(lam, mu, nu)).eigenvalues[0])
-        return (self.dual_objective(lam, mu, ()) - max(0.0, -eig_min) * self.p_t) / total
+        return self.with_ceiling(0.0).farkas(y)[1] / total
 
-    def scalar_identity(self, lam: float, mu, nu, tr_w: float) -> float:
+    def scalar_identity(self, y: np.ndarray, tr_w: float) -> float:
         """|(1+lam) Tr W - sum mu a + sum nu b| / max(1, |(1+lam) Tr W|)."""
+        lam, mu, nu = self.split(y)
         val = (1.0 + lam) * tr_w
         val += float(np.dot(mu, self.u[1:1 + self.k]))
         val += float(np.dot(nu, self.u[1 + self.k:]))
         return abs(val) / max(1.0, abs((1.0 + lam) * tr_w))
 
-    def primal_terms(self, W: np.ndarray, mu, nu, tol: float):
+    def primal_terms(self, W: np.ndarray, y: np.ndarray, tol: float):
         """Floors and ceilings that W violates by more than tol (relative to
         max(1, |threshold|)), and the complementary-slackness products
         |mu_k (a_k - Tr W F_k)| (K4) and |nu_j (Tr W G_j - b_j)| (K5)."""
-        vals = [trace_inner(W, a_i) for a_i in self.A[1:]]
+        vals = np.array([trace_inner(W, a_i) for a_i in self.A[1:]])
         violations = []
         for i, (val, u_i) in enumerate(zip(vals, self.u[1:])):
             if val > u_i + tol * max(1.0, abs(u_i)):
                 violations.append(
                     f"user floor {i} violated: {-val:.6g} < {-u_i:.6g}" if i < self.k else
                     f"eavesdropper ceiling {i - self.k} violated: {val:.6g} > {u_i:.6g}")
-        slack = np.array([abs(y_i * (val - u_i))
-                          for y_i, val, u_i in zip((*mu, *nu), vals, self.u[1:])])
+        slack = np.abs(y[1:] * (vals - self.u[1:]))
         return violations, slack[:self.k], slack[self.k:]

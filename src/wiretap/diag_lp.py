@@ -67,8 +67,8 @@ def solve_diagonal(p: WiretapProblem, t: ConstraintThresholds) -> PowerAllocatio
     if not res.success:
         raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
     # HiGHS marginals for A_ub x <= b_ub are <= 0 at a minimum.
-    duals = cons.duals(*cons.split(-np.asarray(res.ineqlin.marginals)))
-    return PowerAllocation(P=np.clip(res.x, 0.0, None), duals=duals)
+    return PowerAllocation(P=np.clip(res.x, 0.0, None),
+                           duals=cons.duals(-np.asarray(res.ineqlin.marginals)))
 
 
 def min_ceiling(cons: ConstraintSet):
@@ -76,7 +76,7 @@ def min_ceiling(cons: ConstraintSet):
     (Re diag G_j) . P <= s and P >= 0, or None when HiGHS proves it infeasible.
     y has one multiplier per row of cons, its ceiling entries summing to one:
     the epigraph of the ceilings on the diagonal route (sdp.Epigraph)."""
-    ceil = np.arange(cons.u.size) > cons.k
+    ceil = cons.ceilings
     d = np.real(np.diagonal(cons.A, axis1=1, axis2=2))
     res = linprog(
         c=np.r_[np.zeros(cons.n), 1.0],
@@ -92,7 +92,7 @@ def min_ceiling(cons: ConstraintSet):
     P = np.clip(res.x[:-1], 0.0, None)
     # HiGHS meets the binding floors only to roundoff (-1.8e-15 on a bundled
     # row); scaled up onto them, P passes the exact check of a witness.
-    vals, u = d[1:1 + cons.k] @ P, cons.u[1:1 + cons.k]
+    vals, u = d[cons.floors] @ P, cons.u[cons.floors]
     short = (vals > u) & (vals < 0.0)
     if np.any(short):
         P = P * float(np.max(u[short] / vals[short])) * (1.0 + 4.0 * np.finfo(float).eps)

@@ -30,6 +30,21 @@ from .linalg import hermitian_eig, numerical_rank
 from .model import STATISTICAL, ConstraintThresholds, CsiMode, ModelError, WiretapProblem
 
 
+def _stacked(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode, W: np.ndarray,
+             duals: DualVariables) -> tuple[ConstraintSet, np.ndarray]:
+    """The rows of (p, t, mode) and the stacked multipliers y of duals;
+    ModelError unless W is N x N and duals has one multiplier per row."""
+    cons = ConstraintSet.build(p, t, mode)
+    if W.shape != (cons.n, cons.n):
+        raise ModelError(f"W has shape {W.shape}, expected ({cons.n}, {cons.n})")
+    return cons, cons.stack(duals)
+
+
+def _floor_rank(cons: ConstraintSet, y: np.ndarray) -> int:
+    """rank(sum mu_k F_k), the floor rows' part of -combination(y)."""
+    return numerical_rank(-cons.combination(np.where(cons.floors, y, 0.0)))
+
+
 @dataclass(frozen=True)
 class KktReport:
     primal_feasible: bool
@@ -66,9 +81,7 @@ def check_kkt(
     mode: CsiMode = STATISTICAL,
 ) -> KktReport:
     """Evaluate every optimality residual for a candidate solution."""
-    cons = ConstraintSet.build(p, t, mode)
-    cons.check(W, duals)
-    lam, mu, nu = duals.lam, np.atleast_1d(duals.mu), np.atleast_1d(duals.nu)
+    cons, y = _stacked(p, t, mode, W, duals)
     w_scale = max(1.0, float(np.linalg.norm(W)))
     tr_w = float(np.real(np.trace(W)))
 
@@ -78,21 +91,21 @@ def check_kkt(
         violations.append(f"W not PSD (min eigenvalue {eig_w[0]:.3e})")
     if tr_w > p.P_T + tol * max(1.0, p.P_T):
         violations.append(f"power budget violated: Tr W = {tr_w:.6g} > {p.P_T:.6g}")
-    constraint_violations, slack_users, slack_eaves = cons.primal_terms(W, mu, nu, tol)
+    constraint_violations, slack_users, slack_eaves = cons.primal_terms(W, y, tol)
     violations += constraint_violations
-    k6 = cons.multiplier_matrix(1.0 + lam, mu, nu)
+    k6 = cons.duals(y).Lambda
 
     return KktReport(
         primal_feasible=not violations,
         feasibility_violations=tuple(violations),
         compl_slack_W=float(np.linalg.norm(k6 @ W)) / w_scale,
-        slack_power=abs(lam * (tr_w - p.P_T)),
+        slack_power=abs(y[0] * (tr_w - p.P_T)),
         slack_users=slack_users,
         slack_eaves=slack_eaves,
         stationarity_min_eig=float(hermitian_eig(k6).eigenvalues[0]),
-        scalar_identity=cons.scalar_identity(lam, mu, nu, tr_w),
+        scalar_identity=cons.scalar_identity(y, tr_w),
         rank_W=numerical_rank(W),
-        rank_muH=numerical_rank(cons.floor_combination(mu)),
+        rank_muH=_floor_rank(cons, y),
     )
 
 
@@ -126,14 +139,11 @@ def rank_bound_check(
     """
     if float(np.linalg.norm(W)) == 0.0:
         raise ModelError("rank bound is vacuous for W = 0")
-    cons = ConstraintSet.build(p, t, mode)
-    cons.check(W, duals)
-    mu = np.atleast_1d(duals.mu)
-    nu = np.atleast_1d(duals.nu)
+    cons, y = _stacked(p, t, mode, W, duals)
     rank_w = numerical_rank(W)
-    rank_muh = numerical_rank(cons.floor_combination(mu))
-    scalar = cons.scalar_identity(duals.lam, mu, nu, float(np.real(np.trace(W))))
-    mu_sum = float(np.sum(mu))
+    rank_muh = _floor_rank(cons, y)
+    scalar = cons.scalar_identity(y, float(np.real(np.trace(W))))
+    mu_sum = float(np.sum(y[cons.floors]))
     return RankBoundReport(
         rank_W=rank_w,
         rank_muH=rank_muh,

@@ -33,7 +33,8 @@ class ModelError(ValueError):
 
 
 class RateUnachievableError(ModelError):
-    """Requested rate is at or above what the input alphabet can carry."""
+    """Requested rate is at or above what the input alphabet can carry, or
+    its received-power threshold is not a finite number."""
 
 
 def _ingest_covariances(mats, n: int, label: str) -> tuple[np.ndarray, ...]:
@@ -92,8 +93,8 @@ class RatePair:
     R_s: float
 
     def __post_init__(self):
-        if not (self.R_D >= self.R_s >= 0.0):
-            raise ModelError(f"need R_D >= R_s >= 0, got R_D={self.R_D}, R_s={self.R_s}")
+        if not (math.isfinite(self.R_D) and self.R_D >= self.R_s >= 0.0):
+            raise ModelError(f"need finite R_D >= R_s >= 0, got R_D={self.R_D}, R_s={self.R_s}")
 
     @property
     def R_gap(self) -> float:
@@ -202,22 +203,29 @@ def eave_denominator(p: WiretapProblem, mode: CsiMode = STATISTICAL) -> float:
     return -math.log(1.0 - (1.0 - p.epsilon) ** (1.0 / p.J))
 
 
+def _thresholds(p: WiretapProblem, c_user: float, c_eave: float) -> ConstraintThresholds:
+    """The thresholds of the received-power targets c_user and c_eave;
+    RateUnachievableError unless a and b are finite."""
+    per_link, denom_user, denom_eave = _tail_denominators(p)
+    a, b = c_user / denom_user, c_eave / denom_eave
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise RateUnachievableError(f"the rates' thresholds are not finite: a = {a}, b = {b}")
+    return ConstraintThresholds(a=a, b=b, per_link_prob=per_link,
+                                user_power_target=c_user, eave_power_target=c_eave)
+
+
 def thresholds_gaussian(p: WiretapProblem, r: RatePair) -> ConstraintThresholds:
     """Thresholds (a, b) for a circular Gaussian input codebook.
 
     a = (2^R_D - 1) N0 / (-ln (1-eps)^(1/(K+J)))
     b = (2^(R_D - R_s) - 1) N0 / (-ln (1 - (1-eps)^(1/(K+J))))
     """
-    per_link, denom_user, denom_eave = _tail_denominators(p)
-    c_user = (2.0 ** r.R_D - 1.0) * p.N0
-    c_eave = (2.0 ** r.R_gap - 1.0) * p.N0
-    return ConstraintThresholds(
-        a=c_user / denom_user,
-        b=c_eave / denom_eave,
-        per_link_prob=per_link,
-        user_power_target=c_user,
-        eave_power_target=c_eave,
-    )
+    try:
+        c_user = (2.0 ** r.R_D - 1.0) * p.N0
+        c_eave = (2.0 ** r.R_gap - 1.0) * p.N0
+    except OverflowError:
+        raise RateUnachievableError(f"2^R_D overflows at R_D = {r.R_D}") from None
+    return _thresholds(p, c_user, c_eave)
 
 
 def invert_monotone_rate(mi, rate: float) -> float:
@@ -256,7 +264,6 @@ def thresholds_finite_alphabet(p: WiretapProblem, r: RatePair, mi) -> Constraint
     ``inverse`` and ``max_rate``) is used directly. Rates at or above the
     alphabet capacity log2 M are rejected.
     """
-    per_link, denom_user, denom_eave = _tail_denominators(p)
     max_rate = getattr(mi, "max_rate", None)
     if max_rate is not None and r.R_D >= max_rate:
         raise RateUnachievableError(
@@ -265,12 +272,4 @@ def thresholds_finite_alphabet(p: WiretapProblem, r: RatePair, mi) -> Constraint
     inverse = getattr(mi, "inverse", None)
     if inverse is None:
         inverse = lambda rate: invert_monotone_rate(mi, rate)  # noqa: E731
-    c_user = inverse(r.R_D) * p.N0
-    c_eave = inverse(r.R_gap) * p.N0
-    return ConstraintThresholds(
-        a=c_user / denom_user,
-        b=c_eave / denom_eave,
-        per_link_prob=per_link,
-        user_power_target=c_user,
-        eave_power_target=c_eave,
-    )
+    return _thresholds(p, inverse(r.R_D) * p.N0, inverse(r.R_gap) * p.N0)

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .linalg import psd_project_factor, quad_form
-from .model import ConstraintThresholds, ModelError, RatePair, WiretapProblem
+from .model import ConstraintThresholds, ModelError, WiretapProblem
 
 # Asymptotic 1% critical constant for the one-sample Kolmogorov-Smirnov
 # statistic: reject when D_n * sqrt(n) exceeds it.
@@ -123,32 +123,21 @@ def received_powers(samples: Iterable[ChannelSample], w: np.ndarray):
     return np.concatenate(hp), np.concatenate(zp)
 
 
-def _rate_thresholds(p: WiretapProblem, r: RatePair, rate_map) -> tuple[float, float]:
-    """Received-power thresholds equivalent to rate >= R_D / rate <= R_D - R_s.
-
-    rate_map is "gaussian" for log2(1 + snr) or a strictly increasing mutual
-    information evaluator; monotonicity makes the power comparison exact.
-    """
-    if rate_map == "gaussian":
-        return (2.0 ** r.R_D - 1.0) * p.N0, (2.0 ** r.R_gap - 1.0) * p.N0
-    return rate_map.inverse(r.R_D) * p.N0, rate_map.inverse(r.R_gap) * p.N0
-
-
 def estimate_non_outage(
     p: WiretapProblem,
-    r: RatePair,
+    t: ConstraintThresholds,
     w: np.ndarray,
     powers: tuple[np.ndarray, np.ndarray],
-    rate_map="gaussian",
 ) -> OutageEstimate:
     """Empirical probability of the joint event {every user link rate >= R_D
-    and every eavesdropper link rate <= R_D - R_s}; powers are the
+    and every eavesdropper link rate <= R_D - R_s}, t being the solve's
+    thresholds at (R_D, R_s): rates rise with received power, so these are
+    the powers t.user_power_target and t.eave_power_target. powers are the
     received_powers of the beamformer w."""
     if float(np.linalg.norm(w)) ** 2 > p.P_T * (1.0 + 1e-9):
         raise ModelError("beamformer exceeds the power budget")
-    u_thr, e_thr = _rate_thresholds(p, r, rate_map)
     hp, zp = powers
-    ok = np.all(hp >= u_thr, axis=1) & np.all(zp <= e_thr, axis=1)
+    ok = np.all(hp >= t.user_power_target, axis=1) & np.all(zp <= t.eave_power_target, axis=1)
     return OutageEstimate(trials=hp.shape[0], successes=int(np.count_nonzero(ok)))
 
 

@@ -24,12 +24,14 @@ forward rate evaluations, and a probe at any R_s is decided by comparing
 its gap with it (proven_feasibility), with no threshold or MI inversion.
 
 The barrier works on the signed rows Re Tr(A_i W) <= u_i of the
-ConstraintSet, minus its all-zero rows. Its end point is then refined on its
-optimal face (_refine_face): a few Gauss-Newton steps on the square KKT
-system Lambda(y) V = 0, Tr(V^H A_i V) = u_i, with W = V V^H, take the
-residuals from the barrier's float64 floor (about 1e-7) to roundoff. OPTIMAL
-needs that refined point to be a KKT point with a small duality gap;
-otherwise the solve reports MAX_ITERATIONS.
+ConstraintSet, minus its all-zero rows; its multipliers y are stacked like
+the rows, a dropped row's being 0. Phase I's Farkas certificate and the
+epigraph's lower bound are ConstraintSet.farkas of the path's y. The end
+point is then refined on its optimal face (_refine_face): a few Gauss-Newton
+steps on the square KKT system Lambda(y) V = 0, Tr(V^H A_i V) = u_i, with
+W = V V^H, take the residuals from the barrier's float64 floor (about 1e-7)
+to roundoff. OPTIMAL needs that refined point to be a KKT point with a small
+duality gap; otherwise the solve reports MAX_ITERATIONS.
 
 Feasibility of the beamformer follows from the relaxation whenever the
 solution has numerical rank one (which it does on the bundled scenarios);
@@ -39,7 +41,7 @@ is re-optimized, which is a one-dimensional closed-form problem.
 Every route (zero power, the diagonal LP, the SDP with its rank-1 recovery)
 and every early exit returns the one BeamformerSolution record, with its
 thresholds, CSI mode and Newton-step count; ConstraintSet.duals builds the
-duals of each.
+duals of each from its y.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import diag_lp
 from .constraints import ConstraintSet, DualVariables
-from .linalg import LinalgError, as_vector, hermitian_eig, numerical_rank, quad_form
+from .linalg import LinalgError, as_vector, hermitian_eig, numerical_rank
 from .model import (
     STATISTICAL,
     ConstraintThresholds,
@@ -280,41 +282,33 @@ class _Barrier:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ConstraintSystem:
-    """The barrier's rows: the nonzero rows of a ConstraintSet."""
-
-    A: np.ndarray              # (m, N, N)
-    u: np.ndarray              # (m,)
-    keep: np.ndarray           # ConstraintSet row of each barrier row
-
-
-def _build_system(cons: ConstraintSet) -> _ConstraintSystem | str:
-    """Drop the all-zero rows; returns INFEASIBLE for contradictions visible
-    without solving (a negative ceiling, or a zero row with u_i < 0: a zero
-    floor matrix with a positive target). A zero row with u_i >= 0 is vacuous."""
+def _barrier_rows(cons: ConstraintSet) -> tuple[ConstraintSet, np.ndarray] | str:
+    """(rows, keep): the nonzero rows of cons and the row of cons each one is.
+    Returns INFEASIBLE for contradictions visible without solving (a negative
+    ceiling, or a zero row with u_i < 0: a zero floor matrix with a positive
+    target). A zero row with u_i >= 0 is vacuous and dropped."""
     zero = np.linalg.norm(cons.A, axis=(1, 2)) == 0.0
-    if np.any(cons.u[1 + cons.k:] < 0.0) or np.any(zero & (cons.u < 0.0)):
+    if np.any(cons.u[cons.ceilings] < 0.0) or np.any(zero & (cons.u < 0.0)):
         return INFEASIBLE
     keep = np.flatnonzero(~zero)
-    return _ConstraintSystem(A=cons.A[keep], u=cons.u[keep], keep=keep)
+    return ConstraintSet(A=cons.A[keep], u=cons.u[keep], k=int(np.sum(cons.floors[keep]))), keep
 
 
-def _duals(cons: ConstraintSet, sys_: _ConstraintSystem, y: np.ndarray):
-    """(lam, mu, nu) of the barrier-row multipliers y; a dropped row's is 0."""
+def _scatter(cons: ConstraintSet, keep: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The multipliers y of the kept rows as one per row of cons; a dropped
+    row's is 0."""
     full = np.zeros(cons.u.size)
-    full[sys_.keep] = y
-    return cons.split(full)
+    full[keep] = y
+    return full
 
 
-def _certificate(cons: ConstraintSet, lam, mu, nu) -> InfeasibilityCertificate | None:
-    eig_min = float(hermitian_eig(cons.multiplier_matrix(lam, mu, nu)).eigenvalues[0])
-    # margin = sum mu a - lam P_T - sum nu b; a feasible W would force it <= 0.
-    margin = cons.dual_objective(lam, mu, nu)
-    if margin > max(0.0, -eig_min) * cons.p_t:
-        return InfeasibilityCertificate(
-            lam=lam, mu=mu, nu=nu, combo_min_eig=eig_min, margin=margin
-        )
+def _certificate(cons: ConstraintSet, y: np.ndarray) -> InfeasibilityCertificate | None:
+    """The Farkas certificate of y when cons.farkas proves infeasibility."""
+    eig_min, proof = cons.farkas(y)
+    if proof > 0.0:
+        lam, mu, nu = cons.split(y)
+        return InfeasibilityCertificate(lam=lam, mu=mu, nu=nu, combo_min_eig=eig_min,
+                                        margin=cons.dual_objective(y))
     return None
 
 
@@ -324,13 +318,10 @@ def _interior_start(cons: ConstraintSet) -> np.ndarray | None:
     Row i asks alpha Tr A_i <= u_i: an upper bound on alpha where Tr A_i > 0
     (the budget and the ceilings), a lower bound where Tr A_i < 0 (the floors).
     """
-    lo, hi = 0.0, math.inf
-    for a_i, u_i in zip(cons.A, cons.u):
-        tr = float(np.real(np.trace(a_i)))
-        if tr > 0.0:
-            hi = min(hi, u_i / tr)
-        elif tr < 0.0:
-            lo = max(lo, u_i / tr)
+    tr = np.real(np.trace(cons.A, axis1=1, axis2=2))
+    up, down = tr > 0.0, tr < 0.0
+    hi = float(np.min(cons.u[up] / tr[up], initial=math.inf))
+    lo = float(np.max(cons.u[down] / tr[down], initial=0.0))
     if lo * 1.05 + 1e-12 < hi * 0.95:
         alpha = math.sqrt(max(lo, 1e-12 * hi) * hi) if lo > 0 else hi / 2.0
         alpha = min(max(alpha, lo * 1.05 + 1e-15), hi * 0.95)
@@ -354,21 +345,22 @@ def _path(bar: _Barrier, W: np.ndarray, s: float, budget: _NewtonBudget,
         t *= _T_GROWTH
 
 
-def _phase1(cons: ConstraintSet, sys_: _ConstraintSystem, budget: _NewtonBudget):
+def _phase1(cons: ConstraintSet, rows: ConstraintSet, keep: np.ndarray,
+            budget: _NewtonBudget):
     """Find a strictly feasible W or certify infeasibility.
 
-    Minimizes the uniform relaxation s over { <A_i,W> - s <= u_i, W > 0 };
-    s* < 0 yields an interior point, a positive dual bound proves there is
-    none.
+    Minimizes the uniform relaxation s over { <A_i,W> - s <= u_i, W > 0 } on
+    the barrier rows (rows, keep) of cons; s* < 0 yields an interior point, a
+    positive dual bound proves there is none.
     """
     p_t, n = cons.p_t, cons.n
-    ref = max(1.0, float(np.max(np.abs(sys_.u))), p_t)
+    ref = max(1.0, float(np.max(np.abs(rows.u))), p_t)
     margin = _FEAS_MARGIN_REL * ref
     W = (p_t / (2.0 * n)) * np.eye(n, dtype=complex)
-    viol = float(np.max(np.real(np.einsum("mij,ij->m", sys_.A.conj(), W)) - sys_.u))
+    viol = float(np.max(rows.values(W) - rows.u))
     s = max(0.0, viol) + 1.0 + 0.01 * ref
     s_cap = 10.0 * (s + ref)
-    bar = _Barrier(sys_.A, sys_.u, s_cap)
+    bar = _Barrier(rows.A, rows.u, s_cap)
     for t, W, s, silent in _path(bar, W, s, budget, lambda _W, _s: _s < -margin):
         if s < -margin:
             return "feasible", W, None
@@ -376,8 +368,7 @@ def _phase1(cons: ConstraintSet, sys_: _ConstraintSystem, budget: _NewtonBudget)
         if s - gap > 0.0:
             # Only a certificate proves infeasibility; an uncentred iterate
             # may not yield one, so keep raising t until it does.
-            y = 1.0 / (t * bar.slacks(W, s))
-            cert = _certificate(cons, *_duals(cons, sys_, y))
+            cert = _certificate(cons, _scatter(cons, keep, 1.0 / (t * bar.slacks(W, s))))
             if cert is not None:
                 return "infeasible", None, cert
         if gap <= max(1e-12, 1e-11 * ref):
@@ -434,7 +425,7 @@ def _face_newton(A, u, V, y):
     return best
 
 
-def _refine_face(sys_: _ConstraintSystem, W: np.ndarray, slacks: np.ndarray,
+def _refine_face(rows: ConstraintSet, W: np.ndarray, slacks: np.ndarray,
                  y0: np.ndarray):
     """Newton refinement of the barrier end point W on its optimal face.
 
@@ -461,7 +452,7 @@ def _refine_face(sys_: _ConstraintSystem, W: np.ndarray, slacks: np.ndarray,
     V0 = vecs[:, ::-1][:, :r] * np.sqrt(desc[:r])
     active = np.flatnonzero(y0 > slacks)
     while active.size:
-        V, y_act, err = _face_newton(sys_.A[active], sys_.u[active], V0, y0[active])
+        V, y_act, err = _face_newton(rows.A[active], rows.u[active], V0, y0[active])
         if not err <= _FACE_TOL:  # also rejects a NaN
             return None
         if float(np.min(y_act)) >= 0.0:
@@ -472,30 +463,31 @@ def _refine_face(sys_: _ConstraintSystem, W: np.ndarray, slacks: np.ndarray,
     y = np.zeros_like(y0)
     y[active] = y_act
     W = V @ V.conj().T
-    s = sys_.u - np.real(np.einsum("mij,ij->m", sys_.A.conj(), W))
-    lam_mat = np.eye(W.shape[0]) + np.einsum("m,mij->ij", y, sys_.A)
-    roundoff = _FACE_TOL * (1.0 + float(np.dot(y, np.linalg.norm(sys_.A, axis=(1, 2)))))
+    s = rows.u - rows.values(W)
+    lam_mat = np.eye(W.shape[0]) + np.einsum("m,mij->ij", y, rows.A)
+    roundoff = _FACE_TOL * (1.0 + float(np.dot(y, np.linalg.norm(rows.A, axis=(1, 2)))))
     if np.all(np.delete(s, active) > 0.0) and np.linalg.eigvalsh(lam_mat)[0] >= -roundoff:
         return W, y
     return None
 
 
-def _phase2(cons: ConstraintSet, sys_: _ConstraintSystem, W0: np.ndarray,
+def _phase2(cons: ConstraintSet, rows: ConstraintSet, keep: np.ndarray, W0: np.ndarray,
             budget: _NewtonBudget):
-    """Path-following on the original objective from a strictly feasible W0,
-    then Newton on the optimal face (_refine_face). Returns (W, duals), or
-    None when the refinement is rejected."""
-    bar = _Barrier(sys_.A, sys_.u)
+    """Path-following on the barrier rows (rows, keep) of cons from a strictly
+    feasible W0, then Newton on the optimal face (_refine_face). Returns (W,
+    y), y one multiplier per row of cons, or None when the refinement is
+    rejected."""
+    bar = _Barrier(rows.A, rows.u)
     for t, W, _, silent in _path(bar, W0, 0.0, budget):
         primal = float(np.real(np.trace(W)))
         if bar.nu / t <= _GAP_REL * max(1.0, primal) or silent or t >= _T_MAX:
             break
     slacks = bar.slacks(W, 0.0)
-    refined = _refine_face(sys_, W, slacks, 1.0 / (t * slacks))
+    refined = _refine_face(rows, W, slacks, 1.0 / (t * slacks))
     if refined is None:
         return None
     W, y = refined
-    return W, cons.duals(*_duals(cons, sys_, y))
+    return W, _scatter(cons, keep, y)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +519,10 @@ def _witness_bound(cons: ConstraintSet, W: np.ndarray, strict: bool) -> float:
     """max_j Tr(G_j W) when W meets the budget and the floors of cons (every
     slack > 0 when strict, as phase I needs an interior point; else >= 0, as
     on the LP route), inf when it does not."""
-    vals = np.real(np.einsum("mij,ij->m", cons.A.conj(), W))
-    slack = cons.u[:1 + cons.k] - vals[:1 + cons.k]
+    vals = cons.values(W)
+    slack = (cons.u - vals)[~cons.ceilings]
     if np.all(slack > 0.0) if strict else np.all(slack >= 0.0):
-        return float(np.max(vals[1 + cons.k:]))
+        return float(np.max(vals[cons.ceilings]))
     return math.inf
 
 
@@ -545,30 +537,28 @@ def _epigraph_path(cons: ConstraintSet) -> tuple[float, float] | None:
     Returns (b_lo, b_hi), both inf when phase I on the floors and the budget
     ends with a certificate, or None when it ends without one."""
     k = cons.k
-    epi = ConstraintSet(A=cons.A, u=np.where(np.arange(cons.u.size) > k, 0.0, cons.u), k=k)
     floors = ConstraintSet(A=cons.A[:1 + k], u=cons.u[:1 + k], k=k)
-    sys_, floor_sys = _build_system(epi), _build_system(floors)
-    if INFEASIBLE in (sys_, floor_sys):
+    epi, floor_rows = _barrier_rows(cons.with_ceiling(0.0)), _barrier_rows(floors)
+    if INFEASIBLE in (epi, floor_rows):
         return None
     budget = _NewtonBudget(_MAX_NEWTON)
     W = _interior_start(floors)
     if W is None:
-        verdict, W, cert = _phase1(floors, floor_sys, budget)
+        verdict, W, cert = _phase1(floors, *floor_rows, budget)
         if verdict != "feasible":
             return None if cert is None else (math.inf, math.inf)
-    ceil = sys_.keep > k
-    top = float(np.max(np.real(np.einsum("mij,ij->m", sys_.A[ceil].conj(), W))))
+    rows, keep = epi
+    ceil = rows.ceilings
+    top = float(np.max(rows.values(W)[ceil]))
     # A cap near the start keeps the s term of the Newton system small: with
     # phase I's cap, 10 (s + ref), the step in s cancels to float64 noise near
     # t = 1e6 and the path stalls there.
     s = 2.0 * top + 1e-12 * max(1.0, cons.p_t)
-    bar = _Barrier(sys_.A, sys_.u, 2.0 * s, ceil.astype(float))
+    bar = _Barrier(rows.A, rows.u, 2.0 * s, ceil.astype(float))
     b_hi, b_lo = math.inf, -math.inf
     for t, W, s, silent in _path(bar, W, s, budget):
         b_hi = min(b_hi, _witness_bound(cons, W, True))
-        y = np.zeros(cons.u.size)
-        y[sys_.keep] = 1.0 / (t * bar.slacks(W, s))
-        b_lo = max(b_lo, cons.ceiling_bound(y))
+        b_lo = max(b_lo, cons.ceiling_bound(_scatter(cons, keep, 1.0 / (t * bar.slacks(W, s)))))
         if silent or t >= _T_MAX or b_lo >= (1.0 - _EPIGRAPH_REL) * b_hi:  # b_hi may be inf
             break
     return b_lo, b_hi
@@ -618,7 +608,7 @@ def solve_epigraph(
     """
     t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
     cons = ConstraintSet.build(p, t, mode)
-    if route == "trivial" or not np.any(np.linalg.norm(cons.A[1 + cons.k:], axis=(1, 2)) > 0.0):
+    if route == "trivial" or not np.any(np.linalg.norm(cons.A[cons.ceilings], axis=(1, 2)) > 0.0):
         return None
     if route == "lp":
         end = diag_lp.min_ceiling(cons)
@@ -652,7 +642,7 @@ def _zero_power(cons: ConstraintSet, t: ConstraintThresholds, mode: CsiMode):
     return BeamformerSolution(
         status=OPTIMAL, mode=mode, w=np.zeros(n, dtype=complex), power=0.0,
         W=np.zeros((n, n), dtype=complex), objective=0.0, thresholds=t,
-        duals=cons.duals(*cons.split(np.zeros(cons.u.size))),
+        duals=cons.duals(np.zeros(cons.u.size)),
     )
 
 
@@ -660,30 +650,31 @@ def _relaxed_start(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode):
     """Everything of a relaxed solve before phase II: the constraint rows, an
     interior start and, when W = alpha*I is not one, phase I.
 
-    Returns (constraints, system, W0, budget) for phase II to continue from,
-    or the final BeamformerSolution when no phase II is needed: zero power,
-    INFEASIBLE, or MAX_ITERATIONS when phase I runs out of Newton steps.
+    Returns (constraints, barrier rows, keep, W0, budget) for phase II to
+    continue from, or the final BeamformerSolution when no phase II is needed:
+    zero power, INFEASIBLE, or MAX_ITERATIONS when phase I runs out of Newton
+    steps.
     """
     cons = ConstraintSet.build(p, t, mode)
     if np.all(cons.u >= 0.0):  # W = 0 satisfies every row
         return _zero_power(cons, t, mode)
 
-    sys_ = _build_system(cons)
-    if sys_ == INFEASIBLE:
+    barrier = _barrier_rows(cons)
+    if barrier == INFEASIBLE:
         return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t)
 
     budget = _NewtonBudget(_MAX_NEWTON)
     try:
         W0 = _interior_start(cons)
         if W0 is None:
-            verdict, W0, cert = _phase1(cons, sys_, budget)
+            verdict, W0, cert = _phase1(cons, *barrier, budget)
             if verdict == "infeasible":
                 return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t,
                                           certificate=cert, newton_iterations=budget.used)
     except _NumericalTrouble:
         return BeamformerSolution(status=MAX_ITERATIONS, mode=mode, thresholds=t,
                                   newton_iterations=budget.used)
-    return cons, sys_, W0, budget
+    return cons, *barrier, W0, budget
 
 
 def solve_rank_relaxed(
@@ -695,20 +686,19 @@ def solve_rank_relaxed(
     start = _relaxed_start(p, t, mode)
     if isinstance(start, BeamformerSolution):
         return start
-    cons, sys_, W0, budget = start
+    cons, rows, keep, W0, budget = start
     try:
-        end = _phase2(cons, sys_, W0, budget)
+        end = _phase2(cons, rows, keep, W0, budget)
     except _NumericalTrouble:
         end = None
     # The claimed status must be earned: by a refined KKT point with a small
     # gap, not by the path having terminated.
     if end is not None:
-        W, duals = end
+        W, y = end
         primal = float(np.real(np.trace(W)))
-        gap = primal - cons.dual_objective(duals.lam, duals.mu, duals.nu)
-        if abs(gap) <= 1e-6 * max(1.0, primal):
+        if abs(primal - cons.dual_objective(y)) <= 1e-6 * max(1.0, primal):
             return BeamformerSolution(status=OPTIMAL, mode=mode, W=W, objective=primal,
-                                      duals=duals, thresholds=t,
+                                      duals=cons.duals(y), thresholds=t,
                                       newton_iterations=budget.used)
     return BeamformerSolution(status=MAX_ITERATIONS, mode=mode, thresholds=t,
                               newton_iterations=budget.used)
@@ -751,23 +741,19 @@ def power_rescale(
     if not math.isclose(float(np.linalg.norm(w0)), 1.0, rel_tol=1e-9, abs_tol=1e-12):
         raise ModelError("w0 must be unit norm")
     cons = ConstraintSet.build(p, t, mode)
-    k = cons.k
-    power = 0.0
-    # A floor row reads P q_i <= u_i with q_i = -(w0* F_k w0) and u_i = -a_k.
-    for a_i, u_i in zip(cons.A[1:1 + k], cons.u[1:1 + k]):
-        if u_i >= 0.0:
-            continue
-        q = quad_form(w0, a_i)
-        if q >= 0.0:
-            return None
-        power = max(power, u_i / q)
+    # Row i reads P q_i <= u_i, q_i = w0* A_i w0: on a floor q_i = -(w0* F_k w0)
+    # and u_i = -a_k.
+    q, u = cons.values(np.outer(w0, w0.conj())), cons.u
+    floor = cons.floors & (u < 0.0)
+    if np.any(q[floor] >= 0.0):
+        return None
+    power = float(np.max(u[floor] / q[floor], initial=0.0))
     if power > p.P_T * (1.0 + 1e-12):
         return None
-    for a_i, u_i in zip(cons.A[1 + k:], cons.u[1 + k:]):
-        q = max(quad_form(w0, a_i), 0.0)
-        if q > 0.0 and power * q > u_i * (1.0 + 1e-12) + 1e-300:
-            return None
-    return float(power)
+    q = np.maximum(q[cons.ceilings], 0.0)
+    if np.any((q > 0.0) & (power * q > u[cons.ceilings] * (1.0 + 1e-12) + 1e-300)):
+        return None
+    return power
 
 
 def _lp_route(p, t, mode) -> BeamformerSolution:

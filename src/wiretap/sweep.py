@@ -52,7 +52,7 @@ ROW_NUMERICAL_FAILURE = "numerical-failure"
 ROW_RANK1_INFEASIBLE = "rank1-infeasible"
 
 CSV_HEADER = "rd,rs_max,min_power,rank1,status"
-_MAX_GRID = 10**6   # code rates a grid may hold
+MAX_GRID = 10**6   # code rates a grid may hold
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,8 @@ def code_rate_grid(rd_min: float, rd_max: float, rd_step: float) -> list[float]:
     if rd_step <= 0 or rd_max < rd_min or rd_min <= 0:
         raise ModelError("need 0 < rd-min <= rd-max and rd-step > 0")
     steps = (rd_max - rd_min) / rd_step
-    if not steps < _MAX_GRID:
-        raise ModelError(f"the code-rate grid would have more than {_MAX_GRID} rates")
+    if not steps < MAX_GRID:
+        raise ModelError(f"the code-rate grid would have more than {MAX_GRID} rates")
     grid = []
     rd = rd_min
     # At most the grid's length, even where rd + rd_step rounds back to rd.

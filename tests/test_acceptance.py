@@ -128,7 +128,7 @@ def test_criterion_3_outage_guarantee(region_sweeps):
             failures.append(f"J={j} ({rd},{rs}) unexpectedly {sol.status}")
             continue
         powers = received_powers(sample_channels(p, seed, 100_000), sol.w)
-        est = estimate_non_outage(p, r, sol.w, powers)
+        est = estimate_non_outage(p, sol.thresholds, sol.w, powers)
         target = (1.0 - p.epsilon) - 3.0 * est.ci_halfwidth
         if est.p_hat < target:
             failures.append(f"J={j} ({rd:.2f},{rs:.3f}): p_hat={est.p_hat:.4f} < {target:.4f}")

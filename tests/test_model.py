@@ -15,6 +15,7 @@ from wiretap.model import (
     thresholds_gaussian,
     validate_problem,
 )
+from wiretap.sdp import solve_general
 
 # Hand-derived oracle values for K=2, J=1, eps=0.1, N0=1 (frozen from the
 # closed forms a = (2^R_D - 1) / (-(1/3) ln 0.9) and
@@ -82,6 +83,11 @@ class TestRatePair:
 
     def test_gap(self):
         assert RatePair(2.0, 0.5).R_gap == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("rd, rs", [(math.inf, 0.0), (math.inf, math.inf), (math.nan, 0.0)])
+    def test_rejects_non_finite(self, rd, rs):
+        with pytest.raises(ModelError, match="finite"):
+            RatePair(rd, rs)
 
 
 class TestGaussianThresholds:
@@ -190,3 +196,28 @@ class TestFiniteAlphabetThresholds:
     def test_rate_above_capacity_rejected(self):
         with pytest.raises(RateUnachievableError):
             thresholds_finite_alphabet(small_problem(), RatePair(1.5, 0.0), MiEvaluator(bpsk()))
+
+    def test_non_finite_threshold_rejected(self):
+        # I^-1(1.9) N0 overflows once N0 is near the largest float.
+        with pytest.raises(RateUnachievableError):
+            thresholds_finite_alphabet(small_problem(n0=1e308), RatePair(1.9, 0.0),
+                                       MiEvaluator(qpsk()))
+
+
+class TestNonFiniteThresholds:
+    @pytest.mark.parametrize("rd, n0", [
+        (1e6, 1.0),      # 2^R_D overflows
+        (1100.0, 1.0),   # so does 2^1100
+        (100.0, 1e300),  # (2^100 - 1) N0 is inf
+    ])
+    def test_gaussian_rejected(self, rd, n0):
+        with pytest.raises(RateUnachievableError):
+            thresholds_gaussian(small_problem(n0=n0), RatePair(rd, 0.0))
+
+    def test_solve_reports_the_error(self):
+        with pytest.raises(RateUnachievableError):
+            solve_general(small_problem(n0=1e300), RatePair(100.0, 0.0))
+
+    def test_largest_finite_threshold_kept(self):
+        t = thresholds_gaussian(small_problem(), RatePair(1000.0, 0.0))
+        assert math.isfinite(t.a) and math.isfinite(t.b)

@@ -86,13 +86,15 @@ class TestNonOutage:
     def test_zero_beamformer_never_succeeds(self):
         p = white_problem()
         w = np.zeros(3)
-        est = estimate_non_outage(p, RatePair(0.5, 0.0), w, draw(p, w, 0, 2000))
+        t = thresholds_gaussian(p, RatePair(0.5, 0.0))
+        est = estimate_non_outage(p, t, w, draw(p, w, 0, 2000))
         assert est.p_hat == 0.0
 
     def test_vacuous_eavesdroppers_tiny_rate(self):
         p = white_problem(k=1, j=0)
         w = np.array([5.0, 0.0, 0.0], dtype=complex)
-        est = estimate_non_outage(p, RatePair(1e-4, 0.0), w, draw(p, w, 1, 5000))
+        t = thresholds_gaussian(p, RatePair(1e-4, 0.0))
+        est = estimate_non_outage(p, t, w, draw(p, w, 1, 5000))
         assert est.p_hat >= 0.99
 
     def test_empty_stream_rejected(self):
@@ -116,13 +118,15 @@ class TestNonOutage:
         p = white_problem(p_t=1.0)
         w = np.ones(3) * 5
         with pytest.raises(ModelError):
-            estimate_non_outage(p, RatePair(0.5, 0.0), w, draw(p, w, 0, 10))
+            estimate_non_outage(p, thresholds_gaussian(p, RatePair(0.5, 0.0)), w,
+                                draw(p, w, 0, 10))
 
     def test_solved_point_meets_target(self, ref_j1):
         r = RatePair(0.8, 0.4)
         sol = solve_general(ref_j1, r)
         assert sol.status == "optimal"
-        est = estimate_non_outage(ref_j1, r, sol.w, draw(ref_j1, sol.w, 17, 100_000))
+        est = estimate_non_outage(ref_j1, sol.thresholds, sol.w,
+                                  draw(ref_j1, sol.w, 17, 100_000))
         assert est.p_hat >= (1.0 - ref_j1.epsilon) - 3.0 * est.ci_halfwidth
 
     def test_finite_alphabet_rate_map(self, ref_j1):
@@ -130,8 +134,11 @@ class TestNonOutage:
         r = RatePair(0.5, 0.2)
         sol = solve_general(ref_j1, r, input_model=ev)
         assert sol.status == "optimal"
-        est = estimate_non_outage(ref_j1, r, sol.w, draw(ref_j1, sol.w, 23, 50_000),
-                                  rate_map=ev)
+        # The solve's power targets are the rate thresholds I^-1(R) N0.
+        assert sol.thresholds.user_power_target == ev.inverse(r.R_D) * ref_j1.N0
+        assert sol.thresholds.eave_power_target == ev.inverse(r.R_gap) * ref_j1.N0
+        est = estimate_non_outage(ref_j1, sol.thresholds, sol.w,
+                                  draw(ref_j1, sol.w, 23, 50_000))
         assert est.p_hat >= (1.0 - ref_j1.epsilon) - 3.0 * est.ci_halfwidth
         # the finite-alphabet design needs more power than the Gaussian one
         gauss = solve_general(ref_j1, r)
@@ -140,8 +147,8 @@ class TestNonOutage:
     def test_determinism(self, ref_j1):
         r = RatePair(0.8, 0.4)
         sol = solve_general(ref_j1, r)
-        e1 = estimate_non_outage(ref_j1, r, sol.w, draw(ref_j1, sol.w, 31, 20_000))
-        e2 = estimate_non_outage(ref_j1, r, sol.w, draw(ref_j1, sol.w, 31, 20_000))
+        e1 = estimate_non_outage(ref_j1, sol.thresholds, sol.w, draw(ref_j1, sol.w, 31, 20_000))
+        e2 = estimate_non_outage(ref_j1, sol.thresholds, sol.w, draw(ref_j1, sol.w, 31, 20_000))
         assert e1.successes == e2.successes
 
     def test_counts_do_not_depend_on_chunk_size(self, ref_j2):
@@ -151,7 +158,7 @@ class TestNonOutage:
         for chunk_size in (7, 4096, 5000, 10_000):
             powers = draw(ref_j2, sol.w, 37, 5000, chunk_size)
             users, eaves = estimate_individual_probs(sol.thresholds, powers)
-            counts.append((estimate_non_outage(ref_j2, r, sol.w, powers).successes,
+            counts.append((estimate_non_outage(ref_j2, sol.thresholds, sol.w, powers).successes,
                            [e.successes for e in users + eaves]))
         assert all(c == counts[0] for c in counts)
 

@@ -88,7 +88,8 @@ class TestSolveRankRelaxed:
             assert trace_inner(sol.W, z) <= t.b * (1 + 1e-9)
         # duality gap certified
         d = sol.duals
-        dual_objective = ConstraintSet.build(ref_j1, t).dual_objective(d.lam, d.mu, d.nu)
+        cons = ConstraintSet.build(ref_j1, t)
+        dual_objective = cons.dual_objective(cons.stack(d))
         assert abs(sol.objective - dual_objective) <= 1e-6 * max(1.0, sol.objective)
 
     def test_rank_one_user_covariance_closed_form(self):
@@ -197,10 +198,39 @@ class TestZeroRows:
             A=np.array([np.eye(2), np.zeros((2, 2)), -np.eye(2), np.diag([1.0, 0.0])],
                        dtype=complex),
             u=np.array([10.0, 0.5, -1.0, 0.3]), k=2)
-        sys_ = sdp._build_system(cons)
-        assert sys_.keep.tolist() == [0, 2, 3]
-        lam, mu, nu = sdp._duals(cons, sys_, np.array([1.0, 2.0, 3.0]))
+        rows, keep = sdp._barrier_rows(cons)
+        assert keep.tolist() == [0, 2, 3]
+        assert rows.k == 1
+        lam, mu, nu = cons.split(sdp._scatter(cons, keep, np.array([1.0, 2.0, 3.0])))
         assert (lam, mu.tolist(), nu.tolist()) == (1.0, [0.0, 2.0], [3.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_interior_start_matches_row_loop(seed, zero_row):
+    # The row loop the array form replaced, kept as its reference: the same
+    # bounds on alpha, so the same start to the bit.
+    rng = np.random.default_rng(seed)
+    n, k, j = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    Z = [random_psd(rng, n, scale=0.1) for _ in range(j)] + [np.zeros((n, n))] * zero_row
+    p = WiretapProblem(H=tuple(random_psd(rng, n) for _ in range(k)), Z=tuple(Z),
+                       N0=1.0, epsilon=0.1, P_T=float(10 ** rng.uniform(0.0, 2.0)))
+    rd = float(rng.uniform(0.1, 2.0))
+    cons = ConstraintSet.build(p, thresholds_gaussian(p, RatePair(rd, float(rng.uniform(0.0, rd)))))
+    lo, hi = 0.0, math.inf
+    for a_i, u_i in zip(cons.A, cons.u):
+        tr = float(np.real(np.trace(a_i)))
+        if tr > 0.0:
+            hi = min(hi, u_i / tr)
+        elif tr < 0.0:
+            lo = max(lo, u_i / tr)
+    W0 = sdp._interior_start(cons)
+    if lo * 1.05 + 1e-12 < hi * 0.95:
+        alpha = math.sqrt(max(lo, 1e-12 * hi) * hi) if lo > 0 else hi / 2.0
+        alpha = min(max(alpha, lo * 1.05 + 1e-15), hi * 0.95)
+        assert np.array_equal(W0, alpha * np.eye(n))
+    else:
+        assert W0 is None
 
 
 class TestExtractPrincipalDirection:
@@ -266,6 +296,31 @@ class TestPowerRescale:
         p = WiretapProblem(H=(np.diag([0.0, 1.0]),), Z=(), N0=1.0,
                            epsilon=0.1, P_T=10.0)
         assert power_rescale(p, thresholds(a=1.0), np.array([1.0, 0.0])) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_matches_row_loop(self, seed):
+        # The closed form read one covariance at a time is the reference for
+        # the array form over the rows.
+        rng = np.random.default_rng(seed)
+        n, k, j = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        p = WiretapProblem(H=tuple(random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+                                   for _ in range(k)),
+                           Z=tuple(random_psd(rng, n, scale=0.05) for _ in range(j)),
+                           N0=1.0, epsilon=0.1, P_T=float(rng.uniform(10.0, 300.0)))
+        rd = float(rng.uniform(0.1, 1.5))
+        t = thresholds_gaussian(p, RatePair(rd, float(rng.uniform(0.0, rd))))
+        w0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w0 /= np.linalg.norm(w0)
+        quads = [quad_form(w0, h) for h in p.H]
+        power = max(t.a / q for q in quads) if min(quads) > 0.0 else math.inf
+        expected = power if power <= p.P_T * (1.0 + 1e-12) and all(
+            power * max(quad_form(w0, z), 0.0) <= t.b * (1.0 + 1e-12) + 1e-300
+            for z in p.Z) else None
+        got = power_rescale(p, t, w0)
+        assert (got is None) == (expected is None)
+        if expected is not None:
+            assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestSolveGeneral:
@@ -462,7 +517,7 @@ def test_ceiling_bound_is_the_certificate_threshold(seed):
     assert b_lo > 0.0
     for b, proven in ((b_lo * (1.0 - 1e-9), True), (b_lo * (1.0 + 1e-9), False)):
         cons = rows(b)
-        assert (sdp._certificate(cons, *cons.split(y)) is not None) == proven
+        assert (sdp._certificate(cons, y) is not None) == proven
     y[1 + k:] = 0.0
     assert rows(0.0).ceiling_bound(y) == -math.inf
 
@@ -543,14 +598,14 @@ class TestFaceRefinement:
         # refined from near 2 e e* with only the floor row guessed active.
         p = WiretapProblem(H=(np.diag([1.0, 0.5]),), Z=(np.diag([1.0, 0.0]),) if ceiling else (),
                            N0=1.0, epsilon=0.1, P_T=10.0)
-        sys_ = sdp._build_system(ConstraintSet.build(p, thresholds(a=1.0, b=0.25)))
+        rows, _ = sdp._barrier_rows(ConstraintSet.build(p, thresholds(a=1.0, b=0.25)))
         floor = 1  # row 0 is the power budget, and no row is dropped
-        slacks, y0 = np.ones(sys_.u.size), np.full(sys_.u.size, 1e-9)
+        slacks, y0 = np.ones(rows.u.size), np.full(rows.u.size, 1e-9)
         slacks[floor], y0[floor] = 1e-9, 1.0
         e = np.eye(2)[lead]
         W = (2.0 * np.outer(e, e) + 1e-9 * np.eye(2)).astype(complex)
         monkeypatch.setattr(sdp, "_FACE_STEPS", steps)
-        refined = sdp._refine_face(sys_, W, slacks, y0)
+        refined = sdp._refine_face(rows, W, slacks, y0)
         assert (refined is not None) == kept
         if kept:
             W, y = refined

@@ -695,6 +695,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
 
+    # Each rate's received-power threshold overflows: exit 2, not a traceback.
+    @pytest.mark.parametrize("command, rates", [
+        ("solve", ["--rd", "1e6", "--rs", "0"]),
+        ("solve", ["--rd", "inf", "--rs", "0"]),
+        ("kkt", ["--rd", "1e6", "--rs", "0"]),
+        ("montecarlo", ["--rd", "1e6", "--rs", "0", "--trials", "10"]),
+        ("sweep", ["--rd-min", "1050", "--rd-max", "1100", "--rd-step", "50"]),
+    ])
+    def test_rate_without_finite_threshold_exit_2(self, capsys, command, rates):
+        code, out = run_cli([command, "--problem", str(PROBLEMS / "paper_j1.json"), *rates])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_mi_points_above_grid_limit_exit_2(self, capsys):
+        code, out = run_cli(["mi", "--alphabet", "qpsk", "--points", "10000000000000"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_kkt_bad_tol_exit_2(self, capsys, tol):
+        code, out = run_cli(["kkt", "--problem", str(PROBLEMS / "paper_j1.json"),
+                             "--rd", "1.0", "--rs", "0.5", "--tol", tol])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: tol")
+
     def test_unknown_flag_exit_2(self):
         code, _ = run_cli(["solve", "--problem", "x.json", "--nope", "1"])
         assert code == 2
