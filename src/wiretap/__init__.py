@@ -33,6 +33,7 @@ from .sdp import (
     DualVariables,
     Epigraph,
     InfeasibilityCertificate,
+    epigraph_stages,
     extract_principal_direction,
     power_rescale,
     proven_feasibility,

@@ -15,13 +15,20 @@ there: it returns the relaxation's feasibility verdict without running the
 minimum-power path, which is all a bisection over rates needs.
 
 The barrier's relaxation s enters row i with a coefficient c_i. Phase I
-uses c = 1 on every row. The epigraph of the ceilings (solve_epigraph) uses
+uses c = 1 on every row. The epigraph of the ceilings (epigraph_stages) uses
 c = 1 on the ceilings, 0 elsewhere and ceiling u = 0: it brackets
-b* = min max_j Tr(Z_j W) over the floors and the budget once per code rate.
-The common ceiling depends on R_s only through the rate gap R_D - R_s, so
-the bracket is mapped once to a bracket on that gap (rate_bracket), by two
-forward rate evaluations, and a probe at any R_s is decided by comparing
-its gap with it (proven_feasibility), with no threshold or MI inversion.
+b* = min max_j Tr(Z_j W) over the floors and the budget at one code rate,
+and the bracket narrows after every barrier stage. The common ceiling
+depends on R_s only through the rate gap R_D - R_s, so each stage's bracket
+is mapped to a bracket on that gap (rate_bracket), by two forward rate
+evaluations, and a probe at any R_s is decided by comparing its gap with it
+(proven_feasibility), with no threshold or MI inversion. The stages are run
+on demand: solve_epigraph stops at the first one its caller accepts, so a
+sweep row pays only for the proof its probes need.
+
+A floor that no W within the budget reaches, a_k > P_T lambda_max(F_k), is
+refuted before any barrier run, with a one-row Farkas certificate
+(_unreachable_floor): the barrier's slacks of order a_k would overflow.
 
 The barrier works on the signed rows Re Tr(A_i W) <= u_i of the
 ConstraintSet, minus its all-zero rows; its multipliers y are stacked like
@@ -47,6 +54,7 @@ duals of each from its y.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -282,15 +290,12 @@ class _Barrier:
 # ---------------------------------------------------------------------------
 
 
-def _barrier_rows(cons: ConstraintSet) -> tuple[ConstraintSet, np.ndarray] | str:
+def _barrier_rows(cons: ConstraintSet) -> tuple[ConstraintSet, np.ndarray]:
     """(rows, keep): the nonzero rows of cons and the row of cons each one is.
-    Returns INFEASIBLE for contradictions visible without solving (a negative
-    ceiling, or a zero row with u_i < 0: a zero floor matrix with a positive
-    target). A zero row with u_i >= 0 is vacuous and dropped."""
-    zero = np.linalg.norm(cons.A, axis=(1, 2)) == 0.0
-    if np.any(cons.u[cons.ceilings] < 0.0) or np.any(zero & (cons.u < 0.0)):
-        return INFEASIBLE
-    keep = np.flatnonzero(~zero)
+    A zero row with u_i >= 0 is vacuous and dropped. One with u_i < 0 never
+    gets here: a zero floor with a positive target is out of reach
+    (_unreachable_floor), and a negative ceiling refutes itself."""
+    keep = np.flatnonzero(np.linalg.norm(cons.A, axis=(1, 2)) > 0.0)
     return ConstraintSet(A=cons.A[keep], u=cons.u[keep], k=int(np.sum(cons.floors[keep]))), keep
 
 
@@ -310,6 +315,22 @@ def _certificate(cons: ConstraintSet, y: np.ndarray) -> InfeasibilityCertificate
         return InfeasibilityCertificate(lam=lam, mu=mu, nu=nu, combo_min_eig=eig_min,
                                         margin=cons.dual_objective(y))
     return None
+
+
+def _unreachable_floor(cons: ConstraintSet) -> InfeasibilityCertificate | None:
+    """The Farkas certificate of a floor that no W with Tr W <= P_T reaches,
+    a_k > P_T lambda_max(F_k): y has mu_k = 1 and lam = lambda_max(F_k), so
+    its combination lambda_max I - F_k is PSD and its margin is a_k - P_T
+    lambda_max. None when every floor is within reach. The barrier never
+    sees such a floor: a slack of order a_k overflows its Newton system."""
+    floors = np.flatnonzero(cons.floors)
+    lam_max = np.linalg.eigvalsh(-cons.A[floors])[:, -1]
+    short = np.flatnonzero(-cons.u[floors] > cons.p_t * lam_max)
+    if not short.size:
+        return None
+    y = np.zeros(cons.u.size)
+    y[0], y[floors[short[0]]] = lam_max[short[0]], 1.0
+    return _certificate(cons, y)
 
 
 def _interior_start(cons: ConstraintSet) -> np.ndarray | None:
@@ -526,28 +547,32 @@ def _witness_bound(cons: ConstraintSet, W: np.ndarray, strict: bool) -> float:
     return math.inf
 
 
-def _epigraph_path(cons: ConstraintSet) -> tuple[float, float] | None:
+def _epigraph_path(cons: ConstraintSet):
     """Minimize s over W > 0 subject to the budget and floors of cons and
     Tr(A_j W) <= s on its ceilings: the barrier on the rows of cons with
     ceiling u = 0, c = 1 on the ceilings and 0 elsewhere, started from an
-    interior point of the floors and budget. Keeps the least _witness_bound
-    and the greatest ceiling_bound of the path's stages, and stops at a
-    silent stage, at _T_MAX, or once the two are _EPIGRAPH_REL apart.
+    interior point of the floors and budget. Yields (b_lo, b_hi) after each
+    stage of the path: the least _witness_bound and the greatest
+    ceiling_bound so far, so each bracket lies inside the one before. Stops
+    at a silent stage, at _T_MAX, or once the two are _EPIGRAPH_REL apart.
 
-    Returns (b_lo, b_hi), both inf when phase I on the floors and the budget
-    ends with a certificate, or None when it ends without one."""
+    Yields only (inf, inf) when a floor is out of reach (_unreachable_floor)
+    or phase I on the floors and the budget ends with a certificate, and
+    nothing when it ends without one."""
     k = cons.k
     floors = ConstraintSet(A=cons.A[:1 + k], u=cons.u[:1 + k], k=k)
-    epi, floor_rows = _barrier_rows(cons.with_ceiling(0.0)), _barrier_rows(floors)
-    if INFEASIBLE in (epi, floor_rows):
-        return None
+    if _unreachable_floor(floors) is not None:
+        yield math.inf, math.inf
+        return
     budget = _NewtonBudget(_MAX_NEWTON)
     W = _interior_start(floors)
     if W is None:
-        verdict, W, cert = _phase1(floors, *floor_rows, budget)
+        verdict, W, cert = _phase1(floors, *_barrier_rows(floors), budget)
         if verdict != "feasible":
-            return None if cert is None else (math.inf, math.inf)
-    rows, keep = epi
+            if cert is not None:
+                yield math.inf, math.inf
+            return
+    rows, keep = _barrier_rows(cons.with_ceiling(0.0))
     ceil = rows.ceilings
     top = float(np.max(rows.values(W)[ceil]))
     # A cap near the start keeps the s term of the Newton system small: with
@@ -559,9 +584,9 @@ def _epigraph_path(cons: ConstraintSet) -> tuple[float, float] | None:
     for t, W, s, silent in _path(bar, W, s, budget):
         b_hi = min(b_hi, _witness_bound(cons, W, True))
         b_lo = max(b_lo, cons.ceiling_bound(_scatter(cons, keep, 1.0 / (t * bar.slacks(W, s)))))
+        yield b_lo, b_hi
         if silent or t >= _T_MAX or b_lo >= (1.0 - _EPIGRAPH_REL) * b_hi:  # b_hi may be inf
-            break
-    return b_lo, b_hi
+            return
 
 
 def rate_bracket(
@@ -591,43 +616,62 @@ def rate_bracket(
     return gap(b_lo), gap(b_hi)
 
 
+def epigraph_stages(
+    p: WiretapProblem,
+    rd: float,
+    mode: CsiMode = STATISTICAL,
+    input_model="gaussian",
+) -> Iterator[Epigraph]:
+    """The Epigraph at code rate rd after each stage of the solve that
+    solve_general's route takes there, each bracket inside the one before and
+    mapped to rate space by two forward rate evaluations. The SDP route yields
+    one per barrier stage; the LP route (one HiGHS call) and floors proven
+    infeasible yield one final bracket.
+
+    Yields nothing when there is no nonzero ceiling to bound, on the trivial
+    route, or when phase I on the floors and budget ends without a
+    certificate; the stages end early when the path runs out of Newton steps.
+    """
+    t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
+    cons = ConstraintSet.build(p, t, mode)
+    if route == "trivial" or not np.any(np.linalg.norm(cons.A[cons.ceilings], axis=(1, 2)) > 0.0):
+        return
+    if route == "lp":
+        end = diag_lp.min_ceiling(cons)
+        brackets = [(math.inf, math.inf) if end is None else (
+            cons.ceiling_bound(end[1]), _witness_bound(cons, np.diag(end[0]), False))]
+    else:
+        brackets = _epigraph_path(cons)
+    try:
+        for bracket in brackets:
+            yield Epigraph(*bracket, *rate_bracket(p, *bracket, mode, input_model))
+    except _NumericalTrouble:
+        return
+
+
 def solve_epigraph(
     p: WiretapProblem,
     rd: float,
     mode: CsiMode = STATISTICAL,
     input_model="gaussian",
+    until=None,
 ) -> Epigraph | None:
-    """The Epigraph at code rate rd, from the route solve_general takes there:
-    one barrier solve on the SDP route, one HiGHS LP on the LP route, and two
-    forward rate evaluations to map the bracket to rate space.
-
-    None when there is no nonzero ceiling to bound, on the trivial route, or
-    when the solve fails (phase I on the floors and budget ends without a
-    certificate or runs out of Newton steps); every probe then needs
-    relaxation_feasibility.
+    """The last of the epigraph_stages at code rate rd, or the first stage
+    that until(epigraph) accepts: a caller that needs only some probes
+    decided stops the path there. None when there are no stages; every probe
+    then needs relaxation_feasibility.
     """
-    t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
-    cons = ConstraintSet.build(p, t, mode)
-    if route == "trivial" or not np.any(np.linalg.norm(cons.A[cons.ceilings], axis=(1, 2)) > 0.0):
-        return None
-    if route == "lp":
-        end = diag_lp.min_ceiling(cons)
-        bracket = (math.inf, math.inf) if end is None else (
-            cons.ceiling_bound(end[1]), _witness_bound(cons, np.diag(end[0]), False))
-    else:
-        try:
-            bracket = _epigraph_path(cons)
-        except _NumericalTrouble:
-            return None
-        if bracket is None:
-            return None
-    return Epigraph(*bracket, *rate_bracket(p, *bracket, mode, input_model))
+    epigraph = None
+    for epigraph in epigraph_stages(p, rd, mode, input_model):
+        if until is not None and until(epigraph):
+            break
+    return epigraph
 
 
 def proven_feasibility(epigraph: Epigraph, r: RatePair) -> str | None:
     """FEASIBLE when the rate gap of r lies above the epigraph's bracket,
-    INFEASIBLE when below it; None when the bracket holds it and
-    relaxation_feasibility has to decide."""
+    INFEASIBLE when below it; None when the bracket holds it and a later
+    stage or relaxation_feasibility has to decide."""
     if r.R_gap > epigraph.gap_hi:
         return FEASIBLE
     if r.R_gap < epigraph.gap_lo:
@@ -652,17 +696,17 @@ def _relaxed_start(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode):
 
     Returns (constraints, barrier rows, keep, W0, budget) for phase II to
     continue from, or the final BeamformerSolution when no phase II is needed:
-    zero power, INFEASIBLE, or MAX_ITERATIONS when phase I runs out of Newton
-    steps.
+    zero power, INFEASIBLE (a floor out of reach, or phase I), or
+    MAX_ITERATIONS when phase I runs out of Newton steps.
     """
     cons = ConstraintSet.build(p, t, mode)
     if np.all(cons.u >= 0.0):  # W = 0 satisfies every row
         return _zero_power(cons, t, mode)
+    cert = _unreachable_floor(cons)
+    if cert is not None or np.any(cons.u[cons.ceilings] < 0.0):  # Tr(Z_j W) >= 0 > b
+        return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t, certificate=cert)
 
     barrier = _barrier_rows(cons)
-    if barrier == INFEASIBLE:
-        return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t)
-
     budget = _NewtonBudget(_MAX_NEWTON)
     try:
         W0 = _interior_start(cons)

@@ -5,16 +5,26 @@ rate is found by bisection: raising R_s at fixed R_D lowers the eavesdropper
 ceiling b, so the feasible set of the rank relaxation only shrinks and its
 feasibility is monotone in R_s. Each row runs one epigraph solve
 (sdp.solve_epigraph), a proven bracket on b* = min max_j Tr(Z_j W) over the
-floors and the budget, mapped once to a bracket on the rate gap R_D - R_s.
-Each probe, R_s = 0 included, is decided by comparing its gap with that
-bracket (sdp.proven_feasibility), with no threshold or MI inversion. Only a
-probe inside the bracket runs relaxation_feasibility (the interior start or
-phase I, or the diagonal LP). The row then costs one full solve_general,
-at the largest feasible R_s found (R_D itself when R_s = R_D is feasible).
-That solve's rank-1 recovery is not monotone in R_s, so it is kept out of
-the bisection. Phase I can stall on a thin feasible set that a witness
-proves nonempty; when the final solve then finds no interior point at the
-proven R_s, the row is bisected again by relaxation_feasibility alone.
+floors and the budget, mapped to a bracket on the rate gap R_D - R_s after
+each barrier stage. Each probe, R_s = 0 included, is decided by comparing its
+gap with that bracket (sdp.proven_feasibility), with no threshold or MI
+inversion. The brackets narrow stage by stage, and the row advances its
+epigraph only as far as its probes need: the path stops at the first stage
+whose bracket decides every probe of the bisection. Only a probe that the
+finished path still leaves inside its bracket runs relaxation_feasibility
+(the interior start or phase I, or the diagonal LP). The row then costs one
+full solve_general, at the largest feasible R_s found (R_D itself when
+R_s = R_D is feasible). That solve's rank-1 recovery is not monotone in R_s,
+so it is kept out of the bisection. Phase I can stall on a thin feasible set
+that a witness proves nonempty; when the final solve then finds no interior
+point at the proven R_s, the row is bisected again by relaxation_feasibility
+alone.
+
+An infeasible row ends the sweep's solving. When a row's epigraph proves
+the floors and the budget infeasible (b_lo = inf: a Farkas certificate, or
+HiGHS status 2), every later row is `infeasible` with no solve: the floors
+a(R_D) rise with R_D, so the set of W that meets them and the budget only
+shrinks up the grid.
 
 Each row reports the largest feasible R_s (within rate_tol), the minimum
 transmit power there, and whether the relaxed solution had numerical rank
@@ -74,6 +84,10 @@ class _RowFailure(Exception):
     pass
 
 
+class _Undecided(Exception):
+    pass
+
+
 def _largest_feasible(feasible, rd: float, rate_tol: float) -> float:
     """rd when feasible(rd), else the bisection's largest feasible R_s in
     [0, rd), feasible(0) being known."""
@@ -89,8 +103,34 @@ def _largest_feasible(feasible, rd: float, rate_tol: float) -> float:
     return lo
 
 
-def _solve_row(p, rd, rate_tol, mode, input_model) -> SweepRow:
-    epigraph = solve_epigraph(p, rd, mode=mode, input_model=input_model)
+def _undecided(rs: float) -> bool:
+    raise _Undecided()
+
+
+def _solve_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow, bool]:
+    """The row at rd, and whether its epigraph proves the floors and the
+    budget infeasible (b_lo = inf), which holds at every larger rd too."""
+    proven = {}   # R_s -> the verdict some stage's bracket proved
+
+    def bisect(epigraph, undecided) -> float | None:
+        """The row's bisection, each probe decided by a proof of epigraph or,
+        inside its bracket, by undecided(rs); None when R_s = 0 is
+        infeasible. Brackets only narrow, so a proven verdict is kept."""
+        def feasible(rs: float) -> bool:
+            if rs not in proven:
+                verdict = None if epigraph is None else proven_feasibility(epigraph, RatePair(rd, rs))
+                if verdict is None:
+                    return undecided(rs)
+                proven[rs] = verdict == FEASIBLE
+            return proven[rs]
+        return _largest_feasible(feasible, rd, rate_tol) if feasible(0.0) else None
+
+    def decides(epigraph) -> bool:
+        try:
+            bisect(epigraph, _undecided)
+        except _Undecided:
+            return False
+        return True
 
     def probe(rs: float) -> bool:
         verdict = relaxation_feasibility(p, RatePair(rd, rs), mode=mode,
@@ -99,14 +139,12 @@ def _solve_row(p, rd, rate_tol, mode, input_model) -> SweepRow:
             raise _RowFailure()
         return verdict == FEASIBLE
 
-    def feasible(rs: float) -> bool:
-        verdict = None if epigraph is None else proven_feasibility(epigraph, RatePair(rd, rs))
-        return probe(rs) if verdict is None else verdict == FEASIBLE
-
+    epigraph = solve_epigraph(p, rd, mode=mode, input_model=input_model, until=decides)
     try:
-        if not feasible(0.0):
-            return SweepRow(rd, None, None, None, ROW_INFEASIBLE)
-        lo = _largest_feasible(feasible, rd, rate_tol)
+        lo = bisect(epigraph, probe)
+        if lo is None:
+            carry = epigraph is not None and epigraph.b_lo == math.inf
+            return SweepRow(rd, None, None, None, ROW_INFEASIBLE), carry
         sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
         if sol.status == INFEASIBLE and epigraph is not None:
             # The witness proved lo feasible, but phase I found no interior
@@ -115,12 +153,11 @@ def _solve_row(p, rd, rate_tol, mode, input_model) -> SweepRow:
             lo = _largest_feasible(probe, rd, rate_tol)
             sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
     except _RowFailure:
-        return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE)
+        return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE), False
     if sol.status == OPTIMAL:
-        return SweepRow(rd, lo, sol.power, sol.rank1_exact, ROW_OPTIMAL)
-    if sol.status == RANK1_INFEASIBLE:
-        return SweepRow(rd, None, None, None, ROW_RANK1_INFEASIBLE)
-    return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE)
+        return SweepRow(rd, lo, sol.power, sol.rank1_exact, ROW_OPTIMAL), False
+    status = ROW_RANK1_INFEASIBLE if sol.status == RANK1_INFEASIBLE else ROW_NUMERICAL_FAILURE
+    return SweepRow(rd, None, None, None, status), False
 
 
 def code_rate_grid(rd_min: float, rd_max: float, rd_step: float) -> list[float]:
@@ -160,8 +197,16 @@ def sweep_region(
         raise ModelError("code rates must be finite")
     if not (math.isfinite(rate_tol) and rate_tol > 0.0):
         raise ModelError(f"rate_tol must be positive and finite: {rate_tol}")
-    rows = tuple(_solve_row(p, rd, rate_tol, mode, input_model) for rd in grid)
-    return SweepResult(rows=rows, rate_tol=rate_tol)
+    rows, carry = [], False
+    for rd in grid:
+        if carry:
+            # The floors a(R_D) rise with R_D: where they and the budget are
+            # proven infeasible, they are at every larger code rate too.
+            rows.append(SweepRow(rd, None, None, None, ROW_INFEASIBLE))
+        else:
+            row, carry = _solve_row(p, rd, rate_tol, mode, input_model)
+            rows.append(row)
+    return SweepResult(rows=tuple(rows), rate_tol=rate_tol)
 
 
 def _fmt(x: float | None) -> str:

@@ -168,6 +168,7 @@ class TestZeroRows:
         sol = solve_rank_relaxed(p, thresholds(a=1.0))
         assert sol.status == INFEASIBLE
         assert sol.newton_iterations == 0
+        assert sol.certificate.mu.tolist() == [0.0, 1.0]  # the floor out of reach
 
     def test_negative_ceiling_is_infeasible(self, monkeypatch):
         self.no_newton(monkeypatch)
@@ -436,6 +437,7 @@ class TestSolveRecord:
         ("paper_j1_diag", 0.6, 0.2, "lp", OPTIMAL),
         ("paper_j1_diag", 2.0, 1.0, "lp", INFEASIBLE),
         ("paper_j1", 1.0, 0.5, "sdp", OPTIMAL),
+        ("paper_j1", 1.0, 0.9, "sdp", INFEASIBLE),
         ("paper_j1", 2.0, 1.0, "sdp", INFEASIBLE),
     ])
     def test_every_route_fills_the_record(self, name, rd, rs, route, status):
@@ -447,11 +449,30 @@ class TestSolveRecord:
         assert sol.thresholds == t and sol.mode is pf.csi_mode
         if route == "sdp":
             relaxed = solve_rank_relaxed(pf.problem, t, pf.csi_mode)
-            assert sol.newton_iterations == relaxed.newton_iterations > 0
+            assert sol.newton_iterations == relaxed.newton_iterations
+            # At R_D 2.0 the floors are out of reach of the budget, which is
+            # proven before any Newton step; at (1.0, 0.9) phase I proves it.
+            assert (sol.newton_iterations > 0) == (rd < 2.0)
         else:
             assert sol.newton_iterations == 0
         if route == "sdp" and status == INFEASIBLE:
-            assert sol.certificate is not None
+            cons = ConstraintSet.build(pf.problem, t, pf.csi_mode)
+            cert = sol.certificate
+            assert cons.farkas(np.r_[cert.lam, cert.mu, cert.nu])[1] > 0.0
+
+
+    def test_unreachable_floor_refuted_before_the_barrier(self, ref_j1):
+        # At R_D 520 the floor a is about 1e156, beyond P_T lambda_max(H_k):
+        # a slack that size overflowed the barrier's Newton system.
+        r = RatePair(520.0, 0.0)
+        sol = solve_general(ref_j1, r)
+        assert sol.status == INFEASIBLE and sol.newton_iterations == 0
+        cons = ConstraintSet.build(ref_j1, sol.thresholds)
+        cert = sol.certificate
+        y = np.r_[cert.lam, cert.mu, cert.nu]
+        assert np.count_nonzero(y) == 2 and cons.farkas(y)[1] > 1e150
+        assert relaxation_feasibility(ref_j1, r) == INFEASIBLE
+        assert sdp.solve_epigraph(ref_j1, 520.0).b_lo == math.inf
 
 
 class TestRelaxationFeasibility:

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -376,19 +377,48 @@ def probe_row(p, rd, rate_tol, probes=None, mode=STATISTICAL, input_model="gauss
     return SweepRow(rd, None, None, None, "numerical-failure")
 
 
+def count_row_calls(monkeypatch):
+    """The names of the sweep's solver entry points, appended per call."""
+    calls = []
+
+    def counting(module, attr):
+        original = getattr(module, attr)
+
+        def wrapped(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapped)
+
+    for module, attr in ((sweep, "relaxation_feasibility"), (sweep, "solve_epigraph"),
+                         (sweep, "solve_general"), (sdp, "_phase1"),
+                         (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling")):
+        counting(module, attr)
+    return calls
+
+
 NO_EAVESDROPPER = WiretapProblem(H=(np.eye(2, dtype=complex),), Z=(),
                                  N0=1.0, epsilon=0.1, P_T=50.0)
+# Two orthogonal floors: each alone is within reach of P_T below R_D 0.8,
+# both together only below R_D 0.5. At 0.5 and 0.6 phase I proves them
+# infeasible.
+TWO_FLOORS = WiretapProblem(
+    H=(0.5 * np.array([[1, 1], [1, 1]], dtype=complex),
+       0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)),
+    Z=(0.01 * np.array([[1, 0.5], [0.5, 1]], dtype=complex),), N0=1.0, epsilon=0.1, P_T=20.0)
 
 
 class TestSweepBisection:
     # paper_j1 at 1.2, paper_j2 at 1.0 and paper_j2_diag at 0.9 are
     # infeasible at R_s = 0; no bundled row has rs_max = rd, so the
-    # eavesdropper-free problem supplies one.
+    # eavesdropper-free problem supplies one. The last two grids run past the
+    # first infeasible row, whose proof carries to the rows above it.
     @pytest.mark.parametrize("name, grid", [
         ("paper_j1", [0.5, 1.1, 1.2]),
         ("paper_j2", [0.6, 1.0]),
         ("paper_j2_diag", [0.2, 0.8, 0.9]),
         (None, [0.5]),
+        ("paper_j1", [1.1, 1.2, 1.6, 2.0]),
+        ("paper_j2_diag", [0.8, 0.9, 1.5]),
     ])
     def test_rows_match_full_solve_bisection(self, name, grid):
         p = NO_EAVESDROPPER if name is None else load_problem(str(PROBLEMS / f"{name}.json")).problem
@@ -487,20 +517,7 @@ class TestSweepBisection:
         ("paper_j1", (0.5, 1.0)), ("paper_j1_diag", (0.5, 1.0)), ("paper_j3_diag", (0.2,)),
     ])
     def test_probe_cost_per_row(self, name, rds, monkeypatch):
-        calls = []
-
-        def counting(module, attr):
-            original = getattr(module, attr)
-
-            def wrapped(*args, **kwargs):
-                calls.append(attr)
-                return original(*args, **kwargs)
-            monkeypatch.setattr(module, attr, wrapped)
-
-        for module, attr in ((sweep, "relaxation_feasibility"), (sweep, "solve_epigraph"),
-                             (sweep, "solve_general"), (sdp, "_phase1"),
-                             (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling")):
-            counting(module, attr)
+        calls = count_row_calls(monkeypatch)
         p = load_problem(str(PROBLEMS / f"{name}.json")).problem
         for rd in rds:
             calls.clear()
@@ -514,6 +531,30 @@ class TestSweepBisection:
             # Phase I or HiGHS: the epigraph's start and the full solve.
             solver = sum(count.get(attr, 0) for attr in ("_phase1", "solve_diagonal", "min_ceiling"))
             assert solver <= 2
+
+    # An infeasible suffix: the first infeasible row's epigraph proves the
+    # floors and the budget infeasible (a floor out of reach of P_T on
+    # paper_j1 at 1.2 and paper_j2 at 1.0, HiGHS on paper_j2_diag at 0.9,
+    # phase I on the two orthogonal floors at 0.5), and the rows above it
+    # cost no call at all.
+    @pytest.mark.parametrize("name, grid, first", [
+        ("paper_j1", [1.1, 1.2, 1.6, 2.0], 1), ("paper_j2", [0.9, 1.0, 1.4], 1),
+        ("paper_j2_diag", [0.8, 0.9, 1.5], 1), (None, [0.4, 0.5, 0.6, 0.8], 1),
+    ])
+    def test_probe_cost_carried_rows(self, name, grid, first, monkeypatch):
+        calls = count_row_calls(monkeypatch)
+        p = TWO_FLOORS if name is None else load_problem(str(PROBLEMS / f"{name}.json")).problem
+        rows = sweep_region(p, grid[:first + 1], rate_tol=1e-3).rows
+        solved = list(calls)
+        calls.clear()
+        carried = sweep_region(p, grid, rate_tol=1e-3).rows
+        assert carried[:first + 1] == rows and calls == solved
+        calls.clear()
+        sweep_region(p, [grid[first]], rate_tol=1e-3)
+        assert ("_phase1" in calls) == (name is None)
+        assert rows[first].status == "infeasible" and solve_epigraph(p, grid[first]).b_lo == math.inf
+        assert [row.status for row in carried[first + 1:]] == ["infeasible"] * (len(grid) - first - 1)
+        assert all(full_solve_row(p, row.rd, 1e-3) == row for row in carried[first:])
 
     def test_qam16_probes_invert_no_rate(self, monkeypatch):
         # The probes are decided in rate space: per row, thresholds are built
@@ -550,6 +591,49 @@ class TestSweepBisection:
             assert callers == [c for c in calls if c in ("solve_epigraph", "solve_general")]
             assert callers[0] == "solve_epigraph"
         assert statuses == ["optimal", "optimal", "infeasible"]
+
+    def test_epigraph_runs_only_as_far_as_the_probes_need(self, ref_j1, monkeypatch):
+        # Each stage's bracket lies inside the one before, and the row stops
+        # the path at the first stage that decides all its probes.
+        budgets, staged, full = [], [], []
+
+        class CountingBudget(sdp._NewtonBudget):
+            def __init__(self, limit):
+                super().__init__(limit)
+                budgets.append(self)
+
+        def staged_epigraph(*args, **kwargs):
+            budgets.clear()
+            epigraph = solve_epigraph(*args, **kwargs)
+            staged.append(sum(b.used for b in budgets))
+            return epigraph
+
+        monkeypatch.setattr(sdp, "_NewtonBudget", CountingBudget)
+        monkeypatch.setattr(sweep, "solve_epigraph", staged_epigraph)
+        for rd in (0.5, 1.0):
+            stages = list(sdp.epigraph_stages(ref_j1, rd))
+            assert len(stages) > 1
+            for wide, narrow in zip(stages, stages[1:]):
+                assert wide.b_lo <= narrow.b_lo <= narrow.b_hi <= wide.b_hi
+                assert wide.gap_lo <= narrow.gap_lo <= narrow.gap_hi <= wide.gap_hi
+            budgets.clear()
+            assert solve_epigraph(ref_j1, rd) == stages[-1]
+            full.append(sum(b.used for b in budgets))
+            row, = sweep_region(ref_j1, [rd], rate_tol=1e-3).rows
+            assert row == probe_row(ref_j1, rd, 1e-3)
+        assert all(a <= b for a, b in zip(staged, full))
+        assert any(a < b for a, b in zip(staged, full))
+
+    def test_undecided_probe_after_last_stage_runs_phase1(self, ref_j1, monkeypatch):
+        # The path ends after its first stage, whose bracket still holds a
+        # probe: relaxation_feasibility decides that probe, as before there
+        # were stages.
+        stages = sdp.epigraph_stages
+        calls = count_row_calls(monkeypatch)
+        monkeypatch.setattr(sdp, "epigraph_stages", lambda *args: iter([next(stages(*args))]))
+        row, = sweep_region(ref_j1, [1.0], rate_tol=1e-3).rows
+        assert calls.count("relaxation_feasibility") >= 1
+        assert row == probe_row(ref_j1, 1.0, 1e-3)
 
     @pytest.mark.parametrize("name, rd", [
         ("paper_j1", 1.2), ("paper_j2", 1.0), ("paper_j2_diag", 0.9),
@@ -658,6 +742,16 @@ class TestCli:
         code, _ = run_cli(["validate", "--problem", str(path)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: expected a list")
+
+    def test_solve_unreachable_floor_exit_1_without_warning(self):
+        # a is about 1e156 at R_D 520, far beyond P_T lambda_max(H_k): the
+        # floor is refuted before the barrier, whose slacks would overflow.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(["solve", "--problem", str(PROBLEMS / "paper_j1.json"),
+                                 "--rd", "520", "--rs", "0"])
+        assert code == 1 and json.loads(out)["status"] == "infeasible"
+        assert caught == []
 
     @pytest.mark.parametrize("flag, value", [("--rate-tol", "nan"), ("--rd-max", "inf")])
     def test_sweep_non_finite_flag_exit_2(self, capsys, flag, value):
