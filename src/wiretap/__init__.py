@@ -39,7 +39,6 @@ from .sdp import (
     proven_feasibility,
     rate_bracket,
     relaxation_feasibility,
-    solve_epigraph,
     solve_general,
     solve_rank_relaxed,
 )

@@ -22,13 +22,15 @@ and the bracket narrows after every barrier stage. The common ceiling
 depends on R_s only through the rate gap R_D - R_s, so each stage's bracket
 is mapped to a bracket on that gap (rate_bracket), by two forward rate
 evaluations, and a probe at any R_s is decided by comparing its gap with it
-(proven_feasibility), with no threshold or MI inversion. The stages are run
-on demand: solve_epigraph stops at the first one its caller accepts, so a
-sweep row pays only for the proof its probes need.
+(proven_feasibility), with no threshold or MI inversion. epigraph_stages is
+a generator, so its caller runs the path only as far as it pulls it: a sweep
+row pulls the next stage only while a probe's gap lies inside the bracket.
 
-A floor that no W within the budget reaches, a_k > P_T lambda_max(F_k), is
-refuted before any barrier run, with a one-row Farkas certificate
-(_unreachable_floor): the barrier's slacks of order a_k would overflow.
+A row that no W >= 0 within the budget meets, P_T min(0, lambda_min(A_i)) >
+u_i, is refuted before any barrier run, with a Farkas certificate on that
+row and the budget (_unreachable_row): a floor with a_k > P_T
+lambda_max(F_k), whose slacks of order a_k would overflow the barrier, or a
+negative ceiling.
 
 The barrier works on the signed rows Re Tr(A_i W) <= u_i of the
 ConstraintSet, minus its all-zero rows; its multipliers y are stacked like
@@ -293,8 +295,7 @@ class _Barrier:
 def _barrier_rows(cons: ConstraintSet) -> tuple[ConstraintSet, np.ndarray]:
     """(rows, keep): the nonzero rows of cons and the row of cons each one is.
     A zero row with u_i >= 0 is vacuous and dropped. One with u_i < 0 never
-    gets here: a zero floor with a positive target is out of reach
-    (_unreachable_floor), and a negative ceiling refutes itself."""
+    gets here: it is out of reach (_unreachable_row)."""
     keep = np.flatnonzero(np.linalg.norm(cons.A, axis=(1, 2)) > 0.0)
     return ConstraintSet(A=cons.A[keep], u=cons.u[keep], k=int(np.sum(cons.floors[keep]))), keep
 
@@ -317,19 +318,20 @@ def _certificate(cons: ConstraintSet, y: np.ndarray) -> InfeasibilityCertificate
     return None
 
 
-def _unreachable_floor(cons: ConstraintSet) -> InfeasibilityCertificate | None:
-    """The Farkas certificate of a floor that no W with Tr W <= P_T reaches,
-    a_k > P_T lambda_max(F_k): y has mu_k = 1 and lam = lambda_max(F_k), so
-    its combination lambda_max I - F_k is PSD and its margin is a_k - P_T
-    lambda_max. None when every floor is within reach. The barrier never
-    sees such a floor: a slack of order a_k overflows its Newton system."""
-    floors = np.flatnonzero(cons.floors)
-    lam_max = np.linalg.eigvalsh(-cons.A[floors])[:, -1]
-    short = np.flatnonzero(-cons.u[floors] > cons.p_t * lam_max)
+def _unreachable_row(cons: ConstraintSet) -> InfeasibilityCertificate | None:
+    """The Farkas certificate of the first row i > 0 that no W >= 0 with Tr W
+    <= P_T meets, P_T min(0, lambda_min(A_i)) > u_i: y has y_i = 1 and y_0 =
+    max(0, -lambda_min(A_i)), so its combination is PSD and its margin is
+    P_T min(0, lambda_min(A_i)) - u_i. On a floor that is a_k > P_T
+    lambda_max(F_k), on a ceiling b_j < 0. None when every row is within
+    reach. The barrier never sees such a row: a floor's slack of order a_k
+    overflows its Newton system."""
+    lam_min = np.linalg.eigvalsh(cons.A[1:])[:, 0]
+    short = np.flatnonzero(cons.p_t * np.minimum(0.0, lam_min) > cons.u[1:])
     if not short.size:
         return None
     y = np.zeros(cons.u.size)
-    y[0], y[floors[short[0]]] = lam_max[short[0]], 1.0
+    y[0], y[1 + short[0]] = max(0.0, -lam_min[short[0]]), 1.0
     return _certificate(cons, y)
 
 
@@ -556,12 +558,12 @@ def _epigraph_path(cons: ConstraintSet):
     ceiling_bound so far, so each bracket lies inside the one before. Stops
     at a silent stage, at _T_MAX, or once the two are _EPIGRAPH_REL apart.
 
-    Yields only (inf, inf) when a floor is out of reach (_unreachable_floor)
+    Yields only (inf, inf) when a floor is out of reach (_unreachable_row)
     or phase I on the floors and the budget ends with a certificate, and
     nothing when it ends without one."""
     k = cons.k
     floors = ConstraintSet(A=cons.A[:1 + k], u=cons.u[:1 + k], k=k)
-    if _unreachable_floor(floors) is not None:
+    if _unreachable_row(floors) is not None:
         yield math.inf, math.inf
         return
     budget = _NewtonBudget(_MAX_NEWTON)
@@ -649,25 +651,6 @@ def epigraph_stages(
         return
 
 
-def solve_epigraph(
-    p: WiretapProblem,
-    rd: float,
-    mode: CsiMode = STATISTICAL,
-    input_model="gaussian",
-    until=None,
-) -> Epigraph | None:
-    """The last of the epigraph_stages at code rate rd, or the first stage
-    that until(epigraph) accepts: a caller that needs only some probes
-    decided stops the path there. None when there are no stages; every probe
-    then needs relaxation_feasibility.
-    """
-    epigraph = None
-    for epigraph in epigraph_stages(p, rd, mode, input_model):
-        if until is not None and until(epigraph):
-            break
-    return epigraph
-
-
 def proven_feasibility(epigraph: Epigraph, r: RatePair) -> str | None:
     """FEASIBLE when the rate gap of r lies above the epigraph's bracket,
     INFEASIBLE when below it; None when the bracket holds it and a later
@@ -696,14 +679,14 @@ def _relaxed_start(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode):
 
     Returns (constraints, barrier rows, keep, W0, budget) for phase II to
     continue from, or the final BeamformerSolution when no phase II is needed:
-    zero power, INFEASIBLE (a floor out of reach, or phase I), or
+    zero power, INFEASIBLE (a row out of reach, or phase I), or
     MAX_ITERATIONS when phase I runs out of Newton steps.
     """
     cons = ConstraintSet.build(p, t, mode)
     if np.all(cons.u >= 0.0):  # W = 0 satisfies every row
         return _zero_power(cons, t, mode)
-    cert = _unreachable_floor(cons)
-    if cert is not None or np.any(cons.u[cons.ceilings] < 0.0):  # Tr(Z_j W) >= 0 > b
+    cert = _unreachable_row(cons)
+    if cert is not None:
         return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t, certificate=cert)
 
     barrier = _barrier_rows(cons)

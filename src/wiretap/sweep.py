@@ -3,28 +3,30 @@
 For each code rate R_D on an ascending grid, the largest achievable secrecy
 rate is found by bisection: raising R_s at fixed R_D lowers the eavesdropper
 ceiling b, so the feasible set of the rank relaxation only shrinks and its
-feasibility is monotone in R_s. Each row runs one epigraph solve
-(sdp.solve_epigraph), a proven bracket on b* = min max_j Tr(Z_j W) over the
+feasibility is monotone in R_s. Each row opens one epigraph solve
+(sdp.epigraph_stages), a proven bracket on b* = min max_j Tr(Z_j W) over the
 floors and the budget, mapped to a bracket on the rate gap R_D - R_s after
 each barrier stage. Each probe, R_s = 0 included, is decided by comparing its
-gap with that bracket (sdp.proven_feasibility), with no threshold or MI
-inversion. The brackets narrow stage by stage, and the row advances its
-epigraph only as far as its probes need: the path stops at the first stage
-whose bracket decides every probe of the bisection. Only a probe that the
-finished path still leaves inside its bracket runs relaxation_feasibility
-(the interior start or phase I, or the diagonal LP). The row then costs one
-full solve_general, at the largest feasible R_s found (R_D itself when
-R_s = R_D is feasible). That solve's rank-1 recovery is not monotone in R_s,
-so it is kept out of the bisection. Phase I can stall on a thin feasible set
-that a witness proves nonempty; when the final solve then finds no interior
-point at the proven R_s, the row is bisected again by relaxation_feasibility
-alone.
+gap with the current stage's bracket (sdp.proven_feasibility), with no
+threshold or MI inversion. The brackets narrow stage by stage, and the row
+pulls the next stage only while a probe's gap lies inside the current one,
+so the path runs only as far as the probes need. Only a probe that the
+finished path still leaves inside its bracket, or every probe when there are
+no stages, runs relaxation_feasibility (the interior start or phase I, or the
+diagonal LP). The row then costs one full solve_general, at the largest
+feasible R_s found (R_D itself when R_s = R_D is feasible). That solve's
+rank-1 recovery is not monotone in R_s, so it is kept out of the bisection.
+Phase I can stall on a thin feasible set that a witness proves nonempty;
+when the final solve then finds no interior point at the proven R_s, the row
+is bisected again by relaxation_feasibility alone.
 
 An infeasible row ends the sweep's solving. When a row's epigraph proves
 the floors and the budget infeasible (b_lo = inf: a Farkas certificate, or
 HiGHS status 2), every later row is `infeasible` with no solve: the floors
 a(R_D) rise with R_D, so the set of W that meets them and the budget only
-shrinks up the grid.
+shrinks up the grid. Such a row builds no thresholds, so a grid that reaches
+a finite alphabet's capacity is rejected before any row is solved, whatever
+P_T is.
 
 Each row reports the largest feasible R_s (within rate_tol), the minimum
 transmit power there, and whether the relaxed solution had numerical rank
@@ -43,16 +45,16 @@ import io
 import math
 from dataclasses import dataclass
 
-from .model import STATISTICAL, CsiMode, ModelError, RatePair, WiretapProblem
+from .model import STATISTICAL, CsiMode, ModelError, RatePair, RateUnachievableError, WiretapProblem
 from .sdp import (
     FEASIBLE,
     INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
     RANK1_INFEASIBLE,
+    epigraph_stages,
     proven_feasibility,
     relaxation_feasibility,
-    solve_epigraph,
     solve_general,
 )
 
@@ -84,10 +86,6 @@ class _RowFailure(Exception):
     pass
 
 
-class _Undecided(Exception):
-    pass
-
-
 def _largest_feasible(feasible, rd: float, rate_tol: float) -> float:
     """rd when feasible(rd), else the bisection's largest feasible R_s in
     [0, rd), feasible(0) being known."""
@@ -103,34 +101,11 @@ def _largest_feasible(feasible, rd: float, rate_tol: float) -> float:
     return lo
 
 
-def _undecided(rs: float) -> bool:
-    raise _Undecided()
-
-
 def _solve_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow, bool]:
     """The row at rd, and whether its epigraph proves the floors and the
     budget infeasible (b_lo = inf), which holds at every larger rd too."""
-    proven = {}   # R_s -> the verdict some stage's bracket proved
-
-    def bisect(epigraph, undecided) -> float | None:
-        """The row's bisection, each probe decided by a proof of epigraph or,
-        inside its bracket, by undecided(rs); None when R_s = 0 is
-        infeasible. Brackets only narrow, so a proven verdict is kept."""
-        def feasible(rs: float) -> bool:
-            if rs not in proven:
-                verdict = None if epigraph is None else proven_feasibility(epigraph, RatePair(rd, rs))
-                if verdict is None:
-                    return undecided(rs)
-                proven[rs] = verdict == FEASIBLE
-            return proven[rs]
-        return _largest_feasible(feasible, rd, rate_tol) if feasible(0.0) else None
-
-    def decides(epigraph) -> bool:
-        try:
-            bisect(epigraph, _undecided)
-        except _Undecided:
-            return False
-        return True
+    stages = epigraph_stages(p, rd, mode, input_model)
+    epigraph = next(stages, None)
 
     def probe(rs: float) -> bool:
         verdict = relaxation_feasibility(p, RatePair(rd, rs), mode=mode,
@@ -139,9 +114,23 @@ def _solve_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow, bool]:
             raise _RowFailure()
         return verdict == FEASIBLE
 
-    epigraph = solve_epigraph(p, rd, mode=mode, input_model=input_model, until=decides)
+    def feasible(rs: float) -> bool:
+        """The verdict of the first stage whose bracket decides rs, pulling
+        stages while it holds rs; probe(rs) once they run out. Brackets only
+        narrow, so a verdict never changes at a later stage."""
+        nonlocal epigraph
+        while epigraph is not None:
+            verdict = proven_feasibility(epigraph, RatePair(rd, rs))
+            if verdict is not None:
+                return verdict == FEASIBLE
+            later = next(stages, None)
+            if later is None:
+                break
+            epigraph = later
+        return probe(rs)
+
     try:
-        lo = bisect(epigraph, probe)
+        lo = _largest_feasible(feasible, rd, rate_tol) if feasible(0.0) else None
         if lo is None:
             carry = epigraph is not None and epigraph.b_lo == math.inf
             return SweepRow(rd, None, None, None, ROW_INFEASIBLE), carry
@@ -197,6 +186,11 @@ def sweep_region(
         raise ModelError("code rates must be finite")
     if not (math.isfinite(rate_tol) and rate_tol > 0.0):
         raise ModelError(f"rate_tol must be positive and finite: {rate_tol}")
+    max_rate = getattr(input_model, "max_rate", math.inf)
+    unachievable = [rd for rd in grid if rd >= max_rate]
+    if unachievable:
+        raise RateUnachievableError(f"R_D = {unachievable[0]} is unachievable by an "
+                                    f"alphabet with capacity {max_rate}")
     rows, carry = [], False
     for rd in grid:
         if carry:

@@ -174,9 +174,13 @@ class TestZeroRows:
         self.no_newton(monkeypatch)
         p = WiretapProblem(H=(np.eye(2),), Z=(np.diag([1.0, 0.1]),), P_T=10.0)
         for a in (1.0, 0.0):  # a = 0: W = 0 meets every floor, not the ceiling
-            sol = solve_rank_relaxed(p, thresholds(a=a, b=-0.1))
+            t = thresholds(a=a, b=-0.1)
+            sol = solve_rank_relaxed(p, t)
             assert sol.status == INFEASIBLE
             assert sol.newton_iterations == 0
+            cert = sol.certificate
+            y = np.r_[cert.lam, cert.mu, cert.nu]
+            assert ConstraintSet.build(p, t).farkas(y)[1] == pytest.approx(0.1)
 
     def test_zero_ceiling_is_vacuous(self):
         # The ceiling diag(1, 0) binds (nu > 0); a zero ceiling beside it
@@ -472,7 +476,7 @@ class TestSolveRecord:
         y = np.r_[cert.lam, cert.mu, cert.nu]
         assert np.count_nonzero(y) == 2 and cons.farkas(y)[1] > 1e150
         assert relaxation_feasibility(ref_j1, r) == INFEASIBLE
-        assert sdp.solve_epigraph(ref_j1, 520.0).b_lo == math.inf
+        assert [e.b_lo for e in sdp.epigraph_stages(ref_j1, 520.0)] == [math.inf]
 
 
 class TestRelaxationFeasibility:

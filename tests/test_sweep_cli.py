@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,7 +20,14 @@ from wiretap import diag_lp, sdp, sweep
 from wiretap.cli import main as cli_main
 from wiretap.instances import reference_problem
 from wiretap.mi import MiEvaluator, qam16, qpsk
-from wiretap.model import STATISTICAL, ModelError, RatePair, WiretapProblem, perfect_users
+from wiretap.model import (
+    STATISTICAL,
+    ModelError,
+    RatePair,
+    RateUnachievableError,
+    WiretapProblem,
+    perfect_users,
+)
 from wiretap.probfile import ProblemFileError, load_problem, parse_problem, save_problem, to_doc
 from wiretap.sdp import (
     FEASIBLE,
@@ -30,7 +38,6 @@ from wiretap.sdp import (
     BeamformerSolution,
     proven_feasibility,
     relaxation_feasibility,
-    solve_epigraph,
     solve_general,
 )
 from wiretap.sweep import CSV_HEADER, SweepRow, code_rate_grid, sweep_region, to_csv
@@ -377,6 +384,11 @@ def probe_row(p, rd, rate_tol, probes=None, mode=STATISTICAL, input_model="gauss
     return SweepRow(rd, None, None, None, "numerical-failure")
 
 
+def finished_epigraph(p, rd, **kwargs):
+    """The last of the epigraph stages at rd: the finished path."""
+    return list(sdp.epigraph_stages(p, rd, **kwargs))[-1]
+
+
 def count_row_calls(monkeypatch):
     """The names of the sweep's solver entry points, appended per call."""
     calls = []
@@ -389,7 +401,7 @@ def count_row_calls(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapped)
 
-    for module, attr in ((sweep, "relaxation_feasibility"), (sweep, "solve_epigraph"),
+    for module, attr in ((sweep, "relaxation_feasibility"), (sweep, "epigraph_stages"),
                          (sweep, "solve_general"), (sdp, "_phase1"),
                          (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling")):
         counting(module, attr)
@@ -504,7 +516,7 @@ class TestSweepBisection:
                            Z=tuple(random_psd(rng, 4, scale=0.01, ridge=0.1) for _ in range(3)),
                            N0=1.0, epsilon=0.1, P_T=100.0)
         r = RatePair(1.0, 0.8203125)
-        assert proven_feasibility(solve_epigraph(p, 1.0), r) == FEASIBLE
+        assert proven_feasibility(finished_epigraph(p, 1.0), r) == FEASIBLE
         sol = solve_general(p, r)
         assert sol.status == INFEASIBLE and sol.certificate is None
         row, = sweep_region(p, [1.0], rate_tol=1e-2).rows
@@ -512,21 +524,28 @@ class TestSweepBisection:
         assert row.status == "optimal" and row.rs_max == 0.8125
 
     # On paper_j3_diag at R_D 0.2 the LP witness meets its binding floor
-    # only once lifted onto it.
+    # only once lifted onto it. With no eavesdropper there is no ceiling to
+    # bound, so no stage: phase I decides R_s = 0 and R_s = R_D.
     @pytest.mark.parametrize("name, rds", [
         ("paper_j1", (0.5, 1.0)), ("paper_j1_diag", (0.5, 1.0)), ("paper_j3_diag", (0.2,)),
+        (None, (0.5,)),
     ])
     def test_probe_cost_per_row(self, name, rds, monkeypatch):
         calls = count_row_calls(monkeypatch)
-        p = load_problem(str(PROBLEMS / f"{name}.json")).problem
+        p = NO_EAVESDROPPER if name is None else load_problem(str(PROBLEMS / f"{name}.json")).problem
         for rd in rds:
             calls.clear()
             row = sweep_region(p, [rd], rate_tol=1e-3).rows[0]
             count = {attr: calls.count(attr) for attr in set(calls)}
             probes = []
             assert row == probe_row(p, rd, 1e-3, probes)
+            assert count.get("epigraph_stages", 0) == count.get("solve_general", 0) == 1
+            if name is None:
+                assert list(sdp.epigraph_stages(p, rd)) == []
+                assert [rs for rs, _ in probes] == [0.0, rd]
+                assert count.get("relaxation_feasibility", 0) == 2
+                continue
             assert len(probes) >= 10
-            assert count.get("solve_epigraph", 0) == count.get("solve_general", 0) == 1
             assert count.get("relaxation_feasibility", 0) == 0
             # Phase I or HiGHS: the epigraph's start and the full solve.
             solver = sum(count.get(attr, 0) for attr in ("_phase1", "solve_diagonal", "min_ceiling"))
@@ -552,7 +571,7 @@ class TestSweepBisection:
         calls.clear()
         sweep_region(p, [grid[first]], rate_tol=1e-3)
         assert ("_phase1" in calls) == (name is None)
-        assert rows[first].status == "infeasible" and solve_epigraph(p, grid[first]).b_lo == math.inf
+        assert rows[first].status == "infeasible" and finished_epigraph(p, grid[first]).b_lo == math.inf
         assert [row.status for row in carried[first + 1:]] == ["infeasible"] * (len(grid) - first - 1)
         assert all(full_solve_row(p, row.rd, 1e-3) == row for row in carried[first:])
 
@@ -561,19 +580,34 @@ class TestSweepBisection:
         # (and the MI inverted) only by the epigraph and the final solve.
         scope, calls, callers = [], [], []
 
+        def scoped(attr, call):
+            scope.append(attr)
+            try:
+                return call()
+            finally:
+                scope.pop()
+
         def counting(owner, attr, record):
             original = getattr(owner, attr)
 
             def wrapped(*args, **kwargs):
                 record(attr)
-                scope.append(attr)
-                try:
-                    return original(*args, **kwargs)
-                finally:
-                    scope.pop()
+                return scoped(attr, lambda: original(*args, **kwargs))
             monkeypatch.setattr(owner, attr, wrapped)
 
-        for attr in ("solve_epigraph", "solve_general", "relaxation_feasibility"):
+        def counting_stages(*args, **kwargs):
+            calls.append("epigraph_stages")
+            stages = original_stages(*args, **kwargs)
+
+            def scoped_stages():
+                # The generator builds its thresholds inside next(), not here.
+                while (stage := scoped("epigraph_stages", lambda: next(stages, None))) is not None:
+                    yield stage
+            return scoped_stages()
+
+        original_stages = sweep.epigraph_stages
+        monkeypatch.setattr(sweep, "epigraph_stages", counting_stages)
+        for attr in ("solve_general", "relaxation_feasibility"):
             counting(sweep, attr, calls.append)
         counting(MiEvaluator, "inverse", calls.append)
         counting(sdp, "thresholds_finite_alphabet",
@@ -588,38 +622,39 @@ class TestSweepBisection:
             statuses.append(row.status)
             assert calls.count("relaxation_feasibility") == 0
             assert calls.count("inverse") <= 4
-            assert callers == [c for c in calls if c in ("solve_epigraph", "solve_general")]
-            assert callers[0] == "solve_epigraph"
+            assert callers == [c for c in calls if c in ("epigraph_stages", "solve_general")]
+            assert callers[0] == "epigraph_stages"
         assert statuses == ["optimal", "optimal", "infeasible"]
 
     def test_epigraph_runs_only_as_far_as_the_probes_need(self, ref_j1, monkeypatch):
-        # Each stage's bracket lies inside the one before, and the row stops
-        # the path at the first stage that decides all its probes.
-        budgets, staged, full = [], [], []
+        # Each stage's bracket lies inside the one before, and the row pulls
+        # no stage after the first that decides all its probes: the Newton
+        # steps spent before its first solve_general are the epigraph's.
+        budgets, at_solve, staged, full = [], [], [], []
 
         class CountingBudget(sdp._NewtonBudget):
             def __init__(self, limit):
                 super().__init__(limit)
                 budgets.append(self)
 
-        def staged_epigraph(*args, **kwargs):
-            budgets.clear()
-            epigraph = solve_epigraph(*args, **kwargs)
-            staged.append(sum(b.used for b in budgets))
-            return epigraph
+        def counting_solve(*args, **kwargs):
+            at_solve.append(sum(b.used for b in budgets))
+            return solve_general(*args, **kwargs)
 
         monkeypatch.setattr(sdp, "_NewtonBudget", CountingBudget)
-        monkeypatch.setattr(sweep, "solve_epigraph", staged_epigraph)
+        monkeypatch.setattr(sweep, "solve_general", counting_solve)
         for rd in (0.5, 1.0):
+            budgets.clear()
             stages = list(sdp.epigraph_stages(ref_j1, rd))
+            full.append(sum(b.used for b in budgets))
             assert len(stages) > 1
             for wide, narrow in zip(stages, stages[1:]):
                 assert wide.b_lo <= narrow.b_lo <= narrow.b_hi <= wide.b_hi
                 assert wide.gap_lo <= narrow.gap_lo <= narrow.gap_hi <= wide.gap_hi
             budgets.clear()
-            assert solve_epigraph(ref_j1, rd) == stages[-1]
-            full.append(sum(b.used for b in budgets))
+            at_solve.clear()
             row, = sweep_region(ref_j1, [rd], rate_tol=1e-3).rows
+            staged.append(at_solve[0])
             assert row == probe_row(ref_j1, rd, 1e-3)
         assert all(a <= b for a, b in zip(staged, full))
         assert any(a < b for a, b in zip(staged, full))
@@ -628,9 +663,9 @@ class TestSweepBisection:
         # The path ends after its first stage, whose bracket still holds a
         # probe: relaxation_feasibility decides that probe, as before there
         # were stages.
-        stages = sdp.epigraph_stages
+        stages = sweep.epigraph_stages
+        monkeypatch.setattr(sweep, "epigraph_stages", lambda *args: iter([next(stages(*args))]))
         calls = count_row_calls(monkeypatch)
-        monkeypatch.setattr(sdp, "epigraph_stages", lambda *args: iter([next(stages(*args))]))
         row, = sweep_region(ref_j1, [1.0], rate_tol=1e-3).rows
         assert calls.count("relaxation_feasibility") >= 1
         assert row == probe_row(ref_j1, 1.0, 1e-3)
@@ -642,7 +677,7 @@ class TestSweepBisection:
         # The floors and the budget alone are infeasible at these code rates:
         # the bracket is proven infinite and decides R_s = 0 as phase I does.
         p = load_problem(str(PROBLEMS / f"{name}.json")).problem
-        epigraph = solve_epigraph(p, rd)
+        epigraph = finished_epigraph(p, rd)
         assert epigraph.b_lo == math.inf
         r = RatePair(rd, 0.0)
         assert proven_feasibility(epigraph, r) == relaxation_feasibility(p, r) == INFEASIBLE
@@ -802,6 +837,29 @@ class TestCli:
         assert code == 2 and out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    # QPSK carries at most 2 bits. On paper_j1 the rows below R_D 2 are
+    # infeasible at its own P_T and feasible at P_T 1e6; the grid is rejected
+    # either way, before any row is solved.
+    @pytest.mark.parametrize("p_t", [None, 1e6])
+    def test_sweep_past_alphabet_capacity_exit_2(self, tmp_path, capsys, monkeypatch, p_t):
+        p = load_problem(str(PROBLEMS / "paper_j1.json")).problem
+        if p_t is not None:
+            p = dataclasses.replace(p, P_T=p_t)
+        path = tmp_path / "problem.json"
+        save_problem(str(path), p)
+        code, out = run_cli(["sweep", "--problem", str(path), "--alphabet", "qpsk",
+                             "--rd-min", "1.5", "--rd-max", "2.5", "--rd-step", "0.25"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: R_D = 2.0 is unachievable by an alphabet with capacity 2.0\n")
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a row was solved")
+        monkeypatch.setattr(sweep, "epigraph_stages", unexpected)
+        monkeypatch.setattr(sweep, "solve_general", unexpected)
+        with pytest.raises(RateUnachievableError):
+            sweep_region(p, code_rate_grid(1.5, 2.5, 0.25), input_model=QPSK_MI)
 
     def test_mi_points_above_grid_limit_exit_2(self, capsys):
         code, out = run_cli(["mi", "--alphabet", "qpsk", "--points", "10000000000000"])
