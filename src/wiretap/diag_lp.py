@@ -49,26 +49,30 @@ def all_diagonal(p: WiretapProblem) -> bool:
     return all(is_diagonal(m) for m in (*p.H, *p.Z))
 
 
+def _highs(c, A_ub, b_ub, bounds):
+    """(x, y) of min c.x s.t. A_ub x <= b_ub within bounds, y >= 0 the row
+    multipliers, or None when HiGHS proves the LP infeasible (status 2)."""
+    res = linprog(c=c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if res.status == 2:
+        return None
+    if not res.success:
+        raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
+    # HiGHS marginals for A_ub x <= b_ub are <= 0 at a minimum.
+    return res.x, -np.asarray(res.ineqlin.marginals)
+
+
 def solve_diagonal(p: WiretapProblem, t: ConstraintThresholds) -> PowerAllocation | None:
     """Minimum-power allocation, or None when the LP is certified infeasible."""
     if not all_diagonal(p):
         raise ModelError("covariances are not diagonal; use the general solver")
     cons = ConstraintSet.build(p, t)
     # Tr(A_i W) <= u_i on W = diag(P) is (Re diag A_i) . P <= u_i.
-    res = linprog(
-        c=np.ones(p.N),
-        A_ub=np.real(np.diagonal(cons.A, axis1=1, axis2=2)),
-        b_ub=cons.u,
-        bounds=[(0.0, None)] * p.N,
-        method="highs",
-    )
-    if res.status == 2:
+    res = _highs(np.ones(p.N), np.real(np.diagonal(cons.A, axis1=1, axis2=2)), cons.u,
+                 [(0.0, None)] * p.N)
+    if res is None:
         return None
-    if not res.success:
-        raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
-    # HiGHS marginals for A_ub x <= b_ub are <= 0 at a minimum.
-    return PowerAllocation(P=np.clip(res.x, 0.0, None),
-                           duals=cons.duals(-np.asarray(res.ineqlin.marginals)))
+    x, y = res
+    return PowerAllocation(P=np.clip(x, 0.0, None), duals=cons.duals(y))
 
 
 def min_ceiling(cons: ConstraintSet):
@@ -78,25 +82,19 @@ def min_ceiling(cons: ConstraintSet):
     the epigraph of the ceilings on the diagonal route (sdp.Epigraph)."""
     ceil = cons.ceilings
     d = np.real(np.diagonal(cons.A, axis1=1, axis2=2))
-    res = linprog(
-        c=np.r_[np.zeros(cons.n), 1.0],
-        A_ub=np.column_stack([d, -1.0 * ceil]),
-        b_ub=np.where(ceil, 0.0, cons.u),
-        bounds=[(0.0, None)] * cons.n + [(None, None)],
-        method="highs",
-    )
-    if res.status == 2:
+    res = _highs(np.r_[np.zeros(cons.n), 1.0], np.column_stack([d, -1.0 * ceil]),
+                 np.where(ceil, 0.0, cons.u), [(0.0, None)] * cons.n + [(None, None)])
+    if res is None:
         return None
-    if not res.success:
-        raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
-    P = np.clip(res.x[:-1], 0.0, None)
+    x, y = res
+    P = np.clip(x[:-1], 0.0, None)
     # HiGHS meets the binding floors only to roundoff (-1.8e-15 on a bundled
     # row); scaled up onto them, P passes the exact check of a witness.
     vals, u = d[cons.floors] @ P, cons.u[cons.floors]
     short = (vals > u) & (vals < 0.0)
     if np.any(short):
         P = P * float(np.max(u[short] / vals[short])) * (1.0 + 4.0 * np.finfo(float).eps)
-    return P, -np.asarray(res.ineqlin.marginals)
+    return P, y
 
 
 def allocation_to_beamformer(alloc: PowerAllocation) -> np.ndarray:

@@ -8,11 +8,12 @@ The general (non-diagonal) problem is solved as a small dense SDP:
 via a log-barrier path-following method written directly against this
 structure: each Newton system is solved in closed form through the
 Woodbury identity, because the Hessian is the PSD-cone term
-X -> W^{-1} X W^{-1} plus one rank-one term per scalar constraint. A
-phase-I stage either produces a strictly feasible starting point or a
-Farkas-type certificate of infeasibility. relaxation_feasibility stops
-there: it returns the relaxation's feasibility verdict without running the
-minimum-power path, which is all a bisection over rates needs.
+X -> W^{-1} X W^{-1} plus one rank-one term per scalar constraint. Every
+barrier run starts from _start: it refutes a row out of reach (below), else
+tries W = alpha*I, else runs phase I, and returns (W, None) with W strictly
+feasible or (None, cert) with a Farkas certificate (None only when phase I
+finds no strict interior within resolution). relaxation_feasibility stops
+there, which is all a bisection over rates needs.
 
 The barrier's relaxation s enters row i with a coefficient c_i. Phase I
 uses c = 1 on every row. The epigraph of the ceilings (epigraph_stages) uses
@@ -368,14 +369,15 @@ def _path(bar: _Barrier, W: np.ndarray, s: float, budget: _NewtonBudget,
         t *= _T_GROWTH
 
 
-def _phase1(cons: ConstraintSet, rows: ConstraintSet, keep: np.ndarray,
-            budget: _NewtonBudget):
-    """Find a strictly feasible W or certify infeasibility.
+def _phase1(cons: ConstraintSet, budget: _NewtonBudget):
+    """Find a strictly feasible W or certify infeasibility: (W, None) or
+    (None, cert), cert None when no strict interior exists within resolution.
 
     Minimizes the uniform relaxation s over { <A_i,W> - s <= u_i, W > 0 } on
-    the barrier rows (rows, keep) of cons; s* < 0 yields an interior point, a
-    positive dual bound proves there is none.
+    the barrier rows of cons; s* < 0 yields an interior point, a positive
+    dual bound proves there is none.
     """
+    rows, keep = _barrier_rows(cons)
     p_t, n = cons.p_t, cons.n
     ref = max(1.0, float(np.max(np.abs(rows.u))), p_t)
     margin = _FEAS_MARGIN_REL * ref
@@ -386,19 +388,32 @@ def _phase1(cons: ConstraintSet, rows: ConstraintSet, keep: np.ndarray,
     bar = _Barrier(rows.A, rows.u, s_cap)
     for t, W, s, silent in _path(bar, W, s, budget, lambda _W, _s: _s < -margin):
         if s < -margin:
-            return "feasible", W, None
+            return W, None
         gap = bar.nu / t
         if s - gap > 0.0:
             # Only a certificate proves infeasibility; an uncentred iterate
             # may not yield one, so keep raising t until it does.
             cert = _certificate(cons, _scatter(cons, keep, 1.0 / (t * bar.slacks(W, s))))
             if cert is not None:
-                return "infeasible", None, cert
+                return None, cert
         if gap <= max(1e-12, 1e-11 * ref):
             # No strict interior within resolution: treat as infeasible.
-            return "infeasible", None, None
+            return None, None
         if silent:
             raise _NumericalTrouble("phase-I feasibility could not be decided")
+
+
+def _start(cons: ConstraintSet, budget: _NewtonBudget):
+    """A strictly feasible start for the barrier on cons, (W, None), or
+    (None, cert) when there is none: a row out of reach (_unreachable_row),
+    else W = alpha*I (_interior_start), else phase I."""
+    cert = _unreachable_row(cons)
+    if cert is not None:
+        return None, cert
+    W = _interior_start(cons)
+    if W is not None:
+        return W, None
+    return _phase1(cons, budget)
 
 
 def _face_newton(A, u, V, y):
@@ -494,12 +509,11 @@ def _refine_face(rows: ConstraintSet, W: np.ndarray, slacks: np.ndarray,
     return None
 
 
-def _phase2(cons: ConstraintSet, rows: ConstraintSet, keep: np.ndarray, W0: np.ndarray,
-            budget: _NewtonBudget):
-    """Path-following on the barrier rows (rows, keep) of cons from a strictly
-    feasible W0, then Newton on the optimal face (_refine_face). Returns (W,
-    y), y one multiplier per row of cons, or None when the refinement is
-    rejected."""
+def _phase2(cons: ConstraintSet, W0: np.ndarray, budget: _NewtonBudget):
+    """Path-following on the barrier rows of cons from a strictly feasible
+    W0, then Newton on the optimal face (_refine_face). Returns (W, y), y one
+    multiplier per row of cons, or None when the refinement is rejected."""
+    rows, keep = _barrier_rows(cons)
     bar = _Barrier(rows.A, rows.u)
     for t, W, _, silent in _path(bar, W0, 0.0, budget):
         primal = float(np.real(np.trace(W)))
@@ -558,22 +572,15 @@ def _epigraph_path(cons: ConstraintSet):
     ceiling_bound so far, so each bracket lies inside the one before. Stops
     at a silent stage, at _T_MAX, or once the two are _EPIGRAPH_REL apart.
 
-    Yields only (inf, inf) when a floor is out of reach (_unreachable_row)
-    or phase I on the floors and the budget ends with a certificate, and
-    nothing when it ends without one."""
+    Yields only (inf, inf) when _start on the floors and the budget ends
+    with a certificate, and nothing when it ends without one."""
     k = cons.k
-    floors = ConstraintSet(A=cons.A[:1 + k], u=cons.u[:1 + k], k=k)
-    if _unreachable_row(floors) is not None:
-        yield math.inf, math.inf
-        return
     budget = _NewtonBudget(_MAX_NEWTON)
-    W = _interior_start(floors)
+    W, cert = _start(ConstraintSet(A=cons.A[:1 + k], u=cons.u[:1 + k], k=k), budget)
     if W is None:
-        verdict, W, cert = _phase1(floors, *_barrier_rows(floors), budget)
-        if verdict != "feasible":
-            if cert is not None:
-                yield math.inf, math.inf
-            return
+        if cert is not None:
+            yield math.inf, math.inf
+        return
     rows, keep = _barrier_rows(cons.with_ceiling(0.0))
     ceil = rows.ceilings
     top = float(np.max(rows.values(W)[ceil]))
@@ -673,49 +680,25 @@ def _zero_power(cons: ConstraintSet, t: ConstraintThresholds, mode: CsiMode):
     )
 
 
-def _relaxed_start(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode):
-    """Everything of a relaxed solve before phase II: the constraint rows, an
-    interior start and, when W = alpha*I is not one, phase I.
-
-    Returns (constraints, barrier rows, keep, W0, budget) for phase II to
-    continue from, or the final BeamformerSolution when no phase II is needed:
-    zero power, INFEASIBLE (a row out of reach, or phase I), or
-    MAX_ITERATIONS when phase I runs out of Newton steps.
-    """
-    cons = ConstraintSet.build(p, t, mode)
-    if np.all(cons.u >= 0.0):  # W = 0 satisfies every row
-        return _zero_power(cons, t, mode)
-    cert = _unreachable_row(cons)
-    if cert is not None:
-        return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t, certificate=cert)
-
-    barrier = _barrier_rows(cons)
-    budget = _NewtonBudget(_MAX_NEWTON)
-    try:
-        W0 = _interior_start(cons)
-        if W0 is None:
-            verdict, W0, cert = _phase1(cons, *barrier, budget)
-            if verdict == "infeasible":
-                return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t,
-                                          certificate=cert, newton_iterations=budget.used)
-    except _NumericalTrouble:
-        return BeamformerSolution(status=MAX_ITERATIONS, mode=mode, thresholds=t,
-                                  newton_iterations=budget.used)
-    return cons, *barrier, W0, budget
-
-
 def solve_rank_relaxed(
     p: WiretapProblem,
     t: ConstraintThresholds,
     mode: CsiMode = STATISTICAL,
 ) -> BeamformerSolution:
-    """Solve the rank-relaxed minimum-power problem for the given thresholds."""
-    start = _relaxed_start(p, t, mode)
-    if isinstance(start, BeamformerSolution):
-        return start
-    cons, rows, keep, W0, budget = start
+    """Solve the rank-relaxed minimum-power problem for the given thresholds:
+    zero power when W = 0 meets every row, else _start and phase II.
+    INFEASIBLE when _start finds no start, MAX_ITERATIONS when either runs
+    out of Newton steps."""
+    cons = ConstraintSet.build(p, t, mode)
+    if np.all(cons.u >= 0.0):  # W = 0 satisfies every row
+        return _zero_power(cons, t, mode)
+    budget = _NewtonBudget(_MAX_NEWTON)
     try:
-        end = _phase2(cons, rows, keep, W0, budget)
+        W0, cert = _start(cons, budget)
+        if W0 is None:
+            return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t,
+                                      certificate=cert, newton_iterations=budget.used)
+        end = _phase2(cons, W0, budget)
     except _NumericalTrouble:
         end = None
     # The claimed status must be earned: by a refined KKT point with a small
@@ -801,13 +784,18 @@ def _lp_route(p, t, mode) -> BeamformerSolution:
     )
 
 
+def rate_thresholds(p: WiretapProblem, r: RatePair, input_model="gaussian") -> ConstraintThresholds:
+    """The thresholds of r for Gaussian inputs or a finite-alphabet MI
+    evaluator; RateUnachievableError when they are not finite."""
+    if input_model == "gaussian":
+        return thresholds_gaussian(p, r)
+    return thresholds_finite_alphabet(p, r, input_model)
+
+
 def _route(p: WiretapProblem, r: RatePair, mode: CsiMode, input_model):
     """(thresholds, route) of a rate pair: "trivial" for R_D = 0, "lp" for
     all-diagonal statistical instances and "sdp" otherwise."""
-    if input_model == "gaussian":
-        t = thresholds_gaussian(p, r)
-    else:
-        t = thresholds_finite_alphabet(p, r, input_model)
+    t = rate_thresholds(p, r, input_model)
     if t.user_power_target <= 0.0:
         # R_D = 0: transmitting nothing satisfies every constraint.
         return t, "trivial"
@@ -827,8 +815,8 @@ def relaxation_feasibility(
     phase II or rank-1 recovery.
 
     The verdict is the one solve_general reaches on the same route: the LP
-    route makes its one HiGHS call, the SDP route stops after phase I (or the
-    interior start that makes phase I unnecessary). solve_general at r returns
+    route makes its one HiGHS call, the SDP route stops after _start (a row
+    out of reach, the interior start or phase I). solve_general at r returns
     INFEASIBLE exactly when this returns INFEASIBLE; where this says FEASIBLE
     it may still end in MAX_ITERATIONS (phase II) or RANK1_INFEASIBLE.
     """
@@ -837,10 +825,11 @@ def relaxation_feasibility(
         return FEASIBLE
     if route == "lp":
         return INFEASIBLE if diag_lp.solve_diagonal(p, t) is None else FEASIBLE
-    start = _relaxed_start(p, t, mode)
-    if isinstance(start, BeamformerSolution) and start.status != OPTIMAL:
-        return start.status
-    return FEASIBLE
+    try:
+        W, _ = _start(ConstraintSet.build(p, t, mode), _NewtonBudget(_MAX_NEWTON))
+    except _NumericalTrouble:
+        return MAX_ITERATIONS
+    return INFEASIBLE if W is None else FEASIBLE
 
 
 def solve_general(

@@ -24,9 +24,10 @@ An infeasible row ends the sweep's solving. When a row's epigraph proves
 the floors and the budget infeasible (b_lo = inf: a Farkas certificate, or
 HiGHS status 2), every later row is `infeasible` with no solve: the floors
 a(R_D) rise with R_D, so the set of W that meets them and the budget only
-shrinks up the grid. Such a row builds no thresholds, so a grid that reaches
-a finite alphabet's capacity is rejected before any row is solved, whatever
-P_T is.
+shrinks up the grid. Such a row builds no thresholds, so the thresholds of
+the grid's top R_D are built once before any row: a grid that reaches a
+finite alphabet's capacity, or a Gaussian 2^R_D overflow, is rejected
+whatever P_T is.
 
 Each row reports the largest feasible R_s (within rate_tol), the minimum
 transmit power there, and whether the relaxed solution had numerical rank
@@ -45,7 +46,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .model import STATISTICAL, CsiMode, ModelError, RatePair, RateUnachievableError, WiretapProblem
+from .model import STATISTICAL, CsiMode, ModelError, RatePair, WiretapProblem
 from .sdp import (
     FEASIBLE,
     INFEASIBLE,
@@ -54,6 +55,7 @@ from .sdp import (
     RANK1_INFEASIBLE,
     epigraph_stages,
     proven_feasibility,
+    rate_thresholds,
     relaxation_feasibility,
     solve_general,
 )
@@ -186,11 +188,9 @@ def sweep_region(
         raise ModelError("code rates must be finite")
     if not (math.isfinite(rate_tol) and rate_tol > 0.0):
         raise ModelError(f"rate_tol must be positive and finite: {rate_tol}")
-    max_rate = getattr(input_model, "max_rate", math.inf)
-    unachievable = [rd for rd in grid if rd >= max_rate]
-    if unachievable:
-        raise RateUnachievableError(f"R_D = {unachievable[0]} is unachievable by an "
-                                    f"alphabet with capacity {max_rate}")
+    # Thresholds rise with R_D: the top rate's are finite exactly when every
+    # rate's are. Otherwise RateUnachievableError, before any row is solved.
+    rate_thresholds(p, RatePair(grid[-1], 0.0), input_model)
     rows, carry = [], False
     for rd in grid:
         if carry:

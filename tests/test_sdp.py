@@ -493,6 +493,38 @@ class TestRelaxationFeasibility:
         assert relaxation_feasibility(ref_j1, RatePair(0.0, 0.0)) == FEASIBLE
 
 
+class TestStart:
+    """sdp._start: a row out of reach, else W = alpha*I, else phase I."""
+
+    @staticmethod
+    def start(p, r):
+        cons = ConstraintSet.build(p, thresholds_gaussian(p, r))
+        budget = sdp._NewtonBudget(sdp._MAX_NEWTON)
+        return cons, budget, *sdp._start(cons, budget)
+
+    @staticmethod
+    def proves(cons, cert):
+        return cons.farkas(np.r_[cert.lam, cert.mu, cert.nu])[1] > 0.0
+
+    def test_floor_out_of_reach(self, ref_j1):
+        cons, budget, W, cert = self.start(ref_j1, RatePair(520.0, 0.0))
+        assert W is None and self.proves(cons, cert) and budget.used == 0
+
+    def test_interior_start(self, ref_j1):
+        cons, budget, W, cert = self.start(ref_j1, RatePair(0.5, 0.0))
+        assert cert is None and budget.used == 0
+        assert np.array_equal(W, W[0, 0] * np.eye(cons.n)) and W[0, 0] > 0.0
+
+    def test_phase1_interior_point(self, ref_j1):
+        cons, budget, W, cert = self.start(ref_j1, RatePair(1.0, 0.5))
+        assert cert is None and budget.used > 0
+        assert np.all(cons.u - cons.values(W) > 0.0)
+
+    def test_phase1_certificate(self, ref_j1):
+        cons, budget, W, cert = self.start(ref_j1, RatePair(1.0, 0.9))
+        assert W is None and self.proves(cons, cert) and budget.used > 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_feasibility_probe_matches_relaxed_solve(seed):

@@ -389,8 +389,9 @@ def finished_epigraph(p, rd, **kwargs):
     return list(sdp.epigraph_stages(p, rd, **kwargs))[-1]
 
 
-def count_row_calls(monkeypatch):
-    """The names of the sweep's solver entry points, appended per call."""
+def count_row_calls(monkeypatch, extra=()):
+    """The names of the sweep's solver entry points, and of the (owner,
+    attr) pairs in extra, appended per call."""
     calls = []
 
     def counting(module, attr):
@@ -403,7 +404,7 @@ def count_row_calls(monkeypatch):
 
     for module, attr in ((sweep, "relaxation_feasibility"), (sweep, "epigraph_stages"),
                          (sweep, "solve_general"), (sdp, "_phase1"),
-                         (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling")):
+                         (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling"), *extra):
         counting(module, attr)
     return calls
 
@@ -578,6 +579,7 @@ class TestSweepBisection:
     def test_qam16_probes_invert_no_rate(self, monkeypatch):
         # The probes are decided in rate space: per row, thresholds are built
         # (and the MI inverted) only by the epigraph and the final solve.
+        # sweep_region itself builds them once, at the grid's top rate.
         scope, calls, callers = [], [], []
 
         def scoped(attr, call):
@@ -618,12 +620,18 @@ class TestSweepBisection:
         for rd in (0.5, 1.0, 1.5):
             calls.clear()
             callers.clear()
-            row, = sweep_region(p, [rd], rate_tol=1e-3, input_model=model).rows
+            row, = scoped("sweep_region",
+                          lambda: sweep_region(p, [rd], rate_tol=1e-3, input_model=model)).rows
             statuses.append(row.status)
-            assert calls.count("relaxation_feasibility") == 0
-            assert calls.count("inverse") <= 4
-            assert callers == [c for c in calls if c in ("epigraph_stages", "solve_general")]
-            assert callers[0] == "epigraph_stages"
+            # The grid check: one build, its two inversions before the row.
+            assert callers[0] == "sweep_region"
+            check = calls.index("epigraph_stages")
+            assert calls[:check] == ["inverse", "inverse"]
+            row_calls, row_callers = calls[check:], callers[1:]
+            assert row_calls.count("relaxation_feasibility") == 0
+            assert row_calls.count("inverse") <= 4
+            assert row_callers == [c for c in row_calls if c in ("epigraph_stages", "solve_general")]
+            assert row_callers[0] == "epigraph_stages"
         assert statuses == ["optimal", "optimal", "infeasible"]
 
     def test_epigraph_runs_only_as_far_as_the_probes_need(self, ref_j1, monkeypatch):
@@ -682,12 +690,20 @@ class TestSweepBisection:
         r = RatePair(rd, 0.0)
         assert proven_feasibility(epigraph, r) == relaxation_feasibility(p, r) == INFEASIBLE
 
-    def test_six_sweep_csv_md5(self):
+    def test_six_sweep_csv_md5(self, monkeypatch):
+        # The bytes, and the work that produced them (no relaxation_feasibility
+        # call): a change that moves a count does different arithmetic, even
+        # where the bytes hold.
+        calls = count_row_calls(monkeypatch, extra=((sdp._Barrier, "newton_step"),
+                                                    (sweep, "proven_feasibility")))
         csv = "".join(
             to_csv(sweep_region(load_problem(str(path)).problem,
                                 code_rate_grid(0.1, 2.0, 0.1), rate_tol=1e-3))
             for path in sorted(PROBLEMS.glob("*.json")))
         assert hashlib.md5(csv.encode()).hexdigest() == "c36d15b83a028ef18be82305981e9c07"
+        assert {attr: calls.count(attr) for attr in set(calls)} == {
+            "newton_step": 4134, "_phase1": 35, "min_ceiling": 28, "solve_diagonal": 25,
+            "solve_general": 52, "proven_feasibility": 729, "epigraph_stages": 58}
 
     @pytest.mark.parametrize("status, row_status", [
         (MAX_ITERATIONS, "numerical-failure"),
@@ -825,12 +841,15 @@ class TestCli:
         assert err.startswith(f"error: {message}") and "Traceback" not in err
 
     # Each rate's received-power threshold overflows: exit 2, not a traceback.
+    # The last grid's rows below R_D 1024 have finite thresholds, but the
+    # first of them is infeasible and its proof would carry to the rest.
     @pytest.mark.parametrize("command, rates", [
         ("solve", ["--rd", "1e6", "--rs", "0"]),
         ("solve", ["--rd", "inf", "--rs", "0"]),
         ("kkt", ["--rd", "1e6", "--rs", "0"]),
         ("montecarlo", ["--rd", "1e6", "--rs", "0", "--trials", "10"]),
         ("sweep", ["--rd-min", "1050", "--rd-max", "1100", "--rd-step", "50"]),
+        ("sweep", ["--rd-min", "1000", "--rd-max", "1100", "--rd-step", "50"]),
     ])
     def test_rate_without_finite_threshold_exit_2(self, capsys, command, rates):
         code, out = run_cli([command, "--problem", str(PROBLEMS / "paper_j1.json"), *rates])
@@ -840,7 +859,7 @@ class TestCli:
 
     # QPSK carries at most 2 bits. On paper_j1 the rows below R_D 2 are
     # infeasible at its own P_T and feasible at P_T 1e6; the grid is rejected
-    # either way, before any row is solved.
+    # either way, at its top rate, before any row is solved.
     @pytest.mark.parametrize("p_t", [None, 1e6])
     def test_sweep_past_alphabet_capacity_exit_2(self, tmp_path, capsys, monkeypatch, p_t):
         p = load_problem(str(PROBLEMS / "paper_j1.json")).problem
@@ -852,7 +871,7 @@ class TestCli:
                              "--rd-min", "1.5", "--rd-max", "2.5", "--rd-step", "0.25"])
         assert code == 2 and out == ""
         assert capsys.readouterr().err == (
-            "error: R_D = 2.0 is unachievable by an alphabet with capacity 2.0\n")
+            "error: R_D = 2.5 is unachievable by an alphabet with capacity 2.0\n")
 
         def unexpected(*args, **kwargs):
             raise AssertionError("a row was solved")
