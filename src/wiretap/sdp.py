@@ -10,9 +10,9 @@ structure: each Newton system is solved in closed form through the
 Woodbury identity, because the Hessian is the PSD-cone term
 X -> W^{-1} X W^{-1} plus one rank-one term per scalar constraint. Every
 barrier run starts from _start: it refutes a row out of reach (below), else
-tries W = alpha*I, else runs phase I, and returns (W, None) with W strictly
-feasible or (None, cert) with a Farkas certificate (None only when phase I
-finds no strict interior within resolution). relaxation_feasibility stops
+tries W = alpha*I, else runs phase I, whose stalls go to the epigraph of the
+ceilings (below). It returns (W, None) with W strictly feasible or (None,
+cert) with a Farkas certificate, or raises. relaxation_feasibility stops
 there, which is all a bisection over rates needs.
 
 The barrier's relaxation s enters row i with a coefficient c_i. Phase I
@@ -371,7 +371,7 @@ def _path(bar: _Barrier, W: np.ndarray, s: float, budget: _NewtonBudget,
 
 def _phase1(cons: ConstraintSet, budget: _NewtonBudget):
     """Find a strictly feasible W or certify infeasibility: (W, None) or
-    (None, cert), cert None when no strict interior exists within resolution.
+    (None, cert); _NumericalTrouble when it stalls, as on thin feasible sets.
 
     Minimizes the uniform relaxation s over { <A_i,W> - s <= u_i, W > 0 } on
     the barrier rows of cons; s* < 0 yields an interior point, a positive
@@ -396,24 +396,35 @@ def _phase1(cons: ConstraintSet, budget: _NewtonBudget):
             cert = _certificate(cons, _scatter(cons, keep, 1.0 / (t * bar.slacks(W, s))))
             if cert is not None:
                 return None, cert
-        if gap <= max(1e-12, 1e-11 * ref):
-            # No strict interior within resolution: treat as infeasible.
-            return None, None
-        if silent:
+        if silent or gap <= max(1e-12, 1e-11 * ref):
             raise _NumericalTrouble("phase-I feasibility could not be decided")
 
 
 def _start(cons: ConstraintSet, budget: _NewtonBudget):
     """A strictly feasible start for the barrier on cons, (W, None), or
     (None, cert) when there is none: a row out of reach (_unreachable_row),
-    else W = alpha*I (_interior_start), else phase I."""
+    else W = alpha*I (_interior_start), else phase I. A phase-I stall goes to
+    the epigraph (_epigraph_path): its first iterate that meets every row
+    strictly, or its first multipliers that prove cons infeasible; failing
+    both, or with no ceiling to hand the stall over to, _NumericalTrouble."""
     cert = _unreachable_row(cons)
     if cert is not None:
         return None, cert
     W = _interior_start(cons)
     if W is not None:
         return W, None
-    return _phase1(cons, budget)
+    try:
+        return _phase1(cons, budget)
+    except _NumericalTrouble:
+        if not np.any(np.linalg.norm(cons.A[cons.ceilings], axis=(1, 2)) > 0.0):
+            raise
+        for _, _, W, y in _epigraph_path(cons, budget):
+            if W is not None and np.all(cons.u > cons.values(W)):
+                return W, None
+            cert = _certificate(cons, y)
+            if cert is not None:
+                return None, cert
+        raise
 
 
 def _face_newton(A, u, V, y):
@@ -563,23 +574,23 @@ def _witness_bound(cons: ConstraintSet, W: np.ndarray, strict: bool) -> float:
     return math.inf
 
 
-def _epigraph_path(cons: ConstraintSet):
+def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
     """Minimize s over W > 0 subject to the budget and floors of cons and
     Tr(A_j W) <= s on its ceilings: the barrier on the rows of cons with
     ceiling u = 0, c = 1 on the ceilings and 0 elsewhere, started from an
-    interior point of the floors and budget. Yields (b_lo, b_hi) after each
-    stage of the path: the least _witness_bound and the greatest
-    ceiling_bound so far, so each bracket lies inside the one before. Stops
-    at a silent stage, at _T_MAX, or once the two are _EPIGRAPH_REL apart.
+    interior point of the floors and budget. Yields (b_lo, b_hi, W, y) after
+    each stage of the path: the least _witness_bound and the greatest
+    ceiling_bound so far, so each bracket lies inside the one before, and the
+    stage's iterate and multipliers (one per row of cons). Stops at a silent
+    stage, at _T_MAX, or once the two are _EPIGRAPH_REL apart.
 
-    Yields only (inf, inf) when _start on the floors and the budget ends
-    with a certificate, and nothing when it ends without one."""
+    Yields only (inf, inf, None, y) when _start on the floors and the budget
+    ends with a certificate, y its multipliers with zeros on the ceilings;
+    raises when that start does."""
     k = cons.k
-    budget = _NewtonBudget(_MAX_NEWTON)
     W, cert = _start(ConstraintSet(A=cons.A[:1 + k], u=cons.u[:1 + k], k=k), budget)
     if W is None:
-        if cert is not None:
-            yield math.inf, math.inf
+        yield math.inf, math.inf, None, np.r_[cert.lam, cert.mu, np.zeros(cons.u.size - 1 - k)]
         return
     rows, keep = _barrier_rows(cons.with_ceiling(0.0))
     ceil = rows.ceilings
@@ -591,9 +602,10 @@ def _epigraph_path(cons: ConstraintSet):
     bar = _Barrier(rows.A, rows.u, 2.0 * s, ceil.astype(float))
     b_hi, b_lo = math.inf, -math.inf
     for t, W, s, silent in _path(bar, W, s, budget):
+        y = _scatter(cons, keep, 1.0 / (t * bar.slacks(W, s)))
         b_hi = min(b_hi, _witness_bound(cons, W, True))
-        b_lo = max(b_lo, cons.ceiling_bound(_scatter(cons, keep, 1.0 / (t * bar.slacks(W, s)))))
-        yield b_lo, b_hi
+        b_lo = max(b_lo, cons.ceiling_bound(y))
+        yield b_lo, b_hi, W, y
         if silent or t >= _T_MAX or b_lo >= (1.0 - _EPIGRAPH_REL) * b_hi:  # b_hi may be inf
             return
 
@@ -638,8 +650,8 @@ def epigraph_stages(
     infeasible yield one final bracket.
 
     Yields nothing when there is no nonzero ceiling to bound, on the trivial
-    route, or when phase I on the floors and budget ends without a
-    certificate; the stages end early when the path runs out of Newton steps.
+    route, or when the start on the floors and budget (_start) can decide
+    nothing; the stages end early when the path runs out of Newton steps.
     """
     t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
     cons = ConstraintSet.build(p, t, mode)
@@ -650,7 +662,7 @@ def epigraph_stages(
         brackets = [(math.inf, math.inf) if end is None else (
             cons.ceiling_bound(end[1]), _witness_bound(cons, np.diag(end[0]), False))]
     else:
-        brackets = _epigraph_path(cons)
+        brackets = (stage[:2] for stage in _epigraph_path(cons, _NewtonBudget(_MAX_NEWTON)))
     try:
         for bracket in brackets:
             yield Epigraph(*bracket, *rate_bracket(p, *bracket, mode, input_model))
@@ -687,8 +699,8 @@ def solve_rank_relaxed(
 ) -> BeamformerSolution:
     """Solve the rank-relaxed minimum-power problem for the given thresholds:
     zero power when W = 0 meets every row, else _start and phase II.
-    INFEASIBLE when _start finds no start, MAX_ITERATIONS when either runs
-    out of Newton steps."""
+    INFEASIBLE with _start's certificate; MAX_ITERATIONS when _start decides
+    nothing or either runs out of Newton steps."""
     cons = ConstraintSet.build(p, t, mode)
     if np.all(cons.u >= 0.0):  # W = 0 satisfies every row
         return _zero_power(cons, t, mode)
@@ -815,10 +827,10 @@ def relaxation_feasibility(
     phase II or rank-1 recovery.
 
     The verdict is the one solve_general reaches on the same route: the LP
-    route makes its one HiGHS call, the SDP route stops after _start (a row
-    out of reach, the interior start or phase I). solve_general at r returns
-    INFEASIBLE exactly when this returns INFEASIBLE; where this says FEASIBLE
-    it may still end in MAX_ITERATIONS (phase II) or RANK1_INFEASIBLE.
+    route makes its one HiGHS call, the SDP route stops after _start, whose
+    INFEASIBLE carries a certificate. solve_general at r returns INFEASIBLE
+    exactly when this returns INFEASIBLE; where this says FEASIBLE it may
+    still end in MAX_ITERATIONS (phase II) or RANK1_INFEASIBLE.
     """
     t, route = _route(p, r, mode, input_model)
     if route == "trivial":

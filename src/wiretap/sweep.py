@@ -16,9 +16,6 @@ no stages, runs relaxation_feasibility (the interior start or phase I, or the
 diagonal LP). The row then costs one full solve_general, at the largest
 feasible R_s found (R_D itself when R_s = R_D is feasible). That solve's
 rank-1 recovery is not monotone in R_s, so it is kept out of the bisection.
-Phase I can stall on a thin feasible set that a witness proves nonempty;
-when the final solve then finds no interior point at the proven R_s, the row
-is bisected again by relaxation_feasibility alone.
 
 An infeasible row ends the sweep's solving. When a row's epigraph proves
 the floors and the budget infeasible (b_lo = inf: a Farkas certificate, or
@@ -33,11 +30,11 @@ Each row reports the largest feasible R_s (within rate_tol), the minimum
 transmit power there, and whether the relaxed solution had numerical rank
 one. A row is `infeasible` when the relaxation is infeasible even at
 R_s = 0, and `numerical-failure` when a probe or the final solve runs out of
-Newton steps or the final solve finds no interior point. When the final
-solve's relaxation is feasible but its principal direction is not a
-feasible beamformer, the row is `rank1-infeasible` with no rates or power:
-the relaxation bounds the region from outside, so no achievable point is
-claimed. Rows are solved in grid order.
+Newton steps. When the final solve's relaxation is feasible but its
+principal direction is not a feasible beamformer, the row is
+`rank1-infeasible` with no rates or power: the relaxation bounds the region
+from outside, so no achievable point is claimed. Rows are solved in grid
+order.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ from dataclasses import dataclass
 from .model import STATISTICAL, CsiMode, ModelError, RatePair, WiretapProblem
 from .sdp import (
     FEASIBLE,
-    INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
     RANK1_INFEASIBLE,
@@ -109,17 +105,11 @@ def _solve_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow, bool]:
     stages = epigraph_stages(p, rd, mode, input_model)
     epigraph = next(stages, None)
 
-    def probe(rs: float) -> bool:
-        verdict = relaxation_feasibility(p, RatePair(rd, rs), mode=mode,
-                                         input_model=input_model)
-        if verdict == MAX_ITERATIONS:
-            raise _RowFailure()
-        return verdict == FEASIBLE
-
     def feasible(rs: float) -> bool:
         """The verdict of the first stage whose bracket decides rs, pulling
-        stages while it holds rs; probe(rs) once they run out. Brackets only
-        narrow, so a verdict never changes at a later stage."""
+        stages while it holds rs; relaxation_feasibility's once they run out
+        or when there are none. Brackets only narrow, so a verdict never
+        changes at a later stage."""
         nonlocal epigraph
         while epigraph is not None:
             verdict = proven_feasibility(epigraph, RatePair(rd, rs))
@@ -129,22 +119,20 @@ def _solve_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow, bool]:
             if later is None:
                 break
             epigraph = later
-        return probe(rs)
+        verdict = relaxation_feasibility(p, RatePair(rd, rs), mode=mode,
+                                         input_model=input_model)
+        if verdict == MAX_ITERATIONS:
+            raise _RowFailure()
+        return verdict == FEASIBLE
 
     try:
         lo = _largest_feasible(feasible, rd, rate_tol) if feasible(0.0) else None
-        if lo is None:
-            carry = epigraph is not None and epigraph.b_lo == math.inf
-            return SweepRow(rd, None, None, None, ROW_INFEASIBLE), carry
-        sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
-        if sol.status == INFEASIBLE and epigraph is not None:
-            # The witness proved lo feasible, but phase I found no interior
-            # point there: it stalls on thin feasible sets. Bisect again by
-            # phase I alone, so the row ends where the final solve can start.
-            lo = _largest_feasible(probe, rd, rate_tol)
-            sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
     except _RowFailure:
         return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE), False
+    if lo is None:
+        carry = epigraph is not None and epigraph.b_lo == math.inf
+        return SweepRow(rd, None, None, None, ROW_INFEASIBLE), carry
+    sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
     if sol.status == OPTIMAL:
         return SweepRow(rd, lo, sol.power, sol.rank1_exact, ROW_OPTIMAL), False
     status = ROW_RANK1_INFEASIBLE if sol.status == RANK1_INFEASIBLE else ROW_NUMERICAL_FAILURE

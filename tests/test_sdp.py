@@ -494,7 +494,8 @@ class TestRelaxationFeasibility:
 
 
 class TestStart:
-    """sdp._start: a row out of reach, else W = alpha*I, else phase I."""
+    """sdp._start: a row out of reach, else W = alpha*I, else phase I, and
+    the epigraph path where phase I stalls."""
 
     @staticmethod
     def start(p, r):
@@ -523,6 +524,59 @@ class TestStart:
     def test_phase1_certificate(self, ref_j1):
         cons, budget, W, cert = self.start(ref_j1, RatePair(1.0, 0.9))
         assert W is None and self.proves(cons, cert) and budget.used > 0
+
+    def test_thin_set_starts_from_the_epigraph(self):
+        # Seed 2769 of the sweep's thin-set test: phase I stalls at (1.0,
+        # 0.8203125), and an iterate of the epigraph path is the start.
+        rng = np.random.default_rng(2769)
+        p = WiretapProblem(H=(random_psd(rng, 4, scale=3.0, ridge=0.1),),
+                           Z=tuple(random_psd(rng, 4, scale=0.01, ridge=0.1) for _ in range(3)),
+                           N0=1.0, epsilon=0.1, P_T=100.0)
+        cons, budget, W, cert = self.start(p, RatePair(1.0, 0.8203125))
+        assert cert is None and np.all(cons.u - cons.values(W) > 0.0)
+
+    @staticmethod
+    def two_floors(p_t, b):
+        """N = 2 with floors Tr(W e_i e_i^H) >= 10, out of W = alpha*I's
+        reach at p_t = 20.5 and infeasible for p_t < 20, and one ceiling
+        Tr(G W) <= b, whose least value over the floors is 0.1."""
+        G = 0.01 * np.array([[1.0, 0.5], [0.5, 1.0]])
+        A = np.array([np.eye(2), -np.diag([1.0, 0.0]), -np.diag([0.0, 1.0]), G], dtype=complex)
+        return ConstraintSet(A=A, u=np.array([p_t, -10.0, -10.0, b]), k=2)
+
+    @pytest.mark.parametrize("p_t, b, feasible", [
+        (20.5, 1.0, True), (20.5, 0.05, False), (19.0, 1.0, False),
+    ])
+    def test_phase1_stall_goes_to_the_epigraph(self, monkeypatch, p_t, b, feasible):
+        # Phase I made to stall wherever there is a ceiling: the epigraph
+        # path decides by an iterate inside every row, by multipliers that
+        # prove the ceiling too low, or by the floors' own certificate.
+        phase1 = sdp._phase1
+
+        def stalling(cons, budget):
+            if np.any(cons.ceilings):
+                raise sdp._NumericalTrouble("stalled")
+            return phase1(cons, budget)
+
+        monkeypatch.setattr(sdp, "_phase1", stalling)
+        cons = self.two_floors(p_t, b)
+        W, cert = sdp._start(cons, sdp._NewtonBudget(sdp._MAX_NEWTON))
+        if feasible:
+            assert cert is None and np.all(cons.u - cons.values(W) > 0.0)
+        else:
+            assert W is None and self.proves(cons, cert)
+
+    def test_stall_on_the_floors_raises(self, monkeypatch):
+        # With no ceiling there is nothing to hand a stall over to, and the
+        # epigraph's own start on the floors stalls the same way.
+        def stalling(cons, budget):
+            raise sdp._NumericalTrouble("stalled")
+
+        monkeypatch.setattr(sdp, "_phase1", stalling)
+        cons = self.two_floors(20.5, 1.0)
+        for rows in (cons, ConstraintSet(A=cons.A[:3], u=cons.u[:3], k=2)):
+            with pytest.raises(sdp._NumericalTrouble):
+                sdp._start(rows, sdp._NewtonBudget(sdp._MAX_NEWTON))
 
 
 @settings(max_examples=30, deadline=None)

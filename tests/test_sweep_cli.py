@@ -12,13 +12,15 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import random_psd
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wiretap
 from wiretap import diag_lp, sdp, sweep
 from wiretap.cli import main as cli_main
+from wiretap.constraints import ConstraintSet
 from wiretap.instances import reference_problem
+from wiretap.kkt import check_kkt
 from wiretap.mi import MiEvaluator, qam16, qpsk
 from wiretap.model import (
     STATISTICAL,
@@ -27,6 +29,7 @@ from wiretap.model import (
     RateUnachievableError,
     WiretapProblem,
     perfect_users,
+    thresholds_gaussian,
 )
 from wiretap.probfile import ProblemFileError, load_problem, parse_problem, save_problem, to_doc
 from wiretap.sdp import (
@@ -409,6 +412,17 @@ def count_row_calls(monkeypatch, extra=()):
     return calls
 
 
+def thin_set_problem(seed):
+    """A random instance with strong users, weak eavesdroppers and P_T 100,
+    on which phase I can stall at the region's boundary: N = 3 or 4, K and J
+    in 1..3, every draw from one default_rng(seed) in this order."""
+    rng = np.random.default_rng(seed)
+    n, k, j = int(rng.integers(3, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    return WiretapProblem(H=tuple(random_psd(rng, n, 3.0, 0.1) for _ in range(k)),
+                          Z=tuple(random_psd(rng, n, 0.01, 0.1) for _ in range(j)),
+                          N0=1.0, epsilon=0.1, P_T=100.0)
+
+
 NO_EAVESDROPPER = WiretapProblem(H=(np.eye(2, dtype=complex),), Z=(),
                                  N0=1.0, epsilon=0.1, P_T=50.0)
 # Two orthogonal floors: each alone is within reach of P_T below R_D 0.8,
@@ -489,40 +503,73 @@ class TestSweepBisection:
         with mock.patch.object(sweep, "proven_feasibility", recording):
             row, = sweep_region(p, [rd], rate_tol=1e-2, **solver).rows
         assert any(verdict is not None for _, verdict in proofs)
-        oracle = probe_row(p, rd, 1e-2, **solver)
-        disagreed = False
         for r, verdict in proofs:
-            if verdict is None:
-                continue
-            probed = relaxation_feasibility(p, r, **solver)
-            if probed != verdict:
-                # Only phase I's uncertified "no interior point within
-                # resolution" may contradict a checked witness.
-                assert (verdict, probed) == (FEASIBLE, INFEASIBLE)
-                assert solve_general(p, r, **solver).certificate is None
-                disagreed = True
-        if disagreed and row != oracle:
-            assert row.status == "optimal"
-            assert oracle.rs_max is None or row.rs_max > oracle.rs_max
-        else:
-            assert row == oracle
+            if verdict is not None:
+                assert relaxation_feasibility(p, r, **solver) == verdict
+        assert row == probe_row(p, rd, 1e-2, **solver)
 
     def test_row_phase1_cannot_start_matches_probe_bisection(self):
         # A thin feasible set: the epigraph's witness meets every row at
-        # R_s = 0.8203125 with slacks near 2e-6, where phase I stalls and
-        # reports infeasible without a certificate. The final solve at the
-        # proven R_s fails the same way, so the row is bisected again by phase I.
+        # R_s = 0.8203125 with slacks near 2e-6, where phase I stalls. _start
+        # hands the stall to the epigraph path, whose iterate starts phase II,
+        # so the final solve at the proven R_s is optimal.
         rng = np.random.default_rng(2769)
         p = WiretapProblem(H=(random_psd(rng, 4, scale=3.0, ridge=0.1),),
                            Z=tuple(random_psd(rng, 4, scale=0.01, ridge=0.1) for _ in range(3)),
                            N0=1.0, epsilon=0.1, P_T=100.0)
         r = RatePair(1.0, 0.8203125)
         assert proven_feasibility(finished_epigraph(p, 1.0), r) == FEASIBLE
+        cons = ConstraintSet.build(p, thresholds_gaussian(p, r))
+        with pytest.raises(sdp._NumericalTrouble):
+            sdp._phase1(cons, sdp._NewtonBudget(sdp._MAX_NEWTON))
         sol = solve_general(p, r)
-        assert sol.status == INFEASIBLE and sol.certificate is None
+        assert sol.status == OPTIMAL and sol.power == pytest.approx(3.84912, rel=1e-5)
+        assert check_kkt(p, sol.thresholds, sol.W, sol.duals).passes(1e-5)
         row, = sweep_region(p, [1.0], rate_tol=1e-2).rows
         assert row == probe_row(p, 1.0, 1e-2)
-        assert row.status == "optimal" and row.rs_max == 0.8125
+        assert row.status == "optimal" and row.rs_max == 0.8203125
+
+    # Two boundary points of thin_set_problem where phase I stalls: seed 54
+    # at R_D 0.3 and seed 63 at R_D 0.6. The row ends at the proven R_s, and
+    # the final solve there is optimal.
+    @pytest.mark.parametrize("seed, r, power", [
+        (54, RatePair(0.3, 0.290625), 0.35289696), (63, RatePair(0.6, 0.35625), 4.55744398),
+    ])
+    def test_thin_set_rows_end_at_the_proven_rate(self, seed, r, power):
+        p = thin_set_problem(seed)
+        sol = solve_general(p, r)
+        assert sol.status == OPTIMAL and sol.power == pytest.approx(power, rel=1e-6)
+        assert check_kkt(p, sol.thresholds, sol.W, sol.duals).passes(1e-5)
+        row, = sweep_region(p, [r.R_D], rate_tol=1e-2).rows
+        assert row == probe_row(p, r.R_D, 1e-2)
+        assert row.status == "optimal" and row.rs_max == r.R_s
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.3, 0.6, 1.0]))
+    @example(54, 0.3)
+    @example(63, 0.6)
+    def test_sdp_infeasible_always_certified(self, seed, rd):
+        # At every probe of the row's bisection, near the boundary where the
+        # feasible sets are thin, solve_general agrees with the epigraph's
+        # proof, and its every infeasible verdict carries a certificate that
+        # ConstraintSet.farkas accepts.
+        p = thin_set_problem(seed)
+        proofs = {}
+
+        def recording(epigraph, r):
+            proofs[r] = proven_feasibility(epigraph, r)
+            return proofs[r]
+
+        with mock.patch.object(sweep, "proven_feasibility", recording):
+            sweep_region(p, [rd], rate_tol=1e-2)
+        for r, verdict in proofs.items():
+            sol = solve_general(p, r)
+            if verdict is not None:
+                assert (sol.status == INFEASIBLE) == (verdict == INFEASIBLE)
+            if sol.status == INFEASIBLE:
+                cons = ConstraintSet.build(p, sol.thresholds)
+                cert = sol.certificate
+                assert cons.farkas(np.r_[cert.lam, cert.mu, cert.nu])[1] > 0.0
 
     # On paper_j3_diag at R_D 0.2 the LP witness meets its binding floor
     # only once lifted onto it. With no eavesdropper there is no ceiling to
