@@ -3,15 +3,16 @@
 Channels are drawn as h = B g with B B* = H and g a standard circular complex
 Gaussian vector, so h ~ CN(0, H). sample_channels streams them in chunks: one
 ChannelSample per block of up to chunk_size trials, holding that block's
-(m, K, N) user and (m, J, N) eavesdropper channels. Randomness is
-counter-based: trial i always consumes the same fixed-size block of the Philox
-stream keyed by the seed, so every trial's channel is reproducible
+(m, K + J, N) draw g and the factor stack B shared by every chunk. Randomness
+is counter-based: trial i always consumes the same fixed-size block of the
+Philox stream keyed by the seed, so every trial's channel is reproducible
 bit-for-bit no matter how trials are chunked or distributed across workers,
 and aggregation is a plain sum.
 
-A channel vector h pairs with a beamformer w through h* w. received_powers
-turns each chunk into the received signal powers |h* w|^2 with one batched
-product and keeps only those (T, K + J) powers, never the channels. The
+A channel vector h pairs with a beamformer w through h* w = g* (B* w).
+received_powers forms v = B* w once per stream and reduces each chunk of g to
+the received signal powers |g* v|^2, keeping only those (T, K + J) powers: no
+chunk forms its channels, which ChannelSample derives only when read. The
 estimators work from these power arrays, so a single draw serves the joint
 estimate and the per-link estimates alike. Each power is exponentially
 distributed with mean w* H w, which exponentiality_check verifies
@@ -37,11 +38,22 @@ KS_CRITICAL_1PCT = 1.6276
 
 @dataclass(frozen=True)
 class ChannelSample:
-    """A chunk of m fading realizations: h is (m, K, N) and z is (m, J, N), so
-    h[i, k] is user k's channel in trial i."""
+    """A chunk of m fading realizations: the CN(0, 1) draw g (m, K + J, N), the
+    factor stack B (K + J, N, N) with B_c B_c* the c-th covariance (users
+    first), and K. The channels h = B g are derived when read: h is (m, K, N)
+    and z is (m, J, N), so h[i, k] is user k's channel in trial i."""
 
-    h: np.ndarray
-    z: np.ndarray
+    g: np.ndarray
+    B: np.ndarray
+    K: int
+
+    @property
+    def h(self) -> np.ndarray:
+        return np.einsum("cab,mcb->mca", self.B[: self.K], self.g[:, : self.K])
+
+    @property
+    def z(self) -> np.ndarray:
+        return np.einsum("cab,mcb->mca", self.B[self.K :], self.g[:, self.K :])
 
 
 @dataclass(frozen=True)
@@ -106,21 +118,25 @@ def _chunks(p: WiretapProblem, seed: int, count: int, chunk_size: int) -> Iterat
     factors = np.stack(
         [psd_project_factor(m) for m in (*p.H, *p.Z)]
     )  # (K+J, N, N)
-    k = p.K
     for start in range(0, count, chunk_size):
         m = min(chunk_size, count - start)
-        hz = np.einsum("cab,mcb->mca", factors, _gaussian_block(p, seed, start, m))
-        yield ChannelSample(h=hz[:, :k], z=hz[:, k:])
+        yield ChannelSample(g=_gaussian_block(p, seed, start, m), B=factors, K=p.K)
 
 
 def received_powers(samples: Iterable[ChannelSample], w: np.ndarray):
-    """(T, K) user and (T, J) eavesdropper received powers |h* w|^2."""
+    """(T, K) user and (T, J) eavesdropper received powers |h* w|^2, reduced
+    per trial as |g* v_c|^2 with v_c = B_c* w formed once per stream."""
     wc = np.asarray(w, dtype=np.complex128).reshape(-1)
-    chunks = [(np.abs(c.h.conj() @ wc) ** 2, np.abs(c.z.conj() @ wc) ** 2) for c in samples]
+    v_conj = None  # conj(B_c* w) per link c, since |g* v| = |g^T conj(v)|
+    chunks = []
+    for c in samples:
+        if v_conj is None:
+            v_conj = np.einsum("cab,a->cb", c.B, wc.conj())
+        chunks.append(np.abs(np.einsum("mcb,cb->mc", c.g, v_conj)) ** 2)
     if not chunks:
         raise ModelError("empty sample stream")
-    hp, zp = zip(*chunks)
-    return np.concatenate(hp), np.concatenate(zp)
+    powers = np.concatenate(chunks)
+    return powers[:, : c.K], powers[:, c.K :]
 
 
 def estimate_non_outage(

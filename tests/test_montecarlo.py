@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wiretap.instances import H1
+from conftest import random_psd
+from wiretap.instances import H1, reference_problem
 from wiretap.mi import MiEvaluator, bpsk
 from wiretap.model import ModelError, RatePair, WiretapProblem, thresholds_gaussian
 from wiretap.montecarlo import (
@@ -74,12 +77,45 @@ class TestSampling:
         w = np.array([1.0, 0.5j, -0.25])
         hp, zp = draw(ref_j3, w, 5, 50, chunk_size=16)
         chunks = list(sample_channels(ref_j3, 5, 50, chunk_size=16))
+        assert all(c.B is chunks[0].B for c in chunks)
+        g = np.concatenate([c.g for c in chunks])
+        v = np.einsum("cab,a->cb", chunks[0].B.conj(), w)  # v_c = B_c* w
         h = np.concatenate([c.h for c in chunks])
         z = np.concatenate([c.z for c in chunks])
         assert hp.shape == (50, 2) and zp.shape == (50, 3)
         for i in range(50):
-            assert np.array_equal(hp[i], np.abs(h[i].conj() @ w) ** 2)
-            assert np.array_equal(zp[i], np.abs(z[i].conj() @ w) ** 2)
+            # |g_i* v_c|^2 = |g_i^T conj(v_c)|^2, one trial at a time.
+            powers = np.abs(np.einsum("cb,cb->c", g[i], v.conj())) ** 2
+            assert np.array_equal(np.concatenate([hp[i], zp[i]]), powers)
+            np.testing.assert_allclose(hp[i], np.abs(h[i].conj() @ w) ** 2, rtol=1e-12)
+            np.testing.assert_allclose(zp[i], np.abs(z[i].conj() @ w) ** 2, rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([2, 3, 4, 8]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=40),
+)
+def test_tensor_free_powers_match_channel_products(seed, n, k, j, chunk_size):
+    # Covariances of every rank from 0 (all zero) to n; w is a random vector.
+    rng = np.random.default_rng(seed)
+    covs = [random_psd(rng, n, rank=int(rng.integers(0, n + 1))) for _ in range(k + j)]
+    p = WiretapProblem(H=tuple(covs[:k]), Z=tuple(covs[k:]), N0=1.0, epsilon=0.1, P_T=1.0)
+    w = rng.normal(size=n) + 1j * rng.normal(size=n)
+    count = 60
+    hp, zp = draw(p, w, seed, count, chunk_size)
+    chunks = list(sample_channels(p, seed, count, chunk_size))
+    h = np.concatenate([c.h for c in chunks])
+    z = np.concatenate([c.z for c in chunks])
+    np.testing.assert_allclose(hp, np.abs(np.einsum("mka,a->mk", h.conj(), w)) ** 2,
+                               rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(zp, np.abs(np.einsum("mja,a->mj", z.conj(), w)) ** 2,
+                               rtol=1e-12, atol=1e-13)
+    whole = draw(p, w, seed, count, count)
+    assert np.array_equal(hp, whole[0]) and np.array_equal(zp, whole[1])
 
 
 class TestNonOutage:
@@ -161,6 +197,24 @@ class TestNonOutage:
             counts.append((estimate_non_outage(ref_j2, sol.thresholds, sol.w, powers).successes,
                            [e.successes for e in users + eaves]))
         assert all(c == counts[0] for c in counts)
+
+
+# The montecarlo benchmark's three points (problems/paper_j1..3.json hold these
+# instances) at seed 0 and 1e5 trials: the joint successes, then the per-user
+# and the per-eavesdropper successes.
+@pytest.mark.parametrize("j, rd, rs, joint, users, eaves", [
+    (1, 1.0, 0.5, 93392, [96696, 96643], [99958]),
+    (2, 0.8, 0.4, 93443, [97488, 97447], [99787, 98567]),
+    (3, 0.5, 0.15, 92551, [98015, 97870], [99671, 98812, 97984]),
+])
+def test_benchmark_point_counts(j, rd, rs, joint, users, eaves):
+    p = reference_problem(j)
+    sol = solve_general(p, RatePair(rd, rs))
+    powers = draw(p, sol.w, 0, 100_000)
+    got_users, got_eaves = estimate_individual_probs(sol.thresholds, powers)
+    assert estimate_non_outage(p, sol.thresholds, sol.w, powers).successes == joint
+    assert [u.successes for u in got_users] == users
+    assert [e.successes for e in got_eaves] == eaves
 
 
 class TestIndividualProbs:
