@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .constraints import ConstraintSet, DualVariables
 from .linalg import frob
@@ -41,8 +40,10 @@ class PowerAllocation:
 
 
 def is_diagonal(m: np.ndarray) -> bool:
+    """Off-diagonal part within DIAGONAL_RTOL of the matrix, relative at
+    every scale (the zero matrix counts as diagonal)."""
     off = m - np.diag(np.diag(m))
-    return frob(off) <= DIAGONAL_RTOL * max(1.0, frob(m))
+    return frob(off) <= DIAGONAL_RTOL * frob(m)
 
 
 def all_diagonal(p: WiretapProblem) -> bool:
@@ -51,7 +52,11 @@ def all_diagonal(p: WiretapProblem) -> bool:
 
 def _highs(c, A_ub, b_ub, bounds):
     """(x, y) of min c.x s.t. A_ub x <= b_ub within bounds, y >= 0 the row
-    multipliers, or None when HiGHS proves the LP infeasible (status 2)."""
+    multipliers, or None when HiGHS proves the LP infeasible (status 2).
+    scipy.optimize is imported here, on the first LP, so the SDP route, the
+    Monte Carlo and the MI never load it."""
+    from scipy.optimize import linprog
+
     res = linprog(c=c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status == 2:
         return None

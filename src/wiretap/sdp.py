@@ -96,6 +96,7 @@ _FACE_TOL = 1e-12        # relative KKT residual a refined face must reach
 _MAX_NEWTON = 800        # total Newton budget per solve (both phases)
 _T_MAX = 1e12            # the path stops at this barrier parameter
 _EPIGRAPH_REL = 1e-9     # the epigraph stops once b_hi - b_lo <= this * b_hi
+_LP_ROW_REL = 1e-9       # an LP allocation must meet each row to this * |u_i|
 
 
 @dataclass(frozen=True)
@@ -783,12 +784,19 @@ def _lp_route(p, t, mode) -> BeamformerSolution:
 
     The LP yields W = w w* with [sqrt(P_m)] entries; its row duals satisfy
     the same stationarity/complementarity system (the K6 matrix is diagonal
-    with the LP's reduced costs on the diagonal)."""
+    with the LP's reduced costs on the diagonal).
+
+    HiGHS meets each row only to an absolute tolerance of about 1e-7, which
+    passes P = 0 against floors below it, so OPTIMAL needs every row met to
+    _LP_ROW_REL of its size; otherwise the solve reports MAX_ITERATIONS."""
     alloc = diag_lp.solve_diagonal(p, t)
     if alloc is None:
         return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t)
     w = diag_lp.allocation_to_beamformer(alloc)
     W = np.outer(w, w.conj())
+    cons = ConstraintSet.build(p, t, mode)
+    if np.any(cons.values(W) > cons.u + _LP_ROW_REL * np.abs(cons.u)):
+        return BeamformerSolution(status=MAX_ITERATIONS, mode=mode, thresholds=t)
     return BeamformerSolution(
         status=OPTIMAL, mode=mode, w=w, power=alloc.total, W=W,
         rank1_exact=numerical_rank(W, _RANK_REL_TOL) == 1,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiretap.diag_lp import allocation_to_beamformer, solve_diagonal
+from wiretap.diag_lp import all_diagonal, allocation_to_beamformer, is_diagonal, solve_diagonal
+from wiretap.instances import reference_problem
 from wiretap.linalg import quad_form
 from wiretap.model import ConstraintThresholds, ModelError, RatePair, WiretapProblem, thresholds_gaussian
+from wiretap.sdp import MAX_ITERATIONS, OPTIMAL, solve_general
 
 
 def thresholds(a, b=0.0, per_link=0.9):
@@ -145,7 +148,6 @@ def test_total_power_monotone_in_thresholds(seed):
 
 
 def test_cross_solver_agreement_on_reference_diagonal(ref_j1):
-    from wiretap.instances import reference_problem
     from wiretap.sdp import solve_rank_relaxed
 
     p = reference_problem(1, diagonal=True)
@@ -155,3 +157,44 @@ def test_cross_solver_agreement_on_reference_diagonal(ref_j1):
     sdp = solve_rank_relaxed(p, t)
     assert alloc is not None and sdp.status == "optimal"
     assert alloc.total == pytest.approx(sdp.objective, rel=1e-4)
+
+
+def scaled(p, hz=1.0, pt=1.0, n0=1.0):
+    """The same physical problem in other units: H and Z times hz, P_T
+    times pt and N0 times n0."""
+    return dataclasses.replace(p, H=tuple(hz * h for h in p.H), Z=tuple(hz * z for z in p.Z),
+                               P_T=pt * p.P_T, N0=n0 * p.N0)
+
+
+class TestScale:
+    """Neither the route nor an LP verdict may hang on an absolute floor."""
+
+    def test_is_diagonal_is_relative(self):
+        m = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+        assert not is_diagonal(1e-12 * m)
+        assert is_diagonal(1e-12 * np.diag([1.0, 2.0]))
+        assert is_diagonal(np.zeros((2, 2), dtype=complex))
+
+    def test_small_non_diagonal_problem_takes_the_sdp(self):
+        # H, Z and N0 times 1e-12 used to look diagonal, and the LP dropped the
+        # phases: optimal at power 0.0 against 13.1658 unscaled.
+        p = scaled(reference_problem(1), hz=1e-12, n0=1e-12)
+        assert not all_diagonal(p)
+        sol = solve_general(p, RatePair(1.0, 0.5))
+        assert sol.status in (OPTIMAL, MAX_ITERATIONS)
+        if sol.status == OPTIMAL:
+            assert sol.power == pytest.approx(13.1658, rel=1e-5)
+
+    @pytest.mark.parametrize("hz, pt_n0, power, statuses", [
+        (1.0, 1e-6, 1.4355987e-5, (OPTIMAL,)),
+        (1.0, 1e-9, 1.4355987e-8, (OPTIMAL, MAX_ITERATIONS)),
+        (1e-12, 1.0, 14.355987, (OPTIMAL, MAX_ITERATIONS)),
+    ])
+    def test_lp_optimal_meets_every_row_relatively(self, hz, pt_n0, power, statuses):
+        # HiGHS's absolute primal tolerance (about 1e-7) passes P = 0 against
+        # floors below it; such an allocation must not be reported optimal.
+        p = scaled(reference_problem(1, diagonal=True), hz=hz, pt=pt_n0, n0=hz * pt_n0)
+        sol = solve_general(p, RatePair(1.0, 0.5))
+        assert sol.status in statuses
+        if sol.status == OPTIMAL:
+            assert sol.power == pytest.approx(power, rel=1e-6)

@@ -1066,6 +1066,42 @@ class TestCli:
         )
         assert proc.returncode == 0
 
+    @pytest.mark.parametrize("args, loads_lp", [
+        (["kkt", "--problem", "paper_j1.json", "--rd", "1.0", "--rs", "0.5"], False),
+        (["montecarlo", "--problem", "paper_j1.json", "--rd", "1.0", "--rs", "0.5",
+          "--trials", "1000", "--seed", "0"], False),
+        (["sweep", "--problem", "paper_j1.json", "--alphabet", "16qam",
+          "--rd-min", "0.5", "--rd-max", "1.5", "--rd-step", "0.5"], False),
+        (["solve", "--problem", "paper_j1_diag.json", "--rd", "1.0", "--rs", "0.5"], True),
+    ], ids=["kkt", "montecarlo", "sweep-16qam", "solve-diag"])
+    def test_scipy_loads_only_on_the_lp_route(self, tmp_path, args, loads_lp):
+        # A fresh interpreter, so no other test's imports are in sys.modules:
+        # only the diagonal-LP route may pull in scipy.optimize (HiGHS).
+        args = [str(PROBLEMS / a) if a.endswith(".json") else a for a in args]
+        script = (
+            "import json, sys\n"
+            "from wiretap.cli import main\n"
+            "code = main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy')]))\n"
+        )
+        package_root = str(pathlib.Path(wiretap.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [package_root, inherited] if inherited else [package_root])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script,
+             json.dumps(args + ["--output", str(tmp_path / "out")])],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        if loads_lp:
+            assert "scipy.optimize" in scipy_modules
+        else:
+            assert scipy_modules == []
+
     def test_solve_perfect_csi_problem(self, tmp_path, ref_j1):
         from wiretap.model import perfect_users
 
