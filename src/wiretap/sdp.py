@@ -8,12 +8,15 @@ The general (non-diagonal) problem is solved as a small dense SDP:
 via a log-barrier path-following method written directly against this
 structure: each Newton system is solved in closed form through the
 Woodbury identity, because the Hessian is the PSD-cone term
-X -> W^{-1} X W^{-1} plus one rank-one term per scalar constraint. Every
-barrier run starts from _start: it refutes a row out of reach (below), else
-tries W = alpha*I, else runs phase I, whose stalls go to the epigraph of the
-ceilings (below). It returns (W, None) with W strictly feasible or (None,
-cert) with a Farkas certificate, or raises. relaxation_feasibility stops
-there, which is all a bisection over rates needs.
+X -> W^{-1} X W^{-1} plus one rank-one term per scalar constraint. Each
+iterate is evaluated once: the line search keeps the trial it accepts, with
+its slacks and barrier terms, for the next Newton step and for the first
+value of the next stage. Every barrier run starts from _start: it refutes a
+row out of reach (below), else tries W = alpha*I, else runs phase I, whose
+stalls go to the epigraph of the ceilings (below). It returns (W, None) with
+W strictly feasible or (None, cert) with a Farkas certificate, or raises.
+relaxation_feasibility stops there, which is all a bisection over rates
+needs.
 
 The barrier's relaxation s enters row i with a coefficient c_i. Phase I
 uses c = 1 on every row. The epigraph of the ceilings (epigraph_stages) uses
@@ -59,6 +62,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,6 +154,26 @@ class _NewtonBudget:
             raise _NumericalTrouble("Newton iteration budget exhausted")
 
 
+class _Point(NamedTuple):
+    """An iterate (W, s) of a _Barrier with its slacks sl and, inside the
+    barrier's domain, its barrier terms (obj, logdet W, sum log sl, log(s_cap
+    - s), 0 without s_cap); terms is None outside the domain."""
+
+    W: np.ndarray
+    s: float
+    sl: np.ndarray
+    terms: tuple | None
+
+    def value(self, t: float) -> float:
+        """The barrier value t*obj - logdet - sum log sl - log cap, inf outside
+        the domain. A point's terms serve every t: a new stage starts from
+        the last one's point with no new Cholesky factor."""
+        if self.terms is None:
+            return math.inf
+        obj, logdet, log_sl, log_cap = self.terms
+        return t * obj - logdet - log_sl - log_cap
+
+
 class _Barrier:
     """Log-barrier model over the constraint set
 
@@ -161,95 +185,97 @@ class _Barrier:
     with s fixed at 0. Newton steps are computed with the Woodbury identity:
     the PSD-cone Hessian block X -> W^{-1} X W^{-1} is inverted in closed form
     (X -> W X W) and each scalar constraint adds a rank-one term.
+
+    Each iterate is evaluated once (evaluate): the line search's accepted
+    trial is the next iterate, and its slacks and barrier terms (_Point) are
+    carried to the next Newton step and to the next stage's first value.
     """
 
     def __init__(self, A: np.ndarray, u: np.ndarray, s_cap: float | None = None,
                  c: np.ndarray | None = None):
         self.A = A                      # (m, N, N) Hermitian constraint matrices
+        self.A_conj = A.conj()
         self.u = u                      # (m,)
         self.m, self.N = A.shape[0], A.shape[1]
         self.s_cap = s_cap
         self.relax = s_cap is not None
         self.c = np.ones(self.m) if c is None else c
+        self.cc = np.outer(self.c, self.c) if self.relax else None
         self.C0 = None if self.relax else np.eye(self.N, dtype=complex)
         # Barrier parameter count: logdet + m scalar logs (+ s_cap log).
         self.nu = self.N + self.m + (1 if self.relax else 0)
 
-    def slacks(self, W: np.ndarray, s: float) -> np.ndarray:
-        vals = np.real(np.einsum("mij,ij->m", self.A.conj(), W))
-        sl = self.u - vals
+    def evaluate(self, W: np.ndarray, s: float) -> _Point:
+        """(W, s) with its slacks and barrier terms; terms None outside the
+        domain (a slack <= 0, W not positive definite, or s >= s_cap)."""
+        sl = self.u - np.einsum("mij,ij->m", self.A_conj, W).real
         if self.relax:
-            sl = sl + self.c * s
-        return sl
-
-    def value(self, t: float, W: np.ndarray, s: float) -> float:
-        sl = self.slacks(W, s)
-        if np.any(sl <= 0.0):
-            return np.inf
+            sl += self.c * s
+        if np.count_nonzero(sl <= 0.0):
+            return _Point(W, s, sl, None)
         try:
             L = np.linalg.cholesky(W)
         except np.linalg.LinAlgError:
-            return np.inf
-        logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(L)))))
-        if self.relax:
-            if self.s_cap - s <= 0.0:
-                return np.inf
-            obj = s
-        else:
-            obj = float(np.real(np.vdot(self.C0, W)))
-        val = t * obj - logdet - float(np.sum(np.log(sl)))
-        if self.relax:
-            val -= math.log(self.s_cap - s)
-        return val
+            return _Point(W, s, sl, None)
+        logdet = 2.0 * float(np.log(L.diagonal().real).sum())
+        if not self.relax:
+            obj = float(np.vdot(self.C0, W).real)
+            return _Point(W, s, sl, (obj, logdet, float(np.log(sl).sum()), 0.0))
+        cap = self.s_cap - s
+        if cap <= 0.0:
+            return _Point(W, s, sl, None)
+        return _Point(W, s, sl, (s, logdet, float(np.log(sl).sum()), math.log(cap)))
 
-    def newton_step(self, t: float, W: np.ndarray, s: float):
-        """Returns (dW, ds, decrement^2)."""
-        sl = self.slacks(W, s)
-        if np.any(sl <= 0.0):
+    def newton_step(self, t: float, point: _Point):
+        """Returns (dW, ds, decrement^2) at point."""
+        W, s, sl = point.W, point.s, point.sl
+        # Terms exist only where every slack is > 0 (evaluate).
+        if point.terms is None and np.count_nonzero(sl <= 0.0):
             raise _NumericalTrouble("iterate left the feasible region")
         Winv = np.linalg.inv(W)
         Winv = (Winv + Winv.conj().T) / 2.0
-        grad_W = -Winv + np.einsum("m,mij->ij", 1.0 / sl, self.A)
+        grad_W = np.einsum("m,mij->ij", 1.0 / sl, self.A) - Winv
         if self.relax:
             cap = self.s_cap - s
-            grad_s = t - float(np.sum(self.c / sl)) + 1.0 / cap
+            grad_s = t - float((self.c / sl).sum()) + 1.0 / cap
             cap2 = cap * cap
         else:
-            grad_W = grad_W + t * self.C0
+            grad_W.flat[::self.N + 1] += t    # the objective's gradient, t I
             grad_s, cap2 = 0.0, 0.0
 
         # M^-1 applied to the gradient and to each constraint row.
         WgW = W @ grad_W @ W
         WAW = W @ self.A @ W
-        v = np.real(np.einsum("mij,ij->m", self.A.conj(), WgW))
-        S = np.real(np.einsum("mij,nij->mn", self.A.conj(), WAW))
+        v = np.einsum("mij,ij->m", self.A_conj, WgW).real
+        S = np.einsum("mij,nij->mn", self.A_conj, WAW).real
         if self.relax:
             # (W, s) rows are (A_i, -c_i): with c = 1 these add the scalars
             # exactly, so phase I is unchanged to the bit.
-            v = v - grad_s * cap2 * self.c
-            S = S + cap2 * np.outer(self.c, self.c)
-        core = np.diag(sl * sl) + S
+            v -= grad_s * cap2 * self.c
+            S += cap2 * self.cc
+        S.flat[::self.m + 1] += sl * sl    # the Hessian's core, diag(sl^2) + S
         # Jacobi equilibration: the diagonal spans many orders of magnitude
         # once binding slacks shrink, and the raw solve loses the small rows.
-        d = np.sqrt(np.diag(core))
+        d = np.sqrt(S.diagonal())
         d[d <= 0.0] = 1.0
-        scaled = core / np.outer(d, d)
+        scaled = S / (d[:, None] * d)
         try:
             y = np.linalg.solve(scaled, v / d) / d
         except np.linalg.LinAlgError:
             y = np.linalg.lstsq(scaled, v / d, rcond=None)[0] / d
-        dW = -WgW + np.einsum("m,mij->ij", y, WAW)
+        dW = np.einsum("m,mij->ij", y, WAW) - WgW
         dW = (dW + dW.conj().T) / 2.0
         if self.relax:
-            ds = -cap2 * (grad_s + float(np.sum(self.c * y)))
+            ds = -cap2 * (grad_s + float((self.c * y).sum()))
         else:
             ds = 0.0
-        dec2 = -(float(np.real(np.vdot(grad_W, dW))) + grad_s * ds)
+        dec2 = -(float(np.vdot(grad_W, dW).real) + grad_s * ds)
         return dW, ds, dec2
 
-    def center(self, t: float, W: np.ndarray, s: float, tol: float,
-               budget: _NewtonBudget, stop_early=None):
-        """Newton iterations at fixed t until the decrement falls below tol.
+    def center(self, t: float, point: _Point, tol: float, budget: _NewtonBudget,
+               stop_early=None):
+        """Newton iterations at fixed t from point until the decrement falls
+        below tol; returns (point, converged).
 
         stop_early(W, s) may abort centering as soon as some external goal is
         reached (used by phase I once s is strictly negative). Exits quietly
@@ -257,35 +283,37 @@ class _Barrier:
         point the gradient is a cancellation of O(t)-sized terms, so decrements
         much below t * eps are not resolvable and not needed.
         """
-        f = self.value(t, W, s)
+        f = point.value(t)
         for _ in range(80):
+            W, s = point.W, point.s
             if stop_early is not None and stop_early(W, s):
-                return W, s, False
-            dW, ds, dec2 = self.newton_step(t, W, s)
+                return point, False
+            dW, ds, dec2 = self.newton_step(t, point)
             if dec2 <= tol * tol:
-                return W, s, True
+                return point, True
             if dec2 <= 0.0:
-                return W, s, False  # numerical noise floor
+                return point, False  # numerical noise floor
             budget.spend()
             # Backtracking search. dec2 can be overestimated by cancellation
             # noise right after a barrier-parameter jump, so the Armijo
             # condition is kept permissive and any strictly decreasing step is
             # accepted as a fallback.
-            alpha, best_alpha, best_f = 1.0, None, f
+            alpha, best, best_f = 1.0, None, f
             for _ls in range(60):
-                f_new = self.value(t, W + alpha * dW, s + alpha * ds)
+                trial = self.evaluate(W + alpha * dW, s + alpha * ds)
+                f_new = trial.value(t)
                 if f_new <= f - 1e-3 * alpha * dec2:
-                    best_alpha, best_f = alpha, f_new
+                    best, best_f = trial, f_new
                     break
                 if f_new < best_f:
-                    best_alpha, best_f = alpha, f_new
+                    best, best_f = trial, f_new
                 alpha *= 0.5
-            if best_alpha is None or (f - best_f) <= 4.0 * _EPS * max(1.0, abs(f)):
+            if best is None or (f - best_f) <= 4.0 * _EPS * max(1.0, abs(f)):
                 # Progress is below float64 resolution of the barrier value
                 # (the decrement itself is cancellation-limited at large t):
                 # the point is as centered as the arithmetic allows.
-                return W, s, False
-            W, s, f = W + best_alpha * dW, s + best_alpha * ds, best_f
+                return point, False
+            point, f = best, best_f
         raise _NumericalTrouble("centering did not converge")
 
 
@@ -356,16 +384,18 @@ def _interior_start(cons: ConstraintSet) -> np.ndarray | None:
 
 def _path(bar: _Barrier, W: np.ndarray, s: float, budget: _NewtonBudget,
           stop_early=None):
-    """Centre at t = _T0, _T0 * _T_GROWTH, ... and yield (t, W, s, silent)
-    after each stage. silent: this stage and the one before both ended
-    unconverged without a Newton step, so the path is at its float64 floor."""
+    """Centre at t = _T0, _T0 * _T_GROWTH, ... from (W, s) and yield (t,
+    point, silent) after each stage, point the stage's _Point. silent: this
+    stage and the one before both ended unconverged without a Newton step, so
+    the path is at its float64 floor."""
     t = _T0
     silent_prev = False
+    point = bar.evaluate(W, s)
     while True:
         used_before = budget.used
-        W, s, converged = bar.center(t, W, s, _NEWTON_TOL, budget, stop_early)
+        point, converged = bar.center(t, point, _NEWTON_TOL, budget, stop_early)
         silent = not converged and budget.used == used_before
-        yield t, W, s, silent and silent_prev
+        yield t, point, silent and silent_prev
         silent_prev = silent
         t *= _T_GROWTH
 
@@ -387,14 +417,14 @@ def _phase1(cons: ConstraintSet, budget: _NewtonBudget):
     s = max(0.0, viol) + 1.0 + 0.01 * ref
     s_cap = 10.0 * (s + ref)
     bar = _Barrier(rows.A, rows.u, s_cap)
-    for t, W, s, silent in _path(bar, W, s, budget, lambda _W, _s: _s < -margin):
-        if s < -margin:
-            return W, None
+    for t, point, silent in _path(bar, W, s, budget, lambda _W, _s: _s < -margin):
+        if point.s < -margin:
+            return point.W, None
         gap = bar.nu / t
-        if s - gap > 0.0:
+        if point.s - gap > 0.0:
             # Only a certificate proves infeasibility; an uncentred iterate
             # may not yield one, so keep raising t until it does.
-            cert = _certificate(cons, _scatter(cons, keep, 1.0 / (t * bar.slacks(W, s))))
+            cert = _certificate(cons, _scatter(cons, keep, 1.0 / (t * point.sl)))
             if cert is not None:
                 return None, cert
         if silent or gap <= max(1e-12, 1e-11 * ref):
@@ -527,12 +557,11 @@ def _phase2(cons: ConstraintSet, W0: np.ndarray, budget: _NewtonBudget):
     multiplier per row of cons, or None when the refinement is rejected."""
     rows, keep = _barrier_rows(cons)
     bar = _Barrier(rows.A, rows.u)
-    for t, W, _, silent in _path(bar, W0, 0.0, budget):
-        primal = float(np.real(np.trace(W)))
+    for t, point, silent in _path(bar, W0, 0.0, budget):
+        primal = float(np.real(np.trace(point.W)))
         if bar.nu / t <= _GAP_REL * max(1.0, primal) or silent or t >= _T_MAX:
             break
-    slacks = bar.slacks(W, 0.0)
-    refined = _refine_face(rows, W, slacks, 1.0 / (t * slacks))
+    refined = _refine_face(rows, point.W, point.sl, 1.0 / (t * point.sl))
     if refined is None:
         return None
     W, y = refined
@@ -602,11 +631,11 @@ def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
     s = 2.0 * top + 1e-12 * max(1.0, cons.p_t)
     bar = _Barrier(rows.A, rows.u, 2.0 * s, ceil.astype(float))
     b_hi, b_lo = math.inf, -math.inf
-    for t, W, s, silent in _path(bar, W, s, budget):
-        y = _scatter(cons, keep, 1.0 / (t * bar.slacks(W, s)))
-        b_hi = min(b_hi, _witness_bound(cons, W, True))
+    for t, point, silent in _path(bar, W, s, budget):
+        y = _scatter(cons, keep, 1.0 / (t * point.sl))
+        b_hi = min(b_hi, _witness_bound(cons, point.W, True))
         b_lo = max(b_lo, cons.ceiling_bound(y))
-        yield b_lo, b_hi, W, y
+        yield b_lo, b_hi, point.W, y
         if silent or t >= _T_MAX or b_lo >= (1.0 - _EPIGRAPH_REL) * b_hi:  # b_hi may be inf
             return
 

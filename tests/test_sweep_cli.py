@@ -742,6 +742,7 @@ class TestSweepBisection:
         # call): a change that moves a count does different arithmetic, even
         # where the bytes hold.
         calls = count_row_calls(monkeypatch, extra=((sdp._Barrier, "newton_step"),
+                                                    (sdp._Barrier, "evaluate"),
                                                     (sweep, "proven_feasibility")))
         csv = "".join(
             to_csv(sweep_region(load_problem(str(path)).problem,
@@ -750,7 +751,8 @@ class TestSweepBisection:
         assert hashlib.md5(csv.encode()).hexdigest() == "c36d15b83a028ef18be82305981e9c07"
         assert {attr: calls.count(attr) for attr in set(calls)} == {
             "newton_step": 4134, "_phase1": 35, "min_ceiling": 28, "solve_diagonal": 25,
-            "solve_general": 52, "proven_feasibility": 729, "epigraph_stages": 58}
+            "solve_general": 52, "proven_feasibility": 729, "epigraph_stages": 58,
+            "evaluate": 7310}
 
     @pytest.mark.parametrize("status, row_status", [
         (MAX_ITERATIONS, "numerical-failure"),
