@@ -10,12 +10,22 @@ with d_lm = a_l - a_m. The expectation over the complex Gaussian noise is a
 2-D integral with weight exp(-|n|^2)/pi, evaluated by Gauss-Hermite product
 quadrature over the real and imaginary parts: the integrand is smooth, so a
 32-node rule is already at spectral accuracy. I is strictly increasing and
-concave in rho and saturates at log2 M; its inverse (needed by the threshold
-conversion) is computed by bisection. Each sweep row inverts its code rate
-R_D twice, at its epigraph and at its final solve, and the second inversion
-retraces the bisection of the first, so each evaluator memoizes rate(rho)
-for its lifetime. The row's bisection probes make no inversion: they are
-decided in rate space (sdp.rate_bracket).
+concave in rho and saturates at log2 M.
+
+Its inverse, model.invert_monotone_rate, is a bisection that answers probes
+outside a bracket I(a) <= R - margin, I(b) >= R + margin without a quadrature,
+bit for bit while the margin exceeds twice a quadrature's rounding. The
+M Q^2 summands w_qr inner_lqr are nonnegative (each inner sum holds 1 at
+m = l) and total at most M pi log2 M, so any summation order errs by at most
+M Q^2 u log2 M bits (u = 2^-53): 7.3e-12 for 16-QAM. Roundings within a
+summand add a few u each: against extended precision, the total error stays
+below 4e-15 bits for every built-in alphabet and a random 64-point one (rho
+1e-4..300). The margin is 1e-10 bits, or ten times the bound if larger.
+
+A sweep row inverts R_D four or five times (grid check, epigraph, final
+solve) and R_D - R_s once, so each evaluator memoizes rate(rho) for its
+lifetime. The row's bisection probes make no inversion: they are decided in
+rate space (sdp.rate_bracket).
 """
 
 from __future__ import annotations
@@ -115,10 +125,9 @@ def load_alphabet(source) -> Alphabet:
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         return load_alphabet(data)
-    pairs = list(source)
     try:
-        pts = [complex(float(re), float(im)) for re, im in pairs]
-    except (TypeError, ValueError) as exc:
+        pts = [complex(float(re), float(im)) for re, im in source]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"alphabet entries must be [re, im] pairs: {exc}") from exc
     return _normalized(pts, name="custom")
 
@@ -141,6 +150,8 @@ class MiEvaluator:
         )
         self._wgrid = w[:, None] * w[None, :]             # (Q, Q)
         self._norm = float(np.sum(self._wgrid)) / math.pi  # == 1 up to rounding
+        m = sym.size                      # inverse()'s margin (module docstring)
+        self._margin = max(1e-10, 10.0 * m * x.size**2 * 2.0**-53 * math.log2(m))
         self._memo: dict[float, float] = {}               # rho -> bits
 
     @property
@@ -180,18 +191,17 @@ class MiEvaluator:
         return bits
 
     def inverse(self, rate: float) -> float:
-        """rho with rate(rho) = rate to within 1e-8 bits, by bisection.
+        """rho with rate(rho) = rate to within 1e-8 bits, by bracketed
+        bisection (model.invert_monotone_rate).
 
         I saturates below log2 M only asymptotically, so rates too close to
         capacity are rejected as unachievable within numeric range.
         """
-        if rate < 0.0:
-            raise ModelError(f"rate must be non-negative: {rate}")
         if rate >= self.max_rate:
             raise RateUnachievableError(
                 f"rate {rate} unachievable: alphabet capacity is {self.max_rate}"
             )
-        return invert_monotone_rate(self.rate, rate)
+        return invert_monotone_rate(self.rate, rate, self._margin)
 
 
 def mutual_info_mc(alphabet: Alphabet, rho: float, draws: int, seed: int = 0) -> float:

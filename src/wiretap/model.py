@@ -228,27 +228,75 @@ def thresholds_gaussian(p: WiretapProblem, r: RatePair) -> ConstraintThresholds:
     return _thresholds(p, c_user, c_eave)
 
 
-def invert_monotone_rate(mi, rate: float) -> float:
+def _rate_bracket(mi, rate, lo, f_lo, hi, f_hi, margin) -> tuple[float, float]:
+    """(a, b) with mi(a) <= rate - margin and mi(b) >= rate + margin, from
+    f_lo = mi(lo) <= rate < mi(hi) = f_hi; -inf (a) or inf (b) where the
+    evaluation does not confirm it."""
+    f_lo, f_hi = f_lo - rate, f_hi - rate
+    g_lo, g_hi, side = f_lo, f_hi, 0     # Illinois: an end kept twice is halved
+    x, fx = hi, f_hi
+    for _ in range(100):
+        if abs(fx) <= 0.5 * margin:
+            break
+        x = hi - g_hi * (hi - lo) / (g_hi - g_lo) if g_hi != g_lo else lo
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = mi(x) - rate
+        if fx < 0.0:
+            lo, f_lo, g_lo, g_hi = x, fx, fx, g_hi * (0.5 if side < 0 else 1.0)
+            side = -1
+        else:
+            hi, f_hi, g_hi, g_lo = x, fx, fx, g_lo * (0.5 if side > 0 else 1.0)
+            side = 1
+    # Step off x by twice the margin on the chord's slope, and widen the step
+    # up to three times.
+    step = 2.0 * margin * (hi - lo) / (f_hi - f_lo) if f_hi > f_lo else math.inf
+
+    def confirm(sign: float) -> float:
+        for k in range(4):
+            y = x + sign * step * 4.0 ** k
+            if not 0.0 <= y < math.inf:
+                break
+            if sign * (mi(y) - rate) >= margin:
+                return y
+        return sign * math.inf
+
+    if not step < math.inf:
+        return -math.inf, math.inf
+    return confirm(-1.0), confirm(1.0)
+
+
+def invert_monotone_rate(mi, rate: float, margin: float = 1e-10) -> float:
     """Invert a strictly increasing rate function to 1e-8 bits by doubling + bisection.
 
     Works for any callable rho -> bits with mi(0) = 0. Raises
     RateUnachievableError if no rho <= 1e9 reaches the requested rate.
+
+    Regula falsi first finds a < b with mi(a) <= rate - margin <= rate + margin
+    <= mi(b); a probe at or below a is then below the rate, and one at or above
+    b is not, without a call. If mi is within d of a nondecreasing function
+    and margin > 2d, those answers, and so the result, are plain bisection's
+    bit for bit. The default margin is over 10x the rounding bound of one
+    16-QAM quadrature (wiretap.mi).
     """
     if rate < 0.0:
         raise ModelError(f"rate must be non-negative: {rate}")
     if rate == 0.0:
         return 0.0
-    hi = 1.0
-    while mi(hi) <= rate:
-        hi *= 2.0
+    lo, f_lo, hi = 0.0, 0.0, 1.0
+    while (f_hi := mi(hi)) <= rate:
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
         if hi > 1e9:
             raise RateUnachievableError(
                 f"rate {rate} not reached by the input model within numeric range"
             )
+    a, b = _rate_bracket(mi, rate, lo, f_lo, hi, f_hi, margin)
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mi(mid) < rate:
+        if mid <= a or (mid < b and mi(mid) < rate):
             lo = mid
         else:
             hi = mid
@@ -269,7 +317,5 @@ def thresholds_finite_alphabet(p: WiretapProblem, r: RatePair, mi) -> Constraint
         raise RateUnachievableError(
             f"R_D = {r.R_D} is unachievable by an alphabet with capacity {max_rate}"
         )
-    inverse = getattr(mi, "inverse", None)
-    if inverse is None:
-        inverse = lambda rate: invert_monotone_rate(mi, rate)  # noqa: E731
+    inverse = getattr(mi, "inverse", lambda rate: invert_monotone_rate(mi, rate))
     return _thresholds(p, inverse(r.R_D) * p.N0, inverse(r.R_gap) * p.N0)

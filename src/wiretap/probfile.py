@@ -37,8 +37,8 @@ def _complex_from_pair(pair, where: str) -> complex:
     try:
         re, im = pair
         c = complex(float(re), float(im))
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"{where}: expected an [re, im] pair, got {pair!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemFileError(f"{where}: expected an [re, im] pair of floats: {exc}") from exc
     # JSON's NaN and Infinity parse; the covariance ingestion would reject them.
     if not cmath.isfinite(c):
         raise ProblemFileError(f"{where}: entries must be finite, got {pair!r}")
@@ -68,13 +68,18 @@ def _vector(entry, n: int, where: str) -> np.ndarray:
     return np.array([_complex_from_pair(c, where) for c in entry], dtype=np.complex128)
 
 
+def _number(raw, where: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemFileError(f"{where}: expected a number: {exc}") from exc
+
+
 def _power_linear(raw) -> float:
     if isinstance(raw, dict):
-        try:
-            value = float(raw["value"])
-            unit = str(raw.get("unit", "linear"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProblemFileError(f"P_T: malformed power entry {raw!r}") from exc
+        if "value" not in raw:
+            raise ProblemFileError(f"P_T: malformed power entry {raw!r}")
+        value, unit = _number(raw["value"], "P_T value"), str(raw.get("unit", "linear"))
         if unit == "dB":
             try:
                 return 10.0 ** (value / 10.0)
@@ -83,10 +88,7 @@ def _power_linear(raw) -> float:
         if unit == "linear":
             return value
         raise ProblemFileError(f"P_T: unknown unit {unit!r} (use 'linear' or 'dB')")
-    try:
-        return float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"P_T: expected a number or tagged object, got {raw!r}") from exc
+    return _number(raw, "P_T")
 
 
 @dataclass(frozen=True)
@@ -109,12 +111,9 @@ def parse_problem(doc: dict) -> ProblemFile:
             raise ProblemFileError(f"{field}: expected {count} matrices, got {len(doc[field])}")
     h = tuple(_matrix(m, n, f"H[{i}]") for i, m in enumerate(doc["H"]))
     z = tuple(_matrix(m, n, f"Z[{i}]") for i, m in enumerate(doc["Z"]))
-    try:
-        n0 = float(doc["N0"])
-        eps = float(doc["epsilon"])
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"N0/epsilon must be numbers: {exc}") from exc
-    problem = WiretapProblem(H=h, Z=z, N0=n0, epsilon=eps, P_T=_power_linear(doc["P_T"]))
+    problem = WiretapProblem(H=h, Z=z, N0=_number(doc["N0"], "N0"),
+                             epsilon=_number(doc["epsilon"], "epsilon"),
+                             P_T=_power_linear(doc["P_T"]))
 
     mode_raw = doc.get("csi_mode", "statistical")
     if mode_raw == "statistical":

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wiretap import model
 from wiretap.mi import (
     BUILTIN_ALPHABETS,
     Alphabet,
@@ -158,3 +161,72 @@ def test_memo_returns_first_value_without_the_tables(monkeypatch):
     assert ev.rate(2.5) == first
     with pytest.raises(TypeError):
         ev.rate(2.6)
+
+
+def reference_inverse(mi, rate):
+    """Plain doubling and bisection, every probe an evaluation of mi: the
+    reference that the bracketed inverse must match bit for bit."""
+    if rate < 0.0:
+        raise ModelError(f"rate must be non-negative: {rate}")
+    if rate == 0.0:
+        return 0.0
+    hi = 1.0
+    while mi(hi) <= rate:
+        hi *= 2.0
+        if hi > 1e9:
+            raise RateUnachievableError(f"rate {rate} not reached")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mi(mid) < rate:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(1.0, hi) and abs(mi(hi) - rate) <= 1e-8:
+            break
+    return hi
+
+
+def _rate_model(name, seed):
+    """(mi, capacity) for a built-in alphabet, a random custom one of 3..16
+    symbols, or log2(1 + x), whose 31 bits lie past the doubling's 1e9 limit."""
+    if name == "log2(1+x)":
+        return (lambda rho: math.log2(1.0 + rho)), 31.0
+    if name == "custom":
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 17))
+        pts = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        pts -= pts.mean()
+        alphabet = Alphabet(pts / math.sqrt(np.mean(np.abs(pts) ** 2)), name="custom")
+    else:
+        alphabet = BUILTIN_ALPHABETS[name]()
+    return MiEvaluator(alphabet).rate, math.log2(alphabet.M)
+
+
+def _outcome(invert, mi, rate):
+    try:
+        return invert(mi, rate)
+    except ModelError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from([*BUILTIN_ALPHABETS, "custom", "log2(1+x)"]),
+    seed=st.integers(0, 2**32 - 1),
+    where=st.one_of(st.sampled_from(["1e-9", "cap-1e-9"]),
+                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+)
+# The sweep_qam16 workload's five targets, as fractions of 16-QAM's 4 bits.
+@example(name="16qam", seed=0, where=0.125)
+@example(name="16qam", seed=0, where=0.25)
+@example(name="16qam", seed=0, where=0.375)
+@example(name="16qam", seed=0, where=0.0185546875)
+@example(name="16qam", seed=0, where=0.043701171875)
+def test_bracketed_inverse_keeps_bisection_bits(name, seed, where):
+    # where: a fraction of the capacity, or 1e-9 from either end of it.
+    _, cap = _rate_model(name, seed)
+    rate = {"1e-9": 1e-9, "cap-1e-9": cap - 1e-9}.get(where) or where * cap
+    ref = _outcome(reference_inverse, _rate_model(name, seed)[0], rate)
+    got = _outcome(model.invert_monotone_rate, _rate_model(name, seed)[0], rate)
+    assert got == ref and type(got) is type(ref)

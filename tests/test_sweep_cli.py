@@ -47,6 +47,7 @@ from wiretap.sweep import CSV_HEADER, SweepRow, code_rate_grid, sweep_region, to
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 QPSK_MI = MiEvaluator(qpsk())
+BIG_INT = 10 ** 400   # a JSON integer beyond the float range
 
 MONTECARLO_J1_GOLDEN = """\
 {
@@ -681,6 +682,26 @@ class TestSweepBisection:
             assert row_callers[0] == "epigraph_stages"
         assert statuses == ["optimal", "optimal", "infeasible"]
 
+    def test_qam16_sweep_quadrature_count(self, monkeypatch):
+        # The sweep_qam16 workload's three sweeps: a quadrature is a memo miss
+        # of MiEvaluator.rate. Plain bisection made 220 for the same bytes.
+        rate, quadratures = MiEvaluator.rate, []
+
+        def counting(self, rho):
+            before = len(self._memo)
+            bits = rate(self, rho)
+            if len(self._memo) > before:
+                quadratures.append(rho)
+            return bits
+        monkeypatch.setattr(MiEvaluator, "rate", counting)
+        out = "".join(run_cli(["sweep", "--problem", str(PROBLEMS / "paper_j1.json"),
+                               "--alphabet", "16qam", "--rate-tol", "0.001", "--rd-min", rd,
+                               "--rd-max", rd, "--rd-step", "0.5"])[1]
+                      for rd in ("0.5", "1.0", "1.5"))
+        assert out == (QAM16_SWEEP_J1_GOLDEN["0.5"] + QAM16_SWEEP_J1_GOLDEN["1.0"]
+                       + f"{CSV_HEADER}\n1.5,,,,infeasible\n")
+        assert len(quadratures) == 112
+
     def test_epigraph_runs_only_as_far_as_the_probes_need(self, ref_j1, monkeypatch):
         # Each stage's bracket lies inside the one before, and the row pulls
         # no stage after the first that decides all its probes: the Newton
@@ -842,6 +863,35 @@ class TestCli:
         code, _ = run_cli(["validate", "--problem", str(path)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: expected a list")
+
+    # A JSON integer beyond the float range parses, and float() raises
+    # OverflowError on it: each number the file holds names its field.
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["H"][0][1].__setitem__(0, [BIG_INT, 0.0]), "H[0][1]"),
+        (lambda doc: doc["Z"][0][0].__setitem__(2, [0.0, BIG_INT]), "Z[0][0]"),
+        (lambda doc: doc.update(N0=BIG_INT), "N0"),
+        (lambda doc: doc.update(epsilon=BIG_INT), "epsilon"),
+        (lambda doc: doc.update(P_T=BIG_INT), "P_T"),
+        (lambda doc: doc.update(P_T={"value": BIG_INT, "unit": "dB"}), "P_T value"),
+    ])
+    def test_int_beyond_float_range_exit_2(self, tmp_path, capsys, edit, field):
+        doc = json.loads((PROBLEMS / "paper_j1.json").read_text())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["validate", "--problem", str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("alphabet", [[[BIG_INT, 0.0], [-1.0, 0.0]], 5])
+    def test_alphabet_not_float_pairs_exit_2(self, tmp_path, capsys, alphabet):
+        doc = json.loads((PROBLEMS / "paper_j1.json").read_text())
+        doc["alphabet"] = alphabet
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["solve", "--problem", str(path), "--rd", "0.5", "--rs", "0.1"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: alphabet entries must be [re, im] pairs")
 
     def test_solve_unreachable_floor_exit_1_without_warning(self):
         # a is about 1e156 at R_D 520, far beyond P_T lambda_max(H_k): the
