@@ -27,7 +27,7 @@ from .montecarlo import (
     received_powers,
     sample_channels,
 )
-from .diag_lp import PowerAllocation, allocation_to_beamformer, solve_diagonal
+from .diag_lp import solve_diagonal
 from .sdp import (
     BeamformerSolution,
     DualVariables,

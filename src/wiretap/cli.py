@@ -73,18 +73,15 @@ def _duals_doc(duals) -> dict:
 
 
 def _solution_doc(pf, sol) -> dict:
-    doc = {"status": sol.status}
-    if sol.status == OPTIMAL:
-        report = check_kkt(pf.problem, sol.thresholds, sol.W, sol.duals,
-                           mode=pf.csi_mode)
-        doc.update(
-            power=sol.power,
-            w=_pairs(sol.w),
-            rank1_exact=sol.rank1_exact,
-            duals=_duals_doc(sol.duals),
-            kkt_residual_max=report.max_residual(),
-        )
-    return doc
+    report = check_kkt(pf.problem, sol.thresholds, sol.W, sol.duals, mode=pf.csi_mode)
+    return {
+        "status": sol.status,
+        "power": sol.power,
+        "w": _pairs(sol.w),
+        "rank1_exact": sol.rank1_exact,
+        "duals": _duals_doc(sol.duals),
+        "kkt_residual_max": report.max_residual(),
+    }
 
 
 def _status_exit(status: str) -> int:
@@ -95,6 +92,20 @@ def _status_exit(status: str) -> int:
     return EXIT_NUMERICAL
 
 
+def _solve_point(args, report, check=None) -> int:
+    """Load the problem file, run check(pf) on the other arguments, solve at
+    (--rd, --rs) and write report(pf, sol), or only the status when it is
+    not OPTIMAL; returns the status's exit code. The checks run before the
+    solve, whose status would otherwise hide them."""
+    pf = _load(args)
+    if check is not None:
+        check(pf)
+    sol = solve_general(pf.problem, RatePair(args.rd, args.rs), mode=pf.csi_mode,
+                        input_model=_input_model(args, pf))
+    _emit_json(report(pf, sol) if sol.status == OPTIMAL else {"status": sol.status}, args.output)
+    return _status_exit(sol.status)
+
+
 def cmd_validate(args) -> int:
     pf = load_problem(args.problem)
     report = validate_problem(pf.problem)
@@ -103,11 +114,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    pf = _load(args)
-    sol = solve_general(pf.problem, RatePair(args.rd, args.rs), mode=pf.csi_mode,
-                        input_model=_input_model(args, pf))
-    _emit_json(_solution_doc(pf, sol), args.output)
-    return _status_exit(sol.status)
+    return _solve_point(args, _solution_doc)
 
 
 def cmd_sweep(args) -> int:
@@ -120,27 +127,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    pf = _load(args)
-    if not pf.csi_mode.is_statistical:
-        raise ModelError(
-            "montecarlo validates the statistical-CSI design; the user links "
-            "of a perfect-CSI problem are deterministic"
-        )
-    r = RatePair(args.rd, args.rs)
-    # Checked before the solve, whose status would otherwise hide them.
-    if args.trials < 1:
-        raise ModelError(f"trials must be at least 1: {args.trials}")
-    montecarlo.check_sampling(args.seed, args.trials)
-    sol = solve_general(pf.problem, r, mode=pf.csi_mode, input_model=_input_model(args, pf))
-    if sol.status != OPTIMAL:
-        _emit_json({"status": sol.status}, args.output)
-        return _status_exit(sol.status)
-    powers = montecarlo.received_powers(
-        montecarlo.sample_channels(pf.problem, args.seed, args.trials), sol.w)
-    est = montecarlo.estimate_non_outage(pf.problem, sol.thresholds, sol.w, powers)
-    users, eaves = montecarlo.estimate_individual_probs(sol.thresholds, powers)
-    _emit_json(
-        {
+    def check(pf):
+        if not pf.csi_mode.is_statistical:
+            raise ModelError(
+                "montecarlo validates the statistical-CSI design; the user links "
+                "of a perfect-CSI problem are deterministic"
+            )
+        if args.trials < 1:
+            raise ModelError(f"trials must be at least 1: {args.trials}")
+        montecarlo.check_sampling(args.seed, args.trials)
+
+    def report(pf, sol) -> dict:
+        powers = montecarlo.received_powers(
+            montecarlo.sample_channels(pf.problem, args.seed, args.trials), sol.w)
+        est = montecarlo.estimate_non_outage(pf.problem, sol.thresholds, sol.w, powers)
+        users, eaves = montecarlo.estimate_individual_probs(sol.thresholds, powers)
+        return {
             "status": sol.status,
             "power": sol.power,
             "trials": est.trials,
@@ -151,45 +153,42 @@ def cmd_montecarlo(args) -> int:
             "per_link_prob": sol.thresholds.per_link_prob,
             "per_user_p_hat": [u.p_hat for u in users],
             "per_eave_p_hat": [e.p_hat for e in eaves],
-        },
-        args.output,
-    )
-    return EXIT_OK
+        }
+
+    return _solve_point(args, report, check)
 
 
 def cmd_kkt(args) -> int:
-    pf = _load(args)
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ModelError(f"tol must be finite and non-negative: {args.tol}")
-    sol = solve_general(pf.problem, RatePair(args.rd, args.rs), mode=pf.csi_mode,
-                        input_model=_input_model(args, pf))
-    if sol.status != OPTIMAL:
-        _emit_json({"status": sol.status}, args.output)
-        return _status_exit(sol.status)
-    rep = check_kkt(pf.problem, sol.thresholds, sol.W, sol.duals,
-                    tol=args.tol, mode=pf.csi_mode)
-    doc = {
-        "status": sol.status,
-        "passes": rep.passes(args.tol),
-        "tol": args.tol,
-        "primal_feasible": rep.primal_feasible,
-        "feasibility_violations": list(rep.feasibility_violations),
-        "compl_slack_W": rep.compl_slack_W,
-        "slack_power": rep.slack_power,
-        "slack_users": [float(x) for x in rep.slack_users],
-        "slack_eaves": [float(x) for x in rep.slack_eaves],
-        "stationarity_min_eig": rep.stationarity_min_eig,
-        "scalar_identity": rep.scalar_identity,
-        "rank_W": rep.rank_W,
-        "rank_muH": rep.rank_muH,
-    }
-    if float(np.linalg.norm(sol.W)) > 0.0:
-        bound = rank_bound_check(sol.W, sol.duals, pf.problem, sol.thresholds,
-                                 tol=args.tol, mode=pf.csi_mode)
-        doc["rank_bound_ok"] = bound.ok
-        doc["mu_sum"] = bound.mu_sum
-    _emit_json(doc, args.output)
-    return EXIT_OK
+    def check(pf):
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise ModelError(f"tol must be finite and non-negative: {args.tol}")
+
+    def report(pf, sol) -> dict:
+        rep = check_kkt(pf.problem, sol.thresholds, sol.W, sol.duals,
+                        tol=args.tol, mode=pf.csi_mode)
+        doc = {
+            "status": sol.status,
+            "passes": rep.passes(args.tol),
+            "tol": args.tol,
+            "primal_feasible": rep.primal_feasible,
+            "feasibility_violations": list(rep.feasibility_violations),
+            "compl_slack_W": rep.compl_slack_W,
+            "slack_power": rep.slack_power,
+            "slack_users": [float(x) for x in rep.slack_users],
+            "slack_eaves": [float(x) for x in rep.slack_eaves],
+            "stationarity_min_eig": rep.stationarity_min_eig,
+            "scalar_identity": rep.scalar_identity,
+            "rank_W": rep.rank_W,
+            "rank_muH": rep.rank_muH,
+        }
+        if float(np.linalg.norm(sol.W)) > 0.0:
+            bound = rank_bound_check(sol.W, sol.duals, pf.problem, sol.thresholds,
+                                     tol=args.tol, mode=pf.csi_mode)
+            doc["rank_bound_ok"] = bound.ok
+            doc["mu_sum"] = bound.mu_sum
+        return doc
+
+    return _solve_point(args, report, check)
 
 
 def cmd_mi(args) -> int:

@@ -97,6 +97,13 @@ class ConstraintSet:
         """Mask of the ceiling rows."""
         return np.arange(self.u.size) > self.k
 
+    @property
+    def nonzero(self) -> np.ndarray:
+        """Mask of the rows whose A_i is not all zero. A zero row holds for
+        every W when u_i >= 0, so it is vacuous; when u_i < 0 it holds for
+        none (sdp._unreachable_row)."""
+        return np.linalg.norm(self.A, axis=(1, 2)) > 0.0
+
     def with_ceiling(self, b: float) -> ConstraintSet:
         """The same rows with every ceiling threshold set to b."""
         return replace(self, u=np.where(self.ceilings, b, self.u))

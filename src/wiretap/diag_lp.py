@@ -1,42 +1,28 @@
 """Per-antenna power allocation for the all-diagonal-covariance special case.
 
-When every H_k and Z_j is diagonal, the beamformer phases are irrelevant and
-the minimum-power problem reduces to a linear program in the per-antenna
-powers P_m = |w_m|^2:
+When every H_k and Z_j is diagonal (all_diagonal), the beamformer phases are
+irrelevant and the minimum-power problem reduces to a linear program in the
+per-antenna powers P_m = |w_m|^2:
 
     min sum_m P_m   s.t.  P_m >= 0,  sum_m P_m <= P_T,
                           sum_m P_m H_k[mm] >= a,  sum_m P_m Z_j[mm] <= b.
 
-The beamforming vector is then [sqrt(P_1), ..., sqrt(P_N)]^T. The HiGHS
-row marginals are the multipliers of the same rows in the SDP, so the
-allocation carries them as the solve's DualVariables, K6 matrix included.
+Both LPs here take the rows of the solve's ConstraintSet as they are: Re
+Tr(A_i W) <= u_i on W = diag(P) is (Re diag A_i) . P <= u_i. They return the
+powers P with the HiGHS row marginals y, one multiplier per row, which are
+the multipliers of the same rows in the SDP; the caller forms the
+beamforming vector [sqrt(P_1), ..., sqrt(P_N)]^T and ConstraintSet.duals(y).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .constraints import ConstraintSet, DualVariables
+from .constraints import ConstraintSet
 from .linalg import frob
-from .model import ConstraintThresholds, ModelError, WiretapProblem
+from .model import WiretapProblem
 
 DIAGONAL_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Non-negative per-antenna powers plus the LP's row duals (all >= 0),
-    in the SDP's conventions: lam for the budget, mu_k for the floors, nu_j
-    for the ceilings, and the K6 matrix they define."""
-
-    P: np.ndarray
-    duals: DualVariables
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.P))
 
 
 def is_diagonal(m: np.ndarray) -> bool:
@@ -66,18 +52,16 @@ def _highs(c, A_ub, b_ub, bounds):
     return res.x, -np.asarray(res.ineqlin.marginals)
 
 
-def solve_diagonal(p: WiretapProblem, t: ConstraintThresholds) -> PowerAllocation | None:
-    """Minimum-power allocation, or None when the LP is certified infeasible."""
-    if not all_diagonal(p):
-        raise ModelError("covariances are not diagonal; use the general solver")
-    cons = ConstraintSet.build(p, t)
-    # Tr(A_i W) <= u_i on W = diag(P) is (Re diag A_i) . P <= u_i.
-    res = _highs(np.ones(p.N), np.real(np.diagonal(cons.A, axis1=1, axis2=2)), cons.u,
-                 [(0.0, None)] * p.N)
+def solve_diagonal(cons: ConstraintSet):
+    """(P, y) of the LP  min sum P  s.t. the rows of cons on W = diag(P) and
+    P >= 0: the minimum-power allocation and one multiplier per row of cons,
+    or None when HiGHS proves the LP infeasible."""
+    res = _highs(np.ones(cons.n), np.real(np.diagonal(cons.A, axis1=1, axis2=2)), cons.u,
+                 [(0.0, None)] * cons.n)
     if res is None:
         return None
     x, y = res
-    return PowerAllocation(P=np.clip(x, 0.0, None), duals=cons.duals(y))
+    return np.clip(x, 0.0, None), y
 
 
 def min_ceiling(cons: ConstraintSet):
@@ -100,8 +84,3 @@ def min_ceiling(cons: ConstraintSet):
     if np.any(short):
         P = P * float(np.max(u[short] / vals[short])) * (1.0 + 4.0 * np.finfo(float).eps)
     return P, y
-
-
-def allocation_to_beamformer(alloc: PowerAllocation) -> np.ndarray:
-    """Real non-negative beamformer with |w_m|^2 = P_m."""
-    return np.sqrt(np.clip(alloc.P, 0.0, None)).astype(np.complex128)

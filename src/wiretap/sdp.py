@@ -36,9 +36,9 @@ row and the budget (_unreachable_row): a floor with a_k > P_T
 lambda_max(F_k), whose slacks of order a_k would overflow the barrier, or a
 negative ceiling.
 
-The barrier works on the signed rows Re Tr(A_i W) <= u_i of the
-ConstraintSet, minus its all-zero rows; its multipliers y are stacked like
-the rows, a dropped row's being 0. Phase I's Farkas certificate and the
+The barrier is built from the signed rows Re Tr(A_i W) <= u_i of a
+ConstraintSet, less its vacuous all-zero rows (ConstraintSet.nonzero); its
+multipliers y are stacked like the rows, a dropped row's being 0. Phase I's Farkas certificate and the
 epigraph's lower bound are ConstraintSet.farkas of the path's y. The end
 point is then refined on its optimal face (_refine_face): a few Gauss-Newton
 steps on the square KKT system Lambda(y) V = 0, Tr(V^H A_i V) = u_i, with
@@ -51,6 +51,8 @@ solution has numerical rank one (which it does on the bundled scenarios);
 otherwise the principal eigendirection is kept and only the transmit power
 is re-optimized, which is a one-dimensional closed-form problem.
 
+Each solve builds its ConstraintSet once, and the route's solver takes it:
+the diagonal LP (diag_lp.solve_diagonal, whose w = sqrt(P)) or the barrier.
 Every route (zero power, the diagonal LP, the SDP with its rank-1 recovery)
 and every early exit returns the one BeamformerSolution record, with its
 thresholds, CSI mode and Newton-step count; ConstraintSet.duals builds the
@@ -186,24 +188,36 @@ class _Barrier:
     the PSD-cone Hessian block X -> W^{-1} X W^{-1} is inverted in closed form
     (X -> W X W) and each scalar constraint adds a rank-one term.
 
+    Its rows are those of a ConstraintSet less the vacuous ones
+    (ConstraintSet.nonzero); c and multipliers count every row of the set.
+
     Each iterate is evaluated once (evaluate): the line search's accepted
     trial is the next iterate, and its slacks and barrier terms (_Point) are
     carried to the next Newton step and to the next stage's first value.
     """
 
-    def __init__(self, A: np.ndarray, u: np.ndarray, s_cap: float | None = None,
+    def __init__(self, cons: ConstraintSet, s_cap: float | None = None,
                  c: np.ndarray | None = None):
-        self.A = A                      # (m, N, N) Hermitian constraint matrices
-        self.A_conj = A.conj()
-        self.u = u                      # (m,)
-        self.m, self.N = A.shape[0], A.shape[1]
+        self.keep = np.flatnonzero(cons.nonzero)   # the rows of cons it keeps
+        self.size = cons.u.size
+        self.A = cons.A[self.keep]      # (m, N, N) Hermitian constraint matrices
+        self.A_conj = self.A.conj()
+        self.u = cons.u[self.keep]      # (m,)
+        self.m, self.N = self.A.shape[0], self.A.shape[1]
         self.s_cap = s_cap
         self.relax = s_cap is not None
-        self.c = np.ones(self.m) if c is None else c
+        self.c = np.ones(self.m) if c is None else c[self.keep]
         self.cc = np.outer(self.c, self.c) if self.relax else None
         self.C0 = None if self.relax else np.eye(self.N, dtype=complex)
         # Barrier parameter count: logdet + m scalar logs (+ s_cap log).
         self.nu = self.N + self.m + (1 if self.relax else 0)
+
+    def multipliers(self, y: np.ndarray) -> np.ndarray:
+        """y, one multiplier per barrier row, as one per row of the
+        ConstraintSet; a vacuous row's is 0."""
+        full = np.zeros(self.size)
+        full[self.keep] = y
+        return full
 
     def evaluate(self, W: np.ndarray, s: float) -> _Point:
         """(W, s) with its slacks and barrier terms; terms None outside the
@@ -322,22 +336,6 @@ class _Barrier:
 # ---------------------------------------------------------------------------
 
 
-def _barrier_rows(cons: ConstraintSet) -> tuple[ConstraintSet, np.ndarray]:
-    """(rows, keep): the nonzero rows of cons and the row of cons each one is.
-    A zero row with u_i >= 0 is vacuous and dropped. One with u_i < 0 never
-    gets here: it is out of reach (_unreachable_row)."""
-    keep = np.flatnonzero(np.linalg.norm(cons.A, axis=(1, 2)) > 0.0)
-    return ConstraintSet(A=cons.A[keep], u=cons.u[keep], k=int(np.sum(cons.floors[keep]))), keep
-
-
-def _scatter(cons: ConstraintSet, keep: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The multipliers y of the kept rows as one per row of cons; a dropped
-    row's is 0."""
-    full = np.zeros(cons.u.size)
-    full[keep] = y
-    return full
-
-
 def _certificate(cons: ConstraintSet, y: np.ndarray) -> InfeasibilityCertificate | None:
     """The Farkas certificate of y when cons.farkas proves infeasibility."""
     eig_min, proof = cons.farkas(y)
@@ -408,15 +406,15 @@ def _phase1(cons: ConstraintSet, budget: _NewtonBudget):
     the barrier rows of cons; s* < 0 yields an interior point, a positive
     dual bound proves there is none.
     """
-    rows, keep = _barrier_rows(cons)
     p_t, n = cons.p_t, cons.n
-    ref = max(1.0, float(np.max(np.abs(rows.u))), p_t)
+    ref = max(1.0, float(np.max(np.abs(cons.u[cons.nonzero]))), p_t)
     margin = _FEAS_MARGIN_REL * ref
     W = (p_t / (2.0 * n)) * np.eye(n, dtype=complex)
-    viol = float(np.max(rows.values(W) - rows.u))
+    # A vacuous row's value less u_i is <= 0, so it never raises s.
+    viol = float(np.max(cons.values(W) - cons.u))
     s = max(0.0, viol) + 1.0 + 0.01 * ref
     s_cap = 10.0 * (s + ref)
-    bar = _Barrier(rows.A, rows.u, s_cap)
+    bar = _Barrier(cons, s_cap)
     for t, point, silent in _path(bar, W, s, budget, lambda _W, _s: _s < -margin):
         if point.s < -margin:
             return point.W, None
@@ -424,7 +422,7 @@ def _phase1(cons: ConstraintSet, budget: _NewtonBudget):
         if point.s - gap > 0.0:
             # Only a certificate proves infeasibility; an uncentred iterate
             # may not yield one, so keep raising t until it does.
-            cert = _certificate(cons, _scatter(cons, keep, 1.0 / (t * point.sl)))
+            cert = _certificate(cons, bar.multipliers(1.0 / (t * point.sl)))
             if cert is not None:
                 return None, cert
         if silent or gap <= max(1e-12, 1e-11 * ref):
@@ -447,7 +445,7 @@ def _start(cons: ConstraintSet, budget: _NewtonBudget):
     try:
         return _phase1(cons, budget)
     except _NumericalTrouble:
-        if not np.any(np.linalg.norm(cons.A[cons.ceilings], axis=(1, 2)) > 0.0):
+        if not np.any(cons.ceilings & cons.nonzero):
             raise
         for _, _, W, y in _epigraph_path(cons, budget):
             if W is not None and np.all(cons.u > cons.values(W)):
@@ -505,9 +503,10 @@ def _face_newton(A, u, V, y):
     return best
 
 
-def _refine_face(rows: ConstraintSet, W: np.ndarray, slacks: np.ndarray,
-                 y0: np.ndarray):
-    """Newton refinement of the barrier end point W on its optimal face.
+def _refine_face(bar: _Barrier, W: np.ndarray, slacks: np.ndarray, y0: np.ndarray):
+    """Newton refinement of the end point W of the barrier bar on its optimal
+    face, from its slacks and central-path multipliers y0 (one per barrier
+    row).
 
     W = V V^H on its numerical range, cut at the largest eigenvalue gap when
     one clearly exists, else at the relative cut: the central path leaves
@@ -516,10 +515,14 @@ def _refine_face(rows: ConstraintSet, W: np.ndarray, slacks: np.ndarray,
     whose central-path multiplier y0_i = 1/(t s_i) exceeds the slack s_i.
     Newton on the KKT system of that face (_face_newton) removes the
     barrier's O(1/t) centering error and its float64 noise floor. A row whose
-    multiplier comes out negative is dropped and the solve retried.
+    multiplier comes out negative is dropped and the solve retried. So is the
+    active row with the least y0_i / s_i when the solve misses _FACE_TOL: a
+    weakly active row, whose multiplier and slack both tend to 0 along the
+    path, leaves the face system with no regular solution.
 
-    Returns (V V^H, y), y = 0 on the inactive rows, when that is a KKT point
-    to roundoff: every multiplier >= 0, every inactive slack > 0 and Lambda(y)
+    Returns (V V^H, y), y one multiplier per row of the barrier's
+    ConstraintSet and 0 on the inactive rows, when that is a KKT point to
+    roundoff: every multiplier >= 0, every inactive slack > 0 and Lambda(y)
     PSD. Otherwise None, and the caller keeps the end point.
     """
     vals, vecs = np.linalg.eigh(W)
@@ -532,22 +535,24 @@ def _refine_face(rows: ConstraintSet, W: np.ndarray, slacks: np.ndarray,
     V0 = vecs[:, ::-1][:, :r] * np.sqrt(desc[:r])
     active = np.flatnonzero(y0 > slacks)
     while active.size:
-        V, y_act, err = _face_newton(rows.A[active], rows.u[active], V0, y0[active])
+        V, y_act, err = _face_newton(bar.A[active], bar.u[active], V0, y0[active])
         if not err <= _FACE_TOL:  # also rejects a NaN
-            return None
-        if float(np.min(y_act)) >= 0.0:
+            drop = int(np.argmin(y0[active] / slacks[active]))
+        elif float(np.min(y_act)) < 0.0:
+            drop = int(np.argmin(y_act))
+        else:
             break
-        active = np.delete(active, int(np.argmin(y_act)))
+        active = np.delete(active, drop)
     else:
         return None
     y = np.zeros_like(y0)
     y[active] = y_act
     W = V @ V.conj().T
-    s = rows.u - rows.values(W)
-    lam_mat = np.eye(W.shape[0]) + np.einsum("m,mij->ij", y, rows.A)
-    roundoff = _FACE_TOL * (1.0 + float(np.dot(y, np.linalg.norm(rows.A, axis=(1, 2)))))
+    s = bar.u - np.real(np.einsum("mij,ij->m", bar.A_conj, W))
+    lam_mat = np.eye(W.shape[0]) + np.einsum("m,mij->ij", y, bar.A)
+    roundoff = _FACE_TOL * (1.0 + float(np.dot(y, np.linalg.norm(bar.A, axis=(1, 2)))))
     if np.all(np.delete(s, active) > 0.0) and np.linalg.eigvalsh(lam_mat)[0] >= -roundoff:
-        return W, y
+        return W, bar.multipliers(y)
     return None
 
 
@@ -555,17 +560,12 @@ def _phase2(cons: ConstraintSet, W0: np.ndarray, budget: _NewtonBudget):
     """Path-following on the barrier rows of cons from a strictly feasible
     W0, then Newton on the optimal face (_refine_face). Returns (W, y), y one
     multiplier per row of cons, or None when the refinement is rejected."""
-    rows, keep = _barrier_rows(cons)
-    bar = _Barrier(rows.A, rows.u)
+    bar = _Barrier(cons)
     for t, point, silent in _path(bar, W0, 0.0, budget):
         primal = float(np.real(np.trace(point.W)))
         if bar.nu / t <= _GAP_REL * max(1.0, primal) or silent or t >= _T_MAX:
             break
-    refined = _refine_face(rows, point.W, point.sl, 1.0 / (t * point.sl))
-    if refined is None:
-        return None
-    W, y = refined
-    return W, _scatter(cons, keep, y)
+    return _refine_face(bar, point.W, point.sl, 1.0 / (t * point.sl))
 
 
 # ---------------------------------------------------------------------------
@@ -622,17 +622,15 @@ def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
     if W is None:
         yield math.inf, math.inf, None, np.r_[cert.lam, cert.mu, np.zeros(cons.u.size - 1 - k)]
         return
-    rows, keep = _barrier_rows(cons.with_ceiling(0.0))
-    ceil = rows.ceilings
-    top = float(np.max(rows.values(W)[ceil]))
+    top = float(np.max(cons.values(W)[cons.ceilings & cons.nonzero]))
     # A cap near the start keeps the s term of the Newton system small: with
     # phase I's cap, 10 (s + ref), the step in s cancels to float64 noise near
     # t = 1e6 and the path stalls there.
     s = 2.0 * top + 1e-12 * max(1.0, cons.p_t)
-    bar = _Barrier(rows.A, rows.u, 2.0 * s, ceil.astype(float))
+    bar = _Barrier(cons.with_ceiling(0.0), 2.0 * s, cons.ceilings.astype(float))
     b_hi, b_lo = math.inf, -math.inf
     for t, point, silent in _path(bar, W, s, budget):
-        y = _scatter(cons, keep, 1.0 / (t * point.sl))
+        y = bar.multipliers(1.0 / (t * point.sl))
         b_hi = min(b_hi, _witness_bound(cons, point.W, True))
         b_lo = max(b_lo, cons.ceiling_bound(y))
         yield b_lo, b_hi, point.W, y
@@ -685,7 +683,7 @@ def epigraph_stages(
     """
     t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
     cons = ConstraintSet.build(p, t, mode)
-    if route == "trivial" or not np.any(np.linalg.norm(cons.A[cons.ceilings], axis=(1, 2)) > 0.0):
+    if route == "trivial" or not np.any(cons.ceilings & cons.nonzero):
         return
     if route == "lp":
         end = diag_lp.min_ceiling(cons)
@@ -808,28 +806,30 @@ def power_rescale(
     return power
 
 
-def _lp_route(p, t, mode) -> BeamformerSolution:
-    """Diagonal instances: solve the per-antenna LP and keep its duals.
+def _lp_route(cons: ConstraintSet, t: ConstraintThresholds, mode: CsiMode) -> BeamformerSolution:
+    """Diagonal instances: solve the per-antenna LP on the rows of cons and
+    keep its duals.
 
-    The LP yields W = w w* with [sqrt(P_m)] entries; its row duals satisfy
-    the same stationarity/complementarity system (the K6 matrix is diagonal
-    with the LP's reduced costs on the diagonal).
+    The LP's powers P give the real beamformer w = sqrt(P) and W = w w*; its
+    row multipliers y satisfy the same stationarity/complementarity system
+    (the K6 matrix is diagonal with the LP's reduced costs on the diagonal).
 
     HiGHS meets each row only to an absolute tolerance of about 1e-7, which
     passes P = 0 against floors below it, so OPTIMAL needs every row met to
     _LP_ROW_REL of its size; otherwise the solve reports MAX_ITERATIONS."""
-    alloc = diag_lp.solve_diagonal(p, t)
-    if alloc is None:
+    end = diag_lp.solve_diagonal(cons)
+    if end is None:
         return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t)
-    w = diag_lp.allocation_to_beamformer(alloc)
+    P, y = end
+    w = np.sqrt(P).astype(np.complex128)
     W = np.outer(w, w.conj())
-    cons = ConstraintSet.build(p, t, mode)
     if np.any(cons.values(W) > cons.u + _LP_ROW_REL * np.abs(cons.u)):
         return BeamformerSolution(status=MAX_ITERATIONS, mode=mode, thresholds=t)
+    power = float(np.sum(P))
     return BeamformerSolution(
-        status=OPTIMAL, mode=mode, w=w, power=alloc.total, W=W,
+        status=OPTIMAL, mode=mode, w=w, power=power, W=W,
         rank1_exact=numerical_rank(W, _RANK_REL_TOL) == 1,
-        duals=alloc.duals, objective=alloc.total, thresholds=t,
+        duals=cons.duals(y), objective=power, thresholds=t,
     )
 
 
@@ -872,10 +872,11 @@ def relaxation_feasibility(
     t, route = _route(p, r, mode, input_model)
     if route == "trivial":
         return FEASIBLE
+    cons = ConstraintSet.build(p, t, mode)
     if route == "lp":
-        return INFEASIBLE if diag_lp.solve_diagonal(p, t) is None else FEASIBLE
+        return INFEASIBLE if diag_lp.solve_diagonal(cons) is None else FEASIBLE
     try:
-        W, _ = _start(ConstraintSet.build(p, t, mode), _NewtonBudget(_MAX_NEWTON))
+        W, _ = _start(cons, _NewtonBudget(_MAX_NEWTON))
     except _NumericalTrouble:
         return MAX_ITERATIONS
     return INFEASIBLE if W is None else FEASIBLE
@@ -897,7 +898,7 @@ def solve_general(
     if route == "trivial":
         return _zero_power(ConstraintSet.build(p, t, mode), t, mode)
     if route == "lp":
-        return _lp_route(p, t, mode)
+        return _lp_route(ConstraintSet.build(p, t, mode), t, mode)
 
     sol = solve_rank_relaxed(p, t, mode)
     if sol.status != OPTIMAL:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_psd
+from wiretap.constraints import ConstraintSet
 from wiretap.diag_lp import solve_diagonal
 from wiretap.instances import reference_problem
 from wiretap.kkt import check_kkt, rank_bound_check
@@ -146,7 +147,7 @@ def test_criterion_4_cross_solver_on_diagonal_instances():
         for rd in np.linspace(0.05, 1.0, 12):
             r = RatePair(float(rd), float(rd) * 0.25)
             t = thresholds_gaussian(p, r)
-            alloc = solve_diagonal(p, t)
+            alloc = solve_diagonal(ConstraintSet.build(p, t))
             sdp = solve_rank_relaxed(p, t)
             if alloc is None:
                 if sdp.status == "optimal":
@@ -155,7 +156,8 @@ def test_criterion_4_cross_solver_on_diagonal_instances():
             if sdp.status != "optimal":
                 failures.append(f"J={j} rd={rd:.2f}: LP optimal but SDP {sdp.status}")
                 continue
-            rel = abs(alloc.total - sdp.objective) / max(1e-12, alloc.total)
+            total = float(np.sum(alloc[0]))
+            rel = abs(total - sdp.objective) / max(1e-12, total)
             worst = max(worst, rel)
             if rel > 1e-4:
                 failures.append(f"J={j} rd={rd:.2f}: rel diff {rel:.2e}")

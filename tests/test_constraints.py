@@ -83,11 +83,13 @@ def test_core_matches_hand_built_oracle(seed, perfect, zero_row):
         mode, floors, a, b = STATISTICAL, p.H, t.a, t.b
     cons = ConstraintSet.build(p, t, mode)
 
-    rows, keep = sdp._barrier_rows(cons)
+    bar = sdp._Barrier(cons)
     dropped = [1 + k + i for i, z in enumerate(p.Z) if not z.any()]
-    assert sorted(set(range(cons.u.size)) - set(keep.tolist())) == dropped
-    y_rows = rng.exponential(size=keep.size)
-    y = sdp._scatter(cons, keep, y_rows)
+    assert sorted(set(range(cons.u.size)) - set(bar.keep.tolist())) == dropped
+    y_rows = rng.exponential(size=bar.keep.size)
+    y = bar.multipliers(y_rows)
+    # The barrier's rows alone; no quantity below reads the floor count.
+    rows = ConstraintSet(A=bar.A, u=bar.u, k=0)
     lam, mu, nu = cons.split(y)
     assert lam == y[0] and mu.size == k and nu.size == p.J
     assert all(nu[i - 1 - k] == 0.0 for i in dropped)

@@ -6,16 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiretap.diag_lp import all_diagonal, allocation_to_beamformer, is_diagonal, solve_diagonal
+from wiretap import sdp
+from wiretap.constraints import ConstraintSet
+from wiretap.diag_lp import all_diagonal, is_diagonal, solve_diagonal
 from wiretap.instances import reference_problem
 from wiretap.linalg import quad_form
-from wiretap.model import ConstraintThresholds, ModelError, RatePair, WiretapProblem, thresholds_gaussian
+from wiretap.model import STATISTICAL, ConstraintThresholds, RatePair, WiretapProblem, thresholds_gaussian
 from wiretap.sdp import MAX_ITERATIONS, OPTIMAL, solve_general
 
 
 def thresholds(a, b=0.0, per_link=0.9):
     return ConstraintThresholds(a=a, b=b, per_link_prob=per_link,
                                 user_power_target=a, eave_power_target=b)
+
+
+def lp(p, t):
+    """The LP's (P, y) on the rows of p at t, or None when infeasible."""
+    return solve_diagonal(ConstraintSet.build(p, t))
+
+
+def lp_power(p, t):
+    end = lp(p, t)
+    return None if end is None else float(np.sum(end[0]))
+
+
+def lp_route(p, t):
+    """The solve the LP route makes of p at t."""
+    return sdp._lp_route(ConstraintSet.build(p, t), t, STATISTICAL)
 
 
 def diag_problem(h_diags, z_diags=(), p_t=10.0):
@@ -57,70 +74,68 @@ def lp_vertex_oracle(h_diags, z_diags, a, b, p_t):
 class TestSolveDiagonal:
     def test_single_antenna_binding_floor(self):
         p = diag_problem([[1.0]], p_t=10.0)
-        alloc = solve_diagonal(p, thresholds(a=5.0))
-        assert alloc is not None
-        assert alloc.total == pytest.approx(5.0, abs=1e-8)
-        assert alloc.P[0] == pytest.approx(5.0, abs=1e-8)
+        P, y = lp(p, thresholds(a=5.0))
+        assert float(np.sum(P)) == pytest.approx(5.0, abs=1e-8)
+        assert P[0] == pytest.approx(5.0, abs=1e-8)
+        assert y.shape == (2,)  # one multiplier per row: the budget and the floor
 
     def test_two_antennas_best_gain_wins(self):
         p = diag_problem([[2.0, 1.0]], p_t=10.0)
-        alloc = solve_diagonal(p, thresholds(a=6.0))
-        assert alloc is not None
-        assert alloc.total == pytest.approx(3.0, abs=1e-8)
+        power = lp_power(p, thresholds(a=6.0))
+        assert power == pytest.approx(3.0, abs=1e-8)
         oracle = lp_vertex_oracle([[2.0, 1.0]], [], 6.0, 0.0, 10.0)
-        assert alloc.total == pytest.approx(oracle, abs=1e-8)
+        assert power == pytest.approx(oracle, abs=1e-8)
 
     def test_infeasible_when_floor_exceeds_budget(self):
         p = diag_problem([[1.0]], p_t=4.0)
-        assert solve_diagonal(p, thresholds(a=5.0)) is None
-
-    def test_rejects_non_diagonal(self):
-        h = np.array([[1.0, 0.5], [0.5, 1.0]]).astype(complex)
-        p = WiretapProblem(H=(h,), Z=(), N0=1.0, epsilon=0.1, P_T=10.0)
-        with pytest.raises(ModelError):
-            solve_diagonal(p, thresholds(a=1.0))
+        assert lp(p, thresholds(a=5.0)) is None
 
     def test_matches_vertex_oracle_with_eavesdroppers(self):
         h = [[2.0, 1.0, 0.5], [0.5, 1.5, 1.0]]
         z = [[0.05, 0.01, 0.02]]
         p = diag_problem(h, z, p_t=20.0)
         t = thresholds(a=6.0, b=0.2)
-        alloc = solve_diagonal(p, t)
+        power = lp_power(p, t)
         oracle = lp_vertex_oracle(h, z, 6.0, 0.2, 20.0)
-        assert alloc is not None and oracle is not None
-        assert alloc.total == pytest.approx(oracle, abs=1e-8)
+        assert power is not None and oracle is not None
+        assert power == pytest.approx(oracle, abs=1e-8)
 
     def test_infeasible_matches_vertex_oracle(self):
         h = [[1.0, 1.0]]
         z = [[1.0, 1.0]]  # eavesdropper sees exactly what the user sees
         p = diag_problem(h, z, p_t=10.0)
         t = thresholds(a=5.0, b=1.0)
-        assert solve_diagonal(p, t) is None
+        assert lp(p, t) is None
         assert lp_vertex_oracle(h, z, 5.0, 1.0, 10.0) is None
 
 
 class TestAllocationToBeamformer:
-    def test_square_roots(self):
-        alloc_p = np.array([4.0, 0.0, 1.0])
-        from wiretap.diag_lp import PowerAllocation
+    """The LP route's beamformer is w = sqrt(P) of the LP's powers."""
 
-        w = allocation_to_beamformer(PowerAllocation(P=alloc_p, duals=None))
-        assert np.allclose(w, [2.0, 0.0, 1.0])
+    def test_square_roots(self):
+        # Floors diag(1, 0, 0) and diag(0, 0, 4) at a = 4: P = (4, 0, 1).
+        p = diag_problem([[1.0, 0.0, 0.0], [0.0, 0.0, 4.0]], p_t=10.0)
+        sol = lp_route(p, thresholds(a=4.0))
+        assert sol.status == OPTIMAL
+        assert np.allclose(sol.w, [2.0, 0.0, 1.0])
+        assert sol.w[1] == 0.0 and sol.power == pytest.approx(5.0, abs=1e-8)
 
     def test_zero_allocation(self):
-        from wiretap.diag_lp import PowerAllocation
-
-        w = allocation_to_beamformer(PowerAllocation(P=np.zeros(3), duals=None))
-        assert np.allclose(w, 0.0)
+        p = diag_problem([[1.0, 2.0, 3.0]], p_t=10.0)
+        sol = lp_route(p, thresholds(a=0.0))
+        assert sol.status == OPTIMAL
+        assert np.array_equal(sol.w, np.zeros(3)) and sol.power == 0.0
 
     def test_quad_form_identity_for_diagonal_covariance(self):
         p = diag_problem([[2.0, 1.0, 0.5]], [[0.01, 0.02, 0.03]], p_t=50.0)
         t = thresholds(a=7.0, b=1.0)
-        alloc = solve_diagonal(p, t)
-        w = allocation_to_beamformer(alloc)
+        P, y = lp(p, t)
+        sol = lp_route(p, t)
+        assert np.array_equal(sol.w, np.sqrt(P).astype(complex))
+        assert np.array_equal(ConstraintSet.build(p, t).stack(sol.duals), y)
         for m in (*p.H, *p.Z):
-            direct = float(np.sum(alloc.P * np.diag(m).real))
-            assert quad_form(w, m) == pytest.approx(direct, abs=1e-12)
+            direct = float(np.sum(P * np.diag(m).real))
+            assert quad_form(sol.w, m) == pytest.approx(direct, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,18 +148,18 @@ def test_total_power_monotone_in_thresholds(seed):
     p = diag_problem(h, z, p_t=50.0)
     a = float(rng.uniform(0.5, 10.0))
     b = float(rng.uniform(0.05, 1.0))
-    base = solve_diagonal(p, thresholds(a=a, b=b))
+    base = lp_power(p, thresholds(a=a, b=b))
     if base is None:
         # feasibility is monotone: loosening must keep it infeasible or fix it;
         # tightening must keep it infeasible
-        assert solve_diagonal(p, thresholds(a=a * 1.5, b=b * 0.5)) is None
+        assert lp(p, thresholds(a=a * 1.5, b=b * 0.5)) is None
         return
-    harder = solve_diagonal(p, thresholds(a=a * 1.2, b=b))
+    harder = lp_power(p, thresholds(a=a * 1.2, b=b))
     if harder is not None:
-        assert harder.total >= base.total - 1e-9
-    easier = solve_diagonal(p, thresholds(a=a, b=b * 2.0))
+        assert harder >= base - 1e-9
+    easier = lp_power(p, thresholds(a=a, b=b * 2.0))
     assert easier is not None  # loosening b keeps feasibility
-    assert easier.total <= base.total + 1e-9
+    assert easier <= base + 1e-9
 
 
 def test_cross_solver_agreement_on_reference_diagonal(ref_j1):
@@ -153,10 +168,10 @@ def test_cross_solver_agreement_on_reference_diagonal(ref_j1):
     p = reference_problem(1, diagonal=True)
     r = RatePair(0.7, 0.3)
     t = thresholds_gaussian(p, r)
-    alloc = solve_diagonal(p, t)
-    sdp = solve_rank_relaxed(p, t)
-    assert alloc is not None and sdp.status == "optimal"
-    assert alloc.total == pytest.approx(sdp.objective, rel=1e-4)
+    power = lp_power(p, t)
+    relaxed = solve_rank_relaxed(p, t)
+    assert power is not None and relaxed.status == "optimal"
+    assert power == pytest.approx(relaxed.objective, rel=1e-4)
 
 
 def scaled(p, hz=1.0, pt=1.0, n0=1.0):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import warnings
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_psd
-from wiretap import sdp
+from wiretap import diag_lp, sdp
 from wiretap.constraints import ConstraintSet
 from wiretap.kkt import check_kkt
-from wiretap.linalg import LinalgError, numerical_rank, quad_form, trace_inner
+from wiretap.linalg import LinalgError, numerical_rank, psd_project_factor, quad_form, trace_inner
 from wiretap.mi import MiEvaluator, qam16
 from wiretap.model import (
     STATISTICAL,
@@ -203,10 +204,10 @@ class TestZeroRows:
             A=np.array([np.eye(2), np.zeros((2, 2)), -np.eye(2), np.diag([1.0, 0.0])],
                        dtype=complex),
             u=np.array([10.0, 0.5, -1.0, 0.3]), k=2)
-        rows, keep = sdp._barrier_rows(cons)
-        assert keep.tolist() == [0, 2, 3]
-        assert rows.k == 1
-        lam, mu, nu = cons.split(sdp._scatter(cons, keep, np.array([1.0, 2.0, 3.0])))
+        bar = sdp._Barrier(cons)
+        assert bar.keep.tolist() == [0, 2, 3]
+        assert np.array_equal(bar.u, [10.0, -1.0, 0.3])
+        lam, mu, nu = cons.split(bar.multipliers(np.array([1.0, 2.0, 3.0])))
         assert (lam, mu.tolist(), nu.tolist()) == (1.0, [0.0, 2.0], [3.0])
 
 
@@ -302,15 +303,15 @@ class TestBarrierKernel:
         vals = np.real(np.einsum("mij,ij->m", A.conj(), W))
         u = vals + rng.uniform(0.1, 2.0, vals.size)
         if kind == "phase2":
-            return sdp._Barrier(A, u), W, 0.0
+            return sdp._Barrier(ConstraintSet(A=A, u=u, k=k)), W, 0.0
         ceil = np.r_[np.zeros(1 + k), np.ones(j)]
         if kind == "phase1":
             u = vals + rng.uniform(-1.0, 1.0, vals.size)
             s = max(0.0, float(np.max(vals - u))) + 1.0
-            return sdp._Barrier(A, u, 10.0 * (s + 1.0)), W, s
+            return sdp._Barrier(ConstraintSet(A=A, u=u, k=k), 10.0 * (s + 1.0)), W, s
         u[1 + k:] = 0.0
         s = 2.0 * float(np.max(vals[1 + k:])) + 1e-12
-        return sdp._Barrier(A, u, 2.0 * s, ceil), W, s
+        return sdp._Barrier(ConstraintSet(A=A, u=u, k=k), 2.0 * s, ceil), W, s
 
     @staticmethod
     def assert_same_bits(bar, t, W, s):
@@ -368,8 +369,10 @@ class TestBarrierKernel:
         # step still taken as before.
         vals, vecs = np.linalg.eigh(W)
         indefinite = (vecs * np.r_[-0.1 * vals[0], vals[1:]]) @ vecs.conj().T
-        bar = sdp._Barrier(bar.A, bar.u + np.abs(reference_slacks(bar, indefinite, s)) + 1.0,
-                           bar.s_cap, bar.c if bar.relax else None)
+        # The kernel reads no floor count: k = 0 stands for any.
+        cons = ConstraintSet(A=bar.A, u=bar.u + np.abs(reference_slacks(bar, indefinite, s)) + 1.0,
+                             k=0)
+        bar = sdp._Barrier(cons, bar.s_cap, bar.c if bar.relax else None)
         assert np.all(bar.evaluate(indefinite, s).sl > 0.0)
         assert bar.evaluate(indefinite, s).value(10.0) == math.inf
         self.assert_same_bits(bar, 10.0, indefinite, s)
@@ -531,9 +534,9 @@ class TestSolveGeneral:
         r = RatePair(0.6, 0.2)
         t = thresholds_gaussian(p, r)
         sol = solve_general(p, r)
-        alloc = solve_diagonal(p, t)
+        alloc = solve_diagonal(ConstraintSet.build(p, t))
         assert sol.status == OPTIMAL and alloc is not None
-        assert sol.power == pytest.approx(alloc.total, rel=1e-4)
+        assert sol.power == pytest.approx(float(np.sum(alloc[0])), rel=1e-4)
 
     def test_infeasible_pair(self, ref_j1):
         sol = solve_general(ref_j1, RatePair(2.0, 1.0))
@@ -665,6 +668,47 @@ class TestSolveRecord:
         assert np.count_nonzero(y) == 2 and cons.farkas(y)[1] > 1e150
         assert relaxation_feasibility(ref_j1, r) == INFEASIBLE
         assert [e.b_lo for e in sdp.epigraph_stages(ref_j1, 520.0)] == [math.inf]
+
+
+class TestOneRowBuild:
+    """A solve builds its ConstraintSet once, and the route checks
+    diagonality once: the LP, the barrier and the duals all take that one
+    set."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        build, all_diagonal = ConstraintSet.build.__func__, diag_lp.all_diagonal
+
+        def counting_build(cls, *args, **kwargs):
+            calls.append("build")
+            return build(cls, *args, **kwargs)
+
+        def counting_all_diagonal(p):
+            calls.append("all_diagonal")
+            return all_diagonal(p)
+
+        monkeypatch.setattr(ConstraintSet, "build", classmethod(counting_build))
+        monkeypatch.setattr(diag_lp, "all_diagonal", counting_all_diagonal)
+        return calls
+
+    @pytest.mark.parametrize("name, rd, rs, status", [
+        ("paper_j1_diag", 0.6, 0.2, OPTIMAL), ("paper_j1_diag", 2.0, 1.0, INFEASIBLE),
+        ("paper_j1", 1.0, 0.5, OPTIMAL), ("paper_j1", 1.0, 0.9, INFEASIBLE),
+        ("paper_j1", 0.0, 0.0, OPTIMAL),
+    ])
+    def test_one_build_per_call(self, name, rd, rs, status, monkeypatch):
+        p = load_problem(str(PROBLEMS / f"{name}.json")).problem
+        calls = self.counted(monkeypatch)
+        routed = 1 if rd > 0.0 else 0  # the trivial route checks nothing
+        assert solve_general(p, RatePair(rd, rs)).status == status
+        assert (calls.count("build"), calls.count("all_diagonal")) == (1, routed)
+        calls.clear()
+        relaxation_feasibility(p, RatePair(rd, rs))
+        assert (calls.count("build"), calls.count("all_diagonal")) == (routed, routed)
+        calls.clear()
+        list(sdp.epigraph_stages(p, rd))
+        assert (calls.count("build"), calls.count("all_diagonal")) == (1, routed)
 
 
 class TestRelaxationFeasibility:
@@ -897,14 +941,14 @@ class TestFaceRefinement:
         # refined from near 2 e e* with only the floor row guessed active.
         p = WiretapProblem(H=(np.diag([1.0, 0.5]),), Z=(np.diag([1.0, 0.0]),) if ceiling else (),
                            N0=1.0, epsilon=0.1, P_T=10.0)
-        rows, _ = sdp._barrier_rows(ConstraintSet.build(p, thresholds(a=1.0, b=0.25)))
+        bar = sdp._Barrier(ConstraintSet.build(p, thresholds(a=1.0, b=0.25)))
         floor = 1  # row 0 is the power budget, and no row is dropped
-        slacks, y0 = np.ones(rows.u.size), np.full(rows.u.size, 1e-9)
+        slacks, y0 = np.ones(bar.u.size), np.full(bar.u.size, 1e-9)
         slacks[floor], y0[floor] = 1e-9, 1.0
         e = np.eye(2)[lead]
         W = (2.0 * np.outer(e, e) + 1e-9 * np.eye(2)).astype(complex)
         monkeypatch.setattr(sdp, "_FACE_STEPS", steps)
-        refined = sdp._refine_face(rows, W, slacks, y0)
+        refined = sdp._refine_face(bar, W, slacks, y0)
         assert (refined is not None) == kept
         if kept:
             W, y = refined
@@ -934,6 +978,85 @@ class TestFaceRefinement:
         assert sol.status == OPTIMAL
         rep = check_kkt(p, sol.thresholds, sol.W, sol.duals, tol=1e-10)
         assert rep.passes(1e-10)
+
+
+def perfect_csi(p):
+    """Perfect user CSI for p: h_k = psd_project_factor(H_k) g_k, with
+    g_k ~ CN(0, I) drawn from one default_rng(0) in user order."""
+    rng = np.random.default_rng(0)
+    return perfect_users([psd_project_factor(h) @ ((rng.standard_normal(p.N)
+                                                    + 1j * rng.standard_normal(p.N)) / math.sqrt(2))
+                          for h in p.H])
+
+
+def near_diagonal(p, d):
+    """p with Hermitian zero-diagonal noise of relative Frobenius size d on
+    every H_k and Z_j, drawn from one default_rng(1) a matrix at a time in
+    H-then-Z order: a copy of a diagonal problem just off the LP route."""
+    rng = np.random.default_rng(1)
+
+    def noisy(m):
+        g = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        e = (g + g.conj().T) / 2.0
+        np.fill_diagonal(e, 0.0)
+        return m + e * (d * np.linalg.norm(m) / np.linalg.norm(e))
+
+    H = tuple(noisy(h) for h in p.H)
+    return dataclasses.replace(p, H=H, Z=tuple(noisy(z) for z in p.Z))
+
+
+class TestWeaklyActiveRows:
+    """A row whose path multiplier and slack both tend to 0 leaves the face
+    system with no regular solution; the face refinement drops it and fits
+    again instead of giving up."""
+
+    @pytest.mark.parametrize("name, rd", [
+        ("paper_j2", 0.4), ("paper_j2", 0.7), ("paper_j2", 1.6), ("paper_j3", 1.8),
+    ])
+    def test_perfect_csi_boundary_rows_are_optimal(self, name, rd, monkeypatch):
+        # The final solve at the proven R_s of these rows ended max_iterations,
+        # and the rows read numerical-failure: a weakly active ceiling.
+        p = load_problem(str(PROBLEMS / f"{name}.json")).problem
+        mode = perfect_csi(p)
+        row, = sweep_region(p, [rd], rate_tol=1e-3, mode=mode).rows
+        assert row.status == OPTIMAL
+        errors = []
+        newton = sdp._face_newton
+
+        def spy(A, *args):
+            out = newton(A, *args)
+            errors.append((A.shape[0], out[2]))
+            return out
+
+        monkeypatch.setattr(sdp, "_face_newton", spy)
+        sol = solve_general(p, RatePair(rd, row.rs_max), mode=mode)
+        assert sol.status == OPTIMAL and sol.power == row.min_power
+        (rows, missed), (fewer, met) = errors
+        assert missed > sdp._FACE_TOL >= met and fewer == rows - 1
+        rep = check_kkt(p, sol.thresholds, sol.W, sol.duals, mode=mode)
+        assert rep.max_residual() <= 1e-10
+
+    @pytest.mark.parametrize("name", ["paper_j1_diag", "paper_j2_diag"])
+    def test_near_diagonal_copies_match_the_lp_sweep(self, name):
+        # Off-diagonal noise of relative size d sends a diagonal problem to
+        # the SDP route. Its sweep must give the LP sweep's statuses, and its
+        # rs_max for d <= 1e-3, with power within 10 d^2 where rs_max agrees
+        # (about 3.1 d^2 is seen).
+        p = load_problem(str(PROBLEMS / f"{name}.json")).problem
+        grid = code_rate_grid(0.1, 2.0, 0.1)
+        lp_rows = sweep_region(p, grid, rate_tol=1e-3).rows
+        for d in (1e-9, 1e-6, 1e-3, 1e-2):
+            copy = near_diagonal(p, d)
+            assert not diag_lp.all_diagonal(copy)
+            rows = sweep_region(copy, grid, rate_tol=1e-3).rows
+            assert [r.status for r in rows] == [r.status for r in lp_rows], d
+            if d <= 1e-3:
+                assert [r.rs_max for r in rows] == [r.rs_max for r in lp_rows], d
+            for row, lp_row in zip(rows, lp_rows):
+                if row.rs_max is not None and row.rs_max == lp_row.rs_max:
+                    # At d = 1e-9, d^2 is below float64 roundoff.
+                    rel = 10.0 * d * d + 1e-15
+                    assert row.min_power == pytest.approx(lp_row.min_power, rel=rel), (d, row.rd)
 
 
 @settings(max_examples=30, deadline=None)
