@@ -38,7 +38,6 @@ from .sdp import (
     power_rescale,
     proven_feasibility,
     rate_bracket,
-    relaxation_feasibility,
     solve_general,
     solve_rank_relaxed,
 )

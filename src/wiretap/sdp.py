@@ -15,8 +15,6 @@ value of the next stage. Every barrier run starts from _start: it refutes a
 row out of reach (below), else tries W = alpha*I, else runs phase I, whose
 stalls go to the epigraph of the ceilings (below). It returns (W, None) with
 W strictly feasible or (None, cert) with a Farkas certificate, or raises.
-relaxation_feasibility stops there, which is all a bisection over rates
-needs.
 
 The barrier's relaxation s enters row i with a coefficient c_i. Phase I
 uses c = 1 on every row. The epigraph of the ceilings (epigraph_stages) uses
@@ -29,6 +27,8 @@ evaluations, and a probe at any R_s is decided by comparing its gap with it
 (proven_feasibility), with no threshold or MI inversion. epigraph_stages is
 a generator, so its caller runs the path only as far as it pulls it: a sweep
 row pulls the next stage only while a probe's gap lies inside the bracket.
+These brackets are the sweep's only feasibility oracle: a probe that the
+last stage still holds stays undecided.
 
 A row that no W >= 0 within the budget meets, P_T min(0, lambda_min(A_i)) >
 u_i, is refuted before any barrier run, with a Farkas certificate on that
@@ -87,7 +87,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 RANK1_INFEASIBLE = "rank1_infeasible"
 MAX_ITERATIONS = "max_iterations"
-FEASIBLE = "feasible"         # verdict of relaxation_feasibility only
+FEASIBLE = "feasible"         # verdict of proven_feasibility only
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -677,9 +677,12 @@ def epigraph_stages(
     one per barrier stage; the LP route (one HiGHS call) and floors proven
     infeasible yield one final bracket.
 
-    Yields nothing when there is no nonzero ceiling to bound, on the trivial
-    route, or when the start on the floors and budget (_start) can decide
-    nothing; the stages end early when the path runs out of Newton steps.
+    Yields nothing exactly when R_s moves no row: on the trivial route, or
+    with no nonzero ceiling to bound. When the path fails before its first
+    stage (the start on the floors and budget, _start, decides nothing, or
+    the Newton steps run out) it yields one bracket, b_lo = -inf and b_hi =
+    inf, that decides no probe; after a stage, the stages end where the path
+    fails.
     """
     t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
     cons = ConstraintSet.build(p, t, mode)
@@ -691,17 +694,21 @@ def epigraph_stages(
             cons.ceiling_bound(end[1]), _witness_bound(cons, np.diag(end[0]), False))]
     else:
         brackets = (stage[:2] for stage in _epigraph_path(cons, _NewtonBudget(_MAX_NEWTON)))
+    staged = False
     try:
         for bracket in brackets:
             yield Epigraph(*bracket, *rate_bracket(p, *bracket, mode, input_model))
+            staged = True
     except _NumericalTrouble:
-        return
+        if not staged:
+            # A probe's gap, in [0, R_D], is neither below 0 nor above inf.
+            yield Epigraph(-math.inf, math.inf, 0.0, math.inf)
 
 
 def proven_feasibility(epigraph: Epigraph, r: RatePair) -> str | None:
     """FEASIBLE when the rate gap of r lies above the epigraph's bracket,
-    INFEASIBLE when below it; None when the bracket holds it and a later
-    stage or relaxation_feasibility has to decide."""
+    INFEASIBLE when below it; None when the bracket holds it, which only a
+    later stage can decide."""
     if r.R_gap > epigraph.gap_hi:
         return FEASIBLE
     if r.R_gap < epigraph.gap_lo:
@@ -851,35 +858,6 @@ def _route(p: WiretapProblem, r: RatePair, mode: CsiMode, input_model):
     if mode.is_statistical and diag_lp.all_diagonal(p):
         return t, "lp"
     return t, "sdp"
-
-
-def relaxation_feasibility(
-    p: WiretapProblem,
-    r: RatePair,
-    mode: CsiMode = STATISTICAL,
-    input_model="gaussian",
-) -> str:
-    """FEASIBLE, INFEASIBLE or MAX_ITERATIONS: whether the rank relaxation at
-    r has a feasible point, decided as solve_general decides it but without
-    phase II or rank-1 recovery.
-
-    The verdict is the one solve_general reaches on the same route: the LP
-    route makes its one HiGHS call, the SDP route stops after _start, whose
-    INFEASIBLE carries a certificate. solve_general at r returns INFEASIBLE
-    exactly when this returns INFEASIBLE; where this says FEASIBLE it may
-    still end in MAX_ITERATIONS (phase II) or RANK1_INFEASIBLE.
-    """
-    t, route = _route(p, r, mode, input_model)
-    if route == "trivial":
-        return FEASIBLE
-    cons = ConstraintSet.build(p, t, mode)
-    if route == "lp":
-        return INFEASIBLE if diag_lp.solve_diagonal(cons) is None else FEASIBLE
-    try:
-        W, _ = _start(cons, _NewtonBudget(_MAX_NEWTON))
-    except _NumericalTrouble:
-        return MAX_ITERATIONS
-    return INFEASIBLE if W is None else FEASIBLE
 
 
 def solve_general(

@@ -10,12 +10,14 @@ each barrier stage. Each probe, R_s = 0 included, is decided by comparing its
 gap with the current stage's bracket (sdp.proven_feasibility), with no
 threshold or MI inversion. The brackets narrow stage by stage, and the row
 pulls the next stage only while a probe's gap lies inside the current one,
-so the path runs only as far as the probes need. Only a probe that the
-finished path still leaves inside its bracket, or every probe when there are
-no stages, runs relaxation_feasibility (the interior start or phase I, or the
-diagonal LP). The row then costs one full solve_general, at the largest
-feasible R_s found (R_D itself when R_s = R_D is feasible). That solve's
-rank-1 recovery is not monotone in R_s, so it is kept out of the bisection.
+so the path runs only as far as the probes need. The brackets are the only
+decider: a probe that the last stage still leaves inside its bracket makes
+the row `numerical-failure`. The row then costs one full solve_general, at
+the largest feasible R_s found (R_D itself when R_s = R_D is feasible). That
+solve's rank-1 recovery is not monotone in R_s, so it is kept out of the
+bisection. A row with no stages is one where R_s moves no row of the problem
+(R_D = 0, or no nonzero eavesdropper ceiling): its one solve_general at R_s
+= R_D decides it, and that solve's status is the row's.
 
 An infeasible row ends the sweep's solving. When a row's epigraph proves
 the floors and the budget infeasible (b_lo = inf: a Farkas certificate, or
@@ -29,12 +31,12 @@ whatever P_T is.
 Each row reports the largest feasible R_s (within rate_tol), the minimum
 transmit power there, and whether the relaxed solution had numerical rank
 one. A row is `infeasible` when the relaxation is infeasible even at
-R_s = 0, and `numerical-failure` when a probe or the final solve runs out of
-Newton steps. When the final solve's relaxation is feasible but its
-principal direction is not a feasible beamformer, the row is
-`rank1-infeasible` with no rates or power: the relaxation bounds the region
-from outside, so no achievable point is claimed. Rows are solved in grid
-order.
+R_s = 0, and `numerical-failure` when the epigraph leaves a probe undecided
+or the final solve runs out of Newton steps. When the final solve's
+relaxation is feasible but its principal direction is not a feasible
+beamformer, the row is `rank1-infeasible` with no rates or power: the
+relaxation bounds the region from outside, so no achievable point is
+claimed. Rows are solved in grid order.
 """
 
 from __future__ import annotations
@@ -46,13 +48,12 @@ from dataclasses import dataclass
 from .model import STATISTICAL, CsiMode, ModelError, RatePair, WiretapProblem
 from .sdp import (
     FEASIBLE,
-    MAX_ITERATIONS,
+    INFEASIBLE,
     OPTIMAL,
     RANK1_INFEASIBLE,
     epigraph_stages,
     proven_feasibility,
     rate_thresholds,
-    relaxation_feasibility,
     solve_general,
 )
 
@@ -107,34 +108,31 @@ def _solve_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow, bool]:
 
     def feasible(rs: float) -> bool:
         """The verdict of the first stage whose bracket decides rs, pulling
-        stages while it holds rs; relaxation_feasibility's once they run out
-        or when there are none. Brackets only narrow, so a verdict never
-        changes at a later stage."""
+        stages while it holds rs; _RowFailure once they run out. Brackets
+        only narrow, so a verdict never changes at a later stage."""
         nonlocal epigraph
-        while epigraph is not None:
-            verdict = proven_feasibility(epigraph, RatePair(rd, rs))
-            if verdict is not None:
-                return verdict == FEASIBLE
-            later = next(stages, None)
-            if later is None:
-                break
-            epigraph = later
-        verdict = relaxation_feasibility(p, RatePair(rd, rs), mode=mode,
-                                         input_model=input_model)
-        if verdict == MAX_ITERATIONS:
-            raise _RowFailure()
+        while (verdict := proven_feasibility(epigraph, RatePair(rd, rs))) is None:
+            epigraph = next(stages, None)
+            if epigraph is None:
+                raise _RowFailure()
         return verdict == FEASIBLE
 
-    try:
-        lo = _largest_feasible(feasible, rd, rate_tol) if feasible(0.0) else None
-    except _RowFailure:
-        return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE), False
-    if lo is None:
-        carry = epigraph is not None and epigraph.b_lo == math.inf
-        return SweepRow(rd, None, None, None, ROW_INFEASIBLE), carry
+    if epigraph is None:
+        # R_s moves no row: the solve at R_s = R_D decides the row, and its
+        # INFEASIBLE holds at R_s = 0 too.
+        lo = rd
+    else:
+        try:
+            lo = _largest_feasible(feasible, rd, rate_tol) if feasible(0.0) else None
+        except _RowFailure:
+            return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE), False
+        if lo is None:
+            return SweepRow(rd, None, None, None, ROW_INFEASIBLE), epigraph.b_lo == math.inf
     sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
     if sol.status == OPTIMAL:
         return SweepRow(rd, lo, sol.power, sol.rank1_exact, ROW_OPTIMAL), False
+    if sol.status == INFEASIBLE and epigraph is None:
+        return SweepRow(rd, None, None, None, ROW_INFEASIBLE), False
     status = ROW_RANK1_INFEASIBLE if sol.status == RANK1_INFEASIBLE else ROW_NUMERICAL_FAILURE
     return SweepRow(rd, None, None, None, status), False
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from wiretap import diag_lp, sdp
+from wiretap.constraints import ConstraintSet
 from wiretap.instances import reference_problem
+from wiretap.model import STATISTICAL
 
 # Derandomized under CI (GitHub Actions sets CI), so a failing example found
 # there is found again locally with CI=1.
@@ -34,3 +37,22 @@ def random_psd(rng, n, scale=1.0, ridge=0.0, rank=None):
     m = b @ b.conj().T * (scale / n)
     m = m + ridge * scale * np.eye(n)
     return (m + m.conj().T) / 2.0
+
+
+def probe_verdict(p, r, mode=STATISTICAL, input_model="gaussian"):
+    """sdp.FEASIBLE, INFEASIBLE or MAX_ITERATIONS: whether the rank
+    relaxation at r has a feasible point, decided on r's own rows as
+    solve_general's route decides it, without phase II or rank-1 recovery:
+    HiGHS on the LP route, sdp._start on the SDP route. The oracle that the
+    sweep's epigraph brackets are checked against, probe by probe."""
+    t, route = sdp._route(p, r, mode, input_model)
+    if route == "trivial":
+        return sdp.FEASIBLE
+    cons = ConstraintSet.build(p, t, mode)
+    if route == "lp":
+        return sdp.INFEASIBLE if diag_lp.solve_diagonal(cons) is None else sdp.FEASIBLE
+    try:
+        W, _ = sdp._start(cons, sdp._NewtonBudget(sdp._MAX_NEWTON))
+    except sdp._NumericalTrouble:
+        return sdp.MAX_ITERATIONS
+    return sdp.INFEASIBLE if W is None else sdp.FEASIBLE

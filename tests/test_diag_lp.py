@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from wiretap import sdp
 from wiretap.constraints import ConstraintSet
-from wiretap.diag_lp import all_diagonal, is_diagonal, solve_diagonal
+from wiretap.diag_lp import all_diagonal, is_diagonal, min_ceiling, solve_diagonal
 from wiretap.instances import reference_problem
 from wiretap.linalg import quad_form
+from wiretap.mi import MiEvaluator, qpsk
 from wiretap.model import STATISTICAL, ConstraintThresholds, RatePair, WiretapProblem, thresholds_gaussian
 from wiretap.sdp import MAX_ITERATIONS, OPTIMAL, solve_general
 
@@ -213,3 +214,27 @@ class TestScale:
         assert sol.status in statuses
         if sol.status == OPTIMAL:
             assert sol.power == pytest.approx(power, rel=1e-6)
+
+
+# Two diagonal instances drawn as test_proven_verdicts_match_probes draws
+# them, with N, K and J from the seed's generator. HiGHS meets a binding
+# floor only to roundoff, so min_ceiling lifts P onto the floors; the lift
+# must read the row values that sdp._witness_bound checks. Here a lift on
+# other roundings misses by about 7e-15, b_hi is inf and the bracket proves
+# no probe feasible.
+@pytest.mark.parametrize("seed, rd, alphabet", [(14, 1.0, "qpsk"), (23, 0.6, "gaussian")])
+def test_min_ceiling_witness_meets_the_floors(seed, rd, alphabet):
+    rng = np.random.default_rng(seed)
+    n, k, j = int(rng.integers(3, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+
+    def cov(scale):
+        return np.diag(rng.uniform(0.2, 2.0, n) * scale).astype(complex)
+
+    p = WiretapProblem(H=tuple(cov(3.0) for _ in range(k)), Z=tuple(cov(0.01) for _ in range(j)),
+                       N0=1.0, epsilon=0.1, P_T=100.0)
+    model = MiEvaluator(qpsk()) if alphabet == "qpsk" else "gaussian"
+    cons = ConstraintSet.build(p, sdp.rate_thresholds(p, RatePair(rd, 0.0), model))
+    P, _ = min_ceiling(cons)
+    assert np.isfinite(sdp._witness_bound(cons, np.diag(P), False))
+    stage, = sdp.epigraph_stages(p, rd, input_model=model)
+    assert stage.b_lo <= stage.b_hi <= stage.b_lo * (1.0 + 1e-14)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_psd
+from conftest import probe_verdict, random_psd
 from wiretap import diag_lp, sdp
 from wiretap.constraints import ConstraintSet
 from wiretap.kkt import check_kkt
@@ -32,7 +32,6 @@ from wiretap.sdp import (
     RANK1_INFEASIBLE,
     extract_principal_direction,
     power_rescale,
-    relaxation_feasibility,
     solve_general,
     solve_rank_relaxed,
 )
@@ -666,7 +665,6 @@ class TestSolveRecord:
         cert = sol.certificate
         y = np.r_[cert.lam, cert.mu, cert.nu]
         assert np.count_nonzero(y) == 2 and cons.farkas(y)[1] > 1e150
-        assert relaxation_feasibility(ref_j1, r) == INFEASIBLE
         assert [e.b_lo for e in sdp.epigraph_stages(ref_j1, 520.0)] == [math.inf]
 
 
@@ -704,25 +702,8 @@ class TestOneRowBuild:
         assert solve_general(p, RatePair(rd, rs)).status == status
         assert (calls.count("build"), calls.count("all_diagonal")) == (1, routed)
         calls.clear()
-        relaxation_feasibility(p, RatePair(rd, rs))
-        assert (calls.count("build"), calls.count("all_diagonal")) == (routed, routed)
-        calls.clear()
         list(sdp.epigraph_stages(p, rd))
         assert (calls.count("build"), calls.count("all_diagonal")) == (1, routed)
-
-
-class TestRelaxationFeasibility:
-    @pytest.mark.parametrize("rd, rs, verdict", [
-        (0.5, 0.0, FEASIBLE),          # W = alpha*I is interior: no Newton step
-        (1.0, 0.5, MAX_ITERATIONS),    # phase I runs out of its two steps
-    ])
-    def test_tiny_budget(self, ref_j1, rd, rs, verdict, monkeypatch):
-        monkeypatch.setattr(sdp, "_MAX_NEWTON", 2)
-        assert relaxation_feasibility(ref_j1, RatePair(rd, rs)) == verdict
-        assert solve_general(ref_j1, RatePair(rd, rs)).status == MAX_ITERATIONS
-
-    def test_zero_code_rate_is_feasible(self, ref_j1):
-        assert relaxation_feasibility(ref_j1, RatePair(0.0, 0.0)) == FEASIBLE
 
 
 class TestStart:
@@ -814,7 +795,9 @@ class TestStart:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_feasibility_probe_matches_relaxed_solve(seed):
-    # Random N=3/N=4 instances reach phase I, and about 60% are infeasible.
+    # The sweep tests' per-probe oracle (probe_verdict) agrees with the
+    # relaxed solve. Random N=3/N=4 instances reach phase I, and about 60%
+    # are infeasible.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 5))
     p = WiretapProblem(
@@ -825,7 +808,7 @@ def test_feasibility_probe_matches_relaxed_solve(seed):
     )
     rd = float(rng.uniform(0.2, 1.5))
     r = RatePair(rd, float(rng.uniform(0.0, rd)))
-    verdict = relaxation_feasibility(p, r)
+    verdict = probe_verdict(p, r)
     status = solve_rank_relaxed(p, thresholds_gaussian(p, r)).status
     # Feasible exactly when the relaxed solve is not infeasible. Phase II may
     # still run out of Newton steps after a feasible verdict, and a probe
@@ -839,7 +822,7 @@ def test_feasibility_probe_matches_relaxed_solve(seed):
                           Z=tuple(np.diag(np.diag(m)) for m in p.Z),
                           N0=p.N0, epsilon=p.epsilon, P_T=p.P_T)
     lp_status = solve_general(diag, r).status
-    assert relaxation_feasibility(diag, r) == (INFEASIBLE if lp_status == INFEASIBLE else FEASIBLE)
+    assert probe_verdict(diag, r) == (INFEASIBLE if lp_status == INFEASIBLE else FEASIBLE)
 
 
 @pytest.mark.parametrize("seed", range(5))

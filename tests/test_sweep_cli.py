@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import random_psd
+from conftest import probe_verdict, random_psd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +40,6 @@ from wiretap.sdp import (
     RANK1_INFEASIBLE,
     BeamformerSolution,
     proven_feasibility,
-    relaxation_feasibility,
     solve_general,
 )
 from wiretap.sweep import CSV_HEADER, SweepRow, code_rate_grid, sweep_region, to_csv
@@ -352,14 +351,14 @@ def full_solve_row(p, rd, rate_tol):
 
 
 def probe_row(p, rd, rate_tol, probes=None, mode=STATISTICAL, input_model="gaussian"):
-    """The row as the sweep found it when relaxation_feasibility decided
-    every bisection probe, each (R_s, verdict) appended to probes: the oracle
-    for the epigraph replay."""
+    """The row as the sweep found it when a solve on each probe's own rows
+    (probe_verdict) decided every bisection probe, each (R_s, verdict)
+    appended to probes: the oracle for the epigraph replay."""
     class Failure(Exception):
         pass
 
     def feasible(rs):
-        verdict = relaxation_feasibility(p, RatePair(rd, rs), mode=mode, input_model=input_model)
+        verdict = probe_verdict(p, RatePair(rd, rs), mode=mode, input_model=input_model)
         if probes is not None:
             probes.append((rs, verdict))
         if verdict == MAX_ITERATIONS:
@@ -406,8 +405,7 @@ def count_row_calls(monkeypatch, extra=()):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapped)
 
-    for module, attr in ((sweep, "relaxation_feasibility"), (sweep, "epigraph_stages"),
-                         (sweep, "solve_general"), (sdp, "_phase1"),
+    for module, attr in ((sweep, "epigraph_stages"), (sweep, "solve_general"), (sdp, "_phase1"),
                          (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling"), *extra):
         counting(module, attr)
     return calls
@@ -506,7 +504,7 @@ class TestSweepBisection:
         assert any(verdict is not None for _, verdict in proofs)
         for r, verdict in proofs:
             if verdict is not None:
-                assert relaxation_feasibility(p, r, **solver) == verdict
+                assert probe_verdict(p, r, **solver) == verdict
         assert row == probe_row(p, rd, 1e-2, **solver)
 
     def test_row_phase1_cannot_start_matches_probe_bisection(self):
@@ -574,7 +572,7 @@ class TestSweepBisection:
 
     # On paper_j3_diag at R_D 0.2 the LP witness meets its binding floor
     # only once lifted onto it. With no eavesdropper there is no ceiling to
-    # bound, so no stage: phase I decides R_s = 0 and R_s = R_D.
+    # bound, so no stage and no probe: the row is the one solve at R_s = R_D.
     @pytest.mark.parametrize("name, rds", [
         ("paper_j1", (0.5, 1.0)), ("paper_j1_diag", (0.5, 1.0)), ("paper_j3_diag", (0.2,)),
         (None, (0.5,)),
@@ -582,20 +580,28 @@ class TestSweepBisection:
     def test_probe_cost_per_row(self, name, rds, monkeypatch):
         calls = count_row_calls(monkeypatch)
         p = NO_EAVESDROPPER if name is None else load_problem(str(PROBLEMS / f"{name}.json")).problem
+        proofs = []
+
+        def recording(epigraph, r):
+            proofs.append(r)
+            return proven_feasibility(epigraph, r)
+
+        monkeypatch.setattr(sweep, "proven_feasibility", recording)
         for rd in rds:
             calls.clear()
+            proofs.clear()
             row = sweep_region(p, [rd], rate_tol=1e-3).rows[0]
             count = {attr: calls.count(attr) for attr in set(calls)}
             probes = []
             assert row == probe_row(p, rd, 1e-3, probes)
             assert count.get("epigraph_stages", 0) == count.get("solve_general", 0) == 1
             if name is None:
-                assert list(sdp.epigraph_stages(p, rd)) == []
-                assert [rs for rs, _ in probes] == [0.0, rd]
-                assert count.get("relaxation_feasibility", 0) == 2
+                assert list(sdp.epigraph_stages(p, rd)) == [] and proofs == []
+                assert row.status == "optimal" and row.rs_max == rd
+                # The LP route's one HiGHS call, in the solve at (rd, rd).
+                assert count == {"epigraph_stages": 1, "solve_general": 1, "solve_diagonal": 1}
                 continue
-            assert len(probes) >= 10
-            assert count.get("relaxation_feasibility", 0) == 0
+            assert len(probes) >= 10 and len(proofs) >= len(probes)
             # Phase I or HiGHS: the epigraph's start and the full solve.
             solver = sum(count.get(attr, 0) for attr in ("_phase1", "solve_diagonal", "min_ceiling"))
             assert solver <= 2
@@ -657,8 +663,7 @@ class TestSweepBisection:
 
         original_stages = sweep.epigraph_stages
         monkeypatch.setattr(sweep, "epigraph_stages", counting_stages)
-        for attr in ("solve_general", "relaxation_feasibility"):
-            counting(sweep, attr, calls.append)
+        counting(sweep, "solve_general", calls.append)
         counting(MiEvaluator, "inverse", calls.append)
         counting(sdp, "thresholds_finite_alphabet",
                  lambda attr: callers.append(scope[-1] if scope else "probe"))
@@ -676,7 +681,6 @@ class TestSweepBisection:
             check = calls.index("epigraph_stages")
             assert calls[:check] == ["inverse", "inverse"]
             row_calls, row_callers = calls[check:], callers[1:]
-            assert row_calls.count("relaxation_feasibility") == 0
             assert row_calls.count("inverse") <= 4
             assert row_callers == [c for c in row_calls if c in ("epigraph_stages", "solve_general")]
             assert row_callers[0] == "epigraph_stages"
@@ -735,16 +739,41 @@ class TestSweepBisection:
         assert all(a <= b for a, b in zip(staged, full))
         assert any(a < b for a, b in zip(staged, full))
 
-    def test_undecided_probe_after_last_stage_runs_phase1(self, ref_j1, monkeypatch):
+    def test_undecided_probe_after_last_stage_fails_the_row(self, ref_j1, monkeypatch):
         # The path ends after its first stage, whose bracket still holds a
-        # probe: relaxation_feasibility decides that probe, as before there
-        # were stages.
-        stages = sweep.epigraph_stages
-        monkeypatch.setattr(sweep, "epigraph_stages", lambda *args: iter([next(stages(*args))]))
+        # probe of the row's bisection: the row is numerical-failure, with no
+        # second solve on that probe and no final solve.
+        first = next(sdp.epigraph_stages(ref_j1, 1.0))
+        probes = []
+        assert probe_row(ref_j1, 1.0, 1e-3, probes).status == "optimal"
+        assert any(proven_feasibility(first, RatePair(1.0, rs)) is None for rs, _ in probes)
+        monkeypatch.setattr(sweep, "epigraph_stages", lambda *args: iter([first]))
         calls = count_row_calls(monkeypatch)
         row, = sweep_region(ref_j1, [1.0], rate_tol=1e-3).rows
-        assert calls.count("relaxation_feasibility") >= 1
-        assert row == probe_row(ref_j1, 1.0, 1e-3)
+        assert row == SweepRow(1.0, None, None, None, "numerical-failure")
+        assert calls == ["epigraph_stages"]
+
+    @pytest.mark.parametrize("cause", ["start", "budget"])
+    def test_path_that_decides_nothing_fails_the_row(self, ref_j1, cause, monkeypatch):
+        # The epigraph fails before its first stage: its start on the floors
+        # and the budget raises, or runs out of a two-step Newton budget. It
+        # yields one bracket, [-inf, inf], which decides no probe, so the row
+        # is numerical-failure with no final solve.
+        def stalling(cons, budget):
+            raise sdp._NumericalTrouble("stalled")
+
+        if cause == "start":
+            monkeypatch.setattr(sdp, "_start", stalling)
+        else:
+            monkeypatch.setattr(sdp, "_MAX_NEWTON", 2)
+        stages = list(sdp.epigraph_stages(ref_j1, 1.0))
+        assert stages == [sdp.Epigraph(-math.inf, math.inf, 0.0, math.inf)]
+        assert all(proven_feasibility(stages[0], RatePair(1.0, rs)) is None
+                   for rs in (0.0, 0.25, 0.5, 1.0))
+        calls = count_row_calls(monkeypatch)
+        row, = sweep_region(ref_j1, [1.0], rate_tol=1e-3).rows
+        assert row == SweepRow(1.0, None, None, None, "numerical-failure")
+        assert calls[0] == "epigraph_stages" and "solve_general" not in calls
 
     @pytest.mark.parametrize("name, rd", [
         ("paper_j1", 1.2), ("paper_j2", 1.0), ("paper_j2_diag", 0.9),
@@ -756,12 +785,11 @@ class TestSweepBisection:
         epigraph = finished_epigraph(p, rd)
         assert epigraph.b_lo == math.inf
         r = RatePair(rd, 0.0)
-        assert proven_feasibility(epigraph, r) == relaxation_feasibility(p, r) == INFEASIBLE
+        assert proven_feasibility(epigraph, r) == probe_verdict(p, r) == INFEASIBLE
 
     def test_six_sweep_csv_md5(self, monkeypatch):
-        # The bytes, and the work that produced them (no relaxation_feasibility
-        # call): a change that moves a count does different arithmetic, even
-        # where the bytes hold.
+        # The bytes, and the work that produced them: a change that moves a
+        # count does different arithmetic, even where the bytes hold.
         calls = count_row_calls(monkeypatch, extra=((sdp._Barrier, "newton_step"),
                                                     (sdp._Barrier, "evaluate"),
                                                     (sweep, "proven_feasibility")))
