@@ -12,9 +12,9 @@ X -> W^{-1} X W^{-1} plus one rank-one term per scalar constraint. Each
 iterate is evaluated once: the line search keeps the trial it accepts, with
 its slacks and barrier terms, for the next Newton step and for the first
 value of the next stage. Every barrier run starts from _start: it refutes a
-row out of reach (below), else tries W = alpha*I, else runs phase I, whose
-stalls go to the epigraph of the ceilings (below). It returns (W, None) with
-W strictly feasible or (None, cert) with a Farkas certificate, or raises.
+row out of reach (below), else runs phase I, whose stalls go to the
+epigraph of the ceilings (below). It returns (W, None) with W strictly
+feasible or (None, cert) with a Farkas certificate, or raises.
 
 The barrier's relaxation s enters row i with a coefficient c_i. Phase I
 uses c = 1 on every row. The epigraph of the ceilings (epigraph_stages) uses
@@ -363,23 +363,6 @@ def _unreachable_row(cons: ConstraintSet) -> InfeasibilityCertificate | None:
     return _certificate(cons, y)
 
 
-def _interior_start(cons: ConstraintSet) -> np.ndarray | None:
-    """Try W = alpha*I with a safety margin; None if no such point exists.
-
-    Row i asks alpha Tr A_i <= u_i: an upper bound on alpha where Tr A_i > 0
-    (the budget and the ceilings), a lower bound where Tr A_i < 0 (the floors).
-    """
-    tr = np.real(np.trace(cons.A, axis1=1, axis2=2))
-    up, down = tr > 0.0, tr < 0.0
-    hi = float(np.min(cons.u[up] / tr[up], initial=math.inf))
-    lo = float(np.max(cons.u[down] / tr[down], initial=0.0))
-    if lo * 1.05 + 1e-12 < hi * 0.95:
-        alpha = math.sqrt(max(lo, 1e-12 * hi) * hi) if lo > 0 else hi / 2.0
-        alpha = min(max(alpha, lo * 1.05 + 1e-15), hi * 0.95)
-        return alpha * np.eye(cons.n, dtype=complex)
-    return None
-
-
 def _path(bar: _Barrier, W: np.ndarray, s: float, budget: _NewtonBudget,
           stop_early=None):
     """Centre at t = _T0, _T0 * _T_GROWTH, ... from (W, s) and yield (t,
@@ -432,16 +415,13 @@ def _phase1(cons: ConstraintSet, budget: _NewtonBudget):
 def _start(cons: ConstraintSet, budget: _NewtonBudget):
     """A strictly feasible start for the barrier on cons, (W, None), or
     (None, cert) when there is none: a row out of reach (_unreachable_row),
-    else W = alpha*I (_interior_start), else phase I. A phase-I stall goes to
-    the epigraph (_epigraph_path): its first iterate that meets every row
-    strictly, or its first multipliers that prove cons infeasible; failing
-    both, or with no ceiling to hand the stall over to, _NumericalTrouble."""
+    else phase I. A phase-I stall goes to the epigraph (_epigraph_path): its
+    first iterate that meets every row strictly, or its first multipliers
+    that prove cons infeasible; failing both, or with no ceiling to hand the
+    stall over to, _NumericalTrouble."""
     cert = _unreachable_row(cons)
     if cert is not None:
         return None, cert
-    W = _interior_start(cons)
-    if W is not None:
-        return W, None
     try:
         return _phase1(cons, budget)
     except _NumericalTrouble:

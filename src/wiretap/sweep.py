@@ -165,6 +165,22 @@ def sweep_region(
     mode: CsiMode = STATISTICAL,
     input_model="gaussian",
 ) -> SweepResult:
+    """One SweepRow per code rate of rd_grid, in grid order.
+
+    rd_grid must be non-empty, strictly increasing and finite (code_rate_grid
+    builds one). rate_tol, positive and finite, is the width at which the
+    bisection on R_s stops. mode is STATISTICAL or perfect_users(...), and
+    input_model is "gaussian" or a finite-alphabet MI evaluator. A bad grid
+    or rate_tol raises ModelError, and a top code rate whose thresholds are
+    not finite raises RateUnachievableError, before any row is solved.
+
+    Only an `optimal` row carries rs_max (the largest feasible R_s found),
+    its minimum power and the rank-1 flag. The others are `infeasible` (at
+    R_s = 0, or above a row whose floors and budget are proven infeasible),
+    `numerical-failure` (a probe the epigraph leaves undecided, or a final
+    solve out of Newton steps) and `rank1-infeasible` (the final solve's
+    principal direction is not a feasible beamformer).
+    """
     grid = [float(r) for r in rd_grid]
     if not grid:
         raise ModelError("empty code-rate grid")

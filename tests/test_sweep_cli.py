@@ -799,9 +799,9 @@ class TestSweepBisection:
             for path in sorted(PROBLEMS.glob("*.json")))
         assert hashlib.md5(csv.encode()).hexdigest() == "c36d15b83a028ef18be82305981e9c07"
         assert {attr: calls.count(attr) for attr in set(calls)} == {
-            "newton_step": 4134, "_phase1": 35, "min_ceiling": 28, "solve_diagonal": 25,
+            "newton_step": 4168, "_phase1": 54, "min_ceiling": 28, "solve_diagonal": 25,
             "solve_general": 52, "proven_feasibility": 729, "epigraph_stages": 58,
-            "evaluate": 7310}
+            "evaluate": 7470}
 
     @pytest.mark.parametrize("status, row_status", [
         (MAX_ITERATIONS, "numerical-failure"),
