@@ -75,6 +75,13 @@ def _number(raw, where: str) -> float:
         raise ProblemFileError(f"{where}: expected a number: {exc}") from exc
 
 
+def _count(raw, where: str) -> int:
+    # int("3") and int(3.7) would both pass, and a JSON true is an int.
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise ProblemFileError(f"{where}: expected a JSON integer, got {raw!r}")
+    return raw
+
+
 def _power_linear(raw) -> float:
     if isinstance(raw, dict):
         if "value" not in raw:
@@ -102,10 +109,7 @@ def parse_problem(doc: dict) -> ProblemFile:
     for field in ("N", "K", "J", "N0", "epsilon", "P_T", "H", "Z"):
         if field not in doc:
             raise ProblemFileError(f"missing required field {field!r}")
-    try:
-        n, k, j = int(doc["N"]), int(doc["K"]), int(doc["J"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProblemFileError(f"N/K/J must be integers: {exc}") from exc
+    n, k, j = (_count(doc[field], field) for field in ("N", "K", "J"))
     for field, count in (("H", k), ("Z", j)):
         if len(_list(doc[field], field)) != count:
             raise ProblemFileError(f"{field}: expected {count} matrices, got {len(doc[field])}")

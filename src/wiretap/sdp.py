@@ -28,7 +28,8 @@ evaluations, and a probe at any R_s is decided by comparing its gap with it
 a generator, so its caller runs the path only as far as it pulls it: a sweep
 row pulls the next stage only while a probe's gap lies inside the bracket.
 These brackets are the sweep's only feasibility oracle: a probe that the
-last stage still holds stays undecided.
+last stage still holds stays undecided. The path ends at a silent stage or
+at _T_MAX, never on the width of its bracket.
 
 A row that no W >= 0 within the budget meets, P_T min(0, lambda_min(A_i)) >
 u_i, is refuted before any barrier run, with a Farkas certificate on that
@@ -101,7 +102,6 @@ _FACE_STEPS = 8          # Gauss-Newton steps of the face refinement
 _FACE_TOL = 1e-12        # relative KKT residual a refined face must reach
 _MAX_NEWTON = 800        # total Newton budget per solve (both phases)
 _T_MAX = 1e12            # the path stops at this barrier parameter
-_EPIGRAPH_REL = 1e-9     # the epigraph stops once b_hi - b_lo <= this * b_hi
 _LP_ROW_REL = 1e-9       # an LP allocation must meet each row to this * |u_i|
 
 
@@ -592,7 +592,7 @@ def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
     each stage of the path: the least _witness_bound and the greatest
     ceiling_bound so far, so each bracket lies inside the one before, and the
     stage's iterate and multipliers (one per row of cons). Stops at a silent
-    stage, at _T_MAX, or once the two are _EPIGRAPH_REL apart.
+    stage or at _T_MAX; the Newton budget bounds it too.
 
     Yields only (inf, inf, None, y) when _start on the floors and the budget
     ends with a certificate, y its multipliers with zeros on the ceilings;
@@ -614,7 +614,7 @@ def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
         b_hi = min(b_hi, _witness_bound(cons, point.W, True))
         b_lo = max(b_lo, cons.ceiling_bound(y))
         yield b_lo, b_hi, point.W, y
-        if silent or t >= _T_MAX or b_lo >= (1.0 - _EPIGRAPH_REL) * b_hi:  # b_hi may be inf
+        if silent or t >= _T_MAX:
             return
 
 

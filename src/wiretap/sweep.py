@@ -13,11 +13,12 @@ pulls the next stage only while a probe's gap lies inside the current one,
 so the path runs only as far as the probes need. The brackets are the only
 decider: a probe that the last stage still leaves inside its bracket makes
 the row `numerical-failure`. The row then costs one full solve_general, at
-the largest feasible R_s found (R_D itself when R_s = R_D is feasible). That
-solve's rank-1 recovery is not monotone in R_s, so it is kept out of the
-bisection. A row with no stages is one where R_s moves no row of the problem
-(R_D = 0, or no nonzero eavesdropper ceiling): its one solve_general at R_s
-= R_D decides it, and that solve's status is the row's.
+the largest R_s proven feasible, below R_D: the gap 0 of R_s = R_D is never
+above a bracket (rate_bracket maps every b to a gap of 0 or more), so R_D is
+not probed. That solve's rank-1 recovery is not monotone in R_s, so it is
+kept out of the bisection. A row with no stages is one where R_s moves no
+row of the problem (R_D = 0, or no nonzero eavesdropper ceiling): its one
+solve_general at R_s = R_D decides it, and that solve's status is the row's.
 
 An infeasible row ends the sweep's solving. When a row's epigraph proves
 the floors and the budget infeasible (b_lo = inf: a Farkas certificate, or
@@ -85,24 +86,11 @@ class _RowFailure(Exception):
     pass
 
 
-def _largest_feasible(feasible, rd: float, rate_tol: float) -> float:
-    """rd when feasible(rd), else the bisection's largest feasible R_s in
-    [0, rd), feasible(0) being known."""
-    if feasible(rd):
-        return rd
-    lo, hi = 0.0, rd
-    while hi - lo > rate_tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _solve_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow, bool]:
     """The row at rd, and whether its epigraph proves the floors and the
-    budget infeasible (b_lo = inf), which holds at every larger rd too."""
+    budget infeasible (b_lo = inf), which holds at every larger rd too. With
+    stages, one bisection of R_s on [0, rd) by their brackets, then the
+    solve at its lower end; with none, the one solve at R_s = rd."""
     stages = epigraph_stages(p, rd, mode, input_model)
     epigraph = next(stages, None)
 
@@ -123,11 +111,17 @@ def _solve_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow, bool]:
         lo = rd
     else:
         try:
-            lo = _largest_feasible(feasible, rd, rate_tol) if feasible(0.0) else None
+            if not feasible(0.0):
+                return SweepRow(rd, None, None, None, ROW_INFEASIBLE), epigraph.b_lo == math.inf
+            lo, hi = 0.0, rd
+            while hi - lo > rate_tol:
+                mid = 0.5 * (lo + hi)
+                if feasible(mid):
+                    lo = mid
+                else:
+                    hi = mid
         except _RowFailure:
             return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE), False
-        if lo is None:
-            return SweepRow(rd, None, None, None, ROW_INFEASIBLE), epigraph.b_lo == math.inf
     sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
     if sol.status == OPTIMAL:
         return SweepRow(rd, lo, sol.power, sol.rank1_exact, ROW_OPTIMAL), False
@@ -174,8 +168,9 @@ def sweep_region(
     or rate_tol raises ModelError, and a top code rate whose thresholds are
     not finite raises RateUnachievableError, before any row is solved.
 
-    Only an `optimal` row carries rs_max (the largest feasible R_s found),
-    its minimum power and the rank-1 flag. The others are `infeasible` (at
+    Only an `optimal` row carries rs_max (the largest R_s proven feasible,
+    below rd; rd only where no nonzero ceiling lets R_s move a row), its
+    minimum power and the rank-1 flag. The others are `infeasible` (at
     R_s = 0, or above a row whose floors and budget are proven infeasible),
     `numerical-failure` (a probe the epigraph leaves undecided, or a final
     solve out of Newton steps) and `rank1-infeasible` (the final solve's

@@ -330,14 +330,14 @@ def full_solve_row(p, rd, rate_tol):
             return None
         return sol
 
+    # As the sweep: R_s = R_D is solved only where the epigraph has no
+    # stage, because R_s moves no row.
+    staged = next(sdp.epigraph_stages(p, rd), None) is not None
     try:
-        best = attempt(0.0)
+        lo, hi = (0.0 if staged else rd), rd
+        best = attempt(lo)
         if best is None:
             return SweepRow(rd, None, None, None, "infeasible")
-        top = attempt(rd)
-        if top is not None:
-            return SweepRow(rd, rd, top.power, top.rank1_exact, "optimal")
-        lo, hi = 0.0, rd
         while hi - lo > rate_tol:
             mid = 0.5 * (lo + hi)
             sol = attempt(mid)
@@ -365,18 +365,19 @@ def probe_row(p, rd, rate_tol, probes=None, mode=STATISTICAL, input_model="gauss
             raise Failure()
         return verdict == FEASIBLE
 
+    # As the sweep: R_s = R_D is probed only where the epigraph has no stage,
+    # because R_s moves no row.
+    staged = next(sdp.epigraph_stages(p, rd, mode, input_model), None) is not None
     try:
-        if not feasible(0.0):
+        lo, hi = (0.0 if staged else rd), rd
+        if not feasible(lo):
             return SweepRow(rd, None, None, None, "infeasible")
-        lo = rd
-        if not feasible(rd):
-            lo, hi = 0.0, rd
-            while hi - lo > rate_tol:
-                mid = 0.5 * (lo + hi)
-                if feasible(mid):
-                    lo = mid
-                else:
-                    hi = mid
+        while hi - lo > rate_tol:
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
     except Failure:
         return SweepRow(rd, None, None, None, "numerical-failure")
     sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
@@ -435,9 +436,9 @@ TWO_FLOORS = WiretapProblem(
 
 class TestSweepBisection:
     # paper_j1 at 1.2, paper_j2 at 1.0 and paper_j2_diag at 0.9 are
-    # infeasible at R_s = 0; no bundled row has rs_max = rd, so the
-    # eavesdropper-free problem supplies one. The last two grids run past the
-    # first infeasible row, whose proof carries to the rows above it.
+    # infeasible at R_s = 0; only a row with no ceiling has rs_max = rd, so
+    # the eavesdropper-free problem supplies one. The last two grids run past
+    # the first infeasible row, whose proof carries to the rows above it.
     @pytest.mark.parametrize("name, grid", [
         ("paper_j1", [0.5, 1.1, 1.2]),
         ("paper_j2", [0.6, 1.0]),
@@ -601,7 +602,8 @@ class TestSweepBisection:
                 # The LP route's one HiGHS call, in the solve at (rd, rd).
                 assert count == {"epigraph_stages": 1, "solve_general": 1, "solve_diagonal": 1}
                 continue
-            assert len(probes) >= 10 and len(proofs) >= len(probes)
+            # R_s = 0, then one probe per bisection step on [0, rd).
+            assert len(probes) == 1 + math.ceil(math.log2(rd / 1e-3)) <= len(proofs)
             # Phase I or HiGHS: the epigraph's start and the full solve.
             solver = sum(count.get(attr, 0) for attr in ("_phase1", "solve_diagonal", "min_ceiling"))
             assert solver <= 2
@@ -775,6 +777,23 @@ class TestSweepBisection:
         assert row == SweepRow(1.0, None, None, None, "numerical-failure")
         assert calls[0] == "epigraph_stages" and "solve_general" not in calls
 
+    # An eavesdropper the transmitter can null, Z = 0.01 diag(1, 0), so b* =
+    # min Tr(Z W) = 0 over the floor and the budget. At R_s = R_D the rate gap
+    # is 0, which no bracket proves feasible, while every R_s below R_D is
+    # proven feasible: the row ends optimal within rate_tol below R_D.
+    @pytest.mark.parametrize("h, route", [([[1, 0.5], [0.5, 1]], "sdp"), ([[1, 0], [0, 1]], "lp")])
+    def test_nullable_eavesdropper_rows_end_below_rd(self, h, route):
+        z = np.diag([0.01, 0.0]).astype(complex)
+        p = WiretapProblem(H=(np.array(h, dtype=complex),), Z=(z,), N0=1.0, epsilon=0.1, P_T=50.0)
+        assert sdp._route(p, RatePair(0.3, 0.0), STATISTICAL, "gaussian")[1] == route
+        rows = sweep_region(p, [0.3, 0.6, 1.0], rate_tol=1e-2).rows
+        assert [row.rs_max for row in rows] == [0.290625, 0.590625, 0.9921875]
+        for row in rows:
+            assert row.status == "optimal" and row.rd - 1e-2 <= row.rs_max < row.rd
+            sol = solve_general(p, RatePair(row.rd, row.rs_max))
+            assert sol.status == OPTIMAL and sol.power == row.min_power
+            assert check_kkt(p, sol.thresholds, sol.W, sol.duals).passes(1e-5)
+
     @pytest.mark.parametrize("name, rd", [
         ("paper_j1", 1.2), ("paper_j2", 1.0), ("paper_j2_diag", 0.9),
     ])
@@ -800,7 +819,7 @@ class TestSweepBisection:
         assert hashlib.md5(csv.encode()).hexdigest() == "c36d15b83a028ef18be82305981e9c07"
         assert {attr: calls.count(attr) for attr in set(calls)} == {
             "newton_step": 4168, "_phase1": 54, "min_ceiling": 28, "solve_diagonal": 25,
-            "solve_general": 52, "proven_feasibility": 729, "epigraph_stages": 58,
+            "solve_general": 52, "proven_feasibility": 677, "epigraph_stages": 58,
             "evaluate": 7470}
 
     @pytest.mark.parametrize("status, row_status", [
@@ -877,6 +896,20 @@ class TestCli:
         code, _ = run_cli(["solve", "--problem", str(path), "--rd", "0.5", "--rs", "0.1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    # int() would read 3.7 and "3" as 3, and a JSON true as 1: N, K and J
+    # must be JSON integers.
+    @pytest.mark.parametrize("field, value", [
+        ("N", 3.7), ("N", "3"), ("N", True), ("K", 2.0), ("J", "1"), ("J", True),
+    ])
+    def test_count_not_json_integer_exit_2(self, tmp_path, capsys, field, value):
+        doc = json.loads((PROBLEMS / "paper_j1.json").read_text())
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["validate", "--problem", str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: {field}: expected a JSON integer")
 
     @pytest.mark.parametrize("edit, field", [
         (lambda doc: doc.update(H=5), "H"),
