@@ -18,7 +18,7 @@ from . import montecarlo
 from .kkt import check_kkt, rank_bound_check
 from .mi import MiEvaluator, load_alphabet
 from .model import ModelError, RatePair, validate_problem
-from .probfile import ProblemFileError, load_problem
+from .probfile import ProblemFileError, _mat_pairs, _pairs, load_problem
 from .sdp import INFEASIBLE, OPTIMAL, RANK1_INFEASIBLE, solve_general
 from .sweep import MAX_GRID, code_rate_grid, sweep_region, to_csv
 
@@ -38,14 +38,6 @@ def _emit(text: str, output: str | None) -> None:
 
 def _emit_json(doc, output: str | None) -> None:
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", output)
-
-
-def _pairs(vec) -> list:
-    return [[float(c.real), float(c.imag)] for c in np.asarray(vec).reshape(-1)]
-
-
-def _mat_pairs(mat) -> list:
-    return [_pairs(row) for row in np.asarray(mat)]
 
 
 def _load(args):

@@ -39,6 +39,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .model import ModelError, RateUnachievableError, invert_monotone_rate
+from .probfile import ProblemFileError, _complex_from_pair, _list
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,9 @@ def load_alphabet(source) -> Alphabet:
             data = json.load(fh)
         return load_alphabet(data)
     try:
-        pts = [complex(float(re), float(im)) for re, im in source]
-    except (TypeError, ValueError, OverflowError) as exc:
+        pts = [_complex_from_pair(pair, f"alphabet[{i}]")
+               for i, pair in enumerate(_list(source, "alphabet"))]
+    except ProblemFileError as exc:
         raise ModelError(f"alphabet entries must be [re, im] pairs: {exc}") from exc
     return _normalized(pts, name="custom")
 

@@ -33,12 +33,23 @@ class ProblemFileError(ValueError):
     """Malformed problem file; the message names the offending field."""
 
 
-def _complex_from_pair(pair, where: str) -> complex:
+def _number(raw, where: str) -> float:
+    # float("1.0") and float(True) would both pass: a JSON number is an int
+    # that is not a bool, or a float.
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise ProblemFileError(f"{where}: expected a JSON number, got {raw!r}")
     try:
-        re, im = pair
-        c = complex(float(re), float(im))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProblemFileError(f"{where}: expected an [re, im] pair of floats: {exc}") from exc
+        return float(raw)
+    except OverflowError as exc:
+        raise ProblemFileError(f"{where}: expected a number: {exc}") from exc
+
+
+def _complex_from_pair(pair, where: str) -> complex:
+    """The one reader of a JSON complex number: a list of exactly two numbers."""
+    # A two-character string would unpack as a pair of one-digit numbers.
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ProblemFileError(f"{where}: expected an [re, im] pair of numbers, got {pair!r}")
+    c = complex(_number(pair[0], where), _number(pair[1], where))
     # JSON's NaN and Infinity parse; the covariance ingestion would reject them.
     if not cmath.isfinite(c):
         raise ProblemFileError(f"{where}: entries must be finite, got {pair!r}")
@@ -66,13 +77,6 @@ def _vector(entry, n: int, where: str) -> np.ndarray:
     if len(_list(entry, where)) != n:
         raise ProblemFileError(f"{where}: expected {n} entries, got {len(entry)}")
     return np.array([_complex_from_pair(c, where) for c in entry], dtype=np.complex128)
-
-
-def _number(raw, where: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProblemFileError(f"{where}: expected a number: {exc}") from exc
 
 
 def _count(raw, where: str) -> int:
@@ -149,10 +153,15 @@ def _pair(c: complex) -> list:
     return [float(np.real(c)), float(np.imag(c))]
 
 
-def to_doc(p: WiretapProblem, csi_mode: CsiMode = STATISTICAL, alphabet=None) -> dict:
-    def mat(m):
-        return [[_pair(c) for c in row] for row in m]
+def _pairs(vec) -> list:
+    return [_pair(c) for c in vec]
 
+
+def _mat_pairs(mat) -> list:
+    return [_pairs(row) for row in mat]
+
+
+def to_doc(p: WiretapProblem, csi_mode: CsiMode = STATISTICAL, alphabet=None) -> dict:
     doc = {
         "N": p.N,
         "K": p.K,
@@ -160,13 +169,11 @@ def to_doc(p: WiretapProblem, csi_mode: CsiMode = STATISTICAL, alphabet=None) ->
         "N0": p.N0,
         "epsilon": p.epsilon,
         "P_T": {"value": p.P_T, "unit": "linear"},
-        "H": [mat(m) for m in p.H],
-        "Z": [mat(m) for m in p.Z],
+        "H": [_mat_pairs(m) for m in p.H],
+        "Z": [_mat_pairs(m) for m in p.Z],
     }
     if not csi_mode.is_statistical:
-        doc["csi_mode"] = {
-            "perfect_users": [[_pair(c) for c in v] for v in csi_mode.user_channels]
-        }
+        doc["csi_mode"] = {"perfect_users": [_pairs(v) for v in csi_mode.user_channels]}
     if alphabet is not None:
         doc["alphabet"] = alphabet
     return doc

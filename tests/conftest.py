@@ -1,4 +1,6 @@
+import functools
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import settings
 
 from wiretap import diag_lp, sdp
 from wiretap.constraints import ConstraintSet
-from wiretap.instances import reference_problem
 from wiretap.model import STATISTICAL
+from wiretap.probfile import load_problem
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 # Derandomized under CI (GitHub Actions sets CI), so a failing example found
 # there is found again locally with CI=1.
@@ -16,19 +20,26 @@ if os.environ.get("CI"):
     settings.load_profile("ci")
 
 
+@functools.cache
+def bundled(j, diagonal=False):
+    """The shipped scenario problems/paper_j<j>[_diag].json: 3 antennas,
+    2 users and j eavesdroppers, with diagonal covariances for _diag."""
+    return load_problem(str(PROBLEMS / f"paper_j{j}{'_diag' if diagonal else ''}.json")).problem
+
+
 @pytest.fixture(scope="session")
 def ref_j1():
-    return reference_problem(1)
+    return bundled(1)
 
 
 @pytest.fixture(scope="session")
 def ref_j2():
-    return reference_problem(2)
+    return bundled(2)
 
 
 @pytest.fixture(scope="session")
 def ref_j3():
-    return reference_problem(3)
+    return bundled(3)
 
 
 def random_psd(rng, n, scale=1.0, ridge=0.0, rank=None):

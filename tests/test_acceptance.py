@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_psd
+from conftest import bundled, random_psd
 from wiretap.constraints import ConstraintSet
 from wiretap.diag_lp import solve_diagonal
-from wiretap.instances import reference_problem
 from wiretap.kkt import check_kkt, rank_bound_check
 from wiretap.linalg import numerical_rank
 from wiretap.mi import MiEvaluator, bpsk, mutual_info_mc, qpsk
@@ -41,7 +40,7 @@ def report(number: int, label: str, ok: bool, detail: str = "") -> bool:
 def region_sweeps():
     """rd-step 0.1 sweeps of the three bundled general instances, timed."""
     t0 = time.monotonic()
-    sweeps = {j: sweep_region(reference_problem(j), RD_GRID, rate_tol=1e-3)
+    sweeps = {j: sweep_region(bundled(j), RD_GRID, rate_tol=1e-3)
               for j in (1, 2, 3)}
     return sweeps, time.monotonic() - t0
 
@@ -74,7 +73,7 @@ def test_criterion_2_qualitative_curves(region_sweeps):
     # it no secrecy rate (not even R_s = 0) is achievable
     edge_powers = []
     for j, res in sweeps.items():
-        p = reference_problem(j)
+        p = bundled(j)
         rows = res.rows
         last_feas = max(i for i, row in enumerate(rows) if row.status == "optimal")
         if any(rows[i].status == "optimal" for i in range(last_feas + 1, len(rows))):
@@ -122,7 +121,7 @@ def test_criterion_3_outage_guarantee(region_sweeps):
     assert len(picks) == 10
     failures = []
     for seed, (j, rd, rs) in enumerate(picks, start=100):
-        p = reference_problem(j)
+        p = bundled(j)
         r = RatePair(rd, rs)
         sol = solve_general(p, r)
         if sol.status != "optimal":
@@ -143,7 +142,7 @@ def test_criterion_4_cross_solver_on_diagonal_instances():
     worst = 0.0
     failures = []
     for j in (1, 2, 3):
-        p = reference_problem(j, diagonal=True)
+        p = bundled(j, diagonal=True)
         for rd in np.linspace(0.05, 1.0, 12):
             r = RatePair(float(rd), float(rd) * 0.25)
             t = thresholds_gaussian(p, r)
@@ -234,7 +233,7 @@ def test_criterion_6_kkt_certificates(region_sweeps):
     checked = 0
     # solver outputs across the bundled instances
     for j, res in sweeps.items():
-        p = reference_problem(j)
+        p = bundled(j)
         for row in feasible_rows(res)[::2]:
             r = RatePair(row.rd, row.rs_max / 2.0)
             t = thresholds_gaussian(p, r)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bundled
 from wiretap import sdp
 from wiretap.constraints import ConstraintSet
 from wiretap.diag_lp import all_diagonal, is_diagonal, min_ceiling, solve_diagonal
-from wiretap.instances import reference_problem
 from wiretap.linalg import quad_form
 from wiretap.mi import MiEvaluator, qpsk
 from wiretap.model import STATISTICAL, ConstraintThresholds, RatePair, WiretapProblem, thresholds_gaussian
@@ -166,7 +166,7 @@ def test_total_power_monotone_in_thresholds(seed):
 def test_cross_solver_agreement_on_reference_diagonal(ref_j1):
     from wiretap.sdp import solve_rank_relaxed
 
-    p = reference_problem(1, diagonal=True)
+    p = bundled(1, diagonal=True)
     r = RatePair(0.7, 0.3)
     t = thresholds_gaussian(p, r)
     power = lp_power(p, t)
@@ -194,7 +194,7 @@ class TestScale:
     def test_small_non_diagonal_problem_takes_the_sdp(self):
         # H, Z and N0 times 1e-12 used to look diagonal, and the LP dropped the
         # phases: optimal at power 0.0 against 13.1658 unscaled.
-        p = scaled(reference_problem(1), hz=1e-12, n0=1e-12)
+        p = scaled(bundled(1), hz=1e-12, n0=1e-12)
         assert not all_diagonal(p)
         sol = solve_general(p, RatePair(1.0, 0.5))
         assert sol.status in (OPTIMAL, MAX_ITERATIONS)
@@ -209,7 +209,7 @@ class TestScale:
     def test_lp_optimal_meets_every_row_relatively(self, hz, pt_n0, power, statuses):
         # HiGHS's absolute primal tolerance (about 1e-7) passes P = 0 against
         # floors below it; such an allocation must not be reported optimal.
-        p = scaled(reference_problem(1, diagonal=True), hz=hz, pt=pt_n0, n0=hz * pt_n0)
+        p = scaled(bundled(1, diagonal=True), hz=hz, pt=pt_n0, n0=hz * pt_n0)
         sol = solve_general(p, RatePair(1.0, 0.5))
         assert sol.status in statuses
         if sol.status == OPTIMAL:

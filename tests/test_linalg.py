@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_psd
-from wiretap.instances import H1, Z1
+from conftest import bundled, random_psd
 from wiretap.linalg import (
     LinalgError,
     hermitian_eig,
@@ -15,6 +14,9 @@ from wiretap.linalg import (
     quad_form,
     trace_inner,
 )
+
+# The first user and eavesdropper covariances of problems/paper_j1.json.
+H1, Z1 = bundled(1).H[0], bundled(1).Z[0]
 
 
 def cubic_roots_hermitian_3x3(a):

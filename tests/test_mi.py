@@ -49,6 +49,13 @@ class TestAlphabets:
         assert abs(np.mean(alph.symbols)) < 1e-12
         assert np.mean(np.abs(alph.symbols) ** 2) == pytest.approx(1.0, abs=1e-12)
 
+    # One reader for a JSON complex number: the string "10" is not the pair
+    # [1, 0], nor is a JSON true the number 1.
+    @pytest.mark.parametrize("pairs", [["10", "01"], [[True, False], [False, True]]])
+    def test_load_rejects_pairs_of_non_numbers(self, pairs):
+        with pytest.raises(ModelError, match=r"alphabet\[0\]"):
+            load_alphabet(pairs)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "alphabet.json"
         path.write_text(json.dumps([[1.0, 0.0], [-1.0, 0.0]]))

@@ -49,10 +49,10 @@ class TestValidation:
 
     def test_non_psd_covariance_flagged(self):
         # inject a -1 eigenvalue into the first reference user covariance
-        from wiretap.instances import H1
+        from conftest import bundled
         from wiretap.linalg import hermitian_eig
 
-        vals, vecs = hermitian_eig(H1)
+        vals, vecs = hermitian_eig(bundled(1).H[0])
         vals = vals.copy()
         vals[0] = -1.0
         bad = (vecs * vals) @ vecs.conj().T

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_psd
-from wiretap.instances import H1, reference_problem
+from conftest import bundled, random_psd
 from wiretap.mi import MiEvaluator, bpsk
 from wiretap.model import ModelError, RatePair, WiretapProblem, thresholds_gaussian
 from wiretap.montecarlo import (
@@ -54,8 +53,9 @@ class TestSampling:
             acc += np.einsum("mi,mj->ij", chunk.h[:, 0], chunk.h[:, 0].conj())
         cov = acc / n
         band = 3.0 / math.sqrt(n)
-        scale = np.sqrt(np.outer(np.diag(H1).real, np.diag(H1).real))
-        assert np.all(np.abs(cov - H1) <= 3.0 * band * scale)
+        h1 = ref_j1.H[0]
+        scale = np.sqrt(np.outer(np.diag(h1).real, np.diag(h1).real))
+        assert np.all(np.abs(cov - h1) <= 3.0 * band * scale)
 
     def test_deterministic_in_seed_and_chunking(self, ref_j1):
         def channels(seed, chunk_size):
@@ -208,7 +208,7 @@ class TestNonOutage:
     (3, 0.5, 0.15, 92551, [98015, 97870], [99671, 98812, 97984]),
 ])
 def test_benchmark_point_counts(j, rd, rs, joint, users, eaves):
-    p = reference_problem(j)
+    p = bundled(j)
     sol = solve_general(p, RatePair(rd, rs))
     powers = draw(p, sol.w, 0, 100_000)
     got_users, got_eaves = estimate_individual_probs(sol.thresholds, powers)

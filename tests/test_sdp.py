@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import pathlib
 import warnings
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import probe_verdict, random_psd
+from conftest import PROBLEMS, bundled, probe_verdict, random_psd
 from wiretap import diag_lp, sdp
 from wiretap.constraints import ConstraintSet
 from wiretap.kkt import check_kkt
@@ -37,8 +36,6 @@ from wiretap.sdp import (
 )
 from wiretap.probfile import load_problem
 from wiretap.sweep import code_rate_grid, sweep_region
-
-PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 
 def thresholds(a, b=0.0):
@@ -499,9 +496,8 @@ class TestSolveGeneral:
 
     def test_diagonal_instance_matches_lp(self):
         from wiretap.diag_lp import solve_diagonal
-        from wiretap.instances import reference_problem
 
-        p = reference_problem(2, diagonal=True)
+        p = bundled(2, diagonal=True)
         r = RatePair(0.6, 0.2)
         t = thresholds_gaussian(p, r)
         sol = solve_general(p, r)

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import probe_verdict, random_psd
+from conftest import PROBLEMS, bundled, probe_verdict, random_psd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,6 @@ import wiretap
 from wiretap import diag_lp, sdp, sweep
 from wiretap.cli import main as cli_main
 from wiretap.constraints import ConstraintSet
-from wiretap.instances import reference_problem
 from wiretap.kkt import check_kkt
 from wiretap.mi import MiEvaluator, qam16, qpsk
 from wiretap.model import (
@@ -44,7 +43,6 @@ from wiretap.sdp import (
 )
 from wiretap.sweep import CSV_HEADER, SweepRow, code_rate_grid, sweep_region, to_csv
 
-PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 QPSK_MI = MiEvaluator(qpsk())
 BIG_INT = 10 ** 400   # a JSON integer beyond the float range
 
@@ -202,13 +200,27 @@ class TestProblemFile:
     def test_shipped_files_parse_and_match_builtins(self):
         for j in (1, 2, 3):
             pf = load_problem(str(PROBLEMS / f"paper_j{j}.json"))
-            ref = reference_problem(j)
+            ref = bundled(3)
             assert pf.problem.J == j
             for a, b in zip(pf.problem.H, ref.H):
                 assert np.array_equal(a, b)
         pf = load_problem(str(PROBLEMS / "paper_j2_diag.json"))
         for m in (*pf.problem.H, *pf.problem.Z):
             assert np.allclose(m, np.diag(np.diag(m)))
+
+    def test_bundled_files_are_one_scenario(self):
+        # paper_j<j>.json is paper_j3.json with its first j eavesdroppers, and
+        # paper_j<j>_diag.json the diagonal part of paper_j<j>.json.
+        full = bundled(3)
+        for j in (1, 2, 3):
+            p, d = bundled(j), bundled(j, diagonal=True)
+            assert p.J == d.J == j
+            for a, b in zip((*p.H, *p.Z), (*full.H, *full.Z[:j]), strict=True):
+                assert np.array_equal(a, b)
+            for a, b in zip((*p.H, *p.Z), (*d.H, *d.Z), strict=True):
+                assert np.array_equal(np.diag(np.diag(a)), b)
+            for q in (p, d):
+                assert (q.P_T, q.N0, q.epsilon) == (10.0 ** 1.2, 1.0, 0.1)
 
     def test_missing_field_diagnostic(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -944,7 +956,29 @@ class TestCli:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
-    @pytest.mark.parametrize("alphabet", [[[BIG_INT, 0.0], [-1.0, 0.0]], 5])
+    # float() would read "1.0" and true, and a two-character string would
+    # unpack as an [re, im] pair: every number the file holds is a JSON
+    # number, and each names its field.
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc.update(N0="1.0"), "N0"),
+        (lambda doc: doc.update(epsilon="0.1"), "epsilon"),
+        (lambda doc: doc.update(P_T=True), "P_T"),
+        (lambda doc: doc.update(P_T={"value": "12", "unit": "dB"}), "P_T value"),
+        (lambda doc: doc["H"][0][0].__setitem__(0, "21"), "H[0][0]"),
+        (lambda doc: doc["H"][0][0].__setitem__(0, [True, False]), "H[0][0]"),
+    ])
+    def test_number_not_json_number_exit_2(self, tmp_path, capsys, edit, field):
+        doc = json.loads((PROBLEMS / "paper_j1.json").read_text())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["validate", "--problem", str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("alphabet", [
+        [[BIG_INT, 0.0], [-1.0, 0.0]], 5, ["10", "01"], [[True, False], [False, True]],
+    ])
     def test_alphabet_not_float_pairs_exit_2(self, tmp_path, capsys, alphabet):
         doc = json.loads((PROBLEMS / "paper_j1.json").read_text())
         doc["alphabet"] = alphabet
@@ -1114,18 +1148,6 @@ class TestCli:
                              "--rho-max", "20", "--points", "41"])
         assert code == 0
         assert out == MI_QAM16_GOLDEN
-
-    def test_region_script_matches_cli_sweep(self, tmp_path):
-        # Both build the grid with code_rate_grid, so the script solves the
-        # rows at 0.3 and 0.7, not at 0.30000000000000004 and 0.7000000000000001.
-        script = PROBLEMS.parent / "scripts" / "run_region_sweep.py"
-        grid = ["--rd-min", "0.1", "--rd-max", "1.0", "--rd-step", "0.1"]
-        proc = subprocess.run([sys.executable, str(script), "--out", str(tmp_path)] + grid,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        code, out = run_cli(["sweep", "--problem", str(PROBLEMS / "paper_j1.json")] + grid)
-        assert code == 0
-        assert (tmp_path / "region_j1.csv").read_text() == out
 
     def test_kkt_subcommand(self):
         code, out = run_cli(["kkt", "--problem", str(PROBLEMS / "paper_j2.json"),
