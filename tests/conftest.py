@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from wiretap import diag_lp, sdp
 from wiretap.constraints import ConstraintSet
-from wiretap.model import STATISTICAL
+from wiretap.model import STATISTICAL, WiretapProblem
 from wiretap.probfile import load_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
@@ -48,6 +48,17 @@ def random_psd(rng, n, scale=1.0, ridge=0.0, rank=None):
     m = b @ b.conj().T * (scale / n)
     m = m + ridge * scale * np.eye(n)
     return (m + m.conj().T) / 2.0
+
+
+def thin_set_problem(seed):
+    """A random instance with strong users, weak eavesdroppers and P_T 100,
+    whose feasible sets are thin at the region's boundary: N = 3 or 4, K and
+    J in 1..3, every draw from one default_rng(seed) in this order."""
+    rng = np.random.default_rng(seed)
+    n, k, j = int(rng.integers(3, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    return WiretapProblem(H=tuple(random_psd(rng, n, 3.0, 0.1) for _ in range(k)),
+                          Z=tuple(random_psd(rng, n, 0.01, 0.1) for _ in range(j)),
+                          N0=1.0, epsilon=0.1, P_T=100.0)
 
 
 def probe_verdict(p, r, mode=STATISTICAL, input_model="gaussian"):

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import PROBLEMS, bundled, probe_verdict, random_psd
+from conftest import PROBLEMS, bundled, probe_verdict, random_psd, thin_set_problem
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -422,17 +422,6 @@ def count_row_calls(monkeypatch, extra=()):
                          (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling"), *extra):
         counting(module, attr)
     return calls
-
-
-def thin_set_problem(seed):
-    """A random instance with strong users, weak eavesdroppers and P_T 100,
-    on which phase I can stall at the region's boundary: N = 3 or 4, K and J
-    in 1..3, every draw from one default_rng(seed) in this order."""
-    rng = np.random.default_rng(seed)
-    n, k, j = int(rng.integers(3, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    return WiretapProblem(H=tuple(random_psd(rng, n, 3.0, 0.1) for _ in range(k)),
-                          Z=tuple(random_psd(rng, n, 0.01, 0.1) for _ in range(j)),
-                          N0=1.0, epsilon=0.1, P_T=100.0)
 
 
 NO_EAVESDROPPER = WiretapProblem(H=(np.eye(2, dtype=complex),), Z=(),
