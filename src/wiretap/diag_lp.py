@@ -76,12 +76,4 @@ def min_ceiling(cons: ConstraintSet):
     if res is None:
         return None
     x, y = res
-    P = np.clip(x[:-1], 0.0, None)
-    # HiGHS meets the binding floors only to roundoff (-1.8e-15 on a bundled
-    # row); scaled up onto them, P passes the exact check of a witness, which
-    # reads the same row values.
-    vals, u = cons.values(np.diag(P))[cons.floors], cons.u[cons.floors]
-    short = (vals > u) & (vals < 0.0)
-    if np.any(short):
-        P = P * float(np.max(u[short] / vals[short])) * (1.0 + 4.0 * np.finfo(float).eps)
-    return P, y
+    return np.clip(x[:-1], 0.0, None), y

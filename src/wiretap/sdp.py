@@ -5,25 +5,31 @@ The general (non-diagonal) problem is solved as a small dense SDP:
     min Tr(W)  s.t.  W >= 0 (PSD),  Tr(W) <= P_T,
                      Tr(W H_k) >= a,  Tr(W Z_j) <= b,
 
-via a log-barrier path-following method written directly against this
-structure: each Newton system is solved in closed form through the
-Woodbury identity, because the Hessian is the PSD-cone term
-X -> W^{-1} X W^{-1} plus one rank-one term per scalar constraint. Each
-iterate is evaluated once: the line search keeps the trial it accepts, with
-its slacks and barrier terms, for the next Newton step and for the first
-value of the next stage. Every barrier run starts from _start: it refutes a
-row out of reach (below), else runs phase I, whose stalls go to the
-epigraph of the ceilings (below). It returns (W, None) with W strictly
-feasible or (None, cert) with a Farkas certificate, or raises.
+through its dual, which has only m = 1 + K + J multipliers: Lambda(y) = I +
+sum y_i A_i >= 0, y >= 0, on the signed rows Re Tr(A_i W) <= u_i of a
+ConstraintSet. A log barrier on y (_Barrier, the dual-scaling method of
+DSDP) follows the central path from y = delta 1, which is strictly dual
+feasible for any thresholds, so no feasibility pre-solve is needed. Each
+Newton system is m x m. The rows are normalized to unit Frobenius norm and
+the thresholds by P_T, so no step or stop depends on the user's units. The
+central point at t gives the primal point W = P_T Lambda^-1 / t, strictly
+feasible with duality gap (N + m) P_T / t; the path's end point is the
+primal point of its last Newton step (_Barrier.primal), which meets the rows
+even off the central path. Each iterate is evaluated once: the line search
+keeps the trial it accepts, with its Cholesky factor and barrier terms, for
+the next Newton step and for the first value of the next stage. A primal
+infeasible problem shows as an iterate with -u.y > P_T, whose y is a Farkas
+certificate (ConstraintSet.farkas); the path stops there.
 
-The barrier's relaxation s enters row i with a coefficient c_i. Phase I
-uses c = 1 on every row. The epigraph of the ceilings (epigraph_stages) uses
-c = 1 on the ceilings, 0 elsewhere and ceiling u = 0: it brackets
-b* = min max_j Tr(Z_j W) over the floors and the budget at one code rate,
-and the bracket narrows after every barrier stage. The common ceiling
-depends on R_s only through the rate gap R_D - R_s, so each stage's bracket
-is mapped to a bracket on that gap (rate_bracket), by two forward rate
-evaluations, and a probe at any R_s is decided by comparing its gap with it
+The epigraph of the ceilings (epigraph_stages) is the same barrier without
+the I in Lambda, with ceiling u = 0 and the ceiling multipliers summing to
+one: it brackets b* = min max_j Tr(Z_j W) over the floors and the budget at
+one code rate. Every iterate is dual feasible, so its ceiling_bound is a
+proven lower end, and the primal points give the upper end; the bracket
+narrows after every barrier stage. The common ceiling depends on R_s only
+through the rate gap R_D - R_s, so each stage's bracket is mapped to a
+bracket on that gap (rate_bracket), by two forward rate evaluations, and a
+probe at any R_s is decided by comparing its gap with it
 (proven_feasibility), with no threshold or MI inversion. epigraph_stages is
 a generator, so its caller runs the path only as far as it pulls it: a sweep
 row pulls the next stage only while a probe's gap lies inside the bracket.
@@ -34,18 +40,17 @@ at _T_MAX, never on the width of its bracket.
 A row that no W >= 0 within the budget meets, P_T min(0, lambda_min(A_i)) >
 u_i, is refuted before any barrier run, with a Farkas certificate on that
 row and the budget (_unreachable_row): a floor with a_k > P_T
-lambda_max(F_k), whose slacks of order a_k would overflow the barrier, or a
-negative ceiling.
+lambda_max(F_k), whose multiplier would have to grow to about a_k before
+the barrier's certificate showed, or a negative ceiling.
 
-The barrier is built from the signed rows Re Tr(A_i W) <= u_i of a
-ConstraintSet, less its vacuous all-zero rows (ConstraintSet.nonzero); its
-multipliers y are stacked like the rows, a dropped row's being 0. Phase I's Farkas certificate and the
-epigraph's lower bound are ConstraintSet.farkas of the path's y. The end
-point is then refined on its optimal face (_refine_face): a few Gauss-Newton
-steps on the square KKT system Lambda(y) V = 0, Tr(V^H A_i V) = u_i, with
-W = V V^H, take the residuals from the barrier's float64 floor (about 1e-7)
-to roundoff. OPTIMAL needs that refined point to be a KKT point with a small
-duality gap; otherwise the solve reports MAX_ITERATIONS.
+The barrier drops the vacuous all-zero rows of its ConstraintSet
+(ConstraintSet.nonzero); its multipliers y are stacked like the rows, a
+dropped row's being 0. The end point is then refined on its optimal face
+(_refine_face): a few Gauss-Newton steps on the square KKT system Lambda(y)
+V = 0, Tr(V^H A_i V) = u_i, with W = V V^H, take the residuals from the
+barrier's float64 floor (about 1e-7) to roundoff. OPTIMAL needs that refined
+point to be a KKT point with a small duality gap; otherwise the solve
+reports MAX_ITERATIONS.
 
 Feasibility of the beamformer follows from the relaxation whenever the
 solution has numerical rank one (which it does on the bundled scenarios);
@@ -92,15 +97,13 @@ FEASIBLE = "feasible"         # verdict of proven_feasibility only
 
 _EPS = float(np.finfo(np.float64).eps)
 
-_GAP_REL = 2e-7          # duality-gap target relative to max(1, primal)
-_T0 = 1.0                # initial barrier parameter
-_T_GROWTH = 10.0         # barrier parameter multiplier per centering stage
+_GAP_REL = 2e-7          # duality-gap target relative to the primal trace
+_T_GROWTH = 30.0         # barrier parameter multiplier per centering stage
 _NEWTON_TOL = 1e-8       # Newton decrement below which a point is centered
-_FEAS_MARGIN_REL = 1e-9  # phase I stops once the relaxation s < -this * ref
 _RANK_REL_TOL = 1e-6     # eigenvalues below this * lambda_max count as zero
 _FACE_STEPS = 8          # Gauss-Newton steps of the face refinement
 _FACE_TOL = 1e-12        # relative KKT residual a refined face must reach
-_MAX_NEWTON = 800        # total Newton budget per solve (both phases)
+_MAX_NEWTON = 800        # total Newton budget per barrier run
 _T_MAX = 1e12            # the path stops at this barrier parameter
 _LP_ROW_REL = 1e-9       # an LP allocation must meet each row to this * |u_i|
 
@@ -133,7 +136,7 @@ class BeamformerSolution:
     objective: float | None = None   # relaxed-problem optimum Tr(W)
     thresholds: ConstraintThresholds | None = None
     certificate: InfeasibilityCertificate | None = None
-    newton_iterations: int = 0       # barrier Newton steps, both phases
+    newton_iterations: int = 0       # barrier Newton steps
 
 
 # ---------------------------------------------------------------------------
@@ -157,156 +160,183 @@ class _NewtonBudget:
 
 
 class _Point(NamedTuple):
-    """An iterate (W, s) of a _Barrier with its slacks sl and, inside the
-    barrier's domain, its barrier terms (obj, logdet W, sum log sl, log(s_cap
-    - s), 0 without s_cap); terms is None outside the domain."""
+    """An iterate y of a _Barrier with, inside the barrier's domain (y > 0
+    and Lambda(y) positive definite), the Cholesky factor L of Lambda(y) and
+    its barrier terms (u'.y, logdet Lambda, sum log y); L and terms are None
+    outside the domain."""
 
-    W: np.ndarray
-    s: float
-    sl: np.ndarray
+    y: np.ndarray
+    L: np.ndarray | None
     terms: tuple | None
 
     def value(self, t: float) -> float:
-        """The barrier value t*obj - logdet - sum log sl - log cap, inf outside
-        the domain. A point's terms serve every t: a new stage starts from
-        the last one's point with no new Cholesky factor."""
+        """The barrier value t*u'.y - logdet - sum log y, inf outside the
+        domain. A point's terms serve every t: a new stage starts from the
+        last one's point with no new Cholesky factor."""
         if self.terms is None:
             return math.inf
-        obj, logdet, log_sl, log_cap = self.terms
-        return t * obj - logdet - log_sl - log_cap
+        obj, logdet, log_y = self.terms
+        return t * obj - logdet - log_y
+
+
+class _Step(NamedTuple):
+    """The Newton step dy at a point, its squared decrement, and the point's
+    L^-1 and rows B_i = L^-1 A'_i L^-H, from which _Barrier.primal forms the
+    step's primal point."""
+
+    dy: np.ndarray
+    dec2: float
+    Linv: np.ndarray
+    B: np.ndarray
 
 
 class _Barrier:
-    """Log-barrier model over the constraint set
+    """Dual log barrier over the multipliers y > 0 of the rows of a
+    ConstraintSet less its vacuous ones (ConstraintSet.nonzero), on the rows
+    normalized to A'_i = A_i / r_i and u'_i = u_i / (r_i P_T), r_i =
+    ||A_i||_F:
 
-        W > 0,   <A_i, W> - c_i s <= u_i,   s <= s_cap.
+        min  t u'.y - log det Lambda(y) - sum log y_i,   Lambda(y) = C + sum y_i A'_i.
 
-    With s_cap given it minimizes t*s over W and the relaxation s, c being
-    one coefficient per row: phase I relaxes every row (c = 1), the epigraph
-    of the ceilings only the ceilings. Phase II (no s_cap) minimizes t*<I, W>
-    with s fixed at 0. Newton steps are computed with the Woodbury identity:
-    the PSD-cone Hessian block X -> W^{-1} X W^{-1} is inverted in closed form
-    (X -> W X W) and each scalar constraint adds a rank-one term.
-
-    Its rows are those of a ConstraintSet less the vacuous ones
-    (ConstraintSet.nonzero); c and multipliers count every row of the set.
+    A final solve has C = I. Its central point at t gives the primal point
+    W' = Lambda^-1 / t, with slack 1/(t y_i) on row i and duality gap nu / t,
+    nu = N + m; W = P_T W' and y_i = y'_i / r_i map back. The epigraph of the
+    ceilings (epigraph=True) has C = 0 and ceiling u = 0, its ceiling
+    multipliers sum to 1 (e.y = 1, a bordered Newton system), and every
+    ceiling takes the one r = max_j ||G_j||_F, so that their common ceiling
+    stays common. Every y in the domain is dual feasible, and no start needs
+    a primal point: y = start() is inside for any thresholds.
 
     Each iterate is evaluated once (evaluate): the line search's accepted
-    trial is the next iterate, and its slacks and barrier terms (_Point) are
-    carried to the next Newton step and to the next stage's first value.
+    trial is the next iterate, and its Cholesky factor and barrier terms
+    (_Point) are carried to the next Newton step and to the next stage's
+    first value.
     """
 
-    def __init__(self, cons: ConstraintSet, s_cap: float | None = None,
-                 c: np.ndarray | None = None):
+    def __init__(self, cons: ConstraintSet, epigraph: bool = False):
         self.keep = np.flatnonzero(cons.nonzero)   # the rows of cons it keeps
         self.size = cons.u.size
-        self.A = cons.A[self.keep]      # (m, N, N) Hermitian constraint matrices
+        A = cons.A[self.keep]
+        self.m, self.N = A.shape[0], A.shape[1]
+        self.r = np.linalg.norm(A, axis=(1, 2))
+        ceilings = cons.ceilings[self.keep]
+        if epigraph:
+            self.r[ceilings] = np.max(self.r[ceilings])
+        self.A = A / self.r[:, None, None]   # (m, N, N) Hermitian, unit Frobenius norm
         self.A_conj = self.A.conj()
-        self.u = cons.u[self.keep]      # (m,)
-        self.m, self.N = self.A.shape[0], self.A.shape[1]
-        self.s_cap = s_cap
-        self.relax = s_cap is not None
-        self.c = np.ones(self.m) if c is None else c[self.keep]
-        self.cc = np.outer(self.c, self.c) if self.relax else None
-        self.C0 = None if self.relax else np.eye(self.N, dtype=complex)
-        # Barrier parameter count: logdet + m scalar logs (+ s_cap log).
-        self.nu = self.N + self.m + (1 if self.relax else 0)
+        self.u = cons.u[self.keep] / (self.r * cons.p_t)
+        self.C = np.eye(self.N, dtype=complex) * (0.0 if epigraph else 1.0)
+        self.e = ceilings.astype(float) if epigraph else None
+        self.nu = self.N + self.m
 
     def multipliers(self, y: np.ndarray) -> np.ndarray:
-        """y, one multiplier per barrier row, as one per row of the
-        ConstraintSet; a vacuous row's is 0."""
+        """y, one multiplier per normalized barrier row, as one per row of the
+        ConstraintSet (y_i / r_i); a vacuous row's is 0."""
         full = np.zeros(self.size)
-        full[self.keep] = y
+        full[self.keep] = y / self.r
         return full
 
-    def evaluate(self, W: np.ndarray, s: float) -> _Point:
-        """(W, s) with its slacks and barrier terms; terms None outside the
-        domain (a slack <= 0, W not positive definite, or s >= s_cap)."""
-        sl = self.u - np.einsum("mij,ij->m", self.A_conj, W).real
-        if self.relax:
-            sl += self.c * s
-        if np.count_nonzero(sl <= 0.0):
-            return _Point(W, s, sl, None)
+    def start(self) -> np.ndarray:
+        """y = delta on every row, or in the epigraph 1 on the budget, 1/J on
+        each ceiling and delta on each floor. With B the rest of Lambda, delta
+        = 1 unless the free rows' sum S has lambda_min(S) < -lambda_min(B)/2;
+        then delta = lambda_min(B) / (2 |lambda_min(S)|), so that Lambda >=
+        lambda_min(B)/2 I."""
+        if self.e is None:
+            fixed = np.zeros(self.m)
+        else:
+            fixed = self.e / self.e.sum()
+            fixed[0] = 1.0
+        free = fixed == 0.0
+        base = np.linalg.eigvalsh(self.C + np.einsum("m,mij->ij", fixed, self.A))[0]
+        low = np.linalg.eigvalsh(np.sum(self.A[free], axis=0))[0]
+        delta = 1.0 if low >= -0.5 * base else base / (-2.0 * low)
+        return np.where(free, delta, fixed)
+
+    def evaluate(self, y: np.ndarray) -> _Point:
+        """y with the Cholesky factor of Lambda(y) and its barrier terms; L and
+        terms None outside the domain (a y_i <= 0, or Lambda not positive
+        definite)."""
+        if np.count_nonzero(y <= 0.0):
+            return _Point(y, None, None)
         try:
-            L = np.linalg.cholesky(W)
+            L = np.linalg.cholesky(self.C + np.einsum("m,mij->ij", y, self.A))
         except np.linalg.LinAlgError:
-            return _Point(W, s, sl, None)
+            return _Point(y, None, None)
         logdet = 2.0 * float(np.log(L.diagonal().real).sum())
-        if not self.relax:
-            obj = float(np.vdot(self.C0, W).real)
-            return _Point(W, s, sl, (obj, logdet, float(np.log(sl).sum()), 0.0))
-        cap = self.s_cap - s
-        if cap <= 0.0:
-            return _Point(W, s, sl, None)
-        return _Point(W, s, sl, (s, logdet, float(np.log(sl).sum()), math.log(cap)))
+        return _Point(y, L, (float(self.u @ y), logdet, float(np.log(y).sum())))
 
-    def newton_step(self, t: float, point: _Point):
-        """Returns (dW, ds, decrement^2) at point."""
-        W, s, sl = point.W, point.s, point.sl
-        # Terms exist only where every slack is > 0 (evaluate).
-        if point.terms is None and np.count_nonzero(sl <= 0.0):
-            raise _NumericalTrouble("iterate left the feasible region")
-        Winv = np.linalg.inv(W)
-        Winv = (Winv + Winv.conj().T) / 2.0
-        grad_W = np.einsum("m,mij->ij", 1.0 / sl, self.A) - Winv
-        if self.relax:
-            cap = self.s_cap - s
-            grad_s = t - float((self.c / sl).sum()) + 1.0 / cap
-            cap2 = cap * cap
-        else:
-            grad_W.flat[::self.N + 1] += t    # the objective's gradient, t I
-            grad_s, cap2 = 0.0, 0.0
+    def centring_t(self, point: _Point) -> float:
+        """The t whose gradient t u' - c at point is least, c_i = Tr(Lambda^-1
+        A'_i) + 1/y_i: u'.c / u'.u', or 1 when that is not positive."""
+        Linv = np.linalg.inv(point.L)
+        c = np.einsum("mij,ij->m", self.A_conj, Linv.conj().T @ Linv).real + 1.0 / point.y
+        t = float(self.u @ c) / float(self.u @ self.u)
+        return t if t > 0.0 else 1.0
 
-        # M^-1 applied to the gradient and to each constraint row.
-        WgW = W @ grad_W @ W
-        WAW = W @ self.A @ W
-        v = np.einsum("mij,ij->m", self.A_conj, WgW).real
-        S = np.einsum("mij,nij->mn", self.A_conj, WAW).real
-        if self.relax:
-            # (W, s) rows are (A_i, -c_i): with c = 1 these add the scalars
-            # exactly, so phase I is unchanged to the bit.
-            v -= grad_s * cap2 * self.c
-            S += cap2 * self.cc
-        S.flat[::self.m + 1] += sl * sl    # the Hessian's core, diag(sl^2) + S
+    def newton_step(self, t: float, point: _Point) -> _Step:
+        """The Newton step at point. Gradient t u'_i - Tr(Lambda^-1 A'_i) -
+        1/y_i, Hessian Re Tr(Lambda^-1 A'_i Lambda^-1 A'_j) + delta_ij / y_i^2,
+        both from B_i = L^-1 A'_i L^-H; with e, the step keeps e.y."""
+        if point.terms is None:
+            raise _NumericalTrouble("iterate left the domain")
+        y = point.y
+        Linv = np.linalg.inv(point.L)
+        B = Linv @ self.A @ Linv.conj().T
+        g = t * self.u - np.einsum("mii->m", B).real - 1.0 / y
+        H = np.einsum("mij,nij->mn", B, B.conj()).real
+        H.flat[::self.m + 1] += 1.0 / (y * y)
         # Jacobi equilibration: the diagonal spans many orders of magnitude
-        # once binding slacks shrink, and the raw solve loses the small rows.
-        d = np.sqrt(S.diagonal())
-        d[d <= 0.0] = 1.0
-        scaled = S / (d[:, None] * d)
+        # once the binding rows' y grow, and the raw solve loses the others.
+        d = np.sqrt(H.diagonal())
+        scaled = H / (d[:, None] * d)
+        rhs = g if self.e is None else np.stack([g, self.e], axis=1)
+        rhs = (rhs.T / d).T
         try:
-            y = np.linalg.solve(scaled, v / d) / d
+            h = np.linalg.solve(scaled, rhs)
         except np.linalg.LinAlgError:
-            y = np.linalg.lstsq(scaled, v / d, rcond=None)[0] / d
-        dW = np.einsum("m,mij->ij", y, WAW) - WgW
-        dW = (dW + dW.conj().T) / 2.0
-        if self.relax:
-            ds = -cap2 * (grad_s + float((self.c * y).sum()))
+            h = np.linalg.lstsq(scaled, rhs, rcond=None)[0]
+        h = (h.T / d).T
+        if self.e is None:
+            dy = -h
         else:
-            ds = 0.0
-        dec2 = -(float(np.vdot(grad_W, dW).real) + grad_s * ds)
-        return dW, ds, dec2
+            # g + kappa e is the gradient less its part along e, which the
+            # step cannot follow; the decrement is taken from it, not from g.
+            h_g, h_e = h.T
+            kappa = -(self.e @ h_g) / (self.e @ h_e)
+            dy = -(h_g + kappa * h_e)
+            g = g + kappa * self.e
+        return _Step(dy, -float(g @ dy), Linv, B)
 
-    def center(self, t: float, point: _Point, tol: float, budget: _NewtonBudget,
-               stop_early=None):
+    def primal(self, t: float, step: _Step) -> np.ndarray:
+        """The primal point W' = (Lambda^-1 - Lambda^-1 dLambda Lambda^-1) / t
+        of a step, dLambda = sum dy_i A'_i (the dual-scaling primal point of
+        DSDP). Its slack on row i is (1 - dy_i / y_i) / (t y_i), so it meets
+        every row strictly while dy < y, even off the central path."""
+        mid = np.eye(self.N) - np.einsum("m,mij->ij", step.dy, step.B)
+        W = step.Linv.conj().T @ mid @ step.Linv / t
+        return (W + W.conj().T) / 2.0
+
+    def center(self, t: float, point: _Point, budget: _NewtonBudget, stop=None):
         """Newton iterations at fixed t from point until the decrement falls
-        below tol; returns (point, converged).
+        below _NEWTON_TOL; returns (point, step, converged), step the Newton
+        step at point.
 
-        stop_early(W, s) may abort centering as soon as some external goal is
-        reached (used by phase I once s is strictly negative). Exits quietly
-        when the decrement reaches the float64 noise floor: near the central
-        point the gradient is a cancellation of O(t)-sized terms, so decrements
-        much below t * eps are not resolvable and not needed.
+        stop(point) ends centering with step None as soon as some external
+        goal is reached (a Farkas certificate). Exits quietly when the
+        decrement reaches the float64 noise floor: near the central point the
+        gradient is a cancellation of O(t)-sized terms, so decrements much
+        below t * eps are not resolvable and not needed.
         """
         f = point.value(t)
         for _ in range(80):
-            W, s = point.W, point.s
-            if stop_early is not None and stop_early(W, s):
-                return point, False
-            dW, ds, dec2 = self.newton_step(t, point)
-            if dec2 <= tol * tol:
-                return point, True
-            if dec2 <= 0.0:
-                return point, False  # numerical noise floor
+            if stop is not None and stop(point):
+                return point, None, False
+            step = self.newton_step(t, point)
+            if step.dec2 <= _NEWTON_TOL * _NEWTON_TOL:
+                return point, step, True
+            if step.dec2 <= 0.0:
+                return point, step, False  # numerical noise floor
             budget.spend()
             # Backtracking search. dec2 can be overestimated by cancellation
             # noise right after a barrier-parameter jump, so the Armijo
@@ -314,9 +344,9 @@ class _Barrier:
             # accepted as a fallback.
             alpha, best, best_f = 1.0, None, f
             for _ls in range(60):
-                trial = self.evaluate(W + alpha * dW, s + alpha * ds)
+                trial = self.evaluate(point.y + alpha * step.dy)
                 f_new = trial.value(t)
-                if f_new <= f - 1e-3 * alpha * dec2:
+                if f_new <= f - 1e-3 * alpha * step.dec2:
                     best, best_f = trial, f_new
                     break
                 if f_new < best_f:
@@ -326,13 +356,13 @@ class _Barrier:
                 # Progress is below float64 resolution of the barrier value
                 # (the decrement itself is cancellation-limited at large t):
                 # the point is as centered as the arithmetic allows.
-                return point, False
+                return point, step, False
             point, f = best, best_f
         raise _NumericalTrouble("centering did not converge")
 
 
 # ---------------------------------------------------------------------------
-# Phase I / phase II
+# The final solve
 # ---------------------------------------------------------------------------
 
 
@@ -352,8 +382,8 @@ def _unreachable_row(cons: ConstraintSet) -> InfeasibilityCertificate | None:
     max(0, -lambda_min(A_i)), so its combination is PSD and its margin is
     P_T min(0, lambda_min(A_i)) - u_i. On a floor that is a_k > P_T
     lambda_max(F_k), on a ceiling b_j < 0. None when every row is within
-    reach. The barrier never sees such a row: a floor's slack of order a_k
-    overflows its Newton system."""
+    reach. Such a row is refuted with no Newton step; the barrier never sees
+    it."""
     lam_min = np.linalg.eigvalsh(cons.A[1:])[:, 0]
     short = np.flatnonzero(cons.p_t * np.minimum(0.0, lam_min) > cons.u[1:])
     if not short.size:
@@ -363,77 +393,35 @@ def _unreachable_row(cons: ConstraintSet) -> InfeasibilityCertificate | None:
     return _certificate(cons, y)
 
 
-def _path(bar: _Barrier, W: np.ndarray, s: float, budget: _NewtonBudget,
-          stop_early=None):
-    """Centre at t = _T0, _T0 * _T_GROWTH, ... from (W, s) and yield (t,
-    point, silent) after each stage, point the stage's _Point. silent: this
-    stage and the one before both ended unconverged without a Newton step, so
-    the path is at its float64 floor."""
-    t = _T0
+def _proof(bar: _Barrier, cons: ConstraintSet):
+    """The stop test of a path on bar: whether -u'.y > 1 and y, mapped to the
+    rows of cons (those of bar less its ceilings, when cons has fewer), is a
+    Farkas certificate for cons. Lambda(y) > 0 differs from the combination
+    of those rows by C = I, or by ceiling terms sum y_j A'_j with sum y_j = 1
+    and ||A'_j||_F = 1, so the combination's least eigenvalue exceeds -1, and
+    -u'.y > 1 (-u.y > P_T) is a proof but for roundoff."""
+    def proves(point: _Point) -> bool:
+        return (-float(bar.u @ point.y) > 1.0
+                and _certificate(cons, bar.multipliers(point.y)[:cons.u.size]) is not None)
+    return proves
+
+
+def _path(bar: _Barrier, budget: _NewtonBudget, stop=None):
+    """Centre from bar.start() at t0 (bar.centring_t), t0 * _T_GROWTH, ...
+    and yield (t, point, step, silent) after each stage: point the stage's
+    _Point, step its Newton step there (None when stop(point) ended the
+    stage). silent: this stage and the one before both ended unconverged
+    without a Newton step, so the path is at its float64 floor."""
+    point = bar.evaluate(bar.start())
+    t = bar.centring_t(point)
     silent_prev = False
-    point = bar.evaluate(W, s)
     while True:
         used_before = budget.used
-        point, converged = bar.center(t, point, _NEWTON_TOL, budget, stop_early)
+        point, step, converged = bar.center(t, point, budget, stop)
         silent = not converged and budget.used == used_before
-        yield t, point, silent and silent_prev
+        yield t, point, step, silent and silent_prev
         silent_prev = silent
         t *= _T_GROWTH
-
-
-def _phase1(cons: ConstraintSet, budget: _NewtonBudget):
-    """Find a strictly feasible W or certify infeasibility: (W, None) or
-    (None, cert); _NumericalTrouble when it stalls, as on thin feasible sets.
-
-    Minimizes the uniform relaxation s over { <A_i,W> - s <= u_i, W > 0 } on
-    the barrier rows of cons; s* < 0 yields an interior point, a positive
-    dual bound proves there is none.
-    """
-    p_t, n = cons.p_t, cons.n
-    ref = max(1.0, float(np.max(np.abs(cons.u[cons.nonzero]))), p_t)
-    margin = _FEAS_MARGIN_REL * ref
-    W = (p_t / (2.0 * n)) * np.eye(n, dtype=complex)
-    # A vacuous row's value less u_i is <= 0, so it never raises s.
-    viol = float(np.max(cons.values(W) - cons.u))
-    s = max(0.0, viol) + 1.0 + 0.01 * ref
-    s_cap = 10.0 * (s + ref)
-    bar = _Barrier(cons, s_cap)
-    for t, point, silent in _path(bar, W, s, budget, lambda _W, _s: _s < -margin):
-        if point.s < -margin:
-            return point.W, None
-        gap = bar.nu / t
-        if point.s - gap > 0.0:
-            # Only a certificate proves infeasibility; an uncentred iterate
-            # may not yield one, so keep raising t until it does.
-            cert = _certificate(cons, bar.multipliers(1.0 / (t * point.sl)))
-            if cert is not None:
-                return None, cert
-        if silent or gap <= max(1e-12, 1e-11 * ref):
-            raise _NumericalTrouble("phase-I feasibility could not be decided")
-
-
-def _start(cons: ConstraintSet, budget: _NewtonBudget):
-    """A strictly feasible start for the barrier on cons, (W, None), or
-    (None, cert) when there is none: a row out of reach (_unreachable_row),
-    else phase I. A phase-I stall goes to the epigraph (_epigraph_path): its
-    first iterate that meets every row strictly, or its first multipliers
-    that prove cons infeasible; failing both, or with no ceiling to hand the
-    stall over to, _NumericalTrouble."""
-    cert = _unreachable_row(cons)
-    if cert is not None:
-        return None, cert
-    try:
-        return _phase1(cons, budget)
-    except _NumericalTrouble:
-        if not np.any(cons.ceilings & cons.nonzero):
-            raise
-        for _, _, W, y in _epigraph_path(cons, budget):
-            if W is not None and np.all(cons.u > cons.values(W)):
-                return W, None
-            cert = _certificate(cons, y)
-            if cert is not None:
-                return None, cert
-        raise
 
 
 def _face_newton(A, u, V, y):
@@ -466,7 +454,7 @@ def _face_newton(A, u, V, y):
         if best is not None and err >= best[2]:
             break
         best = (V, y, err)
-        if err <= 64.0 * _EPS or step == _FACE_STEPS:
+        if err == 0.0 or step == _FACE_STEPS:
             break
         d_r1 = np.concatenate([(lam_mat @ basis).reshape(2 * nr, nr), AV.reshape(p, nr)])
         d_r2 = 2.0 * np.real(np.einsum("mab,kab->km", AV.conj(), basis))
@@ -475,6 +463,11 @@ def _face_newton(A, u, V, y):
                        np.vstack([d_r2, np.zeros((p, p))]),
                        np.vstack([d_gauge, np.zeros((p, 2 * r * r))])]).T
         F = np.concatenate([R1.real, R1.imag, R2, np.zeros(2 * r * r)])
+        # Rows and columns equilibrated: the floor and ceiling rows R2 and
+        # the multiplier columns carry the units of the user's rows.
+        rows = np.linalg.norm(J, axis=1)
+        rows[rows == 0.0] = 1.0
+        J, F = J / rows[:, None], F / rows
         cols = np.linalg.norm(J, axis=0)
         cols[cols == 0.0] = 1.0
         d = np.linalg.lstsq(J / cols, -F, rcond=None)[0] / cols
@@ -483,28 +476,31 @@ def _face_newton(A, u, V, y):
     return best
 
 
-def _refine_face(bar: _Barrier, W: np.ndarray, slacks: np.ndarray, y0: np.ndarray):
-    """Newton refinement of the end point W of the barrier bar on its optimal
-    face, from its slacks and central-path multipliers y0 (one per barrier
-    row).
+def _refine_face(cons: ConstraintSet, bar: _Barrier, W: np.ndarray, slacks: np.ndarray,
+                 y0: np.ndarray):
+    """Newton refinement of the end point W' of the barrier bar on the rows
+    of cons on its optimal face, from its slacks and multipliers y0 (one per
+    barrier row, all three in bar's normalized units).
 
-    W = V V^H on its numerical range, cut at the largest eigenvalue gap when
+    W' = V V^H on its numerical range, cut at the largest eigenvalue gap when
     one clearly exists, else at the relative cut: the central path leaves
     O(1/t) dust eigenvalues off the face, and for small-trace optima they can
-    exceed the relative cut. The active rows are those
-    whose central-path multiplier y0_i = 1/(t s_i) exceeds the slack s_i.
-    Newton on the KKT system of that face (_face_newton) removes the
-    barrier's O(1/t) centering error and its float64 noise floor. A row whose
-    multiplier comes out negative is dropped and the solve retried. So is the
-    active row with the least y0_i / s_i when the solve misses _FACE_TOL: a
-    weakly active row, whose multiplier and slack both tend to 0 along the
-    path, leaves the face system with no regular solution.
+    exceed the relative cut. The active rows are those whose multiplier y0_i
+    exceeds the slack s_i, both normalized, so the choice does not depend on
+    the user's units. Newton on the KKT system of that face in the units of
+    cons (_face_newton) removes the barrier's O(1/t) centering error and its
+    float64 noise floor. A row whose multiplier comes out negative is
+    dropped and the solve retried. So is the active row with the least y0_i
+    / s_i when the solve misses _FACE_TOL: a weakly active row, whose
+    multiplier and slack both tend to 0 along the path, leaves the face
+    system with no regular solution.
 
-    Returns (V V^H, y), y one multiplier per row of the barrier's
-    ConstraintSet and 0 on the inactive rows, when that is a KKT point to
-    roundoff: every multiplier >= 0, every inactive slack > 0 and Lambda(y)
-    PSD. Otherwise None, and the caller keeps the end point.
+    Returns (V V^H, y) in the units of cons, y one multiplier per row of cons
+    and 0 on the inactive rows, when that is a KKT point to roundoff: every
+    multiplier >= 0, every inactive slack > 0 and Lambda(y) PSD. Otherwise
+    None.
     """
+    A, u = cons.A[bar.keep], cons.u[bar.keep]
     vals, vecs = np.linalg.eigh(W)
     desc = np.clip(vals[::-1], 1e-300, None)
     ratios = desc[:-1] / desc[1:]
@@ -512,10 +508,10 @@ def _refine_face(bar: _Barrier, W: np.ndarray, slacks: np.ndarray, y0: np.ndarra
         r = int(np.argmax(ratios)) + 1
     else:
         r = int(np.count_nonzero(vals > _RANK_REL_TOL * vals[-1]))
-    V0 = vecs[:, ::-1][:, :r] * np.sqrt(desc[:r])
+    V0 = vecs[:, ::-1][:, :r] * np.sqrt(desc[:r] * cons.p_t)
     active = np.flatnonzero(y0 > slacks)
     while active.size:
-        V, y_act, err = _face_newton(bar.A[active], bar.u[active], V0, y0[active])
+        V, y_act, err = _face_newton(A[active], u[active], V0, y0[active] / bar.r[active])
         if not err <= _FACE_TOL:  # also rejects a NaN
             drop = int(np.argmin(y0[active] / slacks[active]))
         elif float(np.min(y_act)) < 0.0:
@@ -525,27 +521,35 @@ def _refine_face(bar: _Barrier, W: np.ndarray, slacks: np.ndarray, y0: np.ndarra
         active = np.delete(active, drop)
     else:
         return None
-    y = np.zeros_like(y0)
-    y[active] = y_act
+    y = np.zeros(cons.u.size)
+    y[bar.keep[active]] = y_act
     W = V @ V.conj().T
-    s = bar.u - np.real(np.einsum("mij,ij->m", bar.A_conj, W))
-    lam_mat = np.eye(W.shape[0]) + np.einsum("m,mij->ij", y, bar.A)
-    roundoff = _FACE_TOL * (1.0 + float(np.dot(y, np.linalg.norm(bar.A, axis=(1, 2)))))
-    if np.all(np.delete(s, active) > 0.0) and np.linalg.eigvalsh(lam_mat)[0] >= -roundoff:
-        return W, bar.multipliers(y)
+    s = np.delete(cons.u - cons.values(W), bar.keep[active])
+    roundoff = _FACE_TOL * (1.0 + float(np.dot(y, np.linalg.norm(cons.A, axis=(1, 2)))))
+    if np.all(s > 0.0) and np.linalg.eigvalsh(cons.duals(y).Lambda)[0] >= -roundoff:
+        return W, y
     return None
 
 
-def _phase2(cons: ConstraintSet, W0: np.ndarray, budget: _NewtonBudget):
-    """Path-following on the barrier rows of cons from a strictly feasible
-    W0, then Newton on the optimal face (_refine_face). Returns (W, y), y one
-    multiplier per row of cons, or None when the refinement is rejected."""
+def _final_solve(cons: ConstraintSet, budget: _NewtonBudget):
+    """The dual path on the barrier rows of cons, then Newton on the optimal
+    face (_refine_face) from the primal point of the last stage's Newton step
+    (_Barrier.primal) and its y. The path stops once nu / t <= _GAP_REL Tr
+    W', at a silent stage or at _T_MAX. Returns (W, y, None), y one
+    multiplier per row of cons; (None, None, cert) when an iterate's y proves
+    cons infeasible; or (None, None, None) when the refinement is rejected."""
     bar = _Barrier(cons)
-    for t, point, silent in _path(bar, W0, 0.0, budget):
-        primal = float(np.real(np.trace(point.W)))
-        if bar.nu / t <= _GAP_REL * max(1.0, primal) or silent or t >= _T_MAX:
+    for t, point, step, silent in _path(bar, budget, _proof(bar, cons)):
+        if step is None:
+            return None, None, _certificate(cons, bar.multipliers(point.y))
+        W = bar.primal(t, step)
+        if bar.nu / t <= _GAP_REL * float(np.trace(W).real) or silent or t >= _T_MAX:
             break
-    return _refine_face(bar, point.W, point.sl, 1.0 / (t * point.sl))
+    y = point.y
+    end = _refine_face(cons, bar, W, (1.0 - step.dy / y) / (t * y), y)
+    if end is None:
+        return None, None, None
+    return *end, None
 
 
 # ---------------------------------------------------------------------------
@@ -573,47 +577,51 @@ class Epigraph:
     gap_hi: float
 
 
-def _witness_bound(cons: ConstraintSet, W: np.ndarray, strict: bool) -> float:
-    """max_j Tr(G_j W) when W meets the budget and the floors of cons (every
-    slack > 0 when strict, as phase I needs an interior point; else >= 0, as
-    on the LP route), inf when it does not."""
+def _witness_bound(cons: ConstraintSet, W: np.ndarray) -> float:
+    """max_j Tr(G_j W') when W' meets the budget and the floors of cons, inf
+    when it does not. W' = W, or alpha W when W >= 0 misses a floor k with
+    Tr(F_k W) > 0: alpha = max a_k / Tr(F_k W) over those floors, times 1 +
+    4 eps, lifts it onto them. A path's point or an LP allocation often
+    meets a binding floor only to roundoff."""
     vals = cons.values(W)
-    slack = (cons.u - vals)[~cons.ceilings]
-    if np.all(slack > 0.0) if strict else np.all(slack >= 0.0):
+    short = cons.floors & (vals > cons.u) & (vals < 0.0)
+    if np.any(short):
+        vals = cons.values(W * float(np.max(cons.u[short] / vals[short])) * (1.0 + 4.0 * _EPS))
+    if np.all((cons.u - vals)[~cons.ceilings] >= 0.0):
         return float(np.max(vals[cons.ceilings]))
     return math.inf
 
 
 def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
-    """Minimize s over W > 0 subject to the budget and floors of cons and
-    Tr(A_j W) <= s on its ceilings: the barrier on the rows of cons with
-    ceiling u = 0, c = 1 on the ceilings and 0 elsewhere, started from an
-    interior point of the floors and budget. Yields (b_lo, b_hi, W, y) after
-    each stage of the path: the least _witness_bound and the greatest
-    ceiling_bound so far, so each bracket lies inside the one before, and the
-    stage's iterate and multipliers (one per row of cons). Stops at a silent
+    """Minimize s over W >= 0 subject to the budget and floors of cons and
+    Tr(A_j W) <= s on its ceilings: the dual path of the epigraph barrier
+    (_Barrier with epigraph=True) on the rows of cons with ceiling u = 0.
+    Yields (b_lo, b_hi) after each stage of the path: the greatest
+    ceiling_bound of the stages' y and the least _witness_bound so far of P_T
+    Lambda^-1 / t and of the stage's primal point (_Barrier.primal) when that
+    is PSD, so each bracket lies inside the one before. Stops at a silent
     stage or at _T_MAX; the Newton budget bounds it too.
 
-    Yields only (inf, inf, None, y) when _start on the floors and the budget
-    ends with a certificate, y its multipliers with zeros on the ceilings;
-    raises when that start does."""
+    Yields only (inf, inf) when the floors and the budget are proven
+    infeasible: a row out of their reach (_unreachable_row), or an iterate
+    whose y on them is a Farkas certificate."""
     k = cons.k
-    W, cert = _start(ConstraintSet(A=cons.A[:1 + k], u=cons.u[:1 + k], k=k), budget)
-    if W is None:
-        yield math.inf, math.inf, None, np.r_[cert.lam, cert.mu, np.zeros(cons.u.size - 1 - k)]
+    floors = ConstraintSet(A=cons.A[:1 + k], u=cons.u[:1 + k], k=k)
+    if _unreachable_row(floors) is not None:
+        yield math.inf, math.inf
         return
-    top = float(np.max(cons.values(W)[cons.ceilings & cons.nonzero]))
-    # A cap near the start keeps the s term of the Newton system small: with
-    # phase I's cap, 10 (s + ref), the step in s cancels to float64 noise near
-    # t = 1e6 and the path stalls there.
-    s = 2.0 * top + 1e-12 * max(1.0, cons.p_t)
-    bar = _Barrier(cons.with_ceiling(0.0), 2.0 * s, cons.ceilings.astype(float))
+    bar = _Barrier(cons.with_ceiling(0.0), epigraph=True)
     b_hi, b_lo = math.inf, -math.inf
-    for t, point, silent in _path(bar, W, s, budget):
-        y = bar.multipliers(1.0 / (t * point.sl))
-        b_hi = min(b_hi, _witness_bound(cons, point.W, True))
-        b_lo = max(b_lo, cons.ceiling_bound(y))
-        yield b_lo, b_hi, point.W, y
+    for t, point, step, silent in _path(bar, budget, _proof(bar, floors)):
+        if step is None:
+            yield math.inf, math.inf
+            return
+        Linv = step.Linv
+        for W in (Linv.conj().T @ Linv / t, bar.primal(t, step)):
+            if np.linalg.eigvalsh(W)[0] >= 0.0:
+                b_hi = min(b_hi, _witness_bound(cons, cons.p_t * W))
+        b_lo = max(b_lo, cons.ceiling_bound(bar.multipliers(point.y)))
+        yield b_lo, b_hi
         if silent or t >= _T_MAX:
             return
 
@@ -659,10 +667,9 @@ def epigraph_stages(
 
     Yields nothing exactly when R_s moves no row: on the trivial route, or
     with no nonzero ceiling to bound. When the path fails before its first
-    stage (the start on the floors and budget, _start, decides nothing, or
-    the Newton steps run out) it yields one bracket, b_lo = -inf and b_hi =
-    inf, that decides no probe; after a stage, the stages end where the path
-    fails.
+    stage (its centering does not converge, or the Newton steps run out) it
+    yields one bracket, b_lo = -inf and b_hi = inf, that decides no probe;
+    after a stage, the stages end where the path fails.
     """
     t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
     cons = ConstraintSet.build(p, t, mode)
@@ -671,9 +678,9 @@ def epigraph_stages(
     if route == "lp":
         end = diag_lp.min_ceiling(cons)
         brackets = [(math.inf, math.inf) if end is None else (
-            cons.ceiling_bound(end[1]), _witness_bound(cons, np.diag(end[0]), False))]
+            cons.ceiling_bound(end[1]), _witness_bound(cons, np.diag(end[0])))]
     else:
-        brackets = (stage[:2] for stage in _epigraph_path(cons, _NewtonBudget(_MAX_NEWTON)))
+        brackets = _epigraph_path(cons, _NewtonBudget(_MAX_NEWTON))
     staged = False
     try:
         for bracket in brackets:
@@ -713,27 +720,28 @@ def solve_rank_relaxed(
     mode: CsiMode = STATISTICAL,
 ) -> BeamformerSolution:
     """Solve the rank-relaxed minimum-power problem for the given thresholds:
-    zero power when W = 0 meets every row, else _start and phase II.
-    INFEASIBLE with _start's certificate; MAX_ITERATIONS when _start decides
-    nothing or either runs out of Newton steps."""
+    zero power when W = 0 meets every row, else the dual path and the face
+    refinement (_final_solve). INFEASIBLE with the certificate of a row out
+    of reach (_unreachable_row) or of the path's y; MAX_ITERATIONS when the
+    refinement is rejected or the path runs out of Newton steps."""
     cons = ConstraintSet.build(p, t, mode)
     if np.all(cons.u >= 0.0):  # W = 0 satisfies every row
         return _zero_power(cons, t, mode)
     budget = _NewtonBudget(_MAX_NEWTON)
-    try:
-        W0, cert = _start(cons, budget)
-        if W0 is None:
-            return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t,
-                                      certificate=cert, newton_iterations=budget.used)
-        end = _phase2(cons, W0, budget)
-    except _NumericalTrouble:
-        end = None
+    W, cert = None, _unreachable_row(cons)
+    if cert is None:
+        try:
+            W, y, cert = _final_solve(cons, budget)
+        except _NumericalTrouble:
+            pass
+    if cert is not None:
+        return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t,
+                                  certificate=cert, newton_iterations=budget.used)
     # The claimed status must be earned: by a refined KKT point with a small
     # gap, not by the path having terminated.
-    if end is not None:
-        W, y = end
+    if W is not None:
         primal = float(np.real(np.trace(W)))
-        if abs(primal - cons.dual_objective(y)) <= 1e-6 * max(1.0, primal):
+        if abs(primal - cons.dual_objective(y)) <= 1e-6 * primal:
             return BeamformerSolution(status=OPTIMAL, mode=mode, W=W, objective=primal,
                                       duals=cons.duals(y), thresholds=t,
                                       newton_iterations=budget.used)

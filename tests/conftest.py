@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import pathlib
 
@@ -8,7 +9,8 @@ from hypothesis import settings
 
 from wiretap import diag_lp, sdp
 from wiretap.constraints import ConstraintSet
-from wiretap.model import STATISTICAL, WiretapProblem
+from wiretap.mi import MiEvaluator, qpsk
+from wiretap.model import STATISTICAL, WiretapProblem, perfect_users
 from wiretap.probfile import load_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
@@ -42,6 +44,22 @@ def ref_j3():
     return bundled(3)
 
 
+@pytest.fixture(autouse=True)
+def sdp_infeasible_is_certified(monkeypatch):
+    """Every SDP-route solve of every test that reports infeasible carries a
+    Farkas certificate that ConstraintSet.farkas accepts on its own rows."""
+    solve, build = sdp.solve_rank_relaxed, ConstraintSet.build
+
+    def checked(p, t, mode=STATISTICAL):
+        sol = solve(p, t, mode)
+        if sol.status == sdp.INFEASIBLE:
+            cert = sol.certificate
+            assert build(p, t, mode).farkas(np.r_[cert.lam, cert.mu, cert.nu])[1] > 0.0
+        return sol
+
+    monkeypatch.setattr(sdp, "solve_rank_relaxed", checked)
+
+
 def random_psd(rng, n, scale=1.0, ridge=0.0, rank=None):
     k = n if rank is None else rank
     b = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
@@ -61,20 +79,72 @@ def thin_set_problem(seed):
                           N0=1.0, epsilon=0.1, P_T=100.0)
 
 
+def random_problem(seed):
+    """(problem, mode, input_model) of one random-set seed, every draw from
+    one default_rng(seed) in this order: N, K, J and the covariance kind;
+    K user covariances at scale 1, then J eavesdropper covariances at scale
+    0.01 (kind 0: full rank with ridge 0.05; kinds 1 and 2: rank min(kind,
+    N), no ridge); diagonals only with probability 0.15; perfect user CSI
+    with probability 0.2, its channels always drawn; QPSK inputs with
+    probability 0.2; P_T = 10^U(0.5, 2)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 3, 4, 8]))
+    k, j, kind = int(rng.integers(1, 4)), int(rng.integers(0, 4)), int(rng.integers(0, 3))
+
+    def cov(scale):
+        if kind == 0:
+            return random_psd(rng, n, scale, ridge=0.05)
+        return random_psd(rng, n, scale, rank=min(kind, n))
+
+    H = [cov(1.0) for _ in range(k)]
+    Z = [cov(0.01) for _ in range(j)]
+    if rng.random() < 0.15:
+        H, Z = [np.diag(np.diag(m)) for m in H], [np.diag(np.diag(m)) for m in Z]
+    perfect = rng.random() < 0.2
+    channels = math.sqrt(1.5) * (rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
+    model = MiEvaluator(qpsk()) if rng.random() < 0.2 else "gaussian"
+    p = WiretapProblem(H=tuple(H), Z=tuple(Z), N0=1.0, epsilon=0.1,
+                       P_T=float(10 ** rng.uniform(0.5, 2.0)))
+    return p, perfect_users(channels) if perfect else STATISTICAL, model
+
+
+def scaled_problem(p, what, factor):
+    """p with H, Z and N0 (what "hz") or P_T and N0 (what "pt") times factor."""
+    if what == "hz":
+        return WiretapProblem(H=tuple(h * factor for h in p.H), Z=tuple(z * factor for z in p.Z),
+                              N0=p.N0 * factor, epsilon=p.epsilon, P_T=p.P_T)
+    return WiretapProblem(H=p.H, Z=p.Z, N0=p.N0 * factor, epsilon=p.epsilon, P_T=p.P_T * factor)
+
+
 def probe_verdict(p, r, mode=STATISTICAL, input_model="gaussian"):
     """sdp.FEASIBLE, INFEASIBLE or MAX_ITERATIONS: whether the rank
     relaxation at r has a feasible point, decided on r's own rows as
-    solve_general's route decides it, without phase II or rank-1 recovery:
-    HiGHS on the LP route, sdp._start on the SDP route. The oracle that the
-    sweep's epigraph brackets are checked against, probe by probe."""
+    solve_general's route decides it, without the face refinement or rank-1
+    recovery: HiGHS on the LP route; on the SDP route, a row out of reach
+    (sdp._unreachable_row), else the final solve's dual path up to its first
+    stage whose primal point (sdp._Barrier.primal) is PSD and meets every row
+    strictly, or its first y that is a Farkas certificate. The oracle that
+    the sweep's epigraph brackets are checked against, probe by probe."""
     t, route = sdp._route(p, r, mode, input_model)
     if route == "trivial":
         return sdp.FEASIBLE
     cons = ConstraintSet.build(p, t, mode)
     if route == "lp":
         return sdp.INFEASIBLE if diag_lp.solve_diagonal(cons) is None else sdp.FEASIBLE
+    if np.all(cons.u >= 0.0):
+        return sdp.FEASIBLE
+    if sdp._unreachable_row(cons) is not None:
+        return sdp.INFEASIBLE
+    bar = sdp._Barrier(cons)
+    budget = sdp._NewtonBudget(sdp._MAX_NEWTON)
     try:
-        W, _ = sdp._start(cons, sdp._NewtonBudget(sdp._MAX_NEWTON))
+        for t, point, step, silent in sdp._path(bar, budget, sdp._proof(bar, cons)):
+            if step is None:
+                return sdp.INFEASIBLE
+            W = cons.p_t * bar.primal(t, step)
+            if np.all(cons.values(W) < cons.u) and np.linalg.eigvalsh(W)[0] >= 0.0:
+                return sdp.FEASIBLE
+            if silent or t >= sdp._T_MAX:
+                return sdp.MAX_ITERATIONS
     except sdp._NumericalTrouble:
         return sdp.MAX_ITERATIONS
-    return sdp.INFEASIBLE if W is None else sdp.FEASIBLE

@@ -7,13 +7,13 @@ checked against.
 Three sets, one CSV line per sweep row (set, instance, rd, status, rs_max,
 power to 9 significant digits):
 
-- thin: thin_set_problem seeds 0-149, each swept over R_D 0.3, 0.6 and 1.0
-  at rate_tol 1e-2. Strong users, weak eavesdroppers, thin feasible sets at
-  the region's boundary.
-- random: seeds 0-299 of random_problem (N in 2, 3, 4, 8; K 1..3; J 0..3;
-  full-rank, rank-1 and rank-2 covariances; some diagonal, some with
-  perfect user CSI, some with QPSK inputs), each swept over R_D 0.3, 0.6
-  and 1.0 at rate_tol 1e-2.
+- thin: conftest.thin_set_problem seeds 0-149, each swept over R_D 0.3,
+  0.6 and 1.0 at rate_tol 1e-2. Strong users, weak eavesdroppers, thin
+  feasible sets at the region's boundary.
+- random: seeds 0-299 of conftest.random_problem (N in 2, 3, 4, 8; K 1..3;
+  J 0..3; full-rank, rank-1 and rank-2 covariances; some diagonal, some
+  with perfect user CSI, some with QPSK inputs), each swept over R_D 0.3,
+  0.6 and 1.0 at rate_tol 1e-2.
 - scaled: paper_j1..3, paper_j1_diag and paper_j2_diag, each unscaled and
   with H, Z and N0, or P_T and N0, multiplied by 1e+-3, 1e+-6 and 1e+-9:
   65 sweeps over R_D 0.1..1.2 at rate_tol 1e-3. Each is the same physical
@@ -33,15 +33,11 @@ import math
 import pathlib
 import sys
 
-import numpy as np
-
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
-from conftest import bundled, random_psd, thin_set_problem  # noqa: E402
+from conftest import bundled, random_problem, scaled_problem, thin_set_problem  # noqa: E402
 
-from wiretap.mi import MiEvaluator, qpsk  # noqa: E402
-from wiretap.model import STATISTICAL, WiretapProblem, perfect_users  # noqa: E402
 from wiretap.sweep import code_rate_grid, sweep_region  # noqa: E402
 
 CORPUS = HERE / "data" / "corpus.csv"
@@ -50,43 +46,6 @@ POWER_REL = 1e-9
 SCALES = (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9)
 SCALED = (("paper_j1", 1, False), ("paper_j2", 2, False), ("paper_j3", 3, False),
           ("paper_j1_diag", 1, True), ("paper_j2_diag", 2, True))
-
-
-def random_problem(seed):
-    """(problem, mode, input_model) of one random-set seed, every draw from
-    one default_rng(seed) in this order: N, K, J and the covariance kind;
-    K user covariances at scale 1, then J eavesdropper covariances at scale
-    0.01 (kind 0: full rank with ridge 0.05; kinds 1 and 2: rank min(kind,
-    N), no ridge); diagonals only with probability 0.15; perfect user CSI
-    with probability 0.2, its channels always drawn; QPSK inputs with
-    probability 0.2; P_T = 10^U(0.5, 2)."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.choice([2, 3, 4, 8]))
-    k, j, kind = int(rng.integers(1, 4)), int(rng.integers(0, 4)), int(rng.integers(0, 3))
-
-    def cov(scale):
-        if kind == 0:
-            return random_psd(rng, n, scale, ridge=0.05)
-        return random_psd(rng, n, scale, rank=min(kind, n))
-
-    H = [cov(1.0) for _ in range(k)]
-    Z = [cov(0.01) for _ in range(j)]
-    if rng.random() < 0.15:
-        H, Z = [np.diag(np.diag(m)) for m in H], [np.diag(np.diag(m)) for m in Z]
-    perfect = rng.random() < 0.2
-    channels = math.sqrt(1.5) * (rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
-    model = MiEvaluator(qpsk()) if rng.random() < 0.2 else "gaussian"
-    p = WiretapProblem(H=tuple(H), Z=tuple(Z), N0=1.0, epsilon=0.1,
-                       P_T=float(10 ** rng.uniform(0.5, 2.0)))
-    return p, perfect_users(channels) if perfect else STATISTICAL, model
-
-
-def scaled_problem(p, what, factor):
-    """p with H, Z and N0 (what "hz") or P_T and N0 (what "pt") times factor."""
-    if what == "hz":
-        return WiretapProblem(H=tuple(h * factor for h in p.H), Z=tuple(z * factor for z in p.Z),
-                              N0=p.N0 * factor, epsilon=p.epsilon, P_T=p.P_T)
-    return WiretapProblem(H=p.H, Z=p.Z, N0=p.N0 * factor, epsilon=p.epsilon, P_T=p.P_T * factor)
 
 
 def sweeps():

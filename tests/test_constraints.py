@@ -88,8 +88,11 @@ def test_core_matches_hand_built_oracle(seed, perfect, zero_row):
     assert sorted(set(range(cons.u.size)) - set(bar.keep.tolist())) == dropped
     y_rows = rng.exponential(size=bar.keep.size)
     y = bar.multipliers(y_rows)
-    # The barrier's rows alone; no quantity below reads the floor count.
-    rows = ConstraintSet(A=bar.A, u=bar.u, k=0)
+    # The barrier's rows alone, normalized to unit Frobenius norm and mapped
+    # back to the units of cons; no quantity below reads the floor count.
+    assert np.allclose(np.linalg.norm(bar.A, axis=(1, 2)), 1.0, rtol=1e-15, atol=0.0)
+    rows = ConstraintSet(A=bar.A * bar.r[:, None, None], u=bar.u * bar.r * p.P_T, k=0)
+    y_rows = y[bar.keep]
     lam, mu, nu = cons.split(y)
     assert lam == y[0] and mu.size == k and nu.size == p.J
     assert all(nu[i - 1 - k] == 0.0 for i in dropped)

@@ -218,10 +218,10 @@ class TestScale:
 
 # Two diagonal instances drawn as test_proven_verdicts_match_probes draws
 # them, with N, K and J from the seed's generator. HiGHS meets a binding
-# floor only to roundoff, so min_ceiling lifts P onto the floors; the lift
-# must read the row values that sdp._witness_bound checks. Here a lift on
-# other roundings misses by about 7e-15, b_hi is inf and the bracket proves
-# no probe feasible.
+# floor only to roundoff, so sdp._witness_bound lifts P onto the floors; the
+# lift must read the row values that it checks. Here a lift on other
+# roundings misses by about 7e-15, b_hi is inf and the bracket proves no
+# probe feasible.
 @pytest.mark.parametrize("seed, rd, alphabet", [(14, 1.0, "qpsk"), (23, 0.6, "gaussian")])
 def test_min_ceiling_witness_meets_the_floors(seed, rd, alphabet):
     rng = np.random.default_rng(seed)
@@ -235,6 +235,6 @@ def test_min_ceiling_witness_meets_the_floors(seed, rd, alphabet):
     model = MiEvaluator(qpsk()) if alphabet == "qpsk" else "gaussian"
     cons = ConstraintSet.build(p, sdp.rate_thresholds(p, RatePair(rd, 0.0), model))
     P, _ = min_ceiling(cons)
-    assert np.isfinite(sdp._witness_bound(cons, np.diag(P), False))
+    assert np.isfinite(sdp._witness_bound(cons, np.diag(P)))
     stage, = sdp.epigraph_stages(p, rd, input_model=model)
     assert stage.b_lo <= stage.b_hi <= stage.b_lo * (1.0 + 1e-14)

@@ -59,7 +59,7 @@ MONTECARLO_J1_GOLDEN = """\
     0.96646,
     0.96453
   ],
-  "power": 13.165819476884003,
+  "power": 13.165819476884002,
   "status": "optimal",
   "successes": 93190,
   "trials": 100000
@@ -82,13 +82,13 @@ SOLVE_J2_GOLDEN = {
               "lam": 0.0,
               "mu": [0.0, 0.46238584304745045],
               "nu": [0.0, 0.0]},
-    "kkt_residual_max": 1.6427245094783787e-15,
-    "power": 9.053108287885793,
+    "kkt_residual_max": 1.9621513218584184e-16,
+    "power": 9.05310828788579,
     "rank1_exact": True,
     "status": "optimal",
     "w": [[2.7350660600110657, 0.0],
-          [-0.3875397197945424, -0.11996968241165223],
-          [0.20230594584854072, 1.1691939447411122]],
+          [-0.387539719794542, -0.1199696824116521],
+          [0.20230594584854059, 1.1691939447411117]],
 }
 
 SOLVE_J2_DIAG_GOLDEN = {
@@ -106,9 +106,9 @@ SOLVE_J2_DIAG_GOLDEN = {
 }
 
 KKT_J1_GOLDEN = {
-    "compl_slack_W": 8.52112643863408e-17,
+    "compl_slack_W": 3.973063927347268e-17,
     "feasibility_violations": [],
-    "mu_sum": 0.4623858430474505,
+    "mu_sum": 0.46238584304745045,
     "passes": True,
     "primal_feasible": True,
     "rank_W": 1,
@@ -117,8 +117,8 @@ KKT_J1_GOLDEN = {
     "scalar_identity": 0.0,
     "slack_eaves": [0.0],
     "slack_power": 0.0,
-    "slack_users": [0.0, 1.642724509478379e-15],
-    "stationarity_min_eig": -1.2716058746034507e-16,
+    "slack_users": [0.0, 1.6427245094783787e-15],
+    "stationarity_min_eig": 5.2774198007564226e-17,
     "status": "optimal",
     "tol": 1e-05,
 }
@@ -407,7 +407,8 @@ def finished_epigraph(p, rd, **kwargs):
 
 def count_row_calls(monkeypatch, extra=()):
     """The names of the sweep's solver entry points, and of the (owner,
-    attr) pairs in extra, appended per call."""
+    attr) pairs in extra, appended per call. sdp._path is called once per
+    barrier run."""
     calls = []
 
     def counting(module, attr):
@@ -418,7 +419,7 @@ def count_row_calls(monkeypatch, extra=()):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapped)
 
-    for module, attr in ((sweep, "epigraph_stages"), (sweep, "solve_general"), (sdp, "_phase1"),
+    for module, attr in ((sweep, "epigraph_stages"), (sweep, "solve_general"), (sdp, "_path"),
                          (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling"), *extra):
         counting(module, attr)
     return calls
@@ -427,7 +428,7 @@ def count_row_calls(monkeypatch, extra=()):
 NO_EAVESDROPPER = WiretapProblem(H=(np.eye(2, dtype=complex),), Z=(),
                                  N0=1.0, epsilon=0.1, P_T=50.0)
 # Two orthogonal floors: each alone is within reach of P_T below R_D 0.8,
-# both together only below R_D 0.5. At 0.5 and 0.6 phase I proves them
+# both together only below R_D 0.5. At 0.5 and 0.6 the dual path proves them
 # infeasible.
 TWO_FLOORS = WiretapProblem(
     H=(0.5 * np.array([[1, 1], [1, 1]], dtype=complex),
@@ -511,18 +512,15 @@ class TestSweepBisection:
 
     def test_row_phase1_cannot_start_matches_probe_bisection(self):
         # A thin feasible set: the epigraph's witness meets every row at
-        # R_s = 0.8203125 with slacks near 2e-6, where phase I stalls. _start
-        # hands the stall to the epigraph path, whose iterate starts phase II,
-        # so the final solve at the proven R_s is optimal.
+        # R_s = 0.8203125 with slacks near 2e-6, where a primal phase I
+        # stalled. The dual path needs no interior start, and the final
+        # solve at the proven R_s is optimal.
         rng = np.random.default_rng(2769)
         p = WiretapProblem(H=(random_psd(rng, 4, scale=3.0, ridge=0.1),),
                            Z=tuple(random_psd(rng, 4, scale=0.01, ridge=0.1) for _ in range(3)),
                            N0=1.0, epsilon=0.1, P_T=100.0)
         r = RatePair(1.0, 0.8203125)
         assert proven_feasibility(finished_epigraph(p, 1.0), r) == FEASIBLE
-        cons = ConstraintSet.build(p, thresholds_gaussian(p, r))
-        with pytest.raises(sdp._NumericalTrouble):
-            sdp._phase1(cons, sdp._NewtonBudget(sdp._MAX_NEWTON))
         sol = solve_general(p, r)
         assert sol.status == OPTIMAL and sol.power == pytest.approx(3.84912, rel=1e-5)
         assert check_kkt(p, sol.thresholds, sol.W, sol.duals).passes(1e-5)
@@ -530,9 +528,9 @@ class TestSweepBisection:
         assert row == probe_row(p, 1.0, 1e-2)
         assert row.status == "optimal" and row.rs_max == 0.8203125
 
-    # Two boundary points of thin_set_problem where phase I stalls: seed 54
-    # at R_D 0.3 and seed 63 at R_D 0.6. The row ends at the proven R_s, and
-    # the final solve there is optimal.
+    # Two boundary points of thin_set_problem where a primal phase I
+    # stalled: seed 54 at R_D 0.3 and seed 63 at R_D 0.6. The row ends at
+    # the proven R_s, and the final solve there is optimal.
     @pytest.mark.parametrize("seed, r, power", [
         (54, RatePair(0.3, 0.290625), 0.35289696), (63, RatePair(0.6, 0.35625), 4.55744398),
     ])
@@ -544,6 +542,19 @@ class TestSweepBisection:
         row, = sweep_region(p, [r.R_D], rate_tol=1e-2).rows
         assert row == probe_row(p, r.R_D, 1e-2)
         assert row.status == "optimal" and row.rs_max == r.R_s
+
+    def test_thin_set_seed_90_row_is_optimal(self):
+        # The primal barrier ended this row numerical-failure: at its proven
+        # R_s a floor with multiplier 2.3e-4, below its slack 4.4e-4, was
+        # counted inactive next to a ceiling multiplier of 1.1e3, and the
+        # face fit failed.
+        p = thin_set_problem(90)
+        row, = sweep_region(p, [1.0], rate_tol=1e-2).rows
+        assert (row.status, row.rs_max) == ("optimal", 0.9296875)
+        assert row.min_power == pytest.approx(5.6995551, rel=1e-8)
+        sol = solve_general(p, RatePair(1.0, row.rs_max))
+        assert sol.status == OPTIMAL and sol.power == row.min_power
+        assert check_kkt(p, sol.thresholds, sol.W, sol.duals, tol=1e-10).passes(1e-10)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.3, 0.6, 1.0]))
@@ -605,14 +616,15 @@ class TestSweepBisection:
                 continue
             # R_s = 0, then one probe per bisection step on [0, rd).
             assert len(probes) == 1 + math.ceil(math.log2(rd / 1e-3)) <= len(proofs)
-            # Phase I or HiGHS: the epigraph's start and the full solve.
-            solver = sum(count.get(attr, 0) for attr in ("_phase1", "solve_diagonal", "min_ceiling"))
+            # A barrier run or HiGHS: the epigraph and the full solve.
+            solver = sum(count.get(attr, 0) for attr in ("_path", "solve_diagonal", "min_ceiling"))
             assert solver <= 2
 
     # An infeasible suffix: the first infeasible row's epigraph proves the
     # floors and the budget infeasible (a floor out of reach of P_T on
     # paper_j1 at 1.2 and paper_j2 at 1.0, HiGHS on paper_j2_diag at 0.9,
-    # phase I on the two orthogonal floors at 0.5), and the rows above it
+    # the epigraph's own dual path on the two orthogonal floors at 0.5), and
+    # the rows above it
     # cost no call at all.
     @pytest.mark.parametrize("name, grid, first", [
         ("paper_j1", [1.1, 1.2, 1.6, 2.0], 1), ("paper_j2", [0.9, 1.0, 1.4], 1),
@@ -628,7 +640,7 @@ class TestSweepBisection:
         assert carried[:first + 1] == rows and calls == solved
         calls.clear()
         sweep_region(p, [grid[first]], rate_tol=1e-3)
-        assert ("_phase1" in calls) == (name is None)
+        assert ("_path" in calls) == (name is None)
         assert rows[first].status == "infeasible" and finished_epigraph(p, grid[first]).b_lo == math.inf
         assert [row.status for row in carried[first + 1:]] == ["infeasible"] * (len(grid) - first - 1)
         assert all(full_solve_row(p, row.rd, 1e-3) == row for row in carried[first:])
@@ -707,7 +719,7 @@ class TestSweepBisection:
                       for rd in ("0.5", "1.0", "1.5"))
         assert out == (QAM16_SWEEP_J1_GOLDEN["0.5"] + QAM16_SWEEP_J1_GOLDEN["1.0"]
                        + f"{CSV_HEADER}\n1.5,,,,infeasible\n")
-        assert len(quadratures) == 112
+        assert len(quadratures) == 108
 
     def test_epigraph_runs_only_as_far_as_the_probes_need(self, ref_j1, monkeypatch):
         # Each stage's bracket lies inside the one before, and the row pulls
@@ -758,15 +770,15 @@ class TestSweepBisection:
 
     @pytest.mark.parametrize("cause", ["start", "budget"])
     def test_path_that_decides_nothing_fails_the_row(self, ref_j1, cause, monkeypatch):
-        # The epigraph fails before its first stage: its start on the floors
-        # and the budget raises, or runs out of a two-step Newton budget. It
-        # yields one bracket, [-inf, inf], which decides no probe, so the row
-        # is numerical-failure with no final solve.
-        def stalling(cons, budget):
+        # The epigraph fails before its first stage: the first centering of
+        # its path raises, or runs out of a two-step Newton budget. It yields
+        # one bracket, [-inf, inf], which decides no probe, so the row is
+        # numerical-failure with no final solve.
+        def stalling(*args):
             raise sdp._NumericalTrouble("stalled")
 
         if cause == "start":
-            monkeypatch.setattr(sdp, "_start", stalling)
+            monkeypatch.setattr(sdp._Barrier, "center", stalling)
         else:
             monkeypatch.setattr(sdp, "_MAX_NEWTON", 2)
         stages = list(sdp.epigraph_stages(ref_j1, 1.0))
@@ -819,9 +831,9 @@ class TestSweepBisection:
             for path in sorted(PROBLEMS.glob("*.json")))
         assert hashlib.md5(csv.encode()).hexdigest() == "c36d15b83a028ef18be82305981e9c07"
         assert {attr: calls.count(attr) for attr in set(calls)} == {
-            "newton_step": 4168, "_phase1": 54, "min_ceiling": 28, "solve_diagonal": 25,
-            "solve_general": 52, "proven_feasibility": 677, "epigraph_stages": 58,
-            "evaluate": 7470}
+            "newton_step": 2895, "_path": 54, "min_ceiling": 28, "solve_diagonal": 25,
+            "solve_general": 52, "proven_feasibility": 615, "epigraph_stages": 58,
+            "evaluate": 5573}
 
     @pytest.mark.parametrize("status, row_status", [
         (MAX_ITERATIONS, "numerical-failure"),
