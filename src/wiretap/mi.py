@@ -118,13 +118,17 @@ BUILTIN_ALPHABETS = {
 def load_alphabet(source) -> Alphabet:
     """Alphabet from a built-in name, a list of [re, im] pairs, or a JSON file
     containing such a list. Loaded symbol sets are normalized to zero mean and
-    unit energy, with a warning when the adjustment exceeds 1e-9."""
+    unit energy, with a warning when the adjustment exceeds 1e-9. A file that
+    is not JSON raises ModelError."""
     if isinstance(source, str):
         key = source.lower()
         if key in BUILTIN_ALPHABETS:
             return BUILTIN_ALPHABETS[key]()
         with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ModelError(f"alphabet file {source} is not valid JSON: {exc}") from exc
         return load_alphabet(data)
     try:
         pts = [_complex_from_pair(pair, f"alphabet[{i}]")

@@ -989,6 +989,15 @@ class TestCli:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: alphabet entries must be [re, im] pairs")
 
+    @pytest.mark.parametrize("text", ["# not JSON\n", "[[1.0, 0.0], [-1.0, 0.0]", "\udcff"])
+    def test_alphabet_file_not_json_exit_2(self, tmp_path, capsys, text):
+        # Markdown, a truncated list, and bytes that are not UTF-8.
+        path = tmp_path / "alphabet.md"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        code, out = run_cli(["mi", "--alphabet", str(path), "--points", "5"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: alphabet file {path} is not valid JSON")
+
     def test_solve_unreachable_floor_exit_1_without_warning(self):
         # a is about 1e156 at R_D 520, far beyond P_T lambda_max(H_k): the
         # floor is refuted before the barrier, whose slacks would overflow.
