@@ -6,51 +6,36 @@ The general (non-diagonal) problem is solved as a small dense SDP:
                      Tr(W H_k) >= a,  Tr(W Z_j) <= b,
 
 through its dual, which has only m = 1 + K + J multipliers: Lambda(y) = I +
-sum y_i A_i >= 0, y >= 0, on the signed rows Re Tr(A_i W) <= u_i of a
-ConstraintSet. A log barrier on y (_Barrier, the dual-scaling method of
-DSDP) follows the central path from y = delta 1, which is strictly dual
-feasible for any thresholds, so no feasibility pre-solve is needed. Each
-Newton system is m x m. The rows are normalized to unit Frobenius norm and
-the thresholds by P_T, so no step or stop depends on the user's units. The
-central point at t gives the primal point W = P_T Lambda^-1 / t, strictly
-feasible with duality gap (N + m) P_T / t; the path's end point is the
-primal point of its last Newton step (_Barrier.primal), which meets the rows
-even off the central path. Each iterate is evaluated once: the line search
-keeps the trial it accepts, with its Cholesky factor and barrier terms, for
-the next Newton step and for the first value of the next stage. A primal
-infeasible problem shows as an iterate with -u.y > P_T, whose y is a Farkas
-certificate (ConstraintSet.farkas); the path stops there.
+sum y_i A_i >= 0 and y >= 0, on the signed rows Re Tr(A_i W) <= u_i of a
+ConstraintSet less its vacuous all-zero rows (ConstraintSet.nonzero). A log
+barrier on y (_Barrier, the dual-scaling method of DSDP) on rows normalized
+by their norms and P_T follows the central path from y = delta 1, which is
+strictly dual feasible for any thresholds: no feasibility pre-solve, and no
+step or stop that depends on the user's units. Each stage's Newton step
+gives a primal point (_Barrier.primal). An iterate with -u.y > P_T is a
+Farkas certificate (ConstraintSet.farkas) and ends the path. The end point
+is refined on its optimal face (_refine_face): a few Gauss-Newton steps on
+the square KKT system Lambda(y) V = 0, Tr(V^H A_i V) = u_i, W = V V^H, take
+the residuals from the barrier's float64 floor (about 1e-7) to roundoff.
+OPTIMAL needs that refined point to be a KKT point with a small duality
+gap; otherwise the solve reports MAX_ITERATIONS. A row that no W >= 0
+within the budget meets (a floor with a_k > P_T lambda_max(F_k), or a
+negative ceiling) is refuted before any barrier run (_unreachable_row).
 
 The epigraph of the ceilings (epigraph_stages) is the same barrier without
 the I in Lambda, with ceiling u = 0 and the ceiling multipliers summing to
-one: it brackets b* = min max_j Tr(Z_j W) over the floors and the budget at
-one code rate. Every iterate is dual feasible, so its ceiling_bound is a
-proven lower end, and the primal points give the upper end; the bracket
-narrows after every barrier stage. The common ceiling depends on R_s only
-through the rate gap R_D - R_s, so each stage's bracket is mapped to a
-bracket on that gap (rate_bracket), by two forward rate evaluations, and a
-probe at any R_s is decided by comparing its gap with it
-(proven_feasibility), with no threshold or MI inversion. epigraph_stages is
-a generator, so its caller runs the path only as far as it pulls it: a sweep
-row pulls the next stage only while a probe's gap lies inside the bracket.
-These brackets are the sweep's only feasibility oracle: a probe that the
-last stage still holds stays undecided. The path ends at a silent stage or
-at _T_MAX, never on the width of its bracket.
-
-A row that no W >= 0 within the budget meets, P_T min(0, lambda_min(A_i)) >
-u_i, is refuted before any barrier run, with a Farkas certificate on that
-row and the budget (_unreachable_row): a floor with a_k > P_T
-lambda_max(F_k), whose multiplier would have to grow to about a_k before
-the barrier's certificate showed, or a negative ceiling.
-
-The barrier drops the vacuous all-zero rows of its ConstraintSet
-(ConstraintSet.nonzero); its multipliers y are stacked like the rows, a
-dropped row's being 0. The end point is then refined on its optimal face
-(_refine_face): a few Gauss-Newton steps on the square KKT system Lambda(y)
-V = 0, Tr(V^H A_i V) = u_i, with W = V V^H, take the residuals from the
-barrier's float64 floor (about 1e-7) to roundoff. OPTIMAL needs that refined
-point to be a KKT point with a small duality gap; otherwise the solve
-reports MAX_ITERATIONS.
+one. It brackets b* = min max_j Tr(Z_j W) over the floors and the budget at
+one code rate: each stage's y gives a proven lower end (ceiling_bound) and
+its primal points an upper end, and the bracket narrows stage by stage. The
+common ceiling depends on R_s only through the rate gap R_D - R_s, so each
+bracket is mapped to a bracket on that gap (rate_bracket) by two forward
+rate evaluations, and a probe at any R_s is decided by comparing its gap
+with it (proven_feasibility), with no threshold or MI inversion.
+epigraph_stages is a generator: a sweep row pulls the next stage only while
+a probe's gap lies inside the bracket. These brackets are the sweep's only
+feasibility oracle; a probe that the last stage still holds stays
+undecided. The path ends at a silent stage or at _T_MAX, never on the width
+of its bracket.
 
 Feasibility of the beamformer follows from the relaxation whenever the
 solution has numerical rank one (which it does on the bundled scenarios);
@@ -333,10 +318,10 @@ class _Barrier:
             if stop is not None and stop(point):
                 return point, None, False
             step = self.newton_step(t, point)
-            if step.dec2 <= _NEWTON_TOL * _NEWTON_TOL:
-                return point, step, True
             if step.dec2 <= 0.0:
                 return point, step, False  # numerical noise floor
+            if step.dec2 <= _NEWTON_TOL * _NEWTON_TOL:
+                return point, step, True
             budget.spend()
             # Backtracking search. dec2 can be overestimated by cancellation
             # noise right after a barrier-parameter jump, so the Armijo
