@@ -26,16 +26,16 @@ The epigraph of the ceilings (epigraph_stages) is the same barrier without
 the I in Lambda, with ceiling u = 0 and the ceiling multipliers summing to
 one. It brackets b* = min max_j Tr(Z_j W) over the floors and the budget at
 one code rate: each stage's y gives a proven lower end (ceiling_bound) and
-its primal points an upper end, and the bracket narrows stage by stage. The
-common ceiling depends on R_s only through the rate gap R_D - R_s, so each
-bracket is mapped to a bracket on that gap (rate_bracket) by two forward
-rate evaluations, and a probe at any R_s is decided by comparing its gap
-with it (proven_feasibility), with no threshold or MI inversion.
-epigraph_stages is a generator: a sweep row pulls the next stage only while
-a probe's gap lies inside the bracket. These brackets are the sweep's only
-feasibility oracle; a probe that the last stage still holds stays
-undecided. The path ends at a silent stage or at _T_MAX, never on the width
-of its bracket.
+its primal point P_T Lambda^-1 / t an upper end, and the bracket narrows
+stage by stage. The common ceiling depends on R_s only through the rate gap
+R_D - R_s, so each bracket is mapped to a bracket on that gap
+(rate_bracket) by two forward rate evaluations, and a probe at any R_s is
+decided by comparing its gap with it (proven_feasibility), with no
+threshold or MI inversion. epigraph_stages is a generator: a sweep row
+pulls the next stage only while a probe's gap lies inside the bracket.
+These brackets are the sweep's only feasibility oracle; a probe that the
+last stage still holds stays undecided. The path ends at a silent stage or
+at _T_MAX, never on the width of its bracket.
 
 Feasibility of the beamformer follows from the relaxation whenever the
 solution has numerical rank one (which it does on the bundled scenarios);
@@ -582,10 +582,9 @@ def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
     Tr(A_j W) <= s on its ceilings: the dual path of the epigraph barrier
     (_Barrier with epigraph=True) on the rows of cons with ceiling u = 0.
     Yields (b_lo, b_hi) after each stage of the path: the greatest
-    ceiling_bound of the stages' y and the least _witness_bound so far of P_T
-    Lambda^-1 / t and of the stage's primal point (_Barrier.primal) when that
-    is PSD, so each bracket lies inside the one before. Stops at a silent
-    stage or at _T_MAX; the Newton budget bounds it too.
+    ceiling_bound of the stages' y and the least _witness_bound of P_T
+    Lambda^-1 / t so far, so each bracket lies inside the one before. Stops
+    at a silent stage or at _T_MAX; the Newton budget bounds it too.
 
     Yields only (inf, inf) when the floors and the budget are proven
     infeasible: a row out of their reach (_unreachable_row), or an iterate
@@ -601,10 +600,7 @@ def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
         if step is None:
             yield math.inf, math.inf
             return
-        Linv = step.Linv
-        for W in (Linv.conj().T @ Linv / t, bar.primal(t, step)):
-            if np.linalg.eigvalsh(W)[0] >= 0.0:
-                b_hi = min(b_hi, _witness_bound(cons, cons.p_t * W))
+        b_hi = min(b_hi, _witness_bound(cons, cons.p_t * (step.Linv.conj().T @ step.Linv) / t))
         b_lo = max(b_lo, cons.ceiling_bound(bar.multipliers(point.y)))
         yield b_lo, b_hi
         if silent or t >= _T_MAX:

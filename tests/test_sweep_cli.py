@@ -28,7 +28,6 @@ from wiretap.model import (
     RateUnachievableError,
     WiretapProblem,
     perfect_users,
-    thresholds_gaussian,
 )
 from wiretap.probfile import ProblemFileError, load_problem, parse_problem, save_problem, to_doc
 from wiretap.sdp import (
