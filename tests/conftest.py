@@ -46,8 +46,10 @@ def ref_j3():
 
 @pytest.fixture(autouse=True)
 def sdp_infeasible_is_certified(monkeypatch):
-    """Every SDP-route solve of every test that reports infeasible carries a
-    Farkas certificate that ConstraintSet.farkas accepts on its own rows."""
+    """Every relaxed solve that a test reaches through wiretap.sdp (every
+    solve_general and sweep on the SDP route) and that reports infeasible
+    carries a Farkas certificate that ConstraintSet.farkas accepts on its
+    own rows."""
     solve, build = sdp.solve_rank_relaxed, ConstraintSet.build
 
     def checked(p, t, mode=STATISTICAL):
