@@ -563,15 +563,19 @@ class Epigraph:
 
 
 def _witness_bound(cons: ConstraintSet, W: np.ndarray) -> float:
-    """max_j Tr(G_j W') when W' meets the budget and the floors of cons, inf
-    when it does not. W' = W, or alpha W when W >= 0 misses a floor k with
-    Tr(F_k W) > 0: alpha = max a_k / Tr(F_k W) over those floors, times 1 +
-    4 eps, lifts it onto them. A path's point or an LP allocation often
-    meets a binding floor only to roundoff."""
+    """max_j Tr(G_j W') of W >= 0 scaled onto the floors of cons, inf when
+    W' misses the budget or a floor. W' = alpha (1 + 4 eps) W, alpha = max_k
+    a_k / Tr(F_k W) the least scaling that meets them all, unless alpha <= 1
+    < alpha (1 + 4 eps): then W' = W, which meets them already. A path's
+    point sits off its floors by O(1/t), and an LP allocation meets a
+    binding floor, often at the budget, only to roundoff."""
     vals = cons.values(W)
-    short = cons.floors & (vals > cons.u) & (vals < 0.0)
-    if np.any(short):
-        vals = cons.values(W * float(np.max(cons.u[short] / vals[short])) * (1.0 + 4.0 * _EPS))
+    floors = cons.floors & (cons.u < 0.0)
+    if np.any(vals[floors] >= 0.0):
+        return math.inf
+    alpha = float(np.max(cons.u[floors] / vals[floors], initial=0.0))
+    if alpha > 1.0 or alpha * (1.0 + 4.0 * _EPS) <= 1.0:
+        vals = cons.values(W * alpha * (1.0 + 4.0 * _EPS))
     if np.all((cons.u - vals)[~cons.ceilings] >= 0.0):
         return float(np.max(vals[cons.ceilings]))
     return math.inf

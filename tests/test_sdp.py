@@ -774,6 +774,19 @@ class TestStart:
             assert W is None and self.proves(cons, cert)
 
 
+@pytest.mark.parametrize("diag, b_hi", [
+    ((12.0, 12.0), 0.2 * (1.0 + 4.0 * sdp._EPS)),  # inside the floors: scaled down by 10/12
+    ((10.0, 10.5), 0.205),                         # on a floor, at the budget: kept
+    ((9.0, 10.0), math.inf),                       # lifted by 10/9: over the budget
+    ((9.999999999999998, 10.5), math.inf),         # lifted by 1 + 2 eps: over the budget
+])
+def test_witness_bound_scales_onto_the_floors(diag, b_hi):
+    # TestStart.two_floors at P_T 20.5: floors W_11 >= 10 and W_22 >= 10,
+    # and the ceiling value 0.01 (W_11 + W_22) of a diagonal W.
+    cons = TestStart.two_floors(20.5, 1.0)
+    assert sdp._witness_bound(cons, np.diag(diag).astype(complex)) == pytest.approx(b_hi, rel=1e-15)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_feasibility_probe_matches_relaxed_solve(seed):

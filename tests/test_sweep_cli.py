@@ -478,6 +478,9 @@ class TestSweepBisection:
            st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
            st.booleans(), st.sampled_from([0.3, 0.6, 1.0]), st.booleans(),
            st.sampled_from(["gaussian", "qpsk"]))
+    # A row whose epigraph points sit strictly inside the floors: b_hi
+    # closes on b_lo only once they are scaled down onto them.
+    @example(3, 4, 3, 3, True, 1.0, True, "gaussian")
     def test_proven_verdicts_match_probes(self, seed, n, k, j, diagonal, rd, perfect, inputs):
         rng = np.random.default_rng(seed)
 
