@@ -228,11 +228,23 @@ def thresholds_gaussian(p: WiretapProblem, r: RatePair) -> ConstraintThresholds:
     return _thresholds(p, c_user, c_eave)
 
 
+# The regula falsi runs only when both ends of the doubling miss the rate by
+# this many margins. A bracket spares only the bisection probes that miss it
+# by a margin or more, about log2(min(-f_lo, f_hi) / margin) of them; below
+# 2^14 margins, on the flat top of I near capacity, the regula falsi and its
+# confirmations cost more (17 evaluations at capacity - 1e-9, where the ends
+# miss by about 10 margins).
+_PAYBACK_MARGINS = 2.0**14
+
+
 def _rate_bracket(mi, rate, lo, f_lo, hi, f_hi, margin) -> tuple[float, float]:
     """(a, b) with mi(a) <= rate - margin and mi(b) >= rate + margin, from
     f_lo = mi(lo) <= rate < mi(hi) = f_hi; -inf (a) or inf (b) where the
     evaluation does not confirm it."""
     f_lo, f_hi = f_lo - rate, f_hi - rate
+    if min(-f_lo, f_hi) < _PAYBACK_MARGINS * margin:
+        # Bisection is cheaper: keep the ends that the evaluations confirm.
+        return lo if f_lo <= -margin else -math.inf, hi if f_hi >= margin else math.inf
     g_lo, g_hi, side = f_lo, f_hi, 0     # Illinois: an end kept twice is halved
     x, fx = hi, f_hi
     for _ in range(100):
@@ -275,11 +287,12 @@ def invert_monotone_rate(mi, rate: float, margin: float = 1e-10) -> float:
     RateUnachievableError if no rho <= 1e9 reaches the requested rate.
 
     Regula falsi first finds a < b with mi(a) <= rate - margin <= rate + margin
-    <= mi(b); a probe at or below a is then below the rate, and one at or above
-    b is not, without a call. If mi is within d of a nondecreasing function
-    and margin > 2d, those answers, and so the result, are plain bisection's
-    bit for bit. The default margin is over 10x the rounding bound of one
-    16-QAM quadrature (wiretap.mi).
+    <= mi(b) (the doubling's own ends where it cannot pay for itself,
+    _PAYBACK_MARGINS); a probe at or below a is then below the rate, and one
+    at or above b is not, without a call. If mi is within d of a
+    nondecreasing function and margin > 2d, those answers, and so the
+    result, are plain bisection's bit for bit. The default margin is over
+    10x the rounding bound of one 16-QAM quadrature (wiretap.mi).
     """
     if rate < 0.0:
         raise ModelError(f"rate must be non-negative: {rate}")

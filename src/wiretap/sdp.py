@@ -647,8 +647,10 @@ def epigraph_stages(
     """The Epigraph at code rate rd after each stage of the solve that
     solve_general's route takes there, each bracket inside the one before and
     mapped to rate space by two forward rate evaluations. The SDP route yields
-    one per barrier stage; the LP route (one HiGHS call) and floors proven
-    infeasible yield one final bracket.
+    one per barrier stage; the LP route (one simplex, diag_lp.min_ceiling) and
+    floors proven infeasible yield one final bracket, and an LP whose phase I
+    leaves the floors unmet with no accepted certificate yields the undecided
+    bracket b_lo = -inf, b_hi = inf.
 
     Yields nothing exactly when R_s moves no row: on the trivial route, or
     with no nonzero ceiling to bound. When the path fails before its first
@@ -661,9 +663,13 @@ def epigraph_stages(
     if route == "trivial" or not np.any(cons.ceilings & cons.nonzero):
         return
     if route == "lp":
-        end = diag_lp.min_ceiling(cons)
-        brackets = [(math.inf, math.inf) if end is None else (
-            cons.ceiling_bound(end[1]), _witness_bound(cons, np.diag(end[0])))]
+        P, y = diag_lp.min_ceiling(cons)
+        if P is not None:
+            brackets = [(cons.ceiling_bound(y), _witness_bound(cons, np.diag(P)))]
+        elif _certificate(cons.with_ceiling(0.0), y) is not None:
+            brackets = [(math.inf, math.inf)]
+        else:
+            brackets = [(-math.inf, math.inf)]
     else:
         brackets = _epigraph_path(cons, _NewtonBudget(_MAX_NEWTON))
     staged = False
@@ -794,13 +800,16 @@ def _lp_route(cons: ConstraintSet, t: ConstraintThresholds, mode: CsiMode) -> Be
     row multipliers y satisfy the same stationarity/complementarity system
     (the K6 matrix is diagonal with the LP's reduced costs on the diagonal).
 
-    HiGHS meets each row only to an absolute tolerance of about 1e-7, which
-    passes P = 0 against floors below it, so OPTIMAL needs every row met to
-    _LP_ROW_REL of its size; otherwise the solve reports MAX_ITERATIONS."""
-    end = diag_lp.solve_diagonal(cons)
-    if end is None:
-        return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t)
-    P, y = end
+    When phase I leaves the rows unmet, its multipliers are the Farkas
+    certificate of INFEASIBLE; if cons.farkas does not accept them (roundoff)
+    the solve reports MAX_ITERATIONS. OPTIMAL needs every row met to
+    _LP_ROW_REL of its size, or the solve reports MAX_ITERATIONS too."""
+    P, y = diag_lp.solve_diagonal(cons)
+    if P is None:
+        cert = _certificate(cons, y)
+        if cert is None:
+            return BeamformerSolution(status=MAX_ITERATIONS, mode=mode, thresholds=t)
+        return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t, certificate=cert)
     w = np.sqrt(P).astype(np.complex128)
     W = np.outer(w, w.conj())
     if np.any(cons.values(W) > cons.u + _LP_ROW_REL * np.abs(cons.u)):

@@ -21,13 +21,13 @@ row of the problem (R_D = 0, or no nonzero eavesdropper ceiling): its one
 solve_general at R_s = R_D decides it, and that solve's status is the row's.
 
 An infeasible row ends the sweep's solving. When a row's epigraph proves
-the floors and the budget infeasible (b_lo = inf: a Farkas certificate, or
-HiGHS status 2), every later row is `infeasible` with no solve: the floors
-a(R_D) rise with R_D, so the set of W that meets them and the budget only
-shrinks up the grid. Such a row builds no thresholds, so the thresholds of
-the grid's top R_D are built once before any row: a grid that reaches a
-finite alphabet's capacity, or a Gaussian 2^R_D overflow, is rejected
-whatever P_T is.
+the floors and the budget infeasible (b_lo = inf: a Farkas certificate from
+the barrier or from the simplex's phase I), every later row is `infeasible`
+with no solve: the floors a(R_D) rise with R_D, so the set of W that meets
+them and the budget only shrinks up the grid. Such a row builds no
+thresholds, so the thresholds of the grid's top R_D are built once before
+any row: a grid that reaches a finite alphabet's capacity, or a Gaussian
+2^R_D overflow, is rejected whatever P_T is.
 
 Each row reports the largest feasible R_s (within rate_tol), the minimum
 transmit power there, and whether the relaxed solution had numerical rank

@@ -122,7 +122,8 @@ def probe_verdict(p, r, mode=STATISTICAL, input_model="gaussian"):
     """sdp.FEASIBLE, INFEASIBLE or MAX_ITERATIONS: whether the rank
     relaxation at r has a feasible point, decided on r's own rows as
     solve_general's route decides it, without the face refinement or rank-1
-    recovery: HiGHS on the LP route; on the SDP route, a row out of reach
+    recovery: on the LP route, phase I of the simplex and its Farkas
+    certificate; on the SDP route, a row out of reach
     (sdp._unreachable_row), else the final solve's dual path up to its first
     stage whose primal point (sdp._Barrier.primal) is PSD and meets every row
     strictly, or its first y that is a Farkas certificate. The oracle that
@@ -132,7 +133,10 @@ def probe_verdict(p, r, mode=STATISTICAL, input_model="gaussian"):
         return sdp.FEASIBLE
     cons = ConstraintSet.build(p, t, mode)
     if route == "lp":
-        return sdp.INFEASIBLE if diag_lp.solve_diagonal(cons) is None else sdp.FEASIBLE
+        P, y = diag_lp.solve_diagonal(cons)
+        if P is not None:
+            return sdp.FEASIBLE
+        return sdp.INFEASIBLE if sdp._certificate(cons, y) is not None else sdp.MAX_ITERATIONS
     if np.all(cons.u >= 0.0):
         return sdp.FEASIBLE
     if sdp._unreachable_row(cons) is not None:

@@ -146,16 +146,16 @@ def test_criterion_4_cross_solver_on_diagonal_instances():
         for rd in np.linspace(0.05, 1.0, 12):
             r = RatePair(float(rd), float(rd) * 0.25)
             t = thresholds_gaussian(p, r)
-            alloc = solve_diagonal(ConstraintSet.build(p, t))
+            P, _ = solve_diagonal(ConstraintSet.build(p, t))
             sdp = solve_rank_relaxed(p, t)
-            if alloc is None:
+            if P is None:
                 if sdp.status == "optimal":
                     failures.append(f"J={j} rd={rd:.2f}: LP infeasible but SDP optimal")
                 continue
             if sdp.status != "optimal":
                 failures.append(f"J={j} rd={rd:.2f}: LP optimal but SDP {sdp.status}")
                 continue
-            total = float(np.sum(alloc[0]))
+            total = float(np.sum(P))
             rel = abs(total - sdp.objective) / max(1e-12, total)
             worst = max(worst, rel)
             if rel > 1e-4:

@@ -1,19 +1,21 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bundled
-from wiretap import sdp
+from conftest import bundled, scaled_problem
+from wiretap import diag_lp, sdp
 from wiretap.constraints import ConstraintSet
 from wiretap.diag_lp import all_diagonal, is_diagonal, min_ceiling, solve_diagonal
 from wiretap.linalg import quad_form
 from wiretap.mi import MiEvaluator, qpsk
 from wiretap.model import STATISTICAL, ConstraintThresholds, RatePair, WiretapProblem, thresholds_gaussian
-from wiretap.sdp import MAX_ITERATIONS, OPTIMAL, solve_general
+from wiretap.sdp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, solve_general
+from wiretap.sweep import sweep_region
 
 
 def thresholds(a, b=0.0, per_link=0.9):
@@ -22,8 +24,14 @@ def thresholds(a, b=0.0, per_link=0.9):
 
 
 def lp(p, t):
-    """The LP's (P, y) on the rows of p at t, or None when infeasible."""
-    return solve_diagonal(ConstraintSet.build(p, t))
+    """The LP's (P, y) on the rows of p at t, or None when infeasible, which
+    phase I's multipliers must certify."""
+    cons = ConstraintSet.build(p, t)
+    P, y = solve_diagonal(cons)
+    if P is None:
+        assert sdp._certificate(cons, y) is not None
+        return None
+    return P, y
 
 
 def lp_power(p, t):
@@ -203,12 +211,14 @@ class TestScale:
 
     @pytest.mark.parametrize("hz, pt_n0, power, statuses", [
         (1.0, 1e-6, 1.4355987e-5, (OPTIMAL,)),
-        (1.0, 1e-9, 1.4355987e-8, (OPTIMAL, MAX_ITERATIONS)),
-        (1e-12, 1.0, 14.355987, (OPTIMAL, MAX_ITERATIONS)),
+        (1.0, 1e-9, 1.4355987e-8, (OPTIMAL,)),
+        (1e-12, 1.0, 14.355987, (OPTIMAL,)),
+        (1.0, 1e-12, 1.4355987e-11, (OPTIMAL,)),
     ])
     def test_lp_optimal_meets_every_row_relatively(self, hz, pt_n0, power, statuses):
-        # HiGHS's absolute primal tolerance (about 1e-7) passes P = 0 against
-        # floors below it; such an allocation must not be reported optimal.
+        # The simplex's tolerances are relative, so every unit gives the
+        # unscaled allocation. An absolute tolerance (about 1e-7 in the LP
+        # solver this route once used) passes P = 0 against floors below it.
         p = scaled(bundled(1, diagonal=True), hz=hz, pt=pt_n0, n0=hz * pt_n0)
         sol = solve_general(p, RatePair(1.0, 0.5))
         assert sol.status in statuses
@@ -217,7 +227,7 @@ class TestScale:
 
 
 # Two diagonal instances drawn as test_proven_verdicts_match_probes draws
-# them, with N, K and J from the seed's generator. HiGHS meets a binding
+# them, with N, K and J from the seed's generator. An LP meets a binding
 # floor only to roundoff, so sdp._witness_bound lifts P onto the floors; the
 # lift must read the row values that it checks. Here a lift on other
 # roundings misses by about 7e-15, b_hi is inf and the bracket proves no
@@ -238,3 +248,127 @@ def test_min_ceiling_witness_meets_the_floors(seed, rd, alphabet):
     assert np.isfinite(sdp._witness_bound(cons, np.diag(P)))
     stage, = sdp.epigraph_stages(p, rd, input_model=model)
     assert stage.b_lo <= stage.b_hi <= stage.b_lo * (1.0 + 1e-14)
+
+
+def assert_optimal(P, y, D, u, c, objective, rel=1e-9):
+    """P >= 0 meets D P <= u, y >= 0 with c + D^T y >= 0, and the objectives
+    c.P and -y.u agree: the LP duality proof that P is optimal, each to rel
+    of the sizes of the terms that it sums."""
+    mag = np.abs(D) @ P + np.abs(u)
+    assert np.all(P >= 0.0) and np.all(y >= 0.0)
+    assert np.all(D @ P - u <= rel * mag)
+    assert np.all(c + D.T @ y >= -rel * (np.abs(c) + np.max(y) * np.sum(np.abs(D), axis=0)))
+    size = np.max(y) * np.sum(mag) + np.max(P) * np.max(np.abs(D))
+    assert objective == pytest.approx(-float(y @ u), rel=rel, abs=rel * size)
+
+
+def random_diag_cons(seed):
+    """Rows of a small diagonal problem with degenerate features: zero
+    diagonal entries and zero floors or ceilings, duplicate floor rows, and
+    floors near the budget; the rows in units from 1e-12 to 1e3."""
+    rng = np.random.default_rng(seed)
+    n, k, j = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(0, 4))
+    unit = 10.0 ** int(rng.integers(-12, 4))
+
+    def diag(scale):
+        d = rng.uniform(0.0, 2.0, n) * scale * unit
+        d[rng.random(n) < 0.3] = 0.0
+        return d
+
+    h = [diag(1.0) for _ in range(k)]
+    if k > 1 and rng.random() < 0.3:
+        h[1] = h[0]
+    z = [diag(float(rng.choice([0.01, 0.1, 1.0]))) for _ in range(j)]
+    p = diag_problem(h, z, p_t=float(rng.choice([1.0, 10.0, 100.0])))
+    return ConstraintSet.build(p, thresholds(a=float(rng.uniform(0.1, 20.0)) * unit,
+                                             b=float(rng.uniform(0.0, 2.0)) * unit))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_simplex_verdicts_are_certified(seed):
+    # Every verdict of both LPs carries its own proof, checked with no other
+    # solver: an optimum by primal and dual feasibility with equal
+    # objectives, infeasibility by a Farkas certificate that cons.farkas
+    # accepts.
+    cons = random_diag_cons(seed)
+    D, u = np.real(np.diagonal(cons.A, axis1=1, axis2=2)), cons.u
+    P, y = solve_diagonal(cons)
+    if P is None:
+        assert cons.farkas(y)[1] > 0.0
+    else:
+        assert_optimal(P, y, D, u, np.ones(cons.n), float(np.sum(P)))
+    if not np.any(cons.ceilings):
+        return
+    P, y = min_ceiling(cons)
+    floors = cons.with_ceiling(0.0)
+    if P is None:
+        assert floors.farkas(y)[1] > 0.0
+        return
+    s = float(np.max(D[cons.ceilings] @ P))
+    # min s over (P, s >= 0): its rows are the floors and budget, and D_j P - s <= 0.
+    D_s = np.column_stack([D, -1.0 * cons.ceilings])
+    assert_optimal(np.r_[P, s], y, D_s, floors.u, np.r_[np.zeros(cons.n), 1.0], s)
+
+
+@pytest.mark.parametrize("h, z, a, b, p_t, power", [
+    ([[2.0, 1.0], [2.0, 0.5]], [], 4.0, 0.0, 10.0, 2.0),           # tied ratios
+    ([[1.0, 2.0], [1.0, 2.0]], [[0.1, 0.1], [0.1, 0.1]], 4.0, 1.0, 10.0, 2.0),  # duplicate rows
+    ([[1.0, 1.0], [0.0, 0.0]], [], 1.0, 0.0, 10.0, None),          # a zero-diagonal floor
+    ([[0.0, 2.0], [1.0, 0.0]], [], 2.0, 0.0, 10.0, 3.0),           # zero diagonal entries
+    ([[1.0, 2.0]], [[0.1, 0.2]], 10.0, 5.0, 5.0, 5.0),             # budget and floor bind
+], ids=["tied-ratios", "duplicate-rows", "zero-floor", "zero-entries", "budget-and-floor"])
+def test_degenerate_lps(h, z, a, b, p_t, power):
+    p = diag_problem(h, z, p_t=p_t)
+    t = thresholds(a=a, b=b)
+    assert lp_power(p, t) == (None if power is None else pytest.approx(power, rel=1e-12))
+    assert lp_vertex_oracle(h, z, a, b, p_t) == (None if power is None else pytest.approx(power))
+    sol = lp_route(p, t)
+    assert sol.status == (INFEASIBLE if power is None else OPTIMAL)
+    if power is None:
+        assert sol.certificate.margin > 0.0
+
+
+def test_binding_budget_and_floor_give_a_finite_witness():
+    # P = (0, 5) spends the whole budget to meet the floor; the witness of
+    # the epigraph must not overshoot P_T, or _witness_bound refuses it.
+    p = diag_problem([[1.0, 2.0]], [[0.1, 0.2]], p_t=5.0)
+    cons = ConstraintSet.build(p, thresholds(a=10.0, b=5.0))
+    P, y = min_ceiling(cons)
+    assert np.sum(P) <= 5.0 and sdp._witness_bound(cons, np.diag(P)) == pytest.approx(1.0)
+    assert cons.ceiling_bound(y) == pytest.approx(1.0)
+
+
+def test_lp_route_regression_rows():
+    # Basic values not re-solved on the binding rows put the budget 3 ulp
+    # over P_T here, _witness_bound refused the witness and the row was
+    # numerical-failure.
+    row, = sweep_region(bundled(3, diagonal=True), [0.7], rate_tol=1e-3).rows
+    assert row.status == "optimal" and row.rs_max == pytest.approx(0.108691406, abs=1e-9)
+    # An absolute threshold on phase I's unmet rows read these as feasible;
+    # they are infeasible, with certificates on both LPs.
+    p = scaled_problem(bundled(2, diagonal=True), "hz", 1e-6)
+    for rd in (0.9, 1.0, 1.1, 1.2):
+        sol = solve_general(p, RatePair(rd, 0.0))
+        assert sol.status == INFEASIBLE and sol.certificate.margin > 0.0
+        stage, = sdp.epigraph_stages(p, rd)
+        assert stage.b_lo == stage.b_hi == math.inf
+        assert sweep_region(p, [rd], rate_tol=1e-3).rows[0].status == "infeasible"
+
+
+def test_uncertified_phase_one_decides_nothing(monkeypatch):
+    # The floor needs 8 > P_T: phase I's y is a certificate. A y that
+    # cons.farkas does not accept (here zero) reports max_iterations, and
+    # the epigraph yields the bracket that decides no probe.
+    p = diag_problem([[1.0, 0.5]], [[0.1, 0.1]], p_t=4.0)
+    rd = 2.0
+    t = sdp.rate_thresholds(p, RatePair(rd, 0.0))
+    cons = ConstraintSet.build(p, t)
+    assert t.a > 4.0 and lp_route(p, t).status == INFEASIBLE
+    stage, = sdp.epigraph_stages(p, rd)
+    assert stage.b_lo == math.inf
+    for name in ("solve_diagonal", "min_ceiling"):
+        monkeypatch.setattr(diag_lp, name, lambda cons: (None, np.zeros(cons.u.size)))
+    assert sdp._lp_route(cons, t, STATISTICAL).status == MAX_ITERATIONS
+    stage, = sdp.epigraph_stages(p, rd)
+    assert stage == sdp.Epigraph(-math.inf, math.inf, 0.0, math.inf)

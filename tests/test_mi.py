@@ -237,3 +237,13 @@ def test_bracketed_inverse_keeps_bisection_bits(name, seed, where):
     ref = _outcome(reference_inverse, _rate_model(name, seed)[0], rate)
     got = _outcome(model.invert_monotone_rate, _rate_model(name, seed)[0], rate)
     assert got == ref and type(got) is type(ref)
+
+
+@pytest.mark.parametrize("name", ["16qam", "qpsk", "bpsk"])
+def test_inverse_near_capacity_costs_no_more_than_bisection(name):
+    # On the flat top of I (capacity - 1e-9: 49, 47 and 46 quadratures by
+    # plain bisection) a bracket cannot pay for the regula falsi that finds it.
+    rate = math.log2(BUILTIN_ALPHABETS[name]().M) - 1e-9
+    plain, bracketed = (MiEvaluator(BUILTIN_ALPHABETS[name]()) for _ in range(2))
+    assert reference_inverse(plain.rate, rate) == bracketed.inverse(rate)
+    assert len(bracketed._memo) <= len(plain._memo)

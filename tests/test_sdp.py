@@ -491,9 +491,9 @@ class TestSolveGeneral:
         r = RatePair(0.6, 0.2)
         t = thresholds_gaussian(p, r)
         sol = solve_general(p, r)
-        alloc = solve_diagonal(ConstraintSet.build(p, t))
-        assert sol.status == OPTIMAL and alloc is not None
-        assert sol.power == pytest.approx(float(np.sum(alloc[0])), rel=1e-4)
+        P, _ = solve_diagonal(ConstraintSet.build(p, t))
+        assert sol.status == OPTIMAL and P is not None
+        assert sol.power == pytest.approx(float(np.sum(P)), rel=1e-4)
 
     def test_infeasible_pair(self, ref_j1):
         sol = solve_general(ref_j1, RatePair(2.0, 1.0))
