@@ -26,16 +26,17 @@ The epigraph of the ceilings (epigraph_stages) is the same barrier without
 the I in Lambda, with ceiling u = 0 and the ceiling multipliers summing to
 one. It brackets b* = min max_j Tr(Z_j W) over the floors and the budget at
 one code rate: each stage's y gives a proven lower end (ceiling_bound) and
-its primal point P_T Lambda^-1 / t an upper end, and the bracket narrows
-stage by stage. The common ceiling depends on R_s only through the rate gap
-R_D - R_s, so each bracket is mapped to a bracket on that gap
-(rate_bracket) by two forward rate evaluations, and a probe at any R_s is
-decided by comparing its gap with it (proven_feasibility), with no
-threshold or MI inversion. epigraph_stages is a generator: a sweep row
-pulls the next stage only while a probe's gap lies inside the bracket.
-These brackets are the sweep's only feasibility oracle; a probe that the
-last stage still holds stays undecided. The path ends at a silent stage or
-at _T_MAX, never on the width of its bracket.
+its step's primal point (_Barrier.primal, while PSD) an upper end, and the
+bracket narrows stage by stage. Both ends are proofs off the central path
+too, so its stages are centred only to _EPIGRAPH_TOL. The common ceiling
+depends on R_s only through the rate gap R_D - R_s, so each bracket is
+mapped to a bracket on that gap (rate_bracket) by two forward rate
+evaluations, and a probe at any R_s is decided by comparing its gap with it
+(proven_feasibility), with no threshold or MI inversion. epigraph_stages
+is a generator: a sweep row pulls the next stage only while a probe's gap
+lies inside the bracket. These brackets are the sweep's only feasibility
+oracle; a probe that the last stage still holds stays undecided. The path
+ends at a silent stage or at _T_MAX, never on the width of its bracket.
 
 Feasibility of the beamformer follows from the relaxation whenever the
 solution has numerical rank one (which it does on the bundled scenarios);
@@ -85,6 +86,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _GAP_REL = 2e-7          # duality-gap target relative to the primal trace
 _T_GROWTH = 30.0         # barrier parameter multiplier per centering stage
 _NEWTON_TOL = 1e-8       # Newton decrement below which a point is centered
+_EPIGRAPH_TOL = 0.5      # the same for an epigraph stage, whose bracket is a proof anyway
 _RANK_REL_TOL = 1e-6     # eigenvalues below this * lambda_max count as zero
 _FACE_STEPS = 8          # Gauss-Newton steps of the face refinement
 _FACE_TOL = 1e-12        # relative KKT residual a refined face must reach
@@ -293,19 +295,25 @@ class _Barrier:
             g = g + kappa * self.e
         return _Step(dy, -float(g @ dy), Linv, B)
 
-    def primal(self, t: float, step: _Step) -> np.ndarray:
+    def primal(self, t: float, step: _Step, psd: bool = False) -> np.ndarray:
         """The primal point W' = (Lambda^-1 - Lambda^-1 dLambda Lambda^-1) / t
         of a step, dLambda = sum dy_i A'_i (the dual-scaling primal point of
         DSDP). Its slack on row i is (1 - dy_i / y_i) / (t y_i), so it meets
-        every row strictly while dy < y, even off the central path."""
+        every row strictly while dy < y, even off the central path. W' >= 0
+        exactly when mid = I - sum dy_i B_i is; with psd, a mid that is not
+        positive definite gives way to I, and W' to Lambda^-1 / t."""
         mid = np.eye(self.N) - np.einsum("m,mij->ij", step.dy, step.B)
+        if psd and np.linalg.eigvalsh(mid)[0] <= 0.0:
+            mid = np.eye(self.N)
         W = step.Linv.conj().T @ mid @ step.Linv / t
         return (W + W.conj().T) / 2.0
 
     def center(self, t: float, point: _Point, budget: _NewtonBudget, stop=None):
         """Newton iterations at fixed t from point until the decrement falls
-        below _NEWTON_TOL; returns (point, step, converged), step the Newton
-        step at point.
+        below _NEWTON_TOL, or on the epigraph (e set) below _EPIGRAPH_TOL:
+        its stages' brackets are proofs at any y in the domain, so a loosely
+        centred stage serves as well; returns (point, step, converged), step
+        the Newton step at point.
 
         stop(point) ends centering with step None as soon as some external
         goal is reached (a Farkas certificate). Exits quietly when the
@@ -314,13 +322,14 @@ class _Barrier:
         below t * eps are not resolvable and not needed.
         """
         f = point.value(t)
+        tol = _NEWTON_TOL if self.e is None else _EPIGRAPH_TOL
         for _ in range(80):
             if stop is not None and stop(point):
                 return point, None, False
             step = self.newton_step(t, point)
             if step.dec2 <= 0.0:
                 return point, step, False  # numerical noise floor
-            if step.dec2 <= _NEWTON_TOL * _NEWTON_TOL:
+            if step.dec2 <= tol * tol:
                 return point, step, True
             budget.spend()
             # Backtracking search. dec2 can be overestimated by cancellation
@@ -568,7 +577,8 @@ def _witness_bound(cons: ConstraintSet, W: np.ndarray) -> float:
     a_k / Tr(F_k W) the least scaling that meets them all, unless alpha <= 1
     < alpha (1 + 4 eps): then W' = W, which meets them already. A path's
     point sits off its floors by O(1/t), and an LP allocation meets a
-    binding floor, often at the budget, only to roundoff."""
+    binding floor, often at the budget, only to roundoff. W is not checked:
+    callers must pass W >= 0, or the bound proves nothing."""
     vals = cons.values(W)
     floors = cons.floors & (cons.u < 0.0)
     if np.any(vals[floors] >= 0.0):
@@ -586,9 +596,11 @@ def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
     Tr(A_j W) <= s on its ceilings: the dual path of the epigraph barrier
     (_Barrier with epigraph=True) on the rows of cons with ceiling u = 0.
     Yields (b_lo, b_hi) after each stage of the path: the greatest
-    ceiling_bound of the stages' y and the least _witness_bound of P_T
-    Lambda^-1 / t so far, so each bracket lies inside the one before. Stops
-    at a silent stage or at _T_MAX; the Newton budget bounds it too.
+    ceiling_bound of the stages' y and the least _witness_bound so far of P_T
+    W', W' the primal point of the stage's step (the DSDP point, which meets
+    the rows at a loosely centred y too) or Lambda^-1 / t where that point
+    is not PSD, so each bracket lies inside the one before. Stops at a silent
+    stage or at _T_MAX; the Newton budget bounds it too.
 
     Yields only (inf, inf) when the floors and the budget are proven
     infeasible: a row out of their reach (_unreachable_row), or an iterate
@@ -604,7 +616,7 @@ def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
         if step is None:
             yield math.inf, math.inf
             return
-        b_hi = min(b_hi, _witness_bound(cons, cons.p_t * (step.Linv.conj().T @ step.Linv) / t))
+        b_hi = min(b_hi, _witness_bound(cons, cons.p_t * bar.primal(t, step, psd=True)))
         b_lo = max(b_lo, cons.ceiling_bound(bar.multipliers(point.y)))
         yield b_lo, b_hi
         if silent or t >= _T_MAX:

@@ -14,6 +14,11 @@ from wiretap.model import STATISTICAL, WiretapProblem, perfect_users
 from wiretap.probfile import load_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
+# Problems that CI also sweeps, kept out of problems/, which the md5 test
+# globs: paper_j2 with perfect user CSI (test_sdp.perfect_csi), an
+# eavesdropper-free problem (J = 0) and an eavesdropper the transmitter can
+# null, the last two on the SDP route.
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 # Derandomized under CI (GitHub Actions sets CI), so a failing example found
 # there is found again locally with CI=1.
@@ -27,6 +32,11 @@ def bundled(j, diagonal=False):
     """The shipped scenario problems/paper_j<j>[_diag].json: 3 antennas,
     2 users and j eavesdroppers, with diagonal covariances for _diag."""
     return load_problem(str(PROBLEMS / f"paper_j{j}{'_diag' if diagonal else ''}.json")).problem
+
+
+def data_problem(name):
+    """The ProblemFile tests/data/<name>.json."""
+    return load_problem(str(DATA / f"{name}.json"))
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PROBLEMS, bundled, probe_verdict, random_problem, random_psd, scaled_problem
+from conftest import (
+    PROBLEMS,
+    bundled,
+    data_problem,
+    probe_verdict,
+    random_problem,
+    random_psd,
+    scaled_problem,
+    thin_set_problem,
+)
 from wiretap import diag_lp, sdp
 from wiretap.constraints import ConstraintSet
 from wiretap.kkt import check_kkt
@@ -16,6 +25,7 @@ from wiretap.mi import MiEvaluator, qam16
 from wiretap.model import (
     STATISTICAL,
     ConstraintThresholds,
+    ModelError,
     RatePair,
     WiretapProblem,
     eave_denominator,
@@ -34,7 +44,7 @@ from wiretap.sdp import (
     solve_general,
     solve_rank_relaxed,
 )
-from wiretap.probfile import load_problem
+from wiretap.probfile import load_problem, to_doc
 from wiretap.sweep import code_rate_grid, sweep_region
 
 
@@ -998,14 +1008,25 @@ class TestWeaklyActiveRows:
         # max_iterations, and the rows read numerical-failure: a weakly
         # active ceiling that the face fit had to drop. On the dual path's
         # normalized multipliers and slacks it is not guessed active at all.
-        p = load_problem(str(PROBLEMS / f"{name}.json")).problem
-        mode = perfect_csi(p)
+        # paper_j2's rows read the copy in tests/data that CI sweeps at 0.4.
+        if name == "paper_j2":
+            pf = data_problem("paper_j2_perfect")
+            p, mode = pf.problem, pf.csi_mode
+        else:
+            p = load_problem(str(PROBLEMS / f"{name}.json")).problem
+            mode = perfect_csi(p)
         row, = sweep_region(p, [rd], rate_tol=1e-3, mode=mode).rows
         assert row.status == OPTIMAL
         sol = solve_general(p, RatePair(rd, row.rs_max), mode=mode)
         assert sol.status == OPTIMAL and sol.power == row.min_power
         rep = check_kkt(p, sol.thresholds, sol.W, sol.duals, mode=mode)
         assert rep.max_residual() <= 1e-10
+
+    def test_data_file_holds_the_perfect_csi_recipe(self):
+        # The copy CI sweeps is problems/paper_j2.json with perfect_csi's
+        # channels, to the bit.
+        pf = data_problem("paper_j2_perfect")
+        assert to_doc(pf.problem, pf.csi_mode) == to_doc(bundled(2), perfect_csi(bundled(2)))
 
     def test_missed_fit_drops_the_weakly_active_row(self, monkeypatch):
         # Random-set seed 67 (N 8, K 2, J 2) at R_D 1.0: the final solve at
@@ -1053,6 +1074,73 @@ class TestWeaklyActiveRows:
                     # At d = 1e-9, d^2 is below float64 roundoff.
                     rel = 10.0 * d * d + 1e-15
                     assert row.min_power == pytest.approx(lp_row.min_power, rel=rel), (d, row.rd)
+
+
+class TestEpigraphWitness:
+    """Epigraph stages are centred only loosely (_EPIGRAPH_TOL), so their
+    b_hi comes from the step's DSDP primal point, which meets the rows off
+    the central path too, and only while that point is PSD: a witness that
+    is not PSD proves nothing."""
+
+    @pytest.mark.parametrize("kind", ["thin", "random"])
+    def test_every_stage_bracket_is_a_proof(self, kind, monkeypatch):
+        # Every stage of every SDP epigraph, drained past the stages a sweep
+        # pulls, at the corpus's code rates: the witness is PSD to roundoff,
+        # b_lo <= b_hi, and each bracket lies inside the one before.
+        witnesses = []
+        witness_bound = sdp._witness_bound
+
+        def spy(cons, W):
+            witnesses.append(W)
+            return witness_bound(cons, W)
+
+        monkeypatch.setattr(sdp, "_witness_bound", spy)
+        checked = 0
+        for seed in range(50):
+            if kind == "thin":
+                p, mode, model = thin_set_problem(seed), STATISTICAL, "gaussian"
+            else:
+                p, mode, model = random_problem(seed)
+            for rd in (0.3, 0.6, 1.0):
+                try:
+                    route = sdp._route(p, RatePair(rd, 0.0), mode, model)[1]
+                except ModelError:
+                    continue
+                if route != "sdp":
+                    continue
+                witnesses.clear()
+                stages = list(sdp.epigraph_stages(p, rd, mode, model))
+                for W in witnesses:
+                    vals = np.linalg.eigvalsh(W)
+                    assert vals[0] >= -W.shape[0] * sdp._EPS * vals[-1], (seed, rd)
+                b_lo, b_hi = -math.inf, math.inf
+                for stage in stages:
+                    assert stage.b_lo <= stage.b_hi, (seed, rd)
+                    assert b_lo <= stage.b_lo and stage.b_hi <= b_hi, (seed, rd)
+                    b_lo, b_hi = stage.b_lo, stage.b_hi
+                checked += len(witnesses)
+        assert checked > 500
+
+    def test_mid_not_positive_definite_falls_back(self):
+        # The first Newton step of thin seed 0's epigraph at R_D 0.6, as it
+        # is and scaled until mid = I - sum dy_i B_i has eigenvalue -1: the
+        # first keeps its DSDP point, the second's is not PSD, and with psd
+        # it gives way to Lambda^-1 / t.
+        p = thin_set_problem(0)
+        cons = ConstraintSet.build(p, thresholds_gaussian(p, RatePair(0.6, 0.0)))
+        bar = sdp._Barrier(cons.with_ceiling(0.0), epigraph=True)
+        point = bar.evaluate(bar.start())
+        t = bar.centring_t(point)
+        step = bar.newton_step(t, point)
+        assert np.array_equal(bar.primal(t, step, psd=True), bar.primal(t, step))
+        lam = np.linalg.eigvalsh(np.einsum("m,mij->ij", step.dy, step.B))
+        scale = 2.0 / (lam[-1] if lam[-1] > 0.0 else lam[0])
+        far = step._replace(dy=scale * step.dy)
+        assert np.linalg.eigvalsh(bar.primal(t, far))[0] < 0.0
+        inverse = step.Linv.conj().T @ step.Linv / t
+        W = bar.primal(t, far, psd=True)
+        assert np.allclose(W, inverse, rtol=0.0, atol=1e-15 * float(np.linalg.norm(inverse)))
+        assert np.linalg.eigvalsh(W)[0] > 0.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import PROBLEMS, bundled, probe_verdict, random_psd, thin_set_problem
+from conftest import PROBLEMS, bundled, data_problem, probe_verdict, random_psd, thin_set_problem
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -424,8 +424,22 @@ def count_row_calls(monkeypatch, extra=()):
     return calls
 
 
-NO_EAVESDROPPER = WiretapProblem(H=(np.eye(2, dtype=complex),), Z=(),
-                                 N0=1.0, epsilon=0.1, P_T=50.0)
+# The eavesdropper-free problem (J = 0) that CI sweeps, on the SDP route,
+# and its copy with H = I, on the LP route.
+NO_EAVESDROPPER = data_problem("no_eavesdropper").problem
+NO_EAVESDROPPER_LP = dataclasses.replace(NO_EAVESDROPPER, H=(np.eye(2, dtype=complex),))
+
+
+def named_problem(name):
+    """problems/<name>.json; NO_EAVESDROPPER for None, NO_EAVESDROPPER_LP for
+    "j0_lp"."""
+    if name is None:
+        return NO_EAVESDROPPER
+    if name == "j0_lp":
+        return NO_EAVESDROPPER_LP
+    return load_problem(str(PROBLEMS / f"{name}.json")).problem
+
+
 # Two orthogonal floors: each alone is within reach of P_T below R_D 0.8,
 # both together only below R_D 0.5. At 0.5 and 0.6 the dual path proves them
 # infeasible.
@@ -438,8 +452,9 @@ TWO_FLOORS = WiretapProblem(
 class TestSweepBisection:
     # paper_j1 at 1.2, paper_j2 at 1.0 and paper_j2_diag at 0.9 are
     # infeasible at R_s = 0; only a row with no ceiling has rs_max = rd, so
-    # the eavesdropper-free problem supplies one. The last two grids run past
-    # the first infeasible row, whose proof carries to the rows above it.
+    # the eavesdropper-free problem supplies one on each route. The grids
+    # after it run past the first infeasible row, whose proof carries to the
+    # rows above it.
     @pytest.mark.parametrize("name, grid", [
         ("paper_j1", [0.5, 1.1, 1.2]),
         ("paper_j2", [0.6, 1.0]),
@@ -447,14 +462,15 @@ class TestSweepBisection:
         (None, [0.5]),
         ("paper_j1", [1.1, 1.2, 1.6, 2.0]),
         ("paper_j2_diag", [0.8, 0.9, 1.5]),
+        ("j0_lp", [0.5]),
     ])
     def test_rows_match_full_solve_bisection(self, name, grid):
-        p = NO_EAVESDROPPER if name is None else load_problem(str(PROBLEMS / f"{name}.json")).problem
+        p = named_problem(name)
         rows = sweep_region(p, grid, rate_tol=1e-3).rows
         assert rows == tuple(full_solve_row(p, rd, 1e-3) for rd in grid)
         statuses = {row.status for row in rows}
         assert statuses <= {"optimal", "infeasible"}
-        if name is None:
+        if name in (None, "j0_lp"):
             assert rows[0].rs_max == rows[0].rd
         else:
             assert statuses == {"optimal", "infeasible"}
@@ -590,11 +606,11 @@ class TestSweepBisection:
     # bound, so no stage and no probe: the row is the one solve at R_s = R_D.
     @pytest.mark.parametrize("name, rds", [
         ("paper_j1", (0.5, 1.0)), ("paper_j1_diag", (0.5, 1.0)), ("paper_j3_diag", (0.2,)),
-        (None, (0.5,)),
+        (None, (0.5,)), ("j0_lp", (0.5,)),
     ])
     def test_probe_cost_per_row(self, name, rds, monkeypatch):
         calls = count_row_calls(monkeypatch)
-        p = NO_EAVESDROPPER if name is None else load_problem(str(PROBLEMS / f"{name}.json")).problem
+        p = named_problem(name)
         proofs = []
 
         def recording(epigraph, r):
@@ -610,11 +626,12 @@ class TestSweepBisection:
             probes = []
             assert row == probe_row(p, rd, 1e-3, probes)
             assert count.get("epigraph_stages", 0) == count.get("solve_general", 0) == 1
-            if name is None:
+            if name in (None, "j0_lp"):
                 assert list(sdp.epigraph_stages(p, rd)) == [] and proofs == []
                 assert row.status == "optimal" and row.rs_max == rd
-                # The LP route's one simplex, in the solve at (rd, rd).
-                assert count == {"epigraph_stages": 1, "solve_general": 1, "solve_diagonal": 1}
+                # The route's one barrier run or simplex, in the solve at (rd, rd).
+                solver = "_path" if name is None else "solve_diagonal"
+                assert count == {"epigraph_stages": 1, "solve_general": 1, solver: 1}
                 continue
             # R_s = 0, then one probe per bisection step on [0, rd).
             assert len(probes) == 1 + math.ceil(math.log2(rd / 1e-3)) <= len(proofs)
@@ -797,8 +814,11 @@ class TestSweepBisection:
     # proven feasible: the row ends optimal within rate_tol below R_D.
     @pytest.mark.parametrize("h, route", [([[1, 0.5], [0.5, 1]], "sdp"), ([[1, 0], [0, 1]], "lp")])
     def test_nullable_eavesdropper_rows_end_below_rd(self, h, route):
-        z = np.diag([0.01, 0.0]).astype(complex)
-        p = WiretapProblem(H=(np.array(h, dtype=complex),), Z=(z,), N0=1.0, epsilon=0.1, P_T=50.0)
+        # The SDP route's problem is the one CI sweeps, as saved; the LP
+        # route's is its copy with H = I.
+        p = data_problem("nullable").problem
+        assert route == "lp" or np.array_equal(p.H[0], h)
+        p = dataclasses.replace(p, H=(np.array(h, dtype=complex),))
         assert sdp._route(p, RatePair(0.3, 0.0), STATISTICAL, "gaussian")[1] == route
         rows = sweep_region(p, [0.3, 0.6, 1.0], rate_tol=1e-2).rows
         assert [row.rs_max for row in rows] == [0.290625, 0.590625, 0.9921875]
@@ -822,19 +842,27 @@ class TestSweepBisection:
 
     def test_six_sweep_csv_md5(self, monkeypatch):
         # The bytes, and the work that produced them: a change that moves a
-        # count does different arithmetic, even where the bytes hold.
-        calls = count_row_calls(monkeypatch, extra=((sdp._Barrier, "newton_step"),
-                                                    (sdp._Barrier, "evaluate"),
+        # count does different arithmetic, even where the bytes hold. Newton
+        # steps are counted per barrier: the final solves centre to
+        # _NEWTON_TOL, the epigraph stages only to _EPIGRAPH_TOL.
+        calls = count_row_calls(monkeypatch, extra=((sdp._Barrier, "evaluate"),
                                                     (sweep, "proven_feasibility")))
+        newton_step = sdp._Barrier.newton_step
+
+        def counting(bar, *args):
+            calls.append("final newton_step" if bar.e is None else "epigraph newton_step")
+            return newton_step(bar, *args)
+
+        monkeypatch.setattr(sdp._Barrier, "newton_step", counting)
         csv = "".join(
             to_csv(sweep_region(load_problem(str(path)).problem,
                                 code_rate_grid(0.1, 2.0, 0.1), rate_tol=1e-3))
             for path in sorted(PROBLEMS.glob("*.json")))
         assert hashlib.md5(csv.encode()).hexdigest() == "c36d15b83a028ef18be82305981e9c07"
         assert {attr: calls.count(attr) for attr in set(calls)} == {
-            "newton_step": 2895, "_path": 54, "min_ceiling": 28, "solve_diagonal": 25,
-            "solve_general": 52, "proven_feasibility": 615, "epigraph_stages": 58,
-            "evaluate": 5573}
+            "final newton_step": 1869, "epigraph newton_step": 548, "_path": 54,
+            "min_ceiling": 28, "solve_diagonal": 25, "solve_general": 52,
+            "proven_feasibility": 614, "epigraph_stages": 58, "evaluate": 4937}
 
     @pytest.mark.parametrize("status, row_status", [
         (MAX_ITERATIONS, "numerical-failure"),
