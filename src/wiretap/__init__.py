@@ -19,11 +19,9 @@ from .model import (
 )
 from .montecarlo import (
     ChannelSample,
-    ExponentialityReport,
     OutageEstimate,
     estimate_individual_probs,
     estimate_non_outage,
-    exponentiality_check,
     received_powers,
     sample_channels,
 )

@@ -93,15 +93,6 @@ def psd_project_factor(a, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
     return (vecs * np.sqrt(clamped)) @ vecs.conj().T
 
 
-def quad_form(w, a) -> float:
-    """Re(w* A w) for a Hermitian A."""
-    w = as_vector(w)
-    a = as_matrix(a)
-    if a.shape != (w.size, w.size):
-        raise LinalgError(f"dimension mismatch: w has {w.size}, A is {a.shape}")
-    return float(np.real(np.vdot(w, a @ w)))
-
-
 def trace_inner(a, b) -> float:
     """Re Tr(A B) for Hermitian A, B; symmetric in its arguments."""
     a = as_matrix(a)

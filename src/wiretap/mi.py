@@ -208,28 +208,3 @@ class MiEvaluator:
                 f"rate {rate} unachievable: alphabet capacity is {self.max_rate}"
             )
         return invert_monotone_rate(self.rate, rate, self._margin)
-
-
-def mutual_info_mc(alphabet: Alphabet, rho: float, draws: int, seed: int = 0) -> float:
-    """Monte Carlo estimate of I(rho): sample-average of the log-likelihood
-    ratio over noise draws. Independent of the quadrature path; used as the
-    test oracle for the quadrature evaluator."""
-    if rho < 0.0:
-        raise ModelError(f"rho must be non-negative: {rho}")
-    rng = np.random.default_rng(seed)
-    sym = alphabet.symbols
-    m = sym.size
-    total = 0.0
-    chunk = 1 << 16
-    done = 0
-    while done < draws:
-        n = min(chunk, draws - done)
-        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-        labels = rng.integers(0, m, size=n)
-        d = sym[labels, None] - sym[None, :]              # (n, M)
-        expo = -rho * np.abs(d) ** 2 - 2.0 * math.sqrt(rho) * (
-            noise.real[:, None] * d.real + noise.imag[:, None] * d.imag
-        )
-        total += float(np.sum(np.log2(np.sum(np.exp(expo), axis=1))))
-        done += n
-    return math.log2(m) - total / draws

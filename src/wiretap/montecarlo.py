@@ -15,8 +15,7 @@ the received signal powers |g* v|^2, keeping only those (T, K + J) powers: no
 chunk forms its channels, which ChannelSample derives only when read. The
 estimators work from these power arrays, so a single draw serves the joint
 estimate and the per-link estimates alike. Each power is exponentially
-distributed with mean w* H w, which exponentiality_check verifies
-empirically.
+distributed with mean w* H w.
 """
 
 from __future__ import annotations
@@ -28,13 +27,8 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .linalg import psd_project_factor, quad_form
+from .linalg import psd_project_factor
 from .model import ConstraintThresholds, ModelError, WiretapProblem
-
-# Asymptotic 1% critical constant for the one-sample Kolmogorov-Smirnov
-# statistic: reject when D_n * sqrt(n) exceeds it.
-KS_CRITICAL_1PCT = 1.6276
-
 
 @dataclass(frozen=True)
 class ChannelSample:
@@ -172,68 +166,3 @@ def estimate_individual_probs(
     eaves = np.count_nonzero(zp <= t.eave_power_target, axis=0)
     return ([OutageEstimate(trials=trials, successes=int(n)) for n in users],
             [OutageEstimate(trials=trials, successes=int(n)) for n in eaves])
-
-
-@dataclass(frozen=True)
-class ExponentialityReport:
-    trials: int
-    expected_mean: float
-    sample_mean: float
-    sample_var: float
-    mean_rel_err: float
-    var_rel_err: float
-    stat_band: float        # 5 / sqrt(trials)
-    ks_stat: float
-    ks_critical: float
-
-    @property
-    def mean_ok(self) -> bool:
-        return self.mean_rel_err <= self.stat_band
-
-    @property
-    def var_ok(self) -> bool:
-        return self.var_rel_err <= self.stat_band
-
-    @property
-    def ks_ok(self) -> bool:
-        return self.ks_stat < self.ks_critical
-
-    @property
-    def passed(self) -> bool:
-        return self.mean_ok and self.var_ok and self.ks_ok
-
-
-def exponentiality_check(
-    p: WiretapProblem,
-    w: np.ndarray,
-    samples: Iterable[ChannelSample],
-    k_index: int,
-) -> ExponentialityReport:
-    """Verify |h_k* w|^2 ~ Exp(mean = w* H_k w): moments and a KS test at the
-    1% level against the fully specified exponential law."""
-    mean_expected = quad_form(w, p.H[k_index])
-    if mean_expected <= 0.0:
-        raise ModelError("degenerate direction: w* H_k w = 0")
-    hp, _ = received_powers(samples, w)
-    x = hp[:, k_index]
-    n = x.size
-    sample_mean = float(np.mean(x))
-    sample_var = float(np.var(x))
-    # One-sample KS against F(x) = 1 - exp(-x / mean_expected).
-    xs = np.sort(x)
-    cdf = 1.0 - np.exp(-xs / mean_expected)
-    grid = np.arange(1, n + 1) / n
-    d_plus = float(np.max(grid - cdf))
-    d_minus = float(np.max(cdf - (grid - 1.0 / n)))
-    ks = max(d_plus, d_minus)
-    return ExponentialityReport(
-        trials=n,
-        expected_mean=mean_expected,
-        sample_mean=sample_mean,
-        sample_var=sample_var,
-        mean_rel_err=abs(sample_mean - mean_expected) / mean_expected,
-        var_rel_err=abs(sample_var - mean_expected**2) / mean_expected**2,
-        stat_band=5.0 / math.sqrt(n),
-        ks_stat=ks,
-        ks_critical=KS_CRITICAL_1PCT / math.sqrt(n),
-    )

@@ -43,6 +43,19 @@ solution has numerical rank one (which it does on the bundled scenarios);
 otherwise the principal eigendirection is kept and only the transmit power
 is re-optimized, which is a one-dimensional closed-form problem.
 
+The barrier's array work is one stacked kernel over a batch of B barriers
+that share their rows A' and differ only in u' and y: _evaluate factors
+every Lambda(y) with one Cholesky call, and _newton forms every Newton
+step with one inverse, one Hessian and one solve. A barrier run is a
+generator that yields its next request (_Evaluate, _Newton) and is sent
+the answer, with its path, centring, line search and stops unchanged.
+_lockstep runs such generators together and answers each round's largest
+set of like requests with one kernel call. Stacked LAPACK calls and dot
+products run the same routine on each member, so a member's iterates are
+bit for bit the ones it gets alone. solve_lockstep runs a batch of final
+solves this way (a sweep's); solve_general, solve_rank_relaxed and the
+epigraph stages run with B = 1 through the same code.
+
 Each solve builds its ConstraintSet once, and the route's solver takes it:
 the diagonal LP (diag_lp.solve_diagonal, whose w = sqrt(P)) or the barrier.
 Every route (zero power, the diagonal LP, the SDP with its rank-1 recovery)
@@ -194,10 +207,11 @@ class _Barrier:
     stays common. Every y in the domain is dual feasible, and no start needs
     a primal point: y = start() is inside for any thresholds.
 
-    Each iterate is evaluated once (evaluate): the line search's accepted
-    trial is the next iterate, and its Cholesky factor and barrier terms
-    (_Point) are carried to the next Newton step and to the next stage's
-    first value.
+    Each iterate is evaluated once (an _Evaluate request): the line search's
+    accepted trial is the next iterate, and its Cholesky factor and barrier
+    terms (_Point) are carried to the next Newton step and to the next
+    stage's first value. Barriers with equal key (A', C and e) share the
+    stacked kernel (_evaluate, _newton); only u' and y differ among them.
     """
 
     def __init__(self, cons: ConstraintSet, epigraph: bool = False):
@@ -215,6 +229,7 @@ class _Barrier:
         self.C = np.eye(self.N, dtype=complex) * (0.0 if epigraph else 1.0)
         self.e = ceilings.astype(float) if epigraph else None
         self.nu = self.N + self.m
+        self.key = (epigraph, ceilings.tobytes(), self.A.tobytes())
 
     def multipliers(self, y: np.ndarray) -> np.ndarray:
         """y, one multiplier per normalized barrier row, as one per row of the
@@ -240,18 +255,21 @@ class _Barrier:
         delta = 1.0 if low >= -0.5 * base else base / (-2.0 * low)
         return np.where(free, delta, fixed)
 
-    def evaluate(self, y: np.ndarray) -> _Point:
-        """y with the Cholesky factor of Lambda(y) and its barrier terms; L and
-        terms None outside the domain (a y_i <= 0, or Lambda not positive
-        definite)."""
+    def evaluate(self, y: np.ndarray):
+        """The _Point of y: a generator of the kernel request it takes
+        (_Evaluate), whose value is the point; none for a y_i <= 0, outside
+        the domain."""
         if np.count_nonzero(y <= 0.0):
             return _Point(y, None, None)
-        try:
-            L = np.linalg.cholesky(self.C + np.einsum("m,mij->ij", y, self.A))
-        except np.linalg.LinAlgError:
-            return _Point(y, None, None)
-        logdet = 2.0 * float(np.log(L.diagonal().real).sum())
-        return _Point(y, L, (float(self.u @ y), logdet, float(np.log(y).sum())))
+        return (yield _Evaluate(self, y))
+
+    def newton_step(self, t: float, point: _Point):
+        """The Newton step at point: a generator of its kernel request
+        (_Newton), whose value is the _Step; _NumericalTrouble outside the
+        domain."""
+        if point.terms is None:
+            raise _NumericalTrouble("iterate left the domain")
+        return (yield _Newton(self, t, point))
 
     def centring_t(self, point: _Point) -> float:
         """The t whose gradient t u' - c at point is least, c_i = Tr(Lambda^-1
@@ -260,40 +278,6 @@ class _Barrier:
         c = np.einsum("mij,ij->m", self.A_conj, Linv.conj().T @ Linv).real + 1.0 / point.y
         t = float(self.u @ c) / float(self.u @ self.u)
         return t if t > 0.0 else 1.0
-
-    def newton_step(self, t: float, point: _Point) -> _Step:
-        """The Newton step at point. Gradient t u'_i - Tr(Lambda^-1 A'_i) -
-        1/y_i, Hessian Re Tr(Lambda^-1 A'_i Lambda^-1 A'_j) + delta_ij / y_i^2,
-        both from B_i = L^-1 A'_i L^-H; with e, the step keeps e.y."""
-        if point.terms is None:
-            raise _NumericalTrouble("iterate left the domain")
-        y = point.y
-        Linv = np.linalg.inv(point.L)
-        B = Linv @ self.A @ Linv.conj().T
-        g = t * self.u - np.einsum("mii->m", B).real - 1.0 / y
-        H = np.einsum("mij,nij->mn", B, B.conj()).real
-        H.flat[::self.m + 1] += 1.0 / (y * y)
-        # Jacobi equilibration: the diagonal spans many orders of magnitude
-        # once the binding rows' y grow, and the raw solve loses the others.
-        d = np.sqrt(H.diagonal())
-        scaled = H / (d[:, None] * d)
-        rhs = g if self.e is None else np.stack([g, self.e], axis=1)
-        rhs = (rhs.T / d).T
-        try:
-            h = np.linalg.solve(scaled, rhs)
-        except np.linalg.LinAlgError:
-            h = np.linalg.lstsq(scaled, rhs, rcond=None)[0]
-        h = (h.T / d).T
-        if self.e is None:
-            dy = -h
-        else:
-            # g + kappa e is the gradient less its part along e, which the
-            # step cannot follow; the decrement is taken from it, not from g.
-            h_g, h_e = h.T
-            kappa = -(self.e @ h_g) / (self.e @ h_e)
-            dy = -(h_g + kappa * h_e)
-            g = g + kappa * self.e
-        return _Step(dy, -float(g @ dy), Linv, B)
 
     def primal(self, t: float, step: _Step, psd: bool = False) -> np.ndarray:
         """The primal point W' = (Lambda^-1 - Lambda^-1 dLambda Lambda^-1) / t
@@ -313,7 +297,8 @@ class _Barrier:
         below _NEWTON_TOL, or on the epigraph (e set) below _EPIGRAPH_TOL:
         its stages' brackets are proofs at any y in the domain, so a loosely
         centred stage serves as well; returns (point, step, converged), step
-        the Newton step at point.
+        the Newton step at point. A generator of the kernel requests of the
+        iterations (_lockstep answers them), whose value is that triple.
 
         stop(point) ends centering with step None as soon as some external
         goal is reached (a Farkas certificate). Exits quietly when the
@@ -326,7 +311,7 @@ class _Barrier:
         for _ in range(80):
             if stop is not None and stop(point):
                 return point, None, False
-            step = self.newton_step(t, point)
+            step = yield from self.newton_step(t, point)
             if step.dec2 <= 0.0:
                 return point, step, False  # numerical noise floor
             if step.dec2 <= tol * tol:
@@ -338,7 +323,7 @@ class _Barrier:
             # accepted as a fallback.
             alpha, best, best_f = 1.0, None, f
             for _ls in range(60):
-                trial = self.evaluate(point.y + alpha * step.dy)
+                trial = yield from self.evaluate(point.y + alpha * step.dy)
                 f_new = trial.value(t)
                 if f_new <= f - 1e-3 * alpha * step.dec2:
                     best, best_f = trial, f_new
@@ -353,6 +338,146 @@ class _Barrier:
                 return point, step, False
             point, f = best, best_f
         raise _NumericalTrouble("centering did not converge")
+
+
+class _Evaluate(NamedTuple):
+    """A request for the _Point of y > 0 on bar."""
+
+    bar: _Barrier
+    y: np.ndarray
+
+
+class _Newton(NamedTuple):
+    """A request for the Newton step at point, inside bar's domain, at t."""
+
+    bar: _Barrier
+    t: float
+    point: _Point
+
+
+def _evaluate(requests: list[_Evaluate]) -> list[_Point]:
+    """The _Point of each request, all on barriers of one key and with y >
+    0: y with the Cholesky factor of Lambda(y) and its barrier terms; L and
+    terms None where Lambda is not positive definite, outside the domain.
+    One stacked Cholesky factors every Lambda(y). It raises for the whole
+    stack when one is not positive definite, and the members are then
+    factored one by one."""
+    bar = requests[0].bar
+    Y = np.array([r.y for r in requests])
+    lam = bar.C + np.einsum("bm,mij->bij", Y, bar.A)
+    try:
+        return _terms(requests, Y, np.linalg.cholesky(lam))
+    except np.linalg.LinAlgError:
+        pass
+    points = [_Point(r.y, None, None) for r in requests]
+    factors = [_cholesky(one) for one in lam] if len(requests) > 1 else [None]
+    inside = [k for k, factor in enumerate(factors) if factor is not None]
+    if inside:
+        L = np.array([factors[k] for k in inside])
+        for k, point in zip(inside, _terms([requests[k] for k in inside], Y[inside], L)):
+            points[k] = point
+    return points
+
+
+def _cholesky(lam: np.ndarray) -> np.ndarray | None:
+    try:
+        return np.linalg.cholesky(lam)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _terms(requests: list[_Evaluate], Y: np.ndarray, L: np.ndarray) -> list[_Point]:
+    """The _Point of each request inside the domain: its y (a row of Y), the
+    Cholesky factor L of its Lambda(y) and its barrier terms."""
+    U = np.array([r.bar.u for r in requests])
+    terms = zip((U[:, None, :] @ Y[:, :, None]).ravel().tolist(),
+                (2.0 * np.log(L.diagonal(0, 1, 2).real).sum(1)).tolist(),
+                np.log(Y).sum(1).tolist())
+    return [_Point(r.y, L_k, t) for r, L_k, t in zip(requests, L, terms)]
+
+
+def _newton(requests: list[_Newton]) -> list[_Step]:
+    """The Newton step of each request, all on barriers of one key, stacked:
+    one inverse, one Hessian and one solve for all. Gradient t u'_i -
+    Tr(Lambda^-1 A'_i) - 1/y_i, Hessian Re Tr(Lambda^-1 A'_i Lambda^-1 A'_j)
+    + delta_ij / y_i^2, both from B_i = L^-1 A'_i L^-H; with e, the step
+    keeps e.y. When the stacked solve raises, each member is solved alone,
+    by least squares where its own solve raises too. Dot products run as
+    stacks of 1 x m by m x 1 products, which NumPy hands to the BLAS dot
+    of a 1-D product, so every member's step is its step alone, bit for
+    bit."""
+    bar = requests[0].bar
+    Y = np.array([r.point.y for r in requests])
+    Linv = np.linalg.inv(np.array([r.point.L for r in requests]))
+    B = Linv[:, None] @ bar.A @ Linv.conj().transpose(0, 2, 1)[:, None]
+    G = np.array([r.t * r.bar.u for r in requests]) - np.einsum("bmii->bm", B).real - 1.0 / Y
+    H = np.einsum("bmij,bnij->bmn", B, B.conj()).real
+    diagonal = np.einsum("bii->bi", H)   # a view
+    diagonal += 1.0 / (Y * Y)
+    # Jacobi equilibration: the diagonal spans many orders of magnitude
+    # once the binding rows' y grow, and the raw solve loses the others.
+    d = np.sqrt(diagonal)[:, :, None]
+    scaled = H / (d * d.transpose(0, 2, 1))
+    if bar.e is None:
+        rhs = G[:, :, None] / d
+    else:
+        rhs = np.empty(Y.shape + (2,))
+        rhs[:, :, 0], rhs[:, :, 1] = G, bar.e
+        rhs /= d
+    try:
+        h = np.linalg.solve(scaled, rhs)
+    except np.linalg.LinAlgError:
+        h = np.array([_solve(*one) for one in zip(scaled, rhs)])
+    h /= d
+    if bar.e is None:
+        dy = -h[:, :, 0]
+    else:
+        # g + kappa e is the gradient less its part along e, which the step
+        # cannot follow; the decrement is taken from it, not from g.
+        kappa = -(bar.e @ h[:, :, :1]) / (bar.e @ h[:, :, 1:])
+        dy = -(h[:, :, 0] + kappa * h[:, :, 1])
+        G = G + kappa * bar.e
+    dec2 = -(G[:, None, :] @ dy[:, :, None])[:, 0, 0]
+    return [_Step(*step) for step in zip(dy, dec2.tolist(), Linv, B)]
+
+
+def _solve(scaled: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(scaled, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(scaled, rhs, rcond=None)[0]
+
+
+def _lockstep(members: list) -> list:
+    """Run barrier work in lockstep and return each member's value. A
+    member is a generator of kernel requests (_Evaluate, _Newton) that is
+    sent each answer. Each round answers, with one stacked kernel call, the
+    largest set of pending requests of one kind and barrier key; the other
+    members wait a round, which brings their Newton steps back in phase
+    after line searches of different lengths. A member's answers, and with
+    them its iterates, are the ones it gets alone (B = 1), bit for bit.
+    A member catches its own _NumericalTrouble (_relaxed); any exception
+    that leaves a member ends the run."""
+    values = [None] * len(members)
+    pending = {}
+    group, answers = range(len(members)), [None] * len(members)
+    while True:
+        for i, answer in zip(group, answers):
+            try:
+                pending[i] = members[i].send(answer)
+            except StopIteration as done:
+                pending.pop(i, None)
+                values[i] = done.value
+        if not pending:
+            return values
+        group = list(pending)
+        if len(group) > 1:
+            groups = {}
+            for i, request in pending.items():
+                groups.setdefault((type(request), request.bar.key), []).append(i)
+            group = max(groups.values(), key=len)
+        requests = [pending[i] for i in group]
+        answers = (_evaluate if type(requests[0]) is _Evaluate else _newton)(requests)
 
 
 # ---------------------------------------------------------------------------
@@ -400,22 +525,38 @@ def _proof(bar: _Barrier, cons: ConstraintSet):
     return proves
 
 
+class _Path:
+    """The dual path on bar: centring from bar.start() at t0
+    (bar.centring_t), t0 * _T_GROWTH, ... stage() runs the next stage, a
+    generator of its kernel requests whose value is (t, point, step,
+    silent): point the stage's _Point, step its Newton step there (None
+    when stop(point) ended the stage). silent: this stage and the one before
+    both ended unconverged without a Newton step, so the path is at its
+    float64 floor."""
+
+    def __init__(self, bar: _Barrier, budget: _NewtonBudget, stop=None):
+        self.bar, self.budget, self.stop = bar, budget, stop
+        self.t, self.point, self.silent = None, None, False
+
+    def stage(self):
+        if self.point is None:
+            self.point = yield from self.bar.evaluate(self.bar.start())
+            self.t = self.bar.centring_t(self.point)
+        else:
+            self.t *= _T_GROWTH
+        used_before = self.budget.used
+        self.point, step, converged = yield from self.bar.center(
+            self.t, self.point, self.budget, self.stop)
+        silent = not converged and self.budget.used == used_before
+        both, self.silent = silent and self.silent, silent
+        return self.t, self.point, step, both
+
+
 def _path(bar: _Barrier, budget: _NewtonBudget, stop=None):
-    """Centre from bar.start() at t0 (bar.centring_t), t0 * _T_GROWTH, ...
-    and yield (t, point, step, silent) after each stage: point the stage's
-    _Point, step its Newton step there (None when stop(point) ended the
-    stage). silent: this stage and the one before both ended unconverged
-    without a Newton step, so the path is at its float64 floor."""
-    point = bar.evaluate(bar.start())
-    t = bar.centring_t(point)
-    silent_prev = False
+    """The stages of _Path(bar, budget, stop) one by one, each run alone."""
+    path = _Path(bar, budget, stop)
     while True:
-        used_before = budget.used
-        point, step, converged = bar.center(t, point, budget, stop)
-        silent = not converged and budget.used == used_before
-        yield t, point, step, silent and silent_prev
-        silent_prev = silent
-        t *= _T_GROWTH
+        yield _lockstep([path.stage()])[0]
 
 
 def _face_newton(A, u, V, y):
@@ -529,11 +670,14 @@ def _final_solve(cons: ConstraintSet, budget: _NewtonBudget):
     """The dual path on the barrier rows of cons, then Newton on the optimal
     face (_refine_face) from the primal point of the last stage's Newton step
     (_Barrier.primal) and its y. The path stops once nu / t <= _GAP_REL Tr
-    W', at a silent stage or at _T_MAX. Returns (W, y, None), y one
-    multiplier per row of cons; (None, None, cert) when an iterate's y proves
-    cons infeasible; or (None, None, None) when the refinement is rejected."""
+    W', at a silent stage or at _T_MAX. A generator of the path's kernel
+    requests, whose value is (W, y, None), y one multiplier per row of cons;
+    (None, None, cert) when an iterate's y proves cons infeasible; or (None,
+    None, None) when the refinement is rejected."""
     bar = _Barrier(cons)
-    for t, point, step, silent in _path(bar, budget, _proof(bar, cons)):
+    path = _Path(bar, budget, _proof(bar, cons))
+    while True:
+        t, point, step, silent = yield from path.stage()
         if step is None:
             return None, None, _certificate(cons, bar.multipliers(point.y))
         W = bar.primal(t, step)
@@ -717,16 +861,11 @@ def _zero_power(cons: ConstraintSet, t: ConstraintThresholds, mode: CsiMode):
     )
 
 
-def solve_rank_relaxed(
-    p: WiretapProblem,
-    t: ConstraintThresholds,
-    mode: CsiMode = STATISTICAL,
-) -> BeamformerSolution:
-    """Solve the rank-relaxed minimum-power problem for the given thresholds:
-    zero power when W = 0 meets every row, else the dual path and the face
-    refinement (_final_solve). INFEASIBLE with the certificate of a row out
-    of reach (_unreachable_row) or of the path's y; MAX_ITERATIONS when the
-    refinement is rejected or the path runs out of Newton steps."""
+def _relaxed(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode):
+    """solve_rank_relaxed as a generator of the final solve's kernel
+    requests, whose value is the BeamformerSolution. A _NumericalTrouble of
+    its own (the Newton budget, a centering that does not converge) ends it
+    MAX_ITERATIONS, and ends no other member of a _lockstep run."""
     cons = ConstraintSet.build(p, t, mode)
     if np.all(cons.u >= 0.0):  # W = 0 satisfies every row
         return _zero_power(cons, t, mode)
@@ -734,7 +873,7 @@ def solve_rank_relaxed(
     W, cert = None, _unreachable_row(cons)
     if cert is None:
         try:
-            W, y, cert = _final_solve(cons, budget)
+            W, y, cert = yield from _final_solve(cons, budget)
         except _NumericalTrouble:
             pass
     if cert is not None:
@@ -750,6 +889,19 @@ def solve_rank_relaxed(
                                       newton_iterations=budget.used)
     return BeamformerSolution(status=MAX_ITERATIONS, mode=mode, thresholds=t,
                               newton_iterations=budget.used)
+
+
+def solve_rank_relaxed(
+    p: WiretapProblem,
+    t: ConstraintThresholds,
+    mode: CsiMode = STATISTICAL,
+) -> BeamformerSolution:
+    """Solve the rank-relaxed minimum-power problem for the given thresholds:
+    zero power when W = 0 meets every row, else the dual path and the face
+    refinement (_final_solve). INFEASIBLE with the certificate of a row out
+    of reach (_unreachable_row) or of the path's y; MAX_ITERATIONS when the
+    refinement is rejected or the path runs out of Newton steps."""
+    return _lockstep([_relaxed(p, t, mode)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -854,25 +1006,14 @@ def _route(p: WiretapProblem, r: RatePair, mode: CsiMode, input_model):
     return t, "sdp"
 
 
-def solve_general(
-    p: WiretapProblem,
-    r: RatePair,
-    mode: CsiMode = STATISTICAL,
-    input_model="gaussian",
-) -> BeamformerSolution:
-    """Full pipeline: thresholds, relaxed solve, rank-1 recovery.
-
-    input_model is "gaussian" or a mutual-information evaluator for
-    finite-alphabet signalling. All-diagonal statistical instances route to
-    the per-antenna LP, whose optimum the relaxation provably matches.
-    """
-    t, route = _route(p, r, mode, input_model)
+def _complete(p: WiretapProblem, t: ConstraintThresholds, route: str, mode: CsiMode,
+              sol: BeamformerSolution | None) -> BeamformerSolution:
+    """The solution of a routed solve: zero power, the diagonal LP, or on the
+    SDP route the relaxed solution sol with its rank-1 recovery."""
     if route == "trivial":
         return _zero_power(ConstraintSet.build(p, t, mode), t, mode)
     if route == "lp":
         return _lp_route(ConstraintSet.build(p, t, mode), t, mode)
-
-    sol = solve_rank_relaxed(p, t, mode)
     if sol.status != OPTIMAL:
         return sol
     rank = numerical_rank(sol.W, _RANK_REL_TOL)
@@ -886,3 +1027,35 @@ def solve_general(
         # distinct outcome, neither optimal nor infeasible.
         return replace(sol, status=RANK1_INFEASIBLE)
     return replace(sol, w=math.sqrt(power) * w0, power=power)
+
+
+def solve_general(
+    p: WiretapProblem,
+    r: RatePair,
+    mode: CsiMode = STATISTICAL,
+    input_model="gaussian",
+) -> BeamformerSolution:
+    """Full pipeline: thresholds, relaxed solve, rank-1 recovery.
+
+    input_model is "gaussian" or a mutual-information evaluator for
+    finite-alphabet signalling. All-diagonal statistical instances route to
+    the per-antenna LP, whose optimum the relaxation provably matches.
+    """
+    t, route = _route(p, r, mode, input_model)
+    return _complete(p, t, route, mode, solve_rank_relaxed(p, t, mode) if route == "sdp" else None)
+
+
+def solve_lockstep(
+    p: WiretapProblem,
+    rates,
+    mode: CsiMode = STATISTICAL,
+    input_model="gaussian",
+) -> list[BeamformerSolution]:
+    """solve_general at each rate pair of rates, with the relaxed solves of
+    the SDP route run in lockstep (_lockstep): they share the rows A of p,
+    so every round of their barrier work is one stacked kernel call per
+    kind. Each solution is solve_general's at its rate pair, bit for bit."""
+    routed = [_route(p, r, mode, input_model) for r in rates]
+    relaxed = iter(_lockstep([_relaxed(p, t, mode) for t, route in routed if route == "sdp"]))
+    return [_complete(p, t, route, mode, next(relaxed) if route == "sdp" else None)
+            for t, route in routed]

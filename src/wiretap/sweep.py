@@ -12,13 +12,13 @@ threshold or MI inversion. The brackets narrow stage by stage, and the row
 pulls the next stage only while a probe's gap lies inside the current one,
 so the path runs only as far as the probes need. The brackets are the only
 decider: a probe that the last stage still leaves inside its bracket makes
-the row `numerical-failure`. The row then costs one full solve_general, at
-the largest R_s proven feasible, below R_D: the gap 0 of R_s = R_D is never
+the row `numerical-failure`. The row then costs one final solve, at the
+largest R_s proven feasible, below R_D: the gap 0 of R_s = R_D is never
 above a bracket (rate_bracket maps every b to a gap of 0 or more), so R_D is
 not probed. That solve's rank-1 recovery is not monotone in R_s, so it is
 kept out of the bisection. A row with no stages is one where R_s moves no
 row of the problem (R_D = 0, or no nonzero eavesdropper ceiling): its one
-solve_general at R_s = R_D decides it, and that solve's status is the row's.
+final solve at R_s = R_D decides it, and that solve's status is the row's.
 
 An infeasible row ends the sweep's solving. When a row's epigraph proves
 the floors and the budget infeasible (b_lo = inf: a Farkas certificate from
@@ -37,7 +37,13 @@ or the final solve runs out of Newton steps. When the final solve's
 relaxation is feasible but its principal direction is not a feasible
 beamformer, the row is `rank1-infeasible` with no rates or power: the
 relaxation bounds the region from outside, so no achievable point is
-claimed. Rows are solved in grid order.
+claimed.
+
+A sweep runs in two phases. The rows' bisections run first, in grid order,
+each recording the point of its final solve. Then every final solve of the
+sweep runs at once (sdp.solve_lockstep): all share the problem's rows A, so
+their barrier runs go in lockstep through one stacked kernel call per round,
+and each gives the bits it gives alone.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import STATISTICAL, CsiMode, ModelError, RatePair, WiretapProblem
 from .sdp import (
@@ -55,7 +62,8 @@ from .sdp import (
     epigraph_stages,
     proven_feasibility,
     rate_thresholds,
-    solve_general,
+    solve_general,  # unused here; perfbench/tracer.py wraps this binding (TARGETS)
+    solve_lockstep,
 )
 
 ROW_OPTIMAL = "optimal"
@@ -86,11 +94,21 @@ class _RowFailure(Exception):
     pass
 
 
-def _solve_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow, bool]:
-    """The row at rd, and whether its epigraph proves the floors and the
-    budget infeasible (b_lo = inf), which holds at every larger rd too. With
-    stages, one bisection of R_s on [0, rd) by their brackets, then the
-    solve at its lower end; with none, the one solve at R_s = rd."""
+class _Final(NamedTuple):
+    """A row that its final solve, at R_s = lo, decides. staged: the row had
+    epigraph stages; without them, the solve's INFEASIBLE is the row's."""
+
+    rd: float
+    lo: float
+    staged: bool
+
+
+def _bisect_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow | _Final, bool]:
+    """The row at rd, or the _Final solve that decides it, and whether its
+    epigraph proves the floors and the budget infeasible (b_lo = inf), which
+    holds at every larger rd too. With stages, one bisection of R_s on [0,
+    rd) by their brackets, its lower end left to the final solve; with none,
+    the one solve at R_s = rd."""
     stages = epigraph_stages(p, rd, mode, input_model)
     epigraph = next(stages, None)
 
@@ -122,13 +140,17 @@ def _solve_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow, bool]:
                     hi = mid
         except _RowFailure:
             return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE), False
-    sol = solve_general(p, RatePair(rd, lo), mode=mode, input_model=input_model)
+    return _Final(rd, lo, epigraph is not None), False
+
+
+def _final_row(final: _Final, sol) -> SweepRow:
+    """The row that the final solve's solution sol decides."""
     if sol.status == OPTIMAL:
-        return SweepRow(rd, lo, sol.power, sol.rank1_exact, ROW_OPTIMAL), False
-    if sol.status == INFEASIBLE and epigraph is None:
-        return SweepRow(rd, None, None, None, ROW_INFEASIBLE), False
+        return SweepRow(final.rd, final.lo, sol.power, sol.rank1_exact, ROW_OPTIMAL)
+    if sol.status == INFEASIBLE and not final.staged:
+        return SweepRow(final.rd, None, None, None, ROW_INFEASIBLE)
     status = ROW_RANK1_INFEASIBLE if sol.status == RANK1_INFEASIBLE else ROW_NUMERICAL_FAILURE
-    return SweepRow(rd, None, None, None, status), False
+    return SweepRow(final.rd, None, None, None, status)
 
 
 def code_rate_grid(rd_min: float, rd_max: float, rd_step: float) -> list[float]:
@@ -195,8 +217,13 @@ def sweep_region(
             # proven infeasible, they are at every larger code rate too.
             rows.append(SweepRow(rd, None, None, None, ROW_INFEASIBLE))
         else:
-            row, carry = _solve_row(p, rd, rate_tol, mode, input_model)
+            row, carry = _bisect_row(p, rd, rate_tol, mode, input_model)
             rows.append(row)
+    finals = [row for row in rows if isinstance(row, _Final)]
+    if finals:
+        sols = iter(solve_lockstep(p, [RatePair(f.rd, f.lo) for f in finals],
+                                   mode=mode, input_model=input_model))
+        rows = [_final_row(row, next(sols)) if isinstance(row, _Final) else row for row in rows]
     return SweepResult(rows=tuple(rows), rate_tol=rate_tol)
 
 

@@ -57,19 +57,19 @@ def ref_j3():
 @pytest.fixture(autouse=True)
 def sdp_infeasible_is_certified(monkeypatch):
     """Every relaxed solve that a test reaches through wiretap.sdp (every
-    solve_general and sweep on the SDP route) and that reports infeasible
-    carries a Farkas certificate that ConstraintSet.farkas accepts on its
-    own rows."""
-    solve, build = sdp.solve_rank_relaxed, ConstraintSet.build
+    solve_general, solve_lockstep and sweep on the SDP route, alone or in
+    lockstep) and that reports infeasible carries a Farkas certificate that
+    ConstraintSet.farkas accepts on its own rows."""
+    relaxed, build = sdp._relaxed, ConstraintSet.build
 
     def checked(p, t, mode=STATISTICAL):
-        sol = solve(p, t, mode)
+        sol = yield from relaxed(p, t, mode)
         if sol.status == sdp.INFEASIBLE:
             cert = sol.certificate
             assert build(p, t, mode).farkas(np.r_[cert.lam, cert.mu, cert.nu])[1] > 0.0
         return sol
 
-    monkeypatch.setattr(sdp, "solve_rank_relaxed", checked)
+    monkeypatch.setattr(sdp, "_relaxed", checked)
 
 
 def random_psd(rng, n, scale=1.0, ridge=0.0, rank=None):

@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 from conftest import bundled, random_psd
+from oracles import exponentiality_check, mutual_info_mc
 from wiretap.constraints import ConstraintSet
 from wiretap.diag_lp import solve_diagonal
 from wiretap.kkt import check_kkt, rank_bound_check
 from wiretap.linalg import numerical_rank
-from wiretap.mi import MiEvaluator, bpsk, mutual_info_mc, qpsk
+from wiretap.mi import MiEvaluator, bpsk, qpsk
 from wiretap.model import RatePair, WiretapProblem, thresholds_gaussian
 from wiretap.montecarlo import (
     estimate_non_outage,
-    exponentiality_check,
     received_powers,
     sample_channels,
 )

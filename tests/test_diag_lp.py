@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bundled, scaled_problem
+from oracles import quad_form
 from wiretap import diag_lp, sdp
 from wiretap.constraints import ConstraintSet
 from wiretap.diag_lp import all_diagonal, is_diagonal, min_ceiling, solve_diagonal
-from wiretap.linalg import quad_form
 from wiretap.mi import MiEvaluator, qpsk
 from wiretap.model import STATISTICAL, ConstraintThresholds, RatePair, WiretapProblem, thresholds_gaussian
 from wiretap.sdp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, solve_general

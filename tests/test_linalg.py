@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bundled, random_psd
+from oracles import quad_form
 from wiretap.linalg import (
     LinalgError,
     hermitian_eig,
     numerical_rank,
     psd_project_factor,
-    quad_form,
     trace_inner,
 )
 

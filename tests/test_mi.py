@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import mutual_info_mc
 from wiretap import model
 from wiretap.mi import (
     BUILTIN_ALPHABETS,
@@ -13,7 +14,6 @@ from wiretap.mi import (
     MiEvaluator,
     bpsk,
     load_alphabet,
-    mutual_info_mc,
     psk8,
     qam16,
     qpsk,

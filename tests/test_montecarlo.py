@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bundled, random_psd
+from oracles import exponentiality_check, quad_form
 from wiretap.mi import MiEvaluator, bpsk
 from wiretap.model import ModelError, RatePair, WiretapProblem, thresholds_gaussian
 from wiretap.montecarlo import (
     estimate_individual_probs,
     estimate_non_outage,
-    exponentiality_check,
     received_powers,
     sample_channels,
 )
@@ -223,7 +223,6 @@ class TestIndividualProbs:
         sol = solve_general(ref_j1, r)
         t = sol.thresholds
         users, eaves = estimate_individual_probs(t, draw(ref_j1, sol.w, 41, 100_000))
-        from wiretap.linalg import quad_form
 
         for k, est in enumerate(users):
             expect = math.exp(-t.user_power_target / quad_form(sol.w, ref_j1.H[k]))

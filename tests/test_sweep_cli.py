@@ -39,6 +39,7 @@ from wiretap.sdp import (
     BeamformerSolution,
     proven_feasibility,
     solve_general,
+    solve_lockstep,
 )
 from wiretap.sweep import CSV_HEADER, SweepRow, code_rate_grid, sweep_region, to_csv
 
@@ -406,8 +407,9 @@ def finished_epigraph(p, rd, **kwargs):
 
 def count_row_calls(monkeypatch, extra=()):
     """The names of the sweep's solver entry points, and of the (owner,
-    attr) pairs in extra, appended per call. sdp._path is called once per
-    barrier run."""
+    attr) pairs in extra, appended per call. sdp._Path is made once per
+    barrier run, and sweep.solve_lockstep called once per sweep with a
+    final solve, for all of them."""
     calls = []
 
     def counting(module, attr):
@@ -418,7 +420,7 @@ def count_row_calls(monkeypatch, extra=()):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapped)
 
-    for module, attr in ((sweep, "epigraph_stages"), (sweep, "solve_general"), (sdp, "_path"),
+    for module, attr in ((sweep, "epigraph_stages"), (sweep, "solve_lockstep"), (sdp, "_Path"),
                          (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling"), *extra):
         counting(module, attr)
     return calls
@@ -478,11 +480,11 @@ class TestSweepBisection:
     def test_one_full_solve_per_feasible_row(self, ref_j1, monkeypatch):
         calls = []
 
-        def counting(p, r, **kwargs):
-            calls.append(r)
-            return solve_general(p, r, **kwargs)
+        def counting(p, rates, **kwargs):
+            calls.extend(rates)
+            return solve_lockstep(p, rates, **kwargs)
 
-        monkeypatch.setattr(sweep, "solve_general", counting)
+        monkeypatch.setattr(sweep, "solve_lockstep", counting)
         rows = sweep_region(ref_j1, [0.5, 1.2], rate_tol=1e-3).rows
         assert [row.status for row in rows] == ["optimal", "infeasible"]
         assert calls == [RatePair(0.5, rows[0].rs_max)]
@@ -625,18 +627,18 @@ class TestSweepBisection:
             count = {attr: calls.count(attr) for attr in set(calls)}
             probes = []
             assert row == probe_row(p, rd, 1e-3, probes)
-            assert count.get("epigraph_stages", 0) == count.get("solve_general", 0) == 1
+            assert count.get("epigraph_stages", 0) == count.get("solve_lockstep", 0) == 1
             if name in (None, "j0_lp"):
                 assert list(sdp.epigraph_stages(p, rd)) == [] and proofs == []
                 assert row.status == "optimal" and row.rs_max == rd
                 # The route's one barrier run or simplex, in the solve at (rd, rd).
-                solver = "_path" if name is None else "solve_diagonal"
-                assert count == {"epigraph_stages": 1, "solve_general": 1, solver: 1}
+                solver = "_Path" if name is None else "solve_diagonal"
+                assert count == {"epigraph_stages": 1, "solve_lockstep": 1, solver: 1}
                 continue
             # R_s = 0, then one probe per bisection step on [0, rd).
             assert len(probes) == 1 + math.ceil(math.log2(rd / 1e-3)) <= len(proofs)
             # A barrier run or a simplex: the epigraph and the full solve.
-            solver = sum(count.get(attr, 0) for attr in ("_path", "solve_diagonal", "min_ceiling"))
+            solver = sum(count.get(attr, 0) for attr in ("_Path", "solve_diagonal", "min_ceiling"))
             assert solver <= 2
 
     # An infeasible suffix: the first infeasible row's epigraph proves the
@@ -658,7 +660,7 @@ class TestSweepBisection:
         assert carried[:first + 1] == rows and calls == solved
         calls.clear()
         sweep_region(p, [grid[first]], rate_tol=1e-3)
-        assert ("_path" in calls) == (name is None)
+        assert ("_Path" in calls) == (name is None)
         assert rows[first].status == "infeasible" and finished_epigraph(p, grid[first]).b_lo == math.inf
         assert [row.status for row in carried[first + 1:]] == ["infeasible"] * (len(grid) - first - 1)
         assert all(full_solve_row(p, row.rd, 1e-3) == row for row in carried[first:])
@@ -696,7 +698,7 @@ class TestSweepBisection:
 
         original_stages = sweep.epigraph_stages
         monkeypatch.setattr(sweep, "epigraph_stages", counting_stages)
-        counting(sweep, "solve_general", calls.append)
+        counting(sweep, "solve_lockstep", calls.append)
         counting(MiEvaluator, "inverse", calls.append)
         counting(sdp, "thresholds_finite_alphabet",
                  lambda attr: callers.append(scope[-1] if scope else "probe"))
@@ -715,7 +717,7 @@ class TestSweepBisection:
             assert calls[:check] == ["inverse", "inverse"]
             row_calls, row_callers = calls[check:], callers[1:]
             assert row_calls.count("inverse") <= 4
-            assert row_callers == [c for c in row_calls if c in ("epigraph_stages", "solve_general")]
+            assert row_callers == [c for c in row_calls if c in ("epigraph_stages", "solve_lockstep")]
             assert row_callers[0] == "epigraph_stages"
         assert statuses == ["optimal", "optimal", "infeasible"]
 
@@ -742,7 +744,7 @@ class TestSweepBisection:
     def test_epigraph_runs_only_as_far_as_the_probes_need(self, ref_j1, monkeypatch):
         # Each stage's bracket lies inside the one before, and the row pulls
         # no stage after the first that decides all its probes: the Newton
-        # steps spent before its first solve_general are the epigraph's.
+        # steps spent before its final solve are the epigraph's.
         budgets, at_solve, staged, full = [], [], [], []
 
         class CountingBudget(sdp._NewtonBudget):
@@ -752,10 +754,10 @@ class TestSweepBisection:
 
         def counting_solve(*args, **kwargs):
             at_solve.append(sum(b.used for b in budgets))
-            return solve_general(*args, **kwargs)
+            return solve_lockstep(*args, **kwargs)
 
         monkeypatch.setattr(sdp, "_NewtonBudget", CountingBudget)
-        monkeypatch.setattr(sweep, "solve_general", counting_solve)
+        monkeypatch.setattr(sweep, "solve_lockstep", counting_solve)
         for rd in (0.5, 1.0):
             budgets.clear()
             stages = list(sdp.epigraph_stages(ref_j1, rd))
@@ -806,7 +808,7 @@ class TestSweepBisection:
         calls = count_row_calls(monkeypatch)
         row, = sweep_region(ref_j1, [1.0], rate_tol=1e-3).rows
         assert row == SweepRow(1.0, None, None, None, "numerical-failure")
-        assert calls[0] == "epigraph_stages" and "solve_general" not in calls
+        assert calls[0] == "epigraph_stages" and "solve_lockstep" not in calls
 
     # An eavesdropper the transmitter can null, Z = 0.01 diag(1, 0), so b* =
     # min Tr(Z W) = 0 over the floor and the budget. At R_s = R_D the rate gap
@@ -844,33 +846,43 @@ class TestSweepBisection:
         # The bytes, and the work that produced them: a change that moves a
         # count does different arithmetic, even where the bytes hold. Newton
         # steps are counted per barrier: the final solves centre to
-        # _NEWTON_TOL, the epigraph stages only to _EPIGRAPH_TOL.
+        # _NEWTON_TOL, the epigraph stages only to _EPIGRAPH_TOL. Steps and
+        # evaluations are counted per member; a sweep's final solves run in
+        # lockstep, so the stacked kernel calls (_newton, _evaluate) are
+        # fewer. An evaluation at a y_i <= 0 needs no kernel call.
         calls = count_row_calls(monkeypatch, extra=((sdp._Barrier, "evaluate"),
-                                                    (sweep, "proven_feasibility")))
-        newton_step = sdp._Barrier.newton_step
+                                                    (sweep, "proven_feasibility"),
+                                                    (sdp, "_evaluate"), (sdp, "_newton")))
+        newton_step, lockstep = sdp._Barrier.newton_step, sweep.solve_lockstep
 
         def counting(bar, *args):
             calls.append("final newton_step" if bar.e is None else "epigraph newton_step")
             return newton_step(bar, *args)
 
+        def counting_finals(p, rates, **kwargs):
+            calls.extend(["final solve"] * len(rates))
+            return lockstep(p, rates, **kwargs)
+
         monkeypatch.setattr(sdp._Barrier, "newton_step", counting)
+        monkeypatch.setattr(sweep, "solve_lockstep", counting_finals)
         csv = "".join(
             to_csv(sweep_region(load_problem(str(path)).problem,
                                 code_rate_grid(0.1, 2.0, 0.1), rate_tol=1e-3))
             for path in sorted(PROBLEMS.glob("*.json")))
         assert hashlib.md5(csv.encode()).hexdigest() == "c36d15b83a028ef18be82305981e9c07"
         assert {attr: calls.count(attr) for attr in set(calls)} == {
-            "final newton_step": 1869, "epigraph newton_step": 548, "_path": 54,
-            "min_ceiling": 28, "solve_diagonal": 25, "solve_general": 52,
-            "proven_feasibility": 614, "epigraph_stages": 58, "evaluate": 4937}
+            "final newton_step": 1869, "epigraph newton_step": 548, "_Path": 54,
+            "min_ceiling": 28, "solve_diagonal": 25, "final solve": 52,
+            "proven_feasibility": 614, "epigraph_stages": 58, "evaluate": 4937,
+            "solve_lockstep": 6, "_newton": 913, "_evaluate": 885}
 
     @pytest.mark.parametrize("status, row_status", [
         (MAX_ITERATIONS, "numerical-failure"),
         (RANK1_INFEASIBLE, "rank1-infeasible"),
     ])
     def test_final_solve_status_sets_row_status(self, ref_j1, monkeypatch, status, row_status):
-        monkeypatch.setattr(sweep, "solve_general",
-                            lambda *args, **kwargs: BeamformerSolution(status=status))
+        monkeypatch.setattr(sweep, "solve_lockstep",
+                            lambda p, rates, **kwargs: [BeamformerSolution(status=status)] * len(rates))
         res = sweep_region(ref_j1, [0.5, 1.2], rate_tol=1e-2)
         assert res.rows[0] == SweepRow(0.5, None, None, None, row_status)
         assert res.rows[1].status == "infeasible"
