@@ -355,6 +355,11 @@ class _Newton(NamedTuple):
     point: _Point
 
 
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays stacked on a new first axis; a lone one as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
 def _evaluate(requests: list[_Evaluate]) -> list[_Point]:
     """The _Point of each request, all on barriers of one key and with y >
     0: y with the Cholesky factor of Lambda(y) and its barrier terms; L and
@@ -363,7 +368,7 @@ def _evaluate(requests: list[_Evaluate]) -> list[_Point]:
     stack when one is not positive definite, and the members are then
     factored one by one."""
     bar = requests[0].bar
-    Y = np.array([r.y for r in requests])
+    Y = _stack([r.y for r in requests])
     lam = bar.C + np.einsum("bm,mij->bij", Y, bar.A)
     try:
         return _terms(requests, Y, np.linalg.cholesky(lam))
@@ -389,7 +394,7 @@ def _cholesky(lam: np.ndarray) -> np.ndarray | None:
 def _terms(requests: list[_Evaluate], Y: np.ndarray, L: np.ndarray) -> list[_Point]:
     """The _Point of each request inside the domain: its y (a row of Y), the
     Cholesky factor L of its Lambda(y) and its barrier terms."""
-    U = np.array([r.bar.u for r in requests])
+    U = _stack([r.bar.u for r in requests])
     terms = zip((U[:, None, :] @ Y[:, :, None]).ravel().tolist(),
                 (2.0 * np.log(L.diagonal(0, 1, 2).real).sum(1)).tolist(),
                 np.log(Y).sum(1).tolist())
@@ -407,10 +412,10 @@ def _newton(requests: list[_Newton]) -> list[_Step]:
     of a 1-D product, so every member's step is its step alone, bit for
     bit."""
     bar = requests[0].bar
-    Y = np.array([r.point.y for r in requests])
-    Linv = np.linalg.inv(np.array([r.point.L for r in requests]))
+    Y = _stack([r.point.y for r in requests])
+    Linv = np.linalg.inv(_stack([r.point.L for r in requests]))
     B = Linv[:, None] @ bar.A @ Linv.conj().transpose(0, 2, 1)[:, None]
-    G = np.array([r.t * r.bar.u for r in requests]) - np.einsum("bmii->bm", B).real - 1.0 / Y
+    G = _stack([r.t * r.bar.u for r in requests]) - np.einsum("bmii->bm", B).real - 1.0 / Y
     H = np.einsum("bmij,bnij->bmn", B, B.conj()).real
     diagonal = np.einsum("bii->bi", H)   # a view
     diagonal += 1.0 / (Y * Y)
