@@ -356,8 +356,15 @@ class _Newton(NamedTuple):
 
 
 def _stack(arrays: list) -> np.ndarray:
-    """The arrays stacked on a new first axis; a lone one as a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+    """Several arrays stacked on a new first axis, a lone one as it is: the
+    kernel works on a leading batch axis, or on none for one request."""
+    return arrays[0] if len(arrays) == 1 else np.array(arrays)
+
+
+def _rows(n: int, *arrays) -> list:
+    """Each member's part of arrays: the arrays themselves for a lone member
+    (n = 1), else their rows along the batch axis."""
+    return [arrays] if n == 1 else list(zip(*arrays))
 
 
 def _evaluate(requests: list[_Evaluate]) -> list[_Point]:
@@ -369,18 +376,20 @@ def _evaluate(requests: list[_Evaluate]) -> list[_Point]:
     factored one by one."""
     bar = requests[0].bar
     Y = _stack([r.y for r in requests])
-    lam = bar.C + np.einsum("bm,mij->bij", Y, bar.A)
+    lam = bar.C + np.einsum("...m,mij->...ij", Y, bar.A)
     try:
         return _terms(requests, Y, np.linalg.cholesky(lam))
     except np.linalg.LinAlgError:
         pass
     points = [_Point(r.y, None, None) for r in requests]
-    factors = [_cholesky(one) for one in lam] if len(requests) > 1 else [None]
-    inside = [k for k, factor in enumerate(factors) if factor is not None]
-    if inside:
-        L = np.array([factors[k] for k in inside])
-        for k, point in zip(inside, _terms([requests[k] for k in inside], Y[inside], L)):
-            points[k] = point
+    if len(requests) > 1:
+        factors = [_cholesky(one) for one in lam]
+        inside = [k for k, factor in enumerate(factors) if factor is not None]
+        if inside:
+            found = _terms([requests[k] for k in inside], _stack([Y[k] for k in inside]),
+                           _stack([factors[k] for k in inside]))
+            for k, point in zip(inside, found):
+                points[k] = point
     return points
 
 
@@ -392,13 +401,15 @@ def _cholesky(lam: np.ndarray) -> np.ndarray | None:
 
 
 def _terms(requests: list[_Evaluate], Y: np.ndarray, L: np.ndarray) -> list[_Point]:
-    """The _Point of each request inside the domain: its y (a row of Y), the
-    Cholesky factor L of its Lambda(y) and its barrier terms."""
+    """The _Point of each request inside the domain, from its y and the
+    Cholesky factor L of its Lambda(y) (stacked as _stack stacks them):
+    the barrier terms u'.y, logdet Lambda and sum log y."""
     U = _stack([r.bar.u for r in requests])
-    terms = zip((U[:, None, :] @ Y[:, :, None]).ravel().tolist(),
-                (2.0 * np.log(L.diagonal(0, 1, 2).real).sum(1)).tolist(),
-                np.log(Y).sum(1).tolist())
-    return [_Point(r.y, L_k, t) for r, L_k, t in zip(requests, L, terms)]
+    obj = (U[..., None, :] @ Y[..., :, None])[..., 0, 0]
+    logdet = 2.0 * np.log(L.diagonal(0, -2, -1).real).sum(-1)
+    log_y = np.log(Y).sum(-1)
+    return [_Point(r.y, L_k, (float(o), float(ld), float(ly)))
+            for r, (L_k, o, ld, ly) in zip(requests, _rows(len(requests), L, obj, logdet, log_y))]
 
 
 def _newton(requests: list[_Newton]) -> list[_Step]:
@@ -408,42 +419,42 @@ def _newton(requests: list[_Newton]) -> list[_Step]:
     + delta_ij / y_i^2, both from B_i = L^-1 A'_i L^-H; with e, the step
     keeps e.y. When the stacked solve raises, each member is solved alone,
     by least squares where its own solve raises too. Dot products run as
-    stacks of 1 x m by m x 1 products, which NumPy hands to the BLAS dot
-    of a 1-D product, so every member's step is its step alone, bit for
-    bit."""
+    1 x m by m x 1 products, which NumPy hands to the BLAS dot of a 1-D
+    product, so every member's step is its step alone, bit for bit."""
     bar = requests[0].bar
     Y = _stack([r.point.y for r in requests])
     Linv = np.linalg.inv(_stack([r.point.L for r in requests]))
-    B = Linv[:, None] @ bar.A @ Linv.conj().transpose(0, 2, 1)[:, None]
-    G = _stack([r.t * r.bar.u for r in requests]) - np.einsum("bmii->bm", B).real - 1.0 / Y
-    H = np.einsum("bmij,bnij->bmn", B, B.conj()).real
-    diagonal = np.einsum("bii->bi", H)   # a view
+    B = Linv[..., None, :, :] @ bar.A @ np.swapaxes(Linv.conj(), -1, -2)[..., None, :, :]
+    G = _stack([r.t * r.bar.u for r in requests]) - np.einsum("...mii->...m", B).real - 1.0 / Y
+    H = np.einsum("...mij,...nij->...mn", B, B.conj()).real
+    diagonal = np.einsum("...ii->...i", H)   # a view
     diagonal += 1.0 / (Y * Y)
     # Jacobi equilibration: the diagonal spans many orders of magnitude
     # once the binding rows' y grow, and the raw solve loses the others.
-    d = np.sqrt(diagonal)[:, :, None]
-    scaled = H / (d * d.transpose(0, 2, 1))
+    d = np.sqrt(diagonal)[..., None]
+    scaled = H / (d * np.swapaxes(d, -1, -2))
     if bar.e is None:
-        rhs = G[:, :, None] / d
+        rhs = G[..., None] / d
     else:
         rhs = np.empty(Y.shape + (2,))
-        rhs[:, :, 0], rhs[:, :, 1] = G, bar.e
+        rhs[..., 0], rhs[..., 1] = G, bar.e
         rhs /= d
     try:
         h = np.linalg.solve(scaled, rhs)
     except np.linalg.LinAlgError:
-        h = np.array([_solve(*one) for one in zip(scaled, rhs)])
+        h = _stack([_solve(*one) for one in _rows(len(requests), scaled, rhs)])
     h /= d
     if bar.e is None:
-        dy = -h[:, :, 0]
+        dy = -h[..., 0]
     else:
         # g + kappa e is the gradient less its part along e, which the step
         # cannot follow; the decrement is taken from it, not from g.
-        kappa = -(bar.e @ h[:, :, :1]) / (bar.e @ h[:, :, 1:])
-        dy = -(h[:, :, 0] + kappa * h[:, :, 1])
+        kappa = -(bar.e @ h[..., :1]) / (bar.e @ h[..., 1:])
+        dy = -(h[..., 0] + kappa * h[..., 1])
         G = G + kappa * bar.e
-    dec2 = -(G[:, None, :] @ dy[:, :, None])[:, 0, 0]
-    return [_Step(*step) for step in zip(dy, dec2.tolist(), Linv, B)]
+    dec2 = -(G[..., None, :] @ dy[..., :, None])[..., 0, 0]
+    return [_Step(dy_k, float(dec2_k), Linv_k, B_k)
+            for dy_k, dec2_k, Linv_k, B_k in _rows(len(requests), dy, dec2, Linv, B)]
 
 
 def _solve(scaled: np.ndarray, rhs: np.ndarray) -> np.ndarray:
