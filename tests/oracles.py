@@ -1,7 +1,8 @@
 """Test-only oracles, kept out of the package because no command uses them:
 a quadratic form, an empirical check of the fading law that the Monte Carlo
-estimators rest on, and a Monte Carlo estimate of a constellation's mutual
-information, independent of the package's quadrature."""
+estimators rest on, a Monte Carlo estimate of a constellation's mutual
+information, independent of the package's quadrature, and the quadrature's
+own mass."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from wiretap.linalg import LinalgError, as_matrix, as_vector
-from wiretap.mi import Alphabet
+from wiretap.mi import Alphabet, MiEvaluator
 from wiretap.model import ModelError, WiretapProblem
 from wiretap.montecarlo import ChannelSample, received_powers
 
@@ -118,3 +119,9 @@ def mutual_info_mc(alphabet: Alphabet, rho: float, draws: int, seed: int = 0) ->
         total += float(np.sum(np.log2(np.sum(np.exp(expo), axis=1))))
         done += n
     return math.log2(m) - total / draws
+
+
+def quadrature_unit_mass(ev: MiEvaluator) -> list[float]:
+    """Each quadrature factor's value of its noise-density integral (exactly
+    1): the sum of its node weights over the weight function's mass."""
+    return [float(np.sum(f.weights)) / f.mass for f in ev._factors]
