@@ -18,9 +18,9 @@ is refined on its optimal face (_refine_face): a few Gauss-Newton steps on
 the square KKT system Lambda(y) V = 0, Tr(V^H A_i V) = u_i, W = V V^H, take
 the residuals from the barrier's float64 floor (about 1e-7) to roundoff.
 OPTIMAL needs that refined point to be a KKT point with a small duality
-gap; otherwise the solve reports MAX_ITERATIONS. A row that no W >= 0
-within the budget meets (a floor with a_k > P_T lambda_max(F_k), or a
-negative ceiling) is refuted before any barrier run (_unreachable_row).
+gap (_face_point); otherwise the solve reports MAX_ITERATIONS. A row that
+no W >= 0 within the budget meets (a floor with a_k > P_T lambda_max(F_k),
+or a negative ceiling) is refuted before any barrier run (_unreachable_row).
 
 The epigraph of the ceilings (epigraph_stages) is the same barrier without
 the I in Lambda, with ceiling u = 0 and the ceiling multipliers summing to
@@ -53,8 +53,14 @@ _lockstep runs such generators together and answers each round's largest
 set of like requests with one kernel call. Stacked LAPACK calls and dot
 products run the same routine on each member, so a member's iterates are
 bit for bit the ones it gets alone. solve_lockstep runs a batch of final
-solves this way (a sweep's); solve_general, solve_rank_relaxed and the
-epigraph stages run with B = 1 through the same code.
+solves this way; solve_general, solve_rank_relaxed and the epigraph stages
+run with B = 1 through the same code.
+
+Along a sweep only the thresholds u move from one final solve to the next.
+continue_face solves the next one with no barrier run: Newton on the face
+system of the previous optimum at the new u, and one retry that walks u
+there in _WALK_STEPS steps. Its end point earns OPTIMAL by the same test
+as a barrier's refined point (_face_point), or the caller runs the barrier.
 
 Each solve builds its ConstraintSet once, and the route's solver takes it:
 the diagonal LP (diag_lp.solve_diagonal, whose w = sqrt(P)) or the barrier.
@@ -106,6 +112,7 @@ _FACE_TOL = 1e-12        # relative KKT residual a refined face must reach
 _MAX_NEWTON = 800        # total Newton budget per barrier run
 _T_MAX = 1e12            # the path stops at this barrier parameter
 _LP_ROW_REL = 1e-9       # an LP allocation must meet each row to this * |u_i|
+_WALK_STEPS = 4          # equal steps of u in a continuation's retry (continue_face)
 
 
 @dataclass(frozen=True)
@@ -298,7 +305,9 @@ class _Barrier:
         its stages' brackets are proofs at any y in the domain, so a loosely
         centred stage serves as well; returns (point, step, converged), step
         the Newton step at point. A generator of the kernel requests of the
-        iterations (_lockstep answers them), whose value is that triple.
+        iterations (_lockstep answers them), whose value is that triple. No
+        stage has a step cap of its own: the run's _NewtonBudget bounds every
+        stage, and raises _NumericalTrouble once it is spent.
 
         stop(point) ends centering with step None as soon as some external
         goal is reached (a Farkas certificate). Exits quietly when the
@@ -308,7 +317,7 @@ class _Barrier:
         """
         f = point.value(t)
         tol = _NEWTON_TOL if self.e is None else _EPIGRAPH_TOL
-        for _ in range(80):
+        while True:
             if stop is not None and stop(point):
                 return point, None, False
             step = yield from self.newton_step(t, point)
@@ -337,7 +346,6 @@ class _Barrier:
                 # the point is as centered as the arithmetic allows.
                 return point, step, False
             point, f = best, best_f
-        raise _NumericalTrouble("centering did not converge")
 
 
 class _Evaluate(NamedTuple):
@@ -627,6 +635,35 @@ def _face_newton(A, u, V, y):
     return best
 
 
+def _face_point(cons: ConstraintSet, rows: np.ndarray, V: np.ndarray, y_rows: np.ndarray,
+                err: float):
+    """(W, y) of a solution (V, y_rows, err) of the face system of _face_newton
+    on the rows of cons, W = V V^H and y one multiplier per row of cons, 0
+    off rows, when it is an optimum to roundoff; otherwise None. This is the
+    one test that earns OPTIMAL on the SDP route, for a barrier's refined
+    end point (_refine_face) and for a continued face (continue_face) alike:
+
+    - the face residual err is at most _FACE_TOL;
+    - every multiplier on rows is >= 0;
+    - every slack u_i - Re Tr(A_i W) off rows is > 0;
+    - Lambda(y) is PSD to _FACE_TOL times its size;
+    - the duality gap Tr W + y.u is at most 1e-6 Tr W.
+    """
+    if not err <= _FACE_TOL or float(np.min(y_rows)) < 0.0:  # also rejects a NaN
+        return None
+    y = np.zeros(cons.u.size)
+    y[rows] = y_rows
+    W = V @ V.conj().T
+    s = np.delete(cons.u - cons.values(W), rows)
+    roundoff = _FACE_TOL * (1.0 + float(np.dot(y, np.linalg.norm(cons.A, axis=(1, 2)))))
+    if not (np.all(s > 0.0) and np.linalg.eigvalsh(cons.duals(y).Lambda)[0] >= -roundoff):
+        return None
+    primal = float(np.real(np.trace(W)))
+    if abs(primal - cons.dual_objective(y)) <= 1e-6 * primal:
+        return W, y
+    return None
+
+
 def _refine_face(cons: ConstraintSet, bar: _Barrier, W: np.ndarray, slacks: np.ndarray,
                  y0: np.ndarray):
     """Newton refinement of the end point W' of the barrier bar on the rows
@@ -647,9 +684,8 @@ def _refine_face(cons: ConstraintSet, bar: _Barrier, W: np.ndarray, slacks: np.n
     system with no regular solution.
 
     Returns (V V^H, y) in the units of cons, y one multiplier per row of cons
-    and 0 on the inactive rows, when that is a KKT point to roundoff: every
-    multiplier >= 0, every inactive slack > 0 and Lambda(y) PSD. Otherwise
-    None.
+    and 0 on the inactive rows, when _face_point certifies it: a KKT point
+    to roundoff with a small duality gap. Otherwise None.
     """
     A, u = cons.A[bar.keep], cons.u[bar.keep]
     vals, vecs = np.linalg.eigh(W)
@@ -663,22 +699,16 @@ def _refine_face(cons: ConstraintSet, bar: _Barrier, W: np.ndarray, slacks: np.n
     active = np.flatnonzero(y0 > slacks)
     while active.size:
         V, y_act, err = _face_newton(A[active], u[active], V0, y0[active] / bar.r[active])
-        if not err <= _FACE_TOL:  # also rejects a NaN
+        end = _face_point(cons, bar.keep[active], V, y_act, err)
+        if end is not None:
+            return end
+        if not err <= _FACE_TOL:
             drop = int(np.argmin(y0[active] / slacks[active]))
         elif float(np.min(y_act)) < 0.0:
             drop = int(np.argmin(y_act))
         else:
-            break
+            return None
         active = np.delete(active, drop)
-    else:
-        return None
-    y = np.zeros(cons.u.size)
-    y[bar.keep[active]] = y_act
-    W = V @ V.conj().T
-    s = np.delete(cons.u - cons.values(W), bar.keep[active])
-    roundoff = _FACE_TOL * (1.0 + float(np.dot(y, np.linalg.norm(cons.A, axis=(1, 2)))))
-    if np.all(s > 0.0) and np.linalg.eigvalsh(cons.duals(y).Lambda)[0] >= -roundoff:
-        return W, y
     return None
 
 
@@ -826,7 +856,7 @@ def epigraph_stages(
 
     Yields nothing exactly when R_s moves no row: on the trivial route, or
     with no nonzero ceiling to bound. When the path fails before its first
-    stage (its centering does not converge, or the Newton steps run out) it
+    stage (the Newton steps run out, or an iterate leaves the domain) it
     yields one bracket, b_lo = -inf and b_hi = inf, that decides no probe;
     after a stage, the stages end where the path fails.
     """
@@ -880,7 +910,7 @@ def _zero_power(cons: ConstraintSet, t: ConstraintThresholds, mode: CsiMode):
 def _relaxed(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode):
     """solve_rank_relaxed as a generator of the final solve's kernel
     requests, whose value is the BeamformerSolution. A _NumericalTrouble of
-    its own (the Newton budget, a centering that does not converge) ends it
+    its own (the Newton budget spent, an iterate out of the domain) ends it
     MAX_ITERATIONS, and ends no other member of a _lockstep run."""
     cons = ConstraintSet.build(p, t, mode)
     if np.all(cons.u >= 0.0):  # W = 0 satisfies every row
@@ -896,13 +926,11 @@ def _relaxed(p: WiretapProblem, t: ConstraintThresholds, mode: CsiMode):
         return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t,
                                   certificate=cert, newton_iterations=budget.used)
     # The claimed status must be earned: by a refined KKT point with a small
-    # gap, not by the path having terminated.
+    # gap (_face_point), not by the path having terminated.
     if W is not None:
-        primal = float(np.real(np.trace(W)))
-        if abs(primal - cons.dual_objective(y)) <= 1e-6 * primal:
-            return BeamformerSolution(status=OPTIMAL, mode=mode, W=W, objective=primal,
-                                      duals=cons.duals(y), thresholds=t,
-                                      newton_iterations=budget.used)
+        return BeamformerSolution(status=OPTIMAL, mode=mode, W=W,
+                                  objective=float(np.real(np.trace(W))), duals=cons.duals(y),
+                                  thresholds=t, newton_iterations=budget.used)
     return BeamformerSolution(status=MAX_ITERATIONS, mode=mode, thresholds=t,
                               newton_iterations=budget.used)
 
@@ -1075,3 +1103,58 @@ def solve_lockstep(
     relaxed = iter(_lockstep([_relaxed(p, t, mode) for t, route in routed if route == "sdp"]))
     return [_complete(p, t, route, mode, next(relaxed) if route == "sdp" else None)
             for t, route in routed]
+
+
+# ---------------------------------------------------------------------------
+# Continuation from a nearby optimum
+# ---------------------------------------------------------------------------
+
+
+def continue_face(
+    p: WiretapProblem,
+    prev: BeamformerSolution,
+    r: RatePair,
+    mode: CsiMode = STATISTICAL,
+    input_model="gaussian",
+) -> BeamformerSolution | None:
+    """solve_general at r, continued from prev, an SDP-route solution of p
+    with a certified relaxed optimum (its W and duals) at nearby thresholds,
+    with no barrier run; None when the continuation is not certified.
+
+    The rows A of p do not depend on the rates, only their thresholds u do,
+    so prev's optimal face is the start of the face system at r: V from
+    prev's W on its numerical range, and prev's rows with y_i > 0 and their
+    multipliers (_face_newton). When that misses, u walks once from prev's
+    thresholds to r's in _WALK_STEPS equal steps, with a Newton solve at
+    each. The end point is accepted only by _face_point, the test that
+    earns a barrier solve its OPTIMAL; the rank-1 recovery is solve_general's
+    (_complete). A face that changes between the two rate pairs (a row
+    turning active or inactive) is not certified, and the caller solves r on
+    the barrier instead."""
+    t, route = _route(p, r, mode, input_model)
+    if route != "sdp" or prev.W is None:
+        return None
+    cons = ConstraintSet.build(p, t, mode)
+    if np.all(cons.u >= 0.0):  # W = 0, which the barrier's route returns
+        return None
+    y = cons.stack(prev.duals)
+    rows = np.flatnonzero(y > 0.0)
+    vals, vecs = np.linalg.eigh(prev.W)
+    if not (rows.size and vals[-1] > 0.0):
+        return None
+    keep = vals > _RANK_REL_TOL * vals[-1]
+    V0 = vecs[:, keep] * np.sqrt(vals[keep])
+    A, u = cons.A[rows], cons.u[rows]
+    end = _face_point(cons, rows, *_face_newton(A, u, V0, y[rows]))
+    if end is None:
+        u_prev = ConstraintSet.build(p, prev.thresholds, mode).u[rows]
+        V, y_rows = V0, y[rows]
+        for f in np.arange(1, _WALK_STEPS) / _WALK_STEPS:
+            V, y_rows, _ = _face_newton(A, u_prev + f * (u - u_prev), V, y_rows)
+        end = _face_point(cons, rows, *_face_newton(A, u, V, y_rows))
+    if end is None:
+        return None
+    W, y = end
+    sol = BeamformerSolution(status=OPTIMAL, mode=mode, W=W, objective=float(np.real(np.trace(W))),
+                             duals=cons.duals(y), thresholds=t)
+    return _complete(p, t, route, mode, sol)

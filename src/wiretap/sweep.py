@@ -40,10 +40,14 @@ relaxation bounds the region from outside, so no achievable point is
 claimed.
 
 A sweep runs in two phases. The rows' bisections run first, in grid order,
-each recording the point of its final solve. Then every final solve of the
-sweep runs at once (sdp.solve_lockstep): all share the problem's rows A, so
-their barrier runs go in lockstep through one stacked kernel call per round,
-and each gives the bits it gives alone.
+each recording the point of its final solve. Then the final solves run, in
+grid order too. All share the problem's rows A and differ only in their
+thresholds u, so each is first continued from the nearest row before it
+with a certified optimum (sdp.continue_face): Newton on that row's optimal
+face at the new thresholds, accepted only by the test that earns a barrier
+solve OPTIMAL (sdp._face_point). The first row, and a row whose face
+changes (a row turning active or inactive), take solve_general's barrier,
+and the rows after it continue from there.
 """
 
 from __future__ import annotations
@@ -59,11 +63,11 @@ from .sdp import (
     INFEASIBLE,
     OPTIMAL,
     RANK1_INFEASIBLE,
+    continue_face,
     epigraph_stages,
     proven_feasibility,
     rate_thresholds,
-    solve_general,  # unused here; perfbench/tracer.py wraps this binding (TARGETS)
-    solve_lockstep,
+    solve_general,
 )
 
 ROW_OPTIMAL = "optimal"
@@ -153,6 +157,23 @@ def _final_row(final: _Final, sol) -> SweepRow:
     return SweepRow(final.rd, None, None, None, status)
 
 
+def _final_solutions(p, rates, mode, input_model) -> list:
+    """solve_general's solution at each rate pair of rates, in grid order.
+    Each is first continued (continue_face) from the nearest solution before
+    it with a certified relaxed optimum (one with W). The first, and each
+    whose continuation is not certified, is solve_general's own solve (the
+    barrier, on the SDP route), which the next rate pair continues from."""
+    sols, anchor = [], None
+    for r in rates:
+        sol = None if anchor is None else continue_face(p, anchor, r, mode, input_model)
+        if sol is None:
+            sol = solve_general(p, r, mode=mode, input_model=input_model)
+        if sol.W is not None:
+            anchor = sol
+        sols.append(sol)
+    return sols
+
+
 def code_rate_grid(rd_min: float, rd_max: float, rd_step: float) -> list[float]:
     """rd_min, rd_min + rd_step, ... <= rd_max, each rounded to 12 decimals so
     accumulated steps land on 0.3, not 0.30000000000000004."""
@@ -220,10 +241,8 @@ def sweep_region(
             row, carry = _bisect_row(p, rd, rate_tol, mode, input_model)
             rows.append(row)
     finals = [row for row in rows if isinstance(row, _Final)]
-    if finals:
-        sols = iter(solve_lockstep(p, [RatePair(f.rd, f.lo) for f in finals],
-                                   mode=mode, input_model=input_model))
-        rows = [_final_row(row, next(sols)) if isinstance(row, _Final) else row for row in rows]
+    sols = iter(_final_solutions(p, [RatePair(f.rd, f.lo) for f in finals], mode, input_model))
+    rows = [_final_row(row, next(sols)) if isinstance(row, _Final) else row for row in rows]
     return SweepResult(rows=tuple(rows), rate_tol=rate_tol)
 
 

@@ -148,6 +148,32 @@ class TestSolveRankRelaxed:
         sol = solve_rank_relaxed(ref_j1, t)
         assert sol.status == MAX_ITERATIONS
 
+    def test_long_stage_runs_on_the_run_budget(self):
+        # The solve_n32 benchmark's generator drawn at seed 5 (N 32, K = J =
+        # 3, users at scale 1 and eavesdroppers at 0.003, ridge 0.1, P_T 30)
+        # at (1.0, 0.8): a stage that needs more than 80 Newton steps. A
+        # fixed cap of 80 per stage ended it max_iterations; bounded only by
+        # the run's budget, the path reaches a Farkas certificate.
+        rng = np.random.default_rng(5)
+        p = WiretapProblem(H=tuple(random_psd(rng, 32, 1.0, 0.1) for _ in range(3)),
+                           Z=tuple(random_psd(rng, 32, 0.003, 0.1) for _ in range(3)),
+                           N0=1.0, epsilon=0.1, P_T=30.0)
+        stages = []
+        center = sdp._Barrier.center
+
+        def counting(bar, t, point, budget, stop=None):
+            used = budget.used
+            out = yield from center(bar, t, point, budget, stop)
+            stages.append(budget.used - used)
+            return out
+
+        with mock.patch.object(sdp._Barrier, "center", counting):
+            sol = solve_general(p, RatePair(1.0, 0.8))
+        assert sol.status == INFEASIBLE and max(stages) > 80
+        cons = ConstraintSet.build(p, sol.thresholds)
+        cert = sol.certificate
+        assert cons.farkas(np.r_[cert.lam, cert.mu, cert.nu])[1] > 0.0
+
     def test_dual_feasibility_k6(self, ref_j2):
         t = thresholds_gaussian(ref_j2, RatePair(0.6, 0.3))
         sol = solve_rank_relaxed(ref_j2, t)

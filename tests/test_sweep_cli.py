@@ -11,7 +11,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import PROBLEMS, bundled, data_problem, probe_verdict, random_psd, thin_set_problem
+from conftest import (
+    PROBLEMS,
+    bundled,
+    data_problem,
+    probe_verdict,
+    random_problem,
+    random_psd,
+    thin_set_problem,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,9 +45,9 @@ from wiretap.sdp import (
     OPTIMAL,
     RANK1_INFEASIBLE,
     BeamformerSolution,
+    continue_face,
     proven_feasibility,
     solve_general,
-    solve_lockstep,
 )
 from wiretap.sweep import CSV_HEADER, SweepRow, code_rate_grid, sweep_region, to_csv
 
@@ -400,6 +408,18 @@ def probe_row(p, rd, rate_tol, probes=None, mode=STATISTICAL, input_model="gauss
     return SweepRow(rd, None, None, None, "numerical-failure")
 
 
+def assert_rows_match(rows, expected):
+    """rows are expected, but for min_power, which may differ by 1e-12
+    relative: a row continued from the one before it (continue_face) is an
+    optimum certified to roundoff, not the bits of the barrier's."""
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert dataclasses.replace(row, min_power=None) == dataclasses.replace(want, min_power=None)
+        assert (row.min_power is None) == (want.min_power is None)
+        if want.min_power is not None:
+            assert row.min_power == pytest.approx(want.min_power, rel=1e-12, abs=0.0)
+
+
 def finished_epigraph(p, rd, **kwargs):
     """The last of the epigraph stages at rd: the finished path."""
     return list(sdp.epigraph_stages(p, rd, **kwargs))[-1]
@@ -408,8 +428,9 @@ def finished_epigraph(p, rd, **kwargs):
 def count_row_calls(monkeypatch, extra=()):
     """The names of the sweep's solver entry points, and of the (owner,
     attr) pairs in extra, appended per call. sdp._Path is made once per
-    barrier run, and sweep.solve_lockstep called once per sweep with a
-    final solve, for all of them."""
+    barrier run. A final solve is one sweep.solve_general call, or one
+    sweep.continue_face call (the continuation from an earlier row) and, if
+    that is not certified, one solve_general call."""
     calls = []
 
     def counting(module, attr):
@@ -420,7 +441,8 @@ def count_row_calls(monkeypatch, extra=()):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapped)
 
-    for module, attr in ((sweep, "epigraph_stages"), (sweep, "solve_lockstep"), (sdp, "_Path"),
+    for module, attr in ((sweep, "epigraph_stages"), (sweep, "solve_general"),
+                         (sweep, "continue_face"), (sdp, "_Path"),
                          (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling"), *extra):
         counting(module, attr)
     return calls
@@ -469,7 +491,7 @@ class TestSweepBisection:
     def test_rows_match_full_solve_bisection(self, name, grid):
         p = named_problem(name)
         rows = sweep_region(p, grid, rate_tol=1e-3).rows
-        assert rows == tuple(full_solve_row(p, rd, 1e-3) for rd in grid)
+        assert_rows_match(rows, [full_solve_row(p, rd, 1e-3) for rd in grid])
         statuses = {row.status for row in rows}
         assert statuses <= {"optimal", "infeasible"}
         if name in (None, "j0_lp"):
@@ -480,11 +502,16 @@ class TestSweepBisection:
     def test_one_full_solve_per_feasible_row(self, ref_j1, monkeypatch):
         calls = []
 
-        def counting(p, rates, **kwargs):
-            calls.extend(rates)
-            return solve_lockstep(p, rates, **kwargs)
+        def solving(p, r, **kwargs):
+            calls.append(r)
+            return solve_general(p, r, **kwargs)
 
-        monkeypatch.setattr(sweep, "solve_lockstep", counting)
+        def continuing(p, prev, r, *args):
+            calls.append(r)
+            return continue_face(p, prev, r, *args)
+
+        monkeypatch.setattr(sweep, "solve_general", solving)
+        monkeypatch.setattr(sweep, "continue_face", continuing)
         rows = sweep_region(ref_j1, [0.5, 1.2], rate_tol=1e-3).rows
         assert [row.status for row in rows] == ["optimal", "infeasible"]
         assert calls == [RatePair(0.5, rows[0].rs_max)]
@@ -627,13 +654,14 @@ class TestSweepBisection:
             count = {attr: calls.count(attr) for attr in set(calls)}
             probes = []
             assert row == probe_row(p, rd, 1e-3, probes)
-            assert count.get("epigraph_stages", 0) == count.get("solve_lockstep", 0) == 1
+            assert count.get("epigraph_stages", 0) == count.get("solve_general", 0) == 1
+            assert "continue_face" not in count
             if name in (None, "j0_lp"):
                 assert list(sdp.epigraph_stages(p, rd)) == [] and proofs == []
                 assert row.status == "optimal" and row.rs_max == rd
                 # The route's one barrier run or simplex, in the solve at (rd, rd).
                 solver = "_Path" if name is None else "solve_diagonal"
-                assert count == {"epigraph_stages": 1, "solve_lockstep": 1, solver: 1}
+                assert count == {"epigraph_stages": 1, "solve_general": 1, solver: 1}
                 continue
             # R_s = 0, then one probe per bisection step on [0, rd).
             assert len(probes) == 1 + math.ceil(math.log2(rd / 1e-3)) <= len(proofs)
@@ -698,7 +726,8 @@ class TestSweepBisection:
 
         original_stages = sweep.epigraph_stages
         monkeypatch.setattr(sweep, "epigraph_stages", counting_stages)
-        counting(sweep, "solve_lockstep", calls.append)
+        counting(sweep, "solve_general", calls.append)
+        counting(sweep, "continue_face", calls.append)
         counting(MiEvaluator, "inverse", calls.append)
         counting(sdp, "thresholds_finite_alphabet",
                  lambda attr: callers.append(scope[-1] if scope else "probe"))
@@ -717,7 +746,9 @@ class TestSweepBisection:
             assert calls[:check] == ["inverse", "inverse"]
             row_calls, row_callers = calls[check:], callers[1:]
             assert row_calls.count("inverse") <= 4
-            assert row_callers == [c for c in row_calls if c in ("epigraph_stages", "solve_lockstep")]
+            assert row_callers == [c for c in row_calls
+                                   if c in ("epigraph_stages", "solve_general", "continue_face")]
+            assert "continue_face" not in row_calls
             assert row_callers[0] == "epigraph_stages"
         assert statuses == ["optimal", "optimal", "infeasible"]
 
@@ -754,10 +785,10 @@ class TestSweepBisection:
 
         def counting_solve(*args, **kwargs):
             at_solve.append(sum(b.used for b in budgets))
-            return solve_lockstep(*args, **kwargs)
+            return solve_general(*args, **kwargs)
 
         monkeypatch.setattr(sdp, "_NewtonBudget", CountingBudget)
-        monkeypatch.setattr(sweep, "solve_lockstep", counting_solve)
+        monkeypatch.setattr(sweep, "solve_general", counting_solve)
         for rd in (0.5, 1.0):
             budgets.clear()
             stages = list(sdp.epigraph_stages(ref_j1, rd))
@@ -808,7 +839,8 @@ class TestSweepBisection:
         calls = count_row_calls(monkeypatch)
         row, = sweep_region(ref_j1, [1.0], rate_tol=1e-3).rows
         assert row == SweepRow(1.0, None, None, None, "numerical-failure")
-        assert calls[0] == "epigraph_stages" and "solve_lockstep" not in calls
+        assert calls[0] == "epigraph_stages"
+        assert "solve_general" not in calls and "continue_face" not in calls
 
     # An eavesdropper the transmitter can null, Z = 0.01 diag(1, 0), so b* =
     # min Tr(Z W) = 0 over the floor and the budget. At R_s = R_D the rate gap
@@ -827,7 +859,8 @@ class TestSweepBisection:
         for row in rows:
             assert row.status == "optimal" and row.rd - 1e-2 <= row.rs_max < row.rd
             sol = solve_general(p, RatePair(row.rd, row.rs_max))
-            assert sol.status == OPTIMAL and sol.power == row.min_power
+            assert sol.status == OPTIMAL
+            assert sol.power == pytest.approx(row.min_power, rel=1e-12, abs=0.0)
             assert check_kkt(p, sol.thresholds, sol.W, sol.duals).passes(1e-5)
 
     @pytest.mark.parametrize("name, rd", [
@@ -846,47 +879,173 @@ class TestSweepBisection:
         # The bytes, and the work that produced them: a change that moves a
         # count does different arithmetic, even where the bytes hold. Newton
         # steps are counted per barrier: the final solves centre to
-        # _NEWTON_TOL, the epigraph stages only to _EPIGRAPH_TOL. Steps and
-        # evaluations are counted per member; a sweep's final solves run in
-        # lockstep, so the stacked kernel calls (_newton, _evaluate) are
-        # fewer. An evaluation at a y_i <= 0 needs no kernel call.
+        # _NEWTON_TOL, the epigraph stages only to _EPIGRAPH_TOL. A final
+        # solve is continued from the row before it where that is certified
+        # ("continued"), else solve_general runs its barrier or its simplex
+        # alone. An evaluation at a y_i <= 0 needs no kernel call.
         calls = count_row_calls(monkeypatch, extra=((sdp._Barrier, "evaluate"),
                                                     (sweep, "proven_feasibility"),
                                                     (sdp, "_evaluate"), (sdp, "_newton")))
-        newton_step, lockstep = sdp._Barrier.newton_step, sweep.solve_lockstep
+        newton_step, continuing = sdp._Barrier.newton_step, sweep.continue_face
 
         def counting(bar, *args):
             calls.append("final newton_step" if bar.e is None else "epigraph newton_step")
             return newton_step(bar, *args)
 
-        def counting_finals(p, rates, **kwargs):
-            calls.extend(["final solve"] * len(rates))
-            return lockstep(p, rates, **kwargs)
+        def counting_continued(*args):
+            sol = continuing(*args)
+            if sol is not None:
+                calls.append("continued")
+            return sol
 
         monkeypatch.setattr(sdp._Barrier, "newton_step", counting)
-        monkeypatch.setattr(sweep, "solve_lockstep", counting_finals)
+        monkeypatch.setattr(sweep, "continue_face", counting_continued)
         csv = "".join(
             to_csv(sweep_region(load_problem(str(path)).problem,
                                 code_rate_grid(0.1, 2.0, 0.1), rate_tol=1e-3))
             for path in sorted(PROBLEMS.glob("*.json")))
         assert hashlib.md5(csv.encode()).hexdigest() == "c36d15b83a028ef18be82305981e9c07"
+        # Of the 24 SDP-route final solves after a sweep's first, 23 are
+        # continued; on the LP route continue_face declines its 22 at once.
+        # 4 final solves run the barrier: each SDP sweep's first, and
+        # paper_j3 at R_D 0.3, where its first ceiling turns active.
         assert {attr: calls.count(attr) for attr in set(calls)} == {
-            "final newton_step": 1869, "epigraph newton_step": 548, "_Path": 54,
-            "min_ceiling": 28, "solve_diagonal": 25, "final solve": 52,
-            "proven_feasibility": 614, "epigraph_stages": 58, "evaluate": 4937,
-            "solve_lockstep": 6, "_newton": 913, "_evaluate": 885}
+            "final newton_step": 291, "epigraph newton_step": 548, "_Path": 31,
+            "min_ceiling": 28, "solve_diagonal": 25, "solve_general": 29,
+            "continue_face": 46, "continued": 23,
+            "proven_feasibility": 614, "epigraph_stages": 58, "evaluate": 1951,
+            "_newton": 839, "_evaluate": 844}
 
     @pytest.mark.parametrize("status, row_status", [
         (MAX_ITERATIONS, "numerical-failure"),
         (RANK1_INFEASIBLE, "rank1-infeasible"),
     ])
     def test_final_solve_status_sets_row_status(self, ref_j1, monkeypatch, status, row_status):
-        monkeypatch.setattr(sweep, "solve_lockstep",
-                            lambda p, rates, **kwargs: [BeamformerSolution(status=status)] * len(rates))
+        monkeypatch.setattr(sweep, "solve_general",
+                            lambda p, r, **kwargs: BeamformerSolution(status=status))
         res = sweep_region(ref_j1, [0.5, 1.2], rate_tol=1e-2)
         assert res.rows[0] == SweepRow(0.5, None, None, None, row_status)
         assert res.rows[1].status == "infeasible"
         assert to_csv(res).splitlines()[1] == f"0.5,,,,{row_status}"
+
+
+def continued_solutions(monkeypatch):
+    """(rate pair, solution) of every final solve that sweep_region
+    continues from an earlier row (continue_face) and certifies."""
+    continued, original = [], sweep.continue_face
+
+    def recording(p, prev, r, *args):
+        sol = original(p, prev, r, *args)
+        if sol is not None:
+            continued.append((r, sol))
+        return sol
+
+    monkeypatch.setattr(sweep, "continue_face", recording)
+    return continued
+
+
+# A sweep of a bundled problem (its grid 0.1..2.0), or a sweep over R_D 0.2,
+# 0.4, ..., 1.2 of a random-set or thin-set seed.
+SWEEP_SETS = ["paper_j1", "paper_j2", "paper_j3", "paper_j2_perfect"]
+
+
+def sweep_case(case):
+    """(problem, mode, input model, grid, rate_tol) of a SWEEP_SETS name or
+    a ("random" | "thin", seed) pair."""
+    if case == "paper_j2_perfect":
+        pf = data_problem(case)
+        return pf.problem, pf.csi_mode, "gaussian", code_rate_grid(0.1, 2.0, 0.1), 1e-3
+    if isinstance(case, str):
+        return named_problem(case), STATISTICAL, "gaussian", code_rate_grid(0.1, 2.0, 0.1), 1e-3
+    kind, seed = case
+    p, mode, model = random_problem(seed) if kind == "random" else (thin_set_problem(seed),
+                                                                    STATISTICAL, "gaussian")
+    return p, mode, model, code_rate_grid(0.2, 1.2, 0.2), 1e-2
+
+
+class TestContinuation:
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(st.sampled_from(SWEEP_SETS),
+                     st.tuples(st.sampled_from(["random", "thin"]), st.integers(0, 10_000))))
+    @example("paper_j1")
+    @example("paper_j2")
+    @example("paper_j3")
+    @example("paper_j2_perfect")
+    def test_continued_rows_match_solve_general(self, case):
+        # Every row that the sweep continues from an earlier one is the
+        # barrier's optimum at its rate pair: solve_general's status and
+        # rank-1 flag, and its power to 1e-12 relative. Where the cold
+        # barrier itself ends max_iterations, the continued point still has
+        # to pass the KKT check, which it must pass everywhere.
+        p, mode, model, grid, rate_tol = sweep_case(case)
+        with pytest.MonkeyPatch.context() as patch:
+            continued = continued_solutions(patch)
+            rows = sweep_region(p, grid, rate_tol=rate_tol, mode=mode, input_model=model).rows
+        by_rd = {row.rd: row for row in rows}
+        for r, sol in continued:
+            rep = check_kkt(p, sol.thresholds, sol.W, sol.duals, mode=mode, tol=1e-10)
+            assert rep.passes(1e-10), (case, r)
+            row = by_rd[r.R_D]
+            assert row.status == ("optimal" if sol.status == OPTIMAL else "rank1-infeasible")
+            alone = solve_general(p, r, mode=mode, input_model=model)
+            if alone.status == MAX_ITERATIONS:
+                continue
+            assert (sol.status, sol.rank1_exact) == (alone.status, alone.rank1_exact), (case, r)
+            if alone.power is not None:
+                assert sol.power == pytest.approx(alone.power, rel=1e-12, abs=0.0), (case, r)
+        if case in ("paper_j1", "paper_j2"):
+            # Every final solve after the first is continued.
+            assert len(continued) == sum(row.status == "optimal" for row in rows) - 1
+
+    def test_face_change_falls_back_to_the_barrier(self, monkeypatch):
+        # paper_j3's first ceiling is inactive at R_D 0.2 (nu_1 = 0) and
+        # active at 0.3: the face system of the row at 0.2 leaves it out, so
+        # the point it reaches at 0.3 violates that ceiling, and the row at
+        # 0.3 is solve_general's barrier solve, to the bit.
+        p = bundled(3)
+        continued = continued_solutions(monkeypatch)
+        barrier = []
+
+        def solving(p, r, **kwargs):
+            barrier.append(r)
+            return solve_general(p, r, **kwargs)
+
+        monkeypatch.setattr(sweep, "solve_general", solving)
+        rows = sweep_region(p, [0.2, 0.3, 0.4], rate_tol=1e-3).rows
+        assert [row.status for row in rows] == ["optimal"] * 3
+        rates = [RatePair(row.rd, row.rs_max) for row in rows]
+        assert barrier == rates[:2] and [r for r, _ in continued] == rates[2:]
+        before, after = (solve_general(p, r) for r in rates[:2])
+        assert before.duals.nu[0] == 0.0 < after.duals.nu[0]
+        assert rows[1].min_power == after.power
+        assert continue_face(p, before, rates[1]) is None
+
+    def test_boundary_rows_at_rate_tol_1e_7(self, monkeypatch):
+        # rate_tol 1e-7 puts each row's final solve on its region boundary,
+        # where the cold barrier ends max_iterations on six rows of these
+        # sweeps. Continued from the row before, four are certified:
+        # paper_j1 at R_D 0.3 and paper_j3 at 0.3, 0.5 and 0.7. Two stay
+        # numerical-failure: paper_j2 at 0.7, whose epigraph leaves a probe
+        # undecided, and paper_j2 at 0.9, whose continuation misses
+        # _FACE_TOL and whose barrier still ends max_iterations.
+        grid = code_rate_grid(0.1, 1.1, 0.2)
+        expected = {
+            "paper_j1": ["optimal"] * 6,
+            "paper_j2": ["optimal"] * 3 + ["numerical-failure"] * 2 + ["infeasible"],
+            "paper_j3": ["optimal"] * 4 + ["infeasible"] * 2,
+        }
+        mended = {"paper_j1": [0.3], "paper_j2": [], "paper_j3": [0.3, 0.5, 0.7]}
+        for name, statuses in expected.items():
+            p = named_problem(name)
+            with pytest.MonkeyPatch.context() as patch:
+                continued = continued_solutions(patch)
+                rows = sweep_region(p, grid, rate_tol=1e-7).rows
+            assert [row.status for row in rows] == statuses, name
+            continued = {r.R_D: (r, sol) for r, sol in continued}
+            for rd in mended[name]:
+                r, sol = continued[rd]
+                assert solve_general(p, r).status == MAX_ITERATIONS
+                assert check_kkt(p, sol.thresholds, sol.W, sol.duals, tol=1e-10).passes(1e-10)
 
 
 def run_cli(args, tmp_path=None):
