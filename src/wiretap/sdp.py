@@ -1038,14 +1038,20 @@ def rate_thresholds(p: WiretapProblem, r: RatePair, input_model="gaussian") -> C
     return thresholds_finite_alphabet(p, r, input_model)
 
 
+def routes_to_lp(p: WiretapProblem, mode: CsiMode) -> bool:
+    """Whether p's solves in mode at R_D > 0 take the diagonal LP route: the
+    all-diagonal statistical instances. It does not depend on the rates."""
+    return mode.is_statistical and diag_lp.all_diagonal(p)
+
+
 def _route(p: WiretapProblem, r: RatePair, mode: CsiMode, input_model):
-    """(thresholds, route) of a rate pair: "trivial" for R_D = 0, "lp" for
-    all-diagonal statistical instances and "sdp" otherwise."""
+    """(thresholds, route) of a rate pair: "trivial" for R_D = 0, "lp" where
+    routes_to_lp holds and "sdp" otherwise."""
     t = rate_thresholds(p, r, input_model)
     if t.user_power_target <= 0.0:
         # R_D = 0: transmitting nothing satisfies every constraint.
         return t, "trivial"
-    if mode.is_statistical and diag_lp.all_diagonal(p):
+    if routes_to_lp(p, mode):
         return t, "lp"
     return t, "sdp"
 

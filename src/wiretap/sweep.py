@@ -67,6 +67,7 @@ from .sdp import (
     epigraph_stages,
     proven_feasibility,
     rate_thresholds,
+    routes_to_lp,
     solve_general,
 )
 
@@ -159,16 +160,17 @@ def _final_row(final: _Final, sol) -> SweepRow:
 
 def _final_solutions(p, rates, mode, input_model) -> list:
     """solve_general's solution at each rate pair of rates, in grid order.
-    Each is first continued (continue_face) from the nearest solution before
-    it with a certified relaxed optimum (one with W). The first, and each
-    whose continuation is not certified, is solve_general's own solve (the
-    barrier, on the SDP route), which the next rate pair continues from."""
-    sols, anchor = [], None
+    On the SDP route each is first continued (continue_face) from the nearest
+    solution before it with a certified relaxed optimum (one with W). The
+    first, and each whose continuation is not certified, is solve_general's
+    own solve (the barrier), which the next rate pair continues from. On the
+    LP route, which has no face to continue, each is solve_general's."""
+    sols, anchor, sdp_route = [], None, not routes_to_lp(p, mode)
     for r in rates:
         sol = None if anchor is None else continue_face(p, anchor, r, mode, input_model)
         if sol is None:
             sol = solve_general(p, r, mode=mode, input_model=input_model)
-        if sol.W is not None:
+        if sdp_route and sol.W is not None:
             anchor = sol
         sols.append(sol)
     return sols
