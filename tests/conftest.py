@@ -56,20 +56,25 @@ def ref_j3():
 
 @pytest.fixture(autouse=True)
 def sdp_infeasible_is_certified(monkeypatch):
-    """Every relaxed solve that a test reaches through wiretap.sdp (every
-    solve_general, solve_lockstep and sweep on the SDP route, alone or in
-    lockstep) and that reports infeasible carries a Farkas certificate that
-    ConstraintSet.farkas accepts on its own rows."""
-    relaxed, build = sdp._relaxed, ConstraintSet.build
+    """Every certificate that refutes a relaxed solve's rows (a row out of
+    reach, _unreachable_row, or the final solve's path, _final_solve) is a
+    Farkas certificate that ConstraintSet.farkas accepts on those rows. Every
+    relaxed solve reaches both by their module-level names, whether a test
+    calls solve_rank_relaxed, solve_general or a sweep."""
+    final_solve, unreachable_row = sdp._final_solve, sdp._unreachable_row
 
-    def checked(p, t, mode=STATISTICAL):
-        sol = yield from relaxed(p, t, mode)
-        if sol.status == sdp.INFEASIBLE:
-            cert = sol.certificate
-            assert build(p, t, mode).farkas(np.r_[cert.lam, cert.mu, cert.nu])[1] > 0.0
-        return sol
+    def certified(cons, cert):
+        if cert is not None:
+            assert cons.farkas(np.r_[cert.lam, cert.mu, cert.nu])[1] > 0.0
+        return cert
 
-    monkeypatch.setattr(sdp, "_relaxed", checked)
+    def checked_final_solve(cons, budget):
+        W, y, cert = final_solve(cons, budget)
+        return W, y, certified(cons, cert)
+
+    monkeypatch.setattr(sdp, "_final_solve", checked_final_solve)
+    monkeypatch.setattr(sdp, "_unreachable_row",
+                        lambda cons: certified(cons, unreachable_row(cons)))
 
 
 def random_psd(rng, n, scale=1.0, ridge=0.0, rank=None):

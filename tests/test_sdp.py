@@ -44,7 +44,6 @@ from wiretap.sdp import (
     extract_principal_direction,
     power_rescale,
     solve_general,
-    solve_lockstep,
     solve_rank_relaxed,
 )
 from wiretap.probfile import load_problem, to_doc
@@ -163,7 +162,7 @@ class TestSolveRankRelaxed:
 
         def counting(bar, t, point, budget, stop=None):
             used = budget.used
-            out = yield from center(bar, t, point, budget, stop)
+            out = center(bar, t, point, budget, stop)
             stages.append(budget.used - used)
             return out
 
@@ -250,11 +249,6 @@ class TestZeroRows:
         assert (lam, mu.tolist(), nu.tolist()) == pytest.approx((1.0, [0.0, 2.0], [3.0]), rel=1e-15)
 
 
-def alone(member):
-    """The value of a generator of barrier kernel requests, run alone (B = 1)."""
-    return sdp._lockstep([member])[0]
-
-
 def reference_value(bar, t, y):
     """The barrier value from scratch: a dense eigenvalue test of Lambda and
     its log-determinant."""
@@ -311,16 +305,16 @@ class TestBarrierKernel:
         """The start and, where it stays inside the domain, the trial a
         quarter Newton step from it."""
         y = bar.start()
-        step = alone(bar.newton_step(t, alone(bar.evaluate(y))))
+        step = bar.newton_step(t, bar.evaluate(y))
         trial = y + 0.25 * step.dy
-        return [y] + ([trial] if alone(bar.evaluate(trial)).terms is not None else [])
+        return [y] + ([trial] if bar.evaluate(trial).terms is not None else [])
 
     @staticmethod
     def assert_matches(bar, t, y, primal=True):
-        point = alone(bar.evaluate(y))
+        point = bar.evaluate(y)
         assert point.value(t) == pytest.approx(reference_value(bar, t, y), rel=1e-12, abs=1e-12)
         g, H, size = reference_newton(bar, t, y)
-        step = alone(bar.newton_step(t, point))
+        step = bar.newton_step(t, point)
         # The kernel's step solves the dense Newton system to a small
         # backward error, Jacobi-scaled as the kernel scales it (D^2 = diag
         # H): on the epigraph with the multiplier kappa of e.dy = 0 that fits
@@ -389,17 +383,17 @@ class TestBarrierKernel:
     def test_outside_the_domain(self, kind):
         rng = np.random.default_rng(7)
         bar = self.barrier(rng, 3, kind)
-        assert alone(bar.evaluate(bar.start())).terms is not None
+        assert bar.evaluate(bar.start()).terms is not None
         # A multiplier <= 0, or every multiplier > 0 but Lambda indefinite
         # (a floor's y far past the start): value inf, and no step.
         for i, value in ((1, 0.0), (1, -1.0), (1, 1e6)):
             y = bar.start()
             y[i] = value
-            point = alone(bar.evaluate(y))
+            point = bar.evaluate(y)
             assert point.terms is None and point.L is None
             assert point.value(10.0) == reference_value(bar, 10.0, y) == math.inf
             with pytest.raises(sdp._NumericalTrouble):
-                alone(bar.newton_step(10.0, point))
+                bar.newton_step(10.0, point)
 
     def test_matches_on_the_iterates_of_a_solve(self, ref_j1, monkeypatch):
         # The points the path steps from, final solves and epigraph stages
@@ -540,10 +534,34 @@ class TestSolveGeneral:
         assert sol.power == pytest.approx(float(np.sum(P)), rel=1e-4)
 
     def test_infeasible_pair(self, ref_j1):
+        # A floor out of reach of P_T (_unreachable_row): refuted with no
+        # Newton step.
         sol = solve_general(ref_j1, RatePair(2.0, 1.0))
         assert sol.status == INFEASIBLE
         assert sol.w is None
         assert sol.certificate is not None
+        assert sol.newton_iterations == 0
+
+    # A final solve whose path ends but whose face refinement is rejected
+    # (paper_j2 at the R_s that rate_tol 1e-7 proves at R_D 0.9), and a
+    # relaxed optimum of rank 2 whose principal direction no power makes
+    # feasible (random-set seed 21, with a rank-1 eavesdropper covariance).
+    @pytest.mark.parametrize("name, r, status", [
+        ("paper_j2", RatePair(0.9, 0.5584005117416383), MAX_ITERATIONS),
+        ("seed 21", RatePair(0.3, 0.290625), RANK1_INFEASIBLE),
+    ])
+    def test_barrier_status_without_an_optimum(self, name, r, status):
+        if name == "paper_j2":
+            p, mode, model = bundled(2), STATISTICAL, "gaussian"
+        else:
+            p, mode, model = random_problem(21)
+        sol = solve_general(p, r, mode, model)
+        assert sol.status == status and sol.newton_iterations > 0
+        assert sol.w is None and sol.power is None and sol.certificate is None
+        if status == RANK1_INFEASIBLE:
+            assert numerical_rank(sol.W, sdp._RANK_REL_TOL) > 1
+            w0 = extract_principal_direction(sol.W)
+            assert power_rescale(p, sol.thresholds, w0, mode) is None
 
     @pytest.mark.parametrize("rs", [0.5572265624999998, 0.5572265624999999,
                                     0.5572265625000004])
@@ -760,7 +778,7 @@ class TestStart:
                            N0=1.0, epsilon=0.1, P_T=100.0)
         r = RatePair(1.0, 0.8203125)
         cons, bar, _, _ = self.path(p, r)
-        assert alone(bar.evaluate(bar.start())).terms is not None
+        assert bar.evaluate(bar.start()).terms is not None
         sol = solve_rank_relaxed(p, thresholds_gaussian(p, r))
         assert sol.status == OPTIMAL
         assert check_kkt(p, sol.thresholds, sol.W, sol.duals, tol=1e-10).passes(1e-10)
@@ -780,7 +798,7 @@ class TestStart:
         bar = (sdp._Barrier(cons.with_ceiling(0.0), epigraph=True) if epigraph
                else sdp._Barrier(cons))
         y = bar.start()
-        point = alone(bar.evaluate(y))
+        point = bar.evaluate(y)
         assert np.all(y > 0.0) and point.terms is not None
         lam = bar.C + np.einsum("m,mij->ij", y, bar.A)
         fixed = np.zeros(bar.m)
@@ -808,7 +826,7 @@ class TestStart:
         # = 20, and the ceiling met; a ceiling too low for the floors, or
         # floors beyond the budget, end with multipliers that prove it.
         cons = self.two_floors(p_t, b)
-        W, y, cert = alone(sdp._final_solve(cons, sdp._NewtonBudget(sdp._MAX_NEWTON)))
+        W, y, cert = sdp._final_solve(cons, sdp._NewtonBudget(sdp._MAX_NEWTON))
         if feasible:
             assert cert is None and np.allclose(np.diag(W), 10.0, rtol=1e-12, atol=0.0)
             assert np.linalg.eigvalsh(W)[0] >= 0.0
@@ -1163,9 +1181,9 @@ class TestEpigraphWitness:
         p = thin_set_problem(0)
         cons = ConstraintSet.build(p, thresholds_gaussian(p, RatePair(0.6, 0.0)))
         bar = sdp._Barrier(cons.with_ceiling(0.0), epigraph=True)
-        point = alone(bar.evaluate(bar.start()))
+        point = bar.evaluate(bar.start())
         t = bar.centring_t(point)
-        step = alone(bar.newton_step(t, point))
+        step = bar.newton_step(t, point)
         assert np.array_equal(bar.primal(t, step, psd=True), bar.primal(t, step))
         lam = np.linalg.eigvalsh(np.einsum("m,mij->ij", step.dy, step.B))
         scale = 2.0 / (lam[-1] if lam[-1] > 0.0 else lam[0])
@@ -1224,69 +1242,4 @@ def test_solve_does_not_depend_on_units(seed, exponent, what):
     if base.power is not None:
         unit = factor if what == "pt" else 1.0
         assert scaled.power / unit == pytest.approx(base.power, rel=1e-9)
-
-
-def same_bits(a, b):
-    """Whether a and b hold the same values bit for bit: records field by
-    field, arrays of one dtype, shape and bytes, floats of one hex."""
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and all(same_bits(getattr(a, f.name), getattr(b, f.name))
-                                          for f in dataclasses.fields(a))
-    if isinstance(a, np.ndarray):
-        return (isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape)
-                and a.tobytes() == b.tobytes())
-    if isinstance(a, tuple):
-        return isinstance(b, tuple) and len(a) == len(b) and all(map(same_bits, a, b))
-    if isinstance(a, float):
-        return isinstance(b, float) and a.hex() == b.hex()
-    return type(a) is type(b) and a == b
-
-
-# Batches that take every path of a lockstep member: optimal rows; rows
-# refuted by a Farkas certificate from the path (R_s near R_D) or by a row
-# out of reach (paper_j1 at R_D 2.0, with no Newton step); a final solve
-# that ends max_iterations (paper_j2 at the R_s that rate_tol 1e-7 proves
-# at R_D 0.9); a rank1_infeasible row (random-set seed 21); and rounds whose
-# stacked Cholesky raises, so that their members are factored one by one.
-LOCKSTEP_BATCHES = {
-    "paper_j1": (bundled(1), STATISTICAL, "gaussian", {OPTIMAL, INFEASIBLE}, [
-        RatePair(0.5, 0.3), RatePair(1.0, 0.5), RatePair(1.0, 0.8), RatePair(1.0, 0.9),
-        RatePair(2.0, 1.0)]),
-    "paper_j2": (bundled(2), STATISTICAL, "gaussian", {OPTIMAL, INFEASIBLE, MAX_ITERATIONS}, [
-        RatePair(0.6, 0.3), RatePair(0.9, 0.5), RatePair(0.9, 0.5584005117416383),
-        RatePair(0.5, 0.4)]),
-    "paper_j3": (bundled(3), STATISTICAL, "gaussian", {OPTIMAL, INFEASIBLE}, [
-        RatePair(0.4, 0.1), RatePair(0.7, 0.25), RatePair(0.4, 0.17)]),
-    "seed 21": (*random_problem(21), {OPTIMAL, INFEASIBLE, RANK1_INFEASIBLE}, [
-        RatePair(0.3, 0.290625), RatePair(0.6, 0.3), RatePair(0.3, 0.1)]),
-}
-
-
-# A batch is one of LOCKSTEP_BATCHES, or rows of a random-set seed, and
-# either gets drawn rows added: (R_D, R_s / R_D).
-@settings(max_examples=10, deadline=None)
-@given(st.one_of(st.sampled_from(sorted(LOCKSTEP_BATCHES)), st.integers(0, 299)),
-       st.lists(st.tuples(st.sampled_from([0.3, 0.6, 1.0]), st.floats(0.0, 1.0)), max_size=4))
-@example("paper_j1", [])
-@example("paper_j2", [])
-@example("paper_j3", [])
-@example("seed 21", [])
-def test_lockstep_matches_solves_alone(batch, drawn):
-    # Each member of a lockstep batch (solve_lockstep) is its solve alone
-    # (solve_general, B = 1), bit for bit: status, W, duals, power,
-    # certificate and Newton steps.
-    if isinstance(batch, str):
-        p, mode, model, statuses, rates = LOCKSTEP_BATCHES[batch]
-    else:
-        (p, mode, model), statuses, rates = random_problem(batch), set(), []
-    rates = rates + [RatePair(rd, f * rd) for rd, f in drawn]
-    alone = [solve_general(p, r, mode, model) for r in rates]
-    factored, cholesky = [], sdp._cholesky
-    with mock.patch.object(sdp, "_cholesky", lambda lam: factored.append(lam) or cholesky(lam)):
-        together = solve_lockstep(p, rates, mode, model)
-    assert len(together) == len(rates)
-    for r, a, b in zip(rates, together, alone):
-        assert same_bits(a, b), r
-    assert statuses <= {sol.status for sol in together}
-    assert bool(factored) or not statuses
 

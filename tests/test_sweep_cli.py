@@ -430,7 +430,7 @@ def finished_epigraph(p, rd, **kwargs):
 
 def count_row_calls(monkeypatch, extra=()):
     """The names of the sweep's solver entry points, and of the (owner,
-    attr) pairs in extra, appended per call. sdp._Path is made once per
+    attr) pairs in extra, appended per call. sdp._path is called once per
     barrier run. A final solve is one sweep.solve_general call, or one
     sweep.continue_face call (the continuation from an earlier row) and, if
     that is not certified, one solve_general call."""
@@ -445,7 +445,7 @@ def count_row_calls(monkeypatch, extra=()):
         monkeypatch.setattr(module, attr, wrapped)
 
     for module, attr in ((sweep, "epigraph_stages"), (sweep, "solve_general"),
-                         (sweep, "continue_face"), (sdp, "_Path"),
+                         (sweep, "continue_face"), (sdp, "_path"),
                          (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling"), *extra):
         counting(module, attr)
     return calls
@@ -664,13 +664,13 @@ class TestSweepBisection:
                 assert list(sdp.epigraph_stages(p, rd)) == [] and proofs == []
                 assert row.status == "optimal" and row.rs_max == rd
                 # The route's one barrier run or simplex, in the solve at (rd, rd).
-                solver = "_Path" if name is None else "solve_diagonal"
+                solver = "_path" if name is None else "solve_diagonal"
                 assert count == {"epigraph_stages": 1, "solve_general": 1, solver: 1}
                 continue
             # R_s = 0, then one probe per bisection step on [0, rd).
             assert len(probes) == 1 + math.ceil(math.log2(rd / 1e-3)) <= len(proofs)
             # A barrier run or a simplex: the epigraph and the full solve.
-            solver = sum(count.get(attr, 0) for attr in ("_Path", "solve_diagonal", "min_ceiling"))
+            solver = sum(count.get(attr, 0) for attr in ("_path", "solve_diagonal", "min_ceiling"))
             assert solver <= 2
 
     # An infeasible suffix: the first infeasible row's epigraph proves the
@@ -692,7 +692,7 @@ class TestSweepBisection:
         assert carried[:first + 1] == rows and calls == solved
         calls.clear()
         sweep_region(p, [grid[first]], rate_tol=1e-3)
-        assert ("_Path" in calls) == (name is None)
+        assert ("_path" in calls) == (name is None)
         assert rows[first].status == "infeasible" and finished_epigraph(p, grid[first]).b_lo == math.inf
         assert [row.status for row in carried[first + 1:]] == ["infeasible"] * (len(grid) - first - 1)
         assert all(full_solve_row(p, row.rd, 1e-3) == row for row in carried[first:])
@@ -892,11 +892,16 @@ class TestSweepBisection:
         # _NEWTON_TOL, the epigraph stages only to _EPIGRAPH_TOL. A final
         # solve is continued from the row before it where that is certified
         # ("continued"), else solve_general runs its barrier or its simplex
-        # alone. An evaluation at a y_i <= 0 needs no kernel call.
-        calls = count_row_calls(monkeypatch, extra=((sdp._Barrier, "evaluate"),
-                                                    (sweep, "proven_feasibility"),
-                                                    (sdp, "_evaluate"), (sdp, "_newton")))
-        newton_step, continuing = sdp._Barrier.newton_step, sweep.continue_face
+        # alone. An evaluation at a y_i <= 0 needs no Cholesky factor.
+        calls = count_row_calls(monkeypatch, extra=((sweep, "proven_feasibility"),))
+        evaluate, newton_step = sdp._Barrier.evaluate, sdp._Barrier.newton_step
+        continuing = sweep.continue_face
+
+        def counting_evaluate(bar, y):
+            calls.append("evaluate")
+            if np.all(y > 0.0):
+                calls.append("evaluate y > 0")
+            return evaluate(bar, y)
 
         def counting(bar, *args):
             calls.append("final newton_step" if bar.e is None else "epigraph newton_step")
@@ -908,6 +913,7 @@ class TestSweepBisection:
                 calls.append("continued")
             return sol
 
+        monkeypatch.setattr(sdp._Barrier, "evaluate", counting_evaluate)
         monkeypatch.setattr(sdp._Barrier, "newton_step", counting)
         monkeypatch.setattr(sweep, "continue_face", counting_continued)
         csv = "".join(
@@ -919,12 +925,15 @@ class TestSweepBisection:
         # continued; the LP route's final solves are not tried (its 22 rows).
         # 4 final solves run the barrier: each SDP sweep's first, and
         # paper_j3 at R_D 0.3, where its first ceiling turns active.
-        assert {attr: calls.count(attr) for attr in set(calls)} == {
-            "final newton_step": 291, "epigraph newton_step": 548, "_Path": 31,
+        count = {attr: calls.count(attr) for attr in set(calls)}
+        assert count == {
+            "final newton_step": 291, "epigraph newton_step": 548, "_path": 31,
             "min_ceiling": 28, "solve_diagonal": 25, "solve_general": 29,
             "continue_face": 24, "continued": 23,
             "proven_feasibility": 614, "epigraph_stages": 58, "evaluate": 1951,
-            "_newton": 839, "_evaluate": 844}
+            "evaluate y > 0": 844}
+        # 839 Newton steps in all, final and epigraph.
+        assert count["final newton_step"] + count["epigraph newton_step"] == 839
 
     @pytest.mark.parametrize("status, row_status", [
         (MAX_ITERATIONS, "numerical-failure"),
