@@ -39,13 +39,12 @@ beamformer, the row is `rank1-infeasible` with no rates or power: the
 relaxation bounds the region from outside, so no achievable point is
 claimed.
 
-A sweep runs in two phases. The rows' bisections run first, in grid order,
-each recording the point of its final solve. Then the final solves run, in
-grid order too. All share the problem's rows A and differ only in their
-thresholds u, so each is first continued from the nearest row before it
-with a certified optimum (sdp.continue_face): Newton on that row's optimal
-face at the new thresholds, accepted only by the test that earns a barrier
-solve OPTIMAL (sdp._face_point). The first row, and a row whose face
+A sweep is one pass over the grid: each row's bisection, then at once its
+final solve. All final solves share the problem's rows A and differ only in
+their thresholds u, so each is first continued from the nearest row before
+it with a certified optimum (sdp.continue_face): Newton on that row's
+optimal face at the new thresholds, accepted only by the test that earns a
+barrier solve OPTIMAL (sdp._face_point). The first row, and a row whose face
 changes (a row turning active or inactive), take solve_general's barrier,
 and the rows after it continue from there.
 """
@@ -55,7 +54,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .model import STATISTICAL, CsiMode, ModelError, RatePair, WiretapProblem
 from .sdp import (
@@ -99,21 +97,16 @@ class _RowFailure(Exception):
     pass
 
 
-class _Final(NamedTuple):
-    """A row that its final solve, at R_s = lo, decides. staged: the row had
-    epigraph stages; without them, the solve's INFEASIBLE is the row's."""
-
-    rd: float
-    lo: float
-    staged: bool
-
-
-def _bisect_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow | _Final, bool]:
-    """The row at rd, or the _Final solve that decides it, and whether its
-    epigraph proves the floors and the budget infeasible (b_lo = inf), which
-    holds at every larger rd too. With stages, one bisection of R_s on [0,
-    rd) by their brackets, its lower end left to the final solve; with none,
-    the one solve at R_s = rd."""
+def _solve_row(p, rd, rate_tol, mode, input_model, anchor):
+    """(row, sol, carry): the row at rd; its final solve's solution, or None
+    when the epigraph decides the row alone; and whether its epigraph proves
+    the floors and the budget infeasible (b_lo = inf), which holds at every
+    larger rd too. With stages, one bisection of R_s on [0, rd) by their
+    brackets, and the final solve at its lower end; with none, the one solve
+    at R_s = rd. The final solve is first continued (continue_face) from
+    anchor, a certified relaxed optimum (one with W) of an earlier row, or
+    None; when there is none, or the continuation is not certified, it is
+    solve_general's own."""
     stages = epigraph_stages(p, rd, mode, input_model)
     epigraph = next(stages, None)
 
@@ -135,7 +128,8 @@ def _bisect_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow | _Final, 
     else:
         try:
             if not feasible(0.0):
-                return SweepRow(rd, None, None, None, ROW_INFEASIBLE), epigraph.b_lo == math.inf
+                row = SweepRow(rd, None, None, None, ROW_INFEASIBLE)
+                return row, None, epigraph.b_lo == math.inf
             lo, hi = 0.0, rd
             while hi - lo > rate_tol:
                 mid = 0.5 * (lo + hi)
@@ -144,36 +138,17 @@ def _bisect_row(p, rd, rate_tol, mode, input_model) -> tuple[SweepRow | _Final, 
                 else:
                     hi = mid
         except _RowFailure:
-            return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE), False
-    return _Final(rd, lo, epigraph is not None), False
-
-
-def _final_row(final: _Final, sol) -> SweepRow:
-    """The row that the final solve's solution sol decides."""
+            return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE), None, False
+    r = RatePair(rd, lo)
+    sol = None if anchor is None else continue_face(p, anchor, r, mode, input_model)
+    if sol is None:
+        sol = solve_general(p, r, mode=mode, input_model=input_model)
     if sol.status == OPTIMAL:
-        return SweepRow(final.rd, final.lo, sol.power, sol.rank1_exact, ROW_OPTIMAL)
-    if sol.status == INFEASIBLE and not final.staged:
-        return SweepRow(final.rd, None, None, None, ROW_INFEASIBLE)
+        return SweepRow(rd, lo, sol.power, sol.rank1_exact, ROW_OPTIMAL), sol, False
+    if sol.status == INFEASIBLE and epigraph is None:
+        return SweepRow(rd, None, None, None, ROW_INFEASIBLE), sol, False
     status = ROW_RANK1_INFEASIBLE if sol.status == RANK1_INFEASIBLE else ROW_NUMERICAL_FAILURE
-    return SweepRow(final.rd, None, None, None, status)
-
-
-def _final_solutions(p, rates, mode, input_model) -> list:
-    """solve_general's solution at each rate pair of rates, in grid order.
-    On the SDP route each is first continued (continue_face) from the nearest
-    solution before it with a certified relaxed optimum (one with W). The
-    first, and each whose continuation is not certified, is solve_general's
-    own solve (the barrier), which the next rate pair continues from. On the
-    LP route, which has no face to continue, each is solve_general's."""
-    sols, anchor, sdp_route = [], None, not routes_to_lp(p, mode)
-    for r in rates:
-        sol = None if anchor is None else continue_face(p, anchor, r, mode, input_model)
-        if sol is None:
-            sol = solve_general(p, r, mode=mode, input_model=input_model)
-        if sdp_route and sol.W is not None:
-            anchor = sol
-        sols.append(sol)
-    return sols
+    return SweepRow(rd, None, None, None, status), sol, False
 
 
 def code_rate_grid(rd_min: float, rd_max: float, rd_step: float) -> list[float]:
@@ -233,18 +208,20 @@ def sweep_region(
     # Thresholds rise with R_D: the top rate's are finite exactly when every
     # rate's are. Otherwise RateUnachievableError, before any row is solved.
     rate_thresholds(p, RatePair(grid[-1], 0.0), input_model)
-    rows, carry = [], False
+    # anchor: the last certified relaxed optimum (a solution with W), from
+    # which the next final solve continues. The LP route has no face to
+    # continue.
+    rows, carry, anchor, sdp_route = [], False, None, not routes_to_lp(p, mode)
     for rd in grid:
         if carry:
             # The floors a(R_D) rise with R_D: where they and the budget are
             # proven infeasible, they are at every larger code rate too.
             rows.append(SweepRow(rd, None, None, None, ROW_INFEASIBLE))
         else:
-            row, carry = _bisect_row(p, rd, rate_tol, mode, input_model)
+            row, sol, carry = _solve_row(p, rd, rate_tol, mode, input_model, anchor)
             rows.append(row)
-    finals = [row for row in rows if isinstance(row, _Final)]
-    sols = iter(_final_solutions(p, [RatePair(f.rd, f.lo) for f in finals], mode, input_model))
-    rows = [_final_row(row, next(sols)) if isinstance(row, _Final) else row for row in rows]
+            if sdp_route and sol is not None and sol.W is not None:
+                anchor = sol
     return SweepResult(rows=tuple(rows), rate_tol=rate_tol)
 
 

@@ -58,14 +58,26 @@ def ref_j3():
 def sdp_infeasible_is_certified(monkeypatch):
     """Every certificate that refutes a relaxed solve's rows (a row out of
     reach, _unreachable_row, or the final solve's path, _final_solve) is a
-    Farkas certificate that ConstraintSet.farkas accepts on those rows. Every
-    relaxed solve reaches both by their module-level names, whether a test
-    calls solve_rank_relaxed, solve_general or a sweep."""
+    Farkas certificate on those rows. It is checked from cons.A and cons.u
+    with plain NumPy, not with the ConstraintSet.farkas and combination that
+    made it: y >= 0; C = sum_i y_i A_i has the certificate's least
+    eigenvalue e, and -y.u is its margin, both to roundoff relative to
+    sum_i |y_i| ||A_i||_F; and -y.u - max(0, -e) P_T > 0. Every relaxed solve
+    reaches both by their module-level names, whether a test calls
+    solve_rank_relaxed, solve_general or a sweep."""
     final_solve, unreachable_row = sdp._final_solve, sdp._unreachable_row
 
     def certified(cons, cert):
         if cert is not None:
-            assert cons.farkas(np.r_[cert.lam, cert.mu, cert.nu])[1] > 0.0
+            y = np.r_[cert.lam, cert.mu, cert.nu]
+            assert y.shape == cons.u.shape and np.all(y >= 0.0)
+            combo = np.tensordot(y, cons.A, axes=1)
+            e = np.linalg.eigvalsh((combo + combo.conj().T) / 2.0)[0]
+            margin = -float(y @ cons.u)
+            roundoff = 1e-13 * float(np.abs(y) @ np.linalg.norm(cons.A, axis=(1, 2)))
+            assert abs(e - cert.combo_min_eig) <= roundoff
+            assert abs(margin - cert.margin) <= roundoff
+            assert margin - max(0.0, -e) * cons.u[0] > 0.0
         return cert
 
     def checked_final_solve(cons, budget):

@@ -566,9 +566,10 @@ class TestSolveGeneral:
     @pytest.mark.parametrize("rs", [0.5572265624999998, 0.5572265624999999,
                                     0.5572265625000004])
     def test_phase1_reports_infeasible_only_with_certificate(self, ref_j2, rs):
-        # With the Newton kernel's batched W A W, phase I at t = 1e4 stops on
-        # an uncentred point whose s exceeds the duality gap but yields no
-        # certificate. One more t stage reaches s < 0: the point is feasible.
+        # Feasible points about 1e-3 below the region's boundary at R_D 0.9.
+        # The final solve's path stops as infeasible only on a Farkas
+        # certificate: its -u'.y climbs to 0.994, short of the 1 that
+        # sdp._proof needs, and the path goes on to the optimum.
         sol = solve_general(ref_j2, RatePair(0.9, rs))
         assert sol.status == OPTIMAL
         assert sol.power == pytest.approx(15.7564, rel=1e-4)
@@ -769,9 +770,9 @@ class TestStart:
         assert self.proves(cons, sdp._certificate(cons, bar.multipliers(point.y)))
 
     def test_thin_set_starts_from_the_epigraph(self):
-        # Seed 2769 of the sweep's thin-set test at (1.0, 0.8203125), where
-        # a primal phase I stalled and the start came from the epigraph. The
-        # dual path starts from y alone, and the solve is optimal.
+        # Seed 2769 of the sweep's thin-set test at (1.0, 0.8203125), a thin
+        # feasible set. The dual path needs no primal start: its start y is
+        # inside the barrier's domain, and the solve is optimal.
         rng = np.random.default_rng(2769)
         p = WiretapProblem(H=(random_psd(rng, 4, scale=3.0, ridge=0.1),),
                            Z=tuple(random_psd(rng, 4, scale=0.01, ridge=0.1) for _ in range(3)),
@@ -853,8 +854,8 @@ def test_witness_bound_scales_onto_the_floors(diag, b_hi):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_feasibility_probe_matches_relaxed_solve(seed):
     # The sweep tests' per-probe oracle (probe_verdict) agrees with the
-    # relaxed solve. Random N=3/N=4 instances reach phase I, and about 60%
-    # are infeasible.
+    # relaxed solve. Random N=3/N=4 instances reach the dual path, and about
+    # 60% are infeasible.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 5))
     p = WiretapProblem(
@@ -867,9 +868,11 @@ def test_feasibility_probe_matches_relaxed_solve(seed):
     r = RatePair(rd, float(rng.uniform(0.0, rd)))
     verdict = probe_verdict(p, r)
     status = solve_rank_relaxed(p, thresholds_gaussian(p, r)).status
-    # Feasible exactly when the relaxed solve is not infeasible. Phase II may
-    # still run out of Newton steps after a feasible verdict, and a probe
-    # that runs out in phase I stops the solve there too.
+    # Feasible exactly when the relaxed solve is not infeasible. The probe
+    # stops at the path's first strictly feasible primal point, so the solve,
+    # which follows the same path on to the optimum, may still run out of
+    # Newton steps after a feasible verdict; a path that runs out before any
+    # verdict stops the solve there too.
     allowed = {FEASIBLE: {OPTIMAL, MAX_ITERATIONS}, INFEASIBLE: {INFEASIBLE},
                MAX_ITERATIONS: {MAX_ITERATIONS}}
     assert status in allowed[verdict]

@@ -519,6 +519,16 @@ class TestSweepBisection:
         rows = sweep_region(ref_j1, [0.5, 1.2], rate_tol=1e-3).rows
         assert [row.status for row in rows] == ["optimal", "infeasible"]
         assert calls == [RatePair(0.5, rows[0].rs_max)]
+        # One pass over the grid: each row's final solve, here continued at
+        # R_D 1.0 from the row before, comes before the next row's epigraph.
+        order = count_row_calls(monkeypatch)
+        calls.clear()
+        rows = sweep_region(ref_j1, [0.5, 1.0, 1.2], rate_tol=1e-3).rows
+        assert [row.status for row in rows] == ["optimal", "optimal", "infeasible"]
+        assert calls == [RatePair(0.5, rows[0].rs_max), RatePair(1.0, rows[1].rs_max)]
+        row_calls = [c for c in order if c in ("epigraph_stages", "solve_general", "continue_face")]
+        assert row_calls == ["epigraph_stages", "solve_general", "epigraph_stages",
+                             "continue_face", "epigraph_stages"]
 
     # Statistical and perfect user CSI (ceiling tail exponent 1/(K+J) and
     # 1/J), Gaussian inputs and QPSK (log2(1 + rho) and the alphabet's MI).
