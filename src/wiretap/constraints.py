@@ -104,6 +104,10 @@ class ConstraintSet:
         none (sdp._unreachable_row)."""
         return np.linalg.norm(self.A, axis=(1, 2)) > 0.0
 
+    def without_ceilings(self) -> ConstraintSet:
+        """The budget and floor rows alone."""
+        return ConstraintSet(A=self.A[:1 + self.k], u=self.u[:1 + self.k], k=self.k)
+
     def with_ceiling(self, b: float) -> ConstraintSet:
         """The same rows with every ceiling threshold set to b."""
         return replace(self, u=np.where(self.ceilings, b, self.u))

@@ -14,6 +14,7 @@ computes (a, b) for Gaussian inputs and for finite-alphabet inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -83,6 +84,14 @@ class WiretapProblem:
     @property
     def J(self) -> int:
         return len(self.Z)
+
+    @functools.cached_property
+    def diagonal(self) -> bool:
+        """Whether every H_k and Z_j is diagonal (diag_lp.all_diagonal), the
+        condition of the LP route. Computed once per instance, which is
+        immutable."""
+        from .diag_lp import all_diagonal
+        return all_diagonal(self)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ is a generator: a sweep row pulls the next stage only while a probe's gap
 lies inside the bracket. These brackets are the sweep's only feasibility
 oracle; a probe that the last stage still holds stays undecided. The path
 ends at a silent stage or at _T_MAX, never on the width of its bracket.
+Every Epigraph keeps its ends ordered, so two proofs that cross by roundoff
+decide no probe between them.
 
 Feasibility of the beamformer follows from the relaxation whenever the
 solution has numerical rank one (which it does on the bundled scenarios);
@@ -48,6 +50,14 @@ continue_face solves the next one with no barrier run: Newton on the face
 system of the previous optimum at the new u, and one retry that walks u
 there in _WALK_STEPS steps. Its end point earns OPTIMAL by the same test
 as a barrier's refined point (_face_point), or the caller runs the barrier.
+continue_epigraph does the same for the next row's epigraph, whose floors
+alone move: the one face Newton (_face_newton) on the epigraph's face (C =
+0, the common ceiling s one more unknown, e.y = 1), started from the
+previous optimum's face, which on the region's boundary is the epigraph's.
+Its bracket is made of the two proofs every barrier stage uses
+(ceiling_bound of its multipliers, _witness_bound of its W = V V^H), so it
+needs no test of its own: a poor face only widens it. A sweep row decides
+its probes on it first, and pulls barrier stages only for a probe it holds.
 
 Each solve builds its ConstraintSet once, and the route's solver takes it:
 the diagonal LP (diag_lp.solve_diagonal, whose w = sqrt(P)) or the barrier.
@@ -431,18 +441,23 @@ def _path(bar: _Barrier, budget: _NewtonBudget, stop=None):
         t, quiet = t * _T_GROWTH, silent
 
 
-def _face_newton(A, u, V, y):
+def _face_newton(A, u, V, y, e=None):
     """Gauss-Newton on the square KKT system of an optimal face,
 
-        Lambda(y) V = 0,   Tr(V^H A_i V) = u_i,   Lambda(y) = I + sum y_i A_i,
+        Lambda(y) V = 0,   Tr(V^H A_i V) = u_i,   Lambda(y) = C + sum y_i A_i,
 
-    over the real and imaginary parts of V and the multipliers y. V -> V Q
-    (Q unitary) solves it too, so every step also keeps V^H dV Hermitian.
-    Returns (V, y, err) of the best iterate, err being the largest residual
-    relative to the size of its terms (float64 roundoff at a solution).
+    over the real and imaginary parts of V and the multipliers y. A final
+    solve's face has C = I. The epigraph's (e given: 1 on the ceiling rows
+    of A, else 0) has C = 0, the common ceiling s as one more unknown on the
+    rows e marks, Tr(V^H A_i V) - e_i s = u_i, and one more equation, e.y =
+    1; its y holds the multipliers and then s. V -> V Q (Q unitary) solves
+    it too, so every step also keeps V^H dV Hermitian. Returns (V, y, err)
+    of the best iterate, err being the largest residual relative to the size
+    of its terms (float64 roundoff at a solution).
     """
     n, r = V.shape
-    p, nr = y.size, V.size
+    p, nr = u.size, V.size
+    c = 1.0 if e is None else 0.0
     # dV along each real coordinate of V, one per column of the Jacobian.
     basis = np.concatenate([np.eye(nr), 1j * np.eye(nr)]).reshape(2 * nr, n, r)
     vh = V.conj().T @ basis
@@ -450,14 +465,18 @@ def _face_newton(A, u, V, y):
     a_norm = np.linalg.norm(A, axis=(1, 2))
     best = None
     for step in range(_FACE_STEPS + 1):
-        lam_mat = np.eye(n) + np.einsum("m,mij->ij", y, A)
+        lam_mat = c * np.eye(n) + np.einsum("m,mij->ij", y[:p], A)
         AV = A @ V
         R1 = (lam_mat @ V).ravel()
         R2 = np.real(np.einsum("ij,mij->m", V.conj(), AV)) - u
+        if e is not None:
+            R2 -= e * y[p]
         v_norm = float(np.linalg.norm(V))
         terms = np.maximum(np.linalg.norm(AV, axis=(1, 2)) * v_norm, 1e-300)
-        err = max(float(np.linalg.norm(R1)) / ((1.0 + np.dot(np.abs(y), a_norm)) * v_norm),
+        err = max(float(np.linalg.norm(R1)) / ((c + np.dot(np.abs(y[:p]), a_norm)) * v_norm),
                   float(np.max(np.abs(R2) / terms)))
+        if e is not None:
+            err = max(err, abs(float(e @ y[:p]) - 1.0))
         if best is not None and err >= best[2]:
             break
         best = (V, y, err)
@@ -470,6 +489,14 @@ def _face_newton(A, u, V, y):
                        np.vstack([d_r2, np.zeros((p, p))]),
                        np.vstack([d_gauge, np.zeros((p, 2 * r * r))])]).T
         F = np.concatenate([R1.real, R1.imag, R2, np.zeros(2 * r * r)])
+        if e is not None:
+            # The column of s, and the row of e.y = 1.
+            s_col = np.zeros((J.shape[0], 1))
+            s_col[2 * nr:2 * nr + p, 0] = -e
+            e_row = np.zeros((1, J.shape[1] + 1))
+            e_row[0, 2 * nr:2 * nr + p] = e
+            J = np.vstack([np.hstack([J, s_col]), e_row])
+            F = np.append(F, float(e @ y[:p]) - 1.0)
         # Rows and columns equilibrated: the floor and ceiling rows R2 and
         # the multiplier columns carry the units of the user's rows.
         rows = np.linalg.norm(J, axis=1)
@@ -599,12 +626,29 @@ class Epigraph:
     gap_lo <= gap_hi is the same bracket in rate space (rate_bracket): b(R_s)
     depends on R_s only through the gap R_D - R_s, and rises with it, so
     R_D - R_s > gap_hi proves R_s feasible and R_D - R_s < gap_lo proves it
-    infeasible."""
+    infeasible.
+
+    Every Epigraph has ordered ends: two proofs that cross by roundoff (a
+    b_lo a few ulps above b_hi) are kept as [min, max], so that no probe
+    between them is decided on a contradictory pair."""
 
     b_lo: float
     b_hi: float
     gap_lo: float
     gap_hi: float
+
+    def __post_init__(self):
+        for lo, hi in (("b_lo", "b_hi"), ("gap_lo", "gap_hi")):
+            a, b = getattr(self, lo), getattr(self, hi)
+            if a > b:
+                object.__setattr__(self, lo, b)
+                object.__setattr__(self, hi, a)
+
+    def meet(self, other: Epigraph) -> Epigraph:
+        """The intersection of two brackets on the same b*. The rate map is
+        monotone, so the gaps meet as the ceilings do."""
+        return Epigraph(max(self.b_lo, other.b_lo), min(self.b_hi, other.b_hi),
+                        max(self.gap_lo, other.gap_lo), min(self.gap_hi, other.gap_hi))
 
 
 def _witness_bound(cons: ConstraintSet, W: np.ndarray) -> float:
@@ -641,8 +685,7 @@ def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
     Yields only (inf, inf) when the floors and the budget are proven
     infeasible: a row out of their reach (_unreachable_row), or an iterate
     whose y on them is a Farkas certificate."""
-    k = cons.k
-    floors = ConstraintSet(A=cons.A[:1 + k], u=cons.u[:1 + k], k=k)
+    floors = cons.without_ceilings()
     if _unreachable_row(floors) is not None:
         yield math.inf, math.inf
         return
@@ -879,8 +922,9 @@ def rate_thresholds(p: WiretapProblem, r: RatePair, input_model="gaussian") -> C
 
 def routes_to_lp(p: WiretapProblem, mode: CsiMode) -> bool:
     """Whether p's solves in mode at R_D > 0 take the diagonal LP route: the
-    all-diagonal statistical instances. It does not depend on the rates."""
-    return mode.is_statistical and diag_lp.all_diagonal(p)
+    all-diagonal statistical instances. It does not depend on the rates, and
+    p checks its diagonality once (WiretapProblem.diagonal)."""
+    return mode.is_statistical and p.diagonal
 
 
 def _route(p: WiretapProblem, r: RatePair, mode: CsiMode, input_model):
@@ -939,6 +983,76 @@ def solve_general(
 # ---------------------------------------------------------------------------
 
 
+def _range_factor(W: np.ndarray) -> np.ndarray | None:
+    """V with V V^H = W on its numerical range (the eigenvalues above
+    _RANK_REL_TOL times the largest); None when W has no positive
+    eigenvalue."""
+    vals, vecs = np.linalg.eigh(W)
+    if not vals[-1] > 0.0:
+        return None
+    keep = vals > _RANK_REL_TOL * vals[-1]
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+def continue_epigraph(
+    p: WiretapProblem,
+    anchor: BeamformerSolution,
+    rd: float,
+    mode: CsiMode = STATISTICAL,
+    input_model="gaussian",
+) -> Epigraph | None:
+    """The Epigraph at code rate rd continued from anchor, an SDP-route
+    solution of p with a certified relaxed optimum (its W and duals) at an
+    earlier code rate, with no barrier run; None where it proves no witness,
+    or where epigraph_stages' first stage would not be a barrier stage (the
+    LP route, no nonzero ceiling, or a floor out of the budget's reach,
+    _unreachable_row).
+
+    A final solve on the region's boundary has the epigraph's optimal face:
+    its ceilings are as low as the floors and the budget allow. So anchor's
+    face starts the epigraph's face system at rd (_face_newton with e): V
+    from anchor's W on its numerical range, anchor's rows with y_i > 0, and
+    their epigraph multipliers, the least-squares solution of Lambda_0(y) V
+    = 0 (C = 0) scaled to e.y = 1. Only the floors a(R_D) move along a
+    sweep. The bracket is the two proofs of every barrier stage:
+    ceiling_bound(max(y, 0)) and _witness_bound(V V^H). Both hold at any
+    seed, so a poor face only widens the bracket. Without a witness (b_hi
+    inf) the barrier decides the row, and proves b_lo = inf where the floors
+    and the budget are infeasible."""
+    t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
+    if route != "sdp" or anchor.W is None:
+        return None
+    cons = ConstraintSet.build(p, t, mode)
+    if not np.any(cons.ceilings & cons.nonzero):
+        return None
+    if _unreachable_row(cons.without_ceilings()) is not None:
+        return None
+    rows = np.flatnonzero(cons.stack(anchor.duals) > 0.0)
+    e = cons.ceilings[rows].astype(float)
+    V = _range_factor(anchor.W)
+    if not e.any() or V is None:
+        return None
+    A, u = cons.A[rows], cons.with_ceiling(0.0).u[rows]
+    # The least-squares null vector of y -> sum y_i A_i V, its columns
+    # equilibrated, scaled to e.y = 1; s starts at the highest active ceiling.
+    AV = (A @ V).reshape(rows.size, -1)
+    scale = np.linalg.norm(AV, axis=1)
+    scale[scale == 0.0] = 1.0
+    z = np.linalg.svd(np.hstack([AV.real, AV.imag]).T / scale)[2][-1] / scale
+    ez = float(e @ z)
+    if ez == 0.0:
+        return None
+    s = float(np.max(cons.values(anchor.W)[rows][e > 0.0]))
+    V, ys, _ = _face_newton(A, u, V, np.append(z / ez, s), e)
+    b_hi = _witness_bound(cons, V @ V.conj().T)
+    if b_hi == math.inf:
+        return None
+    y = np.zeros(cons.u.size)
+    y[rows] = np.maximum(ys[:-1], 0.0)
+    b_lo = cons.ceiling_bound(y)
+    return Epigraph(b_lo, b_hi, *rate_bracket(p, b_lo, b_hi, mode, input_model))
+
+
 def continue_face(
     p: WiretapProblem,
     prev: BeamformerSolution,
@@ -968,11 +1082,9 @@ def continue_face(
         return None
     y = cons.stack(prev.duals)
     rows = np.flatnonzero(y > 0.0)
-    vals, vecs = np.linalg.eigh(prev.W)
-    if not (rows.size and vals[-1] > 0.0):
+    V0 = _range_factor(prev.W)
+    if not rows.size or V0 is None:
         return None
-    keep = vals > _RANK_REL_TOL * vals[-1]
-    V0 = vecs[:, keep] * np.sqrt(vals[keep])
     A, u = cons.A[rows], cons.u[rows]
     end = _face_point(cons, rows, *_face_newton(A, u, V0, y[rows]))
     if end is None:

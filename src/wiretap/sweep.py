@@ -47,6 +47,15 @@ optimal face at the new thresholds, accepted only by the test that earns a
 barrier solve OPTIMAL (sdp._face_point). The first row, and a row whose face
 changes (a row turning active or inactive), take solve_general's barrier,
 and the rows after it continue from there.
+
+That optimum, a final solve on the region's boundary, also starts the next
+row's epigraph (sdp.continue_epigraph): Newton on the epigraph's face at
+the new floors, whose multipliers and witness prove a bracket as a barrier
+stage's do, to roundoff when the face holds. The row decides its probes on
+that bracket first, and pulls barrier stages, each met with it, only while
+a probe stays inside. A continuation with no witness leaves the row to the
+barrier, which proves b_lo = inf where the floors and the budget are
+infeasible, so the carry above such a row is the barrier's.
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ from .sdp import (
     INFEASIBLE,
     OPTIMAL,
     RANK1_INFEASIBLE,
+    continue_epigraph,
     continue_face,
     epigraph_stages,
     proven_feasibility,
@@ -103,22 +113,27 @@ def _solve_row(p, rd, rate_tol, mode, input_model, anchor):
     the floors and the budget infeasible (b_lo = inf), which holds at every
     larger rd too. With stages, one bisection of R_s on [0, rd) by their
     brackets, and the final solve at its lower end; with none, the one solve
-    at R_s = rd. The final solve is first continued (continue_face) from
-    anchor, a certified relaxed optimum (one with W) of an earlier row, or
-    None; when there is none, or the continuation is not certified, it is
-    solve_general's own."""
+    at R_s = rd. anchor is a certified relaxed optimum (one with W) of an
+    earlier row, or None. The epigraph is first continued from it
+    (continue_epigraph), and the barrier stages are pulled only while that
+    bracket holds a probe. The final solve is first continued from it too
+    (continue_face); when there is none, or the continuation is not
+    certified, it is solve_general's own."""
     stages = epigraph_stages(p, rd, mode, input_model)
-    epigraph = next(stages, None)
+    continued = None if anchor is None else continue_epigraph(p, anchor, rd, mode, input_model)
+    epigraph = next(stages, None) if continued is None else continued
 
     def feasible(rs: float) -> bool:
-        """The verdict of the first stage whose bracket decides rs, pulling
-        stages while it holds rs; _RowFailure once they run out. Brackets
-        only narrow, so a verdict never changes at a later stage."""
+        """The verdict of the first bracket that decides rs, pulling barrier
+        stages while it holds rs, each met with the continued bracket;
+        _RowFailure once they run out. Brackets only narrow, so a verdict
+        never changes at a later stage."""
         nonlocal epigraph
         while (verdict := proven_feasibility(epigraph, RatePair(rd, rs))) is None:
-            epigraph = next(stages, None)
-            if epigraph is None:
+            stage = next(stages, None)
+            if stage is None:
                 raise _RowFailure()
+            epigraph = stage if continued is None else continued.meet(stage)
         return verdict == FEASIBLE
 
     if epigraph is None:

@@ -56,16 +56,22 @@ def ref_j3():
 
 @pytest.fixture(autouse=True)
 def sdp_infeasible_is_certified(monkeypatch):
-    """Every certificate that refutes a relaxed solve's rows (a row out of
-    reach, _unreachable_row, or the final solve's path, _final_solve) is a
-    Farkas certificate on those rows. It is checked from cons.A and cons.u
-    with plain NumPy, not with the ConstraintSet.farkas and combination that
-    made it: y >= 0; C = sum_i y_i A_i has the certificate's least
-    eigenvalue e, and -y.u is its margin, both to roundoff relative to
-    sum_i |y_i| ||A_i||_F; and -y.u - max(0, -e) P_T > 0. Every relaxed solve
-    reaches both by their module-level names, whether a test calls
-    solve_rank_relaxed, solve_general or a sweep."""
+    """Every certificate that refutes a solve's rows, or the floors and the
+    budget of an epigraph (b_lo = inf), is a Farkas certificate on those
+    rows: a row out of reach (_unreachable_row), an iterate of a dual path
+    (_proof's stop test, on the final solve's rows or on the epigraph's
+    floors; _final_solve's returned certificate), the LP route's phase I
+    (_lp_route) and the epigraph LP's phase I (diag_lp.min_ceiling, on the
+    rows with ceiling 0, as epigraph_stages certifies it). It is checked
+    from cons.A and cons.u with plain NumPy, not with the
+    ConstraintSet.farkas and combination that made it: y >= 0; C = sum_i y_i
+    A_i has the certificate's least eigenvalue e, and -y.u is its margin,
+    both to roundoff relative to sum_i |y_i| ||A_i||_F; and -y.u - max(0, -e)
+    P_T > 0. The solver reaches each by its module-level name, whether a
+    test calls solve_rank_relaxed, solve_general, epigraph_stages or a
+    sweep."""
     final_solve, unreachable_row = sdp._final_solve, sdp._unreachable_row
+    proof, lp_route, min_ceiling = sdp._proof, sdp._lp_route, diag_lp.min_ceiling
 
     def certified(cons, cert):
         if cert is not None:
@@ -84,9 +90,34 @@ def sdp_infeasible_is_certified(monkeypatch):
         W, y, cert = final_solve(cons, budget)
         return W, y, certified(cons, cert)
 
+    def checked_proof(bar, cons):
+        proves = proof(bar, cons)
+
+        def checked(point):
+            if not proves(point):
+                return False
+            certified(cons, sdp._certificate(cons, bar.multipliers(point.y)[:cons.u.size]))
+            return True
+        return checked
+
+    def checked_lp_route(cons, t, mode):
+        sol = lp_route(cons, t, mode)
+        certified(cons, sol.certificate)
+        return sol
+
+    def checked_min_ceiling(cons):
+        P, y = min_ceiling(cons)
+        if P is None:
+            zeroed = cons.with_ceiling(0.0)
+            certified(zeroed, sdp._certificate(zeroed, y))
+        return P, y
+
     monkeypatch.setattr(sdp, "_final_solve", checked_final_solve)
     monkeypatch.setattr(sdp, "_unreachable_row",
                         lambda cons: certified(cons, unreachable_row(cons)))
+    monkeypatch.setattr(sdp, "_proof", checked_proof)
+    monkeypatch.setattr(sdp, "_lp_route", checked_lp_route)
+    monkeypatch.setattr(diag_lp, "min_ceiling", checked_min_ceiling)
 
 
 def random_psd(rng, n, scale=1.0, ridge=0.0, rank=None):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -19,7 +20,7 @@ from conftest import (
     thin_set_problem,
 )
 from oracles import quad_form
-from wiretap import diag_lp, sdp
+from wiretap import diag_lp, sdp, sweep
 from wiretap.constraints import ConstraintSet
 from wiretap.kkt import check_kkt
 from wiretap.linalg import LinalgError, numerical_rank, psd_project_factor, trace_inner
@@ -43,6 +44,7 @@ from wiretap.sdp import (
     RANK1_INFEASIBLE,
     extract_principal_direction,
     power_rescale,
+    proven_feasibility,
     solve_general,
     solve_rank_relaxed,
 )
@@ -690,9 +692,9 @@ class TestSolveRecord:
 
 
 class TestOneRowBuild:
-    """A solve builds its ConstraintSet once, and the route checks
-    diagonality once: the LP, the barrier and the duals all take that one
-    set."""
+    """A solve builds its ConstraintSet once: the LP, the barrier and the
+    duals all take that one set. The route checks diagonality once per
+    problem (WiretapProblem.diagonal), not once per solve."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -724,7 +726,12 @@ class TestOneRowBuild:
         assert (calls.count("build"), calls.count("all_diagonal")) == (1, routed)
         calls.clear()
         list(sdp.epigraph_stages(p, rd))
-        assert (calls.count("build"), calls.count("all_diagonal")) == (1, routed)
+        assert solve_general(p, RatePair(rd, rs)).status == status
+        # p kept its answer from the first solve.
+        assert (calls.count("build"), calls.count("all_diagonal")) == (2, 0)
+        fresh = load_problem(str(PROBLEMS / f"{name}.json")).problem
+        list(sdp.epigraph_stages(fresh, rd))
+        assert (calls.count("build"), calls.count("all_diagonal")) == (3, routed)
 
 
 class TestStart:
@@ -1141,15 +1148,24 @@ class TestEpigraphWitness:
     def test_every_stage_bracket_is_a_proof(self, kind, monkeypatch):
         # Every stage of every SDP epigraph, drained past the stages a sweep
         # pulls, at the corpus's code rates: the witness is PSD to roundoff,
-        # b_lo <= b_hi, and each bracket lies inside the one before.
-        witnesses = []
-        witness_bound = sdp._witness_bound
+        # b_lo <= b_hi, and each bracket lies inside the one before. Every
+        # Epigraph orders its ends, so b_lo <= b_hi is checked on the proofs
+        # themselves: the greatest ceiling_bound and the least witness bound
+        # so far, which each stage must report as they are.
+        witnesses, lows, highs = [], [], []
+        witness_bound, ceiling_bound = sdp._witness_bound, ConstraintSet.ceiling_bound
 
         def spy(cons, W):
             witnesses.append(W)
-            return witness_bound(cons, W)
+            highs.append(witness_bound(cons, W))
+            return highs[-1]
+
+        def spy_low(cons, y):
+            lows.append(ceiling_bound(cons, y))
+            return lows[-1]
 
         monkeypatch.setattr(sdp, "_witness_bound", spy)
+        monkeypatch.setattr(ConstraintSet, "ceiling_bound", spy_low)
         checked = 0
         for seed in range(50):
             if kind == "thin":
@@ -1164,10 +1180,15 @@ class TestEpigraphWitness:
                 if route != "sdp":
                     continue
                 witnesses.clear()
+                lows.clear()
+                highs.clear()
                 stages = list(sdp.epigraph_stages(p, rd, mode, model))
                 for W in witnesses:
                     vals = np.linalg.eigvalsh(W)
                     assert vals[0] >= -W.shape[0] * sdp._EPS * vals[-1], (seed, rd)
+                proofs = zip(itertools.accumulate(lows, max), itertools.accumulate(highs, min))
+                for stage, (lo, hi) in zip(stages, proofs):
+                    assert lo <= hi and (stage.b_lo, stage.b_hi) == (lo, hi), (seed, rd)
                 b_lo, b_hi = -math.inf, math.inf
                 for stage in stages:
                     assert stage.b_lo <= stage.b_hi, (seed, rd)
@@ -1196,6 +1217,107 @@ class TestEpigraphWitness:
         W = bar.primal(t, far, psd=True)
         assert np.allclose(W, inverse, rtol=0.0, atol=1e-15 * float(np.linalg.norm(inverse)))
         assert np.linalg.eigvalsh(W)[0] > 0.0
+
+
+class TestEpigraphContinuation:
+    """A sweep row's epigraph is first continued from the previous row's
+    certified optimum (sdp.continue_epigraph): Newton on its face at the new
+    floors, and the bracket of the two proofs every barrier stage uses. A
+    poor start can only widen that bracket, never flip a verdict."""
+
+    def test_crossed_ends_decide_nothing(self):
+        # Two proofs that cross by roundoff (a continued bracket is as narrow:
+        # at paper_j2's R_D 0.7 and rate_tol 1e-7 its ends are 6.9e-18
+        # apart): the Epigraph keeps [min, max], so a probe between is
+        # undecided.
+        b, gap = 0.25, 0.6
+        crossed = sdp.Epigraph(np.nextafter(b, 1.0), b, gap + 1e-12, gap)
+        assert (crossed.b_lo, crossed.b_hi) == (b, np.nextafter(b, 1.0))
+        assert (crossed.gap_lo, crossed.gap_hi) == (gap, gap + 1e-12)
+        r = RatePair(1.0, 1.0 - gap - 5e-13)
+        assert gap < r.R_gap < gap + 1e-12
+        assert proven_feasibility(crossed, r) is None
+        assert proven_feasibility(crossed, RatePair(1.0, 0.3)) == FEASIBLE
+        assert proven_feasibility(crossed, RatePair(1.0, 0.5)) == INFEASIBLE
+        # Brackets that meet in a crossed pair are ordered too.
+        above = sdp.Epigraph(b, 2.0 * b, gap, 2.0 * gap)
+        below = sdp.Epigraph(0.0, b * (1 - 1e-15), 0.0, gap * (1 - 1e-15))
+        met = above.meet(below)
+        assert met == sdp.Epigraph(b * (1 - 1e-15), b, gap * (1 - 1e-15), gap)
+        assert proven_feasibility(met, RatePair(1.0, 1.0 - gap * (1 - 5e-16))) is None
+
+    @pytest.mark.parametrize("kind", ["thin", "random"])
+    def test_continued_bracket_meets_the_drained_barrier(self, kind, monkeypatch):
+        # Every continued bracket of sweeps over R_D 0.3, 0.6 and 1.0, each
+        # row anchored from the one before, meets the bracket of the barrier
+        # drained at that row, and its witness is PSD to roundoff.
+        witnesses, continued = [], []
+        witness_bound, continuing = sdp._witness_bound, sweep.continue_epigraph
+
+        def spy(cons, W):
+            witnesses.append(W)
+            return witness_bound(cons, W)
+
+        def recording(p, anchor, rd, mode, model):
+            witnesses.clear()
+            epigraph = continuing(p, anchor, rd, mode, model)
+            if epigraph is not None:
+                W, = witnesses
+                vals = np.linalg.eigvalsh(W)
+                assert vals[0] >= -W.shape[0] * sdp._EPS * vals[-1], rd
+                continued.append((p, rd, mode, model, epigraph))
+            return epigraph
+
+        monkeypatch.setattr(sdp, "_witness_bound", spy)
+        monkeypatch.setattr(sweep, "continue_epigraph", recording)
+        for seed in range(50):
+            if kind == "thin":
+                p, mode, model = thin_set_problem(seed), STATISTICAL, "gaussian"
+            else:
+                p, mode, model = random_problem(seed)
+            try:
+                sweep_region(p, [0.3, 0.6, 1.0], rate_tol=1e-2, mode=mode, input_model=model)
+            except ModelError:
+                continue
+        for p, rd, mode, model, epigraph in continued:
+            drained = list(sdp.epigraph_stages(p, rd, mode, model))[-1]
+            assert epigraph.b_lo <= drained.b_hi and epigraph.b_hi >= drained.b_lo, rd
+            assert epigraph.gap_lo <= drained.gap_hi and epigraph.gap_hi >= drained.gap_lo, rd
+        # Random rows are continued less often: a third have no ceiling or
+        # no active one, or a floor out of reach.
+        assert len(continued) >= (90 if kind == "thin" else 10)
+
+    def test_corrupted_anchor_changes_no_row(self, ref_j1, monkeypatch):
+        # The anchor's V scaled by 2 and its multipliers permuted: the face
+        # Newton starts far off, its brackets are wider or missing, and the
+        # barrier stages decide what they leave. Every row is unchanged.
+        def sweep_counting_stages():
+            staged = []
+            staging = sweep.epigraph_stages
+
+            def counting(*args):
+                for stage in staging(*args):
+                    staged.append(stage)
+                    yield stage
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sweep, "epigraph_stages", counting)
+                rows = sweep_region(ref_j1, code_rate_grid(0.1, 1.2, 0.1), rate_tol=1e-3).rows
+            return rows, len(staged)
+
+        rows, staged = sweep_counting_stages()
+        continuing = sweep.continue_epigraph
+
+        def corrupted(p, anchor, *args):
+            d = anchor.duals
+            y = np.roll(np.r_[d.lam, d.mu, d.nu], 1)
+            duals = dataclasses.replace(d, lam=float(y[0]), mu=y[1:1 + p.K], nu=y[1 + p.K:])
+            return continuing(p, dataclasses.replace(anchor, W=4.0 * anchor.W, duals=duals), *args)
+
+        monkeypatch.setattr(sweep, "continue_epigraph", corrupted)
+        bad_rows, bad_staged = sweep_counting_stages()
+        assert bad_rows == rows
+        assert staged < bad_staged
 
 
 @settings(max_examples=30, deadline=None)

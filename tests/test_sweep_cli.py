@@ -902,10 +902,31 @@ class TestSweepBisection:
         # _NEWTON_TOL, the epigraph stages only to _EPIGRAPH_TOL. A final
         # solve is continued from the row before it where that is certified
         # ("continued"), else solve_general runs its barrier or its simplex
-        # alone. An evaluation at a y_i <= 0 needs no Cholesky factor.
+        # alone. Each row's epigraph is continued likewise where that proves
+        # a witness ("continued epigraph"), and a row pulls a bracket from
+        # epigraph_stages ("stage": a barrier stage, the LP's one bracket or
+        # an unreachable row's) only while the brackets it has hold a probe.
+        # An evaluation at a y_i <= 0 needs no Cholesky factor.
         calls = count_row_calls(monkeypatch, extra=((sweep, "proven_feasibility"),))
         evaluate, newton_step = sdp._Barrier.evaluate, sdp._Barrier.newton_step
-        continuing = sweep.continue_face
+        continuing, continuing_epigraph = sweep.continue_face, sweep.continue_epigraph
+        staging = sweep.epigraph_stages
+
+        def counting_stages(*args):
+            stages = staging(*args)
+
+            def counted():
+                for stage in stages:
+                    calls.append("stage")
+                    yield stage
+            return counted()
+
+        def counting_continued_epigraph(*args):
+            calls.append("continue_epigraph")
+            epigraph = continuing_epigraph(*args)
+            if epigraph is not None:
+                calls.append("continued epigraph")
+            return epigraph
 
         def counting_evaluate(bar, y):
             calls.append("evaluate")
@@ -926,6 +947,8 @@ class TestSweepBisection:
         monkeypatch.setattr(sdp._Barrier, "evaluate", counting_evaluate)
         monkeypatch.setattr(sdp._Barrier, "newton_step", counting)
         monkeypatch.setattr(sweep, "continue_face", counting_continued)
+        monkeypatch.setattr(sweep, "continue_epigraph", counting_continued_epigraph)
+        monkeypatch.setattr(sweep, "epigraph_stages", counting_stages)
         csv = "".join(
             to_csv(sweep_region(load_problem(str(path)).problem,
                                 code_rate_grid(0.1, 2.0, 0.1), rate_tol=1e-3))
@@ -934,16 +957,24 @@ class TestSweepBisection:
         # Of the 24 SDP-route final solves after a sweep's first, 23 are
         # continued; the LP route's final solves are not tried (its 22 rows).
         # 4 final solves run the barrier: each SDP sweep's first, and
-        # paper_j3 at R_D 0.3, where its first ceiling turns active.
+        # paper_j3 at R_D 0.3, where its first ceiling turns active. The
+        # epigraph is tried at those 24 rows and at the first infeasible row
+        # of each SDP sweep, whose floor out of reach declines it. Of the 22
+        # continued brackets, 20 decide every probe of their row; paper_j3 at
+        # 0.2 and 0.3 (a ceiling turns active) pull barrier stages, and so do
+        # paper_j1 at 1.1 and paper_j2 at 0.9 (the budget turns active), with
+        # no witness and no continued bracket. 7 epigraph barrier runs: those
+        # four and each SDP sweep's first row.
         count = {attr: calls.count(attr) for attr in set(calls)}
         assert count == {
-            "final newton_step": 291, "epigraph newton_step": 548, "_path": 31,
+            "final newton_step": 291, "epigraph newton_step": 146, "_path": 11,
             "min_ceiling": 28, "solve_diagonal": 25, "solve_general": 29,
             "continue_face": 24, "continued": 23,
-            "proven_feasibility": 614, "epigraph_stages": 58, "evaluate": 1951,
-            "evaluate y > 0": 844}
-        # 839 Newton steps in all, final and epigraph.
-        assert count["final newton_step"] + count["epigraph newton_step"] == 839
+            "continue_epigraph": 27, "continued epigraph": 22, "stage": 60,
+            "proven_feasibility": 555, "epigraph_stages": 58, "evaluate": 937,
+            "evaluate y > 0": 487}
+        # 437 Newton steps in all, final and epigraph.
+        assert count["final newton_step"] + count["epigraph newton_step"] == 437
 
     @pytest.mark.parametrize("status, row_status", [
         (MAX_ITERATIONS, "numerical-failure"),
@@ -1053,23 +1084,39 @@ class TestContinuation:
         # rate_tol 1e-7 puts each row's final solve on its region boundary,
         # where the cold barrier ends max_iterations on six rows of these
         # sweeps. Continued from the row before, four are certified:
-        # paper_j1 at R_D 0.3 and paper_j3 at 0.3, 0.5 and 0.7. Two stay
-        # numerical-failure: paper_j2 at 0.7, whose epigraph leaves a probe
-        # undecided, and paper_j2 at 0.9, whose continuation misses
-        # _FACE_TOL and whose barrier still ends max_iterations.
+        # paper_j1 at R_D 0.3 and paper_j3 at 0.3, 0.5 and 0.7. paper_j2 at
+        # 0.7 is optimal too: the barrier's last bracket, 3.5e-9 bits wide,
+        # holds one of its probes, but the epigraph continued from the row
+        # before decides them all with no barrier stage. paper_j2 at 0.9
+        # stays numerical-failure: its continuation misses _FACE_TOL and its
+        # barrier still ends max_iterations.
         grid = code_rate_grid(0.1, 1.1, 0.2)
         expected = {
             "paper_j1": ["optimal"] * 6,
-            "paper_j2": ["optimal"] * 3 + ["numerical-failure"] * 2 + ["infeasible"],
+            "paper_j2": ["optimal"] * 4 + ["numerical-failure", "infeasible"],
             "paper_j3": ["optimal"] * 4 + ["infeasible"] * 2,
         }
-        mended = {"paper_j1": [0.3], "paper_j2": [], "paper_j3": [0.3, 0.5, 0.7]}
+        mended = {"paper_j1": [0.3], "paper_j2": [0.7], "paper_j3": [0.3, 0.5, 0.7]}
+        staging = sweep.epigraph_stages
         for name, statuses in expected.items():
             p = named_problem(name)
+            staged = []
+
+            def counting_stages(p, rd, *args):
+                for stage in staging(p, rd, *args):
+                    staged.append(rd)
+                    yield stage
+
             with pytest.MonkeyPatch.context() as patch:
                 continued = continued_solutions(patch)
+                patch.setattr(sweep, "epigraph_stages", counting_stages)
                 rows = sweep_region(p, grid, rate_tol=1e-7).rows
             assert [row.status for row in rows] == statuses, name
+            if name == "paper_j2":
+                # Alone, with no row before it, the row has only the barrier.
+                assert 0.7 not in staged
+                row, = sweep_region(p, [0.7], rate_tol=1e-7).rows
+                assert row.status == "numerical-failure"
             continued = {r.R_D: (r, sol) for r, sol in continued}
             assert set(mended[name]) <= set(continued), name
             for rd in mended[name]:
