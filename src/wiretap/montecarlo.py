@@ -7,7 +7,9 @@ ChannelSample per block of up to chunk_size trials, holding that block's
 is counter-based: trial i always consumes the same fixed-size block of the
 Philox stream keyed by the seed, so every trial's channel is reproducible
 bit-for-bit no matter how trials are chunked or distributed across workers,
-and aggregation is a plain sum.
+and aggregation is a plain sum. Each entry of g is the polar map of one
+uniform pair, its phase computed through the half-angle tangent
+(_standard_complex).
 
 A channel vector h pairs with a beamformer w through h* w = g* (B* w).
 received_powers forms v = B* w once per stream and reduces each chunk of g to
@@ -72,9 +74,29 @@ def _words_per_trial(p: WiretapProblem) -> int:
 
 def _standard_complex(u: np.ndarray) -> np.ndarray:
     """Map uniform pairs (..., 2) to CN(0, 1): radius from the exponential
-    tail of 1-u (never log of zero), phase uniform."""
+    tail of 1-u (never log of zero), phase theta = 2 pi v uniform.
+
+    The phase goes through its half-angle tangent t = tan(pi (v - rint(v))),
+    the argument reduced exactly to [-pi/2, pi/2] (|t| < 1.7e16, so t^2 is
+    finite): cos theta = 2 / (1 + t^2) - 1 and sin theta = 2 t / (1 + t^2).
+    NumPy's float tan is vectorised where its complex exp is not; the two
+    maps agree to a few ulps of the radius. Each part is written in place
+    into the real and imaginary halves of the one complex result."""
     radius = np.sqrt(-np.log1p(-u[..., 0]))
-    return radius * np.exp(2j * np.pi * u[..., 1])
+    v = u[..., 1]
+    t = np.rint(v)
+    np.subtract(v, t, out=t)
+    t *= np.pi
+    np.tan(t, out=t)
+    c = np.multiply(t, t)
+    c += 1.0
+    np.divide(2.0, c, out=c)  # 1 + cos theta
+    t *= c                    # sin theta
+    c -= 1.0                  # cos theta
+    g = np.empty(radius.shape, dtype=np.complex128)
+    np.multiply(radius, c, out=g.real)
+    np.multiply(radius, t, out=g.imag)
+    return g
 
 
 def _gaussian_block(p: WiretapProblem, seed: int, start: int, count: int) -> np.ndarray:

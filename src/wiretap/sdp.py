@@ -729,11 +729,27 @@ def rate_bracket(
     return gap(b_lo), gap(b_hi)
 
 
+def epigraph_constraints(
+    p: WiretapProblem,
+    rd: float,
+    mode: CsiMode = STATISTICAL,
+    input_model="gaussian",
+) -> tuple[str, ConstraintSet]:
+    """(route, cons) of the epigraph at code rate rd: solve_general's route
+    at (rd, 0) and the ConstraintSet of its thresholds, whose floors and
+    budget every epigraph at rd keeps (its ceilings are replaced). A sweep
+    row builds them once for its continued epigraph and its barrier stages
+    alike, so a finite alphabet inverts its mutual information once."""
+    t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
+    return route, ConstraintSet.build(p, t, mode)
+
+
 def epigraph_stages(
     p: WiretapProblem,
     rd: float,
     mode: CsiMode = STATISTICAL,
     input_model="gaussian",
+    routed: tuple[str, ConstraintSet] | None = None,
 ) -> Iterator[Epigraph]:
     """The Epigraph at code rate rd after each stage of the solve that
     solve_general's route takes there, each bracket inside the one before and
@@ -748,9 +764,11 @@ def epigraph_stages(
     stage (the Newton steps run out, or an iterate leaves the domain) it
     yields one bracket, b_lo = -inf and b_hi = inf, that decides no probe;
     after a stage, the stages end where the path fails.
+
+    routed is epigraph_constraints(p, rd, mode, input_model), built here
+    when None.
     """
-    t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
-    cons = ConstraintSet.build(p, t, mode)
+    route, cons = routed or epigraph_constraints(p, rd, mode, input_model)
     if route == "trivial" or not np.any(cons.ceilings & cons.nonzero):
         return
     if route == "lp":
@@ -1000,6 +1018,7 @@ def continue_epigraph(
     rd: float,
     mode: CsiMode = STATISTICAL,
     input_model="gaussian",
+    routed: tuple[str, ConstraintSet] | None = None,
 ) -> Epigraph | None:
     """The Epigraph at code rate rd continued from anchor, an SDP-route
     solution of p with a certified relaxed optimum (its W and duals) at an
@@ -1018,11 +1037,12 @@ def continue_epigraph(
     ceiling_bound(max(y, 0)) and _witness_bound(V V^H). Both hold at any
     seed, so a poor face only widens the bracket. Without a witness (b_hi
     inf) the barrier decides the row, and proves b_lo = inf where the floors
-    and the budget are infeasible."""
-    t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
-    if route != "sdp" or anchor.W is None:
+    and the budget are infeasible. routed is as for epigraph_stages."""
+    if anchor.W is None:
         return None
-    cons = ConstraintSet.build(p, t, mode)
+    route, cons = routed or epigraph_constraints(p, rd, mode, input_model)
+    if route != "sdp":
+        return None
     if not np.any(cons.ceilings & cons.nonzero):
         return None
     if _unreachable_row(cons.without_ceilings()) is not None:

@@ -72,6 +72,7 @@ from .sdp import (
     RANK1_INFEASIBLE,
     continue_epigraph,
     continue_face,
+    epigraph_constraints,
     epigraph_stages,
     proven_feasibility,
     rate_thresholds,
@@ -116,11 +117,14 @@ def _solve_row(p, rd, rate_tol, mode, input_model, anchor):
     at R_s = rd. anchor is a certified relaxed optimum (one with W) of an
     earlier row, or None. The epigraph is first continued from it
     (continue_epigraph), and the barrier stages are pulled only while that
-    bracket holds a probe. The final solve is first continued from it too
-    (continue_face); when there is none, or the continuation is not
-    certified, it is solve_general's own."""
-    stages = epigraph_stages(p, rd, mode, input_model)
-    continued = None if anchor is None else continue_epigraph(p, anchor, rd, mode, input_model)
+    bracket holds a probe; the two share the row's one build of its
+    thresholds and rows (epigraph_constraints). The final solve is first
+    continued from it too (continue_face); when there is none, or the
+    continuation is not certified, it is solve_general's own."""
+    routed = epigraph_constraints(p, rd, mode, input_model)
+    stages = epigraph_stages(p, rd, mode, input_model, routed)
+    continued = (None if anchor is None
+                 else continue_epigraph(p, anchor, rd, mode, input_model, routed))
     epigraph = next(stages, None) if continued is None else continued
 
     def feasible(rs: float) -> bool:

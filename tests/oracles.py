@@ -1,8 +1,9 @@
 """Test-only oracles, kept out of the package because no command uses them:
-a quadratic form, an empirical check of the fading law that the Monte Carlo
-estimators rest on, a Monte Carlo estimate of a constellation's mutual
-information, independent of the package's quadrature, and the quadrature's
-own mass."""
+a quadratic form, the polar map from uniforms to CN(0, 1) through a complex
+exp, an empirical check of the fading law that the Monte Carlo estimators
+rest on, the closed-form joint non-outage probability of a beamformer, a
+Monte Carlo estimate of a constellation's mutual information, independent
+of the package's quadrature, and the quadrature's own mass."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from wiretap.linalg import LinalgError, as_matrix, as_vector
 from wiretap.mi import Alphabet, MiEvaluator
-from wiretap.model import ModelError, WiretapProblem
+from wiretap.model import ConstraintThresholds, ModelError, WiretapProblem
 from wiretap.montecarlo import ChannelSample, received_powers
 
 # Asymptotic 1% critical constant for the one-sample Kolmogorov-Smirnov
@@ -29,6 +30,25 @@ def quad_form(w, a) -> float:
     if a.shape != (w.size, w.size):
         raise LinalgError(f"dimension mismatch: w has {w.size}, A is {a.shape}")
     return float(np.real(np.vdot(w, a @ w)))
+
+
+def polar_complex(u: np.ndarray) -> np.ndarray:
+    """Uniform pairs (..., 2) to CN(0, 1) as radius * exp(2j pi v), the
+    radius sqrt(-log(1 - u)): the map that montecarlo._standard_complex
+    computes through the phase's half-angle tangent instead."""
+    return np.sqrt(-np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
+
+
+def joint_non_outage(p: WiretapProblem, t: ConstraintThresholds, w) -> float:
+    """The exact probability, under statistical CSI and independent links,
+    that every user's received power |h_k* w|^2 reaches t.user_power_target
+    and every eavesdropper's |z_j* w|^2 stays at or below
+    t.eave_power_target: each power is exponential with mean w* H w, so it is
+    prod_k exp(-a_k / w* H_k w) prod_j (1 - exp(-b_j / w* Z_j w)) with a_k, b_j
+    the power targets."""
+    users = math.prod(math.exp(-t.user_power_target / quad_form(w, h)) for h in p.H)
+    eaves = math.prod(-math.expm1(-t.eave_power_target / quad_form(w, z)) for z in p.Z)
+    return users * eaves
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from conftest import bundled, random_psd
-from oracles import exponentiality_check, quad_form
+from oracles import exponentiality_check, joint_non_outage, polar_complex, quad_form
 from wiretap.mi import MiEvaluator, bpsk
 from wiretap.model import ModelError, RatePair, WiretapProblem, thresholds_gaussian
 from wiretap.montecarlo import (
+    _standard_complex,
     estimate_individual_probs,
     estimate_non_outage,
     received_powers,
@@ -89,6 +91,39 @@ class TestSampling:
             assert np.array_equal(np.concatenate([hp[i], zp[i]]), powers)
             np.testing.assert_allclose(hp[i], np.abs(h[i].conj() @ w) ** 2, rtol=1e-12)
             np.testing.assert_allclose(zp[i], np.abs(z[i].conj() @ w) ** 2, rtol=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestStandardComplex:
+    """The half-angle phase map against the polar oracle radius * exp(2j pi v):
+    within 8 eps of the radius entrywise, with modulus the radius to 4 eps
+    relative, and never a floating-point exception (overflow, invalid,
+    division by zero or underflow)."""
+
+    def assert_matches_polar(self, u):
+        with np.errstate(all="raise"):
+            g = _standard_complex(u)
+            want = polar_complex(u)
+            radius = np.sqrt(-np.log1p(-u[..., 0]))
+        assert g.dtype == np.complex128 and g.shape == u.shape[:-1]
+        assert np.all(np.isfinite(g))
+        assert np.all(np.abs(g - want) <= 8.0 * EPS * radius)
+        assert np.all(np.abs(np.abs(g) - radius) <= 4.0 * EPS * radius)
+
+    def test_philox_pairs_match_polar_map(self):
+        u = Generator(Philox(key=2024)).random((1_000_000, 2))
+        self.assert_matches_polar(u)
+
+    def test_phase_edges_match_polar_map(self):
+        # The quarter turns, both sides of the half turn (where the tangent
+        # is largest, about 1.6e16) and the last uniform below one, each at
+        # radius 0, a middle one and the largest a 53-bit uniform gives.
+        v = np.array([0.0, 0.25, 0.5, 0.75, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
+        r = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+        u = np.stack(np.broadcast_arrays(r[:, None], v[None, :]), axis=-1)
+        self.assert_matches_polar(u)
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,6 +250,20 @@ def test_benchmark_point_counts(j, rd, rs, joint, users, eaves):
     assert estimate_non_outage(p, sol.thresholds, sol.w, powers).successes == joint
     assert [u.successes for u in got_users] == users
     assert [e.successes for e in got_eaves] == eaves
+
+
+# The joint success frequency against its closed form at the benchmark
+# points: the draw is CN(0, I) per link, independent across links, so the
+# design's exact joint non-outage is the product of the per-link laws.
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("j, rd, rs", [(1, 1.0, 0.5), (2, 0.8, 0.4), (3, 0.5, 0.15)])
+def test_joint_non_outage_matches_closed_form(j, rd, rs, seed):
+    p = bundled(j)
+    sol = solve_general(p, RatePair(rd, rs))
+    est = estimate_non_outage(p, sol.thresholds, sol.w, draw(p, sol.w, seed, 100_000))
+    exact = joint_non_outage(p, sol.thresholds, sol.w)
+    assert exact >= 1.0 - p.epsilon
+    assert abs(est.p_hat - exact) <= 3.0 * est.ci_halfwidth
 
 
 class TestIndividualProbs:

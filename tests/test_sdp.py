@@ -1258,9 +1258,9 @@ class TestEpigraphContinuation:
             witnesses.append(W)
             return witness_bound(cons, W)
 
-        def recording(p, anchor, rd, mode, model):
+        def recording(p, anchor, rd, mode, model, routed):
             witnesses.clear()
-            epigraph = continuing(p, anchor, rd, mode, model)
+            epigraph = continuing(p, anchor, rd, mode, model, routed)
             if epigraph is not None:
                 W, = witnesses
                 vals = np.linalg.eigvalsh(W)

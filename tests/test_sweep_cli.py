@@ -709,8 +709,9 @@ class TestSweepBisection:
 
     def test_qam16_probes_invert_no_rate(self, monkeypatch):
         # The probes are decided in rate space: per row, thresholds are built
-        # (and the MI inverted) only by the epigraph and the final solve.
-        # sweep_region itself builds them once, at the grid's top rate.
+        # (and the MI inverted) only by the epigraph, once, before its stages
+        # (epigraph_constraints, which the stages reuse), and by the final
+        # solve. sweep_region itself builds them once, at the grid's top rate.
         scope, calls, callers = [], [], []
 
         def scoped(attr, call):
@@ -742,6 +743,7 @@ class TestSweepBisection:
         monkeypatch.setattr(sweep, "epigraph_stages", counting_stages)
         counting(sweep, "solve_general", calls.append)
         counting(sweep, "continue_face", calls.append)
+        counting(sweep, "epigraph_constraints", calls.append)
         counting(MiEvaluator, "inverse", calls.append)
         counting(sdp, "thresholds_finite_alphabet",
                  lambda attr: callers.append(scope[-1] if scope else "probe"))
@@ -756,15 +758,35 @@ class TestSweepBisection:
             statuses.append(row.status)
             # The grid check: one build, its two inversions before the row.
             assert callers[0] == "sweep_region"
-            check = calls.index("epigraph_stages")
+            check = calls.index("epigraph_constraints")
             assert calls[:check] == ["inverse", "inverse"]
             row_calls, row_callers = calls[check:], callers[1:]
             assert row_calls.count("inverse") <= 4
             assert row_callers == [c for c in row_calls
-                                   if c in ("epigraph_stages", "solve_general", "continue_face")]
+                                   if c in ("epigraph_constraints", "solve_general", "continue_face")]
             assert "continue_face" not in row_calls
-            assert row_callers[0] == "epigraph_stages"
+            assert row_callers[0] == "epigraph_constraints"
         assert statuses == ["optimal", "optimal", "infeasible"]
+
+    def test_qam16_region_inverts_once_per_threshold_build(self, monkeypatch):
+        # A 16-QAM region whose rows after the first continue their epigraph
+        # from the row before, where some decline it: each row's epigraph
+        # thresholds are built once for the continuation and the barrier
+        # stages alike. 48 inversions, two per build: the grid's top rate,
+        # the epigraph of each row up to the first infeasible one (12) and
+        # the final solve of each optimal row (11). Building a declined row's
+        # thresholds again made 52.
+        inverse, count = MiEvaluator.inverse, []
+
+        def counting(self, *args):
+            count.append(args)
+            return inverse(self, *args)
+        monkeypatch.setattr(MiEvaluator, "inverse", counting)
+        p = load_problem(str(PROBLEMS / "paper_j1.json")).problem
+        rows = sweep_region(p, code_rate_grid(0.1, 1.6, 0.1), rate_tol=1e-3,
+                            input_model=MiEvaluator(qam16())).rows
+        assert [row.status for row in rows] == ["optimal"] * 11 + ["infeasible"] * 5
+        assert len(count) == 48
 
     def test_qam16_sweep_quadrature_count(self, monkeypatch):
         # The sweep_qam16 workload's three sweeps: a quadrature is a memo miss
