@@ -1015,14 +1015,14 @@ def _range_factor(W: np.ndarray) -> np.ndarray | None:
 def continue_epigraph(
     p: WiretapProblem,
     anchor: BeamformerSolution,
-    rd: float,
+    routed: tuple[str, ConstraintSet],
     mode: CsiMode = STATISTICAL,
     input_model="gaussian",
-    routed: tuple[str, ConstraintSet] | None = None,
 ) -> Epigraph | None:
-    """The Epigraph at code rate rd continued from anchor, an SDP-route
-    solution of p with a certified relaxed optimum (its W and duals) at an
-    earlier code rate, with no barrier run; None where it proves no witness,
+    """The Epigraph at the code rate whose route and rows routed holds (the
+    row's epigraph_constraints) continued from anchor, an SDP-route solution
+    of p with a certified relaxed optimum (its W and duals) at an earlier
+    code rate, with no barrier run; None where it proves no witness,
     or where epigraph_stages' first stage would not be a barrier stage (the
     LP route, no nonzero ceiling, or a floor out of the budget's reach,
     _unreachable_row).
@@ -1037,11 +1037,9 @@ def continue_epigraph(
     ceiling_bound(max(y, 0)) and _witness_bound(V V^H). Both hold at any
     seed, so a poor face only widens the bracket. Without a witness (b_hi
     inf) the barrier decides the row, and proves b_lo = inf where the floors
-    and the budget are infeasible. routed is as for epigraph_stages."""
-    if anchor.W is None:
-        return None
-    route, cons = routed or epigraph_constraints(p, rd, mode, input_model)
-    if route != "sdp":
+    and the budget are infeasible."""
+    route, cons = routed
+    if route != "sdp" or anchor.W is None:
         return None
     if not np.any(cons.ceilings & cons.nonzero):
         return None

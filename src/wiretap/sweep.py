@@ -123,8 +123,7 @@ def _solve_row(p, rd, rate_tol, mode, input_model, anchor):
     continuation is not certified, it is solve_general's own."""
     routed = epigraph_constraints(p, rd, mode, input_model)
     stages = epigraph_stages(p, rd, mode, input_model, routed)
-    continued = (None if anchor is None
-                 else continue_epigraph(p, anchor, rd, mode, input_model, routed))
+    continued = None if anchor is None else continue_epigraph(p, anchor, routed, mode, input_model)
     epigraph = next(stages, None) if continued is None else continued
 
     def feasible(rs: float) -> bool:

@@ -1251,16 +1251,23 @@ class TestEpigraphContinuation:
         # Every continued bracket of sweeps over R_D 0.3, 0.6 and 1.0, each
         # row anchored from the one before, meets the bracket of the barrier
         # drained at that row, and its witness is PSD to roundoff.
-        witnesses, continued = [], []
+        witnesses, continued, rds = [], [], []
         witness_bound, continuing = sdp._witness_bound, sweep.continue_epigraph
+        building = sweep.epigraph_constraints
 
         def spy(cons, W):
             witnesses.append(W)
             return witness_bound(cons, W)
 
-        def recording(p, anchor, rd, mode, model, routed):
+        def built(p, rd, *args):
+            rds.append(rd)
+            return building(p, rd, *args)
+
+        def recording(p, anchor, routed, mode, model):
+            # The row's rd is the last one its rows were built for.
+            rd = rds[-1]
             witnesses.clear()
-            epigraph = continuing(p, anchor, rd, mode, model, routed)
+            epigraph = continuing(p, anchor, routed, mode, model)
             if epigraph is not None:
                 W, = witnesses
                 vals = np.linalg.eigvalsh(W)
@@ -1269,6 +1276,7 @@ class TestEpigraphContinuation:
             return epigraph
 
         monkeypatch.setattr(sdp, "_witness_bound", spy)
+        monkeypatch.setattr(sweep, "epigraph_constraints", built)
         monkeypatch.setattr(sweep, "continue_epigraph", recording)
         for seed in range(50):
             if kind == "thin":
