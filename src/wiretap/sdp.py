@@ -45,19 +45,19 @@ solution has numerical rank one (which it does on the bundled scenarios);
 otherwise the principal eigendirection is kept and only the transmit power
 is re-optimized, which is a one-dimensional closed-form problem.
 
-Along a sweep only the thresholds u move from one final solve to the next.
-continue_face solves the next one with no barrier run: Newton on the face
-system of the previous optimum at the new u, and one retry that walks u
-there in _WALK_STEPS steps. Its end point earns OPTIMAL by the same test
-as a barrier's refined point (_face_point), or the caller runs the barrier.
-continue_epigraph does the same for the next row's epigraph, whose floors
-alone move: the one face Newton (_face_newton) on the epigraph's face (C =
-0, the common ceiling s one more unknown, e.y = 1), started from the
-previous optimum's face, which on the region's boundary is the epigraph's.
-Its bracket is made of the two proofs every barrier stage uses
-(ceiling_bound of its multipliers, _witness_bound of its W = V V^H), so it
-needs no test of its own: a poor face only widens it. A sweep row decides
-its probes on it first, and pulls barrier stages only for a probe it holds.
+Every face system is solved by one active-set method (_face_solve): Newton
+on a face, then, while it is solved to roundoff, the row with the most
+negative multiplier leaves or the row its point violates most enters, one
+row at a time. Its three callers keep only their own acceptance tests:
+the barrier's refinement, and two continuations along a sweep, where only
+the thresholds u move from one row to the next. continue_face solves the
+next final solve from the previous optimum's face with no barrier run (one
+retry walks u there in _WALK_STEPS steps), and earns OPTIMAL by the
+refinement's test (_face_point) or leaves the row to the barrier. Given
+that optimum as its anchor, epigraph_stages continues the next row's
+epigraph likewise (_continued_bracket): its first bracket is the two proofs
+every barrier stage uses, so a poor face only widens it, and the barrier
+stages, pulled only for a probe it holds, start from its ends.
 
 Each solve builds its ConstraintSet once, and the route's solver takes it:
 the diagonal LP (diag_lp.solve_diagonal, whose w = sqrt(P)) or the barrier.
@@ -331,7 +331,7 @@ class _Barrier:
         W = step.Linv.conj().T @ mid @ step.Linv / t
         return (W + W.conj().T) / 2.0
 
-    def center(self, t: float, point: _Point, budget: _NewtonBudget, stop=None):
+    def center(self, t: float, point: _Point, budget: _NewtonBudget, stop):
         """Newton iterations at fixed t from point until the decrement falls
         below _NEWTON_TOL, or on the epigraph (e set) below _EPIGRAPH_TOL:
         its stages' brackets are proofs at any y in the domain, so a loosely
@@ -349,7 +349,7 @@ class _Barrier:
         f = point.value(t)
         tol = _NEWTON_TOL if self.e is None else _EPIGRAPH_TOL
         while True:
-            if stop is not None and stop(point):
+            if stop(point):
                 return point, None, False
             step = self.newton_step(t, point)
             if step.dec2 <= 0.0:
@@ -424,7 +424,7 @@ def _proof(bar: _Barrier, cons: ConstraintSet):
     return proves
 
 
-def _path(bar: _Barrier, budget: _NewtonBudget, stop=None):
+def _path(bar: _Barrier, budget: _NewtonBudget, stop):
     """The dual path on bar: centring from bar.start() at t0
     (bar.centring_t), t0 * _T_GROWTH, ... Yields (t, point, step, silent)
     after each stage: point the stage's _Point, step its Newton step there
@@ -510,13 +510,56 @@ def _face_newton(A, u, V, y, e=None):
     return best
 
 
+def _face_solve(cons: ConstraintSet, rows: np.ndarray, V: np.ndarray, y: np.ndarray,
+                epigraph: bool = False):
+    """Newton on the face system of the rows of cons (_face_newton) from (V,
+    y), then one active-set update at a time while that system is solved to
+    _FACE_TOL: the row with the most negative multiplier leaves the face
+    (while another row is left), or else the row off it that W = V V^H
+    violates most, relative to |u_i| + ||A_i||_F Tr W, enters with y_i = 0,
+    and Newton runs again on the new face. On the epigraph's face
+    (epigraph: the ceilings of cons have u = 0, y ends with the common
+    ceiling s, and the ceiling rows on the face are _face_newton's e) a
+    ceiling's slack is s - Tr(G_j W). Each update moves one row, so at most
+    as many updates as cons has rows run. Returns (rows, V, y, err) of the
+    last Newton solve; accepting it is the caller's test."""
+    on = np.zeros(cons.u.size, dtype=bool)
+    on[rows] = True
+    a_norm = np.linalg.norm(cons.A, axis=(1, 2))
+    for updates in range(cons.u.size + 1):
+        rows = np.flatnonzero(on)
+        e = cons.ceilings[rows].astype(float) if epigraph else None
+        V, y, err = _face_newton(cons.A[rows], cons.u[rows], V, y, e)
+        if not err <= _FACE_TOL or updates == cons.u.size:
+            break
+        mult = y[:rows.size]
+        if mult.size > 1 and float(np.min(mult)) < 0.0:
+            leave = int(np.argmin(mult))
+            on[rows[leave]] = False
+            y = np.delete(y, leave)
+        else:
+            W = V @ V.conj().T
+            slack = cons.u - cons.values(W)
+            if epigraph:
+                slack[cons.ceilings] += y[-1]
+            out = np.flatnonzero(~on & (slack < 0.0))
+            if not out.size:
+                break
+            scale = np.abs(cons.u[out]) + a_norm[out] * float(np.trace(W).real)
+            enter = int(out[np.argmax(-slack[out] / scale)])
+            on[enter] = True
+            y = np.insert(y, np.count_nonzero(on[:enter]), 0.0)
+    return rows, V, y, err
+
+
 def _face_point(cons: ConstraintSet, rows: np.ndarray, V: np.ndarray, y_rows: np.ndarray,
                 err: float):
     """(W, y) of a solution (V, y_rows, err) of the face system of _face_newton
     on the rows of cons, W = V V^H and y one multiplier per row of cons, 0
     off rows, when it is an optimum to roundoff; otherwise None. This is the
     one test that earns OPTIMAL on the SDP route, for a barrier's refined
-    end point (_refine_face) and for a continued face (continue_face) alike:
+    end point (_refine_face) and for a continued face (continue_face) alike,
+    each the end of a _face_solve:
 
     - the face residual err is at most _FACE_TOL;
     - every multiplier on rows is >= 0;
@@ -551,18 +594,16 @@ def _refine_face(cons: ConstraintSet, bar: _Barrier, W: np.ndarray, slacks: np.n
     exceed the relative cut. The active rows are those whose multiplier y0_i
     exceeds the slack s_i, both normalized, so the choice does not depend on
     the user's units. Newton on the KKT system of that face in the units of
-    cons (_face_newton) removes the barrier's O(1/t) centering error and its
-    float64 noise floor. A row whose multiplier comes out negative is
-    dropped and the solve retried. So is the active row with the least y0_i
-    / s_i when the solve misses _FACE_TOL: a weakly active row, whose
-    multiplier and slack both tend to 0 along the path, leaves the face
-    system with no regular solution.
+    cons, with its active-set updates (_face_solve), removes the barrier's
+    O(1/t) centering error and its float64 noise floor. When that misses
+    _FACE_TOL, the active row with the least y0_i / s_i is dropped and the
+    solve retried: a weakly active row, whose multiplier and slack both tend
+    to 0 along the path, leaves the face system with no regular solution.
 
     Returns (V V^H, y) in the units of cons, y one multiplier per row of cons
     and 0 on the inactive rows, when _face_point certifies it: a KKT point
     to roundoff with a small duality gap. Otherwise None.
     """
-    A, u = cons.A[bar.keep], cons.u[bar.keep]
     vals, vecs = np.linalg.eigh(W)
     desc = np.clip(vals[::-1], 1e-300, None)
     ratios = desc[:-1] / desc[1:]
@@ -573,17 +614,10 @@ def _refine_face(cons: ConstraintSet, bar: _Barrier, W: np.ndarray, slacks: np.n
     V0 = vecs[:, ::-1][:, :r] * np.sqrt(desc[:r] * cons.p_t)
     active = np.flatnonzero(y0 > slacks)
     while active.size:
-        V, y_act, err = _face_newton(A[active], u[active], V0, y0[active] / bar.r[active])
-        end = _face_point(cons, bar.keep[active], V, y_act, err)
-        if end is not None:
-            return end
-        if not err <= _FACE_TOL:
-            drop = int(np.argmin(y0[active] / slacks[active]))
-        elif float(np.min(y_act)) < 0.0:
-            drop = int(np.argmin(y_act))
-        else:
-            return None
-        active = np.delete(active, drop)
+        rows, V, y, err = _face_solve(cons, bar.keep[active], V0, y0[active] / bar.r[active])
+        if err <= _FACE_TOL:
+            return _face_point(cons, rows, V, y, err)
+        active = np.delete(active, np.argmin(y0[active] / slacks[active]))
     return None
 
 
@@ -644,12 +678,6 @@ class Epigraph:
                 object.__setattr__(self, lo, b)
                 object.__setattr__(self, hi, a)
 
-    def meet(self, other: Epigraph) -> Epigraph:
-        """The intersection of two brackets on the same b*. The rate map is
-        monotone, so the gaps meet as the ceilings do."""
-        return Epigraph(max(self.b_lo, other.b_lo), min(self.b_hi, other.b_hi),
-                        max(self.gap_lo, other.gap_lo), min(self.gap_hi, other.gap_hi))
-
 
 def _witness_bound(cons: ConstraintSet, W: np.ndarray) -> float:
     """max_j Tr(G_j W') of W >= 0 scaled onto the floors of cons, inf when
@@ -671,7 +699,8 @@ def _witness_bound(cons: ConstraintSet, W: np.ndarray) -> float:
     return math.inf
 
 
-def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
+def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget,
+                   anchor: BeamformerSolution | None):
     """Minimize s over W >= 0 subject to the budget and floors of cons and
     Tr(A_j W) <= s on its ceilings: the dual path of the epigraph barrier
     (_Barrier with epigraph=True) on the rows of cons with ceiling u = 0.
@@ -680,7 +709,9 @@ def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
     W', W' the primal point of the stage's step (the DSDP point, which meets
     the rows at a loosely centred y too) or Lambda^-1 / t where that point
     is not PSD, so each bracket lies inside the one before. Stops at a silent
-    stage or at _T_MAX; the Newton budget bounds it too.
+    stage or at _T_MAX; the Newton budget bounds it too. With an anchor
+    whose continuation (_continued_bracket) proves a witness, that bracket
+    comes first, and the stages' proofs start from its ends.
 
     Yields only (inf, inf) when the floors and the budget are proven
     infeasible: a row out of their reach (_unreachable_row), or an iterate
@@ -689,8 +720,12 @@ def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget):
     if _unreachable_row(floors) is not None:
         yield math.inf, math.inf
         return
+    b_lo, b_hi = -math.inf, math.inf
+    continued = None if anchor is None else _continued_bracket(cons, anchor)
+    if continued is not None:
+        b_lo, b_hi = continued
+        yield continued
     bar = _Barrier(cons.with_ceiling(0.0), epigraph=True)
-    b_hi, b_lo = math.inf, -math.inf
     for t, point, step, silent in _path(bar, budget, _proof(bar, floors)):
         if step is None:
             yield math.inf, math.inf
@@ -729,27 +764,12 @@ def rate_bracket(
     return gap(b_lo), gap(b_hi)
 
 
-def epigraph_constraints(
-    p: WiretapProblem,
-    rd: float,
-    mode: CsiMode = STATISTICAL,
-    input_model="gaussian",
-) -> tuple[str, ConstraintSet]:
-    """(route, cons) of the epigraph at code rate rd: solve_general's route
-    at (rd, 0) and the ConstraintSet of its thresholds, whose floors and
-    budget every epigraph at rd keeps (its ceilings are replaced). A sweep
-    row builds them once for its continued epigraph and its barrier stages
-    alike, so a finite alphabet inverts its mutual information once."""
-    t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
-    return route, ConstraintSet.build(p, t, mode)
-
-
 def epigraph_stages(
     p: WiretapProblem,
     rd: float,
     mode: CsiMode = STATISTICAL,
     input_model="gaussian",
-    routed: tuple[str, ConstraintSet] | None = None,
+    anchor: BeamformerSolution | None = None,
 ) -> Iterator[Epigraph]:
     """The Epigraph at code rate rd after each stage of the solve that
     solve_general's route takes there, each bracket inside the one before and
@@ -757,18 +777,21 @@ def epigraph_stages(
     one per barrier stage; the LP route (one simplex, diag_lp.min_ceiling) and
     floors proven infeasible yield one final bracket, and an LP whose phase I
     leaves the floors unmet with no accepted certificate yields the undecided
-    bracket b_lo = -inf, b_hi = inf.
+    bracket b_lo = -inf, b_hi = inf. The thresholds are built once, at the
+    first stage.
+
+    anchor, a certified relaxed optimum of p at an earlier code rate (a
+    sweep's previous row), serves the SDP route only: the bracket continued
+    from it (_continued_bracket), when it proves a witness, comes first.
 
     Yields nothing exactly when R_s moves no row: on the trivial route, or
     with no nonzero ceiling to bound. When the path fails before its first
-    stage (the Newton steps run out, or an iterate leaves the domain) it
+    bracket (the Newton steps run out, or an iterate leaves the domain) it
     yields one bracket, b_lo = -inf and b_hi = inf, that decides no probe;
-    after a stage, the stages end where the path fails.
-
-    routed is epigraph_constraints(p, rd, mode, input_model), built here
-    when None.
+    after a bracket, the stages end where the path fails.
     """
-    route, cons = routed or epigraph_constraints(p, rd, mode, input_model)
+    t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
+    cons = ConstraintSet.build(p, t, mode)
     if route == "trivial" or not np.any(cons.ceilings & cons.nonzero):
         return
     if route == "lp":
@@ -780,7 +803,7 @@ def epigraph_stages(
         else:
             brackets = [(-math.inf, math.inf)]
     else:
-        brackets = _epigraph_path(cons, _NewtonBudget(_MAX_NEWTON))
+        brackets = _epigraph_path(cons, _NewtonBudget(_MAX_NEWTON), anchor)
     staged = False
     try:
         for bracket in brackets:
@@ -1012,48 +1035,29 @@ def _range_factor(W: np.ndarray) -> np.ndarray | None:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def continue_epigraph(
-    p: WiretapProblem,
-    anchor: BeamformerSolution,
-    routed: tuple[str, ConstraintSet],
-    mode: CsiMode = STATISTICAL,
-    input_model="gaussian",
-) -> Epigraph | None:
-    """The Epigraph at the code rate whose route and rows routed holds (the
-    row's epigraph_constraints) continued from anchor, an SDP-route solution
-    of p with a certified relaxed optimum (its W and duals) at an earlier
-    code rate, with no barrier run; None where it proves no witness,
-    or where epigraph_stages' first stage would not be a barrier stage (the
-    LP route, no nonzero ceiling, or a floor out of the budget's reach,
-    _unreachable_row).
+def _continued_bracket(cons: ConstraintSet, anchor: BeamformerSolution):
+    """(b_lo, b_hi) of the epigraph of cons continued from anchor, a
+    certified relaxed optimum (its W and duals) of the same problem at an
+    earlier code rate, with no barrier run; None with no witness.
 
     A final solve on the region's boundary has the epigraph's optimal face:
     its ceilings are as low as the floors and the budget allow. So anchor's
-    face starts the epigraph's face system at rd (_face_newton with e): V
+    face starts the epigraph's face system (_face_solve with epigraph): V
     from anchor's W on its numerical range, anchor's rows with y_i > 0, and
     their epigraph multipliers, the least-squares solution of Lambda_0(y) V
-    = 0 (C = 0) scaled to e.y = 1. Only the floors a(R_D) move along a
-    sweep. The bracket is the two proofs of every barrier stage:
+    = 0 (C = 0) scaled to e.y = 1, with s at the highest active ceiling.
+    Only the floors a(R_D) move along a sweep, and a row that turns active
+    enters the face. The bracket is the two proofs of every barrier stage:
     ceiling_bound(max(y, 0)) and _witness_bound(V V^H). Both hold at any
-    seed, so a poor face only widens the bracket. Without a witness (b_hi
-    inf) the barrier decides the row, and proves b_lo = inf where the floors
-    and the budget are infeasible."""
-    route, cons = routed
-    if route != "sdp" or anchor.W is None:
-        return None
-    if not np.any(cons.ceilings & cons.nonzero):
-        return None
-    if _unreachable_row(cons.without_ceilings()) is not None:
-        return None
+    start, so a poor face only widens the bracket."""
     rows = np.flatnonzero(cons.stack(anchor.duals) > 0.0)
     e = cons.ceilings[rows].astype(float)
     V = _range_factor(anchor.W)
     if not e.any() or V is None:
         return None
-    A, u = cons.A[rows], cons.with_ceiling(0.0).u[rows]
     # The least-squares null vector of y -> sum y_i A_i V, its columns
-    # equilibrated, scaled to e.y = 1; s starts at the highest active ceiling.
-    AV = (A @ V).reshape(rows.size, -1)
+    # equilibrated, scaled to e.y = 1.
+    AV = (cons.A[rows] @ V).reshape(rows.size, -1)
     scale = np.linalg.norm(AV, axis=1)
     scale[scale == 0.0] = 1.0
     z = np.linalg.svd(np.hstack([AV.real, AV.imag]).T / scale)[2][-1] / scale
@@ -1061,14 +1065,14 @@ def continue_epigraph(
     if ez == 0.0:
         return None
     s = float(np.max(cons.values(anchor.W)[rows][e > 0.0]))
-    V, ys, _ = _face_newton(A, u, V, np.append(z / ez, s), e)
+    rows, V, ys, _ = _face_solve(cons.with_ceiling(0.0), rows, V, np.append(z / ez, s),
+                                 epigraph=True)
     b_hi = _witness_bound(cons, V @ V.conj().T)
     if b_hi == math.inf:
         return None
     y = np.zeros(cons.u.size)
     y[rows] = np.maximum(ys[:-1], 0.0)
-    b_lo = cons.ceiling_bound(y)
-    return Epigraph(b_lo, b_hi, *rate_bracket(p, b_lo, b_hi, mode, input_model))
+    return cons.ceiling_bound(y), b_hi
 
 
 def continue_face(
@@ -1085,13 +1089,13 @@ def continue_face(
     The rows A of p do not depend on the rates, only their thresholds u do,
     so prev's optimal face is the start of the face system at r: V from
     prev's W on its numerical range, and prev's rows with y_i > 0 and their
-    multipliers (_face_newton). When that misses, u walks once from prev's
-    thresholds to r's in _WALK_STEPS equal steps, with a Newton solve at
-    each. The end point is accepted only by _face_point, the test that
-    earns a barrier solve its OPTIMAL; the rank-1 recovery is solve_general's
-    (_complete). A face that changes between the two rate pairs (a row
-    turning active or inactive) is not certified, and the caller solves r on
-    the barrier instead."""
+    multipliers (_face_solve, whose active-set updates follow a row that
+    turns active or inactive). When that misses, u walks once from prev's
+    thresholds to r's in _WALK_STEPS equal steps, with a Newton solve on
+    prev's face at each, and _face_solve ends the walk at r. The end point
+    is accepted only by _face_point, the test that earns a barrier solve its
+    OPTIMAL; the rank-1 recovery is solve_general's (_complete). Otherwise
+    the caller solves r on the barrier."""
     t, route = _route(p, r, mode, input_model)
     if route != "sdp" or prev.W is None:
         return None
@@ -1103,14 +1107,14 @@ def continue_face(
     V0 = _range_factor(prev.W)
     if not rows.size or V0 is None:
         return None
-    A, u = cons.A[rows], cons.u[rows]
-    end = _face_point(cons, rows, *_face_newton(A, u, V0, y[rows]))
+    end = _face_point(cons, *_face_solve(cons, rows, V0, y[rows]))
     if end is None:
+        A, u = cons.A[rows], cons.u[rows]
         u_prev = ConstraintSet.build(p, prev.thresholds, mode).u[rows]
         V, y_rows = V0, y[rows]
         for f in np.arange(1, _WALK_STEPS) / _WALK_STEPS:
             V, y_rows, _ = _face_newton(A, u_prev + f * (u - u_prev), V, y_rows)
-        end = _face_point(cons, rows, *_face_newton(A, u, V, y_rows))
+        end = _face_point(cons, *_face_solve(cons, rows, V, y_rows))
     if end is None:
         return None
     W, y = end

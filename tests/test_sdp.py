@@ -162,7 +162,7 @@ class TestSolveRankRelaxed:
         stages = []
         center = sdp._Barrier.center
 
-        def counting(bar, t, point, budget, stop=None):
+        def counting(bar, t, point, budget, stop):
             used = budget.used
             out = center(bar, t, point, budget, stop)
             stages.append(budget.used - used)
@@ -1221,11 +1221,12 @@ class TestEpigraphWitness:
 
 class TestEpigraphContinuation:
     """A sweep row's epigraph is first continued from the previous row's
-    certified optimum (sdp.continue_epigraph): Newton on its face at the new
-    floors, and the bracket of the two proofs every barrier stage uses. A
-    poor start can only widen that bracket, never flip a verdict."""
+    certified optimum (sdp._continued_bracket, the first bracket of
+    epigraph_stages given an anchor): Newton on its face at the new floors,
+    and the bracket of the two proofs every barrier stage uses. A poor start
+    can only widen that bracket, never flip a verdict."""
 
-    def test_crossed_ends_decide_nothing(self):
+    def test_crossed_ends_decide_nothing(self, ref_j1, monkeypatch):
         # Two proofs that cross by roundoff (a continued bracket is as narrow:
         # at paper_j2's R_D 0.7 and rate_tol 1e-7 its ends are 6.9e-18
         # apart): the Epigraph keeps [min, max], so a probe between is
@@ -1239,45 +1240,51 @@ class TestEpigraphContinuation:
         assert proven_feasibility(crossed, r) is None
         assert proven_feasibility(crossed, RatePair(1.0, 0.3)) == FEASIBLE
         assert proven_feasibility(crossed, RatePair(1.0, 0.5)) == INFEASIBLE
-        # Brackets that meet in a crossed pair are ordered too.
-        above = sdp.Epigraph(b, 2.0 * b, gap, 2.0 * gap)
-        below = sdp.Epigraph(0.0, b * (1 - 1e-15), 0.0, gap * (1 - 1e-15))
-        met = above.meet(below)
-        assert met == sdp.Epigraph(b * (1 - 1e-15), b, gap * (1 - 1e-15), gap)
-        assert proven_feasibility(met, RatePair(1.0, 1.0 - gap * (1 - 5e-16))) is None
+        # A continued bracket whose b_lo lies one ulp above the first barrier
+        # stage's b_hi: that stage's proofs start from the continued ones, so
+        # it keeps the two crossed ends, ordered.
+        stage = next(sdp.epigraph_stages(ref_j1, 1.0))
+        above = float(np.nextafter(stage.b_hi, math.inf))
+        monkeypatch.setattr(sdp, "_continued_bracket", lambda cons, anchor: (above, 2.0 * above))
+        anchor = solve_general(ref_j1, RatePair(0.9, 0.3))
+        continued, met = itertools.islice(sdp.epigraph_stages(ref_j1, 1.0, anchor=anchor), 2)
+        assert (continued.b_lo, continued.b_hi) == (above, 2.0 * above)
+        assert (met.b_lo, met.b_hi) == (stage.b_hi, above)
+        assert met.gap_lo <= met.gap_hi
 
     @pytest.mark.parametrize("kind", ["thin", "random"])
     def test_continued_bracket_meets_the_drained_barrier(self, kind, monkeypatch):
         # Every continued bracket of sweeps over R_D 0.3, 0.6 and 1.0, each
         # row anchored from the one before, meets the bracket of the barrier
         # drained at that row, and its witness is PSD to roundoff.
-        witnesses, continued, rds = [], [], []
-        witness_bound, continuing = sdp._witness_bound, sweep.continue_epigraph
-        building = sweep.epigraph_constraints
+        witnesses, continued, rows = [], [], []
+        witness_bound, bracketing = sdp._witness_bound, sdp._continued_bracket
+        staging = sweep.epigraph_stages
 
         def spy(cons, W):
             witnesses.append(W)
             return witness_bound(cons, W)
 
-        def built(p, rd, *args):
-            rds.append(rd)
-            return building(p, rd, *args)
+        def staged(p, rd, mode, model, anchor):
+            rows.append((p, rd, mode, model))
+            return staging(p, rd, mode, model, anchor)
 
-        def recording(p, anchor, routed, mode, model):
-            # The row's rd is the last one its rows were built for.
-            rd = rds[-1]
+        def recording(cons, anchor):
+            # The row is the last one whose stages were opened.
+            p, rd, mode, model = rows[-1]
             witnesses.clear()
-            epigraph = continuing(p, anchor, routed, mode, model)
-            if epigraph is not None:
+            bracket = bracketing(cons, anchor)
+            if bracket is not None:
                 W, = witnesses
                 vals = np.linalg.eigvalsh(W)
                 assert vals[0] >= -W.shape[0] * sdp._EPS * vals[-1], rd
+                epigraph = sdp.Epigraph(*bracket, *sdp.rate_bracket(p, *bracket, mode, model))
                 continued.append((p, rd, mode, model, epigraph))
-            return epigraph
+            return bracket
 
         monkeypatch.setattr(sdp, "_witness_bound", spy)
-        monkeypatch.setattr(sweep, "epigraph_constraints", built)
-        monkeypatch.setattr(sweep, "continue_epigraph", recording)
+        monkeypatch.setattr(sweep, "epigraph_stages", staged)
+        monkeypatch.setattr(sdp, "_continued_bracket", recording)
         for seed in range(50):
             if kind == "thin":
                 p, mode, model = thin_set_problem(seed), STATISTICAL, "gaussian"
@@ -1301,28 +1308,28 @@ class TestEpigraphContinuation:
         # barrier stages decide what they leave. Every row is unchanged.
         def sweep_counting_stages():
             staged = []
-            staging = sweep.epigraph_stages
+            center = sdp._Barrier.center
 
-            def counting(*args):
-                for stage in staging(*args):
-                    staged.append(stage)
-                    yield stage
+            def counting(bar, *args):
+                if bar.e is not None:  # an epigraph barrier stage
+                    staged.append(bar)
+                return center(bar, *args)
 
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(sweep, "epigraph_stages", counting)
+                patch.setattr(sdp._Barrier, "center", counting)
                 rows = sweep_region(ref_j1, code_rate_grid(0.1, 1.2, 0.1), rate_tol=1e-3).rows
             return rows, len(staged)
 
         rows, staged = sweep_counting_stages()
-        continuing = sweep.continue_epigraph
+        bracketing = sdp._continued_bracket
 
-        def corrupted(p, anchor, *args):
+        def corrupted(cons, anchor):
             d = anchor.duals
             y = np.roll(np.r_[d.lam, d.mu, d.nu], 1)
-            duals = dataclasses.replace(d, lam=float(y[0]), mu=y[1:1 + p.K], nu=y[1 + p.K:])
-            return continuing(p, dataclasses.replace(anchor, W=4.0 * anchor.W, duals=duals), *args)
+            duals = dataclasses.replace(d, lam=float(y[0]), mu=y[1:1 + cons.k], nu=y[1 + cons.k:])
+            return bracketing(cons, dataclasses.replace(anchor, W=4.0 * anchor.W, duals=duals))
 
-        monkeypatch.setattr(sweep, "continue_epigraph", corrupted)
+        monkeypatch.setattr(sdp, "_continued_bracket", corrupted)
         bad_rows, bad_staged = sweep_counting_stages()
         assert bad_rows == rows
         assert staged < bad_staged

@@ -709,9 +709,9 @@ class TestSweepBisection:
 
     def test_qam16_probes_invert_no_rate(self, monkeypatch):
         # The probes are decided in rate space: per row, thresholds are built
-        # (and the MI inverted) only by the epigraph, once, before its stages
-        # (epigraph_constraints, which the stages reuse), and by the final
-        # solve. sweep_region itself builds them once, at the grid's top rate.
+        # (and the MI inverted) only by the epigraph, once, at its first
+        # stage, and by the final solve. sweep_region itself builds them
+        # once, at the grid's top rate.
         scope, calls, callers = [], [], []
 
         def scoped(attr, call):
@@ -743,7 +743,6 @@ class TestSweepBisection:
         monkeypatch.setattr(sweep, "epigraph_stages", counting_stages)
         counting(sweep, "solve_general", calls.append)
         counting(sweep, "continue_face", calls.append)
-        counting(sweep, "epigraph_constraints", calls.append)
         counting(MiEvaluator, "inverse", calls.append)
         counting(sdp, "thresholds_finite_alphabet",
                  lambda attr: callers.append(scope[-1] if scope else "probe"))
@@ -758,14 +757,14 @@ class TestSweepBisection:
             statuses.append(row.status)
             # The grid check: one build, its two inversions before the row.
             assert callers[0] == "sweep_region"
-            check = calls.index("epigraph_constraints")
+            check = calls.index("epigraph_stages")
             assert calls[:check] == ["inverse", "inverse"]
             row_calls, row_callers = calls[check:], callers[1:]
             assert row_calls.count("inverse") <= 4
             assert row_callers == [c for c in row_calls
-                                   if c in ("epigraph_constraints", "solve_general", "continue_face")]
+                                   if c in ("epigraph_stages", "solve_general", "continue_face")]
             assert "continue_face" not in row_calls
-            assert row_callers[0] == "epigraph_constraints"
+            assert row_callers[0] == "epigraph_stages"
         assert statuses == ["optimal", "optimal", "infeasible"]
 
     def test_qam16_region_inverts_once_per_threshold_build(self, monkeypatch):
@@ -925,13 +924,14 @@ class TestSweepBisection:
         # solve is continued from the row before it where that is certified
         # ("continued"), else solve_general runs its barrier or its simplex
         # alone. Each row's epigraph is continued likewise where that proves
-        # a witness ("continued epigraph"), and a row pulls a bracket from
-        # epigraph_stages ("stage": a barrier stage, the LP's one bracket or
-        # an unreachable row's) only while the brackets it has hold a probe.
-        # An evaluation at a y_i <= 0 needs no Cholesky factor.
+        # a witness ("continued epigraph", the first bracket of the row's
+        # epigraph_stages), and a row pulls a bracket from epigraph_stages
+        # ("stage": the continued bracket, a barrier stage, the LP's one
+        # bracket or an unreachable row's) only while the brackets it has
+        # hold a probe. An evaluation at a y_i <= 0 needs no Cholesky factor.
         calls = count_row_calls(monkeypatch, extra=((sweep, "proven_feasibility"),))
         evaluate, newton_step = sdp._Barrier.evaluate, sdp._Barrier.newton_step
-        continuing, continuing_epigraph = sweep.continue_face, sweep.continue_epigraph
+        continuing, bracketing = sweep.continue_face, sdp._continued_bracket
         staging = sweep.epigraph_stages
 
         def counting_stages(*args):
@@ -943,12 +943,12 @@ class TestSweepBisection:
                     yield stage
             return counted()
 
-        def counting_continued_epigraph(*args):
-            calls.append("continue_epigraph")
-            epigraph = continuing_epigraph(*args)
-            if epigraph is not None:
+        def counting_bracket(*args):
+            calls.append("_continued_bracket")
+            bracket = bracketing(*args)
+            if bracket is not None:
                 calls.append("continued epigraph")
-            return epigraph
+            return bracket
 
         def counting_evaluate(bar, y):
             calls.append("evaluate")
@@ -969,34 +969,36 @@ class TestSweepBisection:
         monkeypatch.setattr(sdp._Barrier, "evaluate", counting_evaluate)
         monkeypatch.setattr(sdp._Barrier, "newton_step", counting)
         monkeypatch.setattr(sweep, "continue_face", counting_continued)
-        monkeypatch.setattr(sweep, "continue_epigraph", counting_continued_epigraph)
+        monkeypatch.setattr(sdp, "_continued_bracket", counting_bracket)
         monkeypatch.setattr(sweep, "epigraph_stages", counting_stages)
         csv = "".join(
             to_csv(sweep_region(load_problem(str(path)).problem,
                                 code_rate_grid(0.1, 2.0, 0.1), rate_tol=1e-3))
             for path in sorted(PROBLEMS.glob("*.json")))
         assert hashlib.md5(csv.encode()).hexdigest() == "c36d15b83a028ef18be82305981e9c07"
-        # Of the 24 SDP-route final solves after a sweep's first, 23 are
+        # Of the 24 SDP-route final solves after a sweep's first, all 24 are
         # continued; the LP route's final solves are not tried (its 22 rows).
-        # 4 final solves run the barrier: each SDP sweep's first, and
-        # paper_j3 at R_D 0.3, where its first ceiling turns active. The
-        # epigraph is tried at those 24 rows and at the first infeasible row
-        # of each SDP sweep, whose floor out of reach declines it. Of the 22
-        # continued brackets, 20 decide every probe of their row; paper_j3 at
-        # 0.2 and 0.3 (a ceiling turns active) pull barrier stages, and so do
-        # paper_j1 at 1.1 and paper_j2 at 0.9 (the budget turns active), with
-        # no witness and no continued bracket. 7 epigraph barrier runs: those
-        # four and each SDP sweep's first row.
+        # 3 final solves run the barrier: each SDP sweep's first. At paper_j3
+        # R_D 0.3 its first ceiling enters the continued face. The epigraph
+        # is continued at those 24 rows (each SDP sweep's first infeasible
+        # row has a floor out of reach, refuted before any continuation), and
+        # 23 continued brackets prove a witness: at paper_j1 1.1 the budget
+        # enters the epigraph's face. paper_j2 at 0.9 has none, though the
+        # budget enters there too. 6 epigraph barrier runs: each SDP sweep's
+        # first row, paper_j2 at 0.9, and paper_j3 at 0.2 and 0.3, whose
+        # continued brackets (45% and 32% of b_hi wide) still hold a probe.
+        # 79 brackets pulled: the 23 continued ones, and 56 barrier stages
+        # and LP brackets.
         count = {attr: calls.count(attr) for attr in set(calls)}
         assert count == {
-            "final newton_step": 291, "epigraph newton_step": 146, "_path": 11,
-            "min_ceiling": 28, "solve_diagonal": 25, "solve_general": 29,
-            "continue_face": 24, "continued": 23,
-            "continue_epigraph": 27, "continued epigraph": 22, "stage": 60,
-            "proven_feasibility": 555, "epigraph_stages": 58, "evaluate": 937,
-            "evaluate y > 0": 487}
-        # 437 Newton steps in all, final and epigraph.
-        assert count["final newton_step"] + count["epigraph newton_step"] == 437
+            "final newton_step": 217, "epigraph newton_step": 120, "_path": 9,
+            "min_ceiling": 28, "solve_diagonal": 25, "solve_general": 28,
+            "continue_face": 24, "continued": 24,
+            "_continued_bracket": 24, "continued epigraph": 23, "stage": 79,
+            "proven_feasibility": 552, "epigraph_stages": 58, "evaluate": 728,
+            "evaluate y > 0": 362}
+        # 337 Newton steps in all, final and epigraph.
+        assert count["final newton_step"] + count["epigraph newton_step"] == 337
 
     @pytest.mark.parametrize("status, row_status", [
         (MAX_ITERATIONS, "numerical-failure"),
@@ -1079,11 +1081,12 @@ class TestContinuation:
             # Every final solve after the first is continued.
             assert len(continued) == sum(row.status == "optimal" for row in rows) - 1
 
-    def test_face_change_falls_back_to_the_barrier(self, monkeypatch):
+    def test_face_change_is_continued(self, monkeypatch):
         # paper_j3's first ceiling is inactive at R_D 0.2 (nu_1 = 0) and
-        # active at 0.3: the face system of the row at 0.2 leaves it out, so
-        # the point it reaches at 0.3 violates that ceiling, and the row at
-        # 0.3 is solve_general's barrier solve, to the bit.
+        # active at 0.3: the point that the face system of the row at 0.2
+        # reaches at 0.3 violates that ceiling, so the ceiling enters the
+        # face (sdp._face_solve), and the row at 0.3 is continued too. Only
+        # the first row takes the barrier.
         p = bundled(3)
         continued = continued_solutions(monkeypatch)
         barrier = []
@@ -1096,11 +1099,89 @@ class TestContinuation:
         rows = sweep_region(p, [0.2, 0.3, 0.4], rate_tol=1e-3).rows
         assert [row.status for row in rows] == ["optimal"] * 3
         rates = [RatePair(row.rd, row.rs_max) for row in rows]
-        assert barrier == rates[:2] and [r for r, _ in continued] == rates[2:]
+        assert barrier == rates[:1] and [r for r, _ in continued] == rates[1:]
         before, after = (solve_general(p, r) for r in rates[:2])
-        assert before.duals.nu[0] == 0.0 < after.duals.nu[0]
-        assert rows[1].min_power == after.power
-        assert continue_face(p, before, rates[1]) is None
+        face = continued[0][1]
+        assert before.duals.nu[0] == 0.0 < face.duals.nu[0]
+        assert rows[1].min_power == face.power
+        assert face.power == pytest.approx(after.power, rel=1e-14, abs=0.0)
+        rep = check_kkt(p, face.thresholds, face.W, face.duals, tol=1e-10)
+        assert rep.max_residual() <= 1e-10
+
+    def test_budget_entering_the_epigraph_face_needs_no_barrier(self, monkeypatch):
+        # paper_j1's power budget is slack at the optimum of R_D 1.0 and
+        # binds the epigraph at 1.1: it enters the continued epigraph's face,
+        # whose bracket then decides every probe of the row at 1.1 with no
+        # barrier stage (no epigraph centring at all).
+        p = bundled(1)
+        rds, staged = [], []
+        staging, center = sweep.epigraph_stages, sdp._Barrier.center
+
+        def counting_stages(p, rd, *args):
+            rds.append(rd)
+            return staging(p, rd, *args)
+
+        def counting_center(bar, *args):
+            if bar.e is not None:
+                staged.append(rds[-1])
+            return center(bar, *args)
+
+        monkeypatch.setattr(sweep, "epigraph_stages", counting_stages)
+        monkeypatch.setattr(sdp._Barrier, "center", counting_center)
+        anchor, row = sweep_region(p, [1.0, 1.1], rate_tol=1e-3).rows
+        assert anchor.status == row.status == "optimal"
+        assert 1.0 in staged and 1.1 not in staged
+        assert solve_general(p, RatePair(1.0, anchor.rs_max)).duals.lam == 0.0
+        # The row's final solve is continued too: its power is the
+        # barrier's to roundoff.
+        want = full_solve_row(p, 1.1, 1e-3)
+        assert dataclasses.replace(row, min_power=None) == dataclasses.replace(want, min_power=None)
+        assert row.min_power == pytest.approx(want.min_power, rel=1e-14, abs=0.0)
+
+    # The corpus rows (tests/corpus.py) where each face rule fires in a
+    # final solve: the row with a negative multiplier leaves the face
+    # (sdp._face_solve) in the barrier's refinement at thin 31's R_D 0.3 and
+    # in the continuation from the row before at thin 145's 0.6, and a fit
+    # that misses _FACE_TOL drops the active row of least y0 / s
+    # (sdp._refine_face) at random 67's 1.0.
+    @pytest.mark.parametrize("kind, seed, rd, rs, missed", [
+        ("thin", 31, 0.3, 0.225, False), ("thin", 145, 0.6, 0.58125, False),
+        ("random", 67, 1.0, 0.4765625, True),
+    ])
+    def test_face_rules_certify_corpus_rows(self, kind, seed, rd, rs, missed, monkeypatch):
+        if kind == "thin":
+            p, mode, model = thin_set_problem(seed), STATISTICAL, "gaussian"
+        else:
+            p, mode, model = random_problem(seed)
+        rds, fits, solved = [], {}, {}
+        staging, newton, solve_row = sweep.epigraph_stages, sdp._face_newton, sweep._solve_row
+
+        def counting_stages(p, rd, *args):
+            rds.append(rd)
+            return staging(p, rd, *args)
+
+        def fitting(A, u, V, y, e=None):
+            out = newton(A, u, V, y, e)
+            if e is None:  # a final solve's face
+                fits.setdefault(rds[-1], []).append((A.shape[0], out[2] <= sdp._FACE_TOL))
+            return out
+
+        def solving(p, rd, *args):
+            row, sol, carry = solve_row(p, rd, *args)
+            solved[rd] = sol
+            return row, sol, carry
+
+        monkeypatch.setattr(sweep, "epigraph_stages", counting_stages)
+        monkeypatch.setattr(sdp, "_face_newton", fitting)
+        monkeypatch.setattr(sweep, "_solve_row", solving)
+        rows = sweep_region(p, [0.3, 0.6, 1.0], rate_tol=1e-2, mode=mode, input_model=model).rows
+        row, = (row for row in rows if row.rd == rd)
+        assert row.status == "optimal" and row.rs_max == pytest.approx(rs, rel=1e-15)
+        drops = [met for (n, met), (m, _) in zip(fits[rd], fits[rd][1:]) if m == n - 1]
+        assert (not missed) in drops
+        sol = solved[rd]
+        rep = check_kkt(p, sol.thresholds, sol.W, sol.duals, mode=mode, tol=1e-10)
+        assert rep.max_residual() <= 1e-10 and rep.passes(1e-10)
 
     def test_boundary_rows_at_rate_tol_1e_7(self, monkeypatch):
         # rate_tol 1e-7 puts each row's final solve on its region boundary,
@@ -1109,9 +1190,10 @@ class TestContinuation:
         # paper_j1 at R_D 0.3 and paper_j3 at 0.3, 0.5 and 0.7. paper_j2 at
         # 0.7 is optimal too: the barrier's last bracket, 3.5e-9 bits wide,
         # holds one of its probes, but the epigraph continued from the row
-        # before decides them all with no barrier stage. paper_j2 at 0.9
-        # stays numerical-failure: its continuation misses _FACE_TOL and its
-        # barrier still ends max_iterations.
+        # before decides them all with no barrier stage (no epigraph
+        # centring). paper_j2 at 0.9 stays numerical-failure: its
+        # continuation misses _FACE_TOL and its barrier still ends
+        # max_iterations.
         grid = code_rate_grid(0.1, 1.1, 0.2)
         expected = {
             "paper_j1": ["optimal"] * 6,
@@ -1119,19 +1201,24 @@ class TestContinuation:
             "paper_j3": ["optimal"] * 4 + ["infeasible"] * 2,
         }
         mended = {"paper_j1": [0.3], "paper_j2": [0.7], "paper_j3": [0.3, 0.5, 0.7]}
-        staging = sweep.epigraph_stages
+        staging, center = sweep.epigraph_stages, sdp._Barrier.center
         for name, statuses in expected.items():
             p = named_problem(name)
-            staged = []
+            rds, staged = [], []
 
             def counting_stages(p, rd, *args):
-                for stage in staging(p, rd, *args):
-                    staged.append(rd)
-                    yield stage
+                rds.append(rd)
+                return staging(p, rd, *args)
+
+            def counting_center(bar, *args):
+                if bar.e is not None:  # an epigraph barrier stage
+                    staged.append(rds[-1])
+                return center(bar, *args)
 
             with pytest.MonkeyPatch.context() as patch:
                 continued = continued_solutions(patch)
                 patch.setattr(sweep, "epigraph_stages", counting_stages)
+                patch.setattr(sdp._Barrier, "center", counting_center)
                 rows = sweep_region(p, grid, rate_tol=1e-7).rows
             assert [row.status for row in rows] == statuses, name
             if name == "paper_j2":
