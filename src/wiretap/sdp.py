@@ -50,14 +50,17 @@ on a face, then, while it is solved to roundoff, the row with the most
 negative multiplier leaves or the row its point violates most enters, one
 row at a time. Its three callers keep only their own acceptance tests:
 the barrier's refinement, and two continuations along a sweep, where only
-the thresholds u move from one row to the next. continue_face solves the
-next final solve from the previous optimum's face with no barrier run (one
-retry walks u there in _WALK_STEPS steps), and earns OPTIMAL by the
-refinement's test (_face_point) or leaves the row to the barrier. Given
-that optimum as its anchor, epigraph_stages continues the next row's
-epigraph likewise (_continued_bracket): its first bracket is the two proofs
-every barrier stage uses, so a poor face only widens it, and the barrier
-stages, pulled only for a probe it holds, start from its ends.
+the thresholds u move from one row to the next. Both continuations start
+from the face of an anchor, a solution at other thresholds (a sweep's
+previous row; _anchor_face): solve_general and epigraph_stages take it as
+their last argument, and ignore it on the LP and trivial routes and when
+it has no W. The final solve is first continued from the anchor's face
+with no barrier run (_continued_face; one retry walks u there in
+_WALK_STEPS steps), and earns OPTIMAL by the refinement's test
+(_face_point) or falls back to the barrier in the same call. The epigraph
+is continued likewise (_continued_bracket): its first bracket is the two
+proofs every barrier stage uses, so a poor face only widens it, and the
+barrier stages, pulled only for a probe it holds, start from its ends.
 
 Each solve builds its ConstraintSet once, and the route's solver takes it:
 the diagonal LP (diag_lp.solve_diagonal, whose w = sqrt(P)) or the barrier.
@@ -109,7 +112,7 @@ _FACE_TOL = 1e-12        # relative KKT residual a refined face must reach
 _MAX_NEWTON = 800        # total Newton budget per barrier run
 _T_MAX = 1e12            # the path stops at this barrier parameter
 _LP_ROW_REL = 1e-9       # an LP allocation must meet each row to this * |u_i|
-_WALK_STEPS = 4          # equal steps of u in a continuation's retry (continue_face)
+_WALK_STEPS = 4          # equal steps of u in a continued final solve's retry (_continued_face)
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ class BeamformerSolution:
     objective: float | None = None   # relaxed-problem optimum Tr(W)
     thresholds: ConstraintThresholds | None = None
     certificate: InfeasibilityCertificate | None = None
-    newton_iterations: int = 0       # barrier Newton steps
+    newton_iterations: int = 0       # barrier Newton steps; 0 for a continued solve
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +523,15 @@ def _face_solve(cons: ConstraintSet, rows: np.ndarray, V: np.ndarray, y: np.ndar
     and Newton runs again on the new face. On the epigraph's face
     (epigraph: the ceilings of cons have u = 0, y ends with the common
     ceiling s, and the ceiling rows on the face are _face_newton's e) a
-    ceiling's slack is s - Tr(G_j W). Each update moves one row, so at most
-    as many updates as cons has rows run. Returns (rows, V, y, err) of the
-    last Newton solve; accepting it is the caller's test."""
+    ceiling's slack is s - Tr(G_j W). The row that has just left may not
+    enter again: that would solve the face it left once more, so the
+    updates stop there. Each update moves one row, so at most as many
+    updates as cons has rows run. Returns (rows, V, y, err) of the last
+    Newton solve; accepting it is the caller's test."""
     on = np.zeros(cons.u.size, dtype=bool)
     on[rows] = True
     a_norm = np.linalg.norm(cons.A, axis=(1, 2))
+    left = None
     for updates in range(cons.u.size + 1):
         rows = np.flatnonzero(on)
         e = cons.ceilings[rows].astype(float) if epigraph else None
@@ -535,7 +541,8 @@ def _face_solve(cons: ConstraintSet, rows: np.ndarray, V: np.ndarray, y: np.ndar
         mult = y[:rows.size]
         if mult.size > 1 and float(np.min(mult)) < 0.0:
             leave = int(np.argmin(mult))
-            on[rows[leave]] = False
+            left = rows[leave]
+            on[left] = False
             y = np.delete(y, leave)
         else:
             W = V @ V.conj().T
@@ -547,6 +554,8 @@ def _face_solve(cons: ConstraintSet, rows: np.ndarray, V: np.ndarray, y: np.ndar
                 break
             scale = np.abs(cons.u[out]) + a_norm[out] * float(np.trace(W).real)
             enter = int(out[np.argmax(-slack[out] / scale)])
+            if enter == left:
+                break
             on[enter] = True
             y = np.insert(y, np.count_nonzero(on[:enter]), 0.0)
     return rows, V, y, err
@@ -558,8 +567,8 @@ def _face_point(cons: ConstraintSet, rows: np.ndarray, V: np.ndarray, y_rows: np
     on the rows of cons, W = V V^H and y one multiplier per row of cons, 0
     off rows, when it is an optimum to roundoff; otherwise None. This is the
     one test that earns OPTIMAL on the SDP route, for a barrier's refined
-    end point (_refine_face) and for a continued face (continue_face) alike,
-    each the end of a _face_solve:
+    end point (_refine_face) and for a final solve continued from an
+    anchor's face (_continued_face) alike, each the end of a _face_solve:
 
     - the face residual err is at most _FACE_TOL;
     - every multiplier on rows is >= 0;
@@ -780,9 +789,9 @@ def epigraph_stages(
     bracket b_lo = -inf, b_hi = inf. The thresholds are built once, at the
     first stage.
 
-    anchor, a certified relaxed optimum of p at an earlier code rate (a
-    sweep's previous row), serves the SDP route only: the bracket continued
-    from it (_continued_bracket), when it proves a witness, comes first.
+    anchor, a solution of p at an earlier code rate (a sweep's previous
+    row), serves the SDP route only: the bracket continued from its face
+    (_continued_bracket), when it proves a witness, comes first.
 
     Yields nothing exactly when R_s moves no row: on the trivial route, or
     with no nonzero ceiling to bound. When the path fails before its first
@@ -841,19 +850,24 @@ def solve_rank_relaxed(
     p: WiretapProblem,
     t: ConstraintThresholds,
     mode: CsiMode = STATISTICAL,
+    anchor: BeamformerSolution | None = None,
 ) -> BeamformerSolution:
     """Solve the rank-relaxed minimum-power problem for the given thresholds:
-    zero power when W = 0 meets every row, else the dual path and the face
-    refinement (_final_solve). INFEASIBLE with the certificate of a row out
-    of reach (_unreachable_row) or of the path's y; MAX_ITERATIONS when the
-    refinement is rejected or the path runs out of Newton steps or leaves
-    the domain (_NumericalTrouble)."""
+    zero power when W = 0 meets every row; else, given an anchor, the face
+    continued from it (_continued_face), with no Newton step; else the dual
+    path and the face refinement (_final_solve). INFEASIBLE with the
+    certificate of a row out of reach (_unreachable_row) or of the path's y;
+    MAX_ITERATIONS when the refinement is rejected or the path runs out of
+    Newton steps or leaves the domain (_NumericalTrouble)."""
     cons = ConstraintSet.build(p, t, mode)
     if np.all(cons.u >= 0.0):  # W = 0 satisfies every row
         return _zero_power(cons, t, mode)
     budget = _NewtonBudget(_MAX_NEWTON)
-    W, cert = None, _unreachable_row(cons)
-    if cert is None:
+    W, cert = None, None
+    end = None if anchor is None else _continued_face(p, cons, anchor)
+    if end is not None:
+        W, y = end
+    elif (cert := _unreachable_row(cons)) is None:
         try:
             W, y, cert = _final_solve(cons, budget)
         except _NumericalTrouble:
@@ -961,33 +975,43 @@ def rate_thresholds(p: WiretapProblem, r: RatePair, input_model="gaussian") -> C
     return thresholds_finite_alphabet(p, r, input_model)
 
 
-def routes_to_lp(p: WiretapProblem, mode: CsiMode) -> bool:
-    """Whether p's solves in mode at R_D > 0 take the diagonal LP route: the
-    all-diagonal statistical instances. It does not depend on the rates, and
-    p checks its diagonality once (WiretapProblem.diagonal)."""
-    return mode.is_statistical and p.diagonal
-
-
 def _route(p: WiretapProblem, r: RatePair, mode: CsiMode, input_model):
-    """(thresholds, route) of a rate pair: "trivial" for R_D = 0, "lp" where
-    routes_to_lp holds and "sdp" otherwise."""
+    """(thresholds, route) of a rate pair: "trivial" for R_D = 0, "lp" for
+    the all-diagonal statistical instances and "sdp" otherwise. Past R_D = 0
+    the route does not depend on the rates, and p checks its diagonality
+    once (WiretapProblem.diagonal)."""
     t = rate_thresholds(p, r, input_model)
     if t.user_power_target <= 0.0:
         # R_D = 0: transmitting nothing satisfies every constraint.
         return t, "trivial"
-    if routes_to_lp(p, mode):
+    if mode.is_statistical and p.diagonal:
         return t, "lp"
     return t, "sdp"
 
 
-def _complete(p: WiretapProblem, t: ConstraintThresholds, route: str, mode: CsiMode,
-              sol: BeamformerSolution | None) -> BeamformerSolution:
-    """The solution of a routed solve: zero power, the diagonal LP, or on the
-    SDP route the relaxed solution sol with its rank-1 recovery."""
+def solve_general(
+    p: WiretapProblem,
+    r: RatePair,
+    mode: CsiMode = STATISTICAL,
+    input_model="gaussian",
+    anchor: BeamformerSolution | None = None,
+) -> BeamformerSolution:
+    """Full pipeline: thresholds, relaxed solve, rank-1 recovery.
+
+    input_model is "gaussian" or a mutual-information evaluator for
+    finite-alphabet signalling. All-diagonal statistical instances route to
+    the per-antenna LP, whose optimum the relaxation provably matches.
+    anchor, a solution of p at other rates (a sweep's previous row), serves
+    the SDP route only: the relaxed solve (solve_rank_relaxed) is first
+    continued from its face, and falls back to the barrier when that is not
+    certified.
+    """
+    t, route = _route(p, r, mode, input_model)
     if route == "trivial":
         return _zero_power(ConstraintSet.build(p, t, mode), t, mode)
     if route == "lp":
         return _lp_route(ConstraintSet.build(p, t, mode), t, mode)
+    sol = solve_rank_relaxed(p, t, mode, anchor)
     if sol.status != OPTIMAL:
         return sol
     rank = numerical_rank(sol.W, _RANK_REL_TOL)
@@ -1003,36 +1027,26 @@ def _complete(p: WiretapProblem, t: ConstraintThresholds, route: str, mode: CsiM
     return replace(sol, w=math.sqrt(power) * w0, power=power)
 
 
-def solve_general(
-    p: WiretapProblem,
-    r: RatePair,
-    mode: CsiMode = STATISTICAL,
-    input_model="gaussian",
-) -> BeamformerSolution:
-    """Full pipeline: thresholds, relaxed solve, rank-1 recovery.
-
-    input_model is "gaussian" or a mutual-information evaluator for
-    finite-alphabet signalling. All-diagonal statistical instances route to
-    the per-antenna LP, whose optimum the relaxation provably matches.
-    """
-    t, route = _route(p, r, mode, input_model)
-    return _complete(p, t, route, mode, solve_rank_relaxed(p, t, mode) if route == "sdp" else None)
-
-
 # ---------------------------------------------------------------------------
 # Continuation from a nearby optimum
 # ---------------------------------------------------------------------------
 
 
-def _range_factor(W: np.ndarray) -> np.ndarray | None:
-    """V with V V^H = W on its numerical range (the eigenvalues above
-    _RANK_REL_TOL times the largest); None when W has no positive
-    eigenvalue."""
-    vals, vecs = np.linalg.eigh(W)
-    if not vals[-1] > 0.0:
+def _anchor_face(cons: ConstraintSet, anchor: BeamformerSolution):
+    """(rows, V, y) of anchor's optimal face on the rows of cons, from which
+    both continuations start: anchor's rows with y_i > 0, V with V V^H =
+    anchor's W on its numerical range (the eigenvalues above _RANK_REL_TOL
+    times the largest), and y those rows' multipliers. None when anchor has
+    no W, no such row, or a W with no positive eigenvalue."""
+    if anchor.W is None:
+        return None
+    y = cons.stack(anchor.duals)
+    rows = np.flatnonzero(y > 0.0)
+    vals, vecs = np.linalg.eigh(anchor.W)
+    if not rows.size or not vals[-1] > 0.0:
         return None
     keep = vals > _RANK_REL_TOL * vals[-1]
-    return vecs[:, keep] * np.sqrt(vals[keep])
+    return rows, vecs[:, keep] * np.sqrt(vals[keep]), y[rows]
 
 
 def _continued_bracket(cons: ConstraintSet, anchor: BeamformerSolution):
@@ -1042,18 +1056,20 @@ def _continued_bracket(cons: ConstraintSet, anchor: BeamformerSolution):
 
     A final solve on the region's boundary has the epigraph's optimal face:
     its ceilings are as low as the floors and the budget allow. So anchor's
-    face starts the epigraph's face system (_face_solve with epigraph): V
-    from anchor's W on its numerical range, anchor's rows with y_i > 0, and
-    their epigraph multipliers, the least-squares solution of Lambda_0(y) V
-    = 0 (C = 0) scaled to e.y = 1, with s at the highest active ceiling.
-    Only the floors a(R_D) move along a sweep, and a row that turns active
-    enters the face. The bracket is the two proofs of every barrier stage:
-    ceiling_bound(max(y, 0)) and _witness_bound(V V^H). Both hold at any
-    start, so a poor face only widens the bracket."""
-    rows = np.flatnonzero(cons.stack(anchor.duals) > 0.0)
+    face (_anchor_face) starts the epigraph's face system (_face_solve with
+    epigraph): its V and rows, and their epigraph multipliers, the
+    least-squares solution of Lambda_0(y) V = 0 (C = 0) scaled to e.y = 1,
+    with s at the highest active ceiling. Only the floors a(R_D) move along
+    a sweep, and a row that turns active enters the face. The bracket is the
+    two proofs of every barrier stage: ceiling_bound(max(y, 0)) and
+    _witness_bound(V V^H). Both hold at any start, so a poor face only
+    widens the bracket."""
+    face = _anchor_face(cons, anchor)
+    if face is None:
+        return None
+    rows, V, _ = face
     e = cons.ceilings[rows].astype(float)
-    V = _range_factor(anchor.W)
-    if not e.any() or V is None:
+    if not e.any():
         return None
     # The least-squares null vector of y -> sum y_i A_i V, its columns
     # equilibrated, scaled to e.y = 1.
@@ -1075,49 +1091,29 @@ def _continued_bracket(cons: ConstraintSet, anchor: BeamformerSolution):
     return cons.ceiling_bound(y), b_hi
 
 
-def continue_face(
-    p: WiretapProblem,
-    prev: BeamformerSolution,
-    r: RatePair,
-    mode: CsiMode = STATISTICAL,
-    input_model="gaussian",
-) -> BeamformerSolution | None:
-    """solve_general at r, continued from prev, an SDP-route solution of p
-    with a certified relaxed optimum (its W and duals) at nearby thresholds,
-    with no barrier run; None when the continuation is not certified.
+def _continued_face(p: WiretapProblem, cons: ConstraintSet, anchor: BeamformerSolution):
+    """(W, y) of the relaxed optimum on the rows cons of p, continued from
+    anchor, a solution of p with a certified relaxed optimum (its W and
+    duals) at nearby thresholds, with no barrier run; None when the
+    continuation is not certified.
 
     The rows A of p do not depend on the rates, only their thresholds u do,
-    so prev's optimal face is the start of the face system at r: V from
-    prev's W on its numerical range, and prev's rows with y_i > 0 and their
-    multipliers (_face_solve, whose active-set updates follow a row that
-    turns active or inactive). When that misses, u walks once from prev's
-    thresholds to r's in _WALK_STEPS equal steps, with a Newton solve on
-    prev's face at each, and _face_solve ends the walk at r. The end point
-    is accepted only by _face_point, the test that earns a barrier solve its
-    OPTIMAL; the rank-1 recovery is solve_general's (_complete). Otherwise
-    the caller solves r on the barrier."""
-    t, route = _route(p, r, mode, input_model)
-    if route != "sdp" or prev.W is None:
+    so anchor's optimal face (_anchor_face) is the start of the face system
+    of cons (_face_solve, whose active-set updates follow a row that turns
+    active or inactive). When that misses, u walks once from anchor's
+    thresholds to those of cons in _WALK_STEPS equal steps, with a Newton
+    solve on anchor's face at each, and _face_solve ends the walk. The end
+    point is accepted only by _face_point, the test that earns a barrier
+    solve its OPTIMAL."""
+    face = _anchor_face(cons, anchor)
+    if face is None:
         return None
-    cons = ConstraintSet.build(p, t, mode)
-    if np.all(cons.u >= 0.0):  # W = 0, which the barrier's route returns
-        return None
-    y = cons.stack(prev.duals)
-    rows = np.flatnonzero(y > 0.0)
-    V0 = _range_factor(prev.W)
-    if not rows.size or V0 is None:
-        return None
-    end = _face_point(cons, *_face_solve(cons, rows, V0, y[rows]))
+    rows, V, y = face
+    end = _face_point(cons, *_face_solve(cons, rows, V, y))
     if end is None:
         A, u = cons.A[rows], cons.u[rows]
-        u_prev = ConstraintSet.build(p, prev.thresholds, mode).u[rows]
-        V, y_rows = V0, y[rows]
+        u_prev = ConstraintSet.build(p, anchor.thresholds, anchor.mode).u[rows]
         for f in np.arange(1, _WALK_STEPS) / _WALK_STEPS:
-            V, y_rows, _ = _face_newton(A, u_prev + f * (u - u_prev), V, y_rows)
-        end = _face_point(cons, *_face_solve(cons, rows, V, y_rows))
-    if end is None:
-        return None
-    W, y = end
-    sol = BeamformerSolution(status=OPTIMAL, mode=mode, W=W, objective=float(np.real(np.trace(W))),
-                             duals=cons.duals(y), thresholds=t)
-    return _complete(p, t, route, mode, sol)
+            V, y, _ = _face_newton(A, u_prev + f * (u - u_prev), V, y)
+        end = _face_point(cons, *_face_solve(cons, rows, V, y))
+    return end

@@ -41,22 +41,20 @@ claimed.
 
 A sweep is one pass over the grid: each row's bisection, then at once its
 final solve. All final solves share the problem's rows A and differ only in
-their thresholds u, so each is first continued from the nearest row before
-it with a certified optimum (sdp.continue_face): Newton on that row's
-optimal face at the new thresholds, a row that turns active or inactive
-entering or leaving it, accepted only by the test that earns a barrier
-solve OPTIMAL (sdp._face_point). The first row, and a row whose
-continuation is not certified, take solve_general's barrier, and the rows
-after it continue from there.
-
-That optimum, a final solve on the region's boundary, is also the anchor
-of the next row's epigraph (sdp.epigraph_stages): its first bracket is
-continued from the anchor's face at the new floors, whose multipliers and
+their thresholds u, so each row's solves take an anchor: the last final
+solve before it with a W, a solution on the region's boundary. Its final
+solve (sdp.solve_general) is first continued from the anchor's optimal
+face at the new thresholds, a row that turns active or inactive entering
+or leaving it, accepted only by the test that earns a barrier solve
+OPTIMAL (sdp._face_point); otherwise the same call runs the barrier. Its
+epigraph (sdp.epigraph_stages) is continued likewise: its first bracket
+comes from the anchor's face at the new floors, whose multipliers and
 witness prove it as a barrier stage's do, to roundoff when the face holds.
 Barrier stages are pulled, each inside it, only while a probe stays
 inside. A continuation with no witness leaves the row to the barrier,
 which proves b_lo = inf where the floors and the budget are infeasible, so
-the carry above such a row is the barrier's.
+the carry above such a row is the barrier's. The sweep does not know the
+route: the LP and trivial routes ignore the anchor.
 """
 
 from __future__ import annotations
@@ -71,11 +69,9 @@ from .sdp import (
     INFEASIBLE,
     OPTIMAL,
     RANK1_INFEASIBLE,
-    continue_face,
     epigraph_stages,
     proven_feasibility,
     rate_thresholds,
-    routes_to_lp,
     solve_general,
 )
 
@@ -113,11 +109,8 @@ def _solve_row(p, rd, rate_tol, mode, input_model, anchor):
     the floors and the budget infeasible (b_lo = inf), which holds at every
     larger rd too. With stages, one bisection of R_s on [0, rd) by their
     brackets, and the final solve at its lower end; with none, the one solve
-    at R_s = rd. anchor is a certified relaxed optimum (one with W) of an
-    earlier row, or None. The epigraph's first bracket is continued from it
-    where that proves a witness (epigraph_stages), and the final solve is
-    first continued from it too (continue_face); when there is none, or the
-    continuation is not certified, it is solve_general's own."""
+    at R_s = rd. anchor, the final solve of an earlier row with a W or
+    None, is the anchor of both the epigraph and the final solve."""
     stages = epigraph_stages(p, rd, mode, input_model, anchor)
     epigraph = next(stages, None)
 
@@ -151,9 +144,7 @@ def _solve_row(p, rd, rate_tol, mode, input_model, anchor):
         except _RowFailure:
             return SweepRow(rd, None, None, None, ROW_NUMERICAL_FAILURE), None, False
     r = RatePair(rd, lo)
-    sol = None if anchor is None else continue_face(p, anchor, r, mode, input_model)
-    if sol is None:
-        sol = solve_general(p, r, mode=mode, input_model=input_model)
+    sol = solve_general(p, r, mode=mode, input_model=input_model, anchor=anchor)
     if sol.status == OPTIMAL:
         return SweepRow(rd, lo, sol.power, sol.rank1_exact, ROW_OPTIMAL), sol, False
     if sol.status == INFEASIBLE and epigraph is None:
@@ -219,10 +210,9 @@ def sweep_region(
     # Thresholds rise with R_D: the top rate's are finite exactly when every
     # rate's are. Otherwise RateUnachievableError, before any row is solved.
     rate_thresholds(p, RatePair(grid[-1], 0.0), input_model)
-    # anchor: the last certified relaxed optimum (a solution with W), from
-    # which the next final solve continues. The LP route has no face to
-    # continue.
-    rows, carry, anchor, sdp_route = [], False, None, not routes_to_lp(p, mode)
+    # anchor: the last final solve with a W, from which the next row
+    # continues.
+    rows, carry, anchor = [], False, None
     for rd in grid:
         if carry:
             # The floors a(R_D) rise with R_D: where they and the budget are
@@ -231,7 +221,7 @@ def sweep_region(
         else:
             row, sol, carry = _solve_row(p, rd, rate_tol, mode, input_model, anchor)
             rows.append(row)
-            if sdp_route and sol is not None and sol.W is not None:
+            if sol is not None and sol.W is not None:
                 anchor = sol
     return SweepResult(rows=tuple(rows), rate_tol=rate_tol)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import warnings
 from unittest import mock
 
@@ -543,6 +544,32 @@ class TestSolveGeneral:
         assert sol.w is None
         assert sol.certificate is not None
         assert sol.newton_iterations == 0
+
+    def test_anchor_continues_the_final_solve(self, ref_j1):
+        # Continued from the optimum at R_D 1.0, the solve at 1.1 runs no
+        # barrier and is the cold solve's optimum to roundoff.
+        anchor = solve_general(ref_j1, RatePair(1.0, 0.5))
+        r = RatePair(1.1, 0.5)
+        cold, continued = solve_general(ref_j1, r), solve_general(ref_j1, r, anchor=anchor)
+        assert cold.status == continued.status == OPTIMAL and cold.newton_iterations > 0
+        assert continued.newton_iterations == 0 and continued.rank1_exact
+        assert continued.power == pytest.approx(cold.power, rel=1e-9, abs=0.0)
+        rep = check_kkt(ref_j1, continued.thresholds, continued.W, continued.duals, tol=1e-10)
+        assert rep.passes(1e-10)
+
+    # The anchor is ignored on the LP route, and when it has no W (an
+    # infeasible solve): the result is the one with no anchor, to the bit.
+    @pytest.mark.parametrize("name, anchor_rate, r", [
+        ("paper_j2_diag", RatePair(0.5, 0.2), RatePair(0.6, 0.2)),
+        ("paper_j1", RatePair(2.0, 1.0), RatePair(1.0, 0.5)),
+    ])
+    def test_ignored_anchor_changes_nothing(self, name, anchor_rate, r):
+        p = load_problem(str(PROBLEMS / f"{name}.json")).problem
+        anchor = solve_general(p, anchor_rate)
+        assert (anchor.W is None) == (name == "paper_j1")
+        alone, anchored = solve_general(p, r), solve_general(p, r, anchor=anchor)
+        assert alone.status == OPTIMAL
+        assert pickle.dumps(anchored) == pickle.dumps(alone)
 
     # A final solve whose path ends but whose face refinement is rejected
     # (paper_j2 at the R_s that rate_tol 1e-7 proves at R_D 0.9), and a
@@ -1333,6 +1360,37 @@ class TestEpigraphContinuation:
         bad_rows, bad_staged = sweep_counting_stages()
         assert bad_rows == rows
         assert staged < bad_staged
+
+    def test_row_that_just_left_does_not_enter_again(self, monkeypatch):
+        # random_problem(172) over R_D 0.3, 0.6 and 1.0: on the epigraph face
+        # continued to 0.6 a ceiling enters, its multiplier comes out
+        # negative and it leaves, and the face it left violates it again.
+        # It entered and left until the updates ran out (faces of 2, 3, 2, 3
+        # and 2 rows); _face_solve stops at the face it left (2, 3, 2).
+        faces, active = [], []
+        face_solve, newton = sdp._face_solve, sdp._face_newton
+
+        def solving(*args, **kwargs):
+            active.append([])
+            try:
+                return face_solve(*args, **kwargs)
+            finally:
+                faces.append(active.pop())
+
+        def fitting(A, *args):
+            if active:
+                active[-1].append((A.shape[0], A.tobytes()))
+            return newton(A, *args)
+
+        monkeypatch.setattr(sdp, "_face_solve", solving)
+        monkeypatch.setattr(sdp, "_face_newton", fitting)
+        p, mode, model = random_problem(172)
+        rows = sweep_region(p, [0.3, 0.6, 1.0], rate_tol=1e-2, mode=mode, input_model=model).rows
+        assert [row.status for row in rows] == ["optimal", "optimal", "infeasible"]
+        assert [n for n, _ in faces[1]] == [2, 3, 2]
+        for face in faces:
+            for before, after, again in zip(face, face[1:], face[2:]):
+                assert not (after[0] < before[0] and again == before)
 
 
 @settings(max_examples=30, deadline=None)

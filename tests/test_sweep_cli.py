@@ -45,7 +45,6 @@ from wiretap.sdp import (
     OPTIMAL,
     RANK1_INFEASIBLE,
     BeamformerSolution,
-    continue_face,
     proven_feasibility,
     solve_general,
 )
@@ -431,9 +430,8 @@ def finished_epigraph(p, rd, **kwargs):
 def count_row_calls(monkeypatch, extra=()):
     """The names of the sweep's solver entry points, and of the (owner,
     attr) pairs in extra, appended per call. sdp._path is called once per
-    barrier run. A final solve is one sweep.solve_general call, or one
-    sweep.continue_face call (the continuation from an earlier row) and, if
-    that is not certified, one solve_general call."""
+    barrier run. A final solve is one sweep.solve_general call, and in it
+    one sdp._continued_face call when it has an anchor (an earlier row)."""
     calls = []
 
     def counting(module, attr):
@@ -445,7 +443,7 @@ def count_row_calls(monkeypatch, extra=()):
         monkeypatch.setattr(module, attr, wrapped)
 
     for module, attr in ((sweep, "epigraph_stages"), (sweep, "solve_general"),
-                         (sweep, "continue_face"), (sdp, "_path"),
+                         (sdp, "_continued_face"), (sdp, "_path"),
                          (diag_lp, "solve_diagonal"), (diag_lp, "min_ceiling"), *extra):
         counting(module, attr)
     return calls
@@ -504,21 +502,17 @@ class TestSweepBisection:
             assert statuses == {"optimal", "infeasible"}
 
     def test_one_full_solve_per_feasible_row(self, ref_j1, monkeypatch):
-        calls = []
+        continued = continued_solutions(monkeypatch)
+        calls, solve = [], sweep.solve_general
 
         def solving(p, r, **kwargs):
             calls.append(r)
-            return solve_general(p, r, **kwargs)
-
-        def continuing(p, prev, r, *args):
-            calls.append(r)
-            return continue_face(p, prev, r, *args)
+            return solve(p, r, **kwargs)
 
         monkeypatch.setattr(sweep, "solve_general", solving)
-        monkeypatch.setattr(sweep, "continue_face", continuing)
         rows = sweep_region(ref_j1, [0.5, 1.2], rate_tol=1e-3).rows
         assert [row.status for row in rows] == ["optimal", "infeasible"]
-        assert calls == [RatePair(0.5, rows[0].rs_max)]
+        assert calls == [RatePair(0.5, rows[0].rs_max)] and continued == []
         # One pass over the grid: each row's final solve, here continued at
         # R_D 1.0 from the row before, comes before the next row's epigraph.
         order = count_row_calls(monkeypatch)
@@ -526,9 +520,10 @@ class TestSweepBisection:
         rows = sweep_region(ref_j1, [0.5, 1.0, 1.2], rate_tol=1e-3).rows
         assert [row.status for row in rows] == ["optimal", "optimal", "infeasible"]
         assert calls == [RatePair(0.5, rows[0].rs_max), RatePair(1.0, rows[1].rs_max)]
-        row_calls = [c for c in order if c in ("epigraph_stages", "solve_general", "continue_face")]
+        assert [r for r, _ in continued] == calls[1:]
+        row_calls = [c for c in order if c in ("epigraph_stages", "solve_general", "_continued_face")]
         assert row_calls == ["epigraph_stages", "solve_general", "epigraph_stages",
-                             "continue_face", "epigraph_stages"]
+                             "solve_general", "_continued_face", "epigraph_stages"]
 
     # Statistical and perfect user CSI (ceiling tail exponent 1/(K+J) and
     # 1/J), Gaussian inputs and QPSK (log2(1 + rho) and the alphabet's MI).
@@ -669,7 +664,7 @@ class TestSweepBisection:
             probes = []
             assert row == probe_row(p, rd, 1e-3, probes)
             assert count.get("epigraph_stages", 0) == count.get("solve_general", 0) == 1
-            assert "continue_face" not in count
+            assert "_continued_face" not in count
             if name in (None, "j0_lp"):
                 assert list(sdp.epigraph_stages(p, rd)) == [] and proofs == []
                 assert row.status == "optimal" and row.rs_max == rd
@@ -742,7 +737,7 @@ class TestSweepBisection:
         original_stages = sweep.epigraph_stages
         monkeypatch.setattr(sweep, "epigraph_stages", counting_stages)
         counting(sweep, "solve_general", calls.append)
-        counting(sweep, "continue_face", calls.append)
+        counting(sdp, "_continued_face", calls.append)
         counting(MiEvaluator, "inverse", calls.append)
         counting(sdp, "thresholds_finite_alphabet",
                  lambda attr: callers.append(scope[-1] if scope else "probe"))
@@ -762,8 +757,8 @@ class TestSweepBisection:
             row_calls, row_callers = calls[check:], callers[1:]
             assert row_calls.count("inverse") <= 4
             assert row_callers == [c for c in row_calls
-                                   if c in ("epigraph_stages", "solve_general", "continue_face")]
-            assert "continue_face" not in row_calls
+                                   if c in ("epigraph_stages", "solve_general", "_continued_face")]
+            assert "_continued_face" not in row_calls
             assert row_callers[0] == "epigraph_stages"
         assert statuses == ["optimal", "optimal", "infeasible"]
 
@@ -875,7 +870,7 @@ class TestSweepBisection:
         row, = sweep_region(ref_j1, [1.0], rate_tol=1e-3).rows
         assert row == SweepRow(1.0, None, None, None, "numerical-failure")
         assert calls[0] == "epigraph_stages"
-        assert "solve_general" not in calls and "continue_face" not in calls
+        assert "solve_general" not in calls and "_continued_face" not in calls
 
     # An eavesdropper the transmitter can null, Z = 0.01 diag(1, 0), so b* =
     # min Tr(Z W) = 0 over the floor and the budget. At R_s = R_D the rate gap
@@ -920,18 +915,20 @@ class TestSweepBisection:
         # The bytes, and the work that produced them: a change that moves a
         # count does different arithmetic, even where the bytes hold. Newton
         # steps are counted per barrier: the final solves centre to
-        # _NEWTON_TOL, the epigraph stages only to _EPIGRAPH_TOL. A final
-        # solve is continued from the row before it where that is certified
-        # ("continued"), else solve_general runs its barrier or its simplex
-        # alone. Each row's epigraph is continued likewise where that proves
-        # a witness ("continued epigraph", the first bracket of the row's
-        # epigraph_stages), and a row pulls a bracket from epigraph_stages
-        # ("stage": the continued bracket, a barrier stage, the LP's one
-        # bracket or an unreachable row's) only while the brackets it has
-        # hold a probe. An evaluation at a y_i <= 0 needs no Cholesky factor.
+        # _NEWTON_TOL, the epigraph stages only to _EPIGRAPH_TOL. Each final
+        # solve is one solve_general call. On the SDP route it is continued
+        # from the row before it (_continued_face) where that is certified
+        # ("continued"), else it runs its barrier; on the LP route it runs
+        # its simplex. Each row's epigraph is continued likewise where that
+        # proves a witness ("continued epigraph", the first bracket of the
+        # row's epigraph_stages), and a row pulls a bracket from
+        # epigraph_stages ("stage": the continued bracket, a barrier stage,
+        # the LP's one bracket or an unreachable row's) only while the
+        # brackets it has hold a probe. An evaluation at a y_i <= 0 needs no
+        # Cholesky factor.
         calls = count_row_calls(monkeypatch, extra=((sweep, "proven_feasibility"),))
         evaluate, newton_step = sdp._Barrier.evaluate, sdp._Barrier.newton_step
-        continuing, bracketing = sweep.continue_face, sdp._continued_bracket
+        continuing, bracketing = sdp._continued_face, sdp._continued_bracket
         staging = sweep.epigraph_stages
 
         def counting_stages(*args):
@@ -961,14 +958,14 @@ class TestSweepBisection:
             return newton_step(bar, *args)
 
         def counting_continued(*args):
-            sol = continuing(*args)
-            if sol is not None:
+            end = continuing(*args)
+            if end is not None:
                 calls.append("continued")
-            return sol
+            return end
 
         monkeypatch.setattr(sdp._Barrier, "evaluate", counting_evaluate)
         monkeypatch.setattr(sdp._Barrier, "newton_step", counting)
-        monkeypatch.setattr(sweep, "continue_face", counting_continued)
+        monkeypatch.setattr(sdp, "_continued_face", counting_continued)
         monkeypatch.setattr(sdp, "_continued_bracket", counting_bracket)
         monkeypatch.setattr(sweep, "epigraph_stages", counting_stages)
         csv = "".join(
@@ -976,9 +973,11 @@ class TestSweepBisection:
                                 code_rate_grid(0.1, 2.0, 0.1), rate_tol=1e-3))
             for path in sorted(PROBLEMS.glob("*.json")))
         assert hashlib.md5(csv.encode()).hexdigest() == "c36d15b83a028ef18be82305981e9c07"
-        # Of the 24 SDP-route final solves after a sweep's first, all 24 are
-        # continued; the LP route's final solves are not tried (its 22 rows).
-        # 3 final solves run the barrier: each SDP sweep's first. At paper_j3
+        # 52 final solves: 27 on the SDP route and 25 on the LP route. Of
+        # the 24 SDP-route final solves after a sweep's first, all 24 are
+        # continued; the LP route ignores its anchor (its 22 rows after a
+        # sweep's first). 3 final solves run the barrier: each SDP sweep's
+        # first. At paper_j3
         # R_D 0.3 its first ceiling enters the continued face. The epigraph
         # is continued at those 24 rows (each SDP sweep's first infeasible
         # row has a floor out of reach, refuted before any continuation), and
@@ -992,8 +991,8 @@ class TestSweepBisection:
         count = {attr: calls.count(attr) for attr in set(calls)}
         assert count == {
             "final newton_step": 217, "epigraph newton_step": 120, "_path": 9,
-            "min_ceiling": 28, "solve_diagonal": 25, "solve_general": 28,
-            "continue_face": 24, "continued": 24,
+            "min_ceiling": 28, "solve_diagonal": 25, "solve_general": 52,
+            "_continued_face": 24, "continued": 24,
             "_continued_bracket": 24, "continued epigraph": 23, "stage": 79,
             "proven_feasibility": 552, "epigraph_stages": 58, "evaluate": 728,
             "evaluate y > 0": 362}
@@ -1014,17 +1013,26 @@ class TestSweepBisection:
 
 
 def continued_solutions(monkeypatch):
-    """(rate pair, solution) of every final solve that sweep_region
-    continues from an earlier row (continue_face) and certifies."""
-    continued, original = [], sweep.continue_face
+    """(rate pair, solution) of every final solve (sweep.solve_general)
+    that sweep_region continues from an earlier row (sdp._continued_face)
+    and certifies."""
+    continued, certified = [], []
+    face, solve = sdp._continued_face, sweep.solve_general
 
-    def recording(p, prev, r, *args):
-        sol = original(p, prev, r, *args)
-        if sol is not None:
+    def continuing(*args):
+        end = face(*args)
+        certified.append(end is not None)
+        return end
+
+    def solving(p, r, **kwargs):
+        certified.clear()
+        sol = solve(p, r, **kwargs)
+        if any(certified):
             continued.append((r, sol))
         return sol
 
-    monkeypatch.setattr(sweep, "continue_face", recording)
+    monkeypatch.setattr(sdp, "_continued_face", continuing)
+    monkeypatch.setattr(sweep, "solve_general", solving)
     return continued
 
 
@@ -1086,14 +1094,17 @@ class TestContinuation:
         # active at 0.3: the point that the face system of the row at 0.2
         # reaches at 0.3 violates that ceiling, so the ceiling enters the
         # face (sdp._face_solve), and the row at 0.3 is continued too. Only
-        # the first row takes the barrier.
+        # the first row takes the barrier, the one final solve with a
+        # Newton step.
         p = bundled(3)
         continued = continued_solutions(monkeypatch)
-        barrier = []
+        barrier, solve = [], sweep.solve_general
 
         def solving(p, r, **kwargs):
-            barrier.append(r)
-            return solve_general(p, r, **kwargs)
+            sol = solve(p, r, **kwargs)
+            if sol.newton_iterations:
+                barrier.append(r)
+            return sol
 
         monkeypatch.setattr(sweep, "solve_general", solving)
         rows = sweep_region(p, [0.2, 0.3, 0.4], rate_tol=1e-3).rows
