@@ -114,6 +114,8 @@ def parse_problem(doc: dict) -> ProblemFile:
         if field not in doc:
             raise ProblemFileError(f"missing required field {field!r}")
     n, k, j = (_count(doc[field], field) for field in ("N", "K", "J"))
+    if n < 1:
+        raise ProblemFileError(f"N: expected at least one antenna, got {n}")
     for field, count in (("H", k), ("Z", j)):
         if len(_list(doc[field], field)) != count:
             raise ProblemFileError(f"{field}: expected {count} matrices, got {len(doc[field])}")

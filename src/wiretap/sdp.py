@@ -12,15 +12,19 @@ barrier on y (_Barrier, the dual-scaling method of DSDP) on rows normalized
 by their norms and P_T follows the central path from y = delta 1, which is
 strictly dual feasible for any thresholds: no feasibility pre-solve, and no
 step or stop that depends on the user's units. Each stage's Newton step
-gives a primal point (_Barrier.primal). An iterate with -u.y > P_T is a
-Farkas certificate (ConstraintSet.farkas) and ends the path. The end point
-is refined on its optimal face (_refine_face): a few Gauss-Newton steps on
-the square KKT system Lambda(y) V = 0, Tr(V^H A_i V) = u_i, W = V V^H, take
-the residuals from the barrier's float64 floor (about 1e-7) to roundoff.
-OPTIMAL needs that refined point to be a KKT point with a small duality
-gap (_face_point); otherwise the solve reports MAX_ITERATIONS. A row that
-no W >= 0 within the budget meets (a floor with a_k > P_T lambda_max(F_k),
-or a negative ceiling) is refuted before any barrier run (_unreachable_row).
+gives a primal point (_Barrier.primal). The end point is refined on its
+optimal face (_refine_face): a few Gauss-Newton steps on the square KKT
+system Lambda(y) V = 0, Tr(V^H A_i V) = u_i, W = V V^H, take the residuals
+from the barrier's float64 floor (about 1e-7) to roundoff. OPTIMAL needs
+that refined point to be a KKT point with a small duality gap
+(_face_point); otherwise the solve reports MAX_ITERATIONS.
+
+INFEASIBLE needs a Farkas certificate (ConstraintSet.farkas), which only
+_refute makes, and raises as _Refuted: for a row that no W >= 0 within the
+budget meets, before any barrier run (_unreachable_row), a barrier iterate
+with -u.y > P_T (_Barrier.center), or either diagonal LP's phase I. It is
+caught where a record is made (solve_rank_relaxed, _lp_route and
+epigraph_stages).
 
 The epigraph of the ceilings (epigraph_stages) is the same barrier without
 the I in Lambda, with ceiling u = 0 and the ceiling multipliers summing to
@@ -155,6 +159,25 @@ class _NumericalTrouble(Exception):
     pass
 
 
+class _Refuted(Exception):
+    """Raised by _refute with the Farkas certificate that proves a solve's
+    rows infeasible; caught where the solve's record is made."""
+
+    def __init__(self, certificate: InfeasibilityCertificate):
+        self.certificate = certificate
+
+
+def _refute(cons: ConstraintSet, y: np.ndarray):
+    """Raise _Refuted with the Farkas certificate of y when cons.farkas
+    proves the rows of cons infeasible; return otherwise. The one place a
+    certificate is made."""
+    eig_min, proof = cons.farkas(y)
+    if proof > 0.0:
+        lam, mu, nu = cons.split(y)
+        raise _Refuted(InfeasibilityCertificate(lam=lam, mu=mu, nu=nu, combo_min_eig=eig_min,
+                                                margin=cons.dual_objective(y)))
+
+
 class _NewtonBudget:
     def __init__(self, limit: int):
         self.limit = limit
@@ -235,6 +258,7 @@ class _Barrier:
         self.C = np.eye(self.N, dtype=complex) * (0.0 if epigraph else 1.0)
         self.e = ceilings.astype(float) if epigraph else None
         self.nu = self.N + self.m
+        self.proof = cons.without_ceilings() if epigraph else cons
 
     def multipliers(self, y: np.ndarray) -> np.ndarray:
         """y, one multiplier per normalized barrier row, as one per row of the
@@ -334,7 +358,7 @@ class _Barrier:
         W = step.Linv.conj().T @ mid @ step.Linv / t
         return (W + W.conj().T) / 2.0
 
-    def center(self, t: float, point: _Point, budget: _NewtonBudget, stop):
+    def center(self, t: float, point: _Point, budget: _NewtonBudget):
         """Newton iterations at fixed t from point until the decrement falls
         below _NEWTON_TOL, or on the epigraph (e set) below _EPIGRAPH_TOL:
         its stages' brackets are proofs at any y in the domain, so a loosely
@@ -343,8 +367,11 @@ class _Barrier:
         run's _NewtonBudget bounds every stage, and raises _NumericalTrouble
         once it is spent.
 
-        stop(point) ends centering with step None as soon as some external
-        goal is reached (a Farkas certificate). Exits quietly when the
+        An iterate with -u'.y > 1 (-u.y > P_T) is refuted (_refute) on proof,
+        the rows of cons, or the epigraph's budget and floors: Lambda(y) > 0
+        differs from their combination by C = I, or by ceiling terms of unit
+        norm and weights summing to 1, so that combination's least eigenvalue
+        exceeds -1, and y is a proof but for roundoff. Exits quietly when the
         decrement reaches the float64 noise floor: near the central point the
         gradient is a cancellation of O(t)-sized terms, so decrements much
         below t * eps are not resolvable and not needed.
@@ -352,8 +379,8 @@ class _Barrier:
         f = point.value(t)
         tol = _NEWTON_TOL if self.e is None else _EPIGRAPH_TOL
         while True:
-            if stop(point):
-                return point, None, False
+            if -float(self.u @ point.y) > 1.0:
+                _refute(self.proof, self.multipliers(point.y)[:self.proof.u.size])
             step = self.newton_step(t, point)
             if step.dec2 <= 0.0:
                 return point, step, False  # numerical noise floor
@@ -387,58 +414,34 @@ class _Barrier:
 # ---------------------------------------------------------------------------
 
 
-def _certificate(cons: ConstraintSet, y: np.ndarray) -> InfeasibilityCertificate | None:
-    """The Farkas certificate of y when cons.farkas proves infeasibility."""
-    eig_min, proof = cons.farkas(y)
-    if proof > 0.0:
-        lam, mu, nu = cons.split(y)
-        return InfeasibilityCertificate(lam=lam, mu=mu, nu=nu, combo_min_eig=eig_min,
-                                        margin=cons.dual_objective(y))
-    return None
-
-
-def _unreachable_row(cons: ConstraintSet) -> InfeasibilityCertificate | None:
-    """The Farkas certificate of the first row i > 0 that no W >= 0 with Tr W
-    <= P_T meets, P_T min(0, lambda_min(A_i)) > u_i: y has y_i = 1 and y_0 =
-    max(0, -lambda_min(A_i)), so its combination is PSD and its margin is
-    P_T min(0, lambda_min(A_i)) - u_i. On a floor that is a_k > P_T
-    lambda_max(F_k), on a ceiling b_j < 0. None when every row is within
+def _unreachable_row(cons: ConstraintSet):
+    """Refute (_refute) the first row i > 0 that no W >= 0 with Tr W <= P_T
+    meets, P_T min(0, lambda_min(A_i)) > u_i: y has y_i = 1 and y_0 = max(0,
+    -lambda_min(A_i)), so its combination is PSD and its margin is P_T
+    min(0, lambda_min(A_i)) - u_i. On a floor that is a_k > P_T
+    lambda_max(F_k), on a ceiling b_j < 0. Returns when every row is within
     reach. Such a row is refuted with no Newton step; the barrier never sees
     it."""
     lam_min = np.linalg.eigvalsh(cons.A[1:])[:, 0]
     short = np.flatnonzero(cons.p_t * np.minimum(0.0, lam_min) > cons.u[1:])
-    if not short.size:
-        return None
-    y = np.zeros(cons.u.size)
-    y[0], y[1 + short[0]] = max(0.0, -lam_min[short[0]]), 1.0
-    return _certificate(cons, y)
+    if short.size:
+        y = np.zeros(cons.u.size)
+        y[0], y[1 + short[0]] = max(0.0, -lam_min[short[0]]), 1.0
+        _refute(cons, y)
 
 
-def _proof(bar: _Barrier, cons: ConstraintSet):
-    """The stop test of a path on bar: whether -u'.y > 1 and y, mapped to the
-    rows of cons (those of bar less its ceilings, when cons has fewer), is a
-    Farkas certificate for cons. Lambda(y) > 0 differs from the combination
-    of those rows by C = I, or by ceiling terms sum y_j A'_j with sum y_j = 1
-    and ||A'_j||_F = 1, so the combination's least eigenvalue exceeds -1, and
-    -u'.y > 1 (-u.y > P_T) is a proof but for roundoff."""
-    def proves(point: _Point) -> bool:
-        return (-float(bar.u @ point.y) > 1.0
-                and _certificate(cons, bar.multipliers(point.y)[:cons.u.size]) is not None)
-    return proves
-
-
-def _path(bar: _Barrier, budget: _NewtonBudget, stop):
+def _path(bar: _Barrier, budget: _NewtonBudget):
     """The dual path on bar: centring from bar.start() at t0
     (bar.centring_t), t0 * _T_GROWTH, ... Yields (t, point, step, silent)
-    after each stage: point the stage's _Point, step its Newton step there
-    (None when stop(point) ended the stage). silent: this stage and the one
-    before both ended unconverged without a Newton step, so the path is at
-    its float64 floor."""
+    after each stage: point the stage's _Point, step its Newton step there.
+    silent: this stage and the one before both ended unconverged without a
+    Newton step, so the path is at its float64 floor. An iterate whose y
+    proves bar.proof infeasible raises _Refuted (_Barrier.center)."""
     point = bar.evaluate(bar.start())
     t, quiet = bar.centring_t(point), False
     while True:
         used_before = budget.used
-        point, step, converged = bar.center(t, point, budget, stop)
+        point, step, converged = bar.center(t, point, budget)
         silent = not converged and budget.used == used_before
         yield t, point, step, silent and quiet
         t, quiet = t * _T_GROWTH, silent
@@ -634,22 +637,16 @@ def _final_solve(cons: ConstraintSet, budget: _NewtonBudget):
     """The dual path on the barrier rows of cons, then Newton on the optimal
     face (_refine_face) from the primal point of the last stage's Newton step
     (_Barrier.primal) and its y. The path stops once nu / t <= _GAP_REL Tr
-    W', at a silent stage or at _T_MAX. Returns (W, y, None), y one
-    multiplier per row of cons; (None, None, cert) when an iterate's y
-    proves cons infeasible; or (None, None, None) when the refinement is
-    rejected."""
+    W', at a silent stage or at _T_MAX. Returns (W, y), y one multiplier per
+    row of cons, or None when the refinement is rejected; an iterate whose y
+    proves cons infeasible raises _Refuted."""
     bar = _Barrier(cons)
-    for t, point, step, silent in _path(bar, budget, _proof(bar, cons)):
-        if step is None:
-            return None, None, _certificate(cons, bar.multipliers(point.y))
+    for t, point, step, silent in _path(bar, budget):
         W = bar.primal(t, step)
         if bar.nu / t <= _GAP_REL * float(np.trace(W).real) or silent or t >= _T_MAX:
             break
     y = point.y
-    end = _refine_face(cons, bar, W, (1.0 - step.dy / y) / (t * y), y)
-    if end is None:
-        return None, None, None
-    return *end, None
+    return _refine_face(cons, bar, W, (1.0 - step.dy / y) / (t * y), y)
 
 
 # ---------------------------------------------------------------------------
@@ -722,23 +719,17 @@ def _epigraph_path(cons: ConstraintSet, budget: _NewtonBudget,
     whose continuation (_continued_bracket) proves a witness, that bracket
     comes first, and the stages' proofs start from its ends.
 
-    Yields only (inf, inf) when the floors and the budget are proven
-    infeasible: a row out of their reach (_unreachable_row), or an iterate
-    whose y on them is a Farkas certificate."""
-    floors = cons.without_ceilings()
-    if _unreachable_row(floors) is not None:
-        yield math.inf, math.inf
-        return
+    Raises _Refuted when the floors and the budget are proven infeasible: by
+    a row out of their reach (_unreachable_row), before any bracket, or by
+    an iterate whose y on them is a Farkas certificate."""
+    _unreachable_row(cons.without_ceilings())
     b_lo, b_hi = -math.inf, math.inf
     continued = None if anchor is None else _continued_bracket(cons, anchor)
     if continued is not None:
         b_lo, b_hi = continued
         yield continued
     bar = _Barrier(cons.with_ceiling(0.0), epigraph=True)
-    for t, point, step, silent in _path(bar, budget, _proof(bar, floors)):
-        if step is None:
-            yield math.inf, math.inf
-            return
+    for t, point, step, silent in _path(bar, budget):
         b_hi = min(b_hi, _witness_bound(cons, cons.p_t * bar.primal(t, step, psd=True)))
         b_lo = max(b_lo, cons.ceiling_bound(bar.multipliers(point.y)))
         yield b_lo, b_hi
@@ -783,11 +774,10 @@ def epigraph_stages(
     """The Epigraph at code rate rd after each stage of the solve that
     solve_general's route takes there, each bracket inside the one before and
     mapped to rate space by two forward rate evaluations. The SDP route yields
-    one per barrier stage; the LP route (one simplex, diag_lp.min_ceiling) and
-    floors proven infeasible yield one final bracket, and an LP whose phase I
-    leaves the floors unmet with no accepted certificate yields the undecided
-    bracket b_lo = -inf, b_hi = inf. The thresholds are built once, at the
-    first stage.
+    one per barrier stage, and the LP route (one simplex, diag_lp.min_ceiling)
+    one final bracket. Floors and a budget proven infeasible (_Refuted, on
+    either route) end the stages with the bracket b_lo = b_hi = inf. The
+    thresholds are built once, at the first stage.
 
     anchor, a solution of p at an earlier code rate (a sweep's previous
     row), serves the SDP route only: the bracket continued from its face
@@ -795,29 +785,30 @@ def epigraph_stages(
 
     Yields nothing exactly when R_s moves no row: on the trivial route, or
     with no nonzero ceiling to bound. When the path fails before its first
-    bracket (the Newton steps run out, or an iterate leaves the domain) it
-    yields one bracket, b_lo = -inf and b_hi = inf, that decides no probe;
-    after a bracket, the stages end where the path fails.
+    bracket (the Newton steps run out, or an iterate leaves the domain), or
+    the LP's phase I leaves the floors unmet with no accepted certificate,
+    it yields one bracket, b_lo = -inf and b_hi = inf, that decides no
+    probe; after a bracket, the stages end where the path fails.
     """
     t, route = _route(p, RatePair(rd, 0.0), mode, input_model)
     cons = ConstraintSet.build(p, t, mode)
     if route == "trivial" or not np.any(cons.ceilings & cons.nonzero):
         return
-    if route == "lp":
-        P, y = diag_lp.min_ceiling(cons)
-        if P is not None:
-            brackets = [(cons.ceiling_bound(y), _witness_bound(cons, np.diag(P)))]
-        elif _certificate(cons.with_ceiling(0.0), y) is not None:
-            brackets = [(math.inf, math.inf)]
-        else:
-            brackets = [(-math.inf, math.inf)]
-    else:
-        brackets = _epigraph_path(cons, _NewtonBudget(_MAX_NEWTON), anchor)
     staged = False
     try:
+        if route == "lp":
+            P, y = diag_lp.min_ceiling(cons)
+            if P is None:
+                _refute(cons.with_ceiling(0.0), y)
+                raise _NumericalTrouble("phase I certificate not accepted")
+            brackets = [(cons.ceiling_bound(y), _witness_bound(cons, np.diag(P)))]
+        else:
+            brackets = _epigraph_path(cons, _NewtonBudget(_MAX_NEWTON), anchor)
         for bracket in brackets:
             yield Epigraph(*bracket, *rate_bracket(p, *bracket, mode, input_model))
             staged = True
+    except _Refuted:
+        yield Epigraph(math.inf, math.inf, math.inf, math.inf)
     except _NumericalTrouble:
         if not staged:
             # A probe's gap, in [0, R_D], is neither below 0 nor above inf.
@@ -856,28 +847,27 @@ def solve_rank_relaxed(
     zero power when W = 0 meets every row; else, given an anchor, the face
     continued from it (_continued_face), with no Newton step; else the dual
     path and the face refinement (_final_solve). INFEASIBLE with the
-    certificate of a row out of reach (_unreachable_row) or of the path's y;
-    MAX_ITERATIONS when the refinement is rejected or the path runs out of
-    Newton steps or leaves the domain (_NumericalTrouble)."""
+    certificate (_Refuted) of a row out of reach (_unreachable_row) or of
+    the path's y; MAX_ITERATIONS when the refinement is rejected or the path
+    runs out of Newton steps or leaves the domain (_NumericalTrouble)."""
     cons = ConstraintSet.build(p, t, mode)
     if np.all(cons.u >= 0.0):  # W = 0 satisfies every row
         return _zero_power(cons, t, mode)
     budget = _NewtonBudget(_MAX_NEWTON)
-    W, cert = None, None
     end = None if anchor is None else _continued_face(p, cons, anchor)
-    if end is not None:
-        W, y = end
-    elif (cert := _unreachable_row(cons)) is None:
-        try:
-            W, y, cert = _final_solve(cons, budget)
-        except _NumericalTrouble:
-            pass
-    if cert is not None:
+    try:
+        if end is None:
+            _unreachable_row(cons)
+            end = _final_solve(cons, budget)
+    except _Refuted as refuted:
         return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t,
-                                  certificate=cert, newton_iterations=budget.used)
+                                  certificate=refuted.certificate, newton_iterations=budget.used)
+    except _NumericalTrouble:
+        pass
     # The claimed status must be earned: by a refined KKT point with a small
     # gap (_face_point), not by the path having terminated.
-    if W is not None:
+    if end is not None:
+        W, y = end
         return BeamformerSolution(status=OPTIMAL, mode=mode, W=W,
                                   objective=float(np.real(np.trace(W))), duals=cons.duals(y),
                                   thresholds=t, newton_iterations=budget.used)
@@ -946,15 +936,17 @@ def _lp_route(cons: ConstraintSet, t: ConstraintThresholds, mode: CsiMode) -> Be
     (the K6 matrix is diagonal with the LP's reduced costs on the diagonal).
 
     When phase I leaves the rows unmet, its multipliers are the Farkas
-    certificate of INFEASIBLE; if cons.farkas does not accept them (roundoff)
-    the solve reports MAX_ITERATIONS. OPTIMAL needs every row met to
-    _LP_ROW_REL of its size, or the solve reports MAX_ITERATIONS too."""
+    certificate of INFEASIBLE (_refute); if cons.farkas does not accept them
+    (roundoff) the solve reports MAX_ITERATIONS. OPTIMAL needs every row met
+    to _LP_ROW_REL of its size, or the solve reports MAX_ITERATIONS too."""
     P, y = diag_lp.solve_diagonal(cons)
     if P is None:
-        cert = _certificate(cons, y)
-        if cert is None:
-            return BeamformerSolution(status=MAX_ITERATIONS, mode=mode, thresholds=t)
-        return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t, certificate=cert)
+        try:
+            _refute(cons, y)
+        except _Refuted as refuted:
+            return BeamformerSolution(status=INFEASIBLE, mode=mode, thresholds=t,
+                                      certificate=refuted.certificate)
+        return BeamformerSolution(status=MAX_ITERATIONS, mode=mode, thresholds=t)
     w = np.sqrt(P).astype(np.complex128)
     W = np.outer(w, w.conj())
     if np.any(cons.values(W) > cons.u + _LP_ROW_REL * np.abs(cons.u)):

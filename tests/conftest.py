@@ -58,66 +58,39 @@ def ref_j3():
 def sdp_infeasible_is_certified(monkeypatch):
     """Every certificate that refutes a solve's rows, or the floors and the
     budget of an epigraph (b_lo = inf), is a Farkas certificate on those
-    rows: a row out of reach (_unreachable_row), an iterate of a dual path
-    (_proof's stop test, on the final solve's rows or on the epigraph's
-    floors; _final_solve's returned certificate), the LP route's phase I
-    (_lp_route) and the epigraph LP's phase I (diag_lp.min_ceiling, on the
-    rows with ceiling 0, as epigraph_stages certifies it). It is checked
-    from cons.A and cons.u with plain NumPy, not with the
-    ConstraintSet.farkas and combination that made it: y >= 0; C = sum_i y_i
-    A_i has the certificate's least eigenvalue e, and -y.u is its margin,
-    both to roundoff relative to sum_i |y_i| ||A_i||_F; and -y.u - max(0, -e)
-    P_T > 0. The solver reaches each by its module-level name, whether a
-    test calls solve_rank_relaxed, solve_general, epigraph_stages or a
-    sweep."""
-    final_solve, unreachable_row = sdp._final_solve, sdp._unreachable_row
-    proof, lp_route, min_ceiling = sdp._proof, sdp._lp_route, diag_lp.min_ceiling
+    rows. sdp._refute is the one place one is made and raised (sdp._Refuted),
+    whichever origin tries it: a row out of reach (_unreachable_row), an
+    iterate of a dual path (_Barrier.center, on the final solve's rows or on
+    the epigraph's floors), the LP route's phase I (_lp_route) or the
+    epigraph LP's phase I (epigraph_stages, on the rows with ceiling 0).
+    Each raised certificate is checked from cons.A and cons.u with plain
+    NumPy, not with the ConstraintSet.farkas and combination that made it:
+    y >= 0; C = sum_i y_i A_i has the certificate's least eigenvalue e, and
+    -y.u is its margin, both to roundoff relative to sum_i |y_i| ||A_i||_F;
+    and -y.u - max(0, -e) P_T > 0. The solver reaches _refute by its
+    module-level name, whether a test calls solve_rank_relaxed,
+    solve_general, epigraph_stages or a sweep."""
+    refute = sdp._refute
 
     def certified(cons, cert):
-        if cert is not None:
-            y = np.r_[cert.lam, cert.mu, cert.nu]
-            assert y.shape == cons.u.shape and np.all(y >= 0.0)
-            combo = np.tensordot(y, cons.A, axes=1)
-            e = np.linalg.eigvalsh((combo + combo.conj().T) / 2.0)[0]
-            margin = -float(y @ cons.u)
-            roundoff = 1e-13 * float(np.abs(y) @ np.linalg.norm(cons.A, axis=(1, 2)))
-            assert abs(e - cert.combo_min_eig) <= roundoff
-            assert abs(margin - cert.margin) <= roundoff
-            assert margin - max(0.0, -e) * cons.u[0] > 0.0
-        return cert
+        y = np.r_[cert.lam, cert.mu, cert.nu]
+        assert y.shape == cons.u.shape and np.all(y >= 0.0)
+        combo = np.tensordot(y, cons.A, axes=1)
+        e = np.linalg.eigvalsh((combo + combo.conj().T) / 2.0)[0]
+        margin = -float(y @ cons.u)
+        roundoff = 1e-13 * float(np.abs(y) @ np.linalg.norm(cons.A, axis=(1, 2)))
+        assert abs(e - cert.combo_min_eig) <= roundoff
+        assert abs(margin - cert.margin) <= roundoff
+        assert margin - max(0.0, -e) * cons.u[0] > 0.0
 
-    def checked_final_solve(cons, budget):
-        W, y, cert = final_solve(cons, budget)
-        return W, y, certified(cons, cert)
+    def checked_refute(cons, y):
+        try:
+            refute(cons, y)
+        except sdp._Refuted as refuted:
+            certified(cons, refuted.certificate)
+            raise
 
-    def checked_proof(bar, cons):
-        proves = proof(bar, cons)
-
-        def checked(point):
-            if not proves(point):
-                return False
-            certified(cons, sdp._certificate(cons, bar.multipliers(point.y)[:cons.u.size]))
-            return True
-        return checked
-
-    def checked_lp_route(cons, t, mode):
-        sol = lp_route(cons, t, mode)
-        certified(cons, sol.certificate)
-        return sol
-
-    def checked_min_ceiling(cons):
-        P, y = min_ceiling(cons)
-        if P is None:
-            zeroed = cons.with_ceiling(0.0)
-            certified(zeroed, sdp._certificate(zeroed, y))
-        return P, y
-
-    monkeypatch.setattr(sdp, "_final_solve", checked_final_solve)
-    monkeypatch.setattr(sdp, "_unreachable_row",
-                        lambda cons: certified(cons, unreachable_row(cons)))
-    monkeypatch.setattr(sdp, "_proof", checked_proof)
-    monkeypatch.setattr(sdp, "_lp_route", checked_lp_route)
-    monkeypatch.setattr(diag_lp, "min_ceiling", checked_min_ceiling)
+    monkeypatch.setattr(sdp, "_refute", checked_refute)
 
 
 def random_psd(rng, n, scale=1.0, ridge=0.0, rank=None):
@@ -184,31 +157,32 @@ def probe_verdict(p, r, mode=STATISTICAL, input_model="gaussian"):
     certificate; on the SDP route, a row out of reach
     (sdp._unreachable_row), else the final solve's dual path up to its first
     stage whose primal point (sdp._Barrier.primal) is PSD and meets every row
-    strictly, or its first y that is a Farkas certificate. The oracle that
-    the sweep's epigraph brackets are checked against, probe by probe."""
+    strictly, or its first y that is a Farkas certificate. INFEASIBLE
+    exactly when sdp._refute raises. The oracle that the sweep's epigraph
+    brackets are checked against, probe by probe."""
     t, route = sdp._route(p, r, mode, input_model)
     if route == "trivial":
         return sdp.FEASIBLE
     cons = ConstraintSet.build(p, t, mode)
-    if route == "lp":
-        P, y = diag_lp.solve_diagonal(cons)
-        if P is not None:
-            return sdp.FEASIBLE
-        return sdp.INFEASIBLE if sdp._certificate(cons, y) is not None else sdp.MAX_ITERATIONS
-    if np.all(cons.u >= 0.0):
-        return sdp.FEASIBLE
-    if sdp._unreachable_row(cons) is not None:
-        return sdp.INFEASIBLE
-    bar = sdp._Barrier(cons)
-    budget = sdp._NewtonBudget(sdp._MAX_NEWTON)
     try:
-        for t, point, step, silent in sdp._path(bar, budget, sdp._proof(bar, cons)):
-            if step is None:
-                return sdp.INFEASIBLE
+        if route == "lp":
+            P, y = diag_lp.solve_diagonal(cons)
+            if P is not None:
+                return sdp.FEASIBLE
+            sdp._refute(cons, y)
+            return sdp.MAX_ITERATIONS
+        if np.all(cons.u >= 0.0):
+            return sdp.FEASIBLE
+        sdp._unreachable_row(cons)
+        bar = sdp._Barrier(cons)
+        budget = sdp._NewtonBudget(sdp._MAX_NEWTON)
+        for t, point, step, silent in sdp._path(bar, budget):
             W = cons.p_t * bar.primal(t, step)
             if np.all(cons.values(W) < cons.u) and np.linalg.eigvalsh(W)[0] >= 0.0:
                 return sdp.FEASIBLE
             if silent or t >= sdp._T_MAX:
                 return sdp.MAX_ITERATIONS
+    except sdp._Refuted:
+        return sdp.INFEASIBLE
     except sdp._NumericalTrouble:
         return sdp.MAX_ITERATIONS

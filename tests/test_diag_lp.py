@@ -29,7 +29,8 @@ def lp(p, t):
     cons = ConstraintSet.build(p, t)
     P, y = solve_diagonal(cons)
     if P is None:
-        assert sdp._certificate(cons, y) is not None
+        with pytest.raises(sdp._Refuted):
+            sdp._refute(cons, y)
         return None
     return P, y
 

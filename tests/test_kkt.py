@@ -4,10 +4,12 @@ import pytest
 from conftest import random_psd
 from wiretap.kkt import check_kkt, rank_bound_check
 from wiretap.model import (
+    STATISTICAL,
     ConstraintThresholds,
     ModelError,
     RatePair,
     WiretapProblem,
+    perfect_users,
     thresholds_gaussian,
 )
 from wiretap.sdp import DualVariables, solve_rank_relaxed
@@ -54,19 +56,28 @@ class TestCheckKkt:
         assert rep.passes(1e-5)
 
     def test_dimension_mismatch_rejected(self, ref_j1):
+        # A W of the wrong shape, and perfect CSI with one user channel for
+        # the two users, or two channels of dimension 2 for N = 3.
         t = thresholds_gaussian(ref_j1, RatePair(0.5, 0.1))
         duals = DualVariables(lam=0.0, mu=np.zeros(2), nu=np.zeros(1),
                               Lambda=np.eye(3, dtype=complex))
-        with pytest.raises(ModelError):
-            check_kkt(ref_j1, t, np.eye(2, dtype=complex), duals)
+        for W, mode, match in ((np.eye(2, dtype=complex), STATISTICAL, "shape"),
+                               (np.eye(3, dtype=complex), perfect_users([np.ones(3)]), "channels"),
+                               (np.eye(3, dtype=complex), perfect_users([np.ones(2)] * 2),
+                                "dimension")):
+            with pytest.raises(ModelError, match=match):
+                check_kkt(ref_j1, t, W, duals, mode=mode)
 
     def test_infeasible_candidate_flagged(self, ref_j1):
         t = thresholds_gaussian(ref_j1, RatePair(1.0, 0.5))
         duals = DualVariables(lam=0.0, mu=np.zeros(2), nu=np.zeros(1),
                               Lambda=np.eye(3, dtype=complex))
-        rep = check_kkt(ref_j1, t, np.zeros((3, 3), dtype=complex), duals)
-        assert not rep.primal_feasible
-        assert any("floor" in v for v in rep.feasibility_violations)
+        # W = 0 misses the floors, and W = P_T I (Tr W = 3 P_T) the budget.
+        for W, violated in ((np.zeros((3, 3), dtype=complex), "floor"),
+                            (ref_j1.P_T * np.eye(3, dtype=complex), "power budget violated")):
+            rep = check_kkt(ref_j1, t, W, duals)
+            assert not rep.primal_feasible
+            assert any(violated in v for v in rep.feasibility_violations)
 
 
 class TestRankBound:

@@ -163,9 +163,9 @@ class TestSolveRankRelaxed:
         stages = []
         center = sdp._Barrier.center
 
-        def counting(bar, t, point, budget, stop):
+        def counting(bar, t, point, budget):
             used = budget.used
-            out = center(bar, t, point, budget, stop)
+            out = center(bar, t, point, budget)
             stages.append(budget.used - used)
             return out
 
@@ -592,13 +592,34 @@ class TestSolveGeneral:
             w0 = extract_principal_direction(sol.W)
             assert power_rescale(p, sol.thresholds, w0, mode) is None
 
+    def test_rank_two_optimum_is_rescaled(self):
+        # One user with H = U diag(1, 1, 0) U^H and an eavesdropper on U's
+        # third column, U a non-diagonal unitary, so the route is the SDP:
+        # the relaxed optimum is rank 2, and its principal direction is
+        # rescaled feasibly (power_rescale). Every direction in H's range
+        # costs the same, so the power equals the relaxed optimum up to
+        # roundoff, and w w^H meets the floor to roundoff.
+        rng = np.random.default_rng(0)
+        U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        p = WiretapProblem(H=(U @ np.diag([1.0, 1.0, 0.0]) @ U.conj().T,),
+                           Z=(0.01 * U @ np.diag([0.0, 0.0, 1.0]) @ U.conj().T,),
+                           N0=1.0, epsilon=0.1, P_T=10.0)
+        assert not p.diagonal
+        sol = solve_general(p, RatePair(0.5, 0.2))
+        assert sol.status == OPTIMAL and not sol.rank1_exact
+        assert numerical_rank(sol.W, sdp._RANK_REL_TOL) == 2
+        assert sol.power >= sol.objective * (1.0 - 1e-12)
+        cons = ConstraintSet.build(p, sol.thresholds)
+        values = cons.values(np.outer(sol.w, sol.w.conj()))
+        assert np.all(values <= cons.u + 1e-12 * np.abs(cons.u))
+
     @pytest.mark.parametrize("rs", [0.5572265624999998, 0.5572265624999999,
                                     0.5572265625000004])
     def test_phase1_reports_infeasible_only_with_certificate(self, ref_j2, rs):
         # Feasible points about 1e-3 below the region's boundary at R_D 0.9.
         # The final solve's path stops as infeasible only on a Farkas
-        # certificate: its -u'.y climbs to 0.994, short of the 1 that
-        # sdp._proof needs, and the path goes on to the optimum.
+        # certificate: its -u'.y climbs to 0.994, short of the 1 at which
+        # _Barrier.center tries y as one, and the path goes on to the optimum.
         sol = solve_general(ref_j2, RatePair(0.9, rs))
         assert sol.status == OPTIMAL
         assert sol.power == pytest.approx(15.7564, rel=1e-4)
@@ -771,7 +792,7 @@ class TestStart:
     def path(p, r):
         cons = ConstraintSet.build(p, thresholds_gaussian(p, r))
         bar, budget = sdp._Barrier(cons), sdp._NewtonBudget(sdp._MAX_NEWTON)
-        return cons, bar, budget, sdp._path(bar, budget, sdp._proof(bar, cons))
+        return cons, bar, budget, sdp._path(bar, budget)
 
     @staticmethod
     def proves(cons, cert):
@@ -779,7 +800,9 @@ class TestStart:
 
     def test_floor_out_of_reach(self, ref_j1):
         cons, _, budget, _ = self.path(ref_j1, RatePair(520.0, 0.0))
-        assert self.proves(cons, sdp._unreachable_row(cons))
+        with pytest.raises(sdp._Refuted) as refuted:
+            sdp._unreachable_row(cons)
+        assert self.proves(cons, refuted.value.certificate)
         sol = solve_rank_relaxed(ref_j1, thresholds_gaussian(ref_j1, RatePair(520.0, 0.0)))
         assert sol.status == INFEASIBLE and sol.newton_iterations == 0
 
@@ -790,18 +813,19 @@ class TestStart:
         # strictly.
         cons, bar, budget, stages = self.path(ref_j1, RatePair(rd, rs))
         t, _, step, _ = next(stages)
-        assert step is not None and budget.used > 0
+        assert budget.used > 0
         W = cons.p_t * bar.primal(t, step)
         assert np.all(cons.u - cons.values(W) > 0.0) and np.linalg.eigvalsh(W)[0] > 0.0
 
     def test_phase1_certificate(self, ref_j1):
         # Infeasible rows: the first stage's centering runs y out along a
-        # Farkas ray and stops at the first y that proves it.
+        # Farkas ray and stops at the first y that proves it: -u.y > P_T.
         cons, bar, budget, stages = self.path(ref_j1, RatePair(1.0, 0.9))
-        _, point, step, _ = next(stages)
-        assert step is None and budget.used > 0
-        assert -float(bar.u @ point.y) > 1.0
-        assert self.proves(cons, sdp._certificate(cons, bar.multipliers(point.y)))
+        with pytest.raises(sdp._Refuted) as refuted:
+            next(stages)
+        cert = refuted.value.certificate
+        assert budget.used > 0 and cert.margin > cons.p_t
+        assert self.proves(cons, cert)
 
     def test_thin_set_starts_from_the_epigraph(self):
         # Seed 2769 of the sweep's thin-set test at (1.0, 0.8203125), a thin
@@ -861,14 +885,17 @@ class TestStart:
         # = 20, and the ceiling met; a ceiling too low for the floors, or
         # floors beyond the budget, end with multipliers that prove it.
         cons = self.two_floors(p_t, b)
-        W, y, cert = sdp._final_solve(cons, sdp._NewtonBudget(sdp._MAX_NEWTON))
+        budget = sdp._NewtonBudget(sdp._MAX_NEWTON)
         if feasible:
-            assert cert is None and np.allclose(np.diag(W), 10.0, rtol=1e-12, atol=0.0)
+            W, y = sdp._final_solve(cons, budget)
+            assert np.allclose(np.diag(W), 10.0, rtol=1e-12, atol=0.0)
             assert np.linalg.eigvalsh(W)[0] >= 0.0
             assert np.all(cons.values(W) <= cons.u + 1e-12 * np.abs(cons.u))
             assert cons.dual_objective(y) == pytest.approx(20.0, rel=1e-12)
         else:
-            assert W is None and self.proves(cons, cert)
+            with pytest.raises(sdp._Refuted) as refuted:
+                sdp._final_solve(cons, budget)
+            assert self.proves(cons, refuted.value.certificate)
 
 
 @pytest.mark.parametrize("diag, b_hi", [
@@ -921,8 +948,10 @@ def test_feasibility_probe_matches_relaxed_solve(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_ceiling_bound_is_the_certificate_threshold(seed):
-    # Random rows and multipliers: _certificate accepts y just below
-    # ceiling_bound(y) and rejects it just above.
+    # Random rows and multipliers: the Farkas test (cons.farkas, which
+    # sdp._refute runs) accepts y just below ceiling_bound(y) and rejects it
+    # just above. The y just below is marginal on purpose, so the test reads
+    # cons.farkas itself.
     rng = np.random.default_rng(seed)
     n, k, j = 3, 2, 2
     A = np.array([np.eye(n, dtype=complex),
@@ -937,7 +966,7 @@ def test_ceiling_bound_is_the_certificate_threshold(seed):
     assert b_lo > 0.0
     for b, proven in ((b_lo * (1.0 - 1e-9), True), (b_lo * (1.0 + 1e-9), False)):
         cons = rows(b)
-        assert (sdp._certificate(cons, y) is not None) == proven
+        assert (cons.farkas(y)[1] > 0.0) == proven
     y[1 + k:] = 0.0
     assert rows(0.0).ceiling_bound(y) == -math.inf
 

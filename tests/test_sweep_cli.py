@@ -299,10 +299,12 @@ class TestSweep:
             sweep_region(ref_j1, [0.5, 0.5])
 
     # A non-finite bound or step, or one that would make the grid longer than
-    # 10**6 code rates, used to loop for ever or pass silently.
+    # 10**6 code rates, used to loop for ever or pass silently. A bound or
+    # step that is not positive is rejected too.
     @pytest.mark.parametrize("rd_min, rd_max, rd_step", [
         (0.5, math.inf, 0.1), (0.5, 0.6, 1e-20), (0.1, 2e5, 0.1),
         (math.nan, 0.6, 0.1), (0.5, math.nan, 0.1), (0.5, 0.6, math.inf), (0.5, 0.6, math.nan),
+        (0.0, 0.6, 0.1), (0.5, 0.6, 0.0),
     ])
     def test_grid_rejects_non_finite_or_huge(self, rd_min, rd_max, rd_step):
         with pytest.raises(ModelError):
@@ -472,6 +474,41 @@ TWO_FLOORS = WiretapProblem(
     H=(0.5 * np.array([[1, 1], [1, 1]], dtype=complex),
        0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)),
     Z=(0.01 * np.array([[1, 0.5], [0.5, 1]], dtype=complex),), N0=1.0, epsilon=0.1, P_T=20.0)
+
+
+# Each of the five origins of a certificate raises through sdp._refute, and
+# so under the sdp_infeasible_is_certified check: a floor out of reach of
+# P_T, the final solve's dual path, the epigraph's dual path on the two
+# orthogonal floors, the LP route's phase I and the epigraph LP's phase I.
+@pytest.mark.parametrize("origin, name, rd, rs", [
+    ("_unreachable_row", "paper_j1", 2.0, 1.0),
+    ("final center", "paper_j1", 1.0, 0.9),
+    ("epigraph center", None, 0.5, None),
+    ("_lp_route", "paper_j2_diag", 0.9, 0.0),
+    ("epigraph_stages", "paper_j2_diag", 0.9, None),
+])
+def test_every_origin_refutes_through_one_place(origin, name, rd, rs, monkeypatch):
+    refute, origins = sdp._refute, []
+
+    def spy(cons, y):
+        caller = sys._getframe(1)
+        try:
+            refute(cons, y)
+        except sdp._Refuted:
+            kind = caller.f_code.co_name
+            if kind == "center":
+                kind = f"{'final' if caller.f_locals['self'].e is None else 'epigraph'} center"
+            origins.append(kind)
+            raise
+
+    monkeypatch.setattr(sdp, "_refute", spy)
+    p = TWO_FLOORS if name is None else load_problem(str(PROBLEMS / f"{name}.json")).problem
+    if rs is None:
+        stages = list(sdp.epigraph_stages(p, rd))
+        assert stages[-1] == sdp.Epigraph(math.inf, math.inf, math.inf, math.inf)
+    else:
+        assert solve_general(p, RatePair(rd, rs)).status == INFEASIBLE
+    assert origins == [origin]
 
 
 class TestSweepBisection:
@@ -1261,10 +1298,12 @@ class TestCli:
         assert json.loads(out)["ok"] is True
 
     def test_validate_bad_file_exit_2(self, tmp_path):
+        # A missing field, and a top-level value that is not an object.
         path = tmp_path / "bad.json"
-        path.write_text('{"N": 1}')
-        code, _ = run_cli(["validate", "--problem", str(path)])
-        assert code == 2
+        for text in ('{"N": 1}', "[1, 2]"):
+            path.write_text(text)
+            code, _ = run_cli(["validate", "--problem", str(path)])
+            assert code == 2
 
     def test_solve_feasible_exit_0(self):
         code, out = run_cli([
@@ -1286,6 +1325,17 @@ class TestCli:
         ])
         assert code == 1
         assert json.loads(out)["status"] == "infeasible"
+
+    def test_solve_out_of_newton_steps_exit_3(self, monkeypatch):
+        # Two Newton steps cannot reach the optimum: the solve ends
+        # max_iterations, the numerical-failure exit code.
+        monkeypatch.setattr(sdp, "_MAX_NEWTON", 2)
+        code, out = run_cli([
+            "solve", "--problem", str(PROBLEMS / "paper_j1.json"),
+            "--rd", "1.0", "--rs", "0.5",
+        ])
+        assert code == 3
+        assert json.loads(out) == {"status": "max_iterations"}
 
     @pytest.mark.parametrize("field, value", [
         ("H", "NaN"), ("P_T", "Infinity"), ("N0", "Infinity"),
@@ -1355,7 +1405,10 @@ class TestCli:
 
     # float() would read "1.0" and true, and a two-character string would
     # unpack as an [re, im] pair: every number the file holds is a JSON
-    # number, and each names its field.
+    # number, and each names its field. So does every other malformed entry:
+    # N = 0 (which crashed the solver as a LinalgError), a power entry with
+    # no value or an unknown unit, a matrix count, a short matrix row, and a
+    # CSI mode that is unknown or has the wrong count or length of channels.
     @pytest.mark.parametrize("edit, field", [
         (lambda doc: doc.update(N0="1.0"), "N0"),
         (lambda doc: doc.update(epsilon="0.1"), "epsilon"),
@@ -1363,6 +1416,18 @@ class TestCli:
         (lambda doc: doc.update(P_T={"value": "12", "unit": "dB"}), "P_T value"),
         (lambda doc: doc["H"][0][0].__setitem__(0, "21"), "H[0][0]"),
         (lambda doc: doc["H"][0][0].__setitem__(0, [True, False]), "H[0][0]"),
+        pytest.param(lambda doc: doc.update(N=0, H=[[]], Z=[], K=1, J=0), "N", id="N-0"),
+        pytest.param(lambda doc: doc.update(P_T={"unit": "dB"}), "P_T", id="P_T-no-value"),
+        pytest.param(lambda doc: doc.update(P_T={"value": 1.0, "unit": "W"}), "P_T",
+                     id="P_T-unknown-unit"),
+        pytest.param(lambda doc: doc["H"].pop(), "H", id="H-count"),
+        pytest.param(lambda doc: doc["H"][0][1].pop(), "H[0] row 1", id="H-short-row"),
+        pytest.param(lambda doc: doc.update(csi_mode="perfect"), "csi_mode",
+                     id="csi_mode-unknown"),
+        pytest.param(lambda doc: doc.update(csi_mode={"perfect_users": [[[1.0, 0.0]] * 3]}),
+                     "csi_mode.perfect_users", id="perfect_users-count"),
+        pytest.param(lambda doc: doc.update(csi_mode={"perfect_users": [[[1.0, 0.0]] * 2] * 2}),
+                     "perfect_users[0]", id="perfect_users-length"),
     ])
     def test_number_not_json_number_exit_2(self, tmp_path, capsys, edit, field):
         doc = json.loads((PROBLEMS / "paper_j1.json").read_text())
